@@ -35,14 +35,10 @@ def main() -> int:
     args = parser.parse_args()
 
     cert, base, volt = certify(args.d, seed=1)
-    keep = min(cert.s, args.trunc_s)
-    mask = (1 << keep) - 1
-    truncated = volt.with_bits(
-        keep, {e: m & mask for e, m in volt.level_bits.items() if m & mask}
-    )
+    truncated = volt.truncate(args.trunc_s)
     fug = full_unit_graph(build_root_unit_graph(args.d), truncated)
     print(
-        f"full unit graph at d={args.d}, s={keep}: "
+        f"full unit graph at d={args.d}, s={truncated.s}: "
         f"{fug.vertex_count} vertices, {len(fug.edges)} edges; "
         f"checking {27 * len(fug.edges)} block segments"
     )

@@ -12,7 +12,7 @@ from .certify import (
     search_signings,
     verify_certificate,
 )
-from .embed import Try, find_good_try, is_good_try, partition_roles, sample_try
+from .embed import Try, find_good_try, is_good_try, sample_try
 from .entropy import (
     LatticeSummary,
     central_counts,
@@ -76,7 +76,6 @@ __all__ = [
     "lattice_report",
     "max_connected_stages",
     "min_degree_for_kappa",
-    "partition_roles",
     "sample_try",
     "search_signings",
     "two_lift",

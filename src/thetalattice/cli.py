@@ -67,7 +67,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_kappa(text: str) -> Fraction:
+def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -79,11 +79,7 @@ def _truncated_voltage(cert: LiftCertificate, trunc_s: int | None):
     first trunc_s lift stages (the placement procedure is stage-agnostic)."""
     base, _ = build_base_graph(cert.d)
     volt = cert.to_voltage(base)
-    if trunc_s is None or trunc_s >= volt.s:
-        return base, volt
-    keep = (1 << trunc_s) - 1
-    bits = {e: m & keep for e, m in volt.level_bits.items() if m & keep}
-    return base, volt.with_bits(trunc_s, bits)
+    return base, volt if trunc_s is None else volt.truncate(trunc_s)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +87,7 @@ def _truncated_voltage(cert: LiftCertificate, trunc_s: int | None):
 
 def _cmd_construct(args) -> int:
     if args.kappa is not None:
-        kappa = _parse_kappa(args.kappa)
+        kappa = _parse_rational(args.kappa)
         d = min_degree_for_kappa(kappa)
         print(f"kappa {kappa} -> minimal degree d = {d}")
     else:
@@ -166,7 +162,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_report(args) -> int:
     cert = LiftCertificate.from_json(Path(args.certificate).read_text())
-    kappa = _parse_kappa(args.kappa) if args.kappa else None
+    kappa = _parse_rational(args.kappa) if args.kappa else None
     summary = lattice_report(cert, kappa)
     print(summary_table([summary]))
     if args.output:
@@ -179,7 +175,7 @@ def _cmd_embed(args) -> int:
     _, volt = _truncated_voltage(cert, args.trunc_s)
     root = build_root_unit_graph(cert.d)
     fug = full_unit_graph(root, volt)
-    resolution = Fraction(args.grid_resolution)
+    resolution = _parse_rational(args.grid_resolution)
     try:
         t, attempts = find_good_try(
             fug, args.seed, args.max_attempts, resolution
@@ -244,13 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Construct, certify, measure and embed 3D regular bipartite "
             "lattices with no 6-cycles and only-central 4-cycles."
         ),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker count (results never depend on it; current "
-        "implementations are sequential)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

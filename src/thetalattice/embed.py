@@ -4,19 +4,23 @@ Connector vertices rx/ry/rz are sampled in the outer face boxes, everything
 else in the center box; lx/ly/lz positions are the matching-level rx/ry/rz
 points shifted back by one unit, realizing the gluing.  A try is good when,
 over the full 3x3x3 block of unit translates, edge segments meet only at
-shared endpoints.  All predicates run in integer arithmetic on grid-scaled
-coordinates, so verdicts are exact and platform-independent.
+shared endpoints.  Verdicts are decided in integer arithmetic on grid-scaled
+coordinates; a float64 filter with a static error bound only ever proves a
+pair skew, so verdicts are exact and platform-independent.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import AttemptsExhausted, GridTooCoarse, MalformedGraph
+import numpy as np
+
+from .errors import AttemptsExhausted, GridTooCoarse, MalformedGraph, TooLarge
 from .graphs import LabeledGraph, Role
 
 Point = tuple[Fraction, Fraction, Fraction]
@@ -26,6 +30,10 @@ THIRD = Fraction(1, 3)
 CENTER = (THIRD, 2 * THIRD)
 OUTER = (2 * THIRD, Fraction(1))
 DEFAULT_RESOLUTION = Fraction(1, 2**20)
+# Sampled coordinates lie in (-1/3, 4/3), so a denominator up to 2^40 keeps
+# block coordinates (up to two more units of shift) far below is_good_try's
+# 2^53 limit.
+_MAX_GRID_DENOMINATOR = 2**40
 
 # role tag -> (x-interval, y-interval, z-interval); lx/ly/lz are derived
 _BOXES = {
@@ -34,32 +42,6 @@ _BOXES = {
     "rz": (CENTER, CENTER, OUTER),
 }
 _DERIVED = {"lx": ("rx", (1, 0, 0)), "ly": ("ry", (0, 1, 0)), "lz": ("rz", (0, 0, 1))}
-
-
-@dataclass(frozen=True)
-class RolePartition:
-    s1: frozenset[Role]
-    s2: frozenset[Role]
-    s3: frozenset[Role]
-    s4: frozenset[Role]
-    s5: frozenset[Role]
-
-
-def partition_roles(d: int) -> RolePartition:
-    """The five disjoint role sets steering the placement: the three right
-    connectors alone, the left connectors together, and everything else."""
-    if d < 5:
-        raise ValueError("d must be >= 5")
-    rest = {Role("t"), Role("b")}
-    rest |= {Role("c", i) for i in range(1, d + 1)}
-    rest |= {Role("f", j) for j in range(1, d - 4)}
-    return RolePartition(
-        s1=frozenset({Role("rx")}),
-        s2=frozenset({Role("ry")}),
-        s3=frozenset({Role("rz")}),
-        s4=frozenset({Role("lx"), Role("ly"), Role("lz")}),
-        s5=frozenset(rest),
-    )
 
 
 @dataclass(frozen=True)
@@ -98,6 +80,10 @@ def sample_try(
     if fug.labels is None:
         raise MalformedGraph("sample_try needs a labeled full unit graph")
     res = Fraction(grid_resolution)
+    if res <= 0:
+        raise ValueError(f"grid resolution must be positive, got {res}")
+    if res.denominator > _MAX_GRID_DENOMINATOR:
+        raise TooLarge(f"grid resolution {res} has a denominator above 2^40")
     rng = random.Random(seed)
     points: dict[int, Point] = {}
     used: set[Point] = set()
@@ -133,6 +119,10 @@ def sample_try(
 
 def _sub(a: IPoint, b: IPoint) -> IPoint:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _add(a: IPoint, b: IPoint) -> IPoint:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def _cross(a: IPoint, b: IPoint) -> IPoint:
@@ -185,72 +175,113 @@ def segment_pair_ok(p1: IPoint, p2: IPoint, q1: IPoint, q2: IPoint) -> bool:
     return True
 
 
-def _segments_of_block(t: Try, fug: LabeledGraph) -> list[tuple[IPoint, IPoint]]:
-    scaled, denom = t.scaled()
-    segs = []
-    for u, v in fug.edges:
-        p, q = scaled[u], scaled[v]
-        for ox in (-denom, 0, denom):
-            for oy in (-denom, 0, denom):
-                for oz in (-denom, 0, denom):
-                    segs.append(
-                        (
-                            (p[0] + ox, p[1] + oy, p[2] + oz),
-                            (q[0] + ox, q[1] + oy, q[2] + oz),
-                        )
-                    )
-    return segs
+# Orientation filter.  Shewchuk's orient3d error bound A (1997), with
+# epsilon = 2^-53: when |det| > (7 eps + 56 eps^2) * permanent, the float64
+# determinant has the sign of the exact one.  The bound holds only when every
+# input coordinate is exact in float64 and nothing underflows, so every block
+# coordinate (scaled coordinate plus up to two units of shift) must be an
+# integer of magnitude below 2^53.
+_EPS = 2.0**-53
+_ORIENT3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
+_COORD_LIMIT = 2**53
+# One representative of each translation class of pairs in the 3x3x3 block:
+# (e, f + delta) and (f, e - delta) are the same pair, so delta >= 0 in
+# lexicographic order.
+_OFFSETS = tuple(
+    delta for delta in itertools.product(range(-2, 3), repeat=3) if delta >= (0, 0, 0)
+)
+# pair-mask elements per chunk, so temporaries stay at a few MiB however many
+# edges there are
+_CHUNK = 1 << 14
+
+
+def _undecided(
+    start: np.ndarray, step: np.ndarray, i: np.ndarray, j: np.ndarray, shift: np.ndarray
+) -> np.ndarray:
+    """Positions k where the float64 orientation of segment i[k] against
+    segment j[k] + shift does not certify the two lines skew.
+
+    start and step are (3, E) int64: first endpoint and endpoint difference
+    per edge.  This is Shewchuk's orient3d(p2, q1, q2, p1) fast path in the
+    same evaluation order.  The differences are exact in int64 and round once
+    on conversion, as a float64 subtraction of the exact inputs would.
+    """
+    w = start[:, j] + shift[:, None] - start[:, i]
+    a = step[:, i].astype(np.float64)
+    c = (w + step[:, j]).astype(np.float64)
+    b = w.astype(np.float64)
+    bxcy, cxby = b[0] * c[1], c[0] * b[1]
+    cxay, axcy = c[0] * a[1], a[0] * c[1]
+    axby, bxay = a[0] * b[1], b[0] * a[1]
+    det = a[2] * (bxcy - cxby) + b[2] * (cxay - axcy) + c[2] * (axby - bxay)
+    permanent = (
+        (np.abs(bxcy) + np.abs(cxby)) * np.abs(a[2])
+        + (np.abs(cxay) + np.abs(axcy)) * np.abs(b[2])
+        + (np.abs(axby) + np.abs(bxay)) * np.abs(c[2])
+    )
+    return np.flatnonzero(np.abs(det) <= _ORIENT3D_BOUND * permanent)
 
 
 def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     """Exact check that over the 3x3x3 block of unit translates every pair of
     intersecting edge segments meets only at a shared endpoint.
 
-    A conservative spatial-bucket prefilter (quarter-unit buckets on bounding
-    boxes) keeps the pair count tractable without affecting exactness.
+    Every pair in the block is an integer translate of (edge e, edge f shifted
+    by delta) with delta in {-2..2}^3, and every such triple occurs in the
+    block; segment_pair_ok is translation-invariant, so one representative per
+    class is checked (delta lexicographically >= 0, and e < f at delta = 0).
+    Pairs whose closed bounding boxes are disjoint are skipped (exact, int64).
+    A float64 orientation filter with Shewchuk's static bound A certifies
+    skew pairs; it needs every block coordinate to be an integer below 2^53
+    in magnitude, else TooLarge.  Every other pair, including each pair with a
+    shared endpoint, is decided by the exact integer segment_pair_ok.
     """
     if fug.labels is None:
         raise MalformedGraph("is_good_try needs a labeled graph")
     missing = set(range(fug.vertex_count)) - set(t.points)
     if missing:
         raise ValueError(f"try does not cover vertices {sorted(missing)}")
-    segs = _segments_of_block(t, fug)
-    _, denom = t.scaled()
-    bucket = max(denom // 4, 1)
-    boxes = []
-    for p, q in segs:
-        boxes.append(
-            tuple(
-                (min(p[i], q[i]) // bucket, max(p[i], q[i]) // bucket) for i in range(3)
-            )
-        )
-    grid: dict[tuple[int, int, int], list[int]] = {}
-    for idx, b in enumerate(boxes):
-        for bx in range(b[0][0], b[0][1] + 1):
-            for by in range(b[1][0], b[1][1] + 1):
-                for bz in range(b[2][0], b[2][1] + 1):
-                    grid.setdefault((bx, by, bz), []).append(idx)
-    for cell, members in grid.items():
-        for ii in range(len(members)):
-            i = members[ii]
-            bi = boxes[i]
-            for jj in range(ii + 1, len(members)):
-                j = members[jj]
-                bj = boxes[j]
-                # each candidate pair is examined once, in the smallest
-                # common bucket of its bounding boxes
-                common = (
-                    max(bi[0][0], bj[0][0]),
-                    max(bi[1][0], bj[1][0]),
-                    max(bi[2][0], bj[2][0]),
-                )
-                if common != cell:
-                    continue
-                if any(
-                    max(bi[k][0], bj[k][0]) > min(bi[k][1], bj[k][1]) for k in range(3)
-                ):
-                    continue
-                if not segment_pair_ok(*segs[i], *segs[j]):
+    if not fug.edges:
+        return True
+    scaled, denom = t.scaled()
+    reach = max(abs(c) for p in scaled.values() for c in p) + 2 * denom
+    if reach >= _COORD_LIMIT:
+        raise TooLarge(f"block coordinates reach {reach} grid units, not below 2^53")
+    ends = [(scaled[u], scaled[v]) for u, v in fug.edges]
+    # (endpoint, axis, edge)
+    start, end = np.array(ends, dtype=np.int64).transpose(1, 2, 0)
+    step = end - start
+    lo, hi = np.minimum(start, end), np.maximum(start, end)
+    hull_lo, hull_hi = lo.min(axis=1)[:, None], hi.max(axis=1)[:, None]
+    for delta in _OFFSETS:
+        offset = tuple(x * denom for x in delta)
+        shift = np.array(offset, dtype=np.int64)
+        sh = shift[:, None]
+        # only edges e that reach the shifted hull, and edges f whose shifted
+        # box reaches the hull, can be in a meeting pair
+        rows = np.flatnonzero(((lo <= hull_hi + sh) & (hi >= hull_lo + sh)).all(axis=0))
+        cols = np.flatnonzero(((lo + sh <= hull_hi) & (hi + sh >= hull_lo)).all(axis=0))
+        if not (len(rows) and len(cols)):
+            continue
+        col_lo, col_hi = lo[:, cols] + sh, hi[:, cols] + sh
+        same = delta == (0, 0, 0)
+        per_chunk = max(1, _CHUNK // len(cols))
+        for first in range(0, len(rows), per_chunk):
+            r = rows[first : first + per_chunk]
+            # at delta = 0 only j > i is wanted, so skip columns up to r[0]
+            skip = int(np.searchsorted(cols, r[0], side="right")) if same else 0
+            meet = np.ones((len(r), len(cols) - skip), dtype=bool)
+            for k in range(3):
+                meet &= lo[k, r, None] <= col_hi[k, skip:]
+                meet &= col_lo[k, skip:] <= hi[k, r, None]
+            i, j = np.nonzero(meet)
+            i, j = r[i], cols[skip:][j]
+            if same:
+                keep = i < j
+                i, j = i[keep], j[keep]
+            for k in _undecided(start, step, i, j, shift):
+                (p1, p2), (q1, q2) = ends[i[k]], ends[j[k]]
+                if not segment_pair_ok(p1, p2, _add(q1, offset), _add(q2, offset)):
                     return False
     return True
 

@@ -101,6 +101,16 @@ class VoltageAssignment:
     def with_bits(self, s: int, level_bits: Mapping[Edge, int]) -> "VoltageAssignment":
         return VoltageAssignment(s, self.displacement, dict(level_bits))
 
+    def truncate(self, k: int) -> "VoltageAssignment":
+        """The voltage restricted to its first k lift stages; itself when
+        k >= s."""
+        if k < 0:
+            raise ValueError(f"cannot keep a negative number of lift stages ({k})")
+        if k >= self.s:
+            return self
+        keep = (1 << k) - 1
+        return self.with_bits(k, {e: m & keep for e, m in self.level_bits.items() if m & keep})
+
 
 def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
     """Base graph plus the canonical displacement voltages (s = 0).

@@ -154,11 +154,7 @@ def test_criterion_6_kappa_targeting(certified):
 def test_criterion_7_embedding(certified):
     t0 = time.perf_counter()
     cert, base, volt, _ = certified(5)
-    keep = min(cert.s, 4)
-    mask = (1 << keep) - 1
-    truncated = volt.with_bits(
-        keep, {e: m & mask for e, m in volt.level_bits.items() if m & mask}
-    )
+    truncated = volt.truncate(4)
     fug = full_unit_graph(build_root_unit_graph(5), truncated)
     t, attempts = find_good_try(fug, seed=3, max_attempts=1000)
     ok = attempts <= 1000
@@ -170,7 +166,7 @@ def test_criterion_7_embedding(certified):
         7,
         "embedding with exact verification",
         ok and elapsed < 120.0,
-        f"s={keep}, {fug.vertex_count} vertices, attempt {attempts}, {elapsed:.1f}s",
+        f"s={truncated.s}, {fug.vertex_count} vertices, attempt {attempts}, {elapsed:.1f}s",
     )
 
 

@@ -135,6 +135,36 @@ def test_embed_runs_and_roundtrips(cert_d5, tmp_path, capsys):
     assert obj.read_text().startswith("v ")
 
 
+
+@pytest.mark.parametrize(
+    "resolution, message",
+    [
+        ("0", "must be positive"),
+        ("-1/8", "must be positive"),
+        ("1/0", "cannot parse rational"),
+        ("half", "cannot parse rational"),
+        (f"1/{2**40 + 1}", "above 2^40"),
+    ],
+)
+def test_embed_rejects_bad_grid_resolution(cert_d5, tmp_path, capsys, resolution, message):
+    code, _, err = run(
+        capsys, "embed", str(cert_d5), "--trunc-s", "0",
+        f"--grid-resolution={resolution}", "-o", str(tmp_path / "e.json"),
+    )
+    assert code == 2
+    assert message in err
+    assert err.count("\n") == 1
+
+
+def test_negative_trunc_s_is_usage_error(cert_d5, tmp_path, capsys):
+    for argv in (
+        ["embed", str(cert_d5), "-o", str(tmp_path / "e.json")],
+        ["export", "--d", "5", "--kind", "full-unit", "--cert", str(cert_d5), "-o", str(tmp_path / "g")],
+    ):
+        code, _, err = run(capsys, *argv, "--trunc-s", "-1")
+        assert code == 2
+        assert "negative number of lift stages" in err
+
 def test_export_kinds(tmp_path, capsys):
     for kind, expect_v in (("root", 13), ("central", 7), ("base", 10), ("torus", 80)):
         stem = tmp_path / f"{kind}_graph"

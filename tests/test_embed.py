@@ -1,23 +1,25 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bits_voltage
+from thetalattice import embed
 from thetalattice.embed import (
+    Try,
     check_embedding_properties,
     find_good_try,
     is_good_try,
-    partition_roles,
     sample_try,
     segment_pair_ok,
     try_from_json_dict,
     try_to_json_dict,
     try_to_obj,
 )
-from thetalattice.errors import AttemptsExhausted, GridTooCoarse
-from thetalattice.graphs import Role, build_root_unit_graph
+from thetalattice.errors import AttemptsExhausted, GridTooCoarse, TooLarge
+from thetalattice.graphs import LabeledGraph, Role, VertexLabel, build_root_unit_graph
 from thetalattice.voltage import build_base_graph, full_unit_graph
 
 
@@ -26,29 +28,6 @@ def _fug(d=5, s=2, seed=11):
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed) if s else volt0
     return full_unit_graph(root, volt)
-
-
-# ---------------------------------------------------------------------------
-# role partition
-
-def test_partition_sizes_d5():
-    p = partition_roles(5)
-    assert len(p.s5) == 7
-    assert p.s1 == {Role("rx")} and p.s2 == {Role("ry")} and p.s3 == {Role("rz")}
-    assert p.s4 == {Role("lx"), Role("ly"), Role("lz")}
-
-
-def test_partition_sizes_d10():
-    p = partition_roles(10)
-    assert len(p.s5) == 17
-
-
-@pytest.mark.parametrize("d", [5, 7, 10])
-def test_partition_disjoint_union(d):
-    p = partition_roles(d)
-    sets = [p.s1, p.s2, p.s3, p.s4, p.s5]
-    union = set().union(*sets)
-    assert sum(len(s) for s in sets) == len(union) == 2 * d + 3
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +74,17 @@ def test_sample_try_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         sample_try(fug, seed=1, grid_resolution=Fraction(1))
 
+
+
+def test_sample_try_grid_resolution_limits():
+    fug = _fug(s=0)
+    for res in (Fraction(0), Fraction(-1, 8)):
+        with pytest.raises(ValueError, match="positive"):
+            sample_try(fug, seed=1, grid_resolution=res)
+    with pytest.raises(TooLarge):
+        sample_try(fug, seed=1, grid_resolution=Fraction(1, 2**40 + 1))
+    finest = sample_try(fug, seed=1, grid_resolution=Fraction(1, 2**40))
+    assert is_good_try(finest, fug)
 
 # ---------------------------------------------------------------------------
 # segment predicate (integer-scaled coordinates)
@@ -268,6 +258,121 @@ def test_crossing_placement_is_bad():
     pts[bb] = (h + 8 * q, h - 8 * q, h)
     bad = type(t)(pts, t.grid_resolution)
     assert not is_good_try(bad, fug)
+
+
+def _block_oracle_ok(t, fug):
+    """Reference for is_good_try without translation classes or floats: every
+    two segments of the 3x3x3 block of unit translates whose closed bounding
+    boxes overlap go through segment_pair_ok."""
+    scaled, denom = t.scaled()
+    units = (-denom, 0, denom)
+    segs = [
+        (
+            (scaled[u][0] + ox, scaled[u][1] + oy, scaled[u][2] + oz),
+            (scaled[v][0] + ox, scaled[v][1] + oy, scaled[v][2] + oz),
+        )
+        for u, v in fug.edges
+        for ox in units
+        for oy in units
+        for oz in units
+    ]
+    ends = np.array(segs, dtype=np.int64)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    for i in range(len(segs)):
+        overlap = ((lo[i + 1 :] <= hi[i]) & (lo[i] <= hi[i + 1 :])).all(axis=1)
+        for j in np.flatnonzero(overlap) + i + 1:
+            if not segment_pair_ok(*segs[i], *segs[j]):
+                return False
+    return True
+
+
+def test_good_try_matches_block_oracle():
+    verdicts = []
+    for s in (0, 1, 2):
+        fug = _fug(s=s)
+        for grid in (8, 16, 32, 2**20):
+            for seed in range(3):
+                try:
+                    t = sample_try(fug, seed=seed, grid_resolution=Fraction(1, grid))
+                except GridTooCoarse:
+                    continue
+                verdicts.append(is_good_try(t, fug))
+                assert verdicts[-1] == _block_oracle_ok(t, fug), (s, grid, seed)
+    # coarse grids give bad tries, fine ones good tries: both verdicts compared
+    assert True in verdicts and False in verdicts
+
+
+def _two_edge_graph():
+    labels = tuple(VertexLabel(Role(tag)) for tag in ("t", "b", "rx", "lx"))
+    return LabeledGraph(4, ((0, 1), (2, 3)), labels)
+
+
+@pytest.mark.parametrize("delta", [(1, 0, 0), (2, 0, 0), (-2, 1, 2), (0, -1, 1)])
+def test_try_bad_only_across_offset(delta):
+    """Edge B crosses edge A only after a shift by -delta, which lies in the
+    block; at delta = 0 the two edges are far apart."""
+    fug = _two_edge_graph()
+    e = Fraction(1, 8)
+    a1, a2 = (e, 4 * e, 4 * e), (7 * e, 4 * e, 4 * e)
+
+    def b(y, lift):
+        return (4 * e + delta[0], y + delta[1], 4 * e + lift + delta[2])
+
+    crossing = Try({0: a1, 1: a2, 2: b(2 * e, 0), 3: b(6 * e, 0)}, e)
+    scaled, _ = crossing.scaled()
+    assert segment_pair_ok(*(scaled[v] for v in range(4)))
+    assert not is_good_try(crossing, fug)
+    assert not _block_oracle_ok(crossing, fug)
+    passing = Try({0: a1, 1: a2, 2: b(2 * e, e), 3: b(6 * e, e)}, e)
+    assert is_good_try(passing, fug)
+    assert _block_oracle_ok(passing, fug)
+
+
+def _float_det(p1, p2, q1, q2):
+    """orient3d's float64 determinant, without an error bound."""
+    a, b, c = ([float(x - y) for x, y in zip(q, p1)] for q in (p2, q1, q2))
+    return (
+        a[2] * (b[0] * c[1] - c[0] * b[1])
+        + b[2] * (c[0] * a[1] - a[0] * c[1])
+        + c[2] * (a[0] * b[1] - b[0] * a[1])
+    )
+
+
+@pytest.mark.parametrize("lift", [0, 3])
+def test_nearly_coplanar_pair_at_large_coordinates(lift, monkeypatch):
+    """Segments through a common midpoint m, one of them lifted by a few grid
+    units.  At lift 0 they cross, yet float64 rounding gives a nonzero
+    determinant; at lift 3 they are skew, but the determinant is far below
+    the error bound of its permanent.  Both must reach the exact predicate."""
+    m = (2**50, 2**50, 2**50)
+    u = (2**48 + 645, 2**48 + 742, 2**48 + 881)
+    v = (2**47 + 124, 2**47 + 918, 2**47 + 520)
+    p1 = tuple(x - y for x, y in zip(m, u))
+    p2 = tuple(x + y for x, y in zip(m, u))
+    q1 = (m[0] - v[0], m[1] - v[1], m[2] - v[2] + lift)
+    q2 = (m[0] + v[0], m[1] + v[1], m[2] + v[2] + lift)
+    assert _float_det(p1, p2, q1, q2) != 0
+    points = {k: tuple(Fraction(c) for c in p) for k, p in enumerate((p1, p2, q1, q2))}
+    t = Try(points, Fraction(1))
+    fug = _two_edge_graph()
+    exact = []
+
+    def counted(*args):
+        exact.append(args)
+        return segment_pair_ok(*args)
+
+    monkeypatch.setattr(embed, "segment_pair_ok", counted)
+    assert is_good_try(t, fug) == bool(lift) == _block_oracle_ok(t, fug)
+    assert (p1, p2, q1, q2) in exact
+
+
+def test_good_try_rejects_coordinates_beyond_float_exactness():
+    fug = _two_edge_graph()
+    far = Fraction(2**53 - 1)
+    points = {0: (far, 0, 0), 1: (far - 1, 0, 0), 2: (0, 1, 0), 3: (0, 2, 0)}
+    t = Try({k: tuple(Fraction(c) for c in p) for k, p in points.items()}, Fraction(1))
+    with pytest.raises(TooLarge):
+        is_good_try(t, fug)
 
 
 def test_find_good_try_returns_attempt_count():

@@ -294,3 +294,15 @@ def test_make_bits_rejects_central_and_wide_masks():
     noncentral = base.noncentral_edges[0]
     with pytest.raises(ValueError):
         make_bits(base, 2, {noncentral: 4})
+
+
+def test_truncate_keeps_first_stages():
+    base, volt0 = build_base_graph(5)
+    volt = random_bits_voltage(base, volt0, 4, seed=3)
+    two = volt.truncate(2)
+    assert two.s == 2
+    assert two.level_bits == {e: m & 3 for e, m in volt.level_bits.items() if m & 3}
+    assert two.displacement == volt.displacement
+    assert volt.truncate(4) is volt and volt.truncate(9) is volt
+    with pytest.raises(ValueError, match="negative"):
+        volt.truncate(-1)
