@@ -2,9 +2,11 @@
 explicit graphs, a subset-enumeration oracle for small graphs, and the
 per-cube census of the infinite derived lattice via zero-voltage cycles.
 
-All reported averages are exact rationals; no count ever passes through
-floating point except inside the dense 6-cycle path, whose intermediates are
-integers far below 2**53 and therefore exact.
+All reported averages are exact rationals.  The per-cube census works on
+integer voltage keys (int64, or Python ints above 48 level bits) and never
+uses floating point.  On explicit graphs the dense 6-cycle path multiplies
+float64 matrices whose entries are integers; it checks that its sums stay
+below 2**53, where float64 is exact, and raises TooLarge otherwise.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class CensusReport:
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +296,42 @@ def census(g: LabeledGraph) -> CensusReport:
 # ---------------------------------------------------------------------------
 # per-cube census of the infinite lattice
 
-FullVoltage = tuple[int, int, int, int]  # dx, dy, dz, bit mask
+# A displacement (dx, dy, dz) is coded as dx + 16 dy + 256 dz.  The code is
+# additive, and injective while every component stays within +-7; an edge
+# moves a component by at most 1, so the sums of two paths compared below
+# stay within +-4.
+_CODE_RADIX = 16
+# Keys code * 2^s + bits fit int64 up to this many level bits: |code| <= 1092
+# < 2^11, so |key| < 2^(11 + s) <= 2^59.  Wider voltages use Python ints.
+_INT64_MAX_S = 48
 
 
-def _path_voltage(volt: VoltageAssignment, w1: int, c: int, w2: int) -> FullVoltage:
-    d1, d2 = volt.disp(w1, c), volt.disp(c, w2)
-    return (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], volt.bits(w1, c) ^ volt.bits(c, w2))
+def _edge_keys(base: BaseGraph, volt: VoltageAssignment):
+    """(codes, bits): the voltages of the white -> black edges as
+    whites x blacks arrays, int64 or (above _INT64_MAX_S level bits) object."""
+    whites, blacks = base.whites, base.blacks
+    dtype = np.int64 if volt.s <= _INT64_MAX_S else object
+    codes = np.zeros((len(whites), len(blacks)), dtype=dtype)
+    bits = np.zeros((len(whites), len(blacks)), dtype=dtype)
+    for i, w in enumerate(whites):
+        for j, c in enumerate(blacks):
+            dx, dy, dz = volt.disp(w, c)
+            if max(abs(dx), abs(dy), abs(dz)) > 1:
+                raise ValueError(f"edge ({w}, {c}) displacement {(dx, dy, dz)} is not a unit step")
+            codes[i, j] = dx + _CODE_RADIX * (dy + _CODE_RADIX * dz)
+            bits[i, j] = volt.bits(w, c)
+    return codes, bits
 
 
-def _v_add(a: FullVoltage, b: FullVoltage) -> FullVoltage:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] ^ b[3])
-
-
-def _v_neg(a: FullVoltage) -> FullVoltage:
-    return (-a[0], -a[1], -a[2], a[3])
+def _run_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a row-sorted array: sum C(m,2) and sum C(m,3) over its runs
+    of m equal keys."""
+    pos = np.arange(rows.shape[1])
+    new_run = np.ones(rows.shape, dtype=bool)
+    new_run[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    # equal keys before each one in its run: 0..m-1 over a run of length m
+    before = pos - np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
+    return before.sum(axis=1), (before * (before - 1) // 2).sum(axis=1)
 
 
 def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
@@ -322,57 +342,58 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     C6 likewise, and theta counts hub pairs with three common-neighbor paths
     of equal total voltage.  Averages divide by the 2^s * 2d vertices a cube
     owns.
+
+    Voltages in Z^3 x GF(2)^s are exact integer keys code * 2^s + bits, so
+    two paths between the same ends have equal voltage iff their keys are
+    equal.  A hub pair with runs of m equal path keys has sum C(m,2) zero
+    4-cycles and sum C(m,3) thetas.  6-cycles come from white triples
+    i < j < k: N counts black triples (ca, cb, cc), repeats allowed, with
+    P_ij(ca) + P_jk(cb) = P_ik(cc).  A repeated black turns the condition
+    into a 4-cycle condition on one white pair, with S = sum m^2 = d +
+    2 * (its zero 4-cycles) solutions, and all three equal always closes, so
+    by inclusion-exclusion zero6 = sum N - (whites - 2) * sum_pairs S
+    + 2d * C(whites, 3).
     """
-    g = base.graph
     d, s = base.d, volt.s
-    whites, blacks = base.whites, base.blacks
-    assert g.labels is not None
-    t_id = next(v for v in whites if base.role_of(v).tag == "t")
-    b_id = next(v for v in whites if base.role_of(v).tag == "b")
+    whites = base.whites
+    nw = len(whites)
+    codes, bits = _edge_keys(base, volt)
+    nb = codes.shape[1]
+    scale = 1 << s
+    # path_code[i, j, c], path_bits[i, j, c]: the path white i -> black c -> white j
+    path_code = codes[:, None, :] - codes[None, :, :]
+    path_bits = bits[:, None, :] ^ bits[None, :, :]
+    path_keys = np.sort(path_code * scale + path_bits, axis=2)
 
-    paths: dict[tuple[int, int], list[tuple[int, FullVoltage]]] = {}
-    for w1, w2 in itertools.combinations(whites, 2):
-        paths[(w1, w2)] = [(c, _path_voltage(volt, w1, c, w2)) for c in blacks]
-
-    zero4 = 0
-    central4 = 0
-    theta = 0
-    for pair, plist in paths.items():
-        counts = Counter(v for _, v in plist)
-        pair_c4 = sum(comb(m, 2) for m in counts.values())
-        zero4 += pair_c4
-        theta += sum(comb(m, 3) for m in counts.values())
-        if pair in ((t_id, b_id), (b_id, t_id)):
-            central4 += pair_c4
-            assert counts[(0, 0, 0, 0)] == d, "central hub paths must carry zero voltage"
+    iu, ju = np.triu_indices(nw, 1)
+    pair_c4, pair_theta = _run_counts(path_keys[iu, ju])
+    zero4 = int(pair_c4.sum())
+    theta = int(pair_theta.sum())
+    t_pos = next(i for i, v in enumerate(whites) if base.role_of(v).tag == "t")
+    b_pos = next(i for i, v in enumerate(whites) if base.role_of(v).tag == "b")
+    assert not path_keys[t_pos, b_pos].any(), "central hub paths must carry zero voltage"
+    central4 = int(_run_counts(path_keys[t_pos, b_pos][None, :])[0][0])
 
     # theta hubs may also be a black pair with three white middles (4-cycles
     # and 6-cycles are already counted once via their white diagonals/triples)
-    for c1, c2 in itertools.combinations(blacks, 2):
-        counts = Counter(_path_voltage(volt, c1, w, c2) for w in whites)
-        theta += sum(comb(m, 3) for m in counts.values())
+    ib, jb = np.triu_indices(nb, 1)
+    black_keys = (codes[:, jb] - codes[:, ib]) * scale + (bits[:, ib] ^ bits[:, jb])
+    theta += int(_run_counts(np.sort(black_keys.T, axis=1))[1].sum())
 
-    zero6 = 0
-    for w1, w2, w3 in itertools.combinations(whites, 3):
-        pa = paths[(w1, w2)]
-        pb = paths[(w2, w3)]
-        pc = [(c, _v_neg(v)) for c, v in paths[(w1, w3)]]  # oriented w3 -> w1
-        cnt_c = Counter(v for _, v in pc)
-        val_c = dict(pc)
-        for ca, ga in pa:
-            for cb, gb in pb:
-                if ca == cb:
-                    continue
-                need = _v_neg(_v_add(ga, gb))
-                hits = cnt_c.get(need, 0)
-                if hits:
-                    if val_c[ca] == need:
-                        hits -= 1
-                    if val_c[cb] == need:
-                        hits -= 1
-                    zero6 += hits
+    n_all = 0
+    for i in range(nw):
+        for k in range(i + 2, nw):
+            first_code, first_bits = path_code[i, i + 1 : k], path_bits[i, i + 1 : k]
+            second_code, second_bits = path_code[i + 1 : k, k], path_bits[i + 1 : k, k]
+            need = (first_code[:, :, None] + second_code[:, None, :]) * scale + (
+                first_bits[:, :, None] ^ second_bits[:, None, :]
+            )
+            closing, counts = np.unique(path_keys[i, k], return_counts=True)
+            at = np.searchsorted(closing, need).clip(max=len(closing) - 1)
+            n_all += int(counts[at][closing[at] == need].sum())
+    pair_squares = len(iu) * nb + 2 * zero4
+    zero6 = n_all - (nw - 2) * pair_squares + 2 * nb * comb(nw, 3)
 
-    scale = 1 << s
     owned = scale * 2 * d
     return CensusReport(
         c4_total=scale * zero4,

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .census import voltage_census
+from .census import CensusReport, voltage_census
 from .errors import BudgetExhausted, TooLarge
 from .graphs import Edge, LabeledGraph
 from .voltage import (
@@ -263,26 +263,41 @@ def recheck_constraints_dfs(
     return n_constraints, bad4, bad6
 
 
+def verification_route(d: int, recheck: str = "auto") -> str:
+    """How verify_certificate checks a degree-d voltage: "census+dfs" when it
+    also re-enumerates every constraint cycle by DFS, "census-only" when the
+    constraint set is too large and the census alone decides."""
+    if recheck not in ("auto", "always", "never"):
+        raise ValueError(f"unknown recheck mode {recheck!r}")
+    if recheck == "always" or (
+        recheck == "auto" and constraint_count_formula(d) <= EXPLICIT_LIMIT
+    ):
+        return "census+dfs"
+    return "census-only"
+
+
 def verify_certificate(
     base: BaseGraph,
     volt: VoltageAssignment,
     seed: int = 0,
     constraint_count: int | None = None,
     recheck: str = "auto",
+    report: CensusReport | None = None,
 ) -> LiftCertificate:
     """Re-derive the verification flags for a voltage assignment.
 
     Always runs the aggregated voltage census (no zero-voltage hexes, no
     stray zero-voltage 4-cycles, formula counts) and the voltage-group
-    generation check.  When the constraint set is small enough, additionally
-    re-enumerates every constraint cycle by DFS and cross-checks the two
-    routes against each other.  Failures are recorded in the flags, never
-    raised.
+    generation check; a caller that already holds voltage_census(base, volt)
+    passes it as report.  On the "census+dfs" route (verification_route)
+    it also re-enumerates every constraint cycle by DFS and requires both
+    routes to find the same uncovered cycles.  Failures are recorded in the
+    flags, never raised.
     """
-    if recheck not in ("auto", "always", "never"):
-        raise ValueError(f"unknown recheck mode {recheck!r}")
+    route = verification_route(base.d, recheck)
     d, s = base.d, volt.s
-    report = voltage_census(base, volt)
+    if report is None:
+        report = voltage_census(base, volt)
     hexes_ok = report.c6 == 0
     stray_ok = report.c4_stray == 0
     # under a valid certificate, every theta lives in a central copy
@@ -292,13 +307,13 @@ def verify_certificate(
     stray_ok = stray_ok and formula_ok
 
     expected = constraint_count_formula(d)
-    if recheck == "always" or (recheck == "auto" and expected <= EXPLICIT_LIMIT):
+    if route == "census+dfs":
         n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
         if n_cons != expected:
             raise AssertionError(
                 f"constraint enumeration mismatch: dfs={n_cons} formula={expected}"
             )
-        if (bad6 == 0) != hexes_ok or (bad4 == 0) != (report.c4_stray == 0):
+        if report.c4_stray >> s != bad4 or report.c6 >> s != bad6:
             raise AssertionError("census and DFS verification routes disagree")
         hexes_ok = hexes_ok and bad6 == 0
         stray_ok = stray_ok and bad4 == 0
@@ -369,17 +384,18 @@ def certify(
     )
     width = len(base.noncentral_edges)
     rng = random.Random(seed)
-    last_cert = None
     for _ in range(_RANDOM_ATTEMPTS):
         stages = [rng.getrandbits(width) for _ in range(s_target)]
         volt = bits_from_stages(base, stages)
-        cert = verify_certificate(base, volt, seed=seed, constraint_count=expected)
+        report = voltage_census(base, volt)
+        cert = verify_certificate(
+            base, volt, seed=seed, constraint_count=expected, report=report
+        )
         if cert.flags.all_true:
             return cert, base, volt
-        last_cert = cert
-    assert last_cert is not None
+    # each zero-voltage constraint cycle lifts to 2^s cycles per cube
     raise BudgetExhausted(
         f"random signings with s={s_target} failed verification "
         f"{_RANDOM_ATTEMPTS} times for d={d} (max_s={max_s})",
-        uncovered=last_cert.constraint_count,
+        uncovered=(report.c4_stray + report.c6) >> s_target,
     )

@@ -17,14 +17,19 @@ from pathlib import Path
 from .census import census as census_of_graph
 from .census import voltage_census
 from .certify import certify as run_certify
-from .certify import verify_certificate
+from .certify import verification_route, verify_certificate
 from .embed import (
     check_embedding_properties,
     find_good_try,
     try_to_json_dict,
     try_to_obj,
 )
-from .entropy import lattice_report, min_degree_for_kappa, summary_table
+from .entropy import (
+    _summary_of_census,
+    lattice_report,
+    min_degree_for_kappa,
+    summary_table,
+)
 from .errors import (
     AttemptsExhausted,
     BudgetExhausted,
@@ -122,15 +127,17 @@ def _cmd_verify(args) -> int:
     base, _ = build_base_graph(cert.d)
     volt = cert.to_voltage(base)
     t0 = time.perf_counter()
-    fresh = verify_certificate(
-        base, volt, seed=cert.seed, constraint_count=cert.constraint_count
-    )
+    # one census serves the flags, the torus cross-check and the summary
+    report = voltage_census(base, volt)
+    fresh = verify_certificate(base, volt, seed=cert.seed, report=report)
+    route = verification_route(cert.d)
     print(f"certificate: d={cert.d} s={cert.s} seed={cert.seed}")
-    print(f"constraint cycles: {fresh.constraint_count}")
+    print(f"route: {route}")
+    note = "" if route == "census+dfs" else " (closed-form value, not enumerated)"
+    print(f"constraint cycles: {fresh.constraint_count}{note}")
     print(f"recomputed flags: {fresh.flags.to_dict()}")
     ok = fresh.flags.all_true and fresh.flags == cert.flags
     if cert.s <= 3:
-        report = voltage_census(base, volt)
         torus = derived_torus(base, volt, args.torus_n)
         explicit = census_of_graph(torus)
         n3 = args.torus_n**3
@@ -143,8 +150,7 @@ def _cmd_verify(args) -> int:
         print(f"explicit torus cross-check at n={args.torus_n}: {'PASS' if match else 'FAIL'}")
         ok = ok and match
     if ok:
-        summary = lattice_report(fresh)
-        print(summary_table([summary]))
+        print(summary_table([_summary_of_census(cert, report)]))
     print(f"elapsed: {time.perf_counter() - t0:.1f}s")
     print(f"VERDICT: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1

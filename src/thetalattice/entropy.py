@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import voltage_census, _frac_str
+from .census import CensusReport, _frac_str, voltage_census
 from .errors import InvalidCertificate
 from .voltage import LiftCertificate, build_base_graph
 
@@ -87,8 +87,14 @@ def lattice_report(cert: LiftCertificate, kappa: RationalLike | None = None) -> 
     if not cert.flags.all_true:
         raise InvalidCertificate(f"certificate flags not all true: {cert.flags.to_dict()}")
     base, _ = build_base_graph(cert.d)
-    volt = cert.to_voltage(base)
-    report = voltage_census(base, volt)
+    return _summary_of_census(cert, voltage_census(base, cert.to_voltage(base)), kappa)
+
+
+def _summary_of_census(
+    cert: LiftCertificate, report: CensusReport, kappa: RationalLike | None = None
+) -> LatticeSummary:
+    """The lattice summary of a certificate whose voltage census the caller
+    has already computed."""
     if report.c4_bar == 0:
         raise InvalidCertificate("certified lattice has no 4-cycles")
     d6 = d6_coefficient(report.c4_bar, report.c6_bar, report.theta_bar, cert.d)

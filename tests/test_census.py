@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _voltage_census_reference,
     complete_bipartite,
     cycle_graph,
     labeled_k2d,
@@ -24,10 +25,10 @@ from thetalattice.census import (
     count_theta222,
     voltage_census,
 )
-from thetalattice.certify import constraint_cycles
+from thetalattice.certify import constraint_cycles, recheck_constraints_dfs
 from thetalattice.errors import MalformedGraph, TooLarge
 from thetalattice.graphs import build_root_unit_graph, two_coloring
-from thetalattice.voltage import build_base_graph, derived_torus
+from thetalattice.voltage import VoltageAssignment, build_base_graph, derived_torus
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +221,77 @@ def test_per_cube_bars_divide_by_owned_vertices(certified):
     owned = (1 << cert.s) * 10
     assert vc.c4_bar == Fraction(vc.c4_total, owned)
     assert vc.theta_bar == Fraction(vc.theta222, owned)
+
+
+# ---------------------------------------------------------------------------
+# voltage census against the loop oracle and the DFS re-check
+
+@pytest.mark.parametrize("d", range(5, 11))
+def test_voltage_census_matches_reference_zero_bits(d):
+    base, volt = build_base_graph(d)
+    assert voltage_census(base, volt) == _voltage_census_reference(base, volt)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=10),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_voltage_census_matches_reference_random_bits(d, s, seed):
+    base, volt0 = build_base_graph(d)
+    volt = random_bits_voltage(base, volt0, s, seed)
+    assert voltage_census(base, volt) == _voltage_census_reference(base, volt)
+
+
+@pytest.mark.parametrize("s", [48, 49, 60, 70])
+@pytest.mark.parametrize("d", [5, 8])
+def test_voltage_census_matches_reference_wide_bits(d, s):
+    """s = 48 is the widest int64 key; 49 and above use Python ints.  Two
+    low-bit-sharing variants make some wide voltages coincide, so the
+    counts are not trivially those of distinct random masks."""
+    base, volt0 = build_base_graph(d)
+    volt = random_bits_voltage(base, volt0, s, seed=d * 100 + s)
+    high = {e: (m & 1) << (s - 1) for e, m in volt.level_bits.items() if m & 1}
+    for v in (volt, volt0.with_bits(s, high)):
+        assert voltage_census(base, v) == _voltage_census_reference(base, v)
+    assert voltage_census(base, volt0.with_bits(s, high)).c6 > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=7),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_voltage_census_matches_reference_unit_displacements(d, s, seed):
+    """Every non-central edge a random unit step in {-1,0,1}^3, so path sums
+    reach the +-4 the displacement code must keep apart (the canonical
+    voltages only reach +-1)."""
+    rng = random.Random(seed)
+    base, volt0 = build_base_graph(d)
+    volt = random_bits_voltage(base, volt0, s, seed)
+    steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
+    volt = VoltageAssignment(s, steps, volt.level_bits)
+    assert voltage_census(base, volt) == _voltage_census_reference(base, volt)
+
+
+@pytest.mark.parametrize("d, s, seed", [(7, 1, 3), (8, 2, 5), (9, 1, 8), (10, 3, 13)])
+def test_voltage_census_matches_dfs_recheck(d, s, seed):
+    """Per-cube zero-voltage cycles are 2^s times the uncovered constraint
+    cycles the DFS finds one by one."""
+    base, volt0 = build_base_graph(d)
+    volt = random_bits_voltage(base, volt0, s, seed)
+    _, bad4, bad6 = recheck_constraints_dfs(base, volt)
+    vc = voltage_census(base, volt)
+    assert bad4 > 0 and bad6 > 0
+    assert vc.c4_stray >> s == bad4 and vc.c4_stray == bad4 << s
+    assert vc.c6 >> s == bad6 and vc.c6 == bad6 << s
+
+
+def test_voltage_census_rejects_non_unit_displacement():
+    base, volt = build_base_graph(5)
+    edge = next(iter(volt.displacement))
+    wide = VoltageAssignment(0, {**volt.displacement, edge: (2, 0, 0)}, {})
+    with pytest.raises(ValueError, match="not a unit step"):
+        voltage_census(base, wide)

@@ -11,6 +11,7 @@ from thetalattice.certify import (
     constraint_cycles,
     recheck_constraints_dfs,
     search_signings,
+    verification_route,
     verify_certificate,
 )
 from thetalattice.errors import BudgetExhausted, TooLarge
@@ -255,6 +256,34 @@ def test_certify_reports_constraint_count(certified):
 def test_certify_budget_exhausted():
     with pytest.raises(BudgetExhausted):
         certify(5, max_s=3, seed=1)
+
+
+def test_random_route_budget_reports_uncovered_cycles():
+    """On the random route, BudgetExhausted.uncovered is the number of
+    zero-voltage constraint cycles the last attempt left, not the total."""
+    import random
+
+    from thetalattice.certify import _RANDOM_ATTEMPTS
+
+    d, s, seed = 8, 2, 4
+    with pytest.raises(BudgetExhausted) as exc:
+        certify(d, max_s=s, explicit_limit=0, seed=seed)
+    base, _ = build_base_graph(d)
+    rng = random.Random(seed)
+    for _ in range(_RANDOM_ATTEMPTS):
+        stages = [rng.getrandbits(len(base.noncentral_edges)) for _ in range(s)]
+    n_cons, bad4, bad6 = recheck_constraints_dfs(base, bits_from_stages(base, stages))
+    assert exc.value.uncovered == bad4 + bad6
+    assert 0 < exc.value.uncovered < n_cons
+
+
+def test_verification_route():
+    assert verification_route(12) == "census+dfs"
+    assert verification_route(13) == "census-only"
+    assert verification_route(13, recheck="always") == "census+dfs"
+    assert verification_route(5, recheck="never") == "census-only"
+    with pytest.raises(ValueError):
+        verification_route(5, recheck="sometimes")
 
 
 def test_certify_greedy_rejects_huge_d():

@@ -70,6 +70,55 @@ def test_verify_passes_and_prints_table(cert_d5, capsys):
     assert "ratio" in out
 
 
+def test_verify_names_census_dfs_route(cert_d5, capsys):
+    code, out, _ = run(capsys, "verify", str(cert_d5))
+    assert code == 0
+    lines = out.splitlines()
+    assert "route: census+dfs" in lines
+    assert "constraint cycles: 330" in lines
+
+
+def test_verify_names_census_only_route(tmp_path, capsys):
+    """Above the explicit limit the census alone decides, and the constraint
+    count printed is the closed form, not an enumeration."""
+    path = tmp_path / "cert_d13.json"
+    assert main(["construct", "--d", "13", "--seed", "1", "-o", str(path)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert "route: census-only" in lines
+    assert "constraint cycles: 448470 (closed-form value, not enumerated)" in lines
+    assert "VERDICT: PASS" in lines
+
+
+def test_verify_computes_the_census_once(cert_d5, tmp_path, capsys, monkeypatch):
+    """One voltage census serves the flags and the summary table (s > 3), or
+    the flags and the explicit torus cross-check (s <= 3)."""
+    import importlib
+
+    # the package re-exports functions named like some of its modules
+    modules = [importlib.import_module(f"thetalattice.{m}") for m in ("cli", "certify", "entropy")]
+    calls = []
+    original = modules[0].voltage_census
+
+    def counted(base, volt):
+        calls.append(volt.s)
+        return original(base, volt)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "voltage_census", counted)
+    data = json.loads(cert_d5.read_text())
+    data["s"], data["level_bits"] = 3, data["level_bits"][:3]
+    small = tmp_path / "cert_d5_s3.json"
+    small.write_text(json.dumps(data))
+    for path, marker in ((cert_d5, "ratio"), (small, "explicit torus cross-check")):
+        calls.clear()
+        _, out, _ = run(capsys, "verify", str(path))
+        assert marker in out
+        assert len(calls) == 1
+
+
 def test_verify_rejects_torus_n1(cert_d5, capsys):
     code, _, err = run(capsys, "verify", str(cert_d5), "--torus-n", "1")
     assert code == 2
