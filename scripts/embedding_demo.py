@@ -20,8 +20,7 @@ from thetalattice.embed import (
     try_to_json_dict,
     try_to_obj,
 )
-from thetalattice.graphs import build_root_unit_graph
-from thetalattice.voltage import full_unit_graph
+from thetalattice.voltage import derived_cover
 
 
 def main() -> int:
@@ -36,7 +35,7 @@ def main() -> int:
 
     cert, base, volt = certify(args.d, seed=1)
     truncated = volt.truncate(args.trunc_s)
-    fug = full_unit_graph(build_root_unit_graph(args.d), truncated)
+    fug = derived_cover(base, truncated)
     print(
         f"full unit graph at d={args.d}, s={truncated.s}: "
         f"{fug.vertex_count} vertices, {len(fug.edges)} edges; "

@@ -36,8 +36,7 @@ from .voltage import (
     LiftCertificate,
     VoltageAssignment,
     build_base_graph,
-    derived_torus,
-    full_unit_graph,
+    derived_cover,
     max_connected_stages,
     voltage_group_generated,
 )
@@ -69,9 +68,8 @@ __all__ = [
     "count_c6",
     "count_theta222",
     "d6_coefficient",
-    "derived_torus",
+    "derived_cover",
     "find_good_try",
-    "full_unit_graph",
     "is_good_try",
     "lattice_report",
     "max_connected_stages",

@@ -76,58 +76,68 @@ def _codegrees(g: LabeledGraph) -> Counter:
     return cod
 
 
+def _c4_and_theta(g: LabeledGraph) -> tuple[int, int]:
+    """(4-cycles, K_{2,3} subgraphs) from one pass of pair codegrees."""
+    cod = _codegrees(g).values()
+    total = sum(comb(c, 2) for c in cod)
+    assert total % 2 == 0
+    return total // 2, sum(comb(c, 3) for c in cod)
+
+
 def count_c4(g: LabeledGraph) -> int:
     """Number of 4-cycle subgraphs: half the sum over unordered vertex pairs
     of C(codegree, 2) (each 4-cycle is seen from both diagonals)."""
-    total = sum(comb(c, 2) for c in _codegrees(g).values())
-    assert total % 2 == 0
-    return total // 2
+    return _c4_and_theta(g)[0]
 
 
 def count_theta222(g: LabeledGraph) -> int:
     """Number of K_{2,3} subgraphs: sum over unordered vertex pairs of
     C(codegree, 3) (the hub pair of a theta graph is unique)."""
-    return sum(comb(c, 3) for c in _codegrees(g).values())
+    return _c4_and_theta(g)[1]
 
 
 def count_c6(g: LabeledGraph) -> int:
     """Exact number of 6-cycle subgraphs.
 
-    Small or non-bipartite graphs use a min-rooted DFS (each cycle counted at
-    its minimum vertex, once per direction).  Larger bipartite graphs use the
-    dense codegree-triple formula, which is cross-checked against the DFS in
-    the test suite.
+    Small or non-bipartite graphs count the 6-cycles of the min-rooted
+    short-cycle enumeration.  Larger bipartite graphs use the dense
+    codegree-triple formula, which is cross-checked against the enumeration
+    in the test suite.
     """
     coloring = two_coloring(g)
     if coloring is not None and g.vertex_count > _DENSE_C6_THRESHOLD:
         return _count_c6_bipartite_dense(g, coloring)
-    return _count_c6_dfs(g)
+    return sum(1 for seq in _short_cycles(g) if len(seq) == 6)
 
 
-def _count_c6_dfs(g: LabeledGraph) -> int:
+def _short_cycles(g: LabeledGraph) -> list[tuple[int, ...]]:
+    """All simple cycles of length <= 6 by min-rooted DFS.
+
+    Structurally independent of the pair/triple constraint enumeration in
+    certify and of the codegree counters: generic path extension with
+    vertex-order pruning, direction fixed by requiring the second vertex
+    below the last.
+    """
     adj = g.adjacency
-    count = 0
-    path = [0] * 6
-    on_path = [False] * g.vertex_count
+    cycles: list[tuple[int, ...]] = []
+    path: list[int] = []
 
-    def walk(v: int, depth: int, root: int) -> int:
-        found = 0
+    def walk(v: int, root: int, on_path: set[int]):
         for w in adj[v]:
             if w == root:
-                if depth == 5:
-                    found += 1
-            elif w > root and depth < 5 and not on_path[w]:
-                on_path[w] = True
-                found += walk(w, depth + 1, root)
-                on_path[w] = False
-        return found
+                if len(path) >= 3 and path[1] < path[-1]:
+                    cycles.append(tuple(path))
+            elif w > root and len(path) < 6 and w not in on_path:
+                path.append(w)
+                on_path.add(w)
+                walk(w, root, on_path)
+                on_path.remove(w)
+                path.pop()
 
     for root in range(g.vertex_count):
-        on_path[root] = True
-        count += walk(root, 0, root)
-        on_path[root] = False
-    assert count % 2 == 0
-    return count // 2
+        path = [root]
+        walk(root, root, {root})
+    return cycles
 
 
 def _count_c6_bipartite_dense(g: LabeledGraph, coloring: list[int]) -> int:
@@ -257,40 +267,37 @@ def _explicit_report(
     )
 
 
+def _central_c4(g: LabeledGraph) -> int:
+    """4-cycles inside the central copies: those of the subgraph of edges
+    whose endpoints both have hub/spoke roles at one (cell, level)."""
+    assert g.labels is not None
+    copy = [(lab.cell, lab.level) if lab.role.tag in CENTRAL_TAGS else None for lab in g.labels]
+    edges = tuple((u, v) for u, v in g.edges if copy[u] is not None and copy[u] == copy[v])
+    return count_c4(LabeledGraph(g.vertex_count, edges))
+
+
 def classify_c4(g: LabeledGraph) -> tuple[int, int]:
     """(central, stray) 4-cycle counts.
 
     Central 4-cycles have all four vertices with hub/spoke roles at one
-    (cell, level); they are counted inside each central copy, stray is the
+    (cell, level); they are counted inside the central copies, stray is the
     remainder of the full count.
     """
     if g.labels is None:
         raise MalformedGraph("classify_c4 needs a labeled graph")
-    groups: dict[tuple, list[int]] = {}
-    for v, lab in enumerate(g.labels):
-        if lab.role.tag in CENTRAL_TAGS:
-            groups.setdefault((lab.cell, lab.level), []).append(v)
-    central = 0
-    for members in groups.values():
-        member_set = set(members)
-        ids = {v: i for i, v in enumerate(members)}
-        edges = [
-            (ids[u], ids[v]) for u, v in g.edges if u in member_set and v in member_set
-        ]
-        central += count_c4(LabeledGraph(len(members), tuple(edges)))
-    total = count_c4(g)
-    return central, total - central
+    central = _central_c4(g)
+    return central, count_c4(g) - central
 
 
 def census(g: LabeledGraph) -> CensusReport:
-    """Full explicit-graph census using the fast counters."""
-    c4 = count_c4(g)
+    """Full explicit-graph census using the fast counters, with one codegree
+    pass over g."""
+    c4, theta = _c4_and_theta(g)
     if g.labels is not None and {lab.role.tag for lab in g.labels} >= {"t", "b", "c"}:
-        central, stray = classify_c4(g)
-        assert central + stray == c4
+        central = _central_c4(g)
     else:
         central = 0
-    return _explicit_report(g, c4, central, count_c6(g), count_theta222(g))
+    return _explicit_report(g, c4, central, count_c6(g), theta)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .census import CensusReport, voltage_census
+from .census import CensusReport, _short_cycles, voltage_census
 from .errors import BudgetExhausted, TooLarge
-from .graphs import Edge, LabeledGraph
+from .graphs import Edge
 from .voltage import (
     BaseGraph,
     CertificateFlags,
@@ -209,35 +209,6 @@ def bits_from_stages(
 # ---------------------------------------------------------------------------
 # verification
 
-def _short_cycles_dfs(g: LabeledGraph) -> list[tuple[int, ...]]:
-    """All simple cycles of length <= 6 by min-rooted DFS.
-
-    Structurally independent of the pair/triple enumeration above: generic
-    path extension with vertex-order pruning, direction fixed by requiring
-    the second vertex below the last.
-    """
-    adj = g.adjacency
-    cycles: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def walk(v: int, root: int, on_path: set[int]):
-        for w in adj[v]:
-            if w == root:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(tuple(path))
-            elif w > root and len(path) < 6 and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                walk(w, root, on_path)
-                on_path.remove(w)
-                path.pop()
-
-    for root in range(g.vertex_count):
-        path = [root]
-        walk(root, root, {root})
-    return cycles
-
-
 def recheck_constraints_dfs(
     base: BaseGraph, volt: VoltageAssignment
 ) -> tuple[int, int, int]:
@@ -246,7 +217,7 @@ def recheck_constraints_dfs(
     t_id = next(v for v in base.whites if base.role_of(v).tag == "t")
     b_id = next(v for v in base.whites if base.role_of(v).tag == "b")
     n_constraints = bad4 = bad6 = 0
-    for seq in _short_cycles_dfs(base.graph):
+    for seq in _short_cycles(base.graph):
         if _cycle_displacement(volt, seq) != ZERO3:
             continue
         if len(seq) == 4 and {t_id, b_id} <= set(seq):

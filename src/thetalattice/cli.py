@@ -47,12 +47,7 @@ from .graphs import (
     graph_to_dot,
     graph_to_json,
 )
-from .voltage import (
-    LiftCertificate,
-    build_base_graph,
-    derived_torus,
-    full_unit_graph,
-)
+from .voltage import LiftCertificate, build_base_graph, derived_cover
 
 _USAGE_ERRORS = (
     DegreeTooSmall,
@@ -137,8 +132,14 @@ def _cmd_verify(args) -> int:
     print(f"constraint cycles: {fresh.constraint_count}{note}")
     print(f"recomputed flags: {fresh.flags.to_dict()}")
     ok = fresh.flags.all_true and fresh.flags == cert.flags
+    if cert.constraint_count != fresh.constraint_count:
+        print(
+            f"constraint count mismatch: certificate claims {cert.constraint_count}, "
+            f"recomputed {fresh.constraint_count}"
+        )
+        ok = False
     if cert.s <= 3:
-        torus = derived_torus(base, volt, args.torus_n)
+        torus = derived_cover(base, volt, args.torus_n)
         explicit = census_of_graph(torus)
         n3 = args.torus_n**3
         match = (
@@ -178,9 +179,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_embed(args) -> int:
     cert = LiftCertificate.from_json(Path(args.certificate).read_text())
-    _, volt = _truncated_voltage(cert, args.trunc_s)
-    root = build_root_unit_graph(cert.d)
-    fug = full_unit_graph(root, volt)
+    base, volt = _truncated_voltage(cert, args.trunc_s)
+    fug = derived_cover(base, volt)
     resolution = _parse_rational(args.grid_resolution)
     try:
         t, attempts = find_good_try(
@@ -212,16 +212,7 @@ def _cmd_export(args) -> int:
         g = central_subgraph(build_root_unit_graph(d))
     elif args.kind == "base":
         g = build_base_graph(d)[0].graph
-    elif args.kind == "full-unit":
-        if args.certificate:
-            cert = LiftCertificate.from_json(Path(args.certificate).read_text())
-            if cert.d != d:
-                raise ValueError(f"certificate is for d={cert.d}, not {d}")
-            _, volt = _truncated_voltage(cert, args.trunc_s)
-        else:
-            _, volt = build_base_graph(d)
-        g = full_unit_graph(build_root_unit_graph(d), volt)
-    else:  # torus
+    else:  # full-unit or torus
         if args.certificate:
             cert = LiftCertificate.from_json(Path(args.certificate).read_text())
             if cert.d != d:
@@ -229,7 +220,7 @@ def _cmd_export(args) -> int:
             base, volt = _truncated_voltage(cert, args.trunc_s)
         else:
             base, volt = build_base_graph(d)
-        g = derived_torus(base, volt, args.torus_n)
+        g = derived_cover(base, volt, args.torus_n if args.kind == "torus" else None)
     stem = Path(args.output)
     _write(stem.with_suffix(".json"), graph_to_json(g))
     _write(stem.with_suffix(".dot"), graph_to_dot(g))

@@ -6,7 +6,8 @@ class DegreeTooSmall(ValueError):
 
 
 class MalformedGraph(ValueError):
-    """A graph is missing the labels or roles an operation requires."""
+    """A graph or certificate is malformed, or a graph is missing the labels
+    or roles an operation requires."""
 
 
 class CentralEdgeCrossed(ValueError):

@@ -451,6 +451,10 @@ def graph_to_json_dict(g: LabeledGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> LabeledGraph:
+    if not (isinstance(data, dict) and "vertices" in data and "edges" in data):
+        raise MalformedGraph("graph JSON needs 'vertices' and 'edges'")
+    if not all(isinstance(rec, dict) and "id" in rec and "role" in rec for rec in data["vertices"]):
+        raise MalformedGraph("every graph vertex needs an 'id' and a 'role'")
     verts = sorted(data["vertices"], key=lambda rec: rec["id"])
     if [rec["id"] for rec in verts] != list(range(len(verts))):
         raise MalformedGraph("vertex ids must be dense 0..n-1")

@@ -1,31 +1,26 @@
-"""The quotient base graph with displacement and level-bit voltages, finite
-torus quotients, the explicit full unit graph, and lift certificates.
+"""The quotient base graph with displacement and level-bit voltages, its
+explicit derived covers (finite tori and the full unit graph), and lift
+certificates.
 
 The base graph merges lx with rx (into vx), ly with ry, lz with rz, giving a
 2d-vertex d-regular bipartite graph with d**2 edges.  Oriented edges carry a
 displacement in Z^3 (nonzero only on vx->c1 = +e_x, vy->c1 = +e_y,
 vz->c1 = +e_z) and an orientation-free level-bit vector in GF(2)**s (zero on
 the central hub edges).  The infinite lattice is the derived cover over
-Z^3 x GF(2)**s; derived_torus builds its finite quotients.
+Z^3 x GF(2)**s; derived_cover builds its finite quotients, the n-torus and
+the full unit graph of one cube.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping
 
 from . import linalg
 from .errors import DegreeTooSmall, MalformedGraph, TorusTooSmall
-from .graphs import (
-    Cell,
-    Edge,
-    LabeledGraph,
-    Role,
-    VertexLabel,
-    from_labeled_vertices,
-)
+from .graphs import Edge, LabeledGraph, Role, VertexLabel, from_labeled_vertices
 
 Vec3 = tuple[int, int, int]
 
@@ -154,80 +149,49 @@ def make_bits(base: BaseGraph, s: int, level_bits: Mapping[Edge, int]) -> dict[E
     return out
 
 
-def derived_torus(base: BaseGraph, volt: VoltageAssignment, n: int) -> LabeledGraph:
-    """Explicit quotient on base-vertices x (Z_n)^3 x GF(2)^s.
+def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None) -> LabeledGraph:
+    """An explicit quotient of the derived cover, on cells x GF(2)^s.
 
     An edge (u,v) with displacement t and bit mask m joins (u, z, l) to
-    (v, z + t mod n, l xor m).  The result is d-regular, bipartite and simple
-    with n^3 * 2^s * 2d vertices and n^3 * 2^s * d^2 edges.
+    (v, z + t, l xor m).  With n, cells are (Z_n)^3 and the result is the
+    n-torus: d-regular, bipartite and simple with n^3 * 2^s * 2d vertices
+    and n^3 * 2^s * d^2 edges.  With n=None there is one cell and t is
+    dropped, which gives the full unit graph of a cube: each merged
+    connector v* splits back into l* on its displaced edge and r* on the
+    others.  At s = 0 that is the root unit graph, and in general it equals
+    iterating two_lift on the root unit graph with the per-stage signings.
     """
-    if n <= 1:
+    if n is not None and n <= 1:
         raise TorusTooSmall(
             "n must be >= 2: wrapping unit displacements at n=1 closes stray short cycles"
         )
-    assert base.graph.labels is not None
     s = volt.s
-    cells = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
     levels = [format(l, f"0{s}b")[::-1] if s else "" for l in range(1 << s)]
+    cells = [ZERO3] if n is None else [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    cell_index = {z: i for i, z in enumerate(cells)}
+    fibers: dict[Role, list[list[VertexLabel]]] = {}
 
-    def lab(v: int, cell: Cell, l: int) -> VertexLabel:
-        src = base.graph.labels[v]
-        return VertexLabel(src.role, levels[l], cell)
+    def fiber(v: int, t: Vec3) -> list[list[VertexLabel]]:
+        """Labels over base vertex v, per cell and level, at an edge of
+        displacement t (which picks l* or r* for a connector)."""
+        r = base.role_of(v)
+        if n is None and r.tag in UNIT:
+            r = Role(("l" if t != ZERO3 else "r") + r.tag[1])
+        if r not in fibers:
+            fibers[r] = [[VertexLabel(r, lev, z) for lev in levels] for z in cells]
+        return fibers[r]
 
-    labels = [lab(v, z, l) for v in range(base.graph.vertex_count) for z in cells for l in range(1 << s)]
     edges = []
     for u, v in base.graph.edges:
         t = volt.disp(u, v)
         m = volt.bits(u, v)
-        for z in cells:
-            z2 = ((z[0] + t[0]) % n, (z[1] + t[1]) % n, (z[2] + t[2]) % n)
-            for l in range(1 << s):
-                edges.append((lab(u, z, l), lab(v, z2, l ^ m)))
+        above_u, above_v = fiber(u, t), fiber(v, t)
+        for i, z in enumerate(cells):
+            j = i if n is None else cell_index[(z[0] + t[0]) % n, (z[1] + t[1]) % n, (z[2] + t[2]) % n]
+            at_u, at_v = above_u[i], above_v[j]
+            edges.extend((at_u[l], at_v[l ^ m]) for l in range(1 << s))
+    labels = [lab for above in fibers.values() for row in above for lab in row]
     return from_labeled_vertices(labels, edges, base.d)
-
-
-_ROOT_TO_BASE = {"lx": "vx", "ly": "vy", "lz": "vz", "rx": "vx", "ry": "vy", "rz": "vz"}
-
-
-def _root_edge_to_base_edge(root: LabeledGraph, base: BaseGraph, u: int, v: int) -> Edge:
-    assert root.labels is not None
-    ids = base.graph.label_index()
-
-    def to_base(w: int) -> int:
-        role = root.labels[w].role
-        tag = _ROOT_TO_BASE.get(role.tag, role.tag)
-        return ids[(Role(tag, role.index), "", (0, 0, 0))]
-
-    a, b = to_base(u), to_base(v)
-    return (a, b) if a < b else (b, a)
-
-
-def full_unit_graph(root: LabeledGraph, volt: VoltageAssignment) -> LabeledGraph:
-    """The root unit graph after the s fiber-uniform 2-lifts encoded by volt.
-
-    Vertices are (root vertex, level); the edge over root edge e joins levels
-    l and l xor bits(e), where the one-sided connector edges (lx,c1) etc.
-    inherit the bits of their merged base edges (vx,c1) etc.  Identical, up to
-    relabeling, to iterating two_lift with the per-stage signings.
-    """
-    if root.labels is None or root.d is None:
-        raise MalformedGraph("full_unit_graph needs a labeled root unit graph")
-    base, _ = build_base_graph(root.d)
-    s = volt.s
-    levels = [format(l, f"0{s}b")[::-1] if s else "" for l in range(1 << s)]
-
-    def lab(v: int, l: int) -> VertexLabel:
-        src = root.labels[v]
-        return VertexLabel(src.role, levels[l], src.cell)
-
-    labels = [lab(v, l) for v in range(root.vertex_count) for l in range(1 << s)]
-    edges = []
-    for u, v in root.edges:
-        e = _root_edge_to_base_edge(root, base, u, v)
-        m = volt.level_bits.get(e, 0)
-        for l in range(1 << s):
-            edges.append((lab(u, l), lab(v, l ^ m)))
-    return from_labeled_vertices(labels, edges, root.d)
 
 
 def fundamental_cycle_voltages(
@@ -330,6 +294,15 @@ class CertificateFlags:
         }
 
 
+_CERTIFICATE_KEYS = ("d", "s", "level_bits", "edge_order", "flags", "constraint_count", "seed")
+_FLAG_NAMES = tuple(f.name for f in fields(CertificateFlags))
+
+
+def _require(ok: bool, problem: str) -> None:
+    if not ok:
+        raise MalformedGraph(f"certificate {problem}")
+
+
 @dataclass(frozen=True)
 class LiftCertificate:
     """Replayable record of one certified lift sequence.
@@ -362,15 +335,48 @@ class LiftCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LiftCertificate":
-        flags = CertificateFlags(**data["flags"])
+        """Parse a certificate's JSON object.  Raises MalformedGraph for a
+        missing key, a value of the wrong type, a stage count other than s,
+        more stages than max_connected_stages(d), or a stage that is not a
+        0/1 string as wide as edge_order."""
+        _require(isinstance(data, dict), "must be a JSON object")
+        missing = [key for key in _CERTIFICATE_KEYS if key not in data]
+        _require(not missing, f"is missing {', '.join(missing)}")
+        for key in ("d", "s", "constraint_count", "seed"):
+            _require(type(data[key]) is int, f"{key} must be an integer, got {data[key]!r}")
+        d, s, flags, order, stages = (data[k] for k in ("d", "s", "flags", "edge_order", "level_bits"))
+        _require(
+            isinstance(flags, dict)
+            and sorted(flags) == sorted(_FLAG_NAMES)
+            and all(type(value) is bool for value in flags.values()),
+            f"flags must be the booleans {', '.join(_FLAG_NAMES)}",
+        )
+        _require(
+            isinstance(order, list)
+            and all(isinstance(p, list) and len(p) == 2 and all(isinstance(r, str) for r in p) for p in order),
+            "edge_order must be a list of role pairs",
+        )
+        _require(
+            isinstance(stages, list) and all(isinstance(stage, str) for stage in stages),
+            "level_bits must be a list of strings",
+        )
+        _require(len(stages) == s, f"has s={s} but {len(stages)} stages in level_bits")
+        _require(
+            s <= max_connected_stages(d),
+            f"has s={s} stages, more than the {max_connected_stages(d)} under which "
+            f"a d={d} lattice can be connected",
+        )
+        for i, stage in enumerate(stages):
+            _require(len(stage) == len(order), f"stage {i} has {len(stage)} bits for {len(order)} edges")
+            _require(not stage.strip("01"), f"stage {i} holds a character other than 0 and 1")
         return cls(
-            d=int(data["d"]),
-            s=int(data["s"]),
-            stage_bits=tuple(data["level_bits"]),
-            edge_order=tuple(tuple(pair) for pair in data["edge_order"]),
-            flags=flags,
-            constraint_count=int(data["constraint_count"]),
-            seed=int(data["seed"]),
+            d=d,
+            s=s,
+            stage_bits=tuple(stages),
+            edge_order=tuple(tuple(pair) for pair in order),
+            flags=CertificateFlags(**flags),
+            constraint_count=data["constraint_count"],
+            seed=data["seed"],
         )
 
     @classmethod
@@ -381,18 +387,26 @@ class LiftCertificate:
         """Rebuild the voltage assignment (displacements + per-edge masks)."""
         if len(self.edge_order) != len(base.graph.edges):
             raise MalformedGraph("certificate edge order does not match base graph")
-        ids = base.graph.label_index()
+        ids = {str(base.role_of(v)): v for v in range(base.graph.vertex_count)}
+        # column j of the stages, stage i as bit i
+        masks = [int("".join(column)[::-1], 2) for column in zip(*self.stage_bits)]
         bits: dict[Edge, int] = {}
+        seen: set[Edge] = set()
         for j, (ru, rv) in enumerate(self.edge_order):
-            u = ids[(Role.parse(ru), "", (0, 0, 0))]
-            v = ids[(Role.parse(rv), "", (0, 0, 0))]
+            if ru not in ids or rv not in ids:
+                raise MalformedGraph(
+                    f"certificate edge_order entry {j} ({ru}, {rv}) names a role "
+                    f"the d={base.d} base graph does not have"
+                )
+            u, v = ids[ru], ids[rv]
             e = (u, v) if u < v else (v, u)
-            mask = 0
-            for i, stage in enumerate(self.stage_bits):
-                if stage[j] == "1":
-                    mask |= 1 << i
-            if mask:
-                bits[e] = mask
+            if e not in base.edge_index or e in seen:
+                raise MalformedGraph(
+                    f"certificate edge_order entry {j} ({ru}, {rv}) is not a distinct base edge"
+                )
+            seen.add(e)
+            if self.s and masks[j]:
+                bits[e] = masks[j]
         _, volt0 = build_base_graph(self.d)
         return volt0.with_bits(self.s, make_bits(base, self.s, bits))
 

@@ -22,11 +22,10 @@ from thetalattice.certify import verify_certificate
 from thetalattice.embed import check_embedding_properties, find_good_try, is_good_try
 from thetalattice.entropy import lattice_report, min_degree_for_kappa
 from thetalattice.errors import BudgetExhausted
-from thetalattice.graphs import build_root_unit_graph, validate
+from thetalattice.graphs import validate
 from thetalattice.voltage import (
     build_base_graph,
-    derived_torus,
-    full_unit_graph,
+    derived_cover,
     voltage_group_generated,
 )
 
@@ -79,7 +78,7 @@ def test_criterion_3_voltage_census_soundness():
                 volt = random_bits_voltage(base, volt0, s, seed=100 * d + 10 * s + trial)
                 vc = voltage_census(base, volt)
                 for n in (2, 3):
-                    torus = derived_torus(base, volt, n)
+                    torus = derived_cover(base, volt, n)
                     ec = census(torus)
                     n3 = n**3
                     ok = ok and ec.c4_total == n3 * vc.c4_total
@@ -155,7 +154,7 @@ def test_criterion_7_embedding(certified):
     t0 = time.perf_counter()
     cert, base, volt, _ = certified(5)
     truncated = volt.truncate(4)
-    fug = full_unit_graph(build_root_unit_graph(5), truncated)
+    fug = derived_cover(base, truncated)
     t, attempts = find_good_try(fug, seed=3, max_attempts=1000)
     ok = attempts <= 1000
     ok = ok and is_good_try(t, fug)
@@ -177,7 +176,7 @@ def test_criterion_8_structural_invariants(certified):
             for n in (2, 3):
                 base, volt0 = build_base_graph(d)
                 volt = random_bits_voltage(base, volt0, s, seed=d + s + n) if s else volt0
-                torus = derived_torus(base, volt, n)
+                torus = derived_cover(base, volt, n)
                 rep = validate(torus, expect_regular=d)
                 ok = ok and rep.passed and rep.bipartite and rep.simple
     for d in (5, 6, 10):

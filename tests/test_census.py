@@ -16,7 +16,7 @@ from conftest import (
 )
 from thetalattice.census import (
     _count_c6_bipartite_dense,
-    _count_c6_dfs,
+    _short_cycles,
     brute_force_census,
     census,
     classify_c4,
@@ -27,8 +27,14 @@ from thetalattice.census import (
 )
 from thetalattice.certify import constraint_cycles, recheck_constraints_dfs
 from thetalattice.errors import MalformedGraph, TooLarge
-from thetalattice.graphs import build_root_unit_graph, two_coloring
-from thetalattice.voltage import VoltageAssignment, build_base_graph, derived_torus
+from thetalattice.graphs import (
+    Role,
+    VertexLabel,
+    build_root_unit_graph,
+    from_labeled_vertices,
+    two_coloring,
+)
+from thetalattice.voltage import VoltageAssignment, build_base_graph, derived_cover
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +97,11 @@ def test_fast_counters_match_brute_force(seed, n):
     assert count_theta222(g) == rep.theta222
 
 
+def _dfs_c6(g):
+    """6-cycles of the min-rooted short-cycle enumeration."""
+    return sum(1 for seq in _short_cycles(g) if len(seq) == 6)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**9),
@@ -103,15 +114,15 @@ def test_dense_c6_matches_dfs_on_bipartite(seed, m, n):
     g = plain_graph(m + n, edges)
     coloring = two_coloring(g)
     assert coloring is not None
-    assert _count_c6_bipartite_dense(g, coloring) == _count_c6_dfs(g)
+    assert _count_c6_bipartite_dense(g, coloring) == _dfs_c6(g)
 
 
 def test_dense_c6_used_on_large_torus():
     base, volt0 = build_base_graph(5)
     volt = random_bits_voltage(base, volt0, 2, seed=5)
-    torus = derived_torus(base, volt, 2)  # 320 vertices: dense path
+    torus = derived_cover(base, volt, 2)  # 320 vertices: dense path
     coloring = two_coloring(torus)
-    assert count_c6(torus) == _count_c6_bipartite_dense(torus, coloring) == _count_c6_dfs(torus)
+    assert count_c6(torus) == _count_c6_bipartite_dense(torus, coloring) == _dfs_c6(torus)
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +141,47 @@ def test_classify_central_alone():
     assert central == 21
 
 
+def test_classify_central_needs_one_cell_and_level():
+    """A 4-cycle on hub/spoke roles is central only when all four vertices
+    share one (cell, level)."""
+    t, b, c1 = (VertexLabel(Role(*r), "0") for r in (("t",), ("b",), ("c", 1)))
+    for c2 in (VertexLabel(Role("c", 2), "1"), VertexLabel(Role("c", 2), "0", (1, 0, 0))):
+        g = from_labeled_vertices([t, b, c1, c2], [(t, c1), (c1, b), (b, c2), (c2, t)])
+        assert classify_c4(g) == (0, 1)
+        assert census(g).c4_central == 0
+
+
 def test_classify_requires_labels():
     with pytest.raises(MalformedGraph):
         classify_c4(cycle_graph(4))
 
 
-def test_classify_certified_full_unit_graph(certified):
-    from thetalattice.graphs import build_root_unit_graph
-    from thetalattice.voltage import full_unit_graph
+def test_census_makes_one_codegree_pass(monkeypatch):
+    """census() reads c4 and theta222 from one codegree pass over the graph;
+    only the central subgraph gets a pass of its own."""
+    import importlib
 
+    # the package re-exports a function named like this module
+    census_module = importlib.import_module("thetalattice.census")
+    base, volt0 = build_base_graph(5)
+    torus = derived_cover(base, random_bits_voltage(base, volt0, 2, seed=5), 2)
+    original = census_module._codegrees
+    passes = []
+
+    def counted(g):
+        passes.append(len(g.edges))
+        return original(g)
+
+    monkeypatch.setattr(census_module, "_codegrees", counted)
+    report = census(torus)
+    copies = 2**3 * 2**2  # n^3 * 2^s central copies of K_{2,5}
+    assert passes == [len(torus.edges), copies * 2 * 5]
+    assert report.c4_central == copies * 10
+
+
+def test_classify_certified_full_unit_graph(certified):
     cert, base, volt, _ = certified(5)
-    fug = full_unit_graph(build_root_unit_graph(5), volt)
+    fug = derived_cover(base, volt)
     central, stray = classify_c4(fug)
     assert stray == 0
     assert central == (1 << cert.s) * 10
@@ -154,7 +195,6 @@ def test_base_cycle_with_displacement_excluded():
     """The 4-cycle c1-vx-c2-t closes only after a translation, so it neither
     appears as a constraint nor contributes to the per-cube count."""
     from thetalattice.certify import _canonical_cycle, _cycle_displacement
-    from thetalattice.graphs import Role
 
     base, volt = build_base_graph(5)
     ids = base.graph.label_index()
@@ -171,7 +211,7 @@ def test_base_cycle_with_displacement_excluded():
 def test_voltage_census_zero_bits_matches_torus():
     base, volt = build_base_graph(5)
     vc = voltage_census(base, volt)
-    torus = derived_torus(base, volt, 2)
+    torus = derived_cover(base, volt, 2)
     ec = census(torus)
     assert ec.c4_total == 8 * vc.c4_total
     assert ec.c4_central == 8 * vc.c4_central
@@ -189,7 +229,7 @@ def test_voltage_census_matches_torus_random_bits(d, s, seed):
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed)
     vc = voltage_census(base, volt)
-    torus = derived_torus(base, volt, 2)
+    torus = derived_cover(base, volt, 2)
     ec = census(torus)
     for name in ("c4_total", "c4_central", "c4_stray", "c6", "theta222"):
         assert getattr(ec, name) == 8 * getattr(vc, name), name

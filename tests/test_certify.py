@@ -16,7 +16,7 @@ from thetalattice.certify import (
 )
 from thetalattice.errors import BudgetExhausted, TooLarge
 from thetalattice.graphs import Role
-from thetalattice.voltage import build_base_graph, derived_torus
+from thetalattice.voltage import build_base_graph, derived_cover
 
 
 def _ids(base):
@@ -183,7 +183,7 @@ def test_coverage_semantics_cycle_by_cycle():
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed=17)
     cons = constraint_cycles(base, volt0)
-    torus = derived_torus(base, volt, n)
+    torus = derived_cover(base, volt, n)
     tor_ids = torus.label_index()
     base_labels = base.graph.labels
 
@@ -231,7 +231,7 @@ def test_central_cycles_always_survive():
     d, s, n = 5, 2, 2
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed=29)
-    torus = derived_torus(base, volt, n)
+    torus = derived_cover(base, volt, n)
     from thetalattice.census import classify_c4
 
     central, _ = classify_c4(torus)
@@ -328,7 +328,7 @@ def test_three_verification_routes_agree():
     vc = voltage_census(base, volt)
     assert vc.c4_stray == (1 << s) * bad4
     assert vc.c6 == (1 << s) * bad6
-    torus = derived_torus(base, volt, n)
+    torus = derived_cover(base, volt, n)
     from thetalattice.census import census
 
     ec = census(torus)

@@ -136,6 +136,82 @@ def test_verify_detects_tampering(cert_d5, tmp_path, capsys):
     assert "VERDICT: FAIL" in out
 
 
+def test_verify_rejects_a_false_constraint_count(cert_d5, tmp_path, capsys):
+    data = json.loads(cert_d5.read_text())
+    data["constraint_count"] = 12_345
+    claimed = tmp_path / "claims_12345.json"
+    claimed.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", str(claimed))
+    assert code == 1
+    lines = out.splitlines()
+    assert "constraint count mismatch: certificate claims 12345, recomputed 330" in lines
+    assert lines[-1] == "VERDICT: FAIL"
+
+
+def _drop(key):
+    def edit(data):
+        del data[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(data):
+        data[key] = value(data) if callable(value) else value
+    return edit
+
+
+def _first_stage(text):
+    def edit(data):
+        data["level_bits"][0] = text(data["level_bits"][0])
+    return edit
+
+
+def _extra_stages(data):
+    # one stage beyond max_connected_stages(5) = 9, every stage well formed
+    data["level_bits"] += ["0" * 25] * (10 - data["s"])
+    data["s"] = 10
+
+
+def _unknown_role(data):
+    data["edge_order"][3] = ["c1", "f9"]
+
+
+def _repeated_edge(data):
+    data["edge_order"][3] = data["edge_order"][2]
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("verify", _drop("flags"), "missing flags"),
+        ("verify", _drop("seed"), "missing seed"),
+        ("verify", _set("s", lambda data: data["s"] + 3), "stages in level_bits"),
+        ("verify", _extra_stages, "more than the 9"),
+        ("verify", _first_stage(lambda row: row[:-1]), "has 24 bits for 25 edges"),
+        ("verify", _first_stage(lambda row: row.replace("1", "2")), "other than 0 and 1"),
+        ("verify", _unknown_role, "(c1, f9) names a role"),
+        ("verify", _repeated_edge, "not a distinct base edge"),
+        ("verify", _set("flags", {"no_zero_voltage_hexes": True}), "flags must be"),
+        ("verify", _set("d", "5"), "d must be an integer"),
+        ("report", _unknown_role, "(c1, f9) names a role"),
+        ("embed", _first_stage(lambda row: row[:-1]), "has 24 bits for 25 edges"),
+        ("census", lambda data: data.clear() or data.update(d=5), "'vertices' and 'edges'"),
+        ("census", lambda data: data.update(vertices=[{"id": 0}], edges=[]), "'id' and a 'role'"),
+    ],
+)
+def test_malformed_input_is_a_usage_error(cert_d5, tmp_path, capsys, command, edit, message):
+    data = json.loads(cert_d5.read_text())
+    edit(data)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    output = ["-o", str(tmp_path / "out.json")] if command == "embed" else []
+    code, _, err = run(capsys, command, str(path), *output)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert message in err
+
+
 def test_census_on_k25_file(tmp_path, capsys):
     g = central_subgraph(build_root_unit_graph(5))
     path = tmp_path / "k25.json"

@@ -19,15 +19,14 @@ from thetalattice.embed import (
     try_to_obj,
 )
 from thetalattice.errors import AttemptsExhausted, GridTooCoarse, TooLarge
-from thetalattice.graphs import LabeledGraph, Role, VertexLabel, build_root_unit_graph
-from thetalattice.voltage import build_base_graph, full_unit_graph
+from thetalattice.graphs import LabeledGraph, Role, VertexLabel
+from thetalattice.voltage import build_base_graph, derived_cover
 
 
 def _fug(d=5, s=2, seed=11):
-    root = build_root_unit_graph(d)
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed) if s else volt0
-    return full_unit_graph(root, volt)
+    return derived_cover(base, volt)
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_lift_cycle_monotonicity(mask):
 
 def test_lift_short_cycles_project_to_base_cycles():
     """4-/6-cycles of a lift project to same-length cycles of the base."""
-    from thetalattice.certify import _short_cycles_dfs
+    from thetalattice.census import _short_cycles
 
     g = build_root_unit_graph(5)
     crossed = [
@@ -193,9 +193,9 @@ def test_lift_short_cycles_project_to_base_cycles():
     base_ids = g.label_index()
     proj = [base_ids[(lab.role, lab.level[:-1], lab.cell)] for lab in lift.labels]
     base_cycles = {
-        (len(seq), tuple(sorted(seq))) for seq in _short_cycles_dfs(g)
+        (len(seq), tuple(sorted(seq))) for seq in _short_cycles(g)
     }
-    for seq in _short_cycles_dfs(lift):
+    for seq in _short_cycles(lift):
         image = [proj[v] for v in seq]
         assert len(set(image)) == len(seq), "projection must stay a simple cycle"
         assert (len(seq), tuple(sorted(image))) in base_cycles
@@ -213,10 +213,10 @@ def test_validate_root_not_regular():
 
 
 def test_validate_torus_regular():
-    from thetalattice.voltage import build_base_graph, derived_torus
+    from thetalattice.voltage import build_base_graph, derived_cover
 
     base, volt = build_base_graph(5)
-    torus = derived_torus(base, volt, 2)
+    torus = derived_cover(base, volt, 2)
     report = validate(torus, expect_regular=5)
     assert report.passed
 

@@ -17,8 +17,7 @@ from thetalattice.voltage import (
     LiftCertificate,
     build_base_graph,
     canonical_edge_order,
-    derived_torus,
-    full_unit_graph,
+    derived_cover,
     fundamental_cycle_voltages,
     make_bits,
     stage_bitstrings,
@@ -73,7 +72,7 @@ def test_base_edge_count_is_d_noncentral_plus_central():
 
 def test_derived_torus_d5_counts():
     base, volt = build_base_graph(5)
-    torus = derived_torus(base, volt, 2)
+    torus = derived_cover(base, volt, 2)
     assert torus.vertex_count == 80
     assert len(torus.edges) == 200
     assert validate(torus, expect_regular=5).passed
@@ -82,13 +81,13 @@ def test_derived_torus_d5_counts():
 def test_derived_torus_rejects_n1():
     base, volt = build_base_graph(5)
     with pytest.raises(TorusTooSmall):
-        derived_torus(base, volt, 1)
+        derived_cover(base, volt, 1)
 
 
 def test_derived_torus_zero_bits_two_components():
     base, volt0 = build_base_graph(5)
     volt = volt0.with_bits(1, {})
-    torus = derived_torus(base, volt, 2)
+    torus = derived_cover(base, volt, 2)
     assert torus.vertex_count == 160
     comps = connected_components(torus)
     assert len(comps) == 2
@@ -118,7 +117,7 @@ def test_derived_torus_zero_bits_two_components():
 def test_torus_count_conservation(d, s, n, seed):
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed) if s else volt0
-    torus = derived_torus(base, volt, n)
+    torus = derived_cover(base, volt, n)
     assert torus.vertex_count == n**3 * 2**s * 2 * d
     assert len(torus.edges) == n**3 * 2**s * d * d
     report = validate(torus, expect_regular=d)
@@ -129,26 +128,27 @@ def test_torus_count_conservation(d, s, n, seed):
 # full unit graph
 
 def test_full_unit_graph_s0_is_root():
-    root = build_root_unit_graph(5)
-    _, volt = build_base_graph(5)
-    fug = full_unit_graph(root, volt)
-    assert fug.labels == root.labels
-    assert fug.edges == root.edges
+    for d in (5, 6, 10):
+        root = build_root_unit_graph(d)
+        base, volt = build_base_graph(d)
+        fug = derived_cover(base, volt)
+        assert fug.labels == root.labels
+        assert fug.edges == root.edges
+        assert fug.d == root.d == d
 
 
 def test_full_unit_graph_zero_bits_two_copies():
     root = build_root_unit_graph(5)
     base, volt0 = build_base_graph(5)
-    fug = full_unit_graph(root, volt0.with_bits(1, {}))
+    fug = derived_cover(base, volt0.with_bits(1, {}))
     assert fug.vertex_count == 2 * root.vertex_count
     assert len(connected_components(fug)) == 2
 
 
-def test_full_unit_graph_d5_s3_counts(certified=None):
-    root = build_root_unit_graph(5)
+def test_full_unit_graph_d5_s3_counts():
     base, volt0 = build_base_graph(5)
     volt = random_bits_voltage(base, volt0, 3, seed=11)
-    fug = full_unit_graph(root, volt)
+    fug = derived_cover(base, volt)
     assert fug.vertex_count == 104
     assert len(fug.edges) == 200
     from thetalattice.graphs import central_copies
@@ -157,26 +157,30 @@ def test_full_unit_graph_d5_s3_counts(certified=None):
 
 
 def test_full_unit_graph_equals_iterated_two_lift():
+    """Lifting the root unit graph stage by stage, each root edge crossed
+    when its base edge (connectors l*/r* merged back into v*) carries that
+    stage's bit, gives the full unit graph."""
     from thetalattice.graphs import Signing, two_lift
-    from thetalattice.voltage import _root_edge_to_base_edge
 
     d, s = 5, 2
-    root = build_root_unit_graph(d)
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed=23)
-    fug = full_unit_graph(root, volt)
+    fug = derived_cover(base, volt)
 
-    g = root
-    root_ids = root.label_index()
+    merged = {"lx": "vx", "ly": "vy", "lz": "vz", "rx": "vx", "ry": "vy", "rz": "vz"}
+    base_ids = base.graph.label_index()
+
+    def base_vertex(lab):
+        role = Role(merged.get(lab.role.tag, lab.role.tag), lab.role.index)
+        return base_ids[(role, "", (0, 0, 0))]
+
+    g = build_root_unit_graph(d)
     for stage in range(s):
-        crossed = []
-        for u, v in g.edges:
-            lu, lv = g.labels[u], g.labels[v]
-            ru = root_ids[(lu.role, "", lu.cell)]
-            rv = root_ids[(lv.role, "", lv.cell)]
-            e = _root_edge_to_base_edge(root, base, ru, rv)
-            if (volt.level_bits.get(e, 0) >> stage) & 1:
-                crossed.append((u, v))
+        crossed = [
+            (u, v)
+            for u, v in g.edges
+            if volt.bits(base_vertex(g.labels[u]), base_vertex(g.labels[v])) >> stage & 1
+        ]
         g = two_lift(g, Signing.from_crossed(g, crossed))
     assert g.labels == fug.labels
     assert g.edges == fug.edges
@@ -187,11 +191,10 @@ def test_derived_torus_equals_glued_full_unit_graphs(d, s):
     """Cover consistency: gluing n^3 copies of the full unit graph along
     identified connector vertices, level-preservingly, reproduces the torus."""
     n = 2
-    root = build_root_unit_graph(d)
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed=37)
-    fug = full_unit_graph(root, volt)
-    torus = derived_torus(base, volt, n)
+    fug = derived_cover(base, volt)
+    torus = derived_cover(base, volt, n)
 
     merge = {"rx": "vx", "ry": "vy", "rz": "vz", "lx": "vx", "ly": "vy", "lz": "vz"}
     shifts = {"lx": (1, 0, 0), "ly": (0, 1, 0), "lz": (0, 0, 1)}
