@@ -118,26 +118,41 @@ def _short_cycles(g: LabeledGraph) -> list[tuple[int, ...]]:
     vertex-order pruning, direction fixed by requiring the second vertex
     below the last.
     """
-    adj = g.adjacency
     cycles: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def walk(v: int, root: int, on_path: set[int]):
-        for w in adj[v]:
-            if w == root:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(tuple(path))
-            elif w > root and len(path) < 6 and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                walk(w, root, on_path)
-                on_path.remove(w)
-                path.pop()
-
     for root in range(g.vertex_count):
-        path = [root]
-        walk(root, root, {root})
+        _extend_path(g.adjacency, root, [root], {root}, cycles)
     return cycles
+
+
+def _extend_path(
+    adj: tuple[tuple[int, ...], ...],
+    root: int,
+    path: list[int],
+    on_path: set[int],
+    cycles: list[tuple[int, ...]],
+) -> None:
+    """Record the cycles that close path back to root, then extend it by
+    every vertex above root not on it, while it has fewer than 6 vertices.
+
+    A module-level function rather than a closure: a nested function that
+    calls itself sits in a reference cycle with its cells, which would keep
+    the cycle list alive after the caller drops it, until a cyclic GC.
+    """
+    v = path[-1]
+    if len(path) == 6:  # only closing back to root is left
+        if path[1] < v and root in adj[v]:
+            cycles.append(tuple(path))
+        return
+    for w in adj[v]:
+        if w == root:
+            if len(path) >= 3 and path[1] < v:
+                cycles.append(tuple(path))
+        elif w > root and w not in on_path:
+            path.append(w)
+            on_path.add(w)
+            _extend_path(adj, root, path, on_path, cycles)
+            on_path.remove(w)
+            path.pop()
 
 
 def _count_c6_bipartite_dense(g: LabeledGraph, coloring: list[int]) -> int:

@@ -20,9 +20,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
-from .census import CensusReport, _short_cycles, voltage_census
+import numpy as np
+
+from .census import CensusReport, _edge_keys, _short_cycles, voltage_census
 from .errors import BudgetExhausted, TooLarge
 from .graphs import Edge
 from .voltage import (
@@ -30,13 +33,11 @@ from .voltage import (
     CertificateFlags,
     LiftCertificate,
     VoltageAssignment,
-    ZERO3,
     build_base_graph,
     canonical_edge_order,
     make_bits,
     max_connected_stages,
     stage_bitstrings,
-    vadd,
     voltage_group_generated,
 )
 
@@ -45,6 +46,7 @@ from .voltage import (
 EXPLICIT_LIMIT = 300_000
 _RANDOM_SLACK_BITS = 8
 _RANDOM_ATTEMPTS = 4
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -54,14 +56,45 @@ class Constraint:
     mask: int  # incidence over non-central base edges
 
 
-@dataclass(frozen=True)
+def _word_count(width: int) -> int:
+    return -(-width // 64)
+
+
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
+    """Constraint cycles as arrays: vertices is n x 6 (a 4-cycle padded with
+    -1), masks is n x ceil(width / 64) uint64 with bit j of a mask in word
+    j // 64.  The Constraint objects are built only when .constraints is
+    read."""
+
     d: int
-    constraints: tuple[Constraint, ...]
     noncentral_edges: tuple[Edge, ...]
+    vertices: np.ndarray
+    masks: np.ndarray
+
+    @classmethod
+    def from_constraints(
+        cls, d: int, constraints: tuple[Constraint, ...], noncentral_edges: tuple[Edge, ...]
+    ) -> "ConstraintSet":
+        words = _word_count(len(noncentral_edges))
+        vertices = np.full((len(constraints), 6), -1, dtype=np.int64)
+        masks = np.zeros((len(constraints), words), dtype=np.uint64)
+        for r, c in enumerate(constraints):
+            vertices[r, : c.length] = c.vertices
+            masks[r] = [c.mask >> (64 * k) & _WORD for k in range(words)]
+        return cls(d, noncentral_edges, vertices, masks)
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        out = []
+        for row, words in zip(self.vertices.tolist(), self.masks.tolist()):
+            cycle = tuple(row[:4] if row[4] < 0 else row)
+            mask = sum(w << (64 * k) for k, w in enumerate(words))
+            out.append(Constraint(len(cycle), cycle, mask))
+        return tuple(out)
 
     def __len__(self) -> int:
-        return len(self.constraints)
+        return len(self.vertices)
 
 
 def constraint_count_formula(d: int) -> int:
@@ -83,67 +116,102 @@ def constraint_count_formula(d: int) -> int:
     return four + six
 
 
-def _cycle_displacement(volt: VoltageAssignment, seq: tuple[int, ...]):
-    total = ZERO3
-    for i, u in enumerate(seq):
-        total = vadd(total, volt.disp(u, seq[(i + 1) % len(seq)]))
-    return total
-
-
-def _cycle_mask(seq: tuple[int, ...], nc_index: dict[Edge, int]) -> int:
-    mask = 0
-    for i, u in enumerate(seq):
-        v = seq[(i + 1) % len(seq)]
-        j = nc_index.get((u, v) if u < v else (v, u))
-        if j is not None:
-            mask ^= 1 << j
-    return mask
-
-
-def _canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate to the minimum vertex and fix direction by the smaller neighbor."""
-    k = len(seq)
-    i = seq.index(min(seq))
-    fwd = tuple(seq[(i + j) % k] for j in range(k))
-    rev = tuple(seq[(i - j) % k] for j in range(k))
-    return min(fwd, rev)
+def _canonical(cycles: np.ndarray) -> np.ndarray:
+    """Each row rotated to its minimum vertex and read towards the smaller of
+    that vertex's two neighbors."""
+    n, k = cycles.shape
+    rows = np.arange(n)
+    start = cycles.argmin(axis=1)
+    step = np.where(cycles[rows, (start + 1) % k] < cycles[rows, (start - 1) % k], 1, -1)
+    order = (start[:, None] + step[:, None] * np.arange(k)) % k
+    return np.take_along_axis(cycles, order, axis=1)
 
 
 def constraint_cycles(base: BaseGraph, volt: VoltageAssignment) -> ConstraintSet:
     """All simple 4- and 6-cycles of the base with zero net displacement,
-    excluding central 4-cycles, in deterministic canonical order.
+    excluding central 4-cycles, in deterministic canonical order (4-cycles
+    first, then by vertex sequence).
 
     Uses the bipartite structure: a 4-cycle is a white pair with two black
     middles, a 6-cycle a white triple with distinct blacks on its three
-    pair slots.  Only displacement voltages are consulted.
+    pair slots.  Only displacement voltages are consulted, as the integer
+    codes of census._edge_keys: path[i, j, c] is the code of white i ->
+    black c -> white j, and a cycle closes when its paths sum to 0.  A
+    non-unit edge displacement raises ValueError.
     """
-    g = base.graph
-    whites, blacks = base.whites, base.blacks
-    t_id = next(v for v in whites if base.role_of(v).tag == "t")
-    b_id = next(v for v in whites if base.role_of(v).tag == "b")
-    nc_index = {e: j for j, e in enumerate(base.noncentral_edges)}
-    found: list[Constraint] = []
+    whites, blacks = np.array(base.whites), np.array(base.blacks)
+    nw, nb = len(whites), len(blacks)
+    codes = _edge_keys(base, volt)[0].astype(np.int64)
+    path = codes[:, None, :] - codes[None, :, :]
 
-    for w1, w2 in itertools.combinations(whites, 2):
-        if {w1, w2} == {t_id, b_id}:
-            continue  # every 4-cycle on the hub pair is central
-        for c1, c2 in itertools.combinations(blacks, 2):
-            seq = (w1, c1, w2, c2)
-            if _cycle_displacement(volt, seq) == ZERO3:
-                canon = _canonical_cycle(seq)
-                found.append(Constraint(4, canon, _cycle_mask(canon, nc_index)))
+    iu, ju = np.triu_indices(nw, 1)
+    hub_lo, hub_hi = (i for i, v in enumerate(base.whites) if base.role_of(v).tag in ("t", "b"))
+    keep = (iu != hub_lo) | (ju != hub_hi)  # every 4-cycle on the hub pair is central
+    iu, ju = iu[keep], ju[keep]
+    ca, cb = np.triu_indices(nb, 1)
+    pairs = path[iu, ju]
+    pair, mid = np.nonzero(pairs[:, ca] == pairs[:, cb])
+    fours = np.empty((len(pair), 4), dtype=np.int64)
+    fours[:, 0::2] = whites[np.column_stack([iu[pair], ju[pair]])]
+    fours[:, 1::2] = blacks[np.column_stack([ca[mid], cb[mid]])]
 
-    for w1, w2, w3 in itertools.combinations(whites, 3):
-        for ca, cb, cc in itertools.permutations(blacks, 3):
-            seq = (w1, ca, w2, cb, w3, cc)
-            if _cycle_displacement(volt, seq) == ZERO3:
-                canon = _canonical_cycle(seq)
-                found.append(Constraint(6, canon, _cycle_mask(canon, nc_index)))
+    slots = np.indices((nb, nb, nb))
+    distinct = (slots[0] != slots[1]) & (slots[1] != slots[2]) & (slots[0] != slots[2])
+    sixes = []
+    for i, j, k in itertools.combinations(range(nw), 3):
+        total = path[i, j][:, None, None] + path[j, k][None, :, None] + path[k, i][None, None, :]
+        a, b, c = np.nonzero((total == 0) & distinct)
+        cycles = np.empty((len(a), 6), dtype=np.int64)
+        cycles[:, 0::2] = whites[[i, j, k]]
+        cycles[:, 1::2] = blacks[np.column_stack([a, b, c])]
+        sixes.append(_canonical(cycles))
 
-    found.sort(key=lambda c: (c.length, c.vertices))
-    for c in found:
-        assert c.mask != 0, "constraint cycles always use a non-central edge"
-    return ConstraintSet(base.d, tuple(found), base.noncentral_edges)
+    fours = _canonical(fours)
+    fours = fours[np.lexsort(fours.T[::-1])]
+    sixes = np.concatenate(sixes)
+    sixes = sixes[np.lexsort(sixes.T[::-1])]
+    vertices = np.full((len(fours) + len(sixes), 6), -1, dtype=np.int64)
+    vertices[: len(fours), :4] = fours
+    vertices[len(fours) :] = sixes
+
+    # edge_word[u, v]: the packed mask of the single non-central edge (u, v)
+    n = base.graph.vertex_count
+    edge_word = np.zeros((n, n, _word_count(len(base.noncentral_edges))), dtype=np.uint64)
+    for j, (u, v) in enumerate(base.noncentral_edges):
+        edge_word[u, v, j // 64] = edge_word[v, u, j // 64] = np.uint64(1) << np.uint64(j % 64)
+    masks = np.concatenate([_walk_masks(fours, edge_word), _walk_masks(sixes, edge_word)])
+    assert masks.any(axis=1).all(), "constraint cycles always use a non-central edge"
+    return ConstraintSet(base.d, base.noncentral_edges, vertices, masks)
+
+
+def _walk_masks(cycles: np.ndarray, edge_word: np.ndarray) -> np.ndarray:
+    """Per row, the XOR of the packed edge masks around its closed walk."""
+    masks = edge_word[cycles[:, -1], cycles[:, 0]]
+    for t in range(cycles.shape[1] - 1):
+        masks = masks ^ edge_word[cycles[:, t], cycles[:, t + 1]]
+    return masks
+
+
+# uncovered masks scored against the candidate pool per block of rows
+_SCORE_ROWS = 2048
+
+
+def _pack(signings: list[int], words: int) -> np.ndarray:
+    """Signings as rows of uint64 words, bit j in word j // 64."""
+    return np.array(
+        [[sigma >> (64 * k) & _WORD for k in range(words)] for sigma in signings],
+        dtype=np.uint64,
+    )
+
+
+def _odd_overlaps(masks: np.ndarray, signings: np.ndarray) -> np.ndarray:
+    """masks x signings array, 1 where a mask and a signing overlap in an odd
+    number of edges: the parity of the popcount of the XOR of their ANDed
+    words."""
+    fold = masks[:, None, 0] & signings[None, :, 0]
+    for k in range(1, masks.shape[1]):
+        fold ^= masks[:, None, k] & signings[None, :, k]
+    return np.bitwise_count(fold) & 1
 
 
 def search_signings(
@@ -164,11 +232,14 @@ def search_signings(
         raise ValueError("max_s must be >= 1")
     if policy not in ("greedy", "random"):
         raise ValueError(f"unknown policy {policy!r}")
+    if pool_size < 1:
+        raise ValueError("pool_size must be >= 1")
     width = len(constraints.noncentral_edges)
+    words = constraints.masks.shape[1]
     rng = random.Random(seed)
-    uncovered = [c.mask for c in constraints.constraints]
+    uncovered = constraints.masks
     stages: list[int] = []
-    while uncovered:
+    while len(uncovered):
         if len(stages) >= max_s:
             raise BudgetExhausted(
                 f"{len(uncovered)} constraints uncovered after {max_s} stages",
@@ -177,15 +248,15 @@ def search_signings(
         if policy == "random":
             sigma = rng.getrandbits(width)
         else:
-            best_sigma, best_cov = 0, -1
-            for _ in range(pool_size):
-                cand = rng.getrandbits(width)
-                cov = sum(1 for m in uncovered if (cand & m).bit_count() & 1)
-                if cov > best_cov:
-                    best_sigma, best_cov = cand, cov
-            sigma = best_sigma
+            pool = [rng.getrandbits(width) for _ in range(pool_size)]
+            packed = _pack(pool, words)
+            covered = np.zeros(pool_size, dtype=np.int64)
+            for start in range(0, len(uncovered), _SCORE_ROWS):
+                block = uncovered[start : start + _SCORE_ROWS]
+                covered += _odd_overlaps(block, packed).sum(axis=0, dtype=np.int64)
+            sigma = pool[int(np.argmax(covered))]  # ties to the lowest index
         stages.append(sigma)
-        uncovered = [m for m in uncovered if not (sigma & m).bit_count() & 1]
+        uncovered = uncovered[_odd_overlaps(uncovered, _pack([sigma], words))[:, 0] == 0]
     return stages
 
 
@@ -216,16 +287,28 @@ def recheck_constraints_dfs(
     independent DFS cycle enumeration and per-edge bit XOR along each cycle."""
     t_id = next(v for v in base.whites if base.role_of(v).tag == "t")
     b_id = next(v for v in base.whites if base.role_of(v).tag == "b")
+    # (dx, dy, dz, bits) of every directed base edge, built once per call
+    step: dict[Edge, tuple[int, int, int, int]] = {}
+    for u, v in base.graph.edges:
+        (dx, dy, dz), m = volt.disp(u, v), volt.bits(u, v)
+        step[u, v] = (dx, dy, dz, m)
+        step[v, u] = (-dx, -dy, -dz, m)
     n_constraints = bad4 = bad6 = 0
     for seq in _short_cycles(base.graph):
-        if _cycle_displacement(volt, seq) != ZERO3:
+        x = y = z = total = 0
+        u = seq[-1]
+        for v in seq:
+            dx, dy, dz, m = step[u, v]
+            x += dx
+            y += dy
+            z += dz
+            total ^= m
+            u = v
+        if x or y or z:
             continue
-        if len(seq) == 4 and {t_id, b_id} <= set(seq):
+        if len(seq) == 4 and t_id in seq and b_id in seq:
             continue  # central
         n_constraints += 1
-        total = 0
-        for i, u in enumerate(seq):
-            total ^= volt.bits(u, seq[(i + 1) % len(seq)])
         if total == 0:
             if len(seq) == 4:
                 bad4 += 1
@@ -325,6 +408,8 @@ def certify(
     under explicit_limit and otherwise falls back to uniform random signings
     with s = ceil(log2 #constraints) + 8 slack, verified by census.
     """
+    if pool_size < 1:  # checked here too: the random route never searches
+        raise ValueError("pool_size must be >= 1")
     base, volt0 = build_base_graph(d)
     expected = constraint_count_formula(d)
     explicit = expected <= explicit_limit

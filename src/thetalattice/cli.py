@@ -56,6 +56,7 @@ _USAGE_ERRORS = (
     TooLarge,
     MalformedGraph,
     ValueError,
+    OSError,  # an input file that is missing or unreadable
 )
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from thetalattice.graphs import LabeledGraph, Role, VertexLabel, from_labeled_vertices
 from thetalattice.census import CensusReport
-from thetalattice.voltage import make_bits
+from thetalattice.certify import Constraint
+from thetalattice.errors import BudgetExhausted
+from thetalattice.voltage import ZERO3, make_bits, vadd
 
 
 def plain_graph(n, edges):
@@ -140,3 +142,85 @@ def _voltage_census_reference(base, volt):
         theta_bar=Fraction(scale * theta, owned),
         scope="per-cube",
     )
+
+
+def _cycle_displacement(volt, seq):
+    """Net displacement of a closed walk, one edge at a time."""
+    total = ZERO3
+    for i, u in enumerate(seq):
+        total = vadd(total, volt.disp(u, seq[(i + 1) % len(seq)]))
+    return total
+
+
+def _cycle_mask(seq, nc_index):
+    mask = 0
+    for i, u in enumerate(seq):
+        v = seq[(i + 1) % len(seq)]
+        j = nc_index.get((u, v) if u < v else (v, u))
+        if j is not None:
+            mask ^= 1 << j
+    return mask
+
+
+def _canonical_cycle(seq):
+    """Rotate to the minimum vertex and fix direction by the smaller neighbor."""
+    k = len(seq)
+    i = seq.index(min(seq))
+    fwd = tuple(seq[(i + j) % k] for j in range(k))
+    rev = tuple(seq[(i - j) % k] for j in range(k))
+    return min(fwd, rev)
+
+
+def _constraint_cycles_reference(base, volt):
+    """The constraint cycles by direct loops over white pairs x black pairs and
+    white triples x black 3-permutations, one Constraint at a time: the
+    reference oracle for `constraint_cycles`."""
+    whites, blacks = base.whites, base.blacks
+    t_id = next(v for v in whites if base.role_of(v).tag == "t")
+    b_id = next(v for v in whites if base.role_of(v).tag == "b")
+    nc_index = {e: j for j, e in enumerate(base.noncentral_edges)}
+    found = []
+    for w1, w2 in itertools.combinations(whites, 2):
+        if {w1, w2} == {t_id, b_id}:
+            continue  # every 4-cycle on the hub pair is central
+        for c1, c2 in itertools.combinations(blacks, 2):
+            seq = (w1, c1, w2, c2)
+            if _cycle_displacement(volt, seq) == ZERO3:
+                canon = _canonical_cycle(seq)
+                found.append(Constraint(4, canon, _cycle_mask(canon, nc_index)))
+    for w1, w2, w3 in itertools.combinations(whites, 3):
+        for ca, cb, cc in itertools.permutations(blacks, 3):
+            seq = (w1, ca, w2, cb, w3, cc)
+            if _cycle_displacement(volt, seq) == ZERO3:
+                canon = _canonical_cycle(seq)
+                found.append(Constraint(6, canon, _cycle_mask(canon, nc_index)))
+    found.sort(key=lambda c: (c.length, c.vertices))
+    return tuple(found)
+
+
+def _search_signings_reference(constraints, policy="greedy", max_s=40, seed=0, pool_size=64):
+    """Greedy or random stage signings scored one Python-int mask at a time:
+    the reference oracle for `search_signings`."""
+    width = len(constraints.noncentral_edges)
+    rng = random.Random(seed)
+    uncovered = [c.mask for c in constraints.constraints]
+    stages = []
+    while uncovered:
+        if len(stages) >= max_s:
+            raise BudgetExhausted(
+                f"{len(uncovered)} constraints uncovered after {max_s} stages",
+                uncovered=len(uncovered),
+            )
+        if policy == "random":
+            sigma = rng.getrandbits(width)
+        else:
+            best_sigma, best_cov = 0, -1
+            for _ in range(pool_size):
+                cand = rng.getrandbits(width)
+                cov = sum(1 for m in uncovered if (cand & m).bit_count() & 1)
+                if cov > best_cov:
+                    best_sigma, best_cov = cand, cov
+            sigma = best_sigma
+        stages.append(sigma)
+        uncovered = [m for m in uncovered if not (sigma & m).bit_count() & 1]
+    return stages

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _canonical_cycle,
+    _cycle_displacement,
     _voltage_census_reference,
     complete_bipartite,
     cycle_graph,
@@ -117,6 +119,24 @@ def test_dense_c6_matches_dfs_on_bipartite(seed, m, n):
     assert _count_c6_bipartite_dense(g, coloring) == _dfs_c6(g)
 
 
+def test_short_cycles_frees_its_result():
+    """Only the caller holds the returned cycle list: nothing left behind by
+    _short_cycles (such as a closure that calls itself) keeps it alive until
+    a cyclic garbage collection."""
+    import gc
+    import sys
+
+    g = build_base_graph(6)[0].graph
+    gc.disable()
+    try:
+        cycles = _short_cycles(g)
+        # one reference from this frame, one from getrefcount's argument
+        assert sys.getrefcount(cycles) == 2
+    finally:
+        gc.enable()
+    assert len(cycles) == len(set(cycles))
+
+
 def test_dense_c6_used_on_large_torus():
     base, volt0 = build_base_graph(5)
     volt = random_bits_voltage(base, volt0, 2, seed=5)
@@ -194,8 +214,6 @@ def test_classify_certified_full_unit_graph(certified):
 def test_base_cycle_with_displacement_excluded():
     """The 4-cycle c1-vx-c2-t closes only after a translation, so it neither
     appears as a constraint nor contributes to the per-cube count."""
-    from thetalattice.certify import _canonical_cycle, _cycle_displacement
-
     base, volt = build_base_graph(5)
     ids = base.graph.label_index()
     c1 = ids[(Role("c", 1), "", (0, 0, 0))]

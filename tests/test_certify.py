@@ -1,6 +1,15 @@
-import pytest
+import random
 
-from conftest import random_bits_voltage
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    _canonical_cycle,
+    _constraint_cycles_reference,
+    _search_signings_reference,
+    random_bits_voltage,
+)
 from thetalattice.census import voltage_census
 from thetalattice.certify import (
     Constraint,
@@ -16,7 +25,7 @@ from thetalattice.certify import (
 )
 from thetalattice.errors import BudgetExhausted, TooLarge
 from thetalattice.graphs import Role
-from thetalattice.voltage import build_base_graph, derived_cover
+from thetalattice.voltage import VoltageAssignment, build_base_graph, derived_cover
 
 
 def _ids(base):
@@ -41,8 +50,6 @@ def test_constraint_count_values():
 
 
 def test_constraints_d5_membership():
-    from thetalattice.certify import _canonical_cycle
-
     base, volt = build_base_graph(5)
     ids = _ids(base)
     vx = ids[(Role("vx"), "", (0, 0, 0))]
@@ -68,17 +75,48 @@ def test_constraints_sorted_and_masks_nonzero():
     assert all(c.mask for c in cons.constraints)
 
 
+def _as_tuples(constraints):
+    return [(c.length, c.vertices, c.mask) for c in constraints]
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 10])
+def test_constraint_cycles_match_reference(d):
+    """The array enumeration equals the one-cycle-at-a-time loops, cycles,
+    order and masks; d = 10 has 80 non-central edges, two mask words."""
+    base, volt = build_base_graph(d)
+    cons = constraint_cycles(base, volt)
+    reference = _constraint_cycles_reference(base, volt)
+    assert _as_tuples(cons.constraints) == _as_tuples(reference)
+    again = ConstraintSet.from_constraints(d, reference, base.noncentral_edges)
+    assert (again.vertices == cons.vertices).all() and (again.masks == cons.masks).all()
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=5, max_value=9), st.integers(min_value=0, max_value=10**6))
+def test_constraint_cycles_match_reference_unit_displacements(d, seed):
+    """Every non-central edge a random unit step in {-1,0,1}^3, so 6-cycle
+    sums reach the +-6 the displacement codes must keep apart."""
+    rng = random.Random(seed)
+    base, volt0 = build_base_graph(d)
+    steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
+    volt = VoltageAssignment(0, steps, {})
+    cons = constraint_cycles(base, volt)
+    assert _as_tuples(cons.constraints) == _as_tuples(_constraint_cycles_reference(base, volt))
+
+
 # ---------------------------------------------------------------------------
 # signing search
 
 def test_search_empty_constraints():
-    cons = ConstraintSet(5, (), build_base_graph(5)[0].noncentral_edges)
+    cons = ConstraintSet.from_constraints(5, (), build_base_graph(5)[0].noncentral_edges)
     assert search_signings(cons, seed=1) == []
 
 
 def test_search_single_constraint():
     base, _ = build_base_graph(5)
-    cons = ConstraintSet(5, (Constraint(4, (0, 1, 2, 3), 0b101),), base.noncentral_edges)
+    cons = ConstraintSet.from_constraints(
+        5, (Constraint(4, (0, 1, 2, 3), 0b101),), base.noncentral_edges
+    )
     stages = search_signings(cons, seed=1)
     assert len(stages) == 1
     assert (stages[0] & 0b101).bit_count() & 1
@@ -118,11 +156,64 @@ def test_random_policy_covers():
 
 
 def test_search_rejects_bad_args():
-    cons = ConstraintSet(5, (), build_base_graph(5)[0].noncentral_edges)
+    cons = ConstraintSet.from_constraints(5, (), build_base_graph(5)[0].noncentral_edges)
     with pytest.raises(ValueError):
         search_signings(cons, max_s=0)
     with pytest.raises(ValueError):
         search_signings(cons, policy="exhaustive")
+    for pool_size in (0, -1):
+        with pytest.raises(ValueError, match="pool_size must be >= 1"):
+            search_signings(cons, pool_size=pool_size)
+
+
+def _search_outcome(search, cons, **kwargs):
+    try:
+        return search(cons, **kwargs)
+    except BudgetExhausted as exc:
+        return ("budget exhausted", str(exc), exc.uncovered)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=7),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1, 2, 64]),
+    st.sampled_from(["greedy", "random"]),
+    st.integers(min_value=1, max_value=12),
+)
+def test_search_signings_match_reference(d, seed, pool_size, policy, max_s):
+    """Same stages from the same seeded stream as the one-mask-at-a-time
+    scorer, or the same BudgetExhausted with the same uncovered count."""
+    base, volt = build_base_graph(d)
+    cons = constraint_cycles(base, volt)
+    kwargs = dict(policy=policy, max_s=max_s, seed=seed, pool_size=pool_size)
+    assert _search_outcome(search_signings, cons, **kwargs) == _search_outcome(
+        _search_signings_reference, cons, **kwargs
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([1, 63, 64, 65, 80, 150]),
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1, 2, 64]),
+)
+@example(width=150, n=4500, seed=1, pool_size=64)  # three words, three scoring blocks
+def test_search_signings_match_reference_across_words(width, n, seed, pool_size):
+    """Random nonzero masks at widths on both sides of the 64-bit word
+    boundaries, up to more rows than one scoring block."""
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(width) or 1 for _ in range(n)]
+    edges = tuple((0, j) for j in range(width))
+    cons = ConstraintSet.from_constraints(
+        5, tuple(Constraint(4, (0, 1, 2, 3), m) for m in masks), edges
+    )
+    assert [c.mask for c in cons.constraints] == masks
+    kwargs = dict(max_s=40, seed=seed, pool_size=pool_size)
+    assert _search_outcome(search_signings, cons, **kwargs) == _search_outcome(
+        _search_signings_reference, cons, **kwargs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +265,28 @@ def test_recheck_dfs_matches_formula():
     vc = voltage_census(base, volt)
     assert vc.c4_stray == (1 << 2) * bad4
     assert vc.c6 == (1 << 2) * bad6
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=8),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_recheck_dfs_matches_enumeration_unit_displacements(d, s, seed):
+    """With a random unit step on every non-central edge (the canonical
+    voltages never use one axis twice in a cycle, so they cannot tell a
+    step's sign), the DFS finds the constraints the enumeration finds, and
+    the uncovered ones the census counts."""
+    rng = random.Random(seed)
+    base, volt0 = build_base_graph(d)
+    bits = random_bits_voltage(base, volt0, s, seed).level_bits
+    steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
+    volt = VoltageAssignment(s, steps, bits)
+    n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
+    assert n_cons == len(constraint_cycles(base, volt))
+    vc = voltage_census(base, volt)
+    assert (vc.c4_stray >> s, vc.c6 >> s) == (bad4, bad6)
 
 
 def test_coverage_semantics_cycle_by_cycle():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,27 @@ def test_construct_budget_exhausted_exit_code(capsys, tmp_path):
     )
     assert code == 3
     assert "budget" in err.lower()
+
+
+@pytest.mark.parametrize("d, pool_size", [("5", "0"), ("5", "-3"), ("13", "0")])
+def test_construct_rejects_nonpositive_pool_size(tmp_path, capsys, d, pool_size):
+    """On the greedy route (d = 5) and on the random route (d = 13), which
+    never scores a pool."""
+    out = tmp_path / "cert.json"
+    code, _, err = run(capsys, "construct", "--d", d, "--pool-size", pool_size, "-o", str(out))
+    assert code == 2
+    assert err == "error: pool_size must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [5, 10])
+def test_construct_matches_pinned_certificate(tmp_path, d):
+    """construct --seed 1 writes the benchmark's pinned certificates byte for
+    byte (the pinned files are only read)."""
+    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / f"cert_d{d}_seed1.json"
+    out = tmp_path / f"cert_d{d}.json"
+    assert main(["construct", "--d", str(d), "--seed", "1", "-o", str(out)]) == 0
+    assert out.read_bytes() == pinned.read_bytes()
 
 
 def test_construct_kappa_picks_degree(tmp_path, capsys):
@@ -197,15 +219,26 @@ def _repeated_edge(data):
         ("embed", _first_stage(lambda row: row[:-1]), "has 24 bits for 25 edges"),
         ("census", lambda data: data.clear() or data.update(d=5), "'vertices' and 'edges'"),
         ("census", lambda data: data.update(vertices=[{"id": 0}], edges=[]), "'id' and a 'role'"),
+        # edit None: the input file does not exist
+        ("verify", None, "No such file or directory"),
+        ("report", None, "No such file or directory"),
+        ("census", None, "No such file or directory"),
+        ("embed", None, "No such file or directory"),
+        ("export", None, "No such file or directory"),
     ],
 )
 def test_malformed_input_is_a_usage_error(cert_d5, tmp_path, capsys, command, edit, message):
-    data = json.loads(cert_d5.read_text())
-    edit(data)
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(data))
-    output = ["-o", str(tmp_path / "out.json")] if command == "embed" else []
-    code, _, err = run(capsys, command, str(path), *output)
+    if edit is not None:
+        data = json.loads(cert_d5.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+    if command == "export":
+        argv = ["export", "--d", "5", "--kind", "full-unit", "--cert", str(path), "-o", str(tmp_path / "g")]
+    else:
+        output = ["-o", str(tmp_path / "out.json")] if command == "embed" else []
+        argv = [command, str(path), *output]
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err
     assert err.count("\n") == 1
