@@ -12,6 +12,7 @@ unsigned integer for ordering, bit i has weight 2**i.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -450,21 +451,73 @@ def graph_to_json_dict(g: LabeledGraph) -> dict:
     }
 
 
+def _of_types(values, types: set) -> bool:
+    """Whether every value has exactly one of these types, so that bool (how
+    JSON true and false load) is not taken for int."""
+    return set(map(type, values)) <= types
+
+
 def graph_from_json_dict(data: dict) -> LabeledGraph:
-    if not (isinstance(data, dict) and "vertices" in data and "edges" in data):
-        raise MalformedGraph("graph JSON needs 'vertices' and 'edges'")
+    """The graph of a graph_to_json_dict record.  Anything else, such as a
+    field of the wrong type, sparse ids, levels that are not 0/1 strings of
+    one length, or an edge that is not a pair of distinct vertex ids, raises
+    MalformedGraph."""
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("vertices"), list)
+        and isinstance(data.get("edges"), list)
+    ):
+        raise MalformedGraph("graph JSON needs 'vertices' and 'edges' lists")
     if not all(isinstance(rec, dict) and "id" in rec and "role" in rec for rec in data["vertices"]):
         raise MalformedGraph("every graph vertex needs an 'id' and a 'role'")
+    if not _of_types((rec["id"] for rec in data["vertices"]), {int}):
+        raise MalformedGraph("vertex ids must be integers")
     verts = sorted(data["vertices"], key=lambda rec: rec["id"])
     if [rec["id"] for rec in verts] != list(range(len(verts))):
         raise MalformedGraph("vertex ids must be dense 0..n-1")
+    role_texts = [rec["role"] for rec in verts]
+    levels = [rec.get("level", "") for rec in verts]
+    cells = [rec.get("cell", (0, 0, 0)) for rec in verts]
+    if not _of_types(role_texts, {str}):
+        raise MalformedGraph("vertex roles must be strings")
+    roles = {}
+    for text in set(role_texts):
+        try:
+            roles[text] = Role.parse(text)
+        except ValueError as exc:
+            raise MalformedGraph(f"vertex role {text!r}: {exc}") from exc
+        if str(roles[text]) != text:  # such as c01, which would load as c1
+            raise MalformedGraph(f"vertex role {text!r} is not written as {str(roles[text])!r}")
+    if not (
+        _of_types(levels, {str})
+        and "".join(levels).strip("01") == ""
+        and len(set(map(len, levels))) <= 1
+    ):
+        raise MalformedGraph("vertex levels must be strings of 0s and 1s, all of one length")
+    if not (
+        _of_types(cells, {list, tuple})
+        and set(map(len, cells)) <= {3}
+        and _of_types(itertools.chain.from_iterable(cells), {int})
+    ):
+        raise MalformedGraph("vertex cells must be triples of integers")
     labels = tuple(
-        VertexLabel(Role.parse(rec["role"]), rec.get("level", ""), tuple(rec.get("cell", (0, 0, 0))))
-        for rec in verts
+        VertexLabel(roles[role], level, tuple(cell))
+        for role, level, cell in zip(role_texts, levels, cells)
     )
-    edges = tuple((int(u), int(v)) for u, v in data["edges"])
-    d = int(data.get("d", 0)) or None
-    return LabeledGraph(len(labels), edges, labels, d)
+    edges = data["edges"]
+    if not (
+        _of_types(edges, {list, tuple})
+        and set(map(len, edges)) <= {2}
+        and _of_types(itertools.chain.from_iterable(edges), {int})
+    ):
+        raise MalformedGraph("graph edges must be pairs of integer vertex ids")
+    d = data.get("d", 0)
+    if type(d) is not int or d < 0:
+        raise MalformedGraph(f"d {d!r} is not a non-negative integer")
+    try:
+        return LabeledGraph(len(labels), tuple(map(tuple, edges)), labels, d or None)
+    except ValueError as exc:  # a loop, a repeated edge or an id out of range
+        raise MalformedGraph(str(exc)) from exc
 
 
 def graph_to_json(g: LabeledGraph) -> str:

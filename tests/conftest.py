@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from thetalattice.graphs import LabeledGraph, Role, VertexLabel, from_labeled_vertices
+from thetalattice.graphs import CENTRAL_TAGS, LabeledGraph, Role, VertexLabel, from_labeled_vertices
 from thetalattice.census import CensusReport
 from thetalattice.certify import Constraint
 from thetalattice.errors import BudgetExhausted
@@ -69,6 +69,29 @@ def certified():
         return cache[d]
 
     return get
+
+
+def _c4_theta_reference(g):
+    """(4-cycles, K_{2,3} subgraphs) from pair codegrees counted one wedge at
+    a time in a Counter: the reference oracle for the wedge table of
+    `census`."""
+    cod = Counter()
+    for w in range(g.vertex_count):
+        nbrs = g.adjacency[w]
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                cod[(nbrs[i], nbrs[j])] += 1
+    total = sum(comb(c, 2) for c in cod.values())
+    assert total % 2 == 0
+    return total // 2, sum(comb(c, 3) for c in cod.values())
+
+
+def _central_c4_reference(g):
+    """4-cycles of the subgraph of edges whose endpoints both have hub/spoke
+    roles at one (cell, level), built as a graph of its own."""
+    copy = [(lab.cell, lab.level) if lab.role.tag in CENTRAL_TAGS else None for lab in g.labels]
+    edges = [(u, v) for u, v in g.edges if copy[u] is not None and copy[u] == copy[v]]
+    return _c4_theta_reference(LabeledGraph(g.vertex_count, tuple(edges)))[0]
 
 
 def _voltage_census_reference(base, volt):

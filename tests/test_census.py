@@ -1,12 +1,16 @@
+import importlib
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _c4_theta_reference,
     _canonical_cycle,
+    _central_c4_reference,
     _cycle_displacement,
     _voltage_census_reference,
     complete_bipartite,
@@ -17,7 +21,6 @@ from conftest import (
     random_graph,
 )
 from thetalattice.census import (
-    _count_c6_bipartite_dense,
     _short_cycles,
     brute_force_census,
     census,
@@ -34,9 +37,11 @@ from thetalattice.graphs import (
     VertexLabel,
     build_root_unit_graph,
     from_labeled_vertices,
-    two_coloring,
 )
 from thetalattice.voltage import VoltageAssignment, build_base_graph, derived_cover
+
+# the package re-exports a function named like this module
+census_module = importlib.import_module("thetalattice.census")
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +109,66 @@ def _dfs_c6(g):
     return sum(1 for seq in _short_cycles(g) if len(seq) == 6)
 
 
-@settings(max_examples=25, deadline=None)
+def _matches_references(g):
+    """census and the public counters agree with the Counter codegree
+    reference and the DFS 6-cycles; the central count with the central
+    subgraph built as a graph of its own."""
+    rep = census(g)
+    c4, theta = _c4_theta_reference(g)
+    c6 = _dfs_c6(g)
+    assert (rep.c4_total, rep.theta222, rep.c6) == (c4, theta, c6)
+    assert (count_c4(g), count_theta222(g), count_c6(g)) == (c4, theta, c6)
+    if g.labels is not None:
+        assert rep.c4_central == _central_c4_reference(g)
+        assert classify_c4(g) == (rep.c4_central, c4 - rep.c4_central)
+    return rep
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**9),
-    st.integers(min_value=2, max_value=7),
-    st.integers(min_value=2, max_value=7),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.integers(min_value=0, max_value=6),
+            st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from([1, 2, 3, 1 << 16]),
 )
-def test_dense_c6_matches_dfs_on_bipartite(seed, m, n):
+def test_sparse_census_matches_references_on_bipartite(seed, parts, block):
+    """Random bipartite graphs of one to three components, with isolated and
+    degree-1 vertices and the empty graph among them, ids shuffled so that
+    the sides interleave; triangle blocks down to one candidate row."""
     rng = random.Random(seed)
-    edges = [(i, m + j) for i in range(m) for j in range(n) if rng.random() < 0.6]
-    g = plain_graph(m + n, edges)
-    coloring = two_coloring(g)
-    assert coloring is not None
-    assert _count_c6_bipartite_dense(g, coloring) == _dfs_c6(g)
+    edges, n = [], 0
+    for m, k, p in parts:
+        edges += [(n + i, n + m + j) for i in range(m) for j in range(k) if rng.random() < p]
+        n += m + k
+    ids = list(range(n))
+    rng.shuffle(ids)
+    g = plain_graph(n, [(ids[u], ids[v]) for u, v in edges])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census_module, "_TRIANGLE_BLOCK", block)
+        _matches_references(g)
+
+
+@pytest.mark.parametrize("n", [2, None])
+@settings(max_examples=5, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=6),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_sparse_census_matches_references_on_covers(n, d, s, seed):
+    """Derived covers: the 2-torus and the full unit graph, random level
+    bits, so some covers keep stray 4-cycles and 6-cycles."""
+    base, volt0 = build_base_graph(d)
+    cover = derived_cover(base, random_bits_voltage(base, volt0, s, seed), n)
+    rep = _matches_references(cover)
+    assert rep.c4_central == (8 if n else 1) * 2**s * comb(d, 2)
 
 
 def test_short_cycles_frees_its_result():
@@ -135,14 +187,6 @@ def test_short_cycles_frees_its_result():
     finally:
         gc.enable()
     assert len(cycles) == len(set(cycles))
-
-
-def test_dense_c6_used_on_large_torus():
-    base, volt0 = build_base_graph(5)
-    volt = random_bits_voltage(base, volt0, 2, seed=5)
-    torus = derived_cover(base, volt, 2)  # 320 vertices: dense path
-    coloring = two_coloring(torus)
-    assert count_c6(torus) == _count_c6_bipartite_dense(torus, coloring) == _dfs_c6(torus)
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +221,28 @@ def test_classify_requires_labels():
 
 
 def test_census_makes_one_codegree_pass(monkeypatch):
-    """census() reads c4 and theta222 from one codegree pass over the graph;
-    only the central subgraph gets a pass of its own."""
-    import importlib
-
-    # the package re-exports a function named like this module
-    census_module = importlib.import_module("thetalattice.census")
+    """census() builds one wedge table per call, which serves c4, theta222,
+    the central 4-cycles and the 6-cycles; a bipartite graph never reaches
+    the DFS."""
     base, volt0 = build_base_graph(5)
     torus = derived_cover(base, random_bits_voltage(base, volt0, 2, seed=5), 2)
-    original = census_module._codegrees
-    passes = []
+    original = census_module._wedges
+    tables = []
 
     def counted(g):
-        passes.append(len(g.edges))
+        tables.append(len(g.edges))
         return original(g)
 
-    monkeypatch.setattr(census_module, "_codegrees", counted)
+    def no_dfs(g):
+        raise AssertionError("the DFS ran on a bipartite graph")
+
+    monkeypatch.setattr(census_module, "_wedges", counted)
+    monkeypatch.setattr(census_module, "_short_cycles", no_dfs)
     report = census(torus)
+    assert tables == [len(torus.edges)]
+    census(labeled_k2d(5))
+    assert len(tables) == 2
     copies = 2**3 * 2**2  # n^3 * 2^s central copies of K_{2,5}
-    assert passes == [len(torus.edges), copies * 2 * 5]
     assert report.c4_central == copies * 10
 
 

@@ -245,6 +245,70 @@ def test_malformed_input_is_a_usage_error(cert_d5, tmp_path, capsys, command, ed
     assert message in err
 
 
+@pytest.fixture(scope="module")
+def full_unit_d5(cert_d5, tmp_path_factory):
+    stem = tmp_path_factory.mktemp("graphs") / "full_unit_d5"
+    argv = ["export", "--d", "5", "--kind", "full-unit", "--cert", str(cert_d5), "-o", str(stem)]
+    assert main(argv) == 0
+    path = stem.with_suffix(".json")
+    assert main(["census", str(path)]) == 0  # the unmutated export is valid
+    return path
+
+
+def _vertex(key, value):
+    def edit(data):
+        data["vertices"][0][key] = value
+    return edit
+
+
+def _edge(value):
+    def edit(data):
+        data["edges"][0] = value(data) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edge(None), "pairs of integer vertex ids"),
+        (_set("edges", None), "'vertices' and 'edges' lists"),
+        (_set("vertices", {}), "'vertices' and 'edges' lists"),
+        (_vertex("role", 7), "roles must be strings"),
+        (_vertex("id", "0"), "ids must be integers"),
+        (_vertex("id", True), "ids must be integers"),
+        (_edge([0.5, 1]), "pairs of integer vertex ids"),
+        (_edge([0, 1, 2]), "pairs of integer vertex ids"),
+        (_edge([0, True]), "pairs of integer vertex ids"),
+        (_vertex("level", 3), "strings of 0s and 1s"),
+        (_vertex("level", "012"), "strings of 0s and 1s"),
+        (_vertex("level", "0"), "all of one length"),
+        (_vertex("cell", "abc"), "triples of integers"),
+        (_vertex("cell", [0, 0]), "triples of integers"),
+        (_vertex("cell", [0, 0, 1.0]), "triples of integers"),
+        (_vertex("role", "f0"), "needs an index"),
+        (_vertex("role", "q"), "unknown role tag"),
+        (_vertex("role", "c01"), "is not written as 'c1'"),
+        (_edge([3, 3]), "self-loop"),
+        (_edge(lambda data: [0, len(data["vertices"])]), "out of range"),
+        (_edge(lambda data: data["edges"][1]), "duplicate edge"),
+        (_set("d", None), "not a non-negative integer"),
+        (_set("d", 5.0), "not a non-negative integer"),
+    ],
+)
+def test_malformed_graph_is_a_usage_error(full_unit_d5, tmp_path, capsys, edit, message):
+    """census on a hand-mutated graph export exits 2 with one line, never
+    a traceback or the verification-failure exit 1."""
+    data = json.loads(full_unit_d5.read_text())
+    edit(data)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "census", str(path))
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert message in err
+
+
 def test_census_on_k25_file(tmp_path, capsys):
     g = central_subgraph(build_root_unit_graph(5))
     path = tmp_path / "k25.json"
