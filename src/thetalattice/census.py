@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -396,11 +395,12 @@ def census(g: LabeledGraph) -> CensusReport:
 
 # A displacement (dx, dy, dz) is coded as dx + 16 dy + 256 dz.  The code is
 # additive, and injective while every component stays within +-7; an edge
-# moves a component by at most 1, so the sums of two paths compared below
-# stay within +-4.
+# moves a component by at most 1, so the 2- and 3-step walks compared below
+# stay within +-3.
 _CODE_RADIX = 16
-# Keys code * 2^s + bits fit int64 up to this many level bits: |code| <= 1092
-# < 2^11, so |key| < 2^(11 + s) <= 2^59.  Wider voltages use Python ints.
+# Keys code * 2^s + bits fit int64 up to this many level bits: |code| <=
+# 3 * 273 = 819 < 2^10, so |key| < 2^(10 + s) + 2^s <= 2^59.  Wider voltages
+# use Python ints.
 _INT64_MAX_S = 48
 
 
@@ -442,15 +442,26 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     owns.
 
     Voltages in Z^3 x GF(2)^s are exact integer keys code * 2^s + bits, so
-    two paths between the same ends have equal voltage iff their keys are
+    two walks between the same ends have equal voltage iff their keys are
     equal.  A hub pair with runs of m equal path keys has sum C(m,2) zero
-    4-cycles and sum C(m,3) thetas.  6-cycles come from white triples
-    i < j < k: N counts black triples (ca, cb, cc), repeats allowed, with
-    P_ij(ca) + P_jk(cb) = P_ik(cc).  A repeated black turns the condition
-    into a 4-cycle condition on one white pair, with S = sum m^2 = d +
-    2 * (its zero 4-cycles) solutions, and all three equal always closes, so
-    by inclusion-exclusion zero6 = sum N - (whites - 2) * sum_pairs S
-    + 2d * C(whites, 3).
+    4-cycles and sum C(m,3) thetas.
+
+    6-cycles meet in the middle.  For each white i and black b, sorting the
+    keys of the nw * nb 3-walks i -> a -> j -> b gives sum m^2 ordered pairs
+    of equal-voltage walks; one walk and the other reversed close a
+    zero-voltage 6-walk at i, so over all i and b there are
+    W = (nw * nb)^2 + 2 * sum C(m,2) of them.  In the bipartite base graph a
+    closed 6-walk from a white vertex is one of three kinds:
+      - it cancels to nothing, step by step back and forth, like a closed
+        walk in the tree with whites of degree nb and blacks of degree nw:
+        nw * nb * (X^2 + (nw - 1)(nb - 1)) walks in all, X = nw + nb - 1,
+        each of voltage zero;
+      - it is a 4-cycle with one edge hung on it, crossed and crossed back:
+        12 * (nw + nb - 2) walks per 4-cycle (3 white starts, 2 directions,
+        2(nw + nb) - 4 distinct hangings), of the 4-cycle's voltage;
+      - it is a 6-cycle, seen from its 3 white vertices in 2 directions.
+    So 6 * zero6 = W - nw * nb * (X^2 + (nw - 1)(nb - 1)) - 12 * (nw + nb - 2)
+    * zero4.
     """
     d, s = base.d, volt.s
     whites = base.whites
@@ -478,19 +489,19 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     black_keys = (codes[:, jb] - codes[:, ib]) * scale + (bits[:, ib] ^ bits[:, jb])
     theta += int(_run_counts(np.sort(black_keys.T, axis=1))[1].sum())
 
-    n_all = 0
+    # equal-key pairs of 3-walks i -> a -> j -> b, one white i at a time, as
+    # rows b of the keys over (j, a)
+    walk_pairs = 0
     for i in range(nw):
-        for k in range(i + 2, nw):
-            first_code, first_bits = path_code[i, i + 1 : k], path_bits[i, i + 1 : k]
-            second_code, second_bits = path_code[i + 1 : k, k], path_bits[i + 1 : k, k]
-            need = (first_code[:, :, None] + second_code[:, None, :]) * scale + (
-                first_bits[:, :, None] ^ second_bits[:, None, :]
-            )
-            closing, counts = np.unique(path_keys[i, k], return_counts=True)
-            at = np.searchsorted(closing, need).clip(max=len(closing) - 1)
-            n_all += int(counts[at][closing[at] == need].sum())
-    pair_squares = len(iu) * nb + 2 * zero4
-    zero6 = n_all - (nw - 2) * pair_squares + 2 * nb * comb(nw, 3)
+        walk_code = path_code[i][None, :, :] + codes.T[:, :, None]
+        walk_bits = path_bits[i][None, :, :] ^ bits.T[:, :, None]
+        walks = np.sort((walk_code * scale + walk_bits).reshape(nb, nw * nb), axis=1)
+        walk_pairs += int(_run_counts(walks)[0].sum())
+    closed = (nw * nb) ** 2 + 2 * walk_pairs
+    x = nw + nb - 1
+    tree_like = nw * nb * (x * x + (nw - 1) * (nb - 1))
+    zero6, rest = divmod(closed - tree_like - 12 * (nw + nb - 2) * zero4, 6)
+    assert rest == 0, "the closed 6-walks on 6-cycles come six to a cycle"
 
     owned = scale * 2 * d
     return CensusReport(

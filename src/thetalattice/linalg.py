@@ -23,12 +23,6 @@ def gf2_rank(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
-def gf2_in_span(vec: int, rows: Sequence[int]) -> bool:
-    """True iff vec lies in the GF(2) span of rows."""
-    base = gf2_rank(rows)
-    return gf2_rank(list(rows) + [vec]) == base
-
-
 def _echelon(a: List[List[int]], u: List[List[int]] | None) -> int:
     """In-place integer row echelon via gcd elimination; returns the rank.
 
@@ -93,6 +87,8 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> List[List[int]]:
 
     Tracks a unimodular transform U with U @ rows in echelon form; the rows of
     U whose image is zero form a basis of the (saturated) kernel lattice.
+    Public because voltage_group_generated folds level bits over this basis
+    (of the fundamental cycles that move), and the tests check it directly.
     """
     m = len(rows)
     if m == 0:
@@ -101,27 +97,3 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     rank = _echelon(a, u)
     return [u[i] for i in range(rank, m)]
-
-
-def kernel_basis_sparse(rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    """kernel_basis specialised for matrices whose rows are mostly zero.
-
-    Zero rows contribute standard basis vectors directly; only the nonzero
-    rows need the echelon transform.
-    """
-    m = len(rows)
-    nonzero = [i for i, row in enumerate(rows) if any(x != 0 for x in row)]
-    nonzero_set = set(nonzero)
-    basis: List[List[int]] = []
-    for i in range(m):
-        if i not in nonzero_set:
-            e = [0] * m
-            e[i] = 1
-            basis.append(e)
-    sub = [rows[i] for i in nonzero]
-    for small in kernel_basis(sub):
-        e = [0] * m
-        for pos, coeff in zip(nonzero, small):
-            e[pos] = coeff
-        basis.append(e)
-    return basis

@@ -250,19 +250,22 @@ def voltage_group_generated(base: BaseGraph, volt: VoltageAssignment) -> bool:
 
     Split check: the displacement rows must span Z^3 as an integer lattice,
     and the bit masks reachable by integer kernel combinations of the
-    displacement rows must span GF(2)^s.
+    displacement rows must span GF(2)^s.  A zero-displacement cycle is a
+    kernel vector by itself, so its bits are a mask as they stand; only the
+    cycles that move (3(d - 1) of the (d - 1)^2 for the canonical
+    displacements) go through the integer kernel.
     """
     cyc = fundamental_cycle_voltages(base, volt)
-    disp_rows = [list(t) for t, _ in cyc]
+    moving = [(t, bits) for t, bits in cyc if t != ZERO3]
+    disp_rows = [list(t) for t, _ in moving]
     if not linalg.spans_full_lattice(disp_rows, 3):
         return False
     if volt.s == 0:
         return True
-    kernel = linalg.kernel_basis_sparse(disp_rows)
-    masks = []
-    for combo in kernel:
+    masks = [bits for t, bits in cyc if t == ZERO3]
+    for combo in linalg.kernel_basis(disp_rows):
         m = 0
-        for coeff, (_, bits) in zip(combo, cyc):
+        for coeff, (_, bits) in zip(combo, moving):
             if coeff & 1:
                 m ^= bits
         masks.append(m)
@@ -336,15 +339,18 @@ class LiftCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LiftCertificate":
         """Parse a certificate's JSON object.  Raises MalformedGraph for a
-        missing key, a value of the wrong type, a stage count other than s,
-        more stages than max_connected_stages(d), or a stage that is not a
-        0/1 string as wide as edge_order."""
+        missing key, a value of the wrong type, d below 5, an edge_order
+        other than the d^2 edges of the base graph K_{d,d}, a stage count
+        other than s, more stages than max_connected_stages(d), or a stage
+        that is not a 0/1 string as wide as edge_order.  The size checks come
+        before any construction, so a huge d fails at once."""
         _require(isinstance(data, dict), "must be a JSON object")
         missing = [key for key in _CERTIFICATE_KEYS if key not in data]
         _require(not missing, f"is missing {', '.join(missing)}")
         for key in ("d", "s", "constraint_count", "seed"):
             _require(type(data[key]) is int, f"{key} must be an integer, got {data[key]!r}")
         d, s, flags, order, stages = (data[k] for k in ("d", "s", "flags", "edge_order", "level_bits"))
+        _require(d >= 5, f"has d={d}, but the construction requires d >= 5")
         _require(
             isinstance(flags, dict)
             and sorted(flags) == sorted(_FLAG_NAMES)
@@ -355,6 +361,10 @@ class LiftCertificate:
             isinstance(order, list)
             and all(isinstance(p, list) and len(p) == 2 and all(isinstance(r, str) for r in p) for p in order),
             "edge_order must be a list of role pairs",
+        )
+        _require(
+            len(order) == d * d,
+            f"edge_order has {len(order)} entries, but the d={d} base graph K_{{d,d}} has {d * d} edges",
         )
         _require(
             isinstance(stages, list) and all(isinstance(stage, str) for stage in stages),

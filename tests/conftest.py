@@ -4,13 +4,15 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
+from thetalattice import linalg
 from thetalattice.graphs import CENTRAL_TAGS, LabeledGraph, Role, VertexLabel, from_labeled_vertices
-from thetalattice.census import CensusReport
+from thetalattice.census import CensusReport, _edge_keys
 from thetalattice.certify import Constraint
 from thetalattice.errors import BudgetExhausted
-from thetalattice.voltage import ZERO3, make_bits, vadd
+from thetalattice.voltage import ZERO3, fundamental_cycle_voltages, make_bits, vadd
 
 
 def plain_graph(n, edges):
@@ -165,6 +167,87 @@ def _voltage_census_reference(base, volt):
         theta_bar=Fraction(scale * theta, owned),
         scope="per-cube",
     )
+
+
+def _voltage_c6_triples(base, volt):
+    """Per-cube c6 by white triples, the 6-cycle count of the earlier numpy
+    voltage census: a second oracle for `voltage_census`, fast enough for
+    large d where `_voltage_census_reference` is not.
+
+    For white triples i < j < k, N counts black triples (ca, cb, cc), repeats
+    allowed, with P_ij(ca) + P_jk(cb) = P_ik(cc), one searchsorted per white
+    pair (i, k) into the distinct keys of P_ik.  A repeated black turns the
+    condition into a 4-cycle condition on one white pair, with sum m^2
+    solutions over its runs of m equal path keys, and all three equal always
+    closes, so by inclusion-exclusion zero6 = sum N - (whites - 2) *
+    sum_pairs sum m^2 + 2 * blacks * C(whites, 3).
+    """
+    codes, bits = _edge_keys(base, volt)
+    nw, nb = codes.shape
+    scale = 1 << volt.s
+    path_code = codes[:, None, :] - codes[None, :, :]
+    path_bits = bits[:, None, :] ^ bits[None, :, :]
+    path_keys = path_code * scale + path_bits
+    n_all = pair_squares = 0
+    for i in range(nw):
+        for k in range(i + 1, nw):
+            closing, counts = np.unique(path_keys[i, k], return_counts=True)
+            pair_squares += int((counts * counts).sum())
+            if k == i + 1:
+                continue
+            first_code, first_bits = path_code[i, i + 1 : k], path_bits[i, i + 1 : k]
+            second_code, second_bits = path_code[i + 1 : k, k], path_bits[i + 1 : k, k]
+            need = (first_code[:, :, None] + second_code[:, None, :]) * scale + (
+                first_bits[:, :, None] ^ second_bits[:, None, :]
+            )
+            at = np.searchsorted(closing, need).clip(max=len(closing) - 1)
+            n_all += int(counts[at][closing[at] == need].sum())
+    return scale * (n_all - (nw - 2) * pair_squares + 2 * nb * comb(nw, 3))
+
+
+def gf2_in_span(vec, rows):
+    """True iff vec lies in the GF(2) span of bitset rows."""
+    return linalg.gf2_rank(list(rows) + [vec]) == linalg.gf2_rank(rows)
+
+
+def kernel_basis_sparse(rows):
+    """Integer kernel basis of rows as length-m vectors: a standard basis
+    vector for each zero row, and linalg.kernel_basis of the nonzero rows
+    scattered back to their indices."""
+    m = len(rows)
+    nonzero = [i for i, row in enumerate(rows) if any(x != 0 for x in row)]
+    basis = []
+    for i in sorted(set(range(m)) - set(nonzero)):
+        e = [0] * m
+        e[i] = 1
+        basis.append(e)
+    for small in linalg.kernel_basis([rows[i] for i in nonzero]):
+        e = [0] * m
+        for pos, coeff in zip(nonzero, small):
+            e[pos] = coeff
+        basis.append(e)
+    return basis
+
+
+def _voltage_group_generated_reference(base, volt):
+    """The group check over every fundamental cycle: the displacement rows
+    must span Z^3, and the level bits folded over each dense vector of
+    kernel_basis_sparse, one coefficient at a time, must span GF(2)^s.  The
+    reference oracle for `voltage_group_generated`."""
+    cyc = fundamental_cycle_voltages(base, volt)
+    disp_rows = [list(t) for t, _ in cyc]
+    if not linalg.spans_full_lattice(disp_rows, 3):
+        return False
+    if volt.s == 0:
+        return True
+    masks = []
+    for combo in kernel_basis_sparse(disp_rows):
+        m = 0
+        for coeff, (_, bits) in zip(combo, cyc):
+            if coeff & 1:
+                m ^= bits
+        masks.append(m)
+    return linalg.gf2_rank(masks) == volt.s
 
 
 def _cycle_displacement(volt, seq):

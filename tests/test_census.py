@@ -12,6 +12,7 @@ from conftest import (
     _canonical_cycle,
     _central_c4_reference,
     _cycle_displacement,
+    _voltage_c6_triples,
     _voltage_census_reference,
     complete_bipartite,
     cycle_graph,
@@ -349,8 +350,9 @@ def test_voltage_census_matches_reference_random_bits(d, s, seed):
     assert voltage_census(base, volt) == _voltage_census_reference(base, volt)
 
 
-@pytest.mark.parametrize("s", [48, 49, 60, 70])
-@pytest.mark.parametrize("d", [5, 8])
+@pytest.mark.parametrize(
+    "d, s", [(d, s) for d in (5, 8) for s in (48, 49, 60, 70)] + [(13, 49), (13, 60)]
+)
 def test_voltage_census_matches_reference_wide_bits(d, s):
     """s = 48 is the widest int64 key; 49 and above use Python ints.  Two
     low-bit-sharing variants make some wide voltages coincide, so the
@@ -361,6 +363,19 @@ def test_voltage_census_matches_reference_wide_bits(d, s):
     for v in (volt, volt0.with_bits(s, high)):
         assert voltage_census(base, v) == _voltage_census_reference(base, v)
     assert voltage_census(base, volt0.with_bits(s, high)).c6 > 0
+
+
+@pytest.mark.parametrize("stages", [1, 2, None])
+@pytest.mark.parametrize("d", [13, 20, 33])
+def test_voltage_census_matches_c6_triples(certified, d, stages):
+    """The 6-cycles of the walk identity equal the white-triple count on the
+    random-route certificates, truncated to 1 and 2 stages (c6 large) and in
+    full (c6 zero)."""
+    cert, base, volt, _ = certified(d)
+    volt = volt if stages is None else volt.truncate(stages)
+    c6 = voltage_census(base, volt).c6
+    assert c6 == _voltage_c6_triples(base, volt)
+    assert (c6 > 0) == (stages is not None)
 
 
 @settings(max_examples=20, deadline=None)

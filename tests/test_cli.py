@@ -217,6 +217,16 @@ def _repeated_edge(data):
         ("verify", _set("d", "5"), "d must be an integer"),
         ("report", _unknown_role, "(c1, f9) names a role"),
         ("embed", _first_stage(lambda row: row[:-1]), "has 24 bits for 25 edges"),
+        *(
+            (command, edit, message)
+            for command in ("verify", "report", "embed", "export")
+            for edit, message in (
+                (_set("d", 10**6), "has 25 entries, but the d=1000000 base graph"),
+                (_set("d", 2**70), f"the d={2**70} base graph"),
+                (_set("d", 4), "has d=4, but the construction requires d >= 5"),
+                (_set("edge_order", lambda data: data["edge_order"][:-1]), "has 24 entries"),
+            )
+        ),
         ("census", lambda data: data.clear() or data.update(d=5), "'vertices' and 'edges'"),
         ("census", lambda data: data.update(vertices=[{"id": 0}], edges=[]), "'id' and a 'role'"),
         # edit None: the input file does not exist

