@@ -156,7 +156,9 @@ def _short_cycles(g: LabeledGraph) -> list[tuple[int, ...]]:
     Structurally independent of the pair/triple constraint enumeration in
     certify and of the codegree counters: generic path extension with
     vertex-order pruning, direction fixed by requiring the second vertex
-    below the last.
+    below the last.  It serves count_c6 on non-bipartite graphs, where the
+    codegree identity does not apply, and the tests as an oracle; the
+    certificate re-check in certify has a counting DFS of its own.
     """
     cycles: list[tuple[int, ...]] = []
     for root in range(g.vertex_count):

@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .census import CensusReport, _edge_keys, _short_cycles, voltage_census
+from .census import CensusReport, _edge_keys, voltage_census
 from .errors import BudgetExhausted, TooLarge
 from .graphs import Edge
 from .voltage import (
@@ -273,47 +273,84 @@ def bits_from_stages(
                 mask |= 1 << i
         if mask:
             bits[e] = mask
-    _, volt0 = build_base_graph(base.d)
-    return volt0.with_bits(s, make_bits(base, s, bits))
+    return VoltageAssignment(s, base.displacement, make_bits(base, s, bits))
 
 
 # ---------------------------------------------------------------------------
 # verification
 
+# a displacement (x, y, z) of the DFS as the one integer x + 16 y + 256 z
+_DFS_RADIX = 16
+
+
 def recheck_constraints_dfs(
     base: BaseGraph, volt: VoltageAssignment
 ) -> tuple[int, int, int]:
-    """(constraint count, uncovered 4-cycles, uncovered 6-cycles) via an
-    independent DFS cycle enumeration and per-edge bit XOR along each cycle."""
-    t_id = next(v for v in base.whites if base.role_of(v).tag == "t")
-    b_id = next(v for v in base.whites if base.role_of(v).tag == "b")
-    # (dx, dy, dz, bits) of every directed base edge, built once per call
-    step: dict[Edge, tuple[int, int, int, int]] = {}
-    for u, v in base.graph.edges:
-        (dx, dy, dz), m = volt.disp(u, v), volt.bits(u, v)
-        step[u, v] = (dx, dy, dz, m)
-        step[v, u] = (-dx, -dy, -dz, m)
+    """(constraint count, uncovered 4-cycles, uncovered 6-cycles) by a
+    counting DFS that carries each path's voltage along as it extends it.
+
+    Min-rooted: a cycle is found from its smallest vertex r, the path is
+    extended only by vertices above r, and the cycle is counted once, in the
+    direction where its second vertex is below its last.  No cycle is stored
+    or walked twice.  Each directed edge above the root is looked up once
+    per root as (w, displacement code, level bits); the running displacement
+    sum and bit XOR grow with the path, so a cycle's voltage is known the
+    moment it closes.  The base graph K_{d,d} is bipartite, so its cycles are
+    even and the only ones of length at most 6 are 4- and 6-cycles: a path
+    closes only after 4 or 6 vertices.  A 4-cycle through both hubs t and b
+    is central and skipped; every other zero-displacement cycle is a
+    constraint, uncovered when its bits XOR to zero.  verify_certificate
+    compares the count with constraint_count_formula, so a missed cycle
+    cannot pass unseen.
+
+    The displacement sum is exact.  Every edge moves each axis by -1, 0 or 1
+    (a larger step raises ValueError), so along a path of at most 6 edges
+    each component stays within +-6.  If x + 16 y + 256 z = 0 then 16
+    divides x, and |x| < 8 forces x = 0; likewise y = 0, then z = 0.  So the
+    code is 0 exactly when the displacement is.
+
+    Independent of the census route: it imports no enumerator, key or
+    constant from census.
+    """
+    g = base.graph
+    hub = tuple(sorted(v for v in base.whites if base.role_of(v).tag in ("t", "b")))
+    # (displacement code, bits) of every directed base edge
+    step: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        t, m = volt.disp(u, v), volt.bits(u, v)
+        if any(abs(x) > 1 for x in t):
+            raise ValueError(f"edge ({u}, {v}) has a non-unit displacement {t}")
+        code = t[0] + _DFS_RADIX * (t[1] + _DFS_RADIX * t[2])
+        step[u][v] = (code, m)
+        step[v][u] = (-code, m)
     n_constraints = bad4 = bad6 = 0
-    for seq in _short_cycles(base.graph):
-        x = y = z = total = 0
-        u = seq[-1]
-        for v in seq:
-            dx, dy, dz, m = step[u, v]
-            x += dx
-            y += dy
-            z += dz
-            total ^= m
-            u = v
-        if x or y or z:
-            continue
-        if len(seq) == 4 and t_id in seq and b_id in seq:
-            continue  # central
-        n_constraints += 1
-        if total == 0:
-            if len(seq) == 4:
-                bad4 += 1
-            else:
-                bad6 += 1
+    for r in range(g.vertex_count):
+        up = [[(w, *step[v][w]) for w in g.adjacency[v] if w > r] for v in range(g.vertex_count)]
+        # the closing edge p -> r is r -> p reversed, so a path r .. p closes
+        # with zero displacement when its code equals that of r -> p
+        home = step[r]
+        for p1, x1, m1 in up[r]:
+            for p2, x, m in up[p1]:
+                x2, m2 = x1 + x, m1 ^ m
+                for p3, x, m in up[p2]:
+                    if p3 == p1:
+                        continue
+                    x3, m3 = x2 + x, m2 ^ m
+                    if p1 < p3 and p3 in home:  # the 4-cycle r p1 p2 p3
+                        hx, hm = home[p3]
+                        if x3 == hx and (r, p2) != hub and (p1, p3) != hub:
+                            n_constraints += 1
+                            bad4 += m3 == hm
+                    for p4, x, m in up[p3]:
+                        if p4 == p2:
+                            continue
+                        x4, m4 = x3 + x, m3 ^ m
+                        for p5, x, m in up[p4]:
+                            if p1 < p5 and p5 != p3 and p5 in home:  # r p1 .. p5
+                                hx, hm = home[p5]
+                                if x4 + x == hx:
+                                    n_constraints += 1
+                                    bad6 += m4 ^ m == hm
     return n_constraints, bad4, bad6
 
 

@@ -14,7 +14,7 @@ the full unit graph of one cube.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping
 
@@ -38,10 +38,14 @@ def vneg(a: Vec3) -> Vec3:
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """2d-vertex quotient graph; spokes c_1..c_d are black, the rest white."""
+    """2d-vertex quotient graph; spokes c_1..c_d are black, the rest white.
+    displacement holds the canonical displacement voltages that
+    build_base_graph sets, keyed like VoltageAssignment.displacement."""
 
     d: int
     graph: LabeledGraph
+    # determined by graph, so left out of equality and hashing
+    displacement: Mapping[Edge, Vec3] = field(compare=False, repr=False)
 
     @cached_property
     def blacks(self) -> tuple[int, ...]:
@@ -122,7 +126,6 @@ def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
     whites = [t, b, *f, vx, vy, vz]
     edges = [(ci, w) for ci in c for w in whites]
     graph = from_labeled_vertices([*c, *whites], edges, d)
-    base = BaseGraph(d, graph)
     ids = graph.label_index()
     c1 = ids[(Role("c", 1), "", (0, 0, 0))]
     displacement: dict[Edge, Vec3] = {}
@@ -131,7 +134,7 @@ def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
         e = (c1, w) if c1 < w else (w, c1)
         # stored for orientation min->max; voltage of v*->c1 is +unit
         displacement[e] = vneg(UNIT[tag]) if c1 < w else UNIT[tag]
-    return base, VoltageAssignment(0, displacement, {})
+    return BaseGraph(d, graph, displacement), VoltageAssignment(0, displacement, {})
 
 
 def make_bits(base: BaseGraph, s: int, level_bits: Mapping[Edge, int]) -> dict[Edge, int]:
@@ -417,8 +420,7 @@ class LiftCertificate:
             seen.add(e)
             if self.s and masks[j]:
                 bits[e] = masks[j]
-        _, volt0 = build_base_graph(self.d)
-        return volt0.with_bits(self.s, make_bits(base, self.s, bits))
+        return VoltageAssignment(self.s, base.displacement, make_bits(base, self.s, bits))
 
 
 def canonical_edge_order(base: BaseGraph) -> tuple[tuple[str, str], ...]:

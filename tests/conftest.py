@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -9,7 +10,7 @@ import pytest
 
 from thetalattice import linalg
 from thetalattice.graphs import CENTRAL_TAGS, LabeledGraph, Role, VertexLabel, from_labeled_vertices
-from thetalattice.census import CensusReport, _edge_keys
+from thetalattice.census import CensusReport, _edge_keys, _short_cycles
 from thetalattice.certify import Constraint
 from thetalattice.errors import BudgetExhausted
 from thetalattice.voltage import ZERO3, fundamental_cycle_voltages, make_bits, vadd
@@ -52,6 +53,29 @@ def random_bits_voltage(base, volt0, s, seed):
     rng = random.Random(seed)
     bits = {e: rng.getrandbits(s) for e in base.noncentral_edges}
     return volt0.with_bits(s, make_bits(base, s, bits))
+
+
+TIME_LIMIT_S = 30
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test once it has run TIME_LIMIT_S seconds of wall time, so a
+    check that should stop a huge input early fails instead of hanging.  The
+    SIGALRM handler calls pytest.fail, whose exception is a BaseException:
+    the `except` clauses of cli.main cannot swallow it.  The previous
+    handler and timer are restored afterwards."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after the {TIME_LIMIT_S} s time limit", pytrace=False)
+
+    old_handler = signal.signal(signal.SIGALRM, expire)
+    old_timer = signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, *old_timer)
+        signal.signal(signal.SIGALRM, old_handler)
 
 
 @pytest.fixture(scope="session")
@@ -330,3 +354,39 @@ def _search_signings_reference(constraints, policy="greedy", max_s=40, seed=0, p
         stages.append(sigma)
         uncovered = [m for m in uncovered if not (sigma & m).bit_count() & 1]
     return stages
+
+
+def _recheck_constraints_dfs_reference(base, volt):
+    """(constraint count, uncovered 4-cycles, uncovered 6-cycles) from the
+    full cycle list of census._short_cycles, each cycle walked again for its
+    (dx, dy, dz) sum and bit XOR: the reference oracle for
+    `recheck_constraints_dfs`."""
+    t_id = next(v for v in base.whites if base.role_of(v).tag == "t")
+    b_id = next(v for v in base.whites if base.role_of(v).tag == "b")
+    step = {}
+    for u, v in base.graph.edges:
+        (dx, dy, dz), m = volt.disp(u, v), volt.bits(u, v)
+        step[u, v] = (dx, dy, dz, m)
+        step[v, u] = (-dx, -dy, -dz, m)
+    n_constraints = bad4 = bad6 = 0
+    for seq in _short_cycles(base.graph):
+        x = y = z = total = 0
+        u = seq[-1]
+        for v in seq:
+            dx, dy, dz, m = step[u, v]
+            x += dx
+            y += dy
+            z += dz
+            total ^= m
+            u = v
+        if x or y or z:
+            continue
+        if len(seq) == 4 and t_id in seq and b_id in seq:
+            continue  # central
+        n_constraints += 1
+        if total == 0:
+            if len(seq) == 4:
+                bad4 += 1
+            else:
+                bad6 += 1
+    return n_constraints, bad4, bad6

@@ -1,4 +1,6 @@
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     _canonical_cycle,
     _constraint_cycles_reference,
+    _recheck_constraints_dfs_reference,
     _search_signings_reference,
     random_bits_voltage,
 )
@@ -25,7 +28,17 @@ from thetalattice.certify import (
 )
 from thetalattice.errors import BudgetExhausted, TooLarge
 from thetalattice.graphs import Role
-from thetalattice.voltage import VoltageAssignment, build_base_graph, derived_cover
+from thetalattice.voltage import (
+    LiftCertificate,
+    VoltageAssignment,
+    build_base_graph,
+    derived_cover,
+    make_bits,
+    max_connected_stages,
+)
+
+census_module = importlib.import_module("thetalattice.census")
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
 
 
 def _ids(base):
@@ -289,6 +302,63 @@ def test_recheck_dfs_matches_enumeration_unit_displacements(d, s, seed):
     assert (vc.c4_stray >> s, vc.c6 >> s) == (bad4, bad6)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_recheck_dfs_matches_cycle_list_reference(data):
+    """The voltage-carrying DFS counts what walking every cycle of the
+    _short_cycles list finds, on random level bits carried by a random share
+    of the non-central edges, half the time with a random unit step on every
+    non-central edge."""
+    d = data.draw(st.integers(min_value=5, max_value=10), label="d")
+    s = data.draw(st.integers(min_value=0, max_value=max_connected_stages(d)), label="s")
+    share = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]), label="share")
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6), label="seed"))
+    base, volt0 = build_base_graph(d)
+    bits = {e: rng.getrandbits(s) for e in base.noncentral_edges if rng.random() < share}
+    volt = volt0.with_bits(s, make_bits(base, s, bits))
+    if data.draw(st.booleans(), label="unit steps"):
+        steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
+        volt = VoltageAssignment(s, steps, volt.level_bits)
+    assert recheck_constraints_dfs(base, volt) == _recheck_constraints_dfs_reference(base, volt)
+
+
+@pytest.mark.parametrize("d", [5, 10])
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_recheck_dfs_truncated_pinned_certificates(d, stages):
+    """The pinned certificates cut to their first stages leave uncovered 4-
+    and 6-cycles, and the DFS, the cycle-list reference and the census count
+    the same ones."""
+    cert = LiftCertificate.from_json((PINNED / f"cert_d{d}_seed1.json").read_text())
+    base, _ = build_base_graph(d)
+    volt = cert.to_voltage(base).truncate(stages)
+    n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
+    assert (n_cons, bad4, bad6) == _recheck_constraints_dfs_reference(base, volt)
+    assert n_cons == constraint_count_formula(d)
+    assert bad4 > 0 and bad6 > 0
+    vc = voltage_census(base, volt)
+    assert (vc.c4_stray >> stages, vc.c6 >> stages) == (bad4, bad6)
+
+
+def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
+    """The DFS counts as it goes and never asks for the list of cycles."""
+
+    def no_list(g):
+        raise AssertionError("recheck_constraints_dfs called census._short_cycles")
+
+    monkeypatch.setattr(census_module, "_short_cycles", no_list)
+    base, volt0 = build_base_graph(6)
+    volt = random_bits_voltage(base, volt0, 2, seed=5)
+    assert recheck_constraints_dfs(base, volt)[0] == constraint_count_formula(6)
+
+
+def test_recheck_dfs_rejects_non_unit_displacement():
+    base, volt0 = build_base_graph(5)
+    e = base.noncentral_edges[0]
+    volt = VoltageAssignment(0, {**volt0.displacement, e: (2, 0, 0)}, {})
+    with pytest.raises(ValueError, match="non-unit displacement"):
+        recheck_constraints_dfs(base, volt)
+
+
 def test_coverage_semantics_cycle_by_cycle():
     """A constraint cycle survives into the explicit torus at the same length
     iff its bit total is zero (all stage overlaps even)."""
@@ -423,8 +493,6 @@ def test_certified_s_matches_stage_count(certified):
 def test_certify_auto_routes_random_above_limit():
     """d=13 sits just past the explicit-constraint limit, so auto goes
     through the census-verified random route."""
-    from thetalattice.voltage import max_connected_stages
-
     cert, base, volt = certify(13, seed=5)
     assert cert.flags.all_true
     assert cert.constraint_count == constraint_count_formula(13) > 300_000

@@ -237,7 +237,7 @@ def _repeated_edge(data):
         ("export", None, "No such file or directory"),
     ],
 )
-def test_malformed_input_is_a_usage_error(cert_d5, tmp_path, capsys, command, edit, message):
+def test_malformed_input_is_a_usage_error(cert_d5, tmp_path, capsys, time_limit, command, edit, message):
     path = tmp_path / "malformed.json"
     if edit is not None:
         data = json.loads(cert_d5.read_text())
@@ -305,7 +305,7 @@ def _edge(value):
         (_set("d", 5.0), "not a non-negative integer"),
     ],
 )
-def test_malformed_graph_is_a_usage_error(full_unit_d5, tmp_path, capsys, edit, message):
+def test_malformed_graph_is_a_usage_error(full_unit_d5, tmp_path, capsys, time_limit, edit, message):
     """census on a hand-mutated graph export exits 2 with one line, never
     a traceback or the verification-failure exit 1."""
     data = json.loads(full_unit_d5.read_text())
