@@ -23,12 +23,9 @@ from .entropy import (
 from .graphs import (
     LabeledGraph,
     Role,
-    Signing,
     VertexLabel,
     build_root_unit_graph,
-    central_copies,
     central_subgraph,
-    two_lift,
     validate,
 )
 from .voltage import (
@@ -49,7 +46,6 @@ __all__ = [
     "LatticeSummary",
     "LiftCertificate",
     "Role",
-    "Signing",
     "Try",
     "VertexLabel",
     "VoltageAssignment",
@@ -57,7 +53,6 @@ __all__ = [
     "build_base_graph",
     "build_root_unit_graph",
     "census",
-    "central_copies",
     "central_counts",
     "central_subgraph",
     "certify",
@@ -76,7 +71,6 @@ __all__ = [
     "min_degree_for_kappa",
     "sample_try",
     "search_signings",
-    "two_lift",
     "validate",
     "verify_certificate",
     "voltage_census",

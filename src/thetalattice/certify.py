@@ -8,16 +8,15 @@ incidence overlap is odd: the cycle then doubles in length at that lift and
 can never contribute a short cycle again.  A certificate is a family
 sigma_1..sigma_s covering every constraint.
 
-For degrees whose constraint set is too large to materialize, signings are
-drawn uniformly at random with s ~ log2(#constraints) + slack and verified
-through the aggregated voltage census, which checks exactly the same
-zero-voltage condition without touching individual cycles.
+For degrees whose constraint set is too large to materialize, the stages are
+the parity-check rows of a binary BCH code of designed distance 7, which
+cover every constraint by construction, and the aggregated voltage census
+checks the same zero-voltage condition without touching individual cycles.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +25,7 @@ from math import comb
 import numpy as np
 
 from .census import CensusReport, _edge_keys, voltage_census
-from .errors import BudgetExhausted, TooLarge
+from .errors import BudgetExhausted, DegreeTooSmall
 from .graphs import Edge
 from .voltage import (
     BaseGraph,
@@ -41,11 +40,9 @@ from .voltage import (
     voltage_group_generated,
 )
 
-# above this constraint count, certify() switches to the random-signing route
-# and verify skips the per-cycle re-enumeration in favor of the census check
+# above this constraint count, certify() switches to the BCH route and verify
+# skips the per-cycle re-enumeration in favor of the census check
 EXPLICIT_LIMIT = 300_000
-_RANDOM_SLACK_BITS = 8
-_RANDOM_ATTEMPTS = 4
 _WORD = (1 << 64) - 1
 
 
@@ -354,15 +351,11 @@ def recheck_constraints_dfs(
     return n_constraints, bad4, bad6
 
 
-def verification_route(d: int, recheck: str = "auto") -> str:
+def verification_route(d: int) -> str:
     """How verify_certificate checks a degree-d voltage: "census+dfs" when it
     also re-enumerates every constraint cycle by DFS, "census-only" when the
     constraint set is too large and the census alone decides."""
-    if recheck not in ("auto", "always", "never"):
-        raise ValueError(f"unknown recheck mode {recheck!r}")
-    if recheck == "always" or (
-        recheck == "auto" and constraint_count_formula(d) <= EXPLICIT_LIMIT
-    ):
+    if constraint_count_formula(d) <= EXPLICIT_LIMIT:
         return "census+dfs"
     return "census-only"
 
@@ -372,7 +365,6 @@ def verify_certificate(
     volt: VoltageAssignment,
     seed: int = 0,
     constraint_count: int | None = None,
-    recheck: str = "auto",
     report: CensusReport | None = None,
 ) -> LiftCertificate:
     """Re-derive the verification flags for a voltage assignment.
@@ -385,7 +377,7 @@ def verify_certificate(
     routes to find the same uncovered cycles.  Failures are recorded in the
     flags, never raised.
     """
-    route = verification_route(base.d, recheck)
+    route = verification_route(base.d)
     d, s = base.d, volt.s
     if report is None:
         report = voltage_census(base, volt)
@@ -431,9 +423,33 @@ def verify_certificate(
 # ---------------------------------------------------------------------------
 # end-to-end certification
 
+def _bch_stages(m: int, width: int) -> list[int]:
+    """3m stage signings over width < 2^m non-central edges.  Edge j gets the
+    column (alpha^j, alpha^3j, alpha^5j) of the parity-check matrix of the
+    binary BCH code of length n = 2^m - 1 and designed distance 7, alpha a
+    root of the first primitive polynomial of degree m; bit i of the column
+    is edge j's bit in stage i.  Any 1 to 6 distinct columns sum to nonzero
+    (Bose-Ray-Chaudhuri 1960, Hocquenghem 1959), and a constraint cycle has
+    1 to 6 non-central edges, so every constraint is covered."""
+    n = (1 << m) - 1
+    for poly in range(1 << m | 1, 2 << m, 2):
+        power = [1]  # power[k] = x^k mod poly
+        for _ in range(n - 1):
+            x = power[-1] << 1
+            power.append(x ^ poly if x >> m else x)
+        if 1 not in power[1:]:  # x has order n: poly is primitive
+            break
+    # column j as 3m binary digits, edges in descending order; stage i is
+    # read off digit 3m - 1 - i of every column
+    columns = [
+        format(power[j] | power[3 * j % n] << m | power[5 * j % n] << 2 * m, f"0{3 * m}b")
+        for j in reversed(range(width))
+    ]
+    return [int("".join(digits), 2) for digits in zip(*columns)][::-1]
+
+
 def certify(
     d: int,
-    policy: str = "auto",
     max_s: int = 40,
     seed: int = 0,
     pool_size: int = 64,
@@ -441,54 +457,39 @@ def certify(
 ) -> tuple[LiftCertificate, BaseGraph, VoltageAssignment]:
     """Build the base graph, find a covering lift sequence, and verify it.
 
-    policy 'auto' runs greedy over the explicit constraint set when it fits
-    under explicit_limit and otherwise falls back to uniform random signings
-    with s = ceil(log2 #constraints) + 8 slack, verified by census.
+    Greedy search over the explicit constraint set when it fits under
+    explicit_limit.  Above it, the 3m stages of _bch_stages, with m the
+    smallest degree with 2^m - 1 >= d^2 - 2d (the non-central edge count):
+    no search, and the same stages for every seed.  BudgetExhausted when the
+    greedy search needs more than max_s stages, or, before anything is
+    built, when 3m is above max_s or max_connected_stages(d).
     """
-    if pool_size < 1:  # checked here too: the random route never searches
+    if max_s < 1:
+        raise ValueError("max_s must be >= 1")
+    if pool_size < 1:  # checked here too: the BCH route never searches
         raise ValueError("pool_size must be >= 1")
-    base, volt0 = build_base_graph(d)
+    if d < 5:
+        raise DegreeTooSmall(f"construction requires d >= 5, got {d}")
     expected = constraint_count_formula(d)
     explicit = expected <= explicit_limit
-    if policy == "auto":
-        policy = "greedy" if explicit else "random"
-    if policy == "greedy" and not explicit:
-        raise TooLarge(
-            f"d={d} has {expected} constraint cycles; greedy needs them explicit "
-            f"(limit {explicit_limit}), use policy='random' or 'auto'"
+    m = (d * d - 2 * d).bit_length()
+    if not explicit and 3 * m > min(max_s, max_connected_stages(d)):
+        raise BudgetExhausted(
+            f"d={d} needs s={3 * m} BCH stages, above max_s={max_s} or the "
+            f"{max_connected_stages(d)} stages a connected lattice allows",
+            uncovered=expected,
         )
-
+    base, volt0 = build_base_graph(d)
     if explicit:
         cons = constraint_cycles(base, volt0)
         if len(cons) != expected:
             raise AssertionError(
                 f"constraint enumeration mismatch: {len(cons)} != formula {expected}"
             )
-        stages = search_signings(cons, policy=policy, max_s=max_s, seed=seed, pool_size=pool_size)
+        stages = search_signings(cons, max_s=max_s, seed=seed, pool_size=pool_size)
         volt = bits_from_stages(base, stages)
         cert = verify_certificate(base, volt, seed=seed, constraint_count=len(cons))
         return cert, base, volt
 
-    # stay comfortably under the connectivity ceiling on the stage count
-    s_target = min(
-        max_s,
-        math.ceil(math.log2(expected)) + _RANDOM_SLACK_BITS,
-        max_connected_stages(d) - 3,
-    )
-    width = len(base.noncentral_edges)
-    rng = random.Random(seed)
-    for _ in range(_RANDOM_ATTEMPTS):
-        stages = [rng.getrandbits(width) for _ in range(s_target)]
-        volt = bits_from_stages(base, stages)
-        report = voltage_census(base, volt)
-        cert = verify_certificate(
-            base, volt, seed=seed, constraint_count=expected, report=report
-        )
-        if cert.flags.all_true:
-            return cert, base, volt
-    # each zero-voltage constraint cycle lifts to 2^s cycles per cube
-    raise BudgetExhausted(
-        f"random signings with s={s_target} failed verification "
-        f"{_RANDOM_ATTEMPTS} times for d={d} (max_s={max_s})",
-        uncovered=(report.c4_stray + report.c6) >> s_target,
-    )
+    volt = bits_from_stages(base, _bch_stages(m, len(base.noncentral_edges)))
+    return verify_certificate(base, volt, seed=seed), base, volt

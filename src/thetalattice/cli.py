@@ -95,13 +95,7 @@ def _cmd_construct(args) -> int:
         d = args.d
     t0 = time.perf_counter()
     try:
-        cert, _, _ = run_certify(
-            d,
-            policy=args.policy,
-            max_s=args.max_s,
-            seed=args.seed,
-            pool_size=args.pool_size,
-        )
+        cert, _, _ = run_certify(d, max_s=args.max_s, seed=args.seed, pool_size=args.pool_size)
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
@@ -247,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--kappa", help="target ratio; picks the minimal degree")
     p.add_argument("--max-s", type=int, default=40, dest="max_s")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--policy", choices=("auto", "greedy", "random"), default="auto")
     p.add_argument("--pool-size", type=int, default=64, dest="pool_size")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_construct)

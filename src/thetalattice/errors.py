@@ -10,10 +10,6 @@ class MalformedGraph(ValueError):
     or roles an operation requires."""
 
 
-class CentralEdgeCrossed(ValueError):
-    """A 2-lift signing marked a central (hub) edge as crossed."""
-
-
 class TorusTooSmall(ValueError):
     """Torus side length n <= 1 would wrap displacements into spurious short cycles."""
 

@@ -1,5 +1,5 @@
-"""Explicit finite labeled graphs: the root unit graph, central subgraphs,
-signed 2-lifts and structural validators.
+"""Explicit finite labeled graphs: the root unit graph, central subgraphs
+and structural validators.
 
 Vertices are dense integer ids.  Labels (role, level bitstring, integer cell)
 are carried in a parallel tuple.  Graphs are immutable after construction and
@@ -16,9 +16,9 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Mapping
+from typing import Iterable
 
-from .errors import CentralEdgeCrossed, DegreeTooSmall, MalformedGraph
+from .errors import DegreeTooSmall, MalformedGraph
 
 Edge = tuple[int, int]
 Cell = tuple[int, int, int]
@@ -213,8 +213,7 @@ def _require_central_roles(g: LabeledGraph) -> None:
 def central_subgraph(g: LabeledGraph) -> LabeledGraph:
     """Induced structure on hub/spoke roles restricted to (t,c_i), (b,c_i) edges.
 
-    For a lifted graph this is the disjoint union of the 2**s central copies;
-    see central_copies for the per-level split.
+    For a lifted graph this is the disjoint union of the 2**s central copies.
     """
     _require_central_roles(g)
     assert g.labels is not None
@@ -226,85 +225,6 @@ def central_subgraph(g: LabeledGraph) -> LabeledGraph:
             if tags in ({"t", "c"}, {"b", "c"}):
                 edges.append((g.labels[u], g.labels[v]))
     return from_labeled_vertices((g.labels[v] for v in keep), edges, g.d)
-
-
-def central_copies(g: LabeledGraph) -> tuple[LabeledGraph, ...]:
-    """The vertex-disjoint central copies of a (lifted) graph, grouped by
-    (cell, level) and returned in canonical order."""
-    whole = central_subgraph(g)
-    assert whole.labels is not None
-    groups: dict[tuple, list[int]] = {}
-    for v, lab in enumerate(whole.labels):
-        groups.setdefault((lab.cell, level_uint(lab.level)), []).append(v)
-    copies = []
-    for key in sorted(groups):
-        members = set(groups[key])
-        edges = [
-            (whole.labels[u], whole.labels[v])
-            for u, v in whole.edges
-            if u in members and v in members
-        ]
-        copies.append(
-            from_labeled_vertices((whole.labels[v] for v in members), edges, whole.d)
-        )
-    return tuple(copies)
-
-
-EdgeSign = Literal["parallel", "crossed"]
-
-
-@dataclass(frozen=True)
-class Signing:
-    """Total assignment of parallel/crossed to the edges of one graph."""
-
-    assignment: Mapping[Edge, EdgeSign]
-
-    def sign(self, u: int, v: int) -> EdgeSign:
-        return self.assignment[(min(u, v), max(u, v))]
-
-    @classmethod
-    def from_crossed(cls, g: LabeledGraph, crossed: Iterable[Edge]) -> "Signing":
-        crossed_set = {(min(u, v), max(u, v)) for u, v in crossed}
-        unknown = crossed_set - set(g.edges)
-        if unknown:
-            raise ValueError(f"crossed edges not in graph: {sorted(unknown)}")
-        return cls({e: ("crossed" if e in crossed_set else "parallel") for e in g.edges})
-
-
-def two_lift(g: LabeledGraph, sgn: Signing) -> LabeledGraph:
-    """Double cover determined by the signing.
-
-    Each vertex splits into bit-0 and bit-1 copies (the new bit is appended to
-    the level).  A parallel edge (u,v) lifts to (u0,v0),(u1,v1); a crossed edge
-    to (u0,v1),(u1,v0).  Edges projecting onto central edges must be parallel.
-    """
-    if g.labels is None:
-        raise MalformedGraph("two_lift needs a labeled graph")
-    missing = set(g.edges) - set(sgn.assignment)
-    if missing:
-        raise ValueError(f"signing not total, missing {sorted(missing)}")
-    extra = set(sgn.assignment) - set(g.edges)
-    if extra:
-        raise ValueError(f"signing mentions non-edges {sorted(extra)}")
-    for u, v in g.edges:
-        tags = {g.labels[u].role.tag, g.labels[v].role.tag}
-        if tags in ({"t", "c"}, {"b", "c"}) and sgn.sign(u, v) == "crossed":
-            raise CentralEdgeCrossed(f"central edge ({u},{v}) marked crossed")
-
-    def lifted(v: int, bit: int) -> VertexLabel:
-        lab = g.labels[v]
-        return VertexLabel(lab.role, lab.level + str(bit), lab.cell)
-
-    labels = [lifted(v, bit) for v in range(g.vertex_count) for bit in (0, 1)]
-    edges = []
-    for u, v in g.edges:
-        if sgn.sign(u, v) == "parallel":
-            edges.append((lifted(u, 0), lifted(v, 0)))
-            edges.append((lifted(u, 1), lifted(v, 1)))
-        else:
-            edges.append((lifted(u, 0), lifted(v, 1)))
-            edges.append((lifted(u, 1), lifted(v, 0)))
-    return from_labeled_vertices(labels, edges, g.d)
 
 
 def two_coloring(g: LabeledGraph) -> list[int] | None:
@@ -398,35 +318,6 @@ def _components(g: LabeledGraph) -> list[int]:
                     stack.append(w)
         c += 1
     return comp
-
-
-def connected_components(g: LabeledGraph) -> list[list[int]]:
-    comp = _components(g)
-    out: dict[int, list[int]] = {}
-    for v, c in enumerate(comp):
-        out.setdefault(c, []).append(v)
-    return [out[c] for c in sorted(out)]
-
-
-def drops_last_bit_covering(lift: LabeledGraph, base: LabeledGraph) -> bool:
-    """Check that forgetting the last level bit maps each lift vertex's
-    neighborhood bijectively onto its image's neighborhood."""
-    if lift.labels is None or base.labels is None:
-        raise MalformedGraph("covering check needs labels")
-    base_ids = base.label_index()
-    try:
-        img = [
-            base_ids[(lab.role, lab.level[:-1], lab.cell)] for lab in lift.labels
-        ]
-    except KeyError:
-        return False
-    for v in range(lift.vertex_count):
-        images = sorted(img[w] for w in lift.adjacency[v])
-        if images != sorted(set(images)):
-            return False
-        if images != list(base.adjacency[img[v]]):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

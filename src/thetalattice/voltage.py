@@ -162,7 +162,8 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     dropped, which gives the full unit graph of a cube: each merged
     connector v* splits back into l* on its displaced edge and r* on the
     others.  At s = 0 that is the root unit graph, and in general it equals
-    iterating two_lift on the root unit graph with the per-stage signings.
+    iterating signed 2-lifts on the root unit graph with the per-stage
+    signings.
     """
     if n is not None and n <= 1:
         raise TorusTooSmall(

@@ -2,6 +2,7 @@ import itertools
 import random
 import signal
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -9,10 +10,19 @@ import numpy as np
 import pytest
 
 from thetalattice import linalg
-from thetalattice.graphs import CENTRAL_TAGS, LabeledGraph, Role, VertexLabel, from_labeled_vertices
+from thetalattice.graphs import (
+    CENTRAL_TAGS,
+    LabeledGraph,
+    Role,
+    VertexLabel,
+    _components,
+    central_subgraph,
+    from_labeled_vertices,
+    level_uint,
+)
 from thetalattice.census import CensusReport, _edge_keys, _short_cycles
 from thetalattice.certify import Constraint
-from thetalattice.errors import BudgetExhausted
+from thetalattice.errors import BudgetExhausted, MalformedGraph
 from thetalattice.voltage import ZERO3, fundamental_cycle_voltages, make_bits, vadd
 
 
@@ -390,3 +400,118 @@ def _recheck_constraints_dfs_reference(base, volt):
             else:
                 bad6 += 1
     return n_constraints, bad4, bad6
+
+
+# ---------------------------------------------------------------------------
+# explicit 2-lifts and component checks: oracles for derived_cover
+
+def central_copies(g: LabeledGraph) -> tuple[LabeledGraph, ...]:
+    """The vertex-disjoint central copies of a (lifted) graph, grouped by
+    (cell, level) and returned in canonical order: the per-level split of
+    `central_subgraph`."""
+    whole = central_subgraph(g)
+    assert whole.labels is not None
+    groups: dict[tuple, list[int]] = {}
+    for v, lab in enumerate(whole.labels):
+        groups.setdefault((lab.cell, level_uint(lab.level)), []).append(v)
+    copies = []
+    for key in sorted(groups):
+        members = set(groups[key])
+        edges = [
+            (whole.labels[u], whole.labels[v])
+            for u, v in whole.edges
+            if u in members and v in members
+        ]
+        copies.append(
+            from_labeled_vertices((whole.labels[v] for v in members), edges, whole.d)
+        )
+    return tuple(copies)
+
+
+class CentralEdgeCrossed(ValueError):
+    """A 2-lift signing marked a central (hub) edge as crossed."""
+
+
+@dataclass(frozen=True)
+class Signing:
+    """Total assignment of parallel/crossed to the edges of one graph."""
+
+    assignment: dict  # edge -> "parallel" or "crossed"
+
+    def sign(self, u: int, v: int) -> str:
+        return self.assignment[(min(u, v), max(u, v))]
+
+    @classmethod
+    def from_crossed(cls, g: LabeledGraph, crossed) -> "Signing":
+        crossed_set = {(min(u, v), max(u, v)) for u, v in crossed}
+        unknown = crossed_set - set(g.edges)
+        if unknown:
+            raise ValueError(f"crossed edges not in graph: {sorted(unknown)}")
+        return cls({e: ("crossed" if e in crossed_set else "parallel") for e in g.edges})
+
+
+def two_lift(g: LabeledGraph, sgn: Signing) -> LabeledGraph:
+    """Double cover determined by the signing: the iterated 2-lift oracle that
+    `derived_cover` must equal.
+
+    Each vertex splits into bit-0 and bit-1 copies (the new bit is appended to
+    the level).  A parallel edge (u,v) lifts to (u0,v0),(u1,v1); a crossed edge
+    to (u0,v1),(u1,v0).  Edges projecting onto central edges must be parallel.
+    """
+    if g.labels is None:
+        raise MalformedGraph("two_lift needs a labeled graph")
+    missing = set(g.edges) - set(sgn.assignment)
+    if missing:
+        raise ValueError(f"signing not total, missing {sorted(missing)}")
+    extra = set(sgn.assignment) - set(g.edges)
+    if extra:
+        raise ValueError(f"signing mentions non-edges {sorted(extra)}")
+    for u, v in g.edges:
+        tags = {g.labels[u].role.tag, g.labels[v].role.tag}
+        if tags in ({"t", "c"}, {"b", "c"}) and sgn.sign(u, v) == "crossed":
+            raise CentralEdgeCrossed(f"central edge ({u},{v}) marked crossed")
+
+    def lifted(v: int, bit: int) -> VertexLabel:
+        lab = g.labels[v]
+        return VertexLabel(lab.role, lab.level + str(bit), lab.cell)
+
+    labels = [lifted(v, bit) for v in range(g.vertex_count) for bit in (0, 1)]
+    edges = []
+    for u, v in g.edges:
+        if sgn.sign(u, v) == "parallel":
+            edges.append((lifted(u, 0), lifted(v, 0)))
+            edges.append((lifted(u, 1), lifted(v, 1)))
+        else:
+            edges.append((lifted(u, 0), lifted(v, 1)))
+            edges.append((lifted(u, 1), lifted(v, 0)))
+    return from_labeled_vertices(labels, edges, g.d)
+
+
+def connected_components(g: LabeledGraph) -> list[list[int]]:
+    """Vertex lists of the components, in order of their smallest vertex."""
+    comp = _components(g)
+    out: dict[int, list[int]] = {}
+    for v, c in enumerate(comp):
+        out.setdefault(c, []).append(v)
+    return [out[c] for c in sorted(out)]
+
+
+def drops_last_bit_covering(lift: LabeledGraph, base: LabeledGraph) -> bool:
+    """Check that forgetting the last level bit maps each lift vertex's
+    neighborhood bijectively onto its image's neighborhood."""
+    if lift.labels is None or base.labels is None:
+        raise MalformedGraph("covering check needs labels")
+    base_ids = base.label_index()
+    try:
+        img = [
+            base_ids[(lab.role, lab.level[:-1], lab.cell)] for lab in lift.labels
+        ]
+    except KeyError:
+        return False
+    for v in range(lift.vertex_count):
+        images = sorted(img[w] for w in lift.adjacency[v])
+        if images != sorted(set(images)):
+            return False
+        if images != list(base.adjacency[img[v]]):
+            return False
+    return True

@@ -18,7 +18,7 @@ from thetalattice.census import (
     count_theta222,
     voltage_census,
 )
-from thetalattice.certify import verify_certificate
+from thetalattice.certify import verification_route, verify_certificate
 from thetalattice.embed import check_embedding_properties, find_good_try, is_good_try
 from thetalattice.entropy import lattice_report, min_degree_for_kappa
 from thetalattice.errors import BudgetExhausted
@@ -105,7 +105,8 @@ def test_criterion_4_certification(certified):
         cert, base, volt, elapsed = certified(d)
         ok = ok and cert.flags.all_true and cert.s <= 40 and elapsed < 300.0
         # independent re-verification (DFS constraint re-enumeration + census)
-        fresh = verify_certificate(base, volt, seed=cert.seed, recheck="always")
+        ok = ok and verification_route(d) == "census+dfs"
+        fresh = verify_certificate(base, volt, seed=cert.seed)
         ok = ok and fresh.flags.all_true and fresh == cert
         details.append(f"d={d}: s={cert.s}, {elapsed:.1f}s")
     report(4, "certification d=5 and d=10", ok, "; ".join(details))

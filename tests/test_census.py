@@ -369,7 +369,7 @@ def test_voltage_census_matches_reference_wide_bits(d, s):
 @pytest.mark.parametrize("d", [13, 20, 33])
 def test_voltage_census_matches_c6_triples(certified, d, stages):
     """The 6-cycles of the walk identity equal the white-triple count on the
-    random-route certificates, truncated to 1 and 2 stages (c6 large) and in
+    BCH-route certificates, truncated to 1 and 2 stages (c6 large) and in
     full (c6 zero)."""
     cert, base, volt, _ = certified(d)
     volt = volt if stages is None else volt.truncate(stages)

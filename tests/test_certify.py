@@ -1,7 +1,10 @@
+import dataclasses
 import importlib
+import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,8 +18,10 @@ from conftest import (
 )
 from thetalattice.census import voltage_census
 from thetalattice.certify import (
+    EXPLICIT_LIMIT,
     Constraint,
     ConstraintSet,
+    _bch_stages,
     bits_from_stages,
     certify,
     constraint_count_formula,
@@ -26,7 +31,7 @@ from thetalattice.certify import (
     verification_route,
     verify_certificate,
 )
-from thetalattice.errors import BudgetExhausted, TooLarge
+from thetalattice.errors import BudgetExhausted
 from thetalattice.graphs import Role
 from thetalattice.voltage import (
     LiftCertificate,
@@ -38,6 +43,7 @@ from thetalattice.voltage import (
 )
 
 census_module = importlib.import_module("thetalattice.census")
+certify_module = importlib.import_module("thetalattice.certify")
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
 
 
@@ -441,45 +447,34 @@ def test_certify_budget_exhausted():
         certify(5, max_s=3, seed=1)
 
 
-def test_random_route_budget_reports_uncovered_cycles():
-    """On the random route, BudgetExhausted.uncovered is the number of
-    zero-voltage constraint cycles the last attempt left, not the total."""
-    import random
+def test_bch_route_budget_reports_uncovered_cycles(monkeypatch):
+    """When the BCH route's 3m stages exceed max_s or the connectivity
+    ceiling, BudgetExhausted comes before the base graph is built, and no
+    constraint is covered: uncovered is the closed-form count."""
 
-    from thetalattice.certify import _RANDOM_ATTEMPTS
+    def no_build(d):
+        raise AssertionError("certify built the base graph")
 
-    d, s, seed = 8, 2, 4
-    with pytest.raises(BudgetExhausted) as exc:
-        certify(d, max_s=s, explicit_limit=0, seed=seed)
-    base, _ = build_base_graph(d)
-    rng = random.Random(seed)
-    for _ in range(_RANDOM_ATTEMPTS):
-        stages = [rng.getrandbits(len(base.noncentral_edges)) for _ in range(s)]
-    n_cons, bad4, bad6 = recheck_constraints_dfs(base, bits_from_stages(base, stages))
-    assert exc.value.uncovered == bad4 + bad6
-    assert 0 < exc.value.uncovered < n_cons
+    monkeypatch.setattr(certify_module, "build_base_graph", no_build)
+    # 3m = 18 > max_s = 17; 12 > max_connected_stages(5) = 9; 51 > 40
+    for d, max_s in [(8, 17), (5, 40), (303, 40)]:
+        with pytest.raises(BudgetExhausted, match=f"d={d} needs s=") as exc:
+            certify(d, max_s=max_s, explicit_limit=0)
+        assert exc.value.uncovered == constraint_count_formula(d)
 
 
 def test_verification_route():
     assert verification_route(12) == "census+dfs"
     assert verification_route(13) == "census-only"
-    assert verification_route(13, recheck="always") == "census+dfs"
-    assert verification_route(5, recheck="never") == "census-only"
-    with pytest.raises(ValueError):
-        verification_route(5, recheck="sometimes")
 
 
-def test_certify_greedy_rejects_huge_d():
-    with pytest.raises(TooLarge):
-        certify(16, policy="greedy")
-
-
-def test_certify_random_route_small_limit():
-    """Force the census-verified random route on a small degree."""
-    cert, base, volt = certify(6, policy="auto", seed=2, explicit_limit=100)
+def test_certify_bch_route_small_limit():
+    """Force the census-verified BCH route on a small degree."""
+    cert, base, volt = certify(6, seed=2, explicit_limit=100)
     assert cert.flags.all_true
+    assert cert.s == 15
     assert cert.constraint_count == constraint_count_formula(6)
-    # independent explicit recheck of the random-route result
+    # independent explicit recheck of the BCH-route result
     n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
     assert (n_cons, bad4, bad6) == (constraint_count_formula(6), 0, 0)
 
@@ -490,13 +485,48 @@ def test_certified_s_matches_stage_count(certified):
         assert cert.s == volt.s == len(cert.stage_bits)
 
 
-def test_certify_auto_routes_random_above_limit():
-    """d=13 sits just past the explicit-constraint limit, so auto goes
-    through the census-verified random route."""
-    cert, base, volt = certify(13, seed=5)
+@pytest.mark.parametrize("d, s", [(13, 24), (14, 24), (16, 24), (17, 24), (20, 27), (33, 30)])
+def test_certify_routes_bch_above_limit(d, s):
+    """Past the explicit-constraint limit certify takes the BCH route: s = 3m
+    with 2^m - 1 >= d^2 - 2d, verified by the census alone."""
+    cert, base, volt = certify(d)
     assert cert.flags.all_true
-    assert cert.constraint_count == constraint_count_formula(13) > 300_000
-    assert cert.s <= max_connected_stages(13)
+    assert cert.constraint_count == constraint_count_formula(d) > EXPLICIT_LIMIT
+    assert cert.s == s == 3 * (d * d - 2 * d).bit_length() <= max_connected_stages(d)
+
+
+@pytest.mark.parametrize("d", [13, 33])
+def test_bch_certificate_ignores_seed(d):
+    a, _, _ = certify(d, seed=1)
+    b, _, _ = certify(d, seed=2)
+    assert a.seed == 1 and b.seed == 2
+    assert dataclasses.replace(a, seed=2) == b
+
+
+def _bch_columns(m, width):
+    stages = _bch_stages(m, width)
+    return [sum((sigma >> j & 1) << i for i, sigma in enumerate(stages)) for j in range(width)]
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_bch_columns_have_distance_7(m):
+    """Brute force over all 2^m - 1 columns: every set of 1 to 6 distinct
+    columns XORs to nonzero."""
+    n = (1 << m) - 1
+    columns = np.array(_bch_columns(m, n), dtype=np.int64)
+    assert len(set(columns.tolist())) == n and columns.max() < 1 << 3 * m
+    for k in range(1, 7):
+        subsets = np.fromiter(itertools.combinations(range(n), k), dtype=np.dtype((np.int8, k)))
+        assert np.bitwise_xor.reduce(columns[subsets], axis=1).all(), k
+
+
+@pytest.mark.parametrize("d", range(6, 17))
+def test_bch_voltage_passes_dfs_recheck(d):
+    """The DFS finds every constraint covered by the BCH stages; for d >= 13
+    it is a second route beside the census that certify ran."""
+    cert, base, volt = certify(d, explicit_limit=0 if d <= 12 else EXPLICIT_LIMIT)
+    assert cert.s == 3 * (d * d - 2 * d).bit_length()
+    assert recheck_constraints_dfs(base, volt) == (constraint_count_formula(d), 0, 0)
 
 
 def test_three_verification_routes_agree():

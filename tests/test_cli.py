@@ -50,14 +50,42 @@ def test_construct_budget_exhausted_exit_code(capsys, tmp_path):
     assert "budget" in err.lower()
 
 
-@pytest.mark.parametrize("d, pool_size", [("5", "0"), ("5", "-3"), ("13", "0")])
-def test_construct_rejects_nonpositive_pool_size(tmp_path, capsys, d, pool_size):
-    """On the greedy route (d = 5) and on the random route (d = 13), which
-    never scores a pool."""
+@pytest.mark.parametrize(
+    "d, option, value",
+    [
+        pytest.param("5", "--pool-size", "0", id="5-0"),
+        pytest.param("5", "--pool-size", "-3", id="5--3"),
+        pytest.param("13", "--pool-size", "0", id="13-0"),
+        pytest.param("13", "--max-s", "0", id="13-max-s-0"),
+    ],
+)
+def test_construct_rejects_nonpositive_pool_size(tmp_path, capsys, d, option, value):
+    """--pool-size and --max-s below 1, on the greedy route (d = 5) and on
+    the BCH route (d = 13), which never scores a pool nor counts stages
+    against a budget before it checks them."""
     out = tmp_path / "cert.json"
-    code, _, err = run(capsys, "construct", "--d", d, "--pool-size", pool_size, "-o", str(out))
+    code, _, err = run(capsys, "construct", "--d", d, option, value, "-o", str(out))
     assert code == 2
-    assert err == "error: pool_size must be >= 1\n"
+    assert err == f"error: {option[2:].replace('-', '_')} must be >= 1\n"
+    assert not out.exists()
+
+
+def test_construct_has_no_policy_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--d", "5", "--policy", "greedy"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --policy" in capsys.readouterr().err
+
+
+def test_construct_kappa_100_exhausts_the_budget_at_once(tmp_path, capsys, time_limit):
+    """kappa = 100 picks d = 303, whose BCH route needs s = 51 > max_s = 40:
+    exit 3 before anything is built."""
+    out = tmp_path / "cert.json"
+    code, stdout, err = run(capsys, "construct", "--kappa", "100", "-o", str(out))
+    assert code == 3
+    assert "minimal degree d = 303" in stdout
+    assert err.startswith("budget exhausted: d=303 needs s=51 BCH stages, above max_s=40")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -2,23 +2,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import labeled_cycle4, labeled_k2d, plain_graph
+from conftest import (
+    CentralEdgeCrossed,
+    Signing,
+    central_copies,
+    connected_components,
+    drops_last_bit_covering,
+    labeled_cycle4,
+    labeled_k2d,
+    plain_graph,
+    two_lift,
+)
 from thetalattice.census import brute_force_census, count_c4, count_c6
-from thetalattice.errors import CentralEdgeCrossed, DegreeTooSmall, MalformedGraph
+from thetalattice.errors import DegreeTooSmall, MalformedGraph
 from thetalattice.graphs import (
     LabeledGraph,
     Role,
-    Signing,
     build_root_unit_graph,
-    central_copies,
     central_subgraph,
-    connected_components,
-    drops_last_bit_covering,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
     two_coloring,
-    two_lift,
     validate,
 )
 

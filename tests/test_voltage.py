@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _voltage_group_generated_reference, random_bits_voltage
+from conftest import (
+    Signing,
+    _voltage_group_generated_reference,
+    central_copies,
+    connected_components,
+    random_bits_voltage,
+    two_lift,
+)
 from thetalattice.errors import DegreeTooSmall, TorusTooSmall
 from thetalattice.graphs import (
     Role,
     VertexLabel,
-    connected_components,
     from_labeled_vertices,
     validate,
 )
@@ -154,8 +160,6 @@ def test_full_unit_graph_d5_s3_counts():
     fug = derived_cover(base, volt)
     assert fug.vertex_count == 104
     assert len(fug.edges) == 200
-    from thetalattice.graphs import central_copies
-
     assert len(central_copies(fug)) == 8
 
 
@@ -163,8 +167,6 @@ def test_full_unit_graph_equals_iterated_two_lift():
     """Lifting the root unit graph stage by stage, each root edge crossed
     when its base edge (connectors l*/r* merged back into v*) carries that
     stage's bit, gives the full unit graph."""
-    from thetalattice.graphs import Signing, two_lift
-
     d, s = 5, 2
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed=23)
