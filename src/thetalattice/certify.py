@@ -48,8 +48,6 @@ _WORD = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class Constraint:
-    length: int
-    vertices: tuple[int, ...]
     mask: int  # incidence over non-central base edges
 
 
@@ -59,39 +57,22 @@ def _word_count(width: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Constraint cycles as arrays: vertices is n x 6 (a 4-cycle padded with
-    -1), masks is n x ceil(width / 64) uint64 with bit j of a mask in word
-    j // 64.  The Constraint objects are built only when .constraints is
-    read."""
+    """Constraint cycles as their edge masks: masks is n x ceil(width / 64)
+    uint64, bit j of a mask in word j // 64 for non-central edge j.  The
+    Constraint objects are built only when .constraints is read."""
 
-    d: int
     noncentral_edges: tuple[Edge, ...]
-    vertices: np.ndarray
     masks: np.ndarray
-
-    @classmethod
-    def from_constraints(
-        cls, d: int, constraints: tuple[Constraint, ...], noncentral_edges: tuple[Edge, ...]
-    ) -> "ConstraintSet":
-        words = _word_count(len(noncentral_edges))
-        vertices = np.full((len(constraints), 6), -1, dtype=np.int64)
-        masks = np.zeros((len(constraints), words), dtype=np.uint64)
-        for r, c in enumerate(constraints):
-            vertices[r, : c.length] = c.vertices
-            masks[r] = [c.mask >> (64 * k) & _WORD for k in range(words)]
-        return cls(d, noncentral_edges, vertices, masks)
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
-        out = []
-        for row, words in zip(self.vertices.tolist(), self.masks.tolist()):
-            cycle = tuple(row[:4] if row[4] < 0 else row)
-            mask = sum(w << (64 * k) for k, w in enumerate(words))
-            out.append(Constraint(len(cycle), cycle, mask))
-        return tuple(out)
+        return tuple(
+            Constraint(sum(w << (64 * k) for k, w in enumerate(words)))
+            for words in self.masks.tolist()
+        )
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.masks)
 
 
 def constraint_count_formula(d: int) -> int:
@@ -113,33 +94,33 @@ def constraint_count_formula(d: int) -> int:
     return four + six
 
 
-def _canonical(cycles: np.ndarray) -> np.ndarray:
-    """Each row rotated to its minimum vertex and read towards the smaller of
-    that vertex's two neighbors."""
-    n, k = cycles.shape
-    rows = np.arange(n)
-    start = cycles.argmin(axis=1)
-    step = np.where(cycles[rows, (start + 1) % k] < cycles[rows, (start - 1) % k], 1, -1)
-    order = (start[:, None] + step[:, None] * np.arange(k)) % k
-    return np.take_along_axis(cycles, order, axis=1)
-
-
 def constraint_cycles(base: BaseGraph, volt: VoltageAssignment) -> ConstraintSet:
-    """All simple 4- and 6-cycles of the base with zero net displacement,
-    excluding central 4-cycles, in deterministic canonical order (4-cycles
-    first, then by vertex sequence).
+    """The edge masks of all simple 4- and 6-cycles of the base with zero net
+    displacement, excluding central 4-cycles: 4-cycles first, then 6-cycles
+    one white triple at a time.
 
     Uses the bipartite structure: a 4-cycle is a white pair with two black
-    middles, a 6-cycle a white triple with distinct blacks on its three
-    pair slots.  Only displacement voltages are consulted, as the integer
-    codes of census._edge_keys: path[i, j, c] is the code of white i ->
-    black c -> white j, and a cycle closes when its paths sum to 0.  A
-    non-unit edge displacement raises ValueError.
+    middles, a 6-cycle a white triple i < j < k with distinct blacks on its
+    three pair slots, so each cycle is found exactly once.  Only
+    displacement voltages are consulted, as the integer codes of
+    census._edge_keys: path[i, j, c] is the code of white i -> black c ->
+    white j, and a cycle closes when its paths sum to 0.  hop[i, j, c] is
+    the packed mask of the same path, the XOR of the one-hot words of its
+    two edges (zero on a central edge), and a cycle's mask is the XOR of
+    its hops.  A non-unit edge displacement raises ValueError.
     """
-    whites, blacks = np.array(base.whites), np.array(base.blacks)
-    nw, nb = len(whites), len(blacks)
+    nw, nb = len(base.whites), len(base.blacks)
     codes = _edge_keys(base, volt)[0].astype(np.int64)
     path = codes[:, None, :] - codes[None, :, :]
+
+    # word[i, c]: the packed mask of the single edge white i -- black c
+    white_pos = {v: i for i, v in enumerate(base.whites)}
+    black_pos = {v: c for c, v in enumerate(base.blacks)}
+    word = np.zeros((nw, nb, _word_count(len(base.noncentral_edges))), dtype=np.uint64)
+    for j, (u, v) in enumerate(base.noncentral_edges):
+        w, c = (u, v) if u in white_pos else (v, u)
+        word[white_pos[w], black_pos[c], j // 64] = np.uint64(1) << np.uint64(j % 64)
+    hop = word[:, None] ^ word[None, :]
 
     iu, ju = np.triu_indices(nw, 1)
     hub_lo, hub_hi = (i for i, v in enumerate(base.whites) if base.role_of(v).tag in ("t", "b"))
@@ -148,45 +129,19 @@ def constraint_cycles(base: BaseGraph, volt: VoltageAssignment) -> ConstraintSet
     ca, cb = np.triu_indices(nb, 1)
     pairs = path[iu, ju]
     pair, mid = np.nonzero(pairs[:, ca] == pairs[:, cb])
-    fours = np.empty((len(pair), 4), dtype=np.int64)
-    fours[:, 0::2] = whites[np.column_stack([iu[pair], ju[pair]])]
-    fours[:, 1::2] = blacks[np.column_stack([ca[mid], cb[mid]])]
+    i, j = iu[pair], ju[pair]
+    masks = [hop[i, j, ca[mid]] ^ hop[i, j, cb[mid]]]
 
     slots = np.indices((nb, nb, nb))
     distinct = (slots[0] != slots[1]) & (slots[1] != slots[2]) & (slots[0] != slots[2])
-    sixes = []
     for i, j, k in itertools.combinations(range(nw), 3):
         total = path[i, j][:, None, None] + path[j, k][None, :, None] + path[k, i][None, None, :]
         a, b, c = np.nonzero((total == 0) & distinct)
-        cycles = np.empty((len(a), 6), dtype=np.int64)
-        cycles[:, 0::2] = whites[[i, j, k]]
-        cycles[:, 1::2] = blacks[np.column_stack([a, b, c])]
-        sixes.append(_canonical(cycles))
+        masks.append(hop[i, j, a] ^ hop[j, k, b] ^ hop[k, i, c])
 
-    fours = _canonical(fours)
-    fours = fours[np.lexsort(fours.T[::-1])]
-    sixes = np.concatenate(sixes)
-    sixes = sixes[np.lexsort(sixes.T[::-1])]
-    vertices = np.full((len(fours) + len(sixes), 6), -1, dtype=np.int64)
-    vertices[: len(fours), :4] = fours
-    vertices[len(fours) :] = sixes
-
-    # edge_word[u, v]: the packed mask of the single non-central edge (u, v)
-    n = base.graph.vertex_count
-    edge_word = np.zeros((n, n, _word_count(len(base.noncentral_edges))), dtype=np.uint64)
-    for j, (u, v) in enumerate(base.noncentral_edges):
-        edge_word[u, v, j // 64] = edge_word[v, u, j // 64] = np.uint64(1) << np.uint64(j % 64)
-    masks = np.concatenate([_walk_masks(fours, edge_word), _walk_masks(sixes, edge_word)])
+    masks = np.concatenate(masks)
     assert masks.any(axis=1).all(), "constraint cycles always use a non-central edge"
-    return ConstraintSet(base.d, base.noncentral_edges, vertices, masks)
-
-
-def _walk_masks(cycles: np.ndarray, edge_word: np.ndarray) -> np.ndarray:
-    """Per row, the XOR of the packed edge masks around its closed walk."""
-    masks = edge_word[cycles[:, -1], cycles[:, 0]]
-    for t in range(cycles.shape[1] - 1):
-        masks = masks ^ edge_word[cycles[:, t], cycles[:, t + 1]]
-    return masks
+    return ConstraintSet(base.noncentral_edges, masks)
 
 
 # uncovered masks scored against the candidate pool per block of rows
@@ -423,14 +378,14 @@ def verify_certificate(
 # ---------------------------------------------------------------------------
 # end-to-end certification
 
-def _bch_stages(m: int, width: int) -> list[int]:
-    """3m stage signings over width < 2^m non-central edges.  Edge j gets the
-    column (alpha^j, alpha^3j, alpha^5j) of the parity-check matrix of the
-    binary BCH code of length n = 2^m - 1 and designed distance 7, alpha a
-    root of the first primitive polynomial of degree m; bit i of the column
-    is edge j's bit in stage i.  Any 1 to 6 distinct columns sum to nonzero
-    (Bose-Ray-Chaudhuri 1960, Hocquenghem 1959), and a constraint cycle has
-    1 to 6 non-central edges, so every constraint is covered."""
+def _bch_columns(m: int, width: int) -> list[int]:
+    """The 3m-bit level masks of width < 2^m non-central edges.  Edge j gets
+    the column (alpha^j, alpha^3j, alpha^5j) of the parity-check matrix of
+    the binary BCH code of length n = 2^m - 1 and designed distance 7, alpha
+    a root of the first primitive polynomial of degree m; bit i of the
+    column is edge j's bit in stage i.  Any 1 to 6 distinct columns sum to
+    nonzero (Bose-Ray-Chaudhuri 1960, Hocquenghem 1959), and a constraint
+    cycle has 1 to 6 non-central edges, so every constraint is covered."""
     n = (1 << m) - 1
     for poly in range(1 << m | 1, 2 << m, 2):
         power = [1]  # power[k] = x^k mod poly
@@ -439,13 +394,7 @@ def _bch_stages(m: int, width: int) -> list[int]:
             power.append(x ^ poly if x >> m else x)
         if 1 not in power[1:]:  # x has order n: poly is primitive
             break
-    # column j as 3m binary digits, edges in descending order; stage i is
-    # read off digit 3m - 1 - i of every column
-    columns = [
-        format(power[j] | power[3 * j % n] << m | power[5 * j % n] << 2 * m, f"0{3 * m}b")
-        for j in reversed(range(width))
-    ]
-    return [int("".join(digits), 2) for digits in zip(*columns)][::-1]
+    return [power[j] | power[3 * j % n] << m | power[5 * j % n] << 2 * m for j in range(width)]
 
 
 def certify(
@@ -458,7 +407,7 @@ def certify(
     """Build the base graph, find a covering lift sequence, and verify it.
 
     Greedy search over the explicit constraint set when it fits under
-    explicit_limit.  Above it, the 3m stages of _bch_stages, with m the
+    explicit_limit.  Above it, the 3m stages of _bch_columns, with m the
     smallest degree with 2^m - 1 >= d^2 - 2d (the non-central edge count):
     no search, and the same stages for every seed.  BudgetExhausted when the
     greedy search needs more than max_s stages, or, before anything is
@@ -491,5 +440,7 @@ def certify(
         cert = verify_certificate(base, volt, seed=seed, constraint_count=len(cons))
         return cert, base, volt
 
-    volt = bits_from_stages(base, _bch_stages(m, len(base.noncentral_edges)))
+    columns = _bch_columns(m, len(base.noncentral_edges))
+    bits = make_bits(base, 3 * m, dict(zip(base.noncentral_edges, columns)))
+    volt = VoltageAssignment(3 * m, base.displacement, bits)
     return verify_certificate(base, volt, seed=seed), base, volt

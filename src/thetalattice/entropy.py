@@ -61,6 +61,10 @@ class LatticeSummary:
     d6_negative: bool
     kappa: Fraction | None = None
 
+    @property
+    def sign(self) -> str:
+        return "negative" if self.d6_negative else ("zero" if self.d6 == 0 else "positive")
+
     def to_json_dict(self) -> dict:
         out = {
             "d": self.d,
@@ -70,7 +74,7 @@ class LatticeSummary:
             "theta_bar": _frac_str(self.theta_bar),
             "ratio": _frac_str(self.ratio),
             "d6": _frac_str(self.d6),
-            "sign": "negative" if self.d6_negative else ("zero" if self.d6 == 0 else "positive"),
+            "sign": self.sign,
         }
         if self.kappa is not None:
             out["kappa"] = _frac_str(self.kappa)
@@ -125,7 +129,7 @@ def summary_table(summaries: list[LatticeSummary]) -> str:
                 str(m.theta_bar),
                 str(m.ratio),
                 str(m.d6),
-                "negative" if m.d6_negative else ("zero" if m.d6 == 0 else "positive"),
+                m.sign,
             ]
         )
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]

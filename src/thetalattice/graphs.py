@@ -122,9 +122,6 @@ class LabeledGraph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

@@ -19,13 +19,16 @@ from functools import cached_property
 from typing import Mapping
 
 from . import linalg
-from .errors import DegreeTooSmall, MalformedGraph, TorusTooSmall
+from .errors import DegreeTooSmall, MalformedGraph, TooLarge, TorusTooSmall
 from .graphs import Edge, LabeledGraph, Role, VertexLabel, from_labeled_vertices
 
 Vec3 = tuple[int, int, int]
 
 ZERO3: Vec3 = (0, 0, 0)
 UNIT: dict[str, Vec3] = {"vx": (1, 0, 0), "vy": (0, 1, 0), "vz": (0, 0, 1)}
+
+# derived_cover refuses covers above this many vertices (about 1 KiB each)
+COVER_LIMIT = 1 << 20
 
 
 def vadd(a: Vec3, b: Vec3) -> Vec3:
@@ -163,13 +166,20 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     connector v* splits back into l* on its displaced edge and r* on the
     others.  At s = 0 that is the root unit graph, and in general it equals
     iterating signed 2-lifts on the root unit graph with the per-stage
-    signings.
+    signings.  TooLarge, before anything is built, when the cover could
+    have more than COVER_LIMIT vertices.
     """
     if n is not None and n <= 1:
         raise TorusTooSmall(
             "n must be >= 2: wrapping unit displacements at n=1 closes stray short cycles"
         )
     s = volt.s
+    bound = (1 if n is None else n**3) * (1 << s) * (2 * base.d + 3)
+    if bound > COVER_LIMIT:
+        raise TooLarge(
+            f"a cover with n={n}, s={s}, d={base.d} has up to {bound} vertices, "
+            f"above the limit of {COVER_LIMIT}"
+        )
     levels = [format(l, f"0{s}b")[::-1] if s else "" for l in range(1 << s)]
     cells = [ZERO3] if n is None else [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
     cell_index = {z: i for i, z in enumerate(cells)}

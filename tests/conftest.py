@@ -21,7 +21,7 @@ from thetalattice.graphs import (
     level_uint,
 )
 from thetalattice.census import CensusReport, _edge_keys, _short_cycles
-from thetalattice.certify import Constraint
+from thetalattice.certify import ConstraintSet, _word_count
 from thetalattice.errors import BudgetExhausted, MalformedGraph
 from thetalattice.voltage import ZERO3, fundamental_cycle_voltages, make_bits, vadd
 
@@ -302,40 +302,49 @@ def _cycle_mask(seq, nc_index):
     return mask
 
 
-def _canonical_cycle(seq):
-    """Rotate to the minimum vertex and fix direction by the smaller neighbor."""
-    k = len(seq)
-    i = seq.index(min(seq))
-    fwd = tuple(seq[(i + j) % k] for j in range(k))
-    rev = tuple(seq[(i - j) % k] for j in range(k))
-    return min(fwd, rev)
+def mask_ints(constraints):
+    """The masks of a ConstraintSet as Python ints, in row order."""
+    return [sum(w << (64 * k) for k, w in enumerate(row)) for row in constraints.masks.tolist()]
+
+
+def constraint_set(masks, noncentral_edges):
+    """A ConstraintSet of the given int masks, packed like constraint_cycles
+    packs them: bit j of a mask in uint64 word j // 64."""
+    words = _word_count(len(noncentral_edges))
+    packed = np.array(
+        [[m >> (64 * k) & (1 << 64) - 1 for k in range(words)] for m in masks], dtype=np.uint64
+    ).reshape(len(masks), words)
+    return ConstraintSet(tuple(noncentral_edges), packed)
+
+
+@dataclass(frozen=True)
+class ReferenceCycle:
+    vertices: tuple  # the closed walk, white first
+    mask: int  # incidence over non-central base edges
 
 
 def _constraint_cycles_reference(base, volt):
     """The constraint cycles by direct loops over white pairs x black pairs and
-    white triples x black 3-permutations, one Constraint at a time: the
-    reference oracle for `constraint_cycles`."""
+    white triples x black 3-permutations, one cycle at a time: the reference
+    oracle for `constraint_cycles`."""
     whites, blacks = base.whites, base.blacks
     t_id = next(v for v in whites if base.role_of(v).tag == "t")
     b_id = next(v for v in whites if base.role_of(v).tag == "b")
     nc_index = {e: j for j, e in enumerate(base.noncentral_edges)}
-    found = []
+    walks = []
     for w1, w2 in itertools.combinations(whites, 2):
         if {w1, w2} == {t_id, b_id}:
             continue  # every 4-cycle on the hub pair is central
-        for c1, c2 in itertools.combinations(blacks, 2):
-            seq = (w1, c1, w2, c2)
-            if _cycle_displacement(volt, seq) == ZERO3:
-                canon = _canonical_cycle(seq)
-                found.append(Constraint(4, canon, _cycle_mask(canon, nc_index)))
+        walks.extend((w1, c1, w2, c2) for c1, c2 in itertools.combinations(blacks, 2))
     for w1, w2, w3 in itertools.combinations(whites, 3):
-        for ca, cb, cc in itertools.permutations(blacks, 3):
-            seq = (w1, ca, w2, cb, w3, cc)
-            if _cycle_displacement(volt, seq) == ZERO3:
-                canon = _canonical_cycle(seq)
-                found.append(Constraint(6, canon, _cycle_mask(canon, nc_index)))
-    found.sort(key=lambda c: (c.length, c.vertices))
-    return tuple(found)
+        walks.extend(
+            (w1, ca, w2, cb, w3, cc) for ca, cb, cc in itertools.permutations(blacks, 3)
+        )
+    return tuple(
+        ReferenceCycle(seq, _cycle_mask(seq, nc_index))
+        for seq in walks
+        if _cycle_displacement(volt, seq) == ZERO3
+    )
 
 
 def _search_signings_reference(constraints, policy="greedy", max_s=40, seed=0, pool_size=64):
@@ -343,7 +352,7 @@ def _search_signings_reference(constraints, policy="greedy", max_s=40, seed=0, p
     the reference oracle for `search_signings`."""
     width = len(constraints.noncentral_edges)
     rng = random.Random(seed)
-    uncovered = [c.mask for c in constraints.constraints]
+    uncovered = mask_ints(constraints)
     stages = []
     while uncovered:
         if len(stages) >= max_s:

@@ -1,13 +1,19 @@
 """The benchmark's per-layer metrics name package functions by dotted path;
 perfbench/tracer.py wraps them by that name, and a name that no longer
 resolves reads 0 instead of failing.  These tests read the tables from the
-benchmark's source, without importing or editing it, and pin which names
-resolve."""
+benchmark's source, without editing it, pin which names resolve, and run its
+tracer around one certification."""
 
 import ast
 import importlib
+import importlib.util
 import types
 from pathlib import Path
+
+from conftest import mask_ints
+import thetalattice
+from thetalattice.certify import constraint_cycles, search_signings
+from thetalattice.voltage import build_base_graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,3 +51,35 @@ def test_per_layer_function_names_resolve():
     unresolved = {qual for qual in functions if not _traced(qual, methods)}
     assert unresolved == STALE
 
+
+
+def _load_tracer():
+    importlib.import_module("thetalattice.cli")  # the tracer wraps every layer
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_a_certification():
+    """The counters --trace 1 reports for certify(5, seed=1): the constraint
+    count, the stages, and the candidate-by-mask tests of the greedy search,
+    replayed here on the packed masks."""
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        thetalattice.certify(5, seed=1)
+    finally:
+        tracer.uninstall()
+    counts = tracer.take()[2]
+
+    cons = constraint_cycles(*build_base_graph(5))
+    uncovered = mask_ints(cons)
+    tests = 0
+    for sigma in search_signings(cons, seed=1):
+        tests += 64 * len(uncovered)
+        uncovered = [m for m in uncovered if not (sigma & m).bit_count() & 1]
+    assert not uncovered
+    assert counts["certify.constraints"] == 330
+    assert counts["certify.stages"] == 6
+    assert counts["certify.mask_tests"] == tests

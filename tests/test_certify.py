@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,18 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    _canonical_cycle,
     _constraint_cycles_reference,
+    _cycle_mask,
     _recheck_constraints_dfs_reference,
     _search_signings_reference,
+    constraint_set,
+    mask_ints,
     random_bits_voltage,
 )
 from thetalattice.census import voltage_census
 from thetalattice.certify import (
     EXPLICIT_LIMIT,
-    Constraint,
-    ConstraintSet,
-    _bch_stages,
+    _bch_columns,
     bits_from_stages,
     certify,
     constraint_count_formula,
@@ -69,45 +70,42 @@ def test_constraint_count_values():
 
 
 def test_constraints_d5_membership():
+    """Checked by mask multiplicity.  Central edges are zero in a mask, so
+    the mask of the stray 4-cycle vx-c2-t-c3 is also that of vx-c2-b-c3 and
+    of the six 6-cycles vx-c2-h-ck-h'-c3 through both hubs (k in 1, 4, 5, two
+    hub orders).  The displacement cycle c1-vx-c2-t is out, and no mask is
+    zero, so no central cycle is in."""
     base, volt = build_base_graph(5)
     ids = _ids(base)
-    vx = ids[(Role("vx"), "", (0, 0, 0))]
-    c2 = ids[(Role("c", 2), "", (0, 0, 0))]
-    c3 = ids[(Role("c", 3), "", (0, 0, 0))]
-    t = ids[(Role("t"), "", (0, 0, 0))]
-    b = ids[(Role("b"), "", (0, 0, 0))]
-    c1 = ids[(Role("c", 1), "", (0, 0, 0))]
-    vertex_sets = {c.vertices for c in cons.constraints} if (cons := constraint_cycles(base, volt)) else set()
-    # stray zero-displacement 4-cycle is in
-    assert _canonical_cycle((vx, c2, t, c3)) in vertex_sets
-    # displacement cycle is out
-    assert _canonical_cycle((c1, vx, c2, t)) not in vertex_sets
-    # central cycle is out
-    assert _canonical_cycle((t, c1, b, c2)) not in vertex_sets
+    vx, c1, c2, c3, t = (
+        ids[(Role(*role), "", (0, 0, 0))] for role in (("vx",), ("c", 1), ("c", 2), ("c", 3), ("t",))
+    )
+    nc_index = {e: j for j, e in enumerate(base.noncentral_edges)}
+    masks = Counter(mask_ints(constraint_cycles(base, volt)))
+    assert masks[_cycle_mask((vx, c2, t, c3), nc_index)] == 8
+    assert masks[_cycle_mask((c1, vx, c2, t), nc_index)] == 0
+    assert masks[0] == 0
 
 
-def test_constraints_sorted_and_masks_nonzero():
-    base, volt = build_base_graph(6)
+def _mask_rows(cons):
+    """The mask rows of a ConstraintSet, sorted, with multiplicity."""
+    return sorted(map(tuple, cons.masks.tolist()))
+
+
+def _assert_matches_reference(base, volt):
     cons = constraint_cycles(base, volt)
-    keys = [(c.length, c.vertices) for c in cons.constraints]
-    assert keys == sorted(keys)
-    assert all(c.mask for c in cons.constraints)
-
-
-def _as_tuples(constraints):
-    return [(c.length, c.vertices, c.mask) for c in constraints]
+    reference = _constraint_cycles_reference(base, volt)
+    assert cons.masks.any(axis=1).all()
+    assert _mask_rows(cons) == _mask_rows(
+        constraint_set([c.mask for c in reference], base.noncentral_edges)
+    )
 
 
 @pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 10])
 def test_constraint_cycles_match_reference(d):
-    """The array enumeration equals the one-cycle-at-a-time loops, cycles,
-    order and masks; d = 10 has 80 non-central edges, two mask words."""
-    base, volt = build_base_graph(d)
-    cons = constraint_cycles(base, volt)
-    reference = _constraint_cycles_reference(base, volt)
-    assert _as_tuples(cons.constraints) == _as_tuples(reference)
-    again = ConstraintSet.from_constraints(d, reference, base.noncentral_edges)
-    assert (again.vertices == cons.vertices).all() and (again.masks == cons.masks).all()
+    """The array enumeration finds the masks the one-cycle-at-a-time loops
+    find, each as often; d = 10 has 80 non-central edges, two mask words."""
+    _assert_matches_reference(*build_base_graph(d))
 
 
 @settings(max_examples=12, deadline=None)
@@ -118,24 +116,20 @@ def test_constraint_cycles_match_reference_unit_displacements(d, seed):
     rng = random.Random(seed)
     base, volt0 = build_base_graph(d)
     steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
-    volt = VoltageAssignment(0, steps, {})
-    cons = constraint_cycles(base, volt)
-    assert _as_tuples(cons.constraints) == _as_tuples(_constraint_cycles_reference(base, volt))
+    _assert_matches_reference(base, VoltageAssignment(0, steps, {}))
 
 
 # ---------------------------------------------------------------------------
 # signing search
 
 def test_search_empty_constraints():
-    cons = ConstraintSet.from_constraints(5, (), build_base_graph(5)[0].noncentral_edges)
+    cons = constraint_set([], build_base_graph(5)[0].noncentral_edges)
     assert search_signings(cons, seed=1) == []
 
 
 def test_search_single_constraint():
     base, _ = build_base_graph(5)
-    cons = ConstraintSet.from_constraints(
-        5, (Constraint(4, (0, 1, 2, 3), 0b101),), base.noncentral_edges
-    )
+    cons = constraint_set([0b101], base.noncentral_edges)
     stages = search_signings(cons, seed=1)
     assert len(stages) == 1
     assert (stages[0] & 0b101).bit_count() & 1
@@ -170,12 +164,12 @@ def test_random_policy_covers():
     base, volt = build_base_graph(5)
     cons = constraint_cycles(base, volt)
     stages = search_signings(cons, policy="random", max_s=40, seed=4)
-    for c in cons.constraints:
-        assert any((s & c.mask).bit_count() & 1 for s in stages)
+    for mask in mask_ints(cons):
+        assert any((s & mask).bit_count() & 1 for s in stages)
 
 
 def test_search_rejects_bad_args():
-    cons = ConstraintSet.from_constraints(5, (), build_base_graph(5)[0].noncentral_edges)
+    cons = constraint_set([], build_base_graph(5)[0].noncentral_edges)
     with pytest.raises(ValueError):
         search_signings(cons, max_s=0)
     with pytest.raises(ValueError):
@@ -225,10 +219,8 @@ def test_search_signings_match_reference_across_words(width, n, seed, pool_size)
     rng = random.Random(seed)
     masks = [rng.getrandbits(width) or 1 for _ in range(n)]
     edges = tuple((0, j) for j in range(width))
-    cons = ConstraintSet.from_constraints(
-        5, tuple(Constraint(4, (0, 1, 2, 3), m) for m in masks), edges
-    )
-    assert [c.mask for c in cons.constraints] == masks
+    cons = constraint_set(masks, edges)
+    assert mask_ints(cons) == masks
     kwargs = dict(max_s=40, seed=seed, pool_size=pool_size)
     assert _search_outcome(search_signings, cons, **kwargs) == _search_outcome(
         _search_signings_reference, cons, **kwargs
@@ -371,7 +363,6 @@ def test_coverage_semantics_cycle_by_cycle():
     d, s, n = 5, 2, 2
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed=17)
-    cons = constraint_cycles(base, volt0)
     torus = derived_cover(base, volt, n)
     tor_ids = torus.label_index()
     base_labels = base.graph.labels
@@ -407,7 +398,7 @@ def test_coverage_semantics_cycle_by_cycle():
             torus.has_edge(ids_on_walk[i], ids_on_walk[(i + 1) % k]) for i in range(k)
         ) and len(set(ids_on_walk)) == k
 
-    for c in cons.constraints:
+    for c in _constraint_cycles_reference(base, volt0):
         total = 0
         for i, u in enumerate(c.vertices):
             total ^= volt.bits(u, c.vertices[(i + 1) % len(c.vertices)])
@@ -501,11 +492,6 @@ def test_bch_certificate_ignores_seed(d):
     b, _, _ = certify(d, seed=2)
     assert a.seed == 1 and b.seed == 2
     assert dataclasses.replace(a, seed=2) == b
-
-
-def _bch_columns(m, width):
-    stages = _bch_stages(m, width)
-    return [sum((sigma >> j & 1) << i for i, sigma in enumerate(stages)) for j in range(width)]
 
 
 @pytest.mark.parametrize("m", [4, 5])

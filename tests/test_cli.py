@@ -89,6 +89,47 @@ def test_construct_kappa_100_exhausts_the_budget_at_once(tmp_path, capsys, time_
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def cert_d33(tmp_path_factory):
+    """construct --kappa 10: d = 33 on the BCH route, s = 30."""
+    path = tmp_path_factory.mktemp("certs") / "cert_d33.json"
+    assert main(["construct", "--kappa", "10", "-o", str(path)]) == 0
+    assert LiftCertificate.from_json(path.read_text()).s == 30
+    return path
+
+
+@pytest.fixture(scope="module")
+def cert_d5_s3(cert_d5, tmp_path_factory):
+    """cert_d5 cut to its first 3 stages, so verify builds the torus."""
+    data = json.loads(cert_d5.read_text())
+    data["s"], data["level_bits"] = 3, data["level_bits"][:3]
+    path = tmp_path_factory.mktemp("certs") / "cert_d5_s3.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, vertices",
+    [
+        (["embed", "{d33}", "-o", "{out}.json"], 69 * 2**30),
+        (["export", "--d", "33", "--kind", "full-unit", "--cert", "{d33}", "-o", "{out}"], 69 * 2**30),
+        (["export", "--d", "5", "--kind", "torus", "--torus-n", "100000", "-o", "{out}"], 13 * 10**15),
+        (["verify", "{d5_s3}", "--torus-n", "100000"], 13 * 2**3 * 10**15),
+    ],
+    ids=["embed", "export-full-unit", "export-torus", "verify-torus"],
+)
+def test_huge_cover_is_a_usage_error(cert_d33, cert_d5_s3, tmp_path, capsys, time_limit, argv, vertices):
+    """A cover above COVER_LIMIT vertices exits 2 with one stderr line
+    before anything is built, and writes no file."""
+    out = tmp_path / "out"
+    argv = [a.format(d33=cert_d33, d5_s3=cert_d5_s3, out=out) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: a cover with n=") and err.count("\n") == 1
+    assert f"has up to {vertices} vertices, above the limit of {2**20}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("d", [5, 10])
 def test_construct_matches_pinned_certificate(tmp_path, d):
     """construct --seed 1 writes the benchmark's pinned certificates byte for

@@ -13,13 +13,14 @@ from conftest import (
     random_bits_voltage,
     two_lift,
 )
-from thetalattice.errors import DegreeTooSmall, TorusTooSmall
+from thetalattice.errors import DegreeTooSmall, TooLarge, TorusTooSmall
 from thetalattice.graphs import (
     Role,
     VertexLabel,
     from_labeled_vertices,
     validate,
 )
+from thetalattice import voltage as voltage_module
 from thetalattice.voltage import (
     LiftCertificate,
     build_base_graph,
@@ -91,6 +92,21 @@ def test_derived_torus_rejects_n1():
     base, volt = build_base_graph(5)
     with pytest.raises(TorusTooSmall):
         derived_cover(base, volt, 1)
+
+
+@pytest.mark.parametrize("n, s", [(None, 2), (2, 1), (3, 0)])
+def test_derived_cover_limit_is_exact(monkeypatch, n, s):
+    """The bound (n^3 or 1) * 2^s * (2d + 3) may reach the limit but not pass
+    it; the torus's own vertex count is 2d per cell and level."""
+    base, volt0 = build_base_graph(5)
+    volt = volt0.with_bits(s, {})
+    bound = (1 if n is None else n**3) * (1 << s) * 13
+    monkeypatch.setattr(voltage_module, "COVER_LIMIT", bound)
+    expected = bound if n is None else bound // 13 * 10
+    assert derived_cover(base, volt, n).vertex_count == expected
+    monkeypatch.setattr(voltage_module, "COVER_LIMIT", bound - 1)
+    with pytest.raises(TooLarge, match=f"up to {bound} vertices, above the limit of {bound - 1}"):
+        derived_cover(base, volt, n)
 
 
 def test_derived_torus_zero_bits_two_components():
