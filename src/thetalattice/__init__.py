@@ -5,12 +5,10 @@ census, order-6 monomer-dimer coefficient, and exact straight-line embedding.
 
 from .census import CensusReport, brute_force_census, census, classify_c4, count_c4, count_c6, count_theta222, voltage_census
 from .certify import (
-    ConstraintSet,
     certify,
     constraint_count_formula,
-    constraint_cycles,
-    search_signings,
     verify_certificate,
+    wenger_voltage,
 )
 from .embed import Try, find_good_try, is_good_try, sample_try
 from .entropy import (
@@ -41,7 +39,6 @@ from .voltage import (
 __all__ = [
     "BaseGraph",
     "CensusReport",
-    "ConstraintSet",
     "LabeledGraph",
     "LatticeSummary",
     "LiftCertificate",
@@ -58,7 +55,6 @@ __all__ = [
     "certify",
     "classify_c4",
     "constraint_count_formula",
-    "constraint_cycles",
     "count_c4",
     "count_c6",
     "count_theta222",
@@ -70,9 +66,9 @@ __all__ = [
     "max_connected_stages",
     "min_degree_for_kappa",
     "sample_try",
-    "search_signings",
     "validate",
     "verify_certificate",
     "voltage_census",
     "voltage_group_generated",
+    "wenger_voltage",
 ]

@@ -1,31 +1,24 @@
-"""Constraint-cycle enumeration and the search for lift signings that kill
-every stray zero-voltage 4-cycle and every zero-voltage 6-cycle.
+"""The Wenger lift certificate and the routes that verify a lift voltage.
 
 A constraint is a simple base cycle of length 4 or 6 with zero net
-displacement that is not a central 4-cycle.  A stage signing sigma (a GF(2)
-vector over the non-central base edges) covers a constraint when their
-incidence overlap is odd: the cycle then doubles in length at that lift and
-can never contribute a short cycle again.  A certificate is a family
-sigma_1..sigma_s covering every constraint.
+displacement that is not a central 4-cycle.  A level-bit voltage covers it
+when the cycle's bits XOR to nonzero: the cycle then doubles in length at
+some lift stage and never closes in the derived lattice.  A certificate is
+a voltage covering every constraint.
 
-For degrees whose constraint set is too large to materialize, the stages are
-the parity-check rows of a binary BCH code of designed distance 7, which
-cover every constraint by construction, and the aggregated voltage census
-checks the same zero-voltage condition without touching individual cycles.
+certify gives every degree the same deterministic voltage, wenger_voltage,
+whose bits are the edge labels of the Wenger graphs over GF(2^r): it covers
+every constraint by a short algebraic proof, with s = 2 ceil(log2 d) stages.
+verify_certificate checks any voltage, Wenger or not, with the aggregated
+voltage census and, while the constraint set is small, a counting DFS over
+the constraint cycles.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
-from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
-import numpy as np
-
-from .census import CensusReport, _edge_keys, voltage_census
-from .errors import BudgetExhausted, DegreeTooSmall
+from .census import CensusReport, voltage_census
 from .graphs import Edge
 from .voltage import (
     BaseGraph,
@@ -35,44 +28,14 @@ from .voltage import (
     build_base_graph,
     canonical_edge_order,
     make_bits,
-    max_connected_stages,
     stage_bitstrings,
     voltage_group_generated,
 )
 
-# above this constraint count, certify() switches to the BCH route and verify
-# skips the per-cycle re-enumeration in favor of the census check
+# verify_certificate also re-counts the constraint cycles by DFS (route
+# "census+dfs") while there are at most this many; above it the census alone
+# decides
 EXPLICIT_LIMIT = 300_000
-_WORD = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class Constraint:
-    mask: int  # incidence over non-central base edges
-
-
-def _word_count(width: int) -> int:
-    return -(-width // 64)
-
-
-@dataclass(frozen=True, eq=False)
-class ConstraintSet:
-    """Constraint cycles as their edge masks: masks is n x ceil(width / 64)
-    uint64, bit j of a mask in word j // 64 for non-central edge j.  The
-    Constraint objects are built only when .constraints is read."""
-
-    noncentral_edges: tuple[Edge, ...]
-    masks: np.ndarray
-
-    @cached_property
-    def constraints(self) -> tuple[Constraint, ...]:
-        return tuple(
-            Constraint(sum(w << (64 * k) for k, w in enumerate(words)))
-            for words in self.masks.tolist()
-        )
-
-    def __len__(self) -> int:
-        return len(self.masks)
 
 
 def constraint_count_formula(d: int) -> int:
@@ -92,140 +55,6 @@ def constraint_count_formula(d: int) -> int:
         + (d - 3) * (3 * (d - 3) + 1)
     )
     return four + six
-
-
-def constraint_cycles(base: BaseGraph, volt: VoltageAssignment) -> ConstraintSet:
-    """The edge masks of all simple 4- and 6-cycles of the base with zero net
-    displacement, excluding central 4-cycles: 4-cycles first, then 6-cycles
-    one white triple at a time.
-
-    Uses the bipartite structure: a 4-cycle is a white pair with two black
-    middles, a 6-cycle a white triple i < j < k with distinct blacks on its
-    three pair slots, so each cycle is found exactly once.  Only
-    displacement voltages are consulted, as the integer codes of
-    census._edge_keys: path[i, j, c] is the code of white i -> black c ->
-    white j, and a cycle closes when its paths sum to 0.  hop[i, j, c] is
-    the packed mask of the same path, the XOR of the one-hot words of its
-    two edges (zero on a central edge), and a cycle's mask is the XOR of
-    its hops.  A non-unit edge displacement raises ValueError.
-    """
-    nw, nb = len(base.whites), len(base.blacks)
-    codes = _edge_keys(base, volt)[0].astype(np.int64)
-    path = codes[:, None, :] - codes[None, :, :]
-
-    # word[i, c]: the packed mask of the single edge white i -- black c
-    white_pos = {v: i for i, v in enumerate(base.whites)}
-    black_pos = {v: c for c, v in enumerate(base.blacks)}
-    word = np.zeros((nw, nb, _word_count(len(base.noncentral_edges))), dtype=np.uint64)
-    for j, (u, v) in enumerate(base.noncentral_edges):
-        w, c = (u, v) if u in white_pos else (v, u)
-        word[white_pos[w], black_pos[c], j // 64] = np.uint64(1) << np.uint64(j % 64)
-    hop = word[:, None] ^ word[None, :]
-
-    iu, ju = np.triu_indices(nw, 1)
-    hub_lo, hub_hi = (i for i, v in enumerate(base.whites) if base.role_of(v).tag in ("t", "b"))
-    keep = (iu != hub_lo) | (ju != hub_hi)  # every 4-cycle on the hub pair is central
-    iu, ju = iu[keep], ju[keep]
-    ca, cb = np.triu_indices(nb, 1)
-    pairs = path[iu, ju]
-    pair, mid = np.nonzero(pairs[:, ca] == pairs[:, cb])
-    i, j = iu[pair], ju[pair]
-    masks = [hop[i, j, ca[mid]] ^ hop[i, j, cb[mid]]]
-
-    slots = np.indices((nb, nb, nb))
-    distinct = (slots[0] != slots[1]) & (slots[1] != slots[2]) & (slots[0] != slots[2])
-    for i, j, k in itertools.combinations(range(nw), 3):
-        total = path[i, j][:, None, None] + path[j, k][None, :, None] + path[k, i][None, None, :]
-        a, b, c = np.nonzero((total == 0) & distinct)
-        masks.append(hop[i, j, a] ^ hop[j, k, b] ^ hop[k, i, c])
-
-    masks = np.concatenate(masks)
-    assert masks.any(axis=1).all(), "constraint cycles always use a non-central edge"
-    return ConstraintSet(base.noncentral_edges, masks)
-
-
-# uncovered masks scored against the candidate pool per block of rows
-_SCORE_ROWS = 2048
-
-
-def _pack(signings: list[int], words: int) -> np.ndarray:
-    """Signings as rows of uint64 words, bit j in word j // 64."""
-    return np.array(
-        [[sigma >> (64 * k) & _WORD for k in range(words)] for sigma in signings],
-        dtype=np.uint64,
-    )
-
-
-def _odd_overlaps(masks: np.ndarray, signings: np.ndarray) -> np.ndarray:
-    """masks x signings array, 1 where a mask and a signing overlap in an odd
-    number of edges: the parity of the popcount of the XOR of their ANDed
-    words."""
-    fold = masks[:, None, 0] & signings[None, :, 0]
-    for k in range(1, masks.shape[1]):
-        fold ^= masks[:, None, k] & signings[None, :, k]
-    return np.bitwise_count(fold) & 1
-
-
-def search_signings(
-    constraints: ConstraintSet,
-    policy: str = "greedy",
-    max_s: int = 40,
-    seed: int = 0,
-    pool_size: int = 64,
-) -> list[int]:
-    """Stage signings sigma_1..sigma_s covering every constraint.
-
-    greedy: per stage, draw pool_size uniform candidates from the seeded
-    stream in order and keep the one covering the most still-uncovered
-    constraints (ties to the lowest candidate index).  random: draw one
-    uniform vector per stage until everything is covered.
-    """
-    if max_s < 1:
-        raise ValueError("max_s must be >= 1")
-    if policy not in ("greedy", "random"):
-        raise ValueError(f"unknown policy {policy!r}")
-    if pool_size < 1:
-        raise ValueError("pool_size must be >= 1")
-    width = len(constraints.noncentral_edges)
-    words = constraints.masks.shape[1]
-    rng = random.Random(seed)
-    uncovered = constraints.masks
-    stages: list[int] = []
-    while len(uncovered):
-        if len(stages) >= max_s:
-            raise BudgetExhausted(
-                f"{len(uncovered)} constraints uncovered after {max_s} stages",
-                uncovered=len(uncovered),
-            )
-        if policy == "random":
-            sigma = rng.getrandbits(width)
-        else:
-            pool = [rng.getrandbits(width) for _ in range(pool_size)]
-            packed = _pack(pool, words)
-            covered = np.zeros(pool_size, dtype=np.int64)
-            for start in range(0, len(uncovered), _SCORE_ROWS):
-                block = uncovered[start : start + _SCORE_ROWS]
-                covered += _odd_overlaps(block, packed).sum(axis=0, dtype=np.int64)
-            sigma = pool[int(np.argmax(covered))]  # ties to the lowest index
-        stages.append(sigma)
-        uncovered = uncovered[_odd_overlaps(uncovered, _pack([sigma], words))[:, 0] == 0]
-    return stages
-
-
-def bits_from_stages(
-    base: BaseGraph, stages: list[int]
-) -> VoltageAssignment:
-    """Per-edge level-bit masks from stage vectors over non-central edges."""
-    s = len(stages)
-    bits: dict[Edge, int] = {}
-    for j, e in enumerate(base.noncentral_edges):
-        mask = 0
-        for i, sigma in enumerate(stages):
-            if (sigma >> j) & 1:
-                mask |= 1 << i
-        if mask:
-            bits[e] = mask
-    return VoltageAssignment(s, base.displacement, make_bits(base, s, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -378,69 +207,61 @@ def verify_certificate(
 # ---------------------------------------------------------------------------
 # end-to-end certification
 
-def _bch_columns(m: int, width: int) -> list[int]:
-    """The 3m-bit level masks of width < 2^m non-central edges.  Edge j gets
-    the column (alpha^j, alpha^3j, alpha^5j) of the parity-check matrix of
-    the binary BCH code of length n = 2^m - 1 and designed distance 7, alpha
-    a root of the first primitive polynomial of degree m; bit i of the
-    column is edge j's bit in stage i.  Any 1 to 6 distinct columns sum to
-    nonzero (Bose-Ray-Chaudhuri 1960, Hocquenghem 1959), and a constraint
-    cycle has 1 to 6 non-central edges, so every constraint is covered."""
-    n = (1 << m) - 1
-    for poly in range(1 << m | 1, 2 << m, 2):
-        power = [1]  # power[k] = x^k mod poly
+def wenger_voltage(base: BaseGraph) -> VoltageAssignment:
+    """The 2r-stage Wenger voltage of the base graph, r = ceil(log2 d).
+
+    Over GF(2^r), alpha a root of the first primitive polynomial of degree
+    r, the hub whites t and b get x = 0, the other d - 2 whites the distinct
+    nonzero x = alpha^0, alpha^1, ... in base.whites order, and the d blacks
+    the distinct y = 0, alpha^0, alpha^1, ... in base.blacks order.  Edge
+    (w, c) gets the level bits x*y | (x^2*y) << r.  These are the edge labels
+    of the Wenger graphs, which have no 4- or 6-cycles (R. Wenger, JCTB 52,
+    1991; Lazebnik-Ustimenko 1995).  Central edges touch a hub, whose x is
+    0, so their bits are zero.
+
+    A cycle's bits are the field sums of its edges' pairs (x*y, x^2*y): XOR
+    is addition in characteristic 2, where also a^2 + b^2 = (a + b)^2.
+    - 4-cycle w_i c_a w_j c_b: the sum is (x_i + x_j)(y_a + y_b) and
+      (x_i + x_j)^2 (y_a + y_b).  It is zero only when x_i = x_j, that is on
+      the hub pair {t, b}, and every 4-cycle there is central.
+    - 6-cycle w_1 c_1 w_2 c_2 w_3 c_3: put u = x_1 + x_2, v = x_2 + x_3,
+      A = y_1 + y_3 and B = y_2 + y_3, where A and B are nonzero because the
+      blacks are distinct.  The sum is Au + Bv and Au^2 + Bv^2.
+      - Three distinct x: u, v and u + v = x_1 + x_3 are nonzero.  A zero
+        sum needs Au = Bv and Au^2 = Bv^2; dividing gives u = v, so
+        x_1 = x_3, a contradiction.
+      - Through t and b: rotate the cycle so that x_1 = x_2 = 0.  Then
+        u = 0, v = x_3 is nonzero, and the sum is B x_3 and B x_3^2.
+    So every constraint is covered, not only the zero-displacement ones.
+    """
+    r = (base.d - 1).bit_length()
+    n = (1 << r) - 1
+    for poly in range(1 << r | 1, 2 << r, 2):
+        power = [1]  # power[k] = alpha^k, alpha a root of poly
         for _ in range(n - 1):
             x = power[-1] << 1
-            power.append(x ^ poly if x >> m else x)
-        if 1 not in power[1:]:  # x has order n: poly is primitive
+            power.append(x ^ poly if x >> r else x)
+        if 1 not in power[1:]:  # alpha has order n: poly is primitive
             break
-    return [power[j] | power[3 * j % n] << m | power[5 * j % n] << 2 * m for j in range(width)]
+    # the exponent k of x = alpha^k or y = alpha^k; the hubs and the first
+    # black are left out, their value is 0
+    hubs = {v for v in base.whites if base.role_of(v).tag in ("t", "b")}
+    log_x = dict(zip((w for w in base.whites if w not in hubs), range(n)))
+    log_y = dict(zip(base.blacks[1:], range(n)))
+    white = set(base.whites)
+    bits: dict[Edge, int] = {}
+    for e in base.graph.edges:
+        w, c = e if e[0] in white else e[::-1]
+        if w in log_x and c in log_y:
+            i, j = log_x[w], log_y[c]
+            bits[e] = power[(i + j) % n] | power[(2 * i + j) % n] << r
+    return VoltageAssignment(2 * r, base.displacement, make_bits(base, 2 * r, bits))
 
 
-def certify(
-    d: int,
-    max_s: int = 40,
-    seed: int = 0,
-    pool_size: int = 64,
-    explicit_limit: int = EXPLICIT_LIMIT,
-) -> tuple[LiftCertificate, BaseGraph, VoltageAssignment]:
-    """Build the base graph, find a covering lift sequence, and verify it.
-
-    Greedy search over the explicit constraint set when it fits under
-    explicit_limit.  Above it, the 3m stages of _bch_columns, with m the
-    smallest degree with 2^m - 1 >= d^2 - 2d (the non-central edge count):
-    no search, and the same stages for every seed.  BudgetExhausted when the
-    greedy search needs more than max_s stages, or, before anything is
-    built, when 3m is above max_s or max_connected_stages(d).
-    """
-    if max_s < 1:
-        raise ValueError("max_s must be >= 1")
-    if pool_size < 1:  # checked here too: the BCH route never searches
-        raise ValueError("pool_size must be >= 1")
-    if d < 5:
-        raise DegreeTooSmall(f"construction requires d >= 5, got {d}")
-    expected = constraint_count_formula(d)
-    explicit = expected <= explicit_limit
-    m = (d * d - 2 * d).bit_length()
-    if not explicit and 3 * m > min(max_s, max_connected_stages(d)):
-        raise BudgetExhausted(
-            f"d={d} needs s={3 * m} BCH stages, above max_s={max_s} or the "
-            f"{max_connected_stages(d)} stages a connected lattice allows",
-            uncovered=expected,
-        )
-    base, volt0 = build_base_graph(d)
-    if explicit:
-        cons = constraint_cycles(base, volt0)
-        if len(cons) != expected:
-            raise AssertionError(
-                f"constraint enumeration mismatch: {len(cons)} != formula {expected}"
-            )
-        stages = search_signings(cons, max_s=max_s, seed=seed, pool_size=pool_size)
-        volt = bits_from_stages(base, stages)
-        cert = verify_certificate(base, volt, seed=seed, constraint_count=len(cons))
-        return cert, base, volt
-
-    columns = _bch_columns(m, len(base.noncentral_edges))
-    bits = make_bits(base, 3 * m, dict(zip(base.noncentral_edges, columns)))
-    volt = VoltageAssignment(3 * m, base.displacement, bits)
+def certify(d: int, seed: int = 0) -> tuple[LiftCertificate, BaseGraph, VoltageAssignment]:
+    """Build the base graph, give it the Wenger voltage and verify it.  The
+    voltage is the same for every seed, which is only recorded in the
+    certificate.  DegreeTooSmall below d = 5."""
+    base, _ = build_base_graph(d)
+    volt = wenger_voltage(base)
     return verify_certificate(base, volt, seed=seed), base, volt

@@ -1,8 +1,12 @@
-"""Command-line front end: seeded, reproducible construction, verification,
-census, reporting, embedding and export.
+"""Command-line front end: deterministic construction, verification,
+census, reporting, seeded embedding, and export.
 
-Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
-3 search budget exhausted.
+construct builds the Wenger certificate of a degree (certify.wenger_voltage):
+the same stages for every seed, with --seed only recorded in the file.
+embed samples its placements from --seed.
+
+Exit codes: 0 success/verified, 1 verification failure, 2 usage error
+(including an input too large to build), 3 embed attempts exhausted.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .census import voltage_census
 from .certify import certify as run_certify
 from .certify import verification_route, verify_certificate
 from .embed import (
+    EMBED_EDGE_LIMIT,
     check_embedding_properties,
     find_good_try,
     try_to_json_dict,
@@ -32,7 +37,6 @@ from .entropy import (
 )
 from .errors import (
     AttemptsExhausted,
-    BudgetExhausted,
     DegreeTooSmall,
     GridTooCoarse,
     InvalidCertificate,
@@ -47,7 +51,7 @@ from .graphs import (
     graph_to_dot,
     graph_to_json,
 )
-from .voltage import LiftCertificate, build_base_graph, derived_cover
+from .voltage import LiftCertificate, build_base_graph, check_cover_size, derived_cover
 
 _USAGE_ERRORS = (
     DegreeTooSmall,
@@ -94,11 +98,7 @@ def _cmd_construct(args) -> int:
     else:
         d = args.d
     t0 = time.perf_counter()
-    try:
-        cert, _, _ = run_certify(d, max_s=args.max_s, seed=args.seed, pool_size=args.pool_size)
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
+    cert, _, _ = run_certify(d, seed=args.seed)
     elapsed = time.perf_counter() - t0
     out = args.output or f"cert_d{d}.json"
     _write(out, cert.to_json())
@@ -121,6 +121,18 @@ def _cmd_verify(args) -> int:
     report = voltage_census(base, volt)
     fresh = verify_certificate(base, volt, seed=cert.seed, report=report)
     route = verification_route(cert.d)
+    # the torus is built before the first line is printed, so a torus too
+    # large to build is refused with no partial report
+    torus_ok = None
+    if cert.s <= 3:
+        explicit = census_of_graph(derived_cover(base, volt, args.torus_n))
+        n3 = args.torus_n**3
+        torus_ok = (
+            explicit.c4_total == n3 * report.c4_total
+            and explicit.c4_stray == n3 * report.c4_stray
+            and explicit.c6 == n3 * report.c6
+            and explicit.theta222 == n3 * report.theta222
+        )
     print(f"certificate: d={cert.d} s={cert.s} seed={cert.seed}")
     print(f"route: {route}")
     note = "" if route == "census+dfs" else " (closed-form value, not enumerated)"
@@ -133,18 +145,9 @@ def _cmd_verify(args) -> int:
             f"recomputed {fresh.constraint_count}"
         )
         ok = False
-    if cert.s <= 3:
-        torus = derived_cover(base, volt, args.torus_n)
-        explicit = census_of_graph(torus)
-        n3 = args.torus_n**3
-        match = (
-            explicit.c4_total == n3 * report.c4_total
-            and explicit.c4_stray == n3 * report.c4_stray
-            and explicit.c6 == n3 * report.c6
-            and explicit.theta222 == n3 * report.theta222
-        )
-        print(f"explicit torus cross-check at n={args.torus_n}: {'PASS' if match else 'FAIL'}")
-        ok = ok and match
+    if torus_ok is not None:
+        print(f"explicit torus cross-check at n={args.torus_n}: {'PASS' if torus_ok else 'FAIL'}")
+        ok = ok and torus_ok
     if ok:
         print(summary_table([_summary_of_census(cert, report)]))
     print(f"elapsed: {time.perf_counter() - t0:.1f}s")
@@ -175,6 +178,14 @@ def _cmd_report(args) -> int:
 def _cmd_embed(args) -> int:
     cert = LiftCertificate.from_json(Path(args.certificate).read_text())
     base, volt = _truncated_voltage(cert, args.trunc_s)
+    # the cover bound first, so a cover too large to build is reported as such
+    check_cover_size(cert.d, volt.s)
+    edges = (1 << volt.s) * cert.d**2
+    if edges > EMBED_EDGE_LIMIT:
+        raise TooLarge(
+            f"embedding d={cert.d}, s={volt.s} means checking {edges} edges, above the "
+            f"limit of {EMBED_EDGE_LIMIT}; cut the certificate with --trunc-s"
+        )
     fug = derived_cover(base, volt)
     resolution = _parse_rational(args.grid_resolution)
     try:
@@ -235,13 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="search for a certified lift sequence")
+    p = sub.add_parser("construct", help="build and verify the Wenger lift certificate")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--d", type=int, help="regularity degree (>= 5)")
     group.add_argument("--kappa", help="target ratio; picks the minimal degree")
-    p.add_argument("--max-s", type=int, default=40, dest="max_s")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool-size", type=int, default=64, dest="pool_size")
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="recorded in the certificate's seed field; the stages are the same for every seed",
+    )
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_construct)
 
@@ -297,9 +309,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidCertificate as exc:
         print(f"invalid certificate: {exc}", file=sys.stderr)
         return 1
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

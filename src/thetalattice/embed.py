@@ -34,6 +34,10 @@ DEFAULT_RESOLUTION = Fraction(1, 2**20)
 # block coordinates (up to two more units of shift) far below is_good_try's
 # 2^53 limit.
 _MAX_GRID_DENOMINATOR = 2**40
+# embed refuses full unit graphs with more edges than this: is_good_try is
+# quadratic in the edge count, and the 102,400 edges of d = 10, s = 10 took
+# 365 s on a 2-vCPU VM
+EMBED_EDGE_LIMIT = 1 << 17
 
 # role tag -> (x-interval, y-interval, z-interval); lx/ly/lz are derived
 _BOXES = {

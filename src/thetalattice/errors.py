@@ -18,14 +18,6 @@ class TooLarge(ValueError):
     """Input exceeds an enumeration guard."""
 
 
-class BudgetExhausted(RuntimeError):
-    """A search ran out of stages/attempts before covering everything."""
-
-    def __init__(self, message: str, uncovered: int = 0):
-        super().__init__(message)
-        self.uncovered = uncovered
-
-
 class GridTooCoarse(ValueError):
     """The sampling grid has no usable points inside the required open boxes."""
 

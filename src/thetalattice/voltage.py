@@ -155,6 +155,18 @@ def make_bits(base: BaseGraph, s: int, level_bits: Mapping[Edge, int]) -> dict[E
     return out
 
 
+def check_cover_size(d: int, s: int, n: int | None = None) -> None:
+    """TooLarge when the degree-d cover of derived_cover with s stages and
+    torus side n (None: the full unit graph) could have more than
+    COVER_LIMIT vertices, bounded as (n^3 or 1) * 2^s * (2d + 3)."""
+    bound = (1 if n is None else n**3) * (1 << s) * (2 * d + 3)
+    if bound > COVER_LIMIT:
+        raise TooLarge(
+            f"a cover with n={n}, s={s}, d={d} has up to {bound} vertices, "
+            f"above the limit of {COVER_LIMIT}"
+        )
+
+
 def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None) -> LabeledGraph:
     """An explicit quotient of the derived cover, on cells x GF(2)^s.
 
@@ -167,19 +179,14 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     others.  At s = 0 that is the root unit graph, and in general it equals
     iterating signed 2-lifts on the root unit graph with the per-stage
     signings.  TooLarge, before anything is built, when the cover could
-    have more than COVER_LIMIT vertices.
+    have more than COVER_LIMIT vertices (check_cover_size).
     """
     if n is not None and n <= 1:
         raise TorusTooSmall(
             "n must be >= 2: wrapping unit displacements at n=1 closes stray short cycles"
         )
     s = volt.s
-    bound = (1 if n is None else n**3) * (1 << s) * (2 * base.d + 3)
-    if bound > COVER_LIMIT:
-        raise TooLarge(
-            f"a cover with n={n}, s={s}, d={base.d} has up to {bound} vertices, "
-            f"above the limit of {COVER_LIMIT}"
-        )
+    check_cover_size(base.d, s, n)
     levels = [format(l, f"0{s}b")[::-1] if s else "" for l in range(1 << s)]
     cells = [ZERO3] if n is None else [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
     cell_index = {z: i for i, z in enumerate(cells)}

@@ -21,8 +21,7 @@ from thetalattice.graphs import (
     level_uint,
 )
 from thetalattice.census import CensusReport, _edge_keys, _short_cycles
-from thetalattice.certify import ConstraintSet, _word_count
-from thetalattice.errors import BudgetExhausted, MalformedGraph
+from thetalattice.errors import MalformedGraph
 from thetalattice.voltage import ZERO3, fundamental_cycle_voltages, make_bits, vadd
 
 
@@ -63,6 +62,35 @@ def random_bits_voltage(base, volt0, s, seed):
     rng = random.Random(seed)
     bits = {e: rng.getrandbits(s) for e in base.noncentral_edges}
     return volt0.with_bits(s, make_bits(base, s, bits))
+
+
+def bch_columns(m, width):
+    """The 3m-bit level masks of width < 2^m non-central edges.  Edge j gets
+    the column (alpha^j, alpha^3j, alpha^5j) of the parity-check matrix of
+    the binary BCH code of length n = 2^m - 1 and designed distance 7, alpha
+    a root of the first primitive polynomial of degree m; bit i of the
+    column is edge j's bit in stage i.  Any 1 to 6 distinct columns sum to
+    nonzero (Bose-Ray-Chaudhuri 1960, Hocquenghem 1959), and a constraint
+    cycle has 1 to 6 non-central edges, so every constraint is covered."""
+    n = (1 << m) - 1
+    for poly in range(1 << m | 1, 2 << m, 2):
+        power = [1]  # power[k] = x^k mod poly
+        for _ in range(n - 1):
+            x = power[-1] << 1
+            power.append(x ^ poly if x >> m else x)
+        if 1 not in power[1:]:  # x has order n: poly is primitive
+            break
+    return [power[j] | power[3 * j % n] << m | power[5 * j % n] << 2 * m for j in range(width)]
+
+
+def bch_voltage(base, volt0):
+    """A covering voltage that is not a Wenger voltage: the 3m stages of
+    bch_columns, m the smallest degree with 2^m - 1 >= d^2 - 2d (the
+    non-central edge count)."""
+    width = len(base.noncentral_edges)
+    m = width.bit_length()
+    bits = dict(zip(base.noncentral_edges, bch_columns(m, width)))
+    return volt0.with_bits(3 * m, make_bits(base, 3 * m, bits))
 
 
 TIME_LIMIT_S = 30
@@ -302,21 +330,6 @@ def _cycle_mask(seq, nc_index):
     return mask
 
 
-def mask_ints(constraints):
-    """The masks of a ConstraintSet as Python ints, in row order."""
-    return [sum(w << (64 * k) for k, w in enumerate(row)) for row in constraints.masks.tolist()]
-
-
-def constraint_set(masks, noncentral_edges):
-    """A ConstraintSet of the given int masks, packed like constraint_cycles
-    packs them: bit j of a mask in uint64 word j // 64."""
-    words = _word_count(len(noncentral_edges))
-    packed = np.array(
-        [[m >> (64 * k) & (1 << 64) - 1 for k in range(words)] for m in masks], dtype=np.uint64
-    ).reshape(len(masks), words)
-    return ConstraintSet(tuple(noncentral_edges), packed)
-
-
 @dataclass(frozen=True)
 class ReferenceCycle:
     vertices: tuple  # the closed walk, white first
@@ -326,7 +339,8 @@ class ReferenceCycle:
 def _constraint_cycles_reference(base, volt):
     """The constraint cycles by direct loops over white pairs x black pairs and
     white triples x black 3-permutations, one cycle at a time: the reference
-    oracle for `constraint_cycles`."""
+    oracle for the constraint counts of `recheck_constraints_dfs` and
+    `constraint_count_formula`."""
     whites, blacks = base.whites, base.blacks
     t_id = next(v for v in whites if base.role_of(v).tag == "t")
     b_id = next(v for v in whites if base.role_of(v).tag == "b")
@@ -345,34 +359,6 @@ def _constraint_cycles_reference(base, volt):
         for seq in walks
         if _cycle_displacement(volt, seq) == ZERO3
     )
-
-
-def _search_signings_reference(constraints, policy="greedy", max_s=40, seed=0, pool_size=64):
-    """Greedy or random stage signings scored one Python-int mask at a time:
-    the reference oracle for `search_signings`."""
-    width = len(constraints.noncentral_edges)
-    rng = random.Random(seed)
-    uncovered = mask_ints(constraints)
-    stages = []
-    while uncovered:
-        if len(stages) >= max_s:
-            raise BudgetExhausted(
-                f"{len(uncovered)} constraints uncovered after {max_s} stages",
-                uncovered=len(uncovered),
-            )
-        if policy == "random":
-            sigma = rng.getrandbits(width)
-        else:
-            best_sigma, best_cov = 0, -1
-            for _ in range(pool_size):
-                cand = rng.getrandbits(width)
-                cov = sum(1 for m in uncovered if (cand & m).bit_count() & 1)
-                if cov > best_cov:
-                    best_sigma, best_cov = cand, cov
-            sigma = best_sigma
-        stages.append(sigma)
-        uncovered = [m for m in uncovered if not (sigma & m).bit_count() & 1]
-    return stages
 
 
 def _recheck_constraints_dfs_reference(base, volt):

@@ -10,16 +10,21 @@ import importlib.util
 import types
 from pathlib import Path
 
-from conftest import mask_ints
 import thetalattice
-from thetalattice.certify import constraint_cycles, search_signings
-from thetalattice.voltage import build_base_graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# renamed away when derived_cover replaced both builders; the benchmark
-# still names them until its next change
-STALE = {"voltage.derived_torus", "voltage.full_unit_graph"}
+# renamed away when derived_cover replaced both builders, and removed with
+# the greedy search and its constraint enumeration when the Wenger voltage
+# became the one construction; the benchmark still names them until its next
+# change
+STALE = {
+    "voltage.derived_torus",
+    "voltage.full_unit_graph",
+    "certify.constraint_cycles",
+    "certify.search_signings",
+    "certify.bits_from_stages",
+}
 
 
 def _literal(path, name):
@@ -62,9 +67,9 @@ def _load_tracer():
 
 
 def test_tracer_counts_a_certification():
-    """The counters --trace 1 reports for certify(5, seed=1): the constraint
-    count, the stages, and the candidate-by-mask tests of the greedy search,
-    replayed here on the packed masks."""
+    """The counters --trace 1 reports for certify(5, seed=1): one
+    verification with one DFS re-check, and none of the counters of the
+    removed constraint enumeration and greedy search."""
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -72,14 +77,7 @@ def test_tracer_counts_a_certification():
     finally:
         tracer.uninstall()
     counts = tracer.take()[2]
-
-    cons = constraint_cycles(*build_base_graph(5))
-    uncovered = mask_ints(cons)
-    tests = 0
-    for sigma in search_signings(cons, seed=1):
-        tests += 64 * len(uncovered)
-        uncovered = [m for m in uncovered if not (sigma & m).bit_count() & 1]
-    assert not uncovered
-    assert counts["certify.constraints"] == 330
-    assert counts["certify.stages"] == 6
-    assert counts["certify.mask_tests"] == tests
+    assert counts["certify.verify_certificate"] == 1
+    assert counts["certify.recheck_constraints_dfs"] == 1
+    for stale in ("certify.constraints", "certify.stages", "certify.mask_tests"):
+        assert counts[stale] == 0

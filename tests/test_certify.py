@@ -14,25 +14,20 @@ from conftest import (
     _constraint_cycles_reference,
     _cycle_mask,
     _recheck_constraints_dfs_reference,
-    _search_signings_reference,
-    constraint_set,
-    mask_ints,
+    bch_columns,
+    bch_voltage,
     random_bits_voltage,
 )
 from thetalattice.census import voltage_census
 from thetalattice.certify import (
     EXPLICIT_LIMIT,
-    _bch_columns,
-    bits_from_stages,
     certify,
     constraint_count_formula,
-    constraint_cycles,
     recheck_constraints_dfs,
-    search_signings,
     verification_route,
     verify_certificate,
+    wenger_voltage,
 )
-from thetalattice.errors import BudgetExhausted
 from thetalattice.graphs import Role
 from thetalattice.voltage import (
     LiftCertificate,
@@ -57,9 +52,10 @@ def _ids(base):
 
 @pytest.mark.parametrize("d", [5, 6, 7, 8])
 def test_constraint_count_matches_formula(d):
+    """The one-cycle-at-a-time enumeration finds as many constraints as the
+    closed form counts."""
     base, volt = build_base_graph(d)
-    cons = constraint_cycles(base, volt)
-    assert len(cons) == constraint_count_formula(d)
+    assert len(_constraint_cycles_reference(base, volt)) == constraint_count_formula(d)
 
 
 def test_constraint_count_values():
@@ -81,150 +77,10 @@ def test_constraints_d5_membership():
         ids[(Role(*role), "", (0, 0, 0))] for role in (("vx",), ("c", 1), ("c", 2), ("c", 3), ("t",))
     )
     nc_index = {e: j for j, e in enumerate(base.noncentral_edges)}
-    masks = Counter(mask_ints(constraint_cycles(base, volt)))
+    masks = Counter(c.mask for c in _constraint_cycles_reference(base, volt))
     assert masks[_cycle_mask((vx, c2, t, c3), nc_index)] == 8
     assert masks[_cycle_mask((c1, vx, c2, t), nc_index)] == 0
     assert masks[0] == 0
-
-
-def _mask_rows(cons):
-    """The mask rows of a ConstraintSet, sorted, with multiplicity."""
-    return sorted(map(tuple, cons.masks.tolist()))
-
-
-def _assert_matches_reference(base, volt):
-    cons = constraint_cycles(base, volt)
-    reference = _constraint_cycles_reference(base, volt)
-    assert cons.masks.any(axis=1).all()
-    assert _mask_rows(cons) == _mask_rows(
-        constraint_set([c.mask for c in reference], base.noncentral_edges)
-    )
-
-
-@pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 10])
-def test_constraint_cycles_match_reference(d):
-    """The array enumeration finds the masks the one-cycle-at-a-time loops
-    find, each as often; d = 10 has 80 non-central edges, two mask words."""
-    _assert_matches_reference(*build_base_graph(d))
-
-
-@settings(max_examples=12, deadline=None)
-@given(st.integers(min_value=5, max_value=9), st.integers(min_value=0, max_value=10**6))
-def test_constraint_cycles_match_reference_unit_displacements(d, seed):
-    """Every non-central edge a random unit step in {-1,0,1}^3, so 6-cycle
-    sums reach the +-6 the displacement codes must keep apart."""
-    rng = random.Random(seed)
-    base, volt0 = build_base_graph(d)
-    steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
-    _assert_matches_reference(base, VoltageAssignment(0, steps, {}))
-
-
-# ---------------------------------------------------------------------------
-# signing search
-
-def test_search_empty_constraints():
-    cons = constraint_set([], build_base_graph(5)[0].noncentral_edges)
-    assert search_signings(cons, seed=1) == []
-
-
-def test_search_single_constraint():
-    base, _ = build_base_graph(5)
-    cons = constraint_set([0b101], base.noncentral_edges)
-    stages = search_signings(cons, seed=1)
-    assert len(stages) == 1
-    assert (stages[0] & 0b101).bit_count() & 1
-
-
-def test_search_d5_greedy_certifies(certified):
-    cert, base, volt, _ = certified(5)
-    assert cert.s <= 40
-    assert cert.flags.all_true
-
-
-def test_search_budget_exhausted():
-    base, volt = build_base_graph(5)
-    cons = constraint_cycles(base, volt)
-    with pytest.raises(BudgetExhausted) as exc:
-        search_signings(cons, max_s=3, seed=1)
-    assert exc.value.uncovered > 0
-
-
-def test_search_deterministic():
-    base, volt = build_base_graph(5)
-    cons = constraint_cycles(base, volt)
-    a = search_signings(cons, policy="greedy", seed=9)
-    b = search_signings(cons, policy="greedy", seed=9)
-    assert a == b
-    c = search_signings(cons, policy="random", seed=9)
-    d_ = search_signings(cons, policy="random", seed=9)
-    assert c == d_
-
-
-def test_random_policy_covers():
-    base, volt = build_base_graph(5)
-    cons = constraint_cycles(base, volt)
-    stages = search_signings(cons, policy="random", max_s=40, seed=4)
-    for mask in mask_ints(cons):
-        assert any((s & mask).bit_count() & 1 for s in stages)
-
-
-def test_search_rejects_bad_args():
-    cons = constraint_set([], build_base_graph(5)[0].noncentral_edges)
-    with pytest.raises(ValueError):
-        search_signings(cons, max_s=0)
-    with pytest.raises(ValueError):
-        search_signings(cons, policy="exhaustive")
-    for pool_size in (0, -1):
-        with pytest.raises(ValueError, match="pool_size must be >= 1"):
-            search_signings(cons, pool_size=pool_size)
-
-
-def _search_outcome(search, cons, **kwargs):
-    try:
-        return search(cons, **kwargs)
-    except BudgetExhausted as exc:
-        return ("budget exhausted", str(exc), exc.uncovered)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(min_value=5, max_value=7),
-    st.integers(min_value=0, max_value=10**6),
-    st.sampled_from([1, 2, 64]),
-    st.sampled_from(["greedy", "random"]),
-    st.integers(min_value=1, max_value=12),
-)
-def test_search_signings_match_reference(d, seed, pool_size, policy, max_s):
-    """Same stages from the same seeded stream as the one-mask-at-a-time
-    scorer, or the same BudgetExhausted with the same uncovered count."""
-    base, volt = build_base_graph(d)
-    cons = constraint_cycles(base, volt)
-    kwargs = dict(policy=policy, max_s=max_s, seed=seed, pool_size=pool_size)
-    assert _search_outcome(search_signings, cons, **kwargs) == _search_outcome(
-        _search_signings_reference, cons, **kwargs
-    )
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from([1, 63, 64, 65, 80, 150]),
-    st.integers(min_value=1, max_value=3000),
-    st.integers(min_value=0, max_value=10**6),
-    st.sampled_from([1, 2, 64]),
-)
-@example(width=150, n=4500, seed=1, pool_size=64)  # three words, three scoring blocks
-def test_search_signings_match_reference_across_words(width, n, seed, pool_size):
-    """Random nonzero masks at widths on both sides of the 64-bit word
-    boundaries, up to more rows than one scoring block."""
-    rng = random.Random(seed)
-    masks = [rng.getrandbits(width) or 1 for _ in range(n)]
-    edges = tuple((0, j) for j in range(width))
-    cons = constraint_set(masks, edges)
-    assert mask_ints(cons) == masks
-    kwargs = dict(max_s=40, seed=seed, pool_size=pool_size)
-    assert _search_outcome(search_signings, cons, **kwargs) == _search_outcome(
-        _search_signings_reference, cons, **kwargs
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +103,9 @@ def test_verify_certified_d5_passes(certified):
 
 def test_verify_tampered_stage_fails(certified):
     cert, base, volt, _ = certified(5)
-    stages = []
-    for i in range(volt.s):
-        mask = 0
-        for j, e in enumerate(base.noncentral_edges):
-            if (volt.level_bits.get(e, 0) >> i) & 1:
-                mask |= 1 << j
-        stages.append(mask)
-    stages[0] = 0  # zero one signing
-    tampered = bits_from_stages(base, stages)
+    # zero one signing: clear stage 0 on every edge
+    cleared = {e: m & ~1 for e, m in volt.level_bits.items()}
+    tampered = volt.with_bits(volt.s, make_bits(base, volt.s, cleared))
     fresh = verify_certificate(base, tampered, seed=cert.seed)
     assert not fresh.flags.all_true
 
@@ -295,7 +145,7 @@ def test_recheck_dfs_matches_enumeration_unit_displacements(d, s, seed):
     steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
     volt = VoltageAssignment(s, steps, bits)
     n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
-    assert n_cons == len(constraint_cycles(base, volt))
+    assert n_cons == len(_constraint_cycles_reference(base, volt))
     vc = voltage_census(base, volt)
     assert (vc.c4_stray >> s, vc.c6 >> s) == (bad4, bad6)
 
@@ -433,41 +283,9 @@ def test_certify_reports_constraint_count(certified):
     assert cert.constraint_count == 74340
 
 
-def test_certify_budget_exhausted():
-    with pytest.raises(BudgetExhausted):
-        certify(5, max_s=3, seed=1)
-
-
-def test_bch_route_budget_reports_uncovered_cycles(monkeypatch):
-    """When the BCH route's 3m stages exceed max_s or the connectivity
-    ceiling, BudgetExhausted comes before the base graph is built, and no
-    constraint is covered: uncovered is the closed-form count."""
-
-    def no_build(d):
-        raise AssertionError("certify built the base graph")
-
-    monkeypatch.setattr(certify_module, "build_base_graph", no_build)
-    # 3m = 18 > max_s = 17; 12 > max_connected_stages(5) = 9; 51 > 40
-    for d, max_s in [(8, 17), (5, 40), (303, 40)]:
-        with pytest.raises(BudgetExhausted, match=f"d={d} needs s=") as exc:
-            certify(d, max_s=max_s, explicit_limit=0)
-        assert exc.value.uncovered == constraint_count_formula(d)
-
-
 def test_verification_route():
     assert verification_route(12) == "census+dfs"
     assert verification_route(13) == "census-only"
-
-
-def test_certify_bch_route_small_limit():
-    """Force the census-verified BCH route on a small degree."""
-    cert, base, volt = certify(6, seed=2, explicit_limit=100)
-    assert cert.flags.all_true
-    assert cert.s == 15
-    assert cert.constraint_count == constraint_count_formula(6)
-    # independent explicit recheck of the BCH-route result
-    n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
-    assert (n_cons, bad4, bad6) == (constraint_count_formula(6), 0, 0)
 
 
 def test_certified_s_matches_stage_count(certified):
@@ -476,22 +294,104 @@ def test_certified_s_matches_stage_count(certified):
         assert cert.s == volt.s == len(cert.stage_bits)
 
 
-@pytest.mark.parametrize("d, s", [(13, 24), (14, 24), (16, 24), (17, 24), (20, 27), (33, 30)])
-def test_certify_routes_bch_above_limit(d, s):
-    """Past the explicit-constraint limit certify takes the BCH route: s = 3m
-    with 2^m - 1 >= d^2 - 2d, verified by the census alone."""
+@pytest.mark.parametrize("d", [5, 8, 9, 10, 12, 13, 16, 17, 20, 32, 33])
+def test_certify_wenger_stages(d):
+    """One route at every degree: s = 2 ceil(log2 d) stages and every flag
+    true, decided by census and DFS up to d = 12 and by the census alone
+    above.  s steps up after d = 8, 16 and 32."""
     cert, base, volt = certify(d)
+    r = (d - 1).bit_length()
+    assert 2 ** (r - 1) < d <= 2**r
+    assert cert.s == volt.s == 2 * r <= max_connected_stages(d)
     assert cert.flags.all_true
-    assert cert.constraint_count == constraint_count_formula(d) > EXPLICIT_LIMIT
-    assert cert.s == s == 3 * (d * d - 2 * d).bit_length() <= max_connected_stages(d)
+    assert cert.constraint_count == constraint_count_formula(d)
+    assert verification_route(d) == ("census+dfs" if d <= 12 else "census-only")
 
 
-@pytest.mark.parametrize("d", [13, 33])
-def test_bch_certificate_ignores_seed(d):
+@pytest.mark.parametrize("d", [5, 13, 33])
+def test_certify_ignores_seed(d):
     a, _, _ = certify(d, seed=1)
     b, _, _ = certify(d, seed=2)
     assert a.seed == 1 and b.seed == 2
     assert dataclasses.replace(a, seed=2) == b
+
+
+def _gf_mul(a, b, poly, r):
+    """a * b in GF(2^r) = GF(2)[x] / poly: a carry-less product, reduced as
+    it grows."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> r:
+            a ^= poly
+    return out
+
+
+def _wenger_label(x, y, poly, r):
+    return _gf_mul(x, y, poly, r) | _gf_mul(_gf_mul(x, x, poly, r), y, poly, r) << r
+
+
+# the first primitive polynomials of degrees 3 to 6: x^3 + x + 1,
+# x^4 + x + 1, x^5 + x^2 + 1 and x^6 + x + 1
+_PRIMITIVE = {3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_wenger_labels_cover_every_short_cycle(r):
+    """The proof in wenger_voltage's docstring by brute force, with a field
+    multiply of its own.  Rows x = 0, 0, 1, ..., q - 1 and columns
+    y = 0, ..., q - 1 (q = 2^r), edge (x, y) labelled (x y, x^2 y): this
+    K_{q+1,q} holds every base graph that r serves.  Every 4-cycle and every
+    6-cycle has a nonzero label sum, except the 4-cycles on the two x = 0
+    rows."""
+    poly, q = _PRIMITIVE[r], 1 << r
+    assert all(any(_gf_mul(x, y, poly, r) == 1 for y in range(1, q)) for x in range(1, q))
+    xs = [0, 0, *range(1, q)]
+    label = np.array([[_wenger_label(x, y, poly, r) for y in range(q)] for x in xs])
+    # path[i, j, a]: the label sum of row i -> column a -> row j
+    path = label[:, None, :] ^ label[None, :, :]
+    i, j = np.triu_indices(len(xs), 1)
+    a, b = np.triu_indices(q, 1)
+    four = path[i, j][:, a] ^ path[i, j][:, b]
+    hub = (i == 0) & (j == 1)
+    assert (four[hub] == 0).all() and four[~hub].all()
+    ti, tj, tk = np.array(list(itertools.combinations(range(len(xs)), 3))).T
+    six = path[ti, tj][:, :, None, None] ^ path[tj, tk][:, None, :, None] ^ path[tk, ti][:, None, None, :]
+    ca, cb, cc = np.indices((q, q, q))
+    assert six[:, (ca != cb) & (cb != cc) & (ca != cc)].all()
+
+
+@pytest.mark.parametrize("d", [5, 8, 9, 16, 17, 33])
+def test_wenger_voltage_follows_the_rule(d):
+    """The builder's bits are the labels of the rule: x = 0 on the hubs,
+    alpha^0, alpha^1, ... on the other whites in order, y = 0, alpha^0, ...
+    on the blacks in order, alpha = x a root of the primitive polynomial."""
+    base, _ = build_base_graph(d)
+    volt = wenger_voltage(base)
+    r = (d - 1).bit_length()
+    poly = _PRIMITIVE[r]
+    powers = [1]
+    for _ in range(2**r):
+        powers.append(_gf_mul(powers[-1], 2, poly, r))
+    others = [w for w in base.whites if base.role_of(w).tag not in ("t", "b")]
+    x = {w: powers[k] for k, w in enumerate(others)}
+    y = {c: 0 if k == 0 else powers[k - 1] for k, c in enumerate(base.blacks)}
+    assert volt.s == 2 * r
+    for w in base.whites:
+        for c in base.blacks:
+            assert volt.bits(w, c) == _wenger_label(x.get(w, 0), y[c], poly, r), (w, c)
+
+
+@pytest.mark.parametrize("d", range(6, 17))
+def test_wenger_voltage_passes_dfs_recheck(d):
+    """The DFS finds every constraint covered by the Wenger stages; for
+    d >= 13 it is a second route beside the census that certify ran."""
+    cert, base, volt = certify(d)
+    assert cert.s == 2 * (d - 1).bit_length()
+    assert recheck_constraints_dfs(base, volt) == (constraint_count_formula(d), 0, 0)
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -499,7 +399,7 @@ def test_bch_columns_have_distance_7(m):
     """Brute force over all 2^m - 1 columns: every set of 1 to 6 distinct
     columns XORs to nonzero."""
     n = (1 << m) - 1
-    columns = np.array(_bch_columns(m, n), dtype=np.int64)
+    columns = np.array(bch_columns(m, n), dtype=np.int64)
     assert len(set(columns.tolist())) == n and columns.max() < 1 << 3 * m
     for k in range(1, 7):
         subsets = np.fromiter(itertools.combinations(range(n), k), dtype=np.dtype((np.int8, k)))
@@ -508,10 +408,12 @@ def test_bch_columns_have_distance_7(m):
 
 @pytest.mark.parametrize("d", range(6, 17))
 def test_bch_voltage_passes_dfs_recheck(d):
-    """The DFS finds every constraint covered by the BCH stages; for d >= 13
-    it is a second route beside the census that certify ran."""
-    cert, base, volt = certify(d, explicit_limit=0 if d <= 12 else EXPLICIT_LIMIT)
-    assert cert.s == 3 * (d * d - 2 * d).bit_length()
+    """A covering voltage that is not a Wenger voltage: the census and the
+    DFS both find every constraint covered by the 3m BCH stages."""
+    base, volt0 = build_base_graph(d)
+    volt = bch_voltage(base, volt0)
+    assert volt.s == 3 * (d * d - 2 * d).bit_length()
+    assert verify_certificate(base, volt, seed=0).flags.all_true
     assert recheck_constraints_dfs(base, volt) == (constraint_count_formula(d), 0, 0)
 
 

@@ -1,11 +1,19 @@
+import hashlib
+import importlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from thetalattice.certify import wenger_voltage
 from thetalattice.cli import main
+from thetalattice.embed import EMBED_EDGE_LIMIT
+from thetalattice.entropy import min_degree_for_kappa
 from thetalattice.graphs import build_root_unit_graph, central_subgraph, graph_to_json
-from thetalattice.voltage import LiftCertificate
+from thetalattice.voltage import LiftCertificate, build_base_graph, max_connected_stages
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
 
 
 def run(capsys, *argv):
@@ -17,7 +25,7 @@ def run(capsys, *argv):
 @pytest.fixture(scope="module")
 def cert_d5(tmp_path_factory):
     path = tmp_path_factory.mktemp("certs") / "cert_d5.json"
-    code = main(["construct", "--d", "5", "--max-s", "40", "--seed", "7", "-o", str(path)])
+    code = main(["construct", "--d", "5", "--seed", "7", "-o", str(path)])
     assert code == 0
     return path
 
@@ -42,59 +50,44 @@ def test_construct_rejects_small_degree(capsys):
     assert "d >= 5" in err
 
 
-def test_construct_budget_exhausted_exit_code(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "construct", "--d", "5", "--max-s", "2", "-o", str(tmp_path / "x.json")
-    )
-    assert code == 3
-    assert "budget" in err.lower()
-
-
-@pytest.mark.parametrize(
-    "d, option, value",
-    [
-        pytest.param("5", "--pool-size", "0", id="5-0"),
-        pytest.param("5", "--pool-size", "-3", id="5--3"),
-        pytest.param("13", "--pool-size", "0", id="13-0"),
-        pytest.param("13", "--max-s", "0", id="13-max-s-0"),
-    ],
-)
-def test_construct_rejects_nonpositive_pool_size(tmp_path, capsys, d, option, value):
-    """--pool-size and --max-s below 1, on the greedy route (d = 5) and on
-    the BCH route (d = 13), which never scores a pool nor counts stages
-    against a budget before it checks them."""
-    out = tmp_path / "cert.json"
-    code, _, err = run(capsys, "construct", "--d", d, option, value, "-o", str(out))
-    assert code == 2
-    assert err == f"error: {option[2:].replace('-', '_')} must be >= 1\n"
-    assert not out.exists()
-
-
 def test_construct_has_no_policy_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["construct", "--d", "5", "--policy", "greedy"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --policy" in capsys.readouterr().err
+    """The degree alone picks the stages: no search policy, stage budget or
+    candidate pool to set."""
+    for option, value in (("--policy", "greedy"), ("--max-s", "40"), ("--pool-size", "64")):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--d", "5", option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
-def test_construct_kappa_100_exhausts_the_budget_at_once(tmp_path, capsys, time_limit):
-    """kappa = 100 picks d = 303, whose BCH route needs s = 51 > max_s = 40:
-    exit 3 before anything is built."""
-    out = tmp_path / "cert.json"
-    code, stdout, err = run(capsys, "construct", "--kappa", "100", "-o", str(out))
-    assert code == 3
-    assert "minimal degree d = 303" in stdout
-    assert err.startswith("budget exhausted: d=303 needs s=51 BCH stages, above max_s=40")
-    assert err.count("\n") == 1
-    assert not out.exists()
+def test_kappa_100_wenger_stages_fit():
+    """construct --kappa 100 picks d = 303, where the Wenger voltage has
+    s = 2 * 9 = 18 stages, under the connectivity ceiling.  Built, not
+    verified: the census at d = 303 takes minutes."""
+    d = min_degree_for_kappa(Fraction(100))
+    assert d == 303
+    volt = wenger_voltage(build_base_graph(d)[0])
+    assert volt.s == 18 <= max_connected_stages(d)
+    assert max(volt.level_bits.values()) >> 18 == 0
 
 
 @pytest.fixture(scope="module")
 def cert_d33(tmp_path_factory):
-    """construct --kappa 10: d = 33 on the BCH route, s = 30."""
+    """construct --kappa 10: d = 33, s = 12."""
     path = tmp_path_factory.mktemp("certs") / "cert_d33.json"
     assert main(["construct", "--kappa", "10", "-o", str(path)]) == 0
-    assert LiftCertificate.from_json(path.read_text()).s == 30
+    assert LiftCertificate.from_json(path.read_text()).s == 12
+    return path
+
+
+@pytest.fixture(scope="module")
+def cert_d33_s30(cert_d33, tmp_path_factory):
+    """cert_d33 padded with 18 all-zero stages to s = 30, so its covers pass
+    COVER_LIMIT."""
+    data = json.loads(cert_d33.read_text())
+    data["s"], data["level_bits"] = 30, data["level_bits"] + ["0" * 33**2] * 18
+    path = tmp_path_factory.mktemp("certs") / "cert_d33_s30.json"
+    path.write_text(json.dumps(data))
     return path
 
 
@@ -111,33 +104,111 @@ def cert_d5_s3(cert_d5, tmp_path_factory):
 @pytest.mark.parametrize(
     "argv, vertices",
     [
-        (["embed", "{d33}", "-o", "{out}.json"], 69 * 2**30),
-        (["export", "--d", "33", "--kind", "full-unit", "--cert", "{d33}", "-o", "{out}"], 69 * 2**30),
+        (["embed", "{d33_s30}", "-o", "{out}.json"], 69 * 2**30),
+        (["export", "--d", "33", "--kind", "full-unit", "--cert", "{d33_s30}", "-o", "{out}"], 69 * 2**30),
         (["export", "--d", "5", "--kind", "torus", "--torus-n", "100000", "-o", "{out}"], 13 * 10**15),
         (["verify", "{d5_s3}", "--torus-n", "100000"], 13 * 2**3 * 10**15),
     ],
     ids=["embed", "export-full-unit", "export-torus", "verify-torus"],
 )
-def test_huge_cover_is_a_usage_error(cert_d33, cert_d5_s3, tmp_path, capsys, time_limit, argv, vertices):
+def test_huge_cover_is_a_usage_error(cert_d33_s30, cert_d5_s3, tmp_path, capsys, time_limit, argv, vertices):
     """A cover above COVER_LIMIT vertices exits 2 with one stderr line
-    before anything is built, and writes no file."""
+    before anything is built or printed, and writes no file."""
     out = tmp_path / "out"
-    argv = [a.format(d33=cert_d33, d5_s3=cert_d5_s3, out=out) for a in argv]
-    code, _, err = run(capsys, *argv)
+    argv = [a.format(d33_s30=cert_d33_s30, d5_s3=cert_d5_s3, out=out) for a in argv]
+    code, stdout, err = run(capsys, *argv)
     assert code == 2
+    assert stdout == ""
     assert err.startswith("error: a cover with n=") and err.count("\n") == 1
     assert f"has up to {vertices} vertices, above the limit of {2**20}" in err
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "d, sha256",
+    [
+        (5, "8da20211783edab2f4019c0558e6e98743cbcf1e878e59aa0f01b0feae7fa655"),
+        (10, "0a0d8abc45cd2ef29352ff083d074a2d9d869bbd9bd5a11053ff1b7e08118a26"),
+    ],
+    ids=["5", "10"],
+)
+def test_construct_matches_pinned_certificate(tmp_path, d, sha256):
+    """construct --seed 1 writes the same Wenger certificate byte for byte,
+    and another seed changes only the recorded seed."""
+    one, two = tmp_path / "seed1.json", tmp_path / "seed2.json"
+    assert main(["construct", "--d", str(d), "--seed", "1", "-o", str(one)]) == 0
+    assert main(["construct", "--d", str(d), "--seed", "2", "-o", str(two)]) == 0
+    assert hashlib.sha256(one.read_bytes()).hexdigest() == sha256
+    a, b = json.loads(one.read_text()), json.loads(two.read_text())
+    assert (a.pop("seed"), b.pop("seed")) == (1, 2)
+    assert a == b
+
+
+@pytest.mark.parametrize("d", [5, 10, 12, 13, 16, 20, 33])
+def test_construct_then_verify_wenger(tmp_path, capsys, d):
+    """construct writes s = 2 ceil(log2 d) stages with every flag true, and
+    verify passes it on the route its degree picks."""
+    path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "construct", "--d", str(d), "--seed", "1", "-o", str(path))
+    assert code == 0
+    cert = LiftCertificate.from_json(path.read_text())
+    assert cert.s == 2 * (d - 1).bit_length() and cert.flags.all_true
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert f"route: {'census+dfs' if d <= 12 else 'census-only'}" in lines
+    assert lines[-1] == "VERDICT: PASS"
+
+
 @pytest.mark.parametrize("d", [5, 10])
-def test_construct_matches_pinned_certificate(tmp_path, d):
-    """construct --seed 1 writes the benchmark's pinned certificates byte for
-    byte (the pinned files are only read)."""
-    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / f"cert_d{d}_seed1.json"
-    out = tmp_path / f"cert_d{d}.json"
-    assert main(["construct", "--d", str(d), "--seed", "1", "-o", str(out)]) == 0
-    assert out.read_bytes() == pinned.read_bytes()
+def test_verify_passes_pinned_greedy_certificates(d, capsys):
+    """The greedy-search certificates the benchmark pins, whose stages are
+    not Wenger stages, still verify on the same route."""
+    code, out, _ = run(capsys, "verify", str(PINNED / f"cert_d{d}_seed1.json"))
+    assert code == 0
+    assert "route: census+dfs" in out.splitlines()
+    assert out.splitlines()[-1] == "VERDICT: PASS"
+
+
+class _Reached(Exception):
+    """Raised in place of building the full unit graph."""
+
+
+@pytest.mark.parametrize(
+    "cert, trunc_s, d, s",
+    [
+        pytest.param("pinned-d10", [], 10, 12, id="pinned-d10"),
+        pytest.param("pinned-d10", ["--trunc-s", "11"], 10, 11, id="pinned-d10-s11"),
+        pytest.param("kappa-10", [], 33, 12, id="kappa-10"),
+    ],
+)
+def test_embed_refuses_more_edges_than_the_limit(cert_d33, tmp_path, capsys, time_limit, cert, trunc_s, d, s):
+    """The embedding check is quadratic in the edge count: above
+    EMBED_EDGE_LIMIT edges, embed exits 2 with one stderr line before it
+    builds the full unit graph, prints nothing and writes no file.  Both
+    certificates pass COVER_LIMIT."""
+    path = PINNED / "cert_d10_seed1.json" if cert == "pinned-d10" else cert_d33
+    code, stdout, err = run(capsys, "embed", str(path), *trunc_s, "-o", str(tmp_path / "out.json"))
+    assert code == 2 and stdout == ""
+    assert err == (
+        f"error: embedding d={d}, s={s} means checking {2**s * d * d} edges, above the "
+        f"limit of {EMBED_EDGE_LIMIT}; cut the certificate with --trunc-s\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_embed_edge_limit_admits_d10_s10(capsys, monkeypatch):
+    """The largest run of the README's d = 10 table, --trunc-s 10 with
+    102,400 edges, passes the edge limit and reaches the cover builder."""
+    cli = importlib.import_module("thetalattice.cli")
+
+    def reached(base, volt, n=None):
+        raise _Reached(volt.s)
+
+    monkeypatch.setattr(cli, "derived_cover", reached)
+    with pytest.raises(_Reached):
+        main(["embed", str(PINNED / "cert_d10_seed1.json"), "--trunc-s", "10"])
+    assert 2**10 * 10**2 <= EMBED_EDGE_LIMIT < 2**11 * 10**2
 
 
 def test_construct_kappa_picks_degree(tmp_path, capsys):
@@ -216,10 +287,12 @@ def test_verify_rejects_torus_n1(cert_d5, capsys):
 
 
 def test_verify_detects_tampering(cert_d5, tmp_path, capsys):
+    """A zeroed stage never changes its level bit, so the lattice falls
+    apart.  (A single flipped bit is not enough: the Wenger stages have
+    slack, and 39 of the 90 single-bit flips on non-central edges of this
+    certificate leave every flag true.)"""
     data = json.loads(cert_d5.read_text())
-    row = data["level_bits"][0]
-    flip = "1" if row[-1] == "0" else "0"
-    data["level_bits"][0] = row[:-1] + flip
+    data["level_bits"][0] = "0" * len(data["level_bits"][0])
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(data))
     code, out, _ = run(capsys, "verify", str(bad))
