@@ -3,7 +3,7 @@
 table; the sign flips from positive to negative at d = 10.
 
 Usage: python scripts/reproduce_counterexample.py [--dmin 5] [--dmax 10]
-       [--seed 1] [-o table.json]
+       [-o table.json]
 """
 
 import argparse
@@ -22,14 +22,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dmin", type=int, default=5)
     parser.add_argument("--dmax", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("-o", "--output", default=None)
     args = parser.parse_args()
 
     summaries = []
     for d in range(args.dmin, args.dmax + 1):
         t0 = time.perf_counter()
-        cert, _, _ = certify(d, seed=args.seed)
+        cert, _, _ = certify(d)
         elapsed = time.perf_counter() - t0
         summary = lattice_report(cert)
         summaries.append(summary)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MalformedGraph, TooLarge
-from .graphs import CENTRAL_TAGS, LabeledGraph, two_coloring
+from .graphs import CENTRAL_TAGS, LabeledGraph, _bfs, _csr, _proper_coloring
 from .voltage import BaseGraph, VoltageAssignment
 
 
@@ -78,10 +78,13 @@ class _Wedges:
     for any n below 3 * 10^9.  keys holds the distinct keys in ascending
     order and codegree[i] the number of wedges over keys[i], which is the
     codegree of that pair.  Wedge j has middle vertex center[j] and end pair
-    keys[pair[j]].
+    keys[pair[j]].  (start, nbr) is the CSR adjacency the table was built
+    from: the neighbours of v, ascending, are nbr[start[v]:start[v + 1]].
     """
 
     n: int
+    start: np.ndarray
+    nbr: np.ndarray
     degree: np.ndarray
     center: np.ndarray
     pair: np.ndarray
@@ -94,12 +97,8 @@ def _wedges(g: LabeledGraph) -> _Wedges:
     neighbour pairs of all vertices of one degree k at once, taken by
     triu_indices(k)."""
     n = g.vertex_count
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    src = np.concatenate([ends[:, 0], ends[:, 1]])
-    dst = np.concatenate([ends[:, 1], ends[:, 0]])
-    nbr = dst[np.lexsort((dst, src))]  # the neighbours of v, ascending, from start[v]
-    degree = np.bincount(src, minlength=n)
-    start = np.cumsum(degree) - degree
+    start, nbr = _csr(g)
+    degree = np.diff(start)
     keys = [np.zeros(0, dtype=np.int64)]
     centers = [np.zeros(0, dtype=np.int64)]
     for k in np.unique(degree[degree >= 2]):
@@ -109,7 +108,7 @@ def _wedges(g: LabeledGraph) -> _Wedges:
         keys.append((rows[:, lo] * n + rows[:, hi]).ravel())
         centers.append(np.repeat(verts, len(lo)))
     uniq, pair, codegree = np.unique(np.concatenate(keys), return_inverse=True, return_counts=True)
-    return _Wedges(n, degree, np.concatenate(centers), pair, uniq, codegree)
+    return _Wedges(n, start, nbr, degree, np.concatenate(centers), pair, uniq, codegree)
 
 
 def _c4_and_theta(codegree: np.ndarray) -> tuple[int, int]:
@@ -140,10 +139,11 @@ def count_c6(g: LabeledGraph) -> int:
     count the 6-cycles of the min-rooted DFS _short_cycles, which the tests
     also use as the independent oracle for the identity.
     """
-    coloring = two_coloring(g)
-    if coloring is None:
+    w = _wedges(g)
+    _, parity = _bfs(w.start, w.nbr)
+    if not _proper_coloring(g, parity):
         return _dfs_c6(g)
-    return _bipartite_c6(_wedges(g), coloring)
+    return _bipartite_c6(w, parity)
 
 
 def _dfs_c6(g: LabeledGraph) -> int:
@@ -161,8 +161,9 @@ def _short_cycles(g: LabeledGraph) -> list[tuple[int, ...]]:
     certificate re-check in certify has a counting DFS of its own.
     """
     cycles: list[tuple[int, ...]] = []
+    adjacency = g.adjacency
     for root in range(g.vertex_count):
-        _extend_path(g.adjacency, root, [root], {root}, cycles)
+        _extend_path(adjacency, root, [root], {root}, cycles)
     return cycles
 
 
@@ -197,7 +198,7 @@ def _extend_path(
             path.pop()
 
 
-def _bipartite_c6(w: _Wedges, coloring: list[int]) -> int:
+def _bipartite_c6(w: _Wedges, color: np.ndarray) -> int:
     """6-cycles of a bipartite graph from the codegrees of one side.
 
     With X the smaller side, Y the other, chat the X-side codegree matrix
@@ -211,7 +212,6 @@ def _bipartite_c6(w: _Wedges, coloring: list[int]) -> int:
     the sum over codegree triangles a < b < c of c_ab c_bc c_ac, and q_y / 2
     is the sum of the codegrees of the wedges at y.
     """
-    color = np.array(coloring, dtype=np.int64)
     x = int(2 * color.sum() < len(color))  # color 1 only if it is the smaller class
     at_y = color[w.center] != x
     reuse = int(((w.degree[w.center[at_y]] - 2) * w.codegree[w.pair[at_y]]).sum())
@@ -313,14 +313,13 @@ def brute_force_census(g: LabeledGraph) -> CensusReport:
             if all(adjacent(seq[i], seq[(i + 1) % 6]) for i in range(6)):
                 c6 += 1
 
-    central = sum(1 for seq in c4_cycles if _is_central_cycle(g, seq))
+    labels = g.labels
+    central = 0 if labels is None else sum(1 for seq in c4_cycles if _is_central_cycle(labels, seq))
     return _explicit_report(g, c4, central, c6, theta)
 
 
-def _is_central_cycle(g: LabeledGraph, seq: tuple[int, ...]) -> bool:
-    if g.labels is None:
-        return False
-    labs = [g.labels[v] for v in seq]
+def _is_central_cycle(labels, seq: tuple[int, ...]) -> bool:
+    labs = [labels[v] for v in seq]
     return (
         all(lab.role.tag in CENTRAL_TAGS for lab in labs)
         and len({lab.level for lab in labs}) == 1
@@ -348,22 +347,22 @@ def _explicit_report(
 def _central_c4(g: LabeledGraph, w: _Wedges) -> int:
     """4-cycles inside the central copies: those whose four vertices all have
     hub/spoke roles at one (cell, level), counted from the codegrees of the
-    wedges whose three vertices do."""
-    assert g.labels is not None
-    copies: dict[tuple, int] = {}
-    copy = np.array(
-        [
-            copies.setdefault((lab.cell, lab.level), len(copies))
-            if lab.role.tag in CENTRAL_TAGS
-            else -1
-            for lab in g.labels
-        ],
-        dtype=np.int64,
-    )
+    wedges whose three vertices do, read from the role, level and cell
+    arrays."""
+    assert g.roles is not None
+    central = np.array([r.tag in CENTRAL_TAGS for r in g.roles])[g.role_codes]
     lo, hi = np.divmod(w.keys[w.pair], w.n)
-    mid = copy[w.center]
-    inside = (mid >= 0) & (copy[lo] == mid) & (copy[hi] == mid)
-    return _c4_and_theta(np.bincount(w.pair[inside], minlength=len(w.keys)))[0]
+    mid = w.center
+    at = np.flatnonzero(central[mid] & central[lo] & central[hi])
+    lo, hi, mid = lo[at], hi[at], mid[at]
+    levels, cells = g.levels, g.cells
+    same = (
+        (levels[lo] == levels[mid])
+        & (levels[hi] == levels[mid])
+        & (cells[lo] == cells[mid]).all(axis=1)
+        & (cells[hi] == cells[mid]).all(axis=1)
+    )
+    return _c4_and_theta(np.bincount(w.pair[at[same]], minlength=len(w.keys)))[0]
 
 
 def classify_c4(g: LabeledGraph) -> tuple[int, int]:
@@ -372,7 +371,7 @@ def classify_c4(g: LabeledGraph) -> tuple[int, int]:
     Central 4-cycles have all four vertices with hub/spoke roles at one
     (cell, level); stray is the remainder of the full count.
     """
-    if g.labels is None:
+    if g.roles is None:
         raise MalformedGraph("classify_c4 needs a labeled graph")
     w = _wedges(g)
     central = _central_c4(g, w)
@@ -380,15 +379,16 @@ def classify_c4(g: LabeledGraph) -> tuple[int, int]:
 
 
 def census(g: LabeledGraph) -> CensusReport:
-    """Full explicit-graph census from one wedge table of g."""
+    """Full explicit-graph census from one wedge table of g and the CSR
+    adjacency it was built from, read from the graph's arrays."""
     w = _wedges(g)
     c4, theta = _c4_and_theta(w.codegree)
-    if g.labels is not None and {lab.role.tag for lab in g.labels} >= {"t", "b", "c"}:
+    if g.roles is not None and {r.tag for r in g.roles} >= {"t", "b", "c"}:
         central = _central_c4(g, w)
     else:
         central = 0
-    coloring = two_coloring(g)
-    c6 = _dfs_c6(g) if coloring is None else _bipartite_c6(w, coloring)
+    _, parity = _bfs(w.start, w.nbr)
+    c6 = _bipartite_c6(w, parity) if _proper_coloring(g, parity) else _dfs_c6(g)
     return _explicit_report(g, c4, central, c6, theta)
 
 

@@ -104,9 +104,10 @@ def recheck_constraints_dfs(
         code = t[0] + _DFS_RADIX * (t[1] + _DFS_RADIX * t[2])
         step[u][v] = (code, m)
         step[v][u] = (-code, m)
+    adjacency = g.adjacency
     n_constraints = bad4 = bad6 = 0
     for r in range(g.vertex_count):
-        up = [[(w, *step[v][w]) for w in g.adjacency[v] if w > r] for v in range(g.vertex_count)]
+        up = [[(w, *step[v][w]) for w in adjacency[v] if w > r] for v in range(g.vertex_count)]
         # the closing edge p -> r is r -> p reversed, so a path r .. p closes
         # with zero displacement when its code equals that of r -> p
         home = step[r]

@@ -81,7 +81,8 @@ def sample_try(
 ) -> Try:
     """Uniform placement on the rational grid inside each role's open box,
     rejection-sampled to distinct points; deterministic in the seed."""
-    if fug.labels is None:
+    labels = fug.labels
+    if labels is None:
         raise MalformedGraph("sample_try needs a labeled full unit graph")
     res = Fraction(grid_resolution)
     if res <= 0:
@@ -93,7 +94,7 @@ def sample_try(
     used: set[Point] = set()
     by_key = fug.label_index()
     for v in range(fug.vertex_count):
-        lab = fug.labels[v]
+        lab = labels[v]
         tag = lab.role.tag
         if tag in _DERIVED:
             continue
@@ -108,7 +109,7 @@ def sample_try(
         used.add(p)
         points[v] = p
     for v in range(fug.vertex_count):
-        lab = fug.labels[v]
+        lab = labels[v]
         if lab.role.tag not in _DERIVED:
             continue
         src_tag, shift = _DERIVED[lab.role.tag]
@@ -240,12 +241,12 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     in magnitude, else TooLarge.  Every other pair, including each pair with a
     shared endpoint, is decided by the exact integer segment_pair_ok.
     """
-    if fug.labels is None:
+    if fug.roles is None:
         raise MalformedGraph("is_good_try needs a labeled graph")
     missing = set(range(fug.vertex_count)) - set(t.points)
     if missing:
         raise ValueError(f"try does not cover vertices {sorted(missing)}")
-    if not fug.edges:
+    if not len(fug.edge_array):
         return True
     scaled, denom = t.scaled()
     reach = max(abs(c) for p in scaled.values() for c in p) + 2 * denom

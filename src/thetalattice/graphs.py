@@ -1,9 +1,14 @@
 """Explicit finite labeled graphs: the root unit graph, central subgraphs
 and structural validators.
 
-Vertices are dense integer ids.  Labels (role, level bitstring, integer cell)
-are carried in a parallel tuple.  Graphs are immutable after construction and
-all transforms return new graphs, so values can be shared freely.
+Vertices are dense integer ids.  A graph is held as arrays: one sorted int64
+(E, 2) edge array with u < v in every row and, when the graph is labeled, a
+role code per vertex into a sorted table of roles, the level as an unsigned
+integer and an (n, 3) int64 cell array.  labels, edges and adjacency are
+views of these arrays, built on each access for small-graph callers; the
+cover builder, the JSON and DOT writers, the JSON reader and the census work
+on the arrays alone.  Graphs are immutable after construction and all
+transforms return new graphs, so values can be shared freely.
 
 Level bit order: position i of the level string records the choice made at
 the i-th lift (position 0 = first lift).  When a level is interpreted as an
@@ -15,8 +20,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 from .errors import DegreeTooSmall, MalformedGraph
 
@@ -29,6 +35,8 @@ ROLE_TAGS = ("c", "t", "b", "f", "lx", "ly", "lz", "rx", "ry", "rz", "vx", "vy",
 _RANK = {tag: i for i, tag in enumerate(ROLE_TAGS)}
 _INDEXED = {"c", "f"}
 CENTRAL_TAGS = {"c", "t", "b"}
+# levels are held in int64, so a level string has at most this many bits
+MAX_LEVEL_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,11 @@ def level_uint(level: str) -> int:
     return sum(1 << i for i, ch in enumerate(level) if ch == "1")
 
 
+def _level_string(level: int, length: int) -> str:
+    """The level bitstring of length `length` whose bit i is bit i of level."""
+    return format(level, f"0{length}b")[::-1] if length else ""
+
+
 @dataclass(frozen=True)
 class VertexLabel:
     role: Role
@@ -89,64 +102,195 @@ class VertexLabel:
         return name
 
 
-@dataclass(frozen=True)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _raise_first_bad_edge(pairs: list, vertex_count: int) -> None:
+    """ValueError for the first loop or end out of range among edge pairs of
+    Python ints, some of which may lie outside int64."""
+    for a, b in pairs:
+        if a == b:
+            raise ValueError(f"self-loop at vertex {a}")
+        if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+            raise ValueError(f"edge ({a},{b}) out of range")
+
+
+def _edge_array(vertex_count: int, ends: np.ndarray) -> np.ndarray:
+    """The sorted (E, 2) array of the edges given as an (E, 2) int64 array of
+    ends in any orientation and order.  ValueError names the first loop or
+    end out of range in the given order, else the first repeated edge."""
+    u, v = ends[:, 0], ends[:, 1]
+    bad = (u == v) | (u < 0) | (v < 0) | (u >= vertex_count) | (v >= vertex_count)
+    if bad.any():
+        a, b = ends[int(np.argmax(bad))].tolist()
+        if a == b:
+            raise ValueError(f"self-loop at vertex {a}")
+        raise ValueError(f"edge ({a},{b}) out of range")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    lo, hi = np.divmod(np.sort(lo * vertex_count + hi), vertex_count)
+    repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if repeat.any():
+        i = int(np.argmax(repeat))
+        raise ValueError(f"duplicate edge {(int(lo[i]), int(hi[i]))}")
+    return np.stack([lo, hi], axis=1)
+
+
 class LabeledGraph:
-    """Immutable simple graph with optional per-vertex labels."""
+    """Immutable simple graph with optional per-vertex labels, held as arrays.
 
-    vertex_count: int
-    edges: tuple[Edge, ...]
-    labels: tuple[VertexLabel, ...] | None = None
-    d: int | None = None
+    edge_array is the sorted int64 (E, 2) array of the edges (u, v), u < v.
+    A labeled graph has roles, the sorted table of the roles it uses, and per
+    vertex role_codes (an index into roles), levels (the level as an
+    unsigned integer, bit i = position i of its level string) and cells, an
+    (n, 3) int64 array; level_length is the length of every level string.
+    An unlabeled graph has None in each of these and level_length 0.
+    """
 
-    def __post_init__(self):
-        norm = []
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            norm.append((u, v) if u < v else (v, u))
-        norm.sort()
-        for a, b in zip(norm, norm[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
-        object.__setattr__(self, "edges", tuple(norm))
-        if self.labels is not None and len(self.labels) != self.vertex_count:
-            raise ValueError("labels length != vertex count")
+    __slots__ = (
+        "vertex_count", "edge_array", "d", "roles", "role_codes", "levels", "level_length", "cells",
+    )
 
-    @cached_property
+    def __init__(
+        self,
+        vertex_count: int,
+        edges: Iterable[Edge] = (),
+        labels: Iterable[VertexLabel] | None = None,
+        d: int | None = None,
+    ):
+        """A graph from edge pairs in any orientation and order and,
+        optionally, one VertexLabel per vertex.  A loop, an end out of range,
+        a repeated edge, a label count other than vertex_count, a level of
+        more than MAX_LEVEL_BITS bits or a cell outside int64 raises
+        ValueError; so do levels of different lengths (MalformedGraph)."""
+        pairs = list(edges)
+        try:
+            ends = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        except OverflowError:
+            _raise_first_bad_edge(pairs, vertex_count)
+        arrays: dict = {}
+        if labels is not None:
+            labs = list(labels)
+            if len(labs) != vertex_count:
+                raise ValueError("labels length != vertex count")
+            lengths = {len(lab.level) for lab in labs}
+            if len(lengths) > 1:
+                raise MalformedGraph("inconsistent level lengths")
+            roles = tuple(sorted({lab.role for lab in labs}, key=lambda r: r.rank))
+            code = {r: i for i, r in enumerate(roles)}
+            length = lengths.pop() if lengths else 0
+            if length > MAX_LEVEL_BITS:
+                raise ValueError(f"levels of {length} bits, above {MAX_LEVEL_BITS}")
+            try:
+                cells = np.array([lab.cell for lab in labs], dtype=np.int64).reshape(-1, 3)
+            except OverflowError:
+                raise ValueError("a cell coordinate is outside int64") from None
+            arrays = dict(
+                roles=roles,
+                role_codes=np.array([code[lab.role] for lab in labs], dtype=np.int64),
+                levels=np.array([level_uint(lab.level) for lab in labs], dtype=np.int64),
+                level_length=length,
+                cells=cells,
+            )
+        self._set(vertex_count, _edge_array(vertex_count, ends), d, **arrays)
+
+    @classmethod
+    def _of_arrays(
+        cls,
+        vertex_count: int,
+        edge_array: np.ndarray,
+        d: int | None = None,
+        roles: tuple[Role, ...] | None = None,
+        role_codes: np.ndarray | None = None,
+        levels: np.ndarray | None = None,
+        level_length: int = 0,
+        cells: np.ndarray | None = None,
+    ) -> "LabeledGraph":
+        """A graph from arrays already in the form the class holds (sorted,
+        distinct edges u < v; roles sorted by rank and all used); nothing is
+        checked."""
+        g = object.__new__(cls)
+        g._set(vertex_count, edge_array, d, roles, role_codes, levels, level_length, cells)
+        return g
+
+    def _set(self, vertex_count, edge_array, d, roles=None, role_codes=None, levels=None,
+             level_length=0, cells=None) -> None:
+        values = dict(
+            vertex_count=vertex_count,
+            edge_array=_frozen(edge_array),
+            d=d,
+            roles=roles,
+            role_codes=None if role_codes is None else _frozen(role_codes),
+            levels=None if levels is None else _frozen(levels),
+            level_length=level_length,
+            cells=None if cells is None else _frozen(cells),
+        )
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LabeledGraph is immutable: cannot set {name}")
+
+    def _key(self) -> tuple:
+        arrays = (self.edge_array, self.role_codes, self.levels, self.cells)
+        return (
+            self.vertex_count, self.d, self.level_length, self.roles,
+            *(None if a is None else a.tobytes() for a in arrays),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LabeledGraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"LabeledGraph(vertex_count={self.vertex_count}, edges={len(self.edge_array)}, "
+            f"labeled={self.roles is not None}, d={self.d})"
+        )
+
+    # -- views for small-graph callers, built on each access ---------------
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @property
+    def labels(self) -> tuple[VertexLabel, ...] | None:
+        if self.roles is None:
+            return None
+        levels = {lev: _level_string(lev, self.level_length) for lev in set(self.levels.tolist())}
+        return tuple(
+            VertexLabel(self.roles[code], levels[lev], tuple(cell))
+            for code, lev, cell in zip(self.role_codes.tolist(), self.levels.tolist(), self.cells.tolist())
+        )
+
+    @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        start, nbr = _csr(self)
+        start, nbr = start.tolist(), nbr.tolist()
+        return tuple(tuple(nbr[start[v]:start[v + 1]]) for v in range(self.vertex_count))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(np.count_nonzero(self.edge_array == v))
 
-    @cached_property
+    @property
     def degree_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for a in self.adjacency:
-            hist[len(a)] = hist.get(len(a), 0) + 1
-        return hist
-
-    @cached_property
-    def level_length(self) -> int:
-        if self.labels is None:
-            return 0
-        lengths = {len(lab.level) for lab in self.labels}
-        if len(lengths) > 1:
-            raise MalformedGraph("inconsistent level lengths")
-        return lengths.pop() if lengths else 0
+        degree = np.bincount(self.edge_array.ravel(), minlength=self.vertex_count)
+        values, counts = np.unique(degree, return_counts=True)
+        return dict(zip(values.tolist(), counts.tolist()))
 
     def label_index(self) -> dict[tuple, int]:
         """Map (role, level, cell) -> vertex id; requires labels."""
-        if self.labels is None:
+        labels = self.labels
+        if labels is None:
             raise MalformedGraph("graph has no labels")
         out = {}
-        for v, lab in enumerate(self.labels):
+        for v, lab in enumerate(labels):
             key = (lab.role, lab.level, lab.cell)
             if key in out:
                 raise MalformedGraph(f"duplicate label {lab}")
@@ -154,11 +298,55 @@ class LabeledGraph:
         return out
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set
+        u, v = min(u, v), max(u, v)
+        first = self.edge_array[:, 0]
+        lo, hi = np.searchsorted(first, u, "left"), np.searchsorted(first, u, "right")
+        i = lo + np.searchsorted(self.edge_array[lo:hi, 1], v)
+        return bool(i < hi and self.edge_array[i, 1] == v)
 
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
+
+def _csr(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(start, nbr): the neighbours of v, ascending, are nbr[start[v]:start[v + 1]]."""
+    n, ends = g.vertex_count, g.edge_array
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
+    return start, dst[np.argsort(src * n + dst)]
+
+
+def _gather(start: np.ndarray, nbr: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """The neighbours of verts, one run per vertex, concatenated."""
+    lo, counts = start[verts], start[verts + 1] - start[verts]
+    offset = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return nbr[offset + np.arange(len(offset))]
+
+
+def _bfs(start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(root, parity) per vertex of the CSR adjacency (start, nbr): root[v]
+    is the smallest vertex of v's component, where a breadth-first search of
+    that component starts, and parity[v] the parity of v's depth in it."""
+    n = len(start) - 1
+    root = np.full(n, -1, dtype=np.int64)
+    parity = np.zeros(n, dtype=np.int64)
+    alone = np.flatnonzero(start[1:] == start[:-1])
+    root[alone] = alone
+    for r in np.flatnonzero(start[1:] > start[:-1]).tolist():
+        if root[r] >= 0:
+            continue
+        root[r], depth, frontier = r, 0, np.array([r])
+        while len(frontier):
+            depth ^= 1
+            reached = _gather(start, nbr, frontier)
+            frontier = np.unique(reached[root[reached] < 0])
+            root[frontier] = r
+            parity[frontier] = depth
+    return root, parity
+
+
+def _proper_coloring(g: LabeledGraph, parity: np.ndarray) -> bool:
+    """Whether the BFS parities color every edge's ends differently."""
+    return not np.any(parity[g.edge_array[:, 0]] == parity[g.edge_array[:, 1]])
 
 
 def from_labeled_vertices(
@@ -200,9 +388,9 @@ def build_root_unit_graph(d: int) -> LabeledGraph:
 
 
 def _require_central_roles(g: LabeledGraph) -> None:
-    if g.labels is None:
+    if g.roles is None:
         raise MalformedGraph("graph has no labels")
-    tags = {lab.role.tag for lab in g.labels}
+    tags = {r.tag for r in g.roles}
     if not {"c", "t", "b"} <= tags:
         raise MalformedGraph(f"central roles missing, found {sorted(tags)}")
 
@@ -213,34 +401,23 @@ def central_subgraph(g: LabeledGraph) -> LabeledGraph:
     For a lifted graph this is the disjoint union of the 2**s central copies.
     """
     _require_central_roles(g)
-    assert g.labels is not None
-    keep = {v for v, lab in enumerate(g.labels) if lab.role.tag in CENTRAL_TAGS}
+    labels = g.labels
+    assert labels is not None
+    keep = [v for v, lab in enumerate(labels) if lab.role.tag in CENTRAL_TAGS]
     edges = []
     for u, v in g.edges:
-        if u in keep and v in keep:
-            tags = {g.labels[u].role.tag, g.labels[v].role.tag}
-            if tags in ({"t", "c"}, {"b", "c"}):
-                edges.append((g.labels[u], g.labels[v]))
-    return from_labeled_vertices((g.labels[v] for v in keep), edges, g.d)
+        tags = {labels[u].role.tag, labels[v].role.tag}
+        if tags in ({"t", "c"}, {"b", "c"}):
+            edges.append((labels[u], labels[v]))
+    return from_labeled_vertices((labels[v] for v in keep), edges, g.d)
 
 
 def two_coloring(g: LabeledGraph) -> list[int] | None:
-    """A proper 2-coloring by BFS, or None if the graph is not bipartite."""
-    color = [-1] * g.vertex_count
-    for start in range(g.vertex_count):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in g.adjacency[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
+    """A proper 2-coloring, or None if the graph is not bipartite: the parity
+    of each vertex's breadth-first depth from the smallest vertex of its
+    component."""
+    _, parity = _bfs(*_csr(g))
+    return parity.tolist() if _proper_coloring(g, parity) else None
 
 
 @dataclass(frozen=True)
@@ -274,70 +451,31 @@ class ValidationReport:
 def validate(g: LabeledGraph, expect_regular: int | None = None) -> ValidationReport:
     """Report simplicity, bipartiteness (black = c-roles when labeled),
     the degree histogram, and optional d-regularity.  Never raises."""
-    coloring = two_coloring(g)
-    bipartite = coloring is not None
+    root, parity = _bfs(*_csr(g))
+    bipartite = _proper_coloring(g, parity)
     roles_ok: bool | None = None
-    if g.labels is not None and bipartite:
-        assert coloring is not None
-        # every component must color all c-roles one class and the rest the other
-        roles_ok = True
-        comp_seen: dict[int, int] = {}
-        comp = _components(g)
-        for v, lab in enumerate(g.labels):
-            expected = comp_seen.get(comp[v])
-            black = coloring[v] if lab.role.black else 1 - coloring[v]
-            if expected is None:
-                comp_seen[comp[v]] = black
-            elif expected != black:
-                roles_ok = False
-                break
-    elif g.labels is not None:
-        roles_ok = False
+    if g.roles is not None:
+        # every component must color all c-roles one class and the rest the
+        # other: a black vertex's parity, a white one's flipped, is the same
+        # over the component as at its root
+        black = np.array([r.black for r in g.roles])[g.role_codes]
+        side = parity ^ ~black
+        roles_ok = bipartite and bool(np.array_equal(side, side[root]))
+    histogram = g.degree_histogram
     regular_ok = None
     if expect_regular is not None:
-        regular_ok = all(len(a) == expect_regular for a in g.adjacency)
-    return ValidationReport(True, bipartite, roles_ok, g.degree_histogram, regular_ok)
+        regular_ok = set(histogram) <= {expect_regular}
+    return ValidationReport(True, bipartite, roles_ok, histogram, regular_ok)
 
 
 def _components(g: LabeledGraph) -> list[int]:
-    comp = [-1] * g.vertex_count
-    c = 0
-    for start in range(g.vertex_count):
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = c
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if comp[w] == -1:
-                    comp[w] = c
-                    stack.append(w)
-        c += 1
-    return comp
+    """Component numbers per vertex, numbered in order of their smallest vertex."""
+    root, _ = _bfs(*_csr(g))
+    return np.unique(root, return_inverse=True)[1].tolist()
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def graph_to_json_dict(g: LabeledGraph) -> dict:
-    if g.labels is None:
-        raise MalformedGraph("JSON export needs a labeled graph")
-    return {
-        "d": g.d if g.d is not None else 0,
-        "s": g.level_length,
-        "vertices": [
-            {
-                "id": v,
-                "role": str(lab.role),
-                "level": lab.level,
-                "cell": list(lab.cell),
-            }
-            for v, lab in enumerate(g.labels)
-        ],
-        "edges": [list(e) for e in g.edges],
-    }
-
 
 def _of_types(values, types: set) -> bool:
     """Whether every value has exactly one of these types, so that bool (how
@@ -345,53 +483,67 @@ def _of_types(values, types: set) -> bool:
     return set(map(type, values)) <= types
 
 
+def _int64_array(values: list, count: int) -> np.ndarray:
+    """The flat int64 array of count integers; OverflowError if one is
+    outside int64."""
+    return np.fromiter(values, dtype=np.int64, count=count)
+
+
 def graph_from_json_dict(data: dict) -> LabeledGraph:
-    """The graph of a graph_to_json_dict record.  Anything else, such as a
-    field of the wrong type, sparse ids, levels that are not 0/1 strings of
-    one length, or an edge that is not a pair of distinct vertex ids, raises
-    MalformedGraph."""
+    """The graph of a graph_to_json record.  Anything else, such as a field
+    of the wrong type, sparse ids, levels that are not 0/1 strings of one
+    length of at most 63 bits, a cell coordinate outside int64, or an edge
+    that is not a pair of distinct vertex ids, raises MalformedGraph.  The
+    arrays are built straight from the lists, with no label objects."""
     if not (
         isinstance(data, dict)
         and isinstance(data.get("vertices"), list)
         and isinstance(data.get("edges"), list)
     ):
         raise MalformedGraph("graph JSON needs 'vertices' and 'edges' lists")
-    if not all(isinstance(rec, dict) and "id" in rec and "role" in rec for rec in data["vertices"]):
+    verts = data["vertices"]
+    if not all(isinstance(rec, dict) and "id" in rec and "role" in rec for rec in verts):
         raise MalformedGraph("every graph vertex needs an 'id' and a 'role'")
-    if not _of_types((rec["id"] for rec in data["vertices"]), {int}):
+    ids = [rec["id"] for rec in verts]
+    if not _of_types(ids, {int}):
         raise MalformedGraph("vertex ids must be integers")
-    verts = sorted(data["vertices"], key=lambda rec: rec["id"])
-    if [rec["id"] for rec in verts] != list(range(len(verts))):
-        raise MalformedGraph("vertex ids must be dense 0..n-1")
+    n = len(verts)
+    if ids != list(range(n)):
+        verts = sorted(verts, key=lambda rec: rec["id"])
+        if [rec["id"] for rec in verts] != list(range(n)):
+            raise MalformedGraph("vertex ids must be dense 0..n-1")
     role_texts = [rec["role"] for rec in verts]
     levels = [rec.get("level", "") for rec in verts]
     cells = [rec.get("cell", (0, 0, 0)) for rec in verts]
     if not _of_types(role_texts, {str}):
         raise MalformedGraph("vertex roles must be strings")
-    roles = {}
+    parsed = {}
     for text in set(role_texts):
         try:
-            roles[text] = Role.parse(text)
+            parsed[text] = Role.parse(text)
         except ValueError as exc:
             raise MalformedGraph(f"vertex role {text!r}: {exc}") from exc
-        if str(roles[text]) != text:  # such as c01, which would load as c1
-            raise MalformedGraph(f"vertex role {text!r} is not written as {str(roles[text])!r}")
+        if str(parsed[text]) != text:  # such as c01, which would load as c1
+            raise MalformedGraph(f"vertex role {text!r} is not written as {str(parsed[text])!r}")
     if not (
         _of_types(levels, {str})
         and "".join(levels).strip("01") == ""
         and len(set(map(len, levels))) <= 1
     ):
         raise MalformedGraph("vertex levels must be strings of 0s and 1s, all of one length")
+    length = len(levels[0]) if levels else 0
+    if length > MAX_LEVEL_BITS:
+        raise MalformedGraph(f"vertex levels have {length} bits, above the limit of {MAX_LEVEL_BITS}")
     if not (
         _of_types(cells, {list, tuple})
         and set(map(len, cells)) <= {3}
         and _of_types(itertools.chain.from_iterable(cells), {int})
     ):
         raise MalformedGraph("vertex cells must be triples of integers")
-    labels = tuple(
-        VertexLabel(roles[role], level, tuple(cell))
-        for role, level, cell in zip(role_texts, levels, cells)
-    )
+    try:
+        cell_array = _int64_array(itertools.chain.from_iterable(cells), 3 * n).reshape(n, 3)
+    except OverflowError:
+        raise MalformedGraph("vertex cells must be triples of integers within int64") from None
     edges = data["edges"]
     if not (
         _of_types(edges, {list, tuple})
@@ -403,28 +555,100 @@ def graph_from_json_dict(data: dict) -> LabeledGraph:
     if type(d) is not int or d < 0:
         raise MalformedGraph(f"d {d!r} is not a non-negative integer")
     try:
-        return LabeledGraph(len(labels), tuple(map(tuple, edges)), labels, d or None)
+        try:
+            ends = _int64_array(itertools.chain.from_iterable(edges), 2 * len(edges)).reshape(-1, 2)
+        except OverflowError:
+            _raise_first_bad_edge(edges, n)
+        edge_array = _edge_array(n, ends)
     except ValueError as exc:  # a loop, a repeated edge or an id out of range
         raise MalformedGraph(str(exc)) from exc
-
-
-def graph_to_json(g: LabeledGraph) -> str:
-    return json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True) + "\n"
+    roles = tuple(sorted(set(parsed.values()), key=lambda r: r.rank))
+    code = {text: roles.index(role) for text, role in parsed.items()}
+    level_value = {lev: level_uint(lev) for lev in set(levels)}
+    return LabeledGraph._of_arrays(
+        n,
+        edge_array,
+        d or None,
+        roles,
+        _int64_array(map(code.__getitem__, role_texts), n),
+        _int64_array(map(level_value.__getitem__, levels), n),
+        length,
+        cell_array,
+    )
 
 
 def graph_from_json(text: str) -> LabeledGraph:
     return graph_from_json_dict(json.loads(text))
 
 
+def _require_labels(g: LabeledGraph, what: str) -> None:
+    if g.roles is None:
+        raise MalformedGraph(f"{what} needs a labeled graph")
+
+
+def _json_list(items: str, count: int) -> str:
+    """A JSON list as json.dumps(indent=2) writes it one level in, from its
+    items already joined with ','."""
+    return f"[{items}\n  ]" if count else "[]"
+
+
+# one edge and one vertex record of graph_to_json, each led by its line
+# break; role names and levels are letters, digits, 0s and 1s, which JSON
+# writes unescaped
+_EDGE_JSON = "\n    [\n      %d,\n      %d\n    ]"
+_VERTEX_JSON = (
+    '\n    {\n      "cell": [\n        %d,\n        %d,\n        %d\n      ],'
+    '\n      "id": %d,\n      "level": "%s",\n      "role": "%s"\n    }'
+)
+
+
+def _vertex_fields(n: int, *columns) -> list:
+    """Per vertex, the values of the given n-long columns in order, flattened
+    into one list."""
+    flat = np.empty((n, len(columns)), dtype=object)
+    for i, column in enumerate(columns):
+        flat[:, i] = column
+    return flat.ravel().tolist()
+
+
+def _name_columns(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(role name, level string) of every vertex, as object arrays."""
+    names = np.array([str(r) for r in g.roles], dtype=object)
+    values, inverse = np.unique(g.levels, return_inverse=True)
+    strings = np.array([_level_string(lev, g.level_length) for lev in values.tolist()], dtype=object)
+    return names[g.role_codes], strings[inverse]
+
+
+def graph_to_json(g: LabeledGraph) -> str:
+    """The graph as JSON: the bytes of json.dumps(record, indent=2,
+    sort_keys=True) + newline, for the record with d, s, the edges as [u, v]
+    lists and the vertices as {id, role, level, cell} objects, written from
+    the arrays with one format string per list."""
+    _require_labels(g, "JSON export")
+    n, m = g.vertex_count, len(g.edge_array)
+    role_names, level_strings = _name_columns(g)
+    fields = _vertex_fields(
+        n, g.cells[:, 0], g.cells[:, 1], g.cells[:, 2], np.arange(n), level_strings, role_names
+    )
+    vertices = ",".join([_VERTEX_JSON] * n) % tuple(fields)
+    edges = ",".join([_EDGE_JSON] * m) % tuple(g.edge_array.ravel().tolist())
+    return (
+        f'{{\n  "d": {g.d or 0},\n  "edges": {_json_list(edges, m)},\n'
+        f'  "s": {g.level_length},\n  "vertices": {_json_list(vertices, n)}\n}}\n'
+    )
+
+
 def graph_to_dot(g: LabeledGraph) -> str:
     """DOT export; node labels are role@level."""
-    if g.labels is None:
-        raise MalformedGraph("DOT export needs a labeled graph")
-    lines = ["graph lattice {"]
-    for v, lab in enumerate(g.labels):
-        name = str(lab.role) + (f"@{lab.level}" if lab.level else "")
-        lines.append(f'  v{v} [label="{name}"];')
-    for u, v in g.edges:
-        lines.append(f"  v{u} -- v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    _require_labels(g, "DOT export")
+    n, m = g.vertex_count, len(g.edge_array)
+    role_names, level_strings = _name_columns(g)
+    if g.level_length:
+        node = '  v%d [label="%s@%s"];\n'
+        fields = _vertex_fields(n, np.arange(n), role_names, level_strings)
+    else:
+        node = '  v%d [label="%s"];\n'
+        fields = _vertex_fields(n, np.arange(n), role_names)
+    nodes = (node * n) % tuple(fields)
+    edges = ("  v%d -- v%d;\n" * m) % tuple(g.edge_array.ravel().tolist())
+    return f"graph lattice {{\n{nodes}{edges}}}\n"

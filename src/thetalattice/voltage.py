@@ -18,16 +18,20 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping
 
+import numpy as np
+
 from . import linalg
 from .errors import DegreeTooSmall, MalformedGraph, TooLarge, TorusTooSmall
-from .graphs import Edge, LabeledGraph, Role, VertexLabel, from_labeled_vertices
+from .graphs import Edge, LabeledGraph, Role
 
 Vec3 = tuple[int, int, int]
 
 ZERO3: Vec3 = (0, 0, 0)
 UNIT: dict[str, Vec3] = {"vx": (1, 0, 0), "vy": (0, 1, 0), "vz": (0, 0, 1)}
 
-# derived_cover refuses covers above this many vertices (about 1 KiB each)
+# derived_cover refuses covers above this many vertices: about 250 bytes each
+# at its peak while it builds, 110 held by the graph it returns (measured on
+# the 94,208-vertex d = 10, s = 12 full unit graph)
 COVER_LIMIT = 1 << 20
 
 
@@ -51,22 +55,25 @@ class BaseGraph:
     displacement: Mapping[Edge, Vec3] = field(compare=False, repr=False)
 
     @cached_property
+    def vertex_roles(self) -> tuple[Role, ...]:
+        g = self.graph
+        assert g.roles is not None
+        return tuple(g.roles[code] for code in g.role_codes.tolist())
+
+    @cached_property
     def blacks(self) -> tuple[int, ...]:
-        assert self.graph.labels is not None
-        return tuple(v for v, lab in enumerate(self.graph.labels) if lab.role.black)
+        return tuple(v for v, r in enumerate(self.vertex_roles) if r.black)
 
     @cached_property
     def whites(self) -> tuple[int, ...]:
-        assert self.graph.labels is not None
-        return tuple(v for v, lab in enumerate(self.graph.labels) if not lab.role.black)
+        return tuple(v for v, r in enumerate(self.vertex_roles) if not r.black)
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.graph.edges)}
 
     def role_of(self, v: int) -> Role:
-        assert self.graph.labels is not None
-        return self.graph.labels[v].role
+        return self.vertex_roles[v]
 
     @cached_property
     def central_edges(self) -> frozenset[Edge]:
@@ -117,26 +124,27 @@ class VoltageAssignment:
 def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
     """Base graph plus the canonical displacement voltages (s = 0).
 
-    Crossing vx->c1 gains +e_x: the merged connector vertex belongs to the
-    cube where it plays the rx role.
+    Vertex ids follow the canonical role order: c_1..c_d are 0..d-1, then
+    t, b, f_1..f_{d-5}, vx, vy, vz are d..2d-1, and every black is joined to
+    every white.  Crossing vx->c1 gains +e_x: the merged connector vertex
+    belongs to the cube where it plays the rx role.
     """
     if d < 5:
         raise DegreeTooSmall(f"construction requires d >= 5, got {d}")
-    c = [VertexLabel(Role("c", i)) for i in range(1, d + 1)]
-    t, b = VertexLabel(Role("t")), VertexLabel(Role("b"))
-    f = [VertexLabel(Role("f", j)) for j in range(1, d - 4)]
-    vx, vy, vz = (VertexLabel(Role(r)) for r in ("vx", "vy", "vz"))
-    whites = [t, b, *f, vx, vy, vz]
-    edges = [(ci, w) for ci in c for w in whites]
-    graph = from_labeled_vertices([*c, *whites], edges, d)
-    ids = graph.label_index()
-    c1 = ids[(Role("c", 1), "", (0, 0, 0))]
-    displacement: dict[Edge, Vec3] = {}
-    for tag in ("vx", "vy", "vz"):
-        w = ids[(Role(tag), "", (0, 0, 0))]
-        e = (c1, w) if c1 < w else (w, c1)
-        # stored for orientation min->max; voltage of v*->c1 is +unit
-        displacement[e] = vneg(UNIT[tag]) if c1 < w else UNIT[tag]
+    roles = (
+        *(Role("c", i) for i in range(1, d + 1)),
+        Role("t"),
+        Role("b"),
+        *(Role("f", j) for j in range(1, d - 4)),
+        *(Role(tag) for tag in UNIT),
+    )
+    n = 2 * d
+    edges = np.stack([np.repeat(np.arange(d), d), np.tile(np.arange(d, n), d)], axis=1)
+    graph = LabeledGraph._of_arrays(
+        n, edges, d, roles, np.arange(n), np.zeros(n, dtype=np.int64), 0, np.zeros((n, 3), dtype=np.int64)
+    )
+    # c1 is vertex 0, below every white; the voltage of v*->c1 is +unit
+    displacement = {(0, n - 3 + k): vneg(UNIT[tag]) for k, tag in enumerate(UNIT)}
     return BaseGraph(d, graph, displacement), VoltageAssignment(0, displacement, {})
 
 
@@ -180,6 +188,12 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     iterating signed 2-lifts on the root unit graph with the per-stage
     signings.  TooLarge, before anything is built, when the cover could
     have more than COVER_LIMIT vertices (check_cover_size).
+
+    Built as arrays.  Vertex ids follow the canonical label order (role,
+    level, cell): the vertex of role block k (the cover's roles in rank
+    order), level l and cell (x, y, z) is k * 2^s * C + l * C + cell index,
+    with C cells and cell index (x * n + y) * n + z.  Every base edge gives
+    its 2^s * C cover edges in one array expression.
     """
     if n is not None and n <= 1:
         raise TorusTooSmall(
@@ -187,32 +201,52 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
         )
     s = volt.s
     check_cover_size(base.d, s, n)
-    levels = [format(l, f"0{s}b")[::-1] if s else "" for l in range(1 << s)]
-    cells = [ZERO3] if n is None else [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
-    cell_index = {z: i for i, z in enumerate(cells)}
-    fibers: dict[Role, list[list[VertexLabel]]] = {}
+    pairs = base.graph.edges
+    shift = np.array([volt.disp(u, v) for u, v in pairs], dtype=np.int64).reshape(-1, 3)
+    mask = np.array([volt.bits(u, v) for u, v in pairs], dtype=np.int64)
 
-    def fiber(v: int, t: Vec3) -> list[list[VertexLabel]]:
-        """Labels over base vertex v, per cell and level, at an edge of
-        displacement t (which picks l* or r* for a connector)."""
+    def cover_role(v: int, moved: bool) -> Role:
+        """The role over base vertex v at an edge that moves (displacement
+        nonzero) or not, which picks l* or r* for a connector."""
         r = base.role_of(v)
         if n is None and r.tag in UNIT:
-            r = Role(("l" if t != ZERO3 else "r") + r.tag[1])
-        if r not in fibers:
-            fibers[r] = [[VertexLabel(r, lev, z) for lev in levels] for z in cells]
-        return fibers[r]
+            return Role(("l" if moved else "r") + r.tag[1])
+        return r
 
-    edges = []
-    for u, v in base.graph.edges:
-        t = volt.disp(u, v)
-        m = volt.bits(u, v)
-        above_u, above_v = fiber(u, t), fiber(v, t)
-        for i, z in enumerate(cells):
-            j = i if n is None else cell_index[(z[0] + t[0]) % n, (z[1] + t[1]) % n, (z[2] + t[2]) % n]
-            at_u, at_v = above_u[i], above_v[j]
-            edges.extend((at_u[l], at_v[l ^ m]) for l in range(1 << s))
-    labels = [lab for above in fibers.values() for row in above for lab in row]
-    return from_labeled_vertices(labels, edges, base.d)
+    ends = [
+        (cover_role(u, moved), cover_role(v, moved))
+        for (u, v), moved in zip(pairs, shift.any(axis=1).tolist())
+    ]
+    roles = tuple(sorted({r for pair in ends for r in pair}, key=lambda r: r.rank))
+    cells = 1 if n is None else n**3
+    fiber = (1 << s) * cells  # the vertices over one role
+    block = {r: k * fiber for k, r in enumerate(roles)}
+    start_u = np.array([block[a] for a, _ in ends], dtype=np.int64)
+    start_v = np.array([block[b] for _, b in ends], dtype=np.int64)
+    level = np.arange(1 << s, dtype=np.int64)
+    if n is None:
+        xyz = np.zeros((1, 3), dtype=np.int64)
+        cell_u = cell_v = np.zeros((len(pairs), 1), dtype=np.int64)
+    else:
+        xyz = np.stack(np.unravel_index(np.arange(cells), (n, n, n)), axis=1)
+        cell_u = np.broadcast_to(np.arange(cells), (len(pairs), cells))
+        moved = (xyz[None, :, :] + shift[:, None, :]) % n
+        cell_v = (moved[:, :, 0] * n + moved[:, :, 1]) * n + moved[:, :, 2]
+    # (base edge, level, cell) -> the cover edge's two ends
+    end_u = (start_u[:, None] + level * cells)[:, :, None] + cell_u[:, None, :]
+    end_v = (start_v[:, None] + (level ^ mask[:, None]) * cells)[:, :, None] + cell_v[:, None, :]
+    count = len(roles) * fiber
+    keys = np.sort((np.minimum(end_u, end_v) * count + np.maximum(end_u, end_v)).ravel())
+    return LabeledGraph._of_arrays(
+        count,
+        np.stack(np.divmod(keys, count), axis=1),
+        base.d,
+        roles,
+        np.repeat(np.arange(len(roles)), fiber),
+        np.tile(np.repeat(level, cells), len(roles)),
+        s,
+        np.tile(xyz, ((1 << s) * len(roles), 1)),
+    )
 
 
 def fundamental_cycle_voltages(
@@ -221,6 +255,7 @@ def fundamental_cycle_voltages(
     """Net (displacement, bits) voltages of the fundamental cycles of a BFS
     spanning tree rooted at vertex 0."""
     g = base.graph
+    adjacency = g.adjacency
     parent = [-1] * g.vertex_count
     tree_volt: list[tuple[Vec3, int]] = [(ZERO3, 0)] * g.vertex_count
     seen = [False] * g.vertex_count
@@ -231,7 +266,7 @@ def fundamental_cycle_voltages(
     while head < len(order):
         v = order[head]
         head += 1
-        for w in g.adjacency[v]:
+        for w in adjacency[v]:
             if not seen[w]:
                 seen[w] = True
                 parent[w] = v
@@ -416,7 +451,7 @@ class LiftCertificate:
 
     def to_voltage(self, base: BaseGraph) -> VoltageAssignment:
         """Rebuild the voltage assignment (displacements + per-edge masks)."""
-        if len(self.edge_order) != len(base.graph.edges):
+        if len(self.edge_order) != len(base.graph.edge_array):
             raise MalformedGraph("certificate edge order does not match base graph")
         ids = {str(base.role_of(v)): v for v in range(base.graph.vertex_count)}
         # column j of the stages, stage i as bit i
@@ -442,21 +477,10 @@ class LiftCertificate:
 
 
 def canonical_edge_order(base: BaseGraph) -> tuple[tuple[str, str], ...]:
-    assert base.graph.labels is not None
-    return tuple(
-        (str(base.graph.labels[u].role), str(base.graph.labels[v].role))
-        for u, v in base.graph.edges
-    )
+    return tuple((str(base.role_of(u)), str(base.role_of(v))) for u, v in base.graph.edges)
 
 
 def stage_bitstrings(base: BaseGraph, volt: VoltageAssignment) -> tuple[str, ...]:
     """Per-stage signing bitstrings over the canonical base edge order."""
-    out = []
-    for i in range(volt.s):
-        out.append(
-            "".join(
-                "1" if (volt.level_bits.get(e, 0) >> i) & 1 else "0"
-                for e in base.graph.edges
-            )
-        )
-    return tuple(out)
+    masks = [volt.level_bits.get(e, 0) for e in base.graph.edges]
+    return tuple("".join("1" if m >> i & 1 else "0" for m in masks) for i in range(volt.s))

@@ -22,7 +22,7 @@ from thetalattice.graphs import (
 )
 from thetalattice.census import CensusReport, _edge_keys, _short_cycles
 from thetalattice.errors import MalformedGraph
-from thetalattice.voltage import ZERO3, fundamental_cycle_voltages, make_bits, vadd
+from thetalattice.voltage import UNIT, ZERO3, fundamental_cycle_voltages, make_bits, vadd
 
 
 def plain_graph(n, edges):
@@ -482,6 +482,49 @@ def two_lift(g: LabeledGraph, sgn: Signing) -> LabeledGraph:
     return from_labeled_vertices(labels, edges, g.d)
 
 
+def two_coloring_reference(g: LabeledGraph) -> list[int] | None:
+    """A proper 2-coloring by a stack search over the adjacency view, each
+    component started at its smallest vertex with color 0, or None if the
+    graph is not bipartite: the reference for graphs.two_coloring."""
+    adjacency = g.adjacency
+    color = [-1] * g.vertex_count
+    for start in range(g.vertex_count):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adjacency[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return color
+
+
+def components_reference(g: LabeledGraph) -> list[int]:
+    """Component numbers per vertex by a stack search, numbered in order of
+    their smallest vertex: the reference for graphs._components."""
+    adjacency = g.adjacency
+    comp = [-1] * g.vertex_count
+    c = 0
+    for start in range(g.vertex_count):
+        if comp[start] != -1:
+            continue
+        comp[start] = c
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adjacency[v]:
+                if comp[w] == -1:
+                    comp[w] = c
+                    stack.append(w)
+        c += 1
+    return comp
+
+
 def connected_components(g: LabeledGraph) -> list[list[int]]:
     """Vertex lists of the components, in order of their smallest vertex."""
     comp = _components(g)
@@ -510,3 +553,72 @@ def drops_last_bit_covering(lift: LabeledGraph, base: LabeledGraph) -> bool:
         if images != list(base.adjacency[img[v]]):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# label-object cover builder and dict-based graph writers: oracles for the
+# array-backed derived_cover, graph_to_json and graph_to_dot
+
+
+def derived_cover_reference(base, volt, n=None):
+    """The cover of derived_cover built one VertexLabel at a time: the fiber
+    of a role is a VertexLabel per (cell, level), an edge (u, v) with
+    displacement t and mask m joins (u, z, l) to (v, z + t, l xor m), and
+    from_labeled_vertices numbers the vertices in canonical label order.
+    With n=None a connector v* is l* on its displaced edge and r* on the
+    others."""
+    s = volt.s
+    levels = [format(lev, f"0{s}b")[::-1] if s else "" for lev in range(1 << s)]
+    cells = [ZERO3] if n is None else [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    cell_index = {z: i for i, z in enumerate(cells)}
+    fibers = {}
+
+    def fiber(v, t):
+        r = base.role_of(v)
+        if n is None and r.tag in UNIT:
+            r = Role(("l" if t != ZERO3 else "r") + r.tag[1])
+        if r not in fibers:
+            fibers[r] = [[VertexLabel(r, lev, z) for lev in levels] for z in cells]
+        return fibers[r]
+
+    edges = []
+    for u, v in base.graph.edges:
+        t = volt.disp(u, v)
+        m = volt.bits(u, v)
+        above_u, above_v = fiber(u, t), fiber(v, t)
+        for i, z in enumerate(cells):
+            j = i if n is None else cell_index[(z[0] + t[0]) % n, (z[1] + t[1]) % n, (z[2] + t[2]) % n]
+            at_u, at_v = above_u[i], above_v[j]
+            edges.extend((at_u[lev], at_v[lev ^ m]) for lev in range(1 << s))
+    labels = [lab for above in fibers.values() for row in above for lab in row]
+    return from_labeled_vertices(labels, edges, base.d)
+
+
+def graph_to_json_dict(g):
+    """The JSON record of a labeled graph, one dict per vertex; graph_to_json
+    must write the bytes of json.dumps(record, indent=2, sort_keys=True) plus
+    a newline."""
+    if g.labels is None:
+        raise MalformedGraph("JSON export needs a labeled graph")
+    return {
+        "d": g.d if g.d is not None else 0,
+        "s": g.level_length,
+        "vertices": [
+            {"id": v, "role": str(lab.role), "level": lab.level, "cell": list(lab.cell)}
+            for v, lab in enumerate(g.labels)
+        ],
+        "edges": [list(e) for e in g.edges],
+    }
+
+
+def graph_to_dot_reference(g):
+    """DOT text of a labeled graph, one line per vertex and edge; node labels
+    are role@level."""
+    lines = ["graph lattice {"]
+    for v, lab in enumerate(g.labels):
+        name = str(lab.role) + (f"@{lab.level}" if lab.level else "")
+        lines.append(f'  v{v} [label="{name}"];')
+    for u, v in g.edges:
+        lines.append(f"  v{u} -- v{v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -210,11 +210,16 @@ def test_classify_central_alone():
 def test_classify_central_needs_one_cell_and_level():
     """A 4-cycle on hub/spoke roles is central only when all four vertices
     share one (cell, level)."""
-    t, b, c1 = (VertexLabel(Role(*r), "0") for r in (("t",), ("b",), ("c", 1)))
-    for c2 in (VertexLabel(Role("c", 2), "1"), VertexLabel(Role("c", 2), "0", (1, 0, 0))):
-        g = from_labeled_vertices([t, b, c1, c2], [(t, c1), (c1, b), (b, c2), (c2, t)])
-        assert classify_c4(g) == (0, 1)
-        assert census(g).c4_central == 0
+    roles = [Role("t"), Role("b"), Role("c", 1), Role("c", 2)]
+    for moved in range(4):  # one vertex at another level, or in another cell
+        for level, cell in (("1", (0, 0, 0)), ("0", (1, 0, 0))):
+            t, b, c1, c2 = (
+                VertexLabel(r, level, cell) if i == moved else VertexLabel(r, "0")
+                for i, r in enumerate(roles)
+            )
+            g = from_labeled_vertices([t, b, c1, c2], [(t, c1), (c1, b), (b, c2), (c2, t)])
+            assert classify_c4(g) == (0, 1)
+            assert census(g).c4_central == 0
 
 
 def test_classify_requires_labels():

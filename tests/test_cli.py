@@ -10,7 +10,7 @@ from thetalattice.certify import wenger_voltage
 from thetalattice.cli import main
 from thetalattice.embed import EMBED_EDGE_LIMIT
 from thetalattice.entropy import min_degree_for_kappa
-from thetalattice.graphs import build_root_unit_graph, central_subgraph, graph_to_json
+from thetalattice.graphs import VertexLabel, build_root_unit_graph, central_subgraph, graph_to_json
 from thetalattice.voltage import LiftCertificate, build_base_graph, max_connected_stages
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
@@ -413,6 +413,13 @@ def _vertex(key, value):
     return edit
 
 
+def _levels(level):
+    def edit(data):
+        for rec in data["vertices"]:
+            rec["level"] = level
+    return edit
+
+
 def _edge(value):
     def edit(data):
         data["edges"][0] = value(data) if callable(value) else value
@@ -445,6 +452,12 @@ def _edge(value):
         (_edge(lambda data: data["edges"][1]), "duplicate edge"),
         (_set("d", None), "not a non-negative integer"),
         (_set("d", 5.0), "not a non-negative integer"),
+        (_vertex("cell", [2**70, 0, 0]), "integers within int64"),
+        (_vertex("cell", [0, -(2**63) - 1, 0]), "integers within int64"),
+        (_edge([0, 2**70]), f"edge (0,{2**70}) out of range"),
+        (_edge([-(2**70), 0]), f"edge ({-(2**70)},0) out of range"),
+        (_vertex("id", 2**70), "dense 0..n-1"),
+        (_levels("0" * 64), "64 bits, above the limit of 63"),
     ],
 )
 def test_malformed_graph_is_a_usage_error(full_unit_d5, tmp_path, capsys, time_limit, edit, message):
@@ -459,6 +472,44 @@ def test_malformed_graph_is_a_usage_error(full_unit_d5, tmp_path, capsys, time_l
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert message in err
+
+
+BENCHMARK_COVERS = {
+    "torus_d5": ["--d", "5", "--kind", "torus", "--cert", str(PINNED / "cert_d5_seed1.json"),
+                 "--trunc-s", "3", "--torus-n", "4"],
+    "full_unit_d10": ["--d", "10", "--kind", "full-unit", "--cert", str(PINNED / "cert_d10_seed1.json"),
+                      "--trunc-s", "8"],
+}
+
+
+@pytest.mark.parametrize("stem", list(BENCHMARK_COVERS))
+def test_export_matches_pinned_graph_hashes(tmp_path, capsys, stem):
+    """export writes the benchmark's two covers, the d = 5 torus and the
+    d = 10 full unit graph, byte for byte as pinned in graph_sha256.json."""
+    pinned = json.loads((PINNED / "graph_sha256.json").read_text())
+    code, _, _ = run(capsys, "export", *BENCHMARK_COVERS[stem], "-o", str(tmp_path / stem))
+    assert code == 0
+    for suffix in (".json", ".dot"):
+        written = (tmp_path / stem).with_suffix(suffix)
+        assert hashlib.sha256(written.read_bytes()).hexdigest() == pinned[written.name]
+
+
+@pytest.mark.parametrize("kind", ["torus", "full-unit"])
+def test_export_and_census_build_no_label_objects(tmp_path, capsys, monkeypatch, cert_d5, kind):
+    """Covers are built, written, read and counted from arrays alone: with
+    VertexLabel unable to construct, export and census still succeed."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a VertexLabel was built")
+
+    monkeypatch.setattr(VertexLabel, "__init__", refuse)
+    stem = tmp_path / "cover"
+    argv = ["export", "--d", "5", "--kind", kind, "--cert", str(cert_d5), "--trunc-s", "2", "-o", str(stem)]
+    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, "census", str(stem.with_suffix(".json")))
+    assert code == 0
+    monkeypatch.undo()
+    assert run(capsys, "census", str(stem.with_suffix(".json")))[1] == out
 
 
 def test_census_on_k25_file(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,26 +9,36 @@ from conftest import (
     CentralEdgeCrossed,
     Signing,
     central_copies,
+    components_reference,
     connected_components,
     drops_last_bit_covering,
+    graph_to_dot_reference,
+    graph_to_json_dict,
     labeled_cycle4,
     labeled_k2d,
     plain_graph,
+    random_bits_voltage,
+    random_graph,
+    two_coloring_reference,
     two_lift,
 )
 from thetalattice.census import brute_force_census, count_c4, count_c6
 from thetalattice.errors import DegreeTooSmall, MalformedGraph
 from thetalattice.graphs import (
     LabeledGraph,
+    _components,
     Role,
+    VertexLabel,
     build_root_unit_graph,
     central_subgraph,
+    from_labeled_vertices,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
     two_coloring,
     validate,
 )
+from thetalattice.voltage import build_base_graph, derived_cover
 
 
 def role_id(g, tag, index=0, level=""):
@@ -209,6 +222,21 @@ def test_lift_short_cycles_project_to_base_cycles():
 # ---------------------------------------------------------------------------
 # validate
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=0, max_value=14),
+    st.sampled_from([0.0, 0.1, 0.2, 0.4]),
+)
+def test_breadth_first_coloring_matches_stack_search(seed, n, p):
+    """two_coloring and _components on random graphs, with isolated
+    vertices, several components and odd cycles, equal the stack-search
+    references."""
+    g = random_graph(random.Random(seed), n, p)
+    assert two_coloring(g) == two_coloring_reference(g)
+    assert _components(g) == components_reference(g)
+
+
 def test_validate_root_not_regular():
     g = build_root_unit_graph(5)
     report = validate(g, expect_regular=5)
@@ -275,6 +303,58 @@ def test_graph_json_roundtrip():
     assert back.labels == g.labels
     assert back.d == g.d
     assert graph_to_json(back) == text
+
+
+def _writer_graphs():
+    """Labeled graphs for the writer checks: the root, base and central
+    graphs, a torus, a full unit graph, one with negative cells, and one
+    with no edges."""
+    root = build_root_unit_graph(6)
+    base, volt0 = build_base_graph(5)
+    torus = derived_cover(base, random_bits_voltage(base, volt0, 2, seed=5), 2)
+    base6, volt6 = build_base_graph(6)
+    full_unit = derived_cover(base6, random_bits_voltage(base6, volt6, 3, seed=6))
+    c1, t = VertexLabel(Role("c", 1), "01", (-1, 2, -3)), VertexLabel(Role("t"), "10", (0, 0, 5))
+    return {
+        "root": root,
+        "base": base.graph,
+        "central": central_subgraph(root),
+        "torus": torus,
+        "full-unit": full_unit,
+        "negative-cells": from_labeled_vertices([c1, t], [(c1, t)], 7),
+        "no-edges": from_labeled_vertices([c1, t], []),
+    }
+
+
+@pytest.mark.parametrize("name", list(_writer_graphs()))
+def test_graph_writers_match_dict_writers(name):
+    """graph_to_json writes the bytes json.dumps writes for the dict record,
+    graph_to_dot those of the line-by-line writer, and the JSON reads back
+    as the same graph."""
+    g = _writer_graphs()[name]
+    text = graph_to_json(g)
+    assert text == json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True) + "\n"
+    assert graph_to_dot(g) == graph_to_dot_reference(g)
+    assert graph_from_json(text) == g
+
+
+def test_graph_json_vertices_in_any_order():
+    """The reader places each vertex record by its id, whatever the order
+    of the records in the file."""
+    g = _writer_graphs()["torus"]
+    data = json.loads(graph_to_json(g))
+    random.Random(3).shuffle(data["vertices"])
+    assert graph_from_json(json.dumps(data)) == g
+
+
+def test_labeled_graph_arrays_are_read_only():
+    g = build_root_unit_graph(5)
+    with pytest.raises(ValueError):
+        g.edge_array[0, 0] = 1
+    with pytest.raises(ValueError):
+        g.levels[0] = 1
+    with pytest.raises(AttributeError):
+        g.vertex_count = 3
 
 
 def test_graph_dot_export():

@@ -41,3 +41,16 @@ def test_embedding_demo_script(tmp_path):
     assert any(line.startswith("checklist: ") and "False" not in line for line in lines)
     assert lines[-1] == f"wrote {out} and {obj}"
     assert obj.read_text().startswith("v ")
+
+
+def test_reproduce_counterexample_has_no_seed_option(tmp_path):
+    """The certificate is the same for every seed, so the script takes none."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_counterexample.py"), "--dmax", "5", "--seed", "1"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed" in proc.stderr

@@ -10,6 +10,7 @@ from conftest import (
     _voltage_group_generated_reference,
     central_copies,
     connected_components,
+    derived_cover_reference,
     random_bits_voltage,
     two_lift,
 )
@@ -107,6 +108,23 @@ def test_derived_cover_limit_is_exact(monkeypatch, n, s):
     monkeypatch.setattr(voltage_module, "COVER_LIMIT", bound - 1)
     with pytest.raises(TooLarge, match=f"up to {bound} vertices, above the limit of {bound - 1}"):
         derived_cover(base, volt, n)
+
+
+@pytest.mark.parametrize("n", [None, 2, 3])
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_derived_cover_matches_label_object_builder(d, s, n):
+    """The array-built cover has the labels, edges and arrays of the cover
+    built one VertexLabel at a time, for random bits."""
+    base, volt0 = build_base_graph(d)
+    volt = random_bits_voltage(base, volt0, s, seed=100 * d + 10 * s + (n or 0))
+    cover = derived_cover(base, volt, n)
+    reference = derived_cover_reference(base, volt, n)
+    assert cover.labels == reference.labels
+    assert cover.edges == reference.edges
+    assert cover == reference
+    assert cover.d == reference.d == d
+    assert cover.level_length == s
 
 
 def test_derived_torus_zero_bits_two_components():
