@@ -7,7 +7,8 @@ integers; nothing in this module uses floating point.  On explicit graphs
 one int64 wedge table (every path u - w - v, keyed by its end pair) gives
 the pair codegrees, which give the 4-cycles, the thetas and the central
 4-cycles.  On bipartite graphs the same table gives the 6-cycles through a
-codegree-triangle identity; only non-bipartite graphs count their 6-cycles
+codegree-triangle identity, whose triangle sum gathers each candidate pair
+from a reusable slot table; only non-bipartite graphs count their 6-cycles
 by the short-cycle DFS.  The per-cube census works on integer voltage keys
 (int64, or Python ints above 48 level bits).
 """
@@ -63,10 +64,13 @@ def _frac_str(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # wedge-key counters
 
-# Candidate rows (codegree pair x forward neighbour) per block of the
-# triangle sum in _codegree_triangles.  Larger blocks only raise peak memory:
-# on the d = 10, s = 8 full unit graph the process peaks at 63 MiB with
-# 2^12 to 2^16 rows a block and at 92 MiB with 2^19.
+# Slots of the table in _codegree_triangles.  A block has
+# _TRIANGLE_BLOCK // nx table rows (one if nx is larger), so with K the
+# largest degree of the codegree graph it holds at most
+# max(_TRIANGLE_BLOCK, K) pairs and K times as many candidates.  Larger
+# blocks raise peak memory: a `census` process on the d = 10, s = 8 full unit
+# graph peaks at 56 MiB with 2^12 to 2^16 slots, 66 MiB with 2^18 and 94 MiB
+# with 2^20 (2 vCPU, Python 3.11.7, numpy 2.4.6).
 _TRIANGLE_BLOCK = 1 << 16
 
 
@@ -226,34 +230,51 @@ def _codegree_triangles(keys: np.ndarray, codegree: np.ndarray, n: int) -> int:
     c_ab * c_bc * c_ac, given its ascending pair keys a * n + b.
 
     The forward neighbours c > b of b are the run of keys whose first vertex
-    is b.  Each pair (a, b) looks up a * n + c for every forward neighbour c
-    of b with one searchsorted, so every triangle is found once, from its
-    two smallest vertices.
+    is b.  Each pair (a, b) and each forward neighbour c of b make one
+    candidate (a, c), so every triangle is found once, from its two smallest
+    vertices.  The nx vertices that lie in a pair are ranked to columns
+    0..nx-1.  For one block of consecutive first vertices a0 <= a, a slot
+    table holds c_ac at row rank(a) - rank(a0), column rank(c), and 0 where
+    (a, c) is no pair; every candidate of the block is one gather from it,
+    and only the slots written for the block are reset afterwards.
     """
+    if not len(keys):
+        return 0
     first, second = np.divmod(keys, n)
-    run_start = np.searchsorted(first, second, side="left")
-    run_len = np.searchsorted(first, second, side="right") - run_start
-    row_end = np.cumsum(run_len)
-    row_start = row_end - run_len
+    count = np.bincount(first, minlength=n)
+    in_pair = count > 0
+    in_pair[second] = True
+    rank = np.cumsum(in_pair) - 1
+    nx = int(rank[-1]) + 1
+    row, col = rank[first], rank[second]
+    rows = max(1, _TRIANGLE_BLOCK // nx)
+    table = np.zeros(rows * nx, dtype=np.int64)
+    # The candidates of pair i are numbered cand_end[i] - run_len[i] to
+    # cand_end[i] - 1, one for each pair (b, c) of b = second[i]; candidate t
+    # takes pair t + jump[i] as its (b, c).
+    run_len = count[second]
+    cand_end = np.cumsum(run_len)
+    jump = (np.cumsum(count) - count)[second] - (cand_end - run_len)
+    # A codegree is at most the maximum degree D, and D < 2^21 (a vertex of
+    # degree 2^21 alone has 2^41 wedges, a table no memory holds), so each
+    # term c_ab * c_bc * c_ac is below 2^63 and per_dot of them sum inside
+    # int64; per_dot is 2^60 at codegrees up to 2, so the loop below runs
+    # once.  The running total is a Python int.
+    per_dot = (2**63 - 1) // int(codegree.max()) ** 3
+    # pairs i..j-1 have their first vertices in one block of table rows
+    bounds = np.unique(np.searchsorted(row, np.arange(0, nx + rows, rows)))
     total = 0
-    i = 0
-    while i < len(keys):
-        # pairs i..j-1 make one block of about _TRIANGLE_BLOCK candidate rows
-        # (a single pair with a longer run, at most n rows, makes its own)
-        j = max(int(np.searchsorted(row_end, row_start[i] + _TRIANGLE_BLOCK, side="right")), i + 1)
-        ab = np.repeat(np.arange(i, j), run_len[i:j])
-        bc = np.arange(row_start[i], row_end[j - 1]) + np.repeat(
-            run_start[i:j] - row_start[i:j], run_len[i:j]
-        )
-        need = first[ab] * n + second[bc]
-        ac = np.searchsorted(keys, need).clip(max=len(keys) - 1)
-        hit = keys[ac] == need
-        # A codegree is at most the maximum degree D, so each product is at
-        # most D^3 and a block sums at most max(_TRIANGLE_BLOCK, n) * D^3,
-        # far inside int64 for any graph whose wedge table fits in memory;
-        # the running total is a Python int.
-        total += int((codegree[ab] * codegree[bc] * codegree[ac])[hit].sum())
-        i = j
+    for i, j in itertools.pairwise(bounds.tolist()):
+        slot_row = (row[i:j] - row[i]) * nx
+        written = slot_row + col[i:j]
+        table[written] = codegree[i:j]
+        runs = run_len[i:j]
+        bc = jump[i:j].repeat(runs) + np.arange(cand_end[i] - runs[0], cand_end[j - 1])
+        terms = codegree[bc] * table[slot_row.repeat(runs) + col[bc]]
+        weights = codegree[i:j].repeat(runs)
+        for k in range(0, len(terms), per_dot):
+            total += int(np.dot(weights[k : k + per_dot], terms[k : k + per_dot]))
+        table[written] = 0
     return total
 
 

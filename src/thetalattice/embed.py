@@ -189,6 +189,10 @@ def segment_pair_ok(p1: IPoint, p2: IPoint, q1: IPoint, q2: IPoint) -> bool:
 _EPS = 2.0**-53
 _ORIENT3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
 _COORD_LIMIT = 2**53
+# Below this block-coordinate bound, endpoint differences stay below 2^30,
+# their products below 2^60, and a cross component or a 3-term dot product
+# below 3 * 2^60 < 2^63, so _shared_endpoint_ok decides in int64 exactly.
+_INT64_SHARED_LIMIT = 2**29
 # One representative of each translation class of pairs in the 3x3x3 block:
 # (e, f + delta) and (f, e - delta) are the same pair, so delta >= 0 in
 # lexicographic order.
@@ -227,6 +231,35 @@ def _undecided(
     return np.flatnonzero(np.abs(det) <= _ORIENT3D_BOUND * permanent)
 
 
+def _shared_endpoint_ok(
+    start: np.ndarray, end: np.ndarray, i: np.ndarray, j: np.ndarray, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(shared, ok) for the pairs of segment i[k] against segment j[k] +
+    shift: whether they share an endpoint, and where they do, whether they
+    meet only there, as segment_pair_ok decides it.
+
+    start and end are (3, E) int64 endpoints; no segment is a single point.
+    Two shared endpoints make the same segment twice.  With one shared
+    endpoint a and far ends b and c, the segments meet only at a unless the
+    rays a->b and a->c are collinear (zero cross product) and point the same
+    way (dot product >= 0).  Exact in int64 while every coordinate of the
+    two segments is below _INT64_SHARED_LIMIT in magnitude.
+    """
+    p1, p2 = start[:, i], end[:, i]
+    q1, q2 = start[:, j] + shift[:, None], end[:, j] + shift[:, None]
+    p1q1, p1q2 = (p1 == q1).all(axis=0), (p1 == q2).all(axis=0)
+    p2q1, p2q2 = (p2 == q1).all(axis=0), (p2 == q2).all(axis=0)
+    at_p1 = p1q1 | p1q2
+    at_q1 = p1q1 | p2q1
+    count = p1q1.astype(np.int64) + p1q2 + p2q1 + p2q2
+    a = np.where(at_p1, p1, p2)
+    u = np.where(at_p1, p2, p1) - a
+    v = np.where(at_q1, q2, q1) - a
+    crossed = np.cross(u, v, axis=0).any(axis=0)
+    ok = (count == 1) & (crossed | ((u * v).sum(axis=0) < 0))
+    return count > 0, ok
+
+
 def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     """Exact check that over the 3x3x3 block of unit translates every pair of
     intersecting edge segments meets only at a shared endpoint.
@@ -238,8 +271,10 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     Pairs whose closed bounding boxes are disjoint are skipped (exact, int64).
     A float64 orientation filter with Shewchuk's static bound A certifies
     skew pairs; it needs every block coordinate to be an integer below 2^53
-    in magnitude, else TooLarge.  Every other pair, including each pair with a
-    shared endpoint, is decided by the exact integer segment_pair_ok.
+    in magnitude, else TooLarge.  Pairs with a shared endpoint are decided by
+    the vectorised int64 _shared_endpoint_ok while every block coordinate is
+    below 2^29; every other pair, and above 2^29 every pair the filter leaves,
+    is decided by the exact Python-int segment_pair_ok.
     """
     if fug.roles is None:
         raise MalformedGraph("is_good_try needs a labeled graph")
@@ -252,6 +287,7 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     reach = max(abs(c) for p in scaled.values() for c in p) + 2 * denom
     if reach >= _COORD_LIMIT:
         raise TooLarge(f"block coordinates reach {reach} grid units, not below 2^53")
+    int64_shared = reach < _INT64_SHARED_LIMIT
     ends = [(scaled[u], scaled[v]) for u, v in fug.edges]
     # (endpoint, axis, edge)
     start, end = np.array(ends, dtype=np.int64).transpose(1, 2, 0)
@@ -284,8 +320,15 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
             if same:
                 keep = i < j
                 i, j = i[keep], j[keep]
-            for k in _undecided(start, step, i, j, shift):
-                (p1, p2), (q1, q2) = ends[i[k]], ends[j[k]]
+            left = _undecided(start, step, i, j, shift)
+            i, j = i[left], j[left]
+            if int64_shared:
+                shared, ok = _shared_endpoint_ok(start, end, i, j, shift)
+                if not ok[shared].all():
+                    return False
+                i, j = i[~shared], j[~shared]
+            for e, f in zip(i.tolist(), j.tolist()):
+                (p1, p2), (q1, q2) = ends[e], ends[f]
                 if not segment_pair_ok(p1, p2, _add(q1, offset), _add(q2, offset)):
                     return False
     return True

@@ -150,6 +150,32 @@ def _c4_theta_reference(g):
     return total // 2, sum(comb(c, 3) for c in cod.values())
 
 
+def codegree_triangles_reference(keys, codegree, n, block=1 << 16):
+    """census._codegree_triangles as it was before the slot table: each
+    pair (a, b) looks up a * n + c for every forward neighbour c of b with
+    one searchsorted over all pair keys, in blocks of about `block`
+    candidate rows.  The oracle for the slot-table kernel."""
+    first, second = np.divmod(keys, n)
+    run_start = np.searchsorted(first, second, side="left")
+    run_len = np.searchsorted(first, second, side="right") - run_start
+    row_end = np.cumsum(run_len)
+    row_start = row_end - run_len
+    total = 0
+    i = 0
+    while i < len(keys):
+        j = max(int(np.searchsorted(row_end, row_start[i] + block, side="right")), i + 1)
+        ab = np.repeat(np.arange(i, j), run_len[i:j])
+        bc = np.arange(row_start[i], row_end[j - 1]) + np.repeat(
+            run_start[i:j] - row_start[i:j], run_len[i:j]
+        )
+        need = first[ab] * n + second[bc]
+        ac = np.searchsorted(keys, need).clip(max=len(keys) - 1)
+        hit = keys[ac] == need
+        total += int((codegree[ab] * codegree[bc] * codegree[ac])[hit].sum())
+        i = j
+    return total
+
+
 def _central_c4_reference(g):
     """4-cycles of the subgraph of edges whose endpoints both have hub/spoke
     roles at one (cell, level), built as a graph of its own."""

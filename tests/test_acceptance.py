@@ -18,7 +18,7 @@ from thetalattice.census import (
     count_theta222,
     voltage_census,
 )
-from thetalattice.certify import verification_route, verify_certificate
+from thetalattice.certify import verification_route, verify_certificate, wenger_voltage
 from thetalattice.embed import check_embedding_properties, find_good_try, is_good_try
 from thetalattice.entropy import lattice_report, min_degree_for_kappa
 from thetalattice.graphs import validate
@@ -180,3 +180,28 @@ def test_criterion_8_structural_invariants(certified):
         ok = ok and cert.flags.voltage_group_generated
         ok = ok and voltage_group_generated(base, volt)
     report(8, "structural invariants", ok)
+
+
+def test_criterion_9_full_s_explicit_census(time_limit):
+    """The explicit census of the n = 2 torus of the whole Wenger voltage
+    (s = 6 up to d = 8, s = 8 at d = 9 and 10, up to 40,960 vertices) equals
+    8 x the voltage census on every count, within a 10 s budget."""
+    t0 = time.perf_counter()
+    ok = True
+    details = []
+    for d in range(5, 11):
+        base, _ = build_base_graph(d)
+        volt = wenger_voltage(base)
+        per_cube = voltage_census(base, volt)
+        torus = derived_cover(base, volt, 2)
+        explicit = census(torus)
+        for key in ("c4_total", "c4_central", "c4_stray", "c6", "theta222"):
+            ok = ok and getattr(explicit, key) == 8 * getattr(per_cube, key)
+        details.append(f"d={d}: s={volt.s}, {torus.vertex_count} vertices")
+    elapsed = time.perf_counter() - t0
+    report(
+        9,
+        "full-s torus census equals 8 x voltage census",
+        ok and elapsed < 10.0,
+        f"{'; '.join(details)}; {elapsed:.1f}s",
+    )

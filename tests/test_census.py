@@ -1,10 +1,12 @@
 import importlib
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,6 +17,7 @@ from conftest import (
     _cycle_mask,
     _voltage_c6_triples,
     _voltage_census_reference,
+    codegree_triangles_reference,
     complete_bipartite,
     cycle_graph,
     labeled_k2d,
@@ -171,6 +174,63 @@ def test_sparse_census_matches_references_on_covers(n, d, s, seed):
     cover = derived_cover(base, random_bits_voltage(base, volt0, s, seed), n)
     rep = _matches_references(cover)
     assert rep.c4_central == (8 if n else 1) * 2**s * comb(d, 2)
+
+
+@st.composite
+def _codegree_graphs(draw, max_codegree=10**4):
+    """(n, {(a, b): c_ab}): a codegree graph on up to 12 vertex ids spread
+    over 0..n-1, so that ids in pairs interleave with ids in none."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    ids = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=12)))
+    pairs = draw(st.sets(st.sampled_from(list(itertools.combinations(ids, 2)))))
+    return n, {p: draw(st.integers(1, max_codegree)) for p in sorted(pairs)}
+
+
+def _pair_arrays(n, pairs):
+    keys = np.array(sorted(a * n + b for a, b in pairs), dtype=np.int64)
+    return keys, np.array([pairs[divmod(int(k), n)] for k in keys], dtype=np.int64), n
+
+
+def _triangle_sum(pairs):
+    """The sum over triangles a < b < c of c_ab * c_bc * c_ac in Python ints."""
+    return sum(
+        c_ab * pairs[b, c] * pairs[a, c]
+        for (a, b), c_ab in pairs.items()
+        for c in range(b + 1, max(max(p) for p in pairs) + 1)
+        if (b, c) in pairs and (a, c) in pairs
+    )
+
+
+_LONG_RUN = {(0, b): 1 + b % 3 for b in range(1, 40)} | {(b, b + 1): 2 for b in range(1, 39)}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+@settings(max_examples=50, deadline=None)
+@given(_codegree_graphs())
+@example((5, {}))
+@example((5, {(1, 3): 2}))
+@example((40, _LONG_RUN))
+@example((30, {p: 1 + sum(p) % 5 for p in itertools.combinations((2, 5, 6, 11, 17, 23, 29), 2)}))
+def test_codegree_triangles_match_searchsorted_reference(block, graph):
+    """The slot-table kernel equals the searchsorted kernel it replaced, for
+    every table size down to one slot: the empty set, a single pair, one
+    first vertex with a forward run of 39 pairs, and interleaved ids among
+    the examples."""
+    keys, codegree, n = _pair_arrays(*graph)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census_module, "_TRIANGLE_BLOCK", block)
+        got = census_module._codegree_triangles(keys, codegree, n)
+    assert got == codegree_triangles_reference(keys, codegree, n, block) == _triangle_sum(graph[1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(_codegree_graphs(max_codegree=2**21 - 1))
+@example((9, dict.fromkeys(itertools.combinations(range(9), 2), 2**21 - 1)))
+def test_codegree_triangles_exact_beyond_int64_sums(graph):
+    """Codegrees up to 2^21 - 1 make terms up to 2^63 - 2^23; the complete
+    graph on 9 vertices sums 84 of them, far above int64.  The kernel sums
+    few enough terms at a time to stay exact."""
+    assert census_module._codegree_triangles(*_pair_arrays(*graph)) == _triangle_sum(graph[1])
 
 
 def test_short_cycles_frees_its_result():

@@ -5,13 +5,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import random_bits_voltage
 from thetalattice.certify import wenger_voltage
 from thetalattice.cli import main
 from thetalattice.embed import EMBED_EDGE_LIMIT
 from thetalattice.entropy import min_degree_for_kappa
 from thetalattice.graphs import VertexLabel, build_root_unit_graph, central_subgraph, graph_to_json
-from thetalattice.voltage import LiftCertificate, build_base_graph, max_connected_stages
+from thetalattice.voltage import LiftCertificate, build_base_graph, derived_cover, max_connected_stages
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
 
@@ -472,6 +475,93 @@ def test_malformed_graph_is_a_usage_error(full_unit_d5, tmp_path, capsys, time_l
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert message in err
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+_BIG = [2**63, -(2**63) - 1, 2**70, -(2**70)]
+
+
+@st.composite
+def _mutated_graph_files(draw, text):
+    """The graph file `text` with one mutation: a dropped or duplicated
+    field (a duplicated key keeps its second value, as json.loads does), a
+    value of a wrong type, an id, cell, level, edge end or d out of range,
+    or the text cut short."""
+    kind = draw(st.sampled_from(["drop", "duplicate", "type", "range", "truncate"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    data = json.loads(text)
+    n, verts, edges = len(data["vertices"]), data["vertices"], data["edges"]
+    rec, e = verts[draw(st.integers(0, n - 1))], draw(st.integers(0, len(edges) - 1))
+    if kind == "range":
+        field = draw(st.sampled_from(["id", "cell", "level", "levels", "end", "d"]))
+        if field == "id":
+            rec["id"] = draw(st.sampled_from([-1, n, *_BIG]))
+        elif field == "cell":
+            rec["cell"][draw(st.integers(0, 2))] = draw(st.sampled_from(_BIG))
+        elif field == "level":
+            rec["level"] = draw(st.sampled_from(["", "2", "01x", "0" * 64]))
+        elif field == "levels":  # every level 64 bits, one above the limit
+            for other in verts:
+                other["level"] = "1" * 64
+        elif field == "end":
+            edges[e][draw(st.integers(0, 1))] = draw(st.sampled_from([-1, n, *_BIG]))
+        else:
+            data["d"] = draw(st.sampled_from([-1, *_BIG]))
+        return json.dumps(data)
+    places = {
+        "d": (data, "d"),
+        "vertices": (data, "vertices"),
+        "edges": (data, "edges"),
+        "vertex": (verts, verts.index(rec)),
+        "edge": (edges, e),
+        "end": (edges[e], draw(st.integers(0, 1))),
+        **{key: (rec, key) for key in ("id", "role", "level", "cell")},
+    }
+    box, key = places[draw(st.sampled_from(sorted(places)))]
+    if kind == "drop":
+        del box[key]
+    elif kind == "type":
+        box[key] = draw(_JUNK)
+    elif isinstance(box, list):
+        box.insert(key, box[key])
+    else:  # the key once more, after its first value
+        box["\0dup"] = draw(st.one_of(st.just(box[key]), _JUNK))
+        return json.dumps(data).replace('"\\u0000dup"', json.dumps(key))
+    return json.dumps(data)
+
+
+@pytest.fixture(scope="module")
+def torus_d5_text():
+    """A small valid graph file: the n = 2 torus of d = 5 at one level bit,
+    208 vertices with two levels and eight cells."""
+    base, volt0 = build_base_graph(5)
+    return graph_to_json(derived_cover(base, random_bits_voltage(base, volt0, 1, seed=3), 2))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_census_input_fuzz(torus_d5_text, tmp_path, capsys, time_limit, data):
+    """census on a mutated graph file either counts it (exit 0, nothing on
+    stderr) or refuses it with exit 2 and one error line, never a
+    traceback."""
+    path = tmp_path / "graph.json"
+    path.write_text(data.draw(_mutated_graph_files(torus_d5_text)))
+    code, _, err = run(capsys, "census", str(path))
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 BENCHMARK_COVERS = {

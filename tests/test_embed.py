@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bits_voltage
@@ -154,6 +154,90 @@ def test_segment_predicate_symmetric(p1, p2, q1, q2):
         return
     assert segment_pair_ok(p1, p2, q1, q2) == segment_pair_ok(q1, q2, p1, p2)
     assert segment_pair_ok(p1, p2, q1, q2) == segment_pair_ok(p2, p1, q1, q2)
+
+
+# the largest coordinate magnitude that _shared_endpoint_ok decides in int64
+_E = embed._INT64_SHARED_LIMIT - 1
+_ray = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+
+
+@st.composite
+def _shared_endpoint_pairs(draw):
+    """(p1, p2, q1, q2): segments a-b and a-c in either orientation, with
+    rays a -> b and a -> c of small directions, often collinear in the same
+    or the opposite sense, placed at the origin or within 8 of the int64
+    coordinate bound."""
+    corner = draw(st.tuples(*[st.sampled_from([-_E + 8, 0, _E - 8])] * 3))
+    a = tuple(x + draw(st.integers(-2, 2)) for x in corner)
+    u = draw(_ray)
+    v = draw(st.one_of(_ray, st.sampled_from([u, tuple(-x for x in u)])))
+    m, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    b = tuple(x + m * y for x, y in zip(a, u))
+    c = tuple(x + k * y for x, y in zip(a, v))
+    p = (a, b) if draw(st.booleans()) else (b, a)
+    q = (a, c) if draw(st.booleans()) else (c, a)
+    return (*p, *q)
+
+
+def _shared_endpoint_verdict(p1, p2, q1, q2, shift):
+    """embed._shared_endpoint_ok on the one pair (p1p2, q1q2), with q1q2
+    stored shifted back by shift."""
+    start = np.array([p1, np.subtract(q1, shift)], dtype=np.int64).T
+    end = np.array([p2, np.subtract(q2, shift)], dtype=np.int64).T
+    shared, ok = embed._shared_endpoint_ok(
+        start, end, np.array([0]), np.array([1]), np.array(shift, dtype=np.int64)
+    )
+    return bool(shared[0]), bool(ok[0])
+
+
+@settings(max_examples=300)
+@given(_shared_endpoint_pairs(), st.tuples(*[st.integers(-8, 8)] * 3))
+# perpendicular rays spanning the whole coordinate range
+@example(((-_E, -_E, -_E), (_E, -_E, -_E), (-_E, -_E, -_E), (-_E, _E, -_E)), (0, 0, 0))
+# collinear rays, opposite and overlapping, from one bound to the other
+@example(((0, 0, 0), (_E, _E, _E), (-_E, -_E, -_E), (0, 0, 0)), (1, 1, 1))
+@example(((-_E, -_E, -_E), (_E, _E, _E), (_E - 2, _E - 2, _E - 2), (-_E, -_E, -_E)), (0, 0, 0))
+@example(((-_E, -_E, -_E), (0, 0, 0), (0, 0, 0), (_E, _E, _E)), (0, 0, 0))
+@example(((-_E, -_E, -_E), (0, 0, 0), (-_E, -_E, -_E), (_E, _E, _E)), (0, 0, 0))
+# the same segment twice, and no shared endpoint
+@example(((_E, 0, -_E), (-_E, 1, _E), (-_E, 1, _E), (_E, 0, -_E)), (0, 0, 0))
+@example(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)), (0, 0, 0))
+def test_shared_endpoint_int64_matches_segment_pair_ok(pair, shift):
+    """The int64 shared-endpoint test agrees with segment_pair_ok wherever
+    the segments share an endpoint, with coordinates up to 2^29 - 1 in
+    magnitude, and finds exactly the pairs that share one."""
+    p1, p2, q1, q2 = pair
+    shared, ok = _shared_endpoint_verdict(p1, p2, q1, q2, shift)
+    assert shared == bool({p1, p2} & {q1, q2})
+    if shared:
+        assert ok == segment_pair_ok(p1, p2, q1, q2)
+
+
+@pytest.mark.parametrize("corner, int64", [(2**29 - 10, True), (2**29 - 9, False)])
+@pytest.mark.parametrize("far", [(0, 0, -1), (0, 2, 0), (0, -1, 0)])
+def test_shared_endpoint_route_switches_at_int64_bound(monkeypatch, corner, int64, far):
+    """Two edges from one vertex a, on a grid of 4 units a cell: the largest
+    coordinate is corner + 1 units, so block coordinates reach corner + 9.
+    Below 2^29 the shared-endpoint pairs never reach segment_pair_ok, at
+    2^29 they do, and the verdict is the block oracle's either way
+    (perpendicular, overlapping and opposite second edges)."""
+    labels = tuple(VertexLabel(Role(tag)) for tag in ("t", "b", "rx"))
+    fug = LabeledGraph(3, ((0, 1), (0, 2)), labels)
+    a = (corner - 2, corner - 2, corner + 1)
+    points = {0: a, 1: (a[0], a[1] + 1, a[2]), 2: tuple(x + y for x, y in zip(a, far))}
+    t = Try({v: tuple(Fraction(c, 4) for c in p) for v, p in points.items()}, Fraction(1, 4))
+    assert t.scaled()[1] == 4
+    calls = []
+
+    def counted(p1, p2, q1, q2):
+        calls.append(bool({p1, p2} & {q1, q2}))
+        return segment_pair_ok(p1, p2, q1, q2)
+
+    monkeypatch.setattr(embed, "segment_pair_ok", counted)
+    verdict = is_good_try(t, fug)
+    assert any(calls) != int64
+    monkeypatch.undo()
+    assert verdict == _block_oracle_ok(t, fug) == (far != (0, 2, 0))
 
 
 def _planar_oracle_ok(p1, p2, q1, q2):
