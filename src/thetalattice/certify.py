@@ -10,13 +10,18 @@ certify gives every degree the same deterministic voltage, wenger_voltage,
 whose bits are the edge labels of the Wenger graphs over GF(2^r): it covers
 every constraint by a short algebraic proof, with s = 2 ceil(log2 d) stages.
 verify_certificate checks any voltage, Wenger or not, with the aggregated
-voltage census and, while the constraint set is small, a counting DFS over
-the constraint cycles.
+voltage census and, up to DFS_LIMIT constraints (d <= 20), a second,
+independent route: recheck_constraints_dfs counts the constraint cycles by
+a min-rooted path enumeration over numpy frontiers, in blocks of bounded
+size, with exact displacement codes and exact multi-word level bits.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
+
+import numpy as np
 
 from .census import CensusReport, voltage_census
 from .graphs import Edge
@@ -31,11 +36,6 @@ from .voltage import (
     stage_bitstrings,
     voltage_group_generated,
 )
-
-# verify_certificate also re-counts the constraint cycles by DFS (route
-# "census+dfs") while there are at most this many; above it the census alone
-# decides
-EXPLICIT_LIMIT = 300_000
 
 
 def constraint_count_formula(d: int) -> int:
@@ -57,82 +57,148 @@ def constraint_count_formula(d: int) -> int:
     return four + six
 
 
+# verify_certificate also re-counts the constraint cycles by DFS (route
+# "census+dfs") while there are at most this many, those of d = 20; above it
+# the census alone decides
+DFS_LIMIT = constraint_count_formula(20)
+
+
 # ---------------------------------------------------------------------------
 # verification
 
-# a displacement (x, y, z) of the DFS as the one integer x + 16 y + 256 z
+# a displacement (x, y, z) of the DFS as the one integer x + 16 y + 256 z,
+# for each of the 27 unit steps
 _DFS_RADIX = 16
+_STEP_CODE = {
+    t: t[0] + _DFS_RADIX * (t[1] + _DFS_RADIX * t[2]) for t in product((-1, 0, 1), repeat=3)
+}
+# the displacement code of a vertex pair that is not an edge; codes of paths
+# of at most 6 unit steps stay within +-6 * 273
+_NO_EDGE = np.iinfo(np.int16).max
+# the 6-cycles are closed in blocks of about this many (path, neighbour)
+# candidates
+_DFS_BLOCK = 1 << 15
+
+
+def _dfs_tables(base: BaseGraph, volt: VoltageAssignment):
+    """The step table of the DFS: padded (n, deg) arrays of neighbour id
+    (pad -1), displacement code and level bits, and dense (n, n) arrays of
+    the code (_NO_EDGE off the edges) and bits of every directed edge.  Bits
+    are (..., words) arrays of 64-bit words, low word first, so every s is
+    exact."""
+    g = base.graph
+    n, words = g.vertex_count, max(1, -(-volt.s // 64))
+    adjacency = g.adjacency
+    deg = max(map(len, adjacency), default=0)
+    step_to = np.full((n, deg), -1, dtype=np.int16 if n < 1 << 15 else np.int32)
+    step_code = np.zeros((n, deg), dtype=np.int16)
+    step_bits = np.zeros((n, deg, words), dtype=np.uint64)
+    edge_code = np.full((n, n), _NO_EDGE, dtype=np.int16)
+    edge_bits = np.zeros((n, n, words), dtype=np.uint64)
+    for u, row in enumerate(adjacency):
+        codes, bits = [], []
+        for v in row:
+            t, m = volt.disp(u, v), volt.bits(u, v)
+            if t not in _STEP_CODE:
+                raise ValueError(f"edge ({u}, {v}) has a non-unit displacement {t}")
+            codes.append(_STEP_CODE[t])
+            bits.append([m >> 64 * k & 0xFFFF_FFFF_FFFF_FFFF for k in range(words)])
+        k = len(row)
+        step_to[u, :k] = row
+        step_code[u, :k] = edge_code[u, row] = codes
+        step_bits[u, :k] = edge_bits[u, row] = np.array(bits, dtype=np.uint64).reshape(k, words)
+    return step_to, step_code, step_bits, edge_code, edge_bits
 
 
 def recheck_constraints_dfs(
     base: BaseGraph, volt: VoltageAssignment
 ) -> tuple[int, int, int]:
     """(constraint count, uncovered 4-cycles, uncovered 6-cycles) by a
-    counting DFS that carries each path's voltage along as it extends it.
+    min-rooted path enumeration that carries each path's voltage along as
+    it extends it, one frontier of paths at a time.
 
     Min-rooted: a cycle is found from its smallest vertex r, the path is
     extended only by vertices above r, and the cycle is counted once, in the
-    direction where its second vertex is below its last.  No cycle is stored
-    or walked twice.  Each directed edge above the root is looked up once
-    per root as (w, displacement code, level bits); the running displacement
-    sum and bit XOR grow with the path, so a cycle's voltage is known the
-    moment it closes.  The base graph K_{d,d} is bipartite, so its cycles are
-    even and the only ones of length at most 6 are 4- and 6-cycles: a path
-    closes only after 4 or 6 vertices.  A 4-cycle through both hubs t and b
-    is central and skipped; every other zero-displacement cycle is a
-    constraint, uncovered when its bits XOR to zero.  verify_certificate
-    compares the count with constraint_count_formula, so a missed cycle
-    cannot pass unseen.
+    direction where its second vertex is below its last.  Per root, the
+    frontier holds every path r p1 .. pk as arrays of first vertex p1, last
+    two vertices, displacement code sum and bit XOR, and grows by one
+    vertex per step through the padded step table (_dfs_tables), never
+    stepping back (p_k != p_(k-2)).  The base graph K_{d,d} is bipartite, so
+    its cycles are even and the only ones of length at most 6 are 4- and
+    6-cycles.  The 4-cycles close from the k = 3 frontier: r p1 p2 p3 with
+    p1 < p3, p3 a neighbour of r and the closing edge's code equal to the
+    path's; a 4-cycle through both hubs t and b is central and skipped.  The
+    6-cycles close from the k = 4 frontier as one (paths, deg) mask over the
+    neighbours p5 of p4, so the 5-vertex paths are never built, and bits are
+    compared only on the candidates that close.  Every other zero-displacement
+    cycle is a constraint, uncovered when its bits XOR to zero.
+    verify_certificate compares the count with constraint_count_formula, so
+    a missed cycle cannot pass unseen.
+
+    Memory barely grows with d: the k = 3 frontier is split into blocks
+    whose 6-cycle candidates number about _DFS_BLOCK, vertex ids and codes
+    are int16, and bits are 64-bit words, as many as s needs.
 
     The displacement sum is exact.  Every edge moves each axis by -1, 0 or 1
     (a larger step raises ValueError), so along a path of at most 6 edges
-    each component stays within +-6.  If x + 16 y + 256 z = 0 then 16
-    divides x, and |x| < 8 forces x = 0; likewise y = 0, then z = 0.  So the
-    code is 0 exactly when the displacement is.
+    each component stays within +-6 and the code within +-6 * 273.  If
+    x + 16 y + 256 z = 0 then 16 divides x, and |x| < 8 forces x = 0;
+    likewise y = 0, then z = 0.  So the code is 0 exactly when the
+    displacement is.  The bits are exact at every s: XOR and equality act
+    word by word.
 
-    Independent of the census route: it imports no enumerator, key or
-    constant from census.
+    Independent of the census route: it enumerates paths, where the census
+    sorts walk keys, and it imports no enumerator, key or constant from
+    census.
     """
-    g = base.graph
-    hub = tuple(sorted(v for v in base.whites if base.role_of(v).tag in ("t", "b")))
-    # (displacement code, bits) of every directed base edge
-    step: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.vertex_count)]
-    for u, v in g.edges:
-        t, m = volt.disp(u, v), volt.bits(u, v)
-        if any(abs(x) > 1 for x in t):
-            raise ValueError(f"edge ({u}, {v}) has a non-unit displacement {t}")
-        code = t[0] + _DFS_RADIX * (t[1] + _DFS_RADIX * t[2])
-        step[u][v] = (code, m)
-        step[v][u] = (-code, m)
-    adjacency = g.adjacency
+    step_to, step_code, step_bits, edge_code, edge_bits = _dfs_tables(base, volt)
+    n, deg = step_to.shape
+    t, b = sorted(v for v in base.whites if base.role_of(v).tag in ("t", "b"))
+    step_slot = np.arange(n * deg, dtype=np.int32).reshape(n, deg)
+
+    def extend(first, prev, last, x, m):
+        # one step of the paths of the current root r, never back to prev
+        to = step_to[last]
+        i, j = np.nonzero((to > r) & (to != prev[:, None]))
+        last = last[i]
+        return first[i], last, to[i, j], x[i] + step_code[last, j], m[i] ^ step_bits[last, j]
+
     n_constraints = bad4 = bad6 = 0
-    for r in range(g.vertex_count):
-        up = [[(w, *step[v][w]) for w in adjacency[v] if w > r] for v in range(g.vertex_count)]
+    for r in range(n):
+        up = step_to[r] > r
+        if not up.any():
+            continue
+        p1 = step_to[r, up]
+        two = extend(p1, np.full_like(p1, r), p1, step_code[r, up], step_bits[r, up])
+        p1, p2, p3, x3, m3 = extend(*two)
+        if not len(p3):
+            continue
         # the closing edge p -> r is r -> p reversed, so a path r .. p closes
         # with zero displacement when its code equals that of r -> p
-        home = step[r]
-        for p1, x1, m1 in up[r]:
-            for p2, x, m in up[p1]:
-                x2, m2 = x1 + x, m1 ^ m
-                for p3, x, m in up[p2]:
-                    if p3 == p1:
-                        continue
-                    x3, m3 = x2 + x, m2 ^ m
-                    if p1 < p3 and p3 in home:  # the 4-cycle r p1 p2 p3
-                        hx, hm = home[p3]
-                        if x3 == hx and (r, p2) != hub and (p1, p3) != hub:
-                            n_constraints += 1
-                            bad4 += m3 == hm
-                    for p4, x, m in up[p3]:
-                        if p4 == p2:
-                            continue
-                        x4, m4 = x3 + x, m3 ^ m
-                        for p5, x, m in up[p4]:
-                            if p1 < p5 and p5 != p3 and p5 in home:  # r p1 .. p5
-                                hx, hm = home[p5]
-                                if x4 + x == hx:
-                                    n_constraints += 1
-                                    bad6 += m4 ^ m == hm
+        home = edge_code[r]
+        closes = (home[p3] == x3) & (p1 < p3) & ~((p1 == t) & (p3 == b))
+        if r == t:
+            closes &= p2 != b
+        n_constraints += int(np.count_nonzero(closes))
+        bad4 += int(np.count_nonzero((edge_bits[r, p3[closes]] == m3[closes]).all(1)))
+
+        # closing code and bits of the step v -> step_to[v, j] -> r
+        above = step_to > r
+        home_code = home[step_to]
+        close_code = np.where(above & (home_code != _NO_EDGE), home_code - step_code, _NO_EDGE)
+        close_bits = (edge_bits[r, step_to] ^ step_bits).reshape(-1, step_bits.shape[2])
+        # each path extends to every neighbour of p3 above r but p2
+        cost = np.cumsum(np.count_nonzero(above, axis=1)[p3] - 1) * deg
+        cuts = np.flatnonzero(np.diff((cost - 1) // _DFS_BLOCK)) + 1
+        for lo, hi in zip((0, *cuts), (*cuts, len(cost))):
+            q1, q3, p4, x4, m4 = extend(p1[lo:hi], p2[lo:hi], p3[lo:hi], x3[lo:hi], m3[lo:hi])
+            p5 = step_to[p4]
+            hit = (close_code[p4] == x4[:, None]) & (p5 > q1[:, None]) & (p5 != q3[:, None])
+            del p5  # not held through the gathers below, which set the block's peak
+            per_path = np.count_nonzero(hit, axis=1)
+            n_constraints += int(per_path.sum())
+            closing = close_bits[step_slot[p4][hit]]
+            bad6 += int(np.count_nonzero((closing == np.repeat(m4, per_path, axis=0)).all(1)))
     return n_constraints, bad4, bad6
 
 
@@ -140,7 +206,7 @@ def verification_route(d: int) -> str:
     """How verify_certificate checks a degree-d voltage: "census+dfs" when it
     also re-enumerates every constraint cycle by DFS, "census-only" when the
     constraint set is too large and the census alone decides."""
-    if constraint_count_formula(d) <= EXPLICIT_LIMIT:
+    if constraint_count_formula(d) <= DFS_LIMIT:
         return "census+dfs"
     return "census-only"
 

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from conftest import (
 )
 from thetalattice.census import voltage_census
 from thetalattice.certify import (
-    EXPLICIT_LIMIT,
+    DFS_LIMIT,
     certify,
     constraint_count_formula,
     recheck_constraints_dfs,
@@ -188,15 +189,63 @@ def test_recheck_dfs_truncated_pinned_certificates(d, stages):
 
 
 def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
-    """The DFS counts as it goes and never asks for the list of cycles."""
+    """The DFS counts as it goes and never asks for the list of cycles, nor
+    for anything of the census route: it stays an independent route."""
 
-    def no_list(g):
-        raise AssertionError("recheck_constraints_dfs called census._short_cycles")
+    for name in ("_short_cycles", "voltage_census", "_edge_keys", "_run_counts"):
 
-    monkeypatch.setattr(census_module, "_short_cycles", no_list)
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"recheck_constraints_dfs called census.{name}")
+
+        monkeypatch.setattr(census_module, name, refuse)
     base, volt0 = build_base_graph(6)
     volt = random_bits_voltage(base, volt0, 2, seed=5)
     assert recheck_constraints_dfs(base, volt)[0] == constraint_count_formula(6)
+
+
+@pytest.mark.parametrize("s", [63, 64, 65, 69])
+def test_recheck_dfs_exact_beyond_64_bits(s):
+    """Bits stay exact at every width, up to max_connected_stages(10) = 69.
+    A fifth of the edges carry random s-bit masks, another fifth only the
+    top bit s - 1, the rest only bit 0: cycles whose low word cancels but
+    whose top bit does not are covered, and a DFS that kept 64 bits would
+    count them uncovered."""
+    d = 10
+    rng = random.Random(s)
+    base, volt0 = build_base_graph(d)
+    assert s <= max_connected_stages(d)
+    bits = {}
+    for e in base.noncentral_edges:
+        kind = rng.random()
+        if kind < 0.2:
+            bits[e] = rng.getrandbits(s)
+        else:
+            bits[e] = 1 << s - 1 if kind < 0.4 else rng.getrandbits(1)
+    volt = volt0.with_bits(s, make_bits(base, s, bits))
+    n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
+    assert (n_cons, bad4, bad6) == _recheck_constraints_dfs_reference(base, volt)
+    assert n_cons == constraint_count_formula(d)
+    assert bad4 > 0 and bad6 > 0
+    vc = voltage_census(base, volt)
+    assert (vc.c4_stray >> s, vc.c6 >> s) == (bad4, bad6)
+
+
+def test_recheck_dfs_memory_stays_flat():
+    """The frontier is split into blocks, so one call's traced peak stays
+    under 4 MiB and barely moves from d = 16 to d = 20, while the
+    constraint count grows fourfold."""
+    peaks = []
+    for d in (16, 20):
+        base, _ = build_base_graph(d)
+        volt = wenger_voltage(base)
+        tracemalloc.start()
+        try:
+            assert recheck_constraints_dfs(base, volt) == (constraint_count_formula(d), 0, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 << 20
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_recheck_dfs_rejects_non_unit_displacement():
@@ -284,8 +333,10 @@ def test_certify_reports_constraint_count(certified):
 
 
 def test_verification_route():
-    assert verification_route(12) == "census+dfs"
-    assert verification_route(13) == "census-only"
+    """The DFS re-check runs up to d = 20, 7,500,060 constraints."""
+    assert DFS_LIMIT == constraint_count_formula(20) == 7_500_060
+    assert verification_route(20) == "census+dfs"
+    assert verification_route(21) == "census-only"
 
 
 def test_certified_s_matches_stage_count(certified):
@@ -297,7 +348,7 @@ def test_certified_s_matches_stage_count(certified):
 @pytest.mark.parametrize("d", [5, 8, 9, 10, 12, 13, 16, 17, 20, 32, 33])
 def test_certify_wenger_stages(d):
     """One route at every degree: s = 2 ceil(log2 d) stages and every flag
-    true, decided by census and DFS up to d = 12 and by the census alone
+    true, decided by census and DFS up to d = 20 and by the census alone
     above.  s steps up after d = 8, 16 and 32."""
     cert, base, volt = certify(d)
     r = (d - 1).bit_length()
@@ -305,7 +356,7 @@ def test_certify_wenger_stages(d):
     assert cert.s == volt.s == 2 * r <= max_connected_stages(d)
     assert cert.flags.all_true
     assert cert.constraint_count == constraint_count_formula(d)
-    assert verification_route(d) == ("census+dfs" if d <= 12 else "census-only")
+    assert verification_route(d) == ("census+dfs" if d <= 20 else "census-only")
 
 
 @pytest.mark.parametrize("d", [5, 13, 33])

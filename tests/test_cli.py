@@ -159,7 +159,7 @@ def test_construct_then_verify_wenger(tmp_path, capsys, d):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     lines = out.splitlines()
-    assert f"route: {'census+dfs' if d <= 12 else 'census-only'}" in lines
+    assert f"route: {'census+dfs' if d <= 20 else 'census-only'}" in lines
     assert lines[-1] == "VERDICT: PASS"
 
 
@@ -244,16 +244,16 @@ def test_verify_names_census_dfs_route(cert_d5, capsys):
 
 
 def test_verify_names_census_only_route(tmp_path, capsys):
-    """Above the explicit limit the census alone decides, and the constraint
-    count printed is the closed form, not an enumeration."""
-    path = tmp_path / "cert_d13.json"
-    assert main(["construct", "--d", "13", "--seed", "1", "-o", str(path)]) == 0
+    """Above DFS_LIMIT (d = 21) the census alone decides, and the
+    constraint count printed is the closed form, not an enumeration."""
+    path = tmp_path / "cert_d21.json"
+    assert main(["construct", "--d", "21", "--seed", "1", "-o", str(path)]) == 0
     capsys.readouterr()
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     lines = out.splitlines()
     assert "route: census-only" in lines
-    assert "constraint cycles: 448470 (closed-form value, not enumerated)" in lines
+    assert "constraint cycles: 10244610 (closed-form value, not enumerated)" in lines
     assert "VERDICT: PASS" in lines
 
 
