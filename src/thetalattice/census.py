@@ -10,7 +10,7 @@ the pair codegrees, which give the 4-cycles, the thetas and the central
 codegree-triangle identity, whose triangle sum gathers each candidate pair
 from a reusable slot table; only non-bipartite graphs count their 6-cycles
 by the short-cycle DFS.  The per-cube census works on integer voltage keys
-(int64, or Python ints above 48 level bits).
+(int32 up to 21 level bits, int64 up to 48, Python ints above).
 """
 
 from __future__ import annotations
@@ -421,38 +421,81 @@ def census(g: LabeledGraph) -> CensusReport:
 # moves a component by at most 1, so the 2- and 3-step walks compared below
 # stay within +-3.
 _CODE_RADIX = 16
-# Keys code * 2^s + bits fit int64 up to this many level bits: |code| <=
-# 3 * 273 = 819 < 2^10, so |key| < 2^(10 + s) + 2^s <= 2^59.  Wider voltages
-# use Python ints.
+# A walk of at most 3 edges has |code| <= 3 * 273 = 819, so its key
+# code * 2^s + bits, with 0 <= bits < 2^s, has |key| < 820 * 2^s.
+_KEY_BOUND = 820
+# Keys fit int64 up to this many level bits (820 * 2^48 < 2^58).  Wider
+# voltages use Python ints.
 _INT64_MAX_S = 48
+
+
+def _key_dtype(s: int):
+    """The key type of the census at s level bits: int32 while 820 * 2^s
+    fits it (s <= 21), int64 up to _INT64_MAX_S, Python ints above."""
+    if _KEY_BOUND << s <= np.iinfo(np.int32).max:
+        return np.int32
+    return np.int64 if s <= _INT64_MAX_S else object
 
 
 def _edge_keys(base: BaseGraph, volt: VoltageAssignment):
     """(codes, bits): the voltages of the white -> black edges as
-    whites x blacks arrays, int64 or (above _INT64_MAX_S level bits) object."""
+    whites x blacks arrays, int64 or (above _INT64_MAX_S level bits) object.
+
+    Filled from the entries of volt.displacement and volt.level_bits through
+    white and black position maps.  Like disp and bits, an entry (u, v) is
+    read only when u < v, one end white and the other black."""
     whites, blacks = base.whites, base.blacks
     dtype = np.int64 if volt.s <= _INT64_MAX_S else object
     codes = np.zeros((len(whites), len(blacks)), dtype=dtype)
     bits = np.zeros((len(whites), len(blacks)), dtype=dtype)
-    for i, w in enumerate(whites):
-        for j, c in enumerate(blacks):
-            dx, dy, dz = volt.disp(w, c)
-            if max(abs(dx), abs(dy), abs(dz)) > 1:
-                raise ValueError(f"edge ({w}, {c}) displacement {(dx, dy, dz)} is not a unit step")
-            codes[i, j] = dx + _CODE_RADIX * (dy + _CODE_RADIX * dz)
-            bits[i, j] = volt.bits(w, c)
+    row = np.full(base.graph.vertex_count, -1)
+    col = np.full(base.graph.vertex_count, -1)
+    row[list(whites)] = np.arange(len(whites))
+    col[list(blacks)] = np.arange(len(blacks))
+
+    def cells(voltages):
+        # the white row, black column and entry index of every entry read,
+        # and whether its u -> v runs white -> black
+        u, v = np.array(list(voltages), dtype=np.int64).reshape(-1, 2).T
+        forward = row[u] >= 0
+        at = np.flatnonzero((u < v) & (forward != (row[v] >= 0)))
+        w, c = np.where(forward, u, v)[at], np.where(forward, v, u)[at]
+        return row[w], col[c], at, forward[at]
+
+    i, j, at, forward = cells(volt.displacement)
+    steps = np.array(list(volt.displacement.values()), dtype=np.int64).reshape(-1, 3)[at]
+    steps[~forward] *= -1
+    wide = np.flatnonzero(np.abs(steps).max(axis=1, initial=0) > 1)
+    if len(wide):
+        k = wide[0]
+        step = tuple(steps[k].tolist())
+        edge = (whites[i[k]], blacks[j[k]])
+        raise ValueError(f"edge {edge} displacement {step} is not a unit step")
+    codes[i, j] = steps @ np.array([1, _CODE_RADIX, _CODE_RADIX**2])
+    i, j, at, _ = cells(volt.level_bits)
+    bits[i, j] = np.array(list(volt.level_bits.values()), dtype=dtype)[at]
     return codes, bits
 
 
-def _run_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a row-sorted array: sum C(m,2) and sum C(m,3) over its runs
-    of m equal keys."""
-    pos = np.arange(rows.shape[1])
-    new_run = np.ones(rows.shape, dtype=bool)
-    new_run[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    # equal keys before each one in its run: 0..m-1 over a run of length m
-    before = pos - np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
-    return before.sum(axis=1), (before * (before - 1) // 2).sum(axis=1)
+def _run_totals(rows: np.ndarray) -> tuple[int, int]:
+    """(sum C(m,2), sum C(m,3)) over the runs of m equal keys in the rows of
+    a row-sorted 2-D array.
+
+    Only the runs with m >= 2 are touched.  The equal-neighbour mask is laid
+    out flat with one False before it and one after each row, so no run
+    crosses rows; its changes alternate between the start of a run of m - 1
+    equal neighbours and its end.
+    """
+    n_rows, n = rows.shape
+    same = np.zeros(n_rows * n + 1, dtype=bool)
+    np.equal(rows[:, 1:], rows[:, :-1], out=same[1:].reshape(n_rows, n)[:, :-1])
+    change = np.flatnonzero(same[1:] != same[:-1])
+    m = change[1::2] - change[::2] + 1
+    # a row's runs have sum m <= n, so each row adds under n^3 to the sums
+    if n_rows * n**3 >> 63:
+        m = m.astype(object)
+    pairs = m * (m - 1) // 2
+    return int(pairs.sum()), int((pairs * (m - 2) // 3).sum())
 
 
 def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
@@ -466,8 +509,10 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
 
     Voltages in Z^3 x GF(2)^s are exact integer keys code * 2^s + bits, so
     two walks between the same ends have equal voltage iff their keys are
-    equal.  A hub pair with runs of m equal path keys has sum C(m,2) zero
-    4-cycles and sum C(m,3) thetas.
+    equal.  The key type is chosen once from s (_key_dtype): int32 up to
+    s = 21, int64 up to s = 48, Python ints above.  A hub pair with runs of
+    m equal path keys has sum C(m,2) zero 4-cycles and sum C(m,3) thetas,
+    which _run_totals reads off the sorted keys.
 
     6-cycles meet in the middle.  For each white i and black b, sorting the
     keys of the nw * nb 3-walks i -> a -> j -> b gives sum m^2 ordered pairs
@@ -492,34 +537,47 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     codes, bits = _edge_keys(base, volt)
     nb = codes.shape[1]
     scale = 1 << s
-    # path_code[i, j, c], path_bits[i, j, c]: the path white i -> black c -> white j
-    path_code = codes[:, None, :] - codes[None, :, :]
-    path_bits = bits[:, None, :] ^ bits[None, :, :]
-    path_keys = np.sort(path_code * scale + path_bits, axis=2)
+    # a walk's key is the sum of its edges' high parts, negated on a black ->
+    # white step, plus the XOR of their low parts; _key_dtype(s) holds it
+    key = _key_dtype(s)
+    high, low = (codes * scale).astype(key), bits.astype(key)
+    high_t, low_t = np.ascontiguousarray(high.T), np.ascontiguousarray(low.T)
 
+    # the keys of the paths i -> c -> j over the blacks c, one row per white
+    # pair i < j
     iu, ju = np.triu_indices(nw, 1)
-    pair_c4, pair_theta = _run_counts(path_keys[iu, ju])
-    zero4 = int(pair_c4.sum())
-    theta = int(pair_theta.sum())
+    pair_keys = high[iu] - high[ju]
+    pair_keys += low[iu] ^ low[ju]
+    pair_keys.sort(axis=1)
+    zero4, theta = _run_totals(pair_keys)
     t_pos = next(i for i, v in enumerate(whites) if base.role_of(v).tag == "t")
     b_pos = next(i for i, v in enumerate(whites) if base.role_of(v).tag == "b")
-    assert not path_keys[t_pos, b_pos].any(), "central hub paths must carry zero voltage"
-    central4 = int(_run_counts(path_keys[t_pos, b_pos][None, :])[0][0])
+    hubs = pair_keys[np.flatnonzero((iu == min(t_pos, b_pos)) & (ju == max(t_pos, b_pos)))]
+    assert not hubs.any(), "central hub paths must carry zero voltage"
+    central4 = _run_totals(hubs)[0]
 
     # theta hubs may also be a black pair with three white middles (4-cycles
     # and 6-cycles are already counted once via their white diagonals/triples)
     ib, jb = np.triu_indices(nb, 1)
-    black_keys = (codes[:, jb] - codes[:, ib]) * scale + (bits[:, ib] ^ bits[:, jb])
-    theta += int(_run_counts(np.sort(black_keys.T, axis=1))[1].sum())
+    black_keys = high_t[jb] - high_t[ib]
+    black_keys += low_t[ib] ^ low_t[jb]
+    black_keys.sort(axis=1)
+    theta += _run_totals(black_keys)[1]
+    del pair_keys, black_keys  # not held beside the walk buffers
 
-    # equal-key pairs of 3-walks i -> a -> j -> b, one white i at a time, as
-    # rows b of the keys over (j, a)
+    # equal-key pairs of 3-walks i -> a -> j -> b, one white i at a time:
+    # walk[b, j, a] is the key of i -> a -> j -> b, and each row b of keys
+    # over (j, a) is sorted in place
+    walk = np.empty((nb, nw, nb), dtype=key)
+    walk_low = np.empty_like(walk)
+    rows = walk.reshape(nb, nw * nb)
     walk_pairs = 0
     for i in range(nw):
-        walk_code = path_code[i][None, :, :] + codes.T[:, :, None]
-        walk_bits = path_bits[i][None, :, :] ^ bits.T[:, :, None]
-        walks = np.sort((walk_code * scale + walk_bits).reshape(nb, nw * nb), axis=1)
-        walk_pairs += int(_run_counts(walks)[0].sum())
+        np.add(high[i] - high, high_t[:, :, None], out=walk)
+        np.bitwise_xor(low[i] ^ low, low_t[:, :, None], out=walk_low)
+        walk += walk_low
+        rows.sort(axis=1)
+        walk_pairs += _run_totals(rows)[0]
     closed = (nw * nb) ** 2 + 2 * walk_pairs
     x = nw + nb - 1
     tree_like = nw * nb * (x * x + (nw - 1) * (nb - 1))

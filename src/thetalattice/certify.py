@@ -127,7 +127,10 @@ def recheck_constraints_dfs(
     its cycles are even and the only ones of length at most 6 are 4- and
     6-cycles.  The 4-cycles close from the k = 3 frontier: r p1 p2 p3 with
     p1 < p3, p3 a neighbour of r and the closing edge's code equal to the
-    path's; a 4-cycle through both hubs t and b is central and skipped.  The
+    path's; a 4-cycle through both hubs t < b is central and skipped.  Every
+    black id must lie below every white one (ValueError otherwise), as in
+    build_base_graph: then a central 4-cycle is rooted at a black, its
+    whites are p1 < p3, and the rule (p1, p3) = (t, b) skips all of them.  The
     6-cycles close from the k = 4 frontier as one (paths, deg) mask over the
     neighbours p5 of p4, so the 5-vertex paths are never built, and bits are
     compared only on the candidates that close.  Every other zero-displacement
@@ -151,6 +154,8 @@ def recheck_constraints_dfs(
     sorts walk keys, and it imports no enumerator, key or constant from
     census.
     """
+    if max(base.blacks) > min(base.whites):
+        raise ValueError("the DFS re-check needs every black id below every white id")
     step_to, step_code, step_bits, edge_code, edge_bits = _dfs_tables(base, volt)
     n, deg = step_to.shape
     t, b = sorted(v for v in base.whites if base.role_of(v).tag in ("t", "b"))
@@ -177,8 +182,6 @@ def recheck_constraints_dfs(
         # with zero displacement when its code equals that of r -> p
         home = edge_code[r]
         closes = (home[p3] == x3) & (p1 < p3) & ~((p1 == t) & (p3 == b))
-        if r == t:
-            closes &= p2 != b
         n_constraints += int(np.count_nonzero(closes))
         bad4 += int(np.count_nonzero((edge_bits[r, p3[closes]] == m3[closes]).all(1)))
 

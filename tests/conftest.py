@@ -20,7 +20,7 @@ from thetalattice.graphs import (
     from_labeled_vertices,
     level_uint,
 )
-from thetalattice.census import CensusReport, _edge_keys, _short_cycles
+from thetalattice.census import CensusReport, _short_cycles
 from thetalattice.errors import MalformedGraph
 from thetalattice.voltage import UNIT, ZERO3, fundamental_cycle_voltages, make_bits, vadd
 
@@ -270,7 +270,16 @@ def _voltage_c6_triples(base, volt):
     closes, so by inclusion-exclusion zero6 = sum N - (whites - 2) *
     sum_pairs sum m^2 + 2 * blacks * C(whites, 3).
     """
-    codes, bits = _edge_keys(base, volt)
+    # keys of its own, from disp and bits: code x + 64 y + 4096 z, which
+    # stays below 4 * 4161 < 2^15 on the 4-edge sums below, so code * 2^s +
+    # bits fits int64 up to s = 40
+    dtype = np.int64 if volt.s <= 40 else object
+    whites, blacks = base.whites, base.blacks
+    codes = np.array(
+        [[x + 64 * y + 4096 * z for x, y, z in (volt.disp(w, c) for c in blacks)] for w in whites],
+        dtype=dtype,
+    )
+    bits = np.array([[volt.bits(w, c) for c in blacks] for w in whites], dtype=dtype)
     nw, nb = codes.shape
     scale = 1 << volt.s
     path_code = codes[:, None, :] - codes[None, :, :]

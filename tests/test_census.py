@@ -462,6 +462,36 @@ def test_voltage_census_matches_reference_unit_displacements(d, s, seed):
     assert voltage_census(base, volt) == _voltage_census_reference(base, volt)
 
 
+@pytest.mark.parametrize("s", [21, 22])
+@pytest.mark.parametrize("d", [5, 6])
+def test_voltage_census_matches_reference_key_width_boundary(d, s):
+    """s = 21 is the widest int32 key and s = 22 the first int64 one.  Every
+    non-central edge takes a random unit step.  Set steps make the 3-walk
+    i -> a -> j -> b displace by (3, 3, 3), code 819, the largest the key
+    bound allows for, and i -> c -> j -> b, with the same bits, by
+    (3, 3, -1), code 1024 lower: at s = 22 the two keys are 2^32 apart and
+    would collide in int32.  The high-bits-only variant puts only bit s - 1
+    on the other edges, so wide keys coincide."""
+    assert census_module._key_dtype(s) is (np.int32 if s == 21 else np.int64)
+    rng = random.Random(d * 100 + s)
+    base, volt0 = build_base_graph(d)
+    volt = random_bits_voltage(base, volt0, s, seed=d * 100 + s)
+    steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
+    # blacks are below whites, so an edge (c, w) steps by minus disp(w, c)
+    i, j = base.whites[2:4]
+    a, b, c = base.blacks[:3]
+    steps.update(
+        {(a, i): (-1, -1, -1), (a, j): (1, 1, 1), (b, j): (-1, -1, -1), (c, i): (-1, -1, 1), (c, j): (1, 1, -1)}
+    )
+    high = {e: (m & 1) << (s - 1) for e, m in volt.level_bits.items() if m & 1}
+    for bits in (volt.level_bits, high):
+        bits = {e: m for e, m in bits.items() if e not in ((a, i), (a, j), (c, i), (c, j))}
+        v = VoltageAssignment(s, steps, bits)
+        for mid, walk in ((a, [3, 3, 3]), (c, [3, 3, -1])):
+            assert [sum(x) for x in zip(v.disp(i, mid), v.disp(mid, j), v.disp(j, b))] == walk
+        assert voltage_census(base, v) == _voltage_census_reference(base, v)
+
+
 @pytest.mark.parametrize("d, s, seed", [(7, 1, 3), (8, 2, 5), (9, 1, 8), (10, 3, 13)])
 def test_voltage_census_matches_dfs_recheck(d, s, seed):
     """Per-cube zero-voltage cycles are 2^s times the uncovered constraint

@@ -29,7 +29,7 @@ from thetalattice.certify import (
     verify_certificate,
     wenger_voltage,
 )
-from thetalattice.graphs import Role
+from thetalattice.graphs import LabeledGraph, Role
 from thetalattice.voltage import (
     LiftCertificate,
     VoltageAssignment,
@@ -192,7 +192,7 @@ def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
     """The DFS counts as it goes and never asks for the list of cycles, nor
     for anything of the census route: it stays an independent route."""
 
-    for name in ("_short_cycles", "voltage_census", "_edge_keys", "_run_counts"):
+    for name in ("_short_cycles", "voltage_census", "_edge_keys", "_key_dtype", "_run_totals"):
 
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"recheck_constraints_dfs called census.{name}")
@@ -201,6 +201,20 @@ def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
     base, volt0 = build_base_graph(6)
     volt = random_bits_voltage(base, volt0, 2, seed=5)
     assert recheck_constraints_dfs(base, volt)[0] == constraint_count_formula(6)
+
+
+def test_recheck_dfs_refuses_whites_below_blacks():
+    """The (p1, p3) = (t, b) rule skips every central 4-cycle only when each
+    black id is below each white id, so another vertex order is refused."""
+    base, volt = build_base_graph(5)
+    g = base.graph
+    codes = np.arange(g.vertex_count)
+    codes[[0, -1]] = codes[[-1, 0]]  # vertex 0 white, the last one black
+    swapped = LabeledGraph._of_arrays(
+        g.vertex_count, g.edge_array, g.d, g.roles, codes, g.levels, g.level_length, g.cells
+    )
+    with pytest.raises(ValueError, match="every black id below every white id"):
+        recheck_constraints_dfs(dataclasses.replace(base, graph=swapped), volt)
 
 
 @pytest.mark.parametrize("s", [63, 64, 65, 69])
