@@ -437,44 +437,19 @@ def _key_dtype(s: int):
     return np.int64 if s <= _INT64_MAX_S else object
 
 
-def _edge_keys(base: BaseGraph, volt: VoltageAssignment):
-    """(codes, bits): the voltages of the white -> black edges as
-    whites x blacks arrays, int64 or (above _INT64_MAX_S level bits) object.
-
-    Filled from the entries of volt.displacement and volt.level_bits through
-    white and black position maps.  Like disp and bits, an entry (u, v) is
-    read only when u < v, one end white and the other black."""
-    whites, blacks = base.whites, base.blacks
+def _edge_keys(volt: VoltageAssignment):
+    """(codes, bits): the voltages of the white -> black edges as whites x
+    blacks arrays, int64 or (above _INT64_MAX_S level bits) object, read
+    from the black -> white arrays of volt."""
+    steps = -volt.shifts.transpose(1, 0, 2)
+    wide = np.abs(steps).max(axis=2, initial=0) > 1
+    if wide.any():
+        j, c = np.argwhere(wide)[0].tolist()
+        step = tuple(steps[j, c].tolist())
+        raise ValueError(f"edge {(len(steps) + j, c)} displacement {step} is not a unit step")
     dtype = np.int64 if volt.s <= _INT64_MAX_S else object
-    codes = np.zeros((len(whites), len(blacks)), dtype=dtype)
-    bits = np.zeros((len(whites), len(blacks)), dtype=dtype)
-    row = np.full(base.graph.vertex_count, -1)
-    col = np.full(base.graph.vertex_count, -1)
-    row[list(whites)] = np.arange(len(whites))
-    col[list(blacks)] = np.arange(len(blacks))
-
-    def cells(voltages):
-        # the white row, black column and entry index of every entry read,
-        # and whether its u -> v runs white -> black
-        u, v = np.array(list(voltages), dtype=np.int64).reshape(-1, 2).T
-        forward = row[u] >= 0
-        at = np.flatnonzero((u < v) & (forward != (row[v] >= 0)))
-        w, c = np.where(forward, u, v)[at], np.where(forward, v, u)[at]
-        return row[w], col[c], at, forward[at]
-
-    i, j, at, forward = cells(volt.displacement)
-    steps = np.array(list(volt.displacement.values()), dtype=np.int64).reshape(-1, 3)[at]
-    steps[~forward] *= -1
-    wide = np.flatnonzero(np.abs(steps).max(axis=1, initial=0) > 1)
-    if len(wide):
-        k = wide[0]
-        step = tuple(steps[k].tolist())
-        edge = (whites[i[k]], blacks[j[k]])
-        raise ValueError(f"edge {edge} displacement {step} is not a unit step")
-    codes[i, j] = steps @ np.array([1, _CODE_RADIX, _CODE_RADIX**2])
-    i, j, at, _ = cells(volt.level_bits)
-    bits[i, j] = np.array(list(volt.level_bits.values()), dtype=dtype)[at]
-    return codes, bits
+    codes = steps @ np.array([1, _CODE_RADIX, _CODE_RADIX**2])
+    return codes.astype(dtype), volt.masks.T.astype(dtype)
 
 
 def _run_totals(rows: np.ndarray) -> tuple[int, int]:
@@ -532,10 +507,8 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     * zero4.
     """
     d, s = base.d, volt.s
-    whites = base.whites
-    nw = len(whites)
-    codes, bits = _edge_keys(base, volt)
-    nb = codes.shape[1]
+    codes, bits = _edge_keys(volt)
+    nw, nb = codes.shape
     scale = 1 << s
     # a walk's key is the sum of its edges' high parts, negated on a black ->
     # white step, plus the XOR of their low parts; _key_dtype(s) holds it
@@ -550,9 +523,7 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     pair_keys += low[iu] ^ low[ju]
     pair_keys.sort(axis=1)
     zero4, theta = _run_totals(pair_keys)
-    t_pos = next(i for i, v in enumerate(whites) if base.role_of(v).tag == "t")
-    b_pos = next(i for i, v in enumerate(whites) if base.role_of(v).tag == "b")
-    hubs = pair_keys[np.flatnonzero((iu == min(t_pos, b_pos)) & (ju == max(t_pos, b_pos)))]
+    hubs = pair_keys[:1]  # the white pair (0, 1) is the hub pair (t, b)
     assert not hubs.any(), "central hub paths must carry zero voltage"
     central4 = _run_totals(hubs)[0]
 

@@ -18,21 +18,19 @@ size, with exact displacement codes and exact multi-word level bits.
 
 from __future__ import annotations
 
-from itertools import product
 from math import comb
 
 import numpy as np
 
 from .census import CensusReport, voltage_census
-from .graphs import Edge
 from .voltage import (
     BaseGraph,
     CertificateFlags,
     LiftCertificate,
     VoltageAssignment,
+    _canonical_shifts,
     build_base_graph,
     canonical_edge_order,
-    make_bits,
     stage_bitstrings,
     voltage_group_generated,
 )
@@ -66,12 +64,8 @@ DFS_LIMIT = constraint_count_formula(20)
 # ---------------------------------------------------------------------------
 # verification
 
-# a displacement (x, y, z) of the DFS as the one integer x + 16 y + 256 z,
-# for each of the 27 unit steps
+# a displacement (x, y, z) of the DFS as the one integer x + 16 y + 256 z
 _DFS_RADIX = 16
-_STEP_CODE = {
-    t: t[0] + _DFS_RADIX * (t[1] + _DFS_RADIX * t[2]) for t in product((-1, 0, 1), repeat=3)
-}
 # the displacement code of a vertex pair that is not an edge; codes of paths
 # of at most 6 unit steps stay within +-6 * 273
 _NO_EDGE = np.iinfo(np.int16).max
@@ -81,33 +75,29 @@ _DFS_BLOCK = 1 << 15
 
 
 def _dfs_tables(base: BaseGraph, volt: VoltageAssignment):
-    """The step table of the DFS: padded (n, deg) arrays of neighbour id
-    (pad -1), displacement code and level bits, and dense (n, n) arrays of
-    the code (_NO_EDGE off the edges) and bits of every directed edge.  Bits
-    are (..., words) arrays of 64-bit words, low word first, so every s is
-    exact."""
-    g = base.graph
-    n, words = g.vertex_count, max(1, -(-volt.s // 64))
-    adjacency = g.adjacency
-    deg = max(map(len, adjacency), default=0)
-    step_to = np.full((n, deg), -1, dtype=np.int16 if n < 1 << 15 else np.int32)
-    step_code = np.zeros((n, deg), dtype=np.int16)
-    step_bits = np.zeros((n, deg, words), dtype=np.uint64)
+    """The step table of the DFS: (n, d) arrays of neighbour id, displacement
+    code and level bits, a black's row over the whites and a white's over
+    the blacks, in id order, and dense (n, n) arrays of the code (_NO_EDGE
+    off the edges) and bits of every directed edge.  Bits are (..., words)
+    arrays of 64-bit words, low word first, so every s is exact."""
+    d = base.d
+    n, words = 2 * d, max(1, -(-volt.s // 64))
+    wide = np.abs(volt.shifts).max(axis=2, initial=0) > 1
+    if wide.any():
+        c, j = np.argwhere(wide)[0].tolist()
+        step = tuple(volt.shifts[c, j].tolist())
+        raise ValueError(f"edge ({c}, {d + j}) has a non-unit displacement {step}")
+    code = (volt.shifts @ np.array([1, _DFS_RADIX, _DFS_RADIX**2])).astype(np.int16)
+    masks = volt.masks.astype(object)
+    bits = np.stack([(masks >> 64 * k & 0xFFFF_FFFF_FFFF_FFFF).astype(np.uint64) for k in range(words)], -1)
     edge_code = np.full((n, n), _NO_EDGE, dtype=np.int16)
+    edge_code[:d, d:], edge_code[d:, :d] = code, -code.T
     edge_bits = np.zeros((n, n, words), dtype=np.uint64)
-    for u, row in enumerate(adjacency):
-        codes, bits = [], []
-        for v in row:
-            t, m = volt.disp(u, v), volt.bits(u, v)
-            if t not in _STEP_CODE:
-                raise ValueError(f"edge ({u}, {v}) has a non-unit displacement {t}")
-            codes.append(_STEP_CODE[t])
-            bits.append([m >> 64 * k & 0xFFFF_FFFF_FFFF_FFFF for k in range(words)])
-        k = len(row)
-        step_to[u, :k] = row
-        step_code[u, :k] = edge_code[u, row] = codes
-        step_bits[u, :k] = edge_bits[u, row] = np.array(bits, dtype=np.uint64).reshape(k, words)
-    return step_to, step_code, step_bits, edge_code, edge_bits
+    edge_bits[:d, d:], edge_bits[d:, :d] = bits, bits.transpose(1, 0, 2)
+    ids = np.arange(n, dtype=np.int16 if n < 1 << 15 else np.int32)
+    step_to = np.concatenate([np.broadcast_to(ids[d:], (d, d)), np.broadcast_to(ids[:d], (d, d))])
+    rows = np.arange(n)[:, None]
+    return step_to, edge_code[rows, step_to], edge_bits[rows, step_to], edge_code, edge_bits
 
 
 def recheck_constraints_dfs(
@@ -122,7 +112,7 @@ def recheck_constraints_dfs(
     direction where its second vertex is below its last.  Per root, the
     frontier holds every path r p1 .. pk as arrays of first vertex p1, last
     two vertices, displacement code sum and bit XOR, and grows by one
-    vertex per step through the padded step table (_dfs_tables), never
+    vertex per step through the step table (_dfs_tables), never
     stepping back (p_k != p_(k-2)).  The base graph K_{d,d} is bipartite, so
     its cycles are even and the only ones of length at most 6 are 4- and
     6-cycles.  The 4-cycles close from the k = 3 frontier: r p1 p2 p3 with
@@ -313,19 +303,14 @@ def wenger_voltage(base: BaseGraph) -> VoltageAssignment:
             power.append(x ^ poly if x >> r else x)
         if 1 not in power[1:]:  # alpha has order n: poly is primitive
             break
-    # the exponent k of x = alpha^k or y = alpha^k; the hubs and the first
-    # black are left out, their value is 0
-    hubs = {v for v in base.whites if base.role_of(v).tag in ("t", "b")}
-    log_x = dict(zip((w for w in base.whites if w not in hubs), range(n)))
-    log_y = dict(zip(base.blacks[1:], range(n)))
-    white = set(base.whites)
-    bits: dict[Edge, int] = {}
-    for e in base.graph.edges:
-        w, c = e if e[0] in white else e[::-1]
-        if w in log_x and c in log_y:
-            i, j = log_x[w], log_y[c]
-            bits[e] = power[(i + j) % n] | power[(2 * i + j) % n] << r
-    return VoltageAssignment(2 * r, base.displacement, make_bits(base, 2 * r, bits))
+    # x = alpha^i on the white at position i + 2 (the hubs at 0 and 1 have
+    # x = 0), y = alpha^j on the black j + 1 (the first black has y = 0)
+    d = base.d
+    power = np.array(power, dtype=np.int64)
+    i, j = np.arange(d - 2), np.arange(d - 1)[:, None]
+    masks = np.zeros((d, d), dtype=np.int64)
+    masks[1:, 2:] = power[(i + j) % n] | power[(2 * i + j) % n] << r
+    return VoltageAssignment(2 * r, _canonical_shifts(d), masks)
 
 
 def certify(d: int, seed: int = 0) -> tuple[LiftCertificate, BaseGraph, VoltageAssignment]:

@@ -12,6 +12,7 @@ Exit codes: 0 success/verified, 1 verification failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -236,7 +237,10 @@ def _cmd_export(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args fills a
+    fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="thetalattice",
         description=(

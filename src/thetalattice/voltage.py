@@ -2,20 +2,22 @@
 explicit derived covers (finite tori and the full unit graph), and lift
 certificates.
 
-The base graph merges lx with rx (into vx), ly with ry, lz with rz, giving a
-2d-vertex d-regular bipartite graph with d**2 edges.  Oriented edges carry a
-displacement in Z^3 (nonzero only on vx->c1 = +e_x, vy->c1 = +e_y,
-vz->c1 = +e_z) and an orientation-free level-bit vector in GF(2)**s (zero on
-the central hub edges).  The infinite lattice is the derived cover over
-Z^3 x GF(2)**s; derived_cover builds its finite quotients, the n-torus and
-the full unit graph of one cube.
+The base graph merges lx with rx (into vx), ly with ry, lz with rz, giving
+K_{d,d}: black c is joined to white d + j for every c, j < d.  A voltage is
+two arrays indexed [c, j], oriented black -> white: a displacement in Z^3
+(nonzero only on vx->c1 = +e_x, vy->c1 = +e_y, vz->c1 = +e_z) and an
+orientation-free level-bit mask in GF(2)**s (zero on the central hub
+edges).  The infinite lattice is the derived cover over Z^3 x GF(2)**s;
+derived_cover builds its finite quotients, the n-torus and the full unit
+graph of one cube.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -26,7 +28,6 @@ from .graphs import Edge, LabeledGraph, Role
 
 Vec3 = tuple[int, int, int]
 
-ZERO3: Vec3 = (0, 0, 0)
 UNIT: dict[str, Vec3] = {"vx": (1, 0, 0), "vy": (0, 1, 0), "vz": (0, 0, 1)}
 
 # derived_cover refuses covers above this many vertices: about 250 bytes each
@@ -35,24 +36,18 @@ UNIT: dict[str, Vec3] = {"vx": (1, 0, 0), "vy": (0, 1, 0), "vz": (0, 0, 1)}
 COVER_LIMIT = 1 << 20
 
 
-def vadd(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def vneg(a: Vec3) -> Vec3:
-    return (-a[0], -a[1], -a[2])
+def _mask_dtype(s: int):
+    """Level masks are int64 up to 63 bits, Python ints above."""
+    return np.int64 if s <= 63 else object
 
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """2d-vertex quotient graph; spokes c_1..c_d are black, the rest white.
-    displacement holds the canonical displacement voltages that
-    build_base_graph sets, keyed like VoltageAssignment.displacement."""
+    """2d-vertex quotient graph K_{d,d}: the spokes c_1..c_d are the blacks
+    0..d-1, the rest the whites d..2d-1, the hubs t and b first."""
 
     d: int
     graph: LabeledGraph
-    # determined by graph, so left out of equality and hashing
-    displacement: Mapping[Edge, Vec3] = field(compare=False, repr=False)
 
     @cached_property
     def vertex_roles(self) -> tuple[Role, ...]:
@@ -68,47 +63,50 @@ class BaseGraph:
     def whites(self) -> tuple[int, ...]:
         return tuple(v for v, r in enumerate(self.vertex_roles) if not r.black)
 
-    @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.graph.edges)}
-
     def role_of(self, v: int) -> Role:
         return self.vertex_roles[v]
 
-    @cached_property
-    def central_edges(self) -> frozenset[Edge]:
-        out = set()
-        for u, v in self.graph.edges:
-            tags = {self.role_of(u).tag, self.role_of(v).tag}
-            if tags in ({"t", "c"}, {"b", "c"}):
-                out.add((u, v))
-        return frozenset(out)
 
-    @cached_property
-    def noncentral_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.graph.edges if e not in self.central_edges)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoltageAssignment:
-    """Per-edge voltages: displacement (negates under orientation reversal)
-    and an s-bit level mask (orientation-free), keyed by (u<v) edges."""
+    """The voltage of every base edge (c, d + j) in arrays indexed [c, j]:
+    shifts (d, d, 3) int64 holds the displacement of c -> d + j, and masks
+    (d, d) the s-bit level mask.  reshape(d * d, ...) gives base edge order.
+    disp and bits read one edge in either orientation."""
 
     s: int
-    displacement: Mapping[Edge, Vec3]
-    level_bits: Mapping[Edge, int]
+    shifts: np.ndarray
+    masks: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VoltageAssignment):
+            return NotImplemented
+        same = np.array_equal(self.shifts, other.shifts) and np.array_equal(self.masks, other.masks)
+        return self.s == other.s and same
+
+    def _slot(self, u: int, v: int) -> tuple[int, int]:
+        """[c, j] of the base edge between u and v."""
+        d = len(self.masks)
+        c, w = (u, v) if u < v else (v, u)
+        if not 0 <= c < d <= w < 2 * d:
+            raise ValueError(f"({u}, {v}) is not a base edge")
+        return c, w - d
 
     def disp(self, u: int, v: int) -> Vec3:
-        e = (u, v) if u < v else (v, u)
-        t = self.displacement.get(e, ZERO3)
-        return t if u < v else vneg(t)
+        t = self.shifts[self._slot(u, v)]
+        return tuple((t if u < v else -t).tolist())
 
     def bits(self, u: int, v: int) -> int:
-        e = (u, v) if u < v else (v, u)
-        return self.level_bits.get(e, 0)
+        return int(self.masks[self._slot(u, v)])
+
+    @cached_property
+    def level_bits(self) -> Mapping[Edge, int]:
+        """Read-only view: base edge (c, d + j) -> its mask, nonzero ones only."""
+        d, at = len(self.masks), np.argwhere(self.masks).tolist()
+        return MappingProxyType({(c, d + j): int(self.masks[c, j]) for c, j in at})
 
     def with_bits(self, s: int, level_bits: Mapping[Edge, int]) -> "VoltageAssignment":
-        return VoltageAssignment(s, self.displacement, dict(level_bits))
+        return VoltageAssignment(s, self.shifts, make_bits(len(self.masks), s, level_bits))
 
     def truncate(self, k: int) -> "VoltageAssignment":
         """The voltage restricted to its first k lift stages; itself when
@@ -117,8 +115,15 @@ class VoltageAssignment:
             raise ValueError(f"cannot keep a negative number of lift stages ({k})")
         if k >= self.s:
             return self
-        keep = (1 << k) - 1
-        return self.with_bits(k, {e: m & keep for e, m in self.level_bits.items() if m & keep})
+        return VoltageAssignment(k, self.shifts, (self.masks & (1 << k) - 1).astype(_mask_dtype(k)))
+
+
+def _canonical_shifts(d: int) -> np.ndarray:
+    """The displacements of build_base_graph: c1 -> v* (the last three
+    whites) is -UNIT[v*], every other edge zero."""
+    shifts = np.zeros((d, d, 3), dtype=np.int64)
+    shifts[0, d - len(UNIT) :] = -np.array(list(UNIT.values()))
+    return shifts
 
 
 def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
@@ -143,24 +148,30 @@ def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
     graph = LabeledGraph._of_arrays(
         n, edges, d, roles, np.arange(n), np.zeros(n, dtype=np.int64), 0, np.zeros((n, 3), dtype=np.int64)
     )
-    # c1 is vertex 0, below every white; the voltage of v*->c1 is +unit
-    displacement = {(0, n - 3 + k): vneg(UNIT[tag]) for k, tag in enumerate(UNIT)}
-    return BaseGraph(d, graph, displacement), VoltageAssignment(0, displacement, {})
+    return BaseGraph(d, graph), VoltageAssignment(0, _canonical_shifts(d), np.zeros((d, d), dtype=np.int64))
 
 
-def make_bits(base: BaseGraph, s: int, level_bits: Mapping[Edge, int]) -> dict[Edge, int]:
-    """Validate a level-bit map: known edges, s-bit masks, central edges zero."""
-    out: dict[Edge, int] = {}
+def make_bits(d: int, s: int, level_bits: Mapping[Edge, int]) -> np.ndarray:
+    """The (d, d) mask array of a map from base edges (c, d + j) to s-bit
+    masks.  ValueError for a key that is not a base edge in that
+    orientation, a mask wider than s bits, or bits on a central edge."""
+    masks = np.zeros((d, d), dtype=_mask_dtype(s))
     for e, mask in level_bits.items():
-        if e not in base.edge_index:
+        if not (isinstance(e, tuple) and len(e) == 2 and 0 <= e[0] < d <= e[1] < 2 * d):
             raise ValueError(f"unknown edge {e}")
         if mask >> s:
             raise ValueError(f"mask {mask:#x} wider than s={s}")
-        if e in base.central_edges and mask:
-            raise ValueError(f"central edge {e} must carry zero bits")
-        if mask:
-            out[e] = mask
-    return out
+        masks[e[0], e[1] - d] = mask
+    _refuse_central_bits(masks)
+    return masks
+
+
+def _refuse_central_bits(masks: np.ndarray) -> None:
+    """ValueError when an edge (c, d + j) at a hub, j < 2, carries bits."""
+    central = np.argwhere(masks[:, :2] != 0)
+    if len(central):
+        c, j = central[0].tolist()
+        raise ValueError(f"central edge {(c, len(masks) + j)} must carry zero bits")
 
 
 def check_cover_size(d: int, s: int, n: int | None = None) -> None:
@@ -202,8 +213,7 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     s = volt.s
     check_cover_size(base.d, s, n)
     pairs = base.graph.edges
-    shift = np.array([volt.disp(u, v) for u, v in pairs], dtype=np.int64).reshape(-1, 3)
-    mask = np.array([volt.bits(u, v) for u, v in pairs], dtype=np.int64)
+    shift, mask = volt.shifts.reshape(-1, 3), volt.masks.reshape(-1)
 
     def cover_role(v: int, moved: bool) -> Role:
         """The role over base vertex v at an edge that moves (displacement
@@ -249,43 +259,16 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     )
 
 
-def fundamental_cycle_voltages(
-    base: BaseGraph, volt: VoltageAssignment
-) -> list[tuple[Vec3, int]]:
-    """Net (displacement, bits) voltages of the fundamental cycles of a BFS
-    spanning tree rooted at vertex 0."""
-    g = base.graph
-    adjacency = g.adjacency
-    parent = [-1] * g.vertex_count
-    tree_volt: list[tuple[Vec3, int]] = [(ZERO3, 0)] * g.vertex_count
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    order = [0]
-    head = 0
-    tree_edges = set()
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                tree_volt[w] = (
-                    vadd(tree_volt[v][0], volt.disp(v, w)),
-                    tree_volt[v][1] ^ volt.bits(v, w),
-                )
-                tree_edges.add((min(v, w), max(v, w)))
-                order.append(w)
-    if not all(seen):
-        raise MalformedGraph("base graph is disconnected")
-    out = []
-    for u, v in g.edges:
-        if (u, v) in tree_edges:
-            continue
-        disp = vadd(vadd(tree_volt[u][0], volt.disp(u, v)), vneg(tree_volt[v][0]))
-        bits = tree_volt[u][1] ^ volt.bits(u, v) ^ tree_volt[v][1]
-        out.append((disp, bits))
-    return out
+def fundamental_cycle_voltages(volt: VoltageAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """(shifts, masks) of the fundamental cycles of the BFS tree from c1,
+    which joins c1 to every white and the first white t to every other
+    black: edge (c, d + j), c, j >= 1, closes c1 -> t -> c -> d + j -> c1,
+    of displacement D[c,j] - D[c,0] - D[0,j] + D[0,0] for D = volt.shifts
+    and bits likewise by XOR, one row per cycle in base edge order."""
+    D, M = volt.shifts, volt.masks
+    shifts = D[1:, 1:] - D[1:, :1] - D[:1, 1:] + D[0, 0]
+    masks = M[1:, 1:] ^ M[1:, :1] ^ M[:1, 1:] ^ M[0, 0]
+    return shifts.reshape(-1, 3), masks.reshape(-1)
 
 
 def max_connected_stages(d: int) -> int:
@@ -311,19 +294,20 @@ def voltage_group_generated(base: BaseGraph, volt: VoltageAssignment) -> bool:
     cycles that move (3(d - 1) of the (d - 1)^2 for the canonical
     displacements) go through the integer kernel.
     """
-    cyc = fundamental_cycle_voltages(base, volt)
-    moving = [(t, bits) for t, bits in cyc if t != ZERO3]
-    disp_rows = [list(t) for t, _ in moving]
+    shifts, bits = fundamental_cycle_voltages(volt)
+    moves = shifts.any(axis=1)
+    disp_rows = shifts[moves].tolist()
     if not linalg.spans_full_lattice(disp_rows, 3):
         return False
     if volt.s == 0:
         return True
-    masks = [bits for t, bits in cyc if t == ZERO3]
+    masks = bits[~moves].tolist()
+    moving = bits[moves].tolist()
     for combo in linalg.kernel_basis(disp_rows):
         m = 0
-        for coeff, (_, bits) in zip(combo, moving):
+        for coeff, mask in zip(combo, moving):
             if coeff & 1:
-                m ^= bits
+                m ^= mask
         masks.append(m)
     return linalg.gf2_rank(masks) == volt.s
 
@@ -450,30 +434,31 @@ class LiftCertificate:
         return cls.from_json_dict(json.loads(text))
 
     def to_voltage(self, base: BaseGraph) -> VoltageAssignment:
-        """Rebuild the voltage assignment (displacements + per-edge masks)."""
-        if len(self.edge_order) != len(base.graph.edge_array):
+        """Rebuild the voltage assignment: entry k of edge_order names the
+        base edge whose mask is column k of the stages, stage i as bit i.
+        MalformedGraph for an edge_order other than the d^2 base edges,
+        ValueError for bits on a central edge."""
+        d, s = base.d, self.s
+        if len(self.edge_order) != d * d:
             raise MalformedGraph("certificate edge order does not match base graph")
-        ids = {str(base.role_of(v)): v for v in range(base.graph.vertex_count)}
-        # column j of the stages, stage i as bit i
-        masks = [int("".join(column)[::-1], 2) for column in zip(*self.stage_bits)]
-        bits: dict[Edge, int] = {}
-        seen: set[Edge] = set()
-        for j, (ru, rv) in enumerate(self.edge_order):
-            if ru not in ids or rv not in ids:
-                raise MalformedGraph(
-                    f"certificate edge_order entry {j} ({ru}, {rv}) names a role "
-                    f"the d={base.d} base graph does not have"
-                )
-            u, v = ids[ru], ids[rv]
-            e = (u, v) if u < v else (v, u)
-            if e not in base.edge_index or e in seen:
-                raise MalformedGraph(
-                    f"certificate edge_order entry {j} ({ru}, {rv}) is not a distinct base edge"
-                )
-            seen.add(e)
-            if self.s and masks[j]:
-                bits[e] = masks[j]
-        return VoltageAssignment(self.s, base.displacement, make_bits(base, self.s, bits))
+        ids = {str(role): v for v, role in enumerate(base.vertex_roles)}
+        ends = np.sort(np.array([ids.get(role, -1) for pair in self.edge_order for role in pair]).reshape(-1, 2))
+        slot = ends[:, 0] * d + ends[:, 1] - d  # base edge (c, d + j) is slot c * d + j
+        first = np.zeros(d * d, dtype=bool)
+        first[np.unique(slot, return_index=True)[1]] = True
+        wrong = (ends[:, 0] < 0) | (ends[:, 0] >= d) | (ends[:, 1] < d) | ~first
+        if wrong.any():
+            k = int(np.argmax(wrong))
+            problem = "is not a distinct base edge"
+            if ends[k, 0] < 0:
+                problem = f"names a role the d={d} base graph does not have"
+            raise MalformedGraph(f"certificate edge_order entry {k} ({', '.join(self.edge_order[k])}) {problem}")
+        dtype = _mask_dtype(s)
+        rows = np.frombuffer("".join(self.stage_bits).encode(), dtype=np.uint8).reshape(s, d * d) - ord("0")
+        masks = np.zeros((d, d), dtype=dtype)
+        masks.reshape(-1)[slot] = (rows.astype(dtype) << np.arange(s).astype(dtype)[:, None]).sum(axis=0)
+        _refuse_central_bits(masks)
+        return VoltageAssignment(s, _canonical_shifts(d), masks)
 
 
 def canonical_edge_order(base: BaseGraph) -> tuple[tuple[str, str], ...]:
@@ -482,5 +467,6 @@ def canonical_edge_order(base: BaseGraph) -> tuple[tuple[str, str], ...]:
 
 def stage_bitstrings(base: BaseGraph, volt: VoltageAssignment) -> tuple[str, ...]:
     """Per-stage signing bitstrings over the canonical base edge order."""
-    masks = [volt.level_bits.get(e, 0) for e in base.graph.edges]
-    return tuple("".join("1" if m >> i & 1 else "0" for m in masks) for i in range(volt.s))
+    at = np.arange(volt.s).astype(volt.masks.dtype)[:, None]
+    chars = ((volt.masks.reshape(-1) >> at) & 1).astype(np.uint8) + ord("0")
+    return tuple(row.tobytes().decode() for row in chars)

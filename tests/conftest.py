@@ -1,10 +1,13 @@
+import importlib.util
 import itertools
 import random
 import signal
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,28 @@ from thetalattice.graphs import (
 )
 from thetalattice.census import CensusReport, _short_cycles
 from thetalattice.errors import MalformedGraph
-from thetalattice.voltage import UNIT, ZERO3, fundamental_cycle_voltages, make_bits, vadd
+from thetalattice.voltage import UNIT, VoltageAssignment
+
+ZERO3 = (0, 0, 0)
+
+
+def vadd(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    """The benchmark's module perfbench/<name>.py, loaded from its file (the
+    benchmark is read, never edited), once per session."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 def plain_graph(n, edges):
@@ -58,10 +82,39 @@ def random_graph(rng, n, p):
     return plain_graph(n, edges)
 
 
+def central_edges(base):
+    """The base edges joining a hub t or b to a spoke, read from the roles."""
+    hub_spoke = ({"t", "c"}, {"b", "c"})
+    return frozenset(
+        (u, v) for u, v in base.graph.edges if {base.role_of(u).tag, base.role_of(v).tag} in hub_spoke
+    )
+
+
+def noncentral_edges(base):
+    """The other base edges, in base edge order."""
+    central = central_edges(base)
+    return tuple(e for e in base.graph.edges if e not in central)
+
+
+def random_steps(base, rng):
+    """A random unit step in {-1, 0, 1}^3 on every non-central base edge."""
+    return {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in noncentral_edges(base)}
+
+
+def with_steps(volt, steps):
+    """volt with the displacements of a map from base edges (c, w), c < w,
+    to steps, and zero on the edges it leaves out."""
+    d = len(volt.masks)
+    shifts = np.zeros((d, d, 3), dtype=np.int64)
+    for (c, w), t in steps.items():
+        shifts[c, w - d] = t
+    return VoltageAssignment(volt.s, shifts, volt.masks)
+
+
 def random_bits_voltage(base, volt0, s, seed):
     rng = random.Random(seed)
-    bits = {e: rng.getrandbits(s) for e in base.noncentral_edges}
-    return volt0.with_bits(s, make_bits(base, s, bits))
+    bits = {e: rng.getrandbits(s) for e in noncentral_edges(base)}
+    return volt0.with_bits(s, bits)
 
 
 def bch_columns(m, width):
@@ -87,10 +140,9 @@ def bch_voltage(base, volt0):
     """A covering voltage that is not a Wenger voltage: the 3m stages of
     bch_columns, m the smallest degree with 2^m - 1 >= d^2 - 2d (the
     non-central edge count)."""
-    width = len(base.noncentral_edges)
-    m = width.bit_length()
-    bits = dict(zip(base.noncentral_edges, bch_columns(m, width)))
-    return volt0.with_bits(3 * m, make_bits(base, 3 * m, bits))
+    edges = noncentral_edges(base)
+    m = len(edges).bit_length()
+    return volt0.with_bits(3 * m, dict(zip(edges, bch_columns(m, len(edges)))))
 
 
 TIME_LIMIT_S = 30
@@ -326,12 +378,45 @@ def kernel_basis_sparse(rows):
     return basis
 
 
+def fundamental_cycle_voltages_reference(base, volt):
+    """Net (displacement, bits) voltages of the fundamental cycles of a BFS
+    spanning tree rooted at vertex 0, walked one edge at a time: the oracle
+    for the closed form of `fundamental_cycle_voltages`."""
+    g = base.graph
+    adjacency = g.adjacency
+    tree_volt = [(ZERO3, 0)] * g.vertex_count
+    seen = [False] * g.vertex_count
+    seen[0] = True
+    order = [0]
+    head = 0
+    tree_edges = set()
+    while head < len(order):
+        v = order[head]
+        head += 1
+        for w in adjacency[v]:
+            if not seen[w]:
+                seen[w] = True
+                tree_volt[w] = (vadd(tree_volt[v][0], volt.disp(v, w)), tree_volt[v][1] ^ volt.bits(v, w))
+                tree_edges.add((min(v, w), max(v, w)))
+                order.append(w)
+    assert all(seen), "base graph is disconnected"
+    out = []
+    for u, v in g.edges:
+        if (u, v) in tree_edges:
+            continue
+        back = tuple(-x for x in tree_volt[v][0])
+        disp = vadd(vadd(tree_volt[u][0], volt.disp(u, v)), back)
+        out.append((disp, tree_volt[u][1] ^ volt.bits(u, v) ^ tree_volt[v][1]))
+    return out
+
+
 def _voltage_group_generated_reference(base, volt):
     """The group check over every fundamental cycle: the displacement rows
     must span Z^3, and the level bits folded over each dense vector of
     kernel_basis_sparse, one coefficient at a time, must span GF(2)^s.  The
-    reference oracle for `voltage_group_generated`."""
-    cyc = fundamental_cycle_voltages(base, volt)
+    reference oracle for `voltage_group_generated`, on the cycles of
+    fundamental_cycle_voltages_reference."""
+    cyc = fundamental_cycle_voltages_reference(base, volt)
     disp_rows = [list(t) for t, _ in cyc]
     if not linalg.spans_full_lattice(disp_rows, 3):
         return False
@@ -379,7 +464,7 @@ def _constraint_cycles_reference(base, volt):
     whites, blacks = base.whites, base.blacks
     t_id = next(v for v in whites if base.role_of(v).tag == "t")
     b_id = next(v for v in whites if base.role_of(v).tag == "b")
-    nc_index = {e: j for j, e in enumerate(base.noncentral_edges)}
+    nc_index = {e: j for j, e in enumerate(noncentral_edges(base))}
     walks = []
     for w1, w2 in itertools.combinations(whites, 2):
         if {w1, w2} == {t_id, b_id}:

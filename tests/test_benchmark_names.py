@@ -1,18 +1,17 @@
 """The benchmark's per-layer metrics name package functions by dotted path;
 perfbench/tracer.py wraps them by that name, and a name that no longer
 resolves reads 0 instead of failing.  These tests read the tables from the
-benchmark's source, without editing it, pin which names resolve, and run its
-tracer around one certification."""
+benchmark's source, without editing it, pin which names resolve, run its
+tracer around one certification, and run every workload's set-up."""
 
 import ast
 import importlib
-import importlib.util
 import types
-from pathlib import Path
+
+import pytest
 
 import thetalattice
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH, perfbench_module
 
 # renamed away when derived_cover replaced both builders, and removed with
 # the greedy search and its constraint enumeration when the Wenger voltage
@@ -60,10 +59,7 @@ def test_per_layer_function_names_resolve():
 
 def _load_tracer():
     importlib.import_module("thetalattice.cli")  # the tracer wraps every layer
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return perfbench_module("tracer")
 
 
 def test_tracer_counts_a_certification():
@@ -81,3 +77,14 @@ def test_tracer_counts_a_certification():
     assert counts["certify.recheck_constraints_dfs"] == 1
     for stale in ("certify.constraints", "certify.stages", "certify.mask_tests"):
         assert counts[stale] == 0
+
+
+@pytest.mark.parametrize("name", sorted(perfbench_module("workloads").WORKLOADS))
+def test_workload_setup_runs(name):
+    """Each workload's set-up, run in process on the package's layer
+    modules: it re-verifies the pinned certificates through the voltage API
+    the benchmark calls (to_voltage, with_bits, level_bits), so a change
+    that breaks that API fails here, not as a failed benchmark run."""
+    layers = _literal(PERFBENCH / "tracer.py", "LAYERS")
+    tl = types.SimpleNamespace(**{layer: importlib.import_module(f"thetalattice.{layer}") for layer in layers})
+    assert isinstance(perfbench_module("workloads").WORKLOADS[name].setup(tl), dict)

@@ -21,9 +21,12 @@ from conftest import (
     complete_bipartite,
     cycle_graph,
     labeled_k2d,
+    noncentral_edges,
     plain_graph,
     random_bits_voltage,
     random_graph,
+    random_steps,
+    with_steps,
 )
 from thetalattice.census import (
     _short_cycles,
@@ -336,7 +339,7 @@ def test_base_cycle_with_displacement_excluded():
     t = ids[(Role("t"), "", (0, 0, 0))]
     seq = (c1, vx, c2, t)
     assert _cycle_displacement(volt, seq) == (-1, 0, 0)
-    mask = _cycle_mask(seq, {e: j for j, e in enumerate(base.noncentral_edges)})
+    mask = _cycle_mask(seq, {e: j for j, e in enumerate(noncentral_edges(base))})
     assert mask not in {c.mask for c in _constraint_cycles_reference(base, volt)}
 
 
@@ -456,9 +459,7 @@ def test_voltage_census_matches_reference_unit_displacements(d, s, seed):
     voltages only reach +-1)."""
     rng = random.Random(seed)
     base, volt0 = build_base_graph(d)
-    volt = random_bits_voltage(base, volt0, s, seed)
-    steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
-    volt = VoltageAssignment(s, steps, volt.level_bits)
+    volt = with_steps(random_bits_voltage(base, volt0, s, seed), random_steps(base, rng))
     assert voltage_census(base, volt) == _voltage_census_reference(base, volt)
 
 
@@ -476,7 +477,7 @@ def test_voltage_census_matches_reference_key_width_boundary(d, s):
     rng = random.Random(d * 100 + s)
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed=d * 100 + s)
-    steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
+    steps = random_steps(base, rng)
     # blacks are below whites, so an edge (c, w) steps by minus disp(w, c)
     i, j = base.whites[2:4]
     a, b, c = base.blacks[:3]
@@ -486,7 +487,7 @@ def test_voltage_census_matches_reference_key_width_boundary(d, s):
     high = {e: (m & 1) << (s - 1) for e, m in volt.level_bits.items() if m & 1}
     for bits in (volt.level_bits, high):
         bits = {e: m for e, m in bits.items() if e not in ((a, i), (a, j), (c, i), (c, j))}
-        v = VoltageAssignment(s, steps, bits)
+        v = with_steps(volt0.with_bits(s, bits), steps)
         for mid, walk in ((a, [3, 3, 3]), (c, [3, 3, -1])):
             assert [sum(x) for x in zip(v.disp(i, mid), v.disp(mid, j), v.disp(j, b))] == walk
         assert voltage_census(base, v) == _voltage_census_reference(base, v)
@@ -507,7 +508,8 @@ def test_voltage_census_matches_dfs_recheck(d, s, seed):
 
 def test_voltage_census_rejects_non_unit_displacement():
     base, volt = build_base_graph(5)
-    edge = next(iter(volt.displacement))
-    wide = VoltageAssignment(0, {**volt.displacement, edge: (2, 0, 0)}, {})
-    with pytest.raises(ValueError, match="not a unit step"):
+    shifts = volt.shifts.copy()
+    shifts[0, 2] = (2, 0, 0)
+    wide = VoltageAssignment(0, shifts, volt.masks)
+    with pytest.raises(ValueError, match=r"edge \(7, 0\) displacement \(-2, 0, 0\) is not a unit step"):
         voltage_census(base, wide)

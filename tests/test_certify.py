@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import itertools
 import random
 import tracemalloc
@@ -17,7 +18,10 @@ from conftest import (
     _recheck_constraints_dfs_reference,
     bch_columns,
     bch_voltage,
+    noncentral_edges,
     random_bits_voltage,
+    random_steps,
+    with_steps,
 )
 from thetalattice.census import voltage_census
 from thetalattice.certify import (
@@ -35,7 +39,6 @@ from thetalattice.voltage import (
     VoltageAssignment,
     build_base_graph,
     derived_cover,
-    make_bits,
     max_connected_stages,
 )
 
@@ -77,7 +80,7 @@ def test_constraints_d5_membership():
     vx, c1, c2, c3, t = (
         ids[(Role(*role), "", (0, 0, 0))] for role in (("vx",), ("c", 1), ("c", 2), ("c", 3), ("t",))
     )
-    nc_index = {e: j for j, e in enumerate(base.noncentral_edges)}
+    nc_index = {e: j for j, e in enumerate(noncentral_edges(base))}
     masks = Counter(c.mask for c in _constraint_cycles_reference(base, volt))
     assert masks[_cycle_mask((vx, c2, t, c3), nc_index)] == 8
     assert masks[_cycle_mask((c1, vx, c2, t), nc_index)] == 0
@@ -106,7 +109,7 @@ def test_verify_tampered_stage_fails(certified):
     cert, base, volt, _ = certified(5)
     # zero one signing: clear stage 0 on every edge
     cleared = {e: m & ~1 for e, m in volt.level_bits.items()}
-    tampered = volt.with_bits(volt.s, make_bits(base, volt.s, cleared))
+    tampered = volt.with_bits(volt.s, cleared)
     fresh = verify_certificate(base, tampered, seed=cert.seed)
     assert not fresh.flags.all_true
 
@@ -142,9 +145,7 @@ def test_recheck_dfs_matches_enumeration_unit_displacements(d, s, seed):
     the uncovered ones the census counts."""
     rng = random.Random(seed)
     base, volt0 = build_base_graph(d)
-    bits = random_bits_voltage(base, volt0, s, seed).level_bits
-    steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
-    volt = VoltageAssignment(s, steps, bits)
+    volt = with_steps(random_bits_voltage(base, volt0, s, seed), random_steps(base, rng))
     n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
     assert n_cons == len(_constraint_cycles_reference(base, volt))
     vc = voltage_census(base, volt)
@@ -163,11 +164,10 @@ def test_recheck_dfs_matches_cycle_list_reference(data):
     share = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]), label="share")
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6), label="seed"))
     base, volt0 = build_base_graph(d)
-    bits = {e: rng.getrandbits(s) for e in base.noncentral_edges if rng.random() < share}
-    volt = volt0.with_bits(s, make_bits(base, s, bits))
+    bits = {e: rng.getrandbits(s) for e in noncentral_edges(base) if rng.random() < share}
+    volt = volt0.with_bits(s, bits)
     if data.draw(st.booleans(), label="unit steps"):
-        steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
-        volt = VoltageAssignment(s, steps, volt.level_bits)
+        volt = with_steps(volt, random_steps(base, rng))
     assert recheck_constraints_dfs(base, volt) == _recheck_constraints_dfs_reference(base, volt)
 
 
@@ -190,9 +190,15 @@ def test_recheck_dfs_truncated_pinned_certificates(d, stages):
 
 def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
     """The DFS counts as it goes and never asks for the list of cycles, nor
-    for anything of the census route: it stays an independent route."""
+    for any function of the census module: it stays an independent route."""
 
-    for name in ("_short_cycles", "voltage_census", "_edge_keys", "_key_dtype", "_run_totals"):
+    helpers = [
+        name
+        for name, f in vars(census_module).items()
+        if inspect.isfunction(f) and f.__module__ == census_module.__name__
+    ]
+    assert {"_short_cycles", "voltage_census", "_edge_keys", "_key_dtype", "_run_totals"} <= set(helpers)
+    for name in helpers:
 
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"recheck_constraints_dfs called census.{name}")
@@ -229,13 +235,13 @@ def test_recheck_dfs_exact_beyond_64_bits(s):
     base, volt0 = build_base_graph(d)
     assert s <= max_connected_stages(d)
     bits = {}
-    for e in base.noncentral_edges:
+    for e in noncentral_edges(base):
         kind = rng.random()
         if kind < 0.2:
             bits[e] = rng.getrandbits(s)
         else:
             bits[e] = 1 << s - 1 if kind < 0.4 else rng.getrandbits(1)
-    volt = volt0.with_bits(s, make_bits(base, s, bits))
+    volt = volt0.with_bits(s, bits)
     n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
     assert (n_cons, bad4, bad6) == _recheck_constraints_dfs_reference(base, volt)
     assert n_cons == constraint_count_formula(d)
@@ -264,9 +270,10 @@ def test_recheck_dfs_memory_stays_flat():
 
 def test_recheck_dfs_rejects_non_unit_displacement():
     base, volt0 = build_base_graph(5)
-    e = base.noncentral_edges[0]
-    volt = VoltageAssignment(0, {**volt0.displacement, e: (2, 0, 0)}, {})
-    with pytest.raises(ValueError, match="non-unit displacement"):
+    shifts = volt0.shifts.copy()
+    shifts[0, 2] = (2, 0, 0)
+    volt = VoltageAssignment(0, shifts, volt0.masks)
+    with pytest.raises(ValueError, match=r"edge \(0, 7\) has a non-unit displacement \(2, 0, 0\)"):
         recheck_constraints_dfs(base, volt)
 
 

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bits_voltage
-from thetalattice.certify import wenger_voltage
-from thetalattice.cli import main
+from thetalattice.certify import certify, wenger_voltage
+from thetalattice.cli import build_parser, main
 from thetalattice.embed import EMBED_EDGE_LIMIT
 from thetalattice.entropy import min_degree_for_kappa
 from thetalattice.graphs import VertexLabel, build_root_unit_graph, central_subgraph, graph_to_json
@@ -38,6 +38,23 @@ def test_construct_writes_certificate(cert_d5):
     assert cert.d == 5
     assert cert.seed == 7
     assert cert.flags.all_true
+
+
+def test_main_calls_parse_their_own_arguments(cert_d5, tmp_path, capsys):
+    """The parser is built once per process, and each main() call still
+    parses its own arguments: no option of one call leaks into the next."""
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["construct", "--d", "5", "--seed", "3"])
+    second = build_parser().parse_args(["verify", str(cert_d5)])
+    assert (first.command, first.d, first.seed) == ("construct", 5, 3)
+    assert second.command == "verify" and not hasattr(second, "d") and not hasattr(second, "seed")
+    seeded, unseeded = tmp_path / "seeded.json", tmp_path / "unseeded.json"
+    assert main(["embed", str(cert_d5), "--trunc-s", "1", "--seed", "5", "-o", str(seeded)]) == 0
+    assert main(["export", "--d", "5", "--kind", "base", "-o", str(tmp_path / "base")]) == 0
+    assert main(["embed", str(cert_d5), "--trunc-s", "1", "-o", str(unseeded)]) == 0
+    assert json.loads(seeded.read_text())["seed"] == 5
+    assert json.loads(unseeded.read_text())["seed"] == 0
+    assert (tmp_path / "base.json").exists()
 
 
 def test_construct_byte_identical(tmp_path, capsys):
@@ -562,6 +579,88 @@ def test_census_input_fuzz(torus_d5_text, tmp_path, capsys, time_limit, data):
         assert err == ""
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@st.composite
+def _mutated_certificates(draw, text):
+    """The certificate `text` with one mutation: a dropped or duplicated
+    field, stage, edge_order entry, role or flag, a value of a wrong type, a
+    d, s, count, seed, stage, role or flag out of range, or the text cut
+    short.  No mutation turns it into another valid voltage by design: a
+    renamed role repeats an edge or names a non-edge."""
+    kind = draw(st.sampled_from(["drop", "duplicate", "type", "range", "truncate"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    data = json.loads(text)
+    stages, order, flags = data["level_bits"], data["edge_order"], data["flags"]
+    i, e = draw(st.integers(0, len(stages) - 1)), draw(st.integers(0, len(order) - 1))
+    end, flag = draw(st.integers(0, 1)), draw(st.sampled_from(sorted(flags)))
+    if kind == "range":
+        field = draw(st.sampled_from(["d", "s", "constraint_count", "seed", "stage", "role", "flag"]))
+        if field == "stage":
+            stage = stages[i]
+            k = draw(st.integers(0, len(stage) - 1))
+            stages[i] = draw(st.sampled_from([stage[:k] + "2" + stage[k + 1 :], stage[:k], stage + "0"]))
+        elif field == "role":
+            roles = sorted({role for pair in order for role in pair})
+            order[e][end] = draw(st.sampled_from([*roles, "c99", "f9", "x", ""]).filter(lambda r: r != order[e][end]))
+        elif field == "flag":
+            flags[flag] = not flags[flag]
+        else:
+            data[field] = draw(st.sampled_from([-1, 0, 4, data[field] + 1, *_BIG]))
+        return json.dumps(data)
+    places = {
+        **{key: (data, key) for key in data},
+        "stage": (stages, i),
+        "entry": (order, e),
+        "role": (order[e], end),
+        "flag": (flags, flag),
+    }
+    box, key = places[draw(st.sampled_from(sorted(places)))]
+    if kind == "drop":
+        del box[key]
+    elif kind == "type":
+        box[key] = draw(_JUNK)
+    elif isinstance(box, list):
+        box.insert(key, box[key])
+    else:  # the key once more, after its first value
+        box["\0dup"] = draw(st.one_of(st.just(box[key]), _JUNK))
+        return json.dumps(data).replace('"\\u0000dup"', json.dumps(key))
+    return json.dumps(data)
+
+
+@pytest.fixture(scope="module")
+def wenger_d5():
+    """The d = 5 Wenger certificate, its base graph and its voltage."""
+    return certify(5)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_certificate_input_fuzz(wenger_d5, tmp_path, capsys, time_limit, data):
+    """verify, report, embed and export --cert on a mutated certificate exit
+    with a defined code (3 only from embed) and never a traceback, and verify
+    passes only a file that still gives the same voltage, flags and
+    constraint count."""
+    cert, base, volt = wenger_d5
+    text = data.draw(_mutated_certificates(cert.to_json()))
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    commands = {
+        "verify": ["verify", str(path)],
+        "report": ["report", str(path)],
+        "embed": ["embed", str(path), "--trunc-s", "1", "--max-attempts", "3", "-o", str(tmp_path / "e.json")],
+        "export": ["export", "--d", "5", "--kind", "full-unit", "--cert", str(path), "--trunc-s", "1",
+                   "-o", str(tmp_path / "g")],
+    }
+    for name, argv in commands.items():
+        code, out, err = run(capsys, *argv)
+        assert code in ((0, 1, 2, 3) if name == "embed" else (0, 1, 2)), (name, code, err)
+        assert "Traceback" not in out + err, name
+        if name == "verify" and code == 0:
+            back = LiftCertificate.from_json(text)
+            assert back.to_voltage(base) == volt
+            assert (back.flags, back.constraint_count) == (cert.flags, cert.constraint_count)
 
 
 BENCHMARK_COVERS = {

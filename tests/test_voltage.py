@@ -1,18 +1,26 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ZERO3,
     Signing,
     _voltage_group_generated_reference,
     central_copies,
+    central_edges,
     connected_components,
     derived_cover_reference,
+    fundamental_cycle_voltages_reference,
+    noncentral_edges,
+    perfbench_module,
     random_bits_voltage,
+    random_steps,
     two_lift,
+    with_steps,
 )
 from thetalattice.errors import DegreeTooSmall, TooLarge, TorusTooSmall
 from thetalattice.graphs import (
@@ -26,9 +34,9 @@ from thetalattice.voltage import (
     LiftCertificate,
     build_base_graph,
     canonical_edge_order,
+    CertificateFlags,
     derived_cover,
     fundamental_cycle_voltages,
-    VoltageAssignment,
     make_bits,
     max_connected_stages,
     stage_bitstrings,
@@ -74,8 +82,8 @@ def test_base_graph_displacements():
 def test_base_edge_count_is_d_noncentral_plus_central():
     for d in (5, 6, 8):
         base, _ = build_base_graph(d)
-        assert len(base.central_edges) == 2 * d
-        assert len(base.noncentral_edges) == d * d - 2 * d
+        assert len(central_edges(base)) == 2 * d
+        assert len(noncentral_edges(base)) == d * d - 2 * d
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +296,10 @@ def test_voltage_group_generated_matches_dense_fold(data):
     share = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]), label="share")
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6), label="seed"))
     base, volt0 = build_base_graph(d)
-    bits = {e: rng.getrandbits(s) for e in base.noncentral_edges if rng.random() < share}
-    volt = volt0.with_bits(s, make_bits(base, s, bits))
+    bits = {e: rng.getrandbits(s) for e in noncentral_edges(base) if rng.random() < share}
+    volt = volt0.with_bits(s, bits)
     if data.draw(st.booleans(), label="unit steps"):
-        steps = {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in base.noncentral_edges}
-        volt = VoltageAssignment(s, steps, volt.level_bits)
+        volt = with_steps(volt, random_steps(base, rng))
     assert voltage_group_generated(base, volt) == _voltage_group_generated_reference(base, volt)
 
 
@@ -317,8 +324,22 @@ def test_voltage_group_generated_certified(certified):
 def test_fundamental_cycles_count():
     for d in (5, 6):
         base, volt = build_base_graph(d)
-        cyc = fundamental_cycle_voltages(base, volt)
-        assert len(cyc) == d * d - 2 * d + 1  # |E| - |V| + 1
+        shifts, masks = fundamental_cycle_voltages(volt)
+        assert len(shifts) == len(masks) == d * d - 2 * d + 1  # |E| - |V| + 1
+
+
+@pytest.mark.parametrize("s", [0, 3, 64])
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_fundamental_cycles_closed_form_matches_bfs(d, s):
+    """The closed form against the tree gives the cycles the BFS walk gives,
+    in order, on random bits and a random unit step on every non-central
+    edge."""
+    rng = random.Random(10 * d + s)
+    base, volt0 = build_base_graph(d)
+    volt = with_steps(random_bits_voltage(base, volt0, s, seed=d + s), random_steps(base, rng))
+    shifts, masks = fundamental_cycle_voltages(volt)
+    closed = [(tuple(t), m) for t, m in zip(shifts.tolist(), masks.tolist())]
+    assert closed == fundamental_cycle_voltages_reference(base, volt)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +368,7 @@ def test_certificate_roundtrip(certified):
 def test_certificate_voltage_roundtrip(certified):
     cert, base, volt, _ = certified(5)
     rebuilt = cert.to_voltage(base)
+    assert rebuilt == volt
     assert rebuilt.s == volt.s
     assert dict(rebuilt.level_bits) == dict(volt.level_bits)
     assert stage_bitstrings(base, rebuilt) == cert.stage_bits
@@ -362,12 +384,18 @@ def test_canonical_edge_order_sorted_by_roles():
 
 def test_make_bits_rejects_central_and_wide_masks():
     base, _ = build_base_graph(5)
-    central = next(iter(base.central_edges))
+    central = next(iter(central_edges(base)))
     with pytest.raises(ValueError):
-        make_bits(base, 2, {central: 1})
-    noncentral = base.noncentral_edges[0]
-    with pytest.raises(ValueError):
-        make_bits(base, 2, {noncentral: 4})
+        make_bits(base.d, 2, {central: 1})
+    noncentral = noncentral_edges(base)[0]
+    for s, bits, message in (
+        (2, {noncentral: 4}, "wider than s=2"),
+        (64, {noncentral: 1 << 64}, "wider than s=64"),
+        (2, {base.blacks[:2]: 1}, "unknown edge"),
+        (2, {noncentral[::-1]: 1}, "unknown edge"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make_bits(base.d, s, bits)
 
 
 def test_truncate_keeps_first_stages():
@@ -376,7 +404,47 @@ def test_truncate_keeps_first_stages():
     two = volt.truncate(2)
     assert two.s == 2
     assert two.level_bits == {e: m & 3 for e, m in volt.level_bits.items() if m & 3}
-    assert two.displacement == volt.displacement
+    assert np.array_equal(two.shifts, volt.shifts)
     assert volt.truncate(4) is volt and volt.truncate(9) is volt
     with pytest.raises(ValueError, match="negative"):
         volt.truncate(-1)
+
+
+@pytest.mark.parametrize("s", [0, 1, 21, 22, 63, 64, 69])
+def test_voltage_array_round_trips(s):
+    """A random d = 10 voltage, bits and unit steps, survives every
+    conversion: to stage strings and back through a certificate (also with
+    its edge order shuffled), back from its level_bits view, and cut by
+    truncate as the benchmark's truncated() cuts it; disp and bits return
+    what the maps gave, in both orientations."""
+    d = 10
+    rng = random.Random(s)
+    base, volt0 = build_base_graph(d)
+    bits = {e: rng.getrandbits(s) for e in noncentral_edges(base) if rng.random() < 0.7}
+    steps = random_steps(base, rng)
+    plain = volt0.with_bits(s, bits)
+    volt = with_steps(plain, steps)
+    assert volt.masks.dtype == (np.int64 if s <= 63 else object)
+
+    stages = stage_bitstrings(base, volt)
+    order = canonical_edge_order(base)
+    cert = LiftCertificate(d, s, stages, order, CertificateFlags(True, True, True), 0, 0)
+    assert cert.to_voltage(base) == plain
+    perm = list(range(d * d))
+    rng.shuffle(perm)
+    shuffled = LiftCertificate(
+        d, s, tuple("".join(row[k] for k in perm) for row in stages), tuple(order[k] for k in perm),
+        cert.flags, 0, 0,
+    )
+    assert shuffled.to_voltage(base) == plain
+
+    assert volt.with_bits(s, volt.level_bits) == volt
+    assert dict(volt.level_bits) == {e: m for e, m in bits.items() if m}
+    truncated = perfbench_module("workloads").truncated
+    for k in sorted({k for k in (0, 1, s // 2, s - 1, s) if 0 <= k <= s}):
+        assert volt.truncate(k) == truncated(volt, k)
+
+    for u, v in base.graph.edges:
+        t = steps.get((u, v), ZERO3)
+        assert volt.disp(u, v) == t and volt.disp(v, u) == tuple(-x for x in t)
+        assert volt.bits(u, v) == volt.bits(v, u) == bits.get((u, v), 0)
