@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -489,22 +490,27 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     m equal path keys has sum C(m,2) zero 4-cycles and sum C(m,3) thetas,
     which _run_totals reads off the sorted keys.
 
-    6-cycles meet in the middle.  For each white i and black b, sorting the
-    keys of the nw * nb 3-walks i -> a -> j -> b gives sum m^2 ordered pairs
-    of equal-voltage walks; one walk and the other reversed close a
-    zero-voltage 6-walk at i, so over all i and b there are
-    W = (nw * nb)^2 + 2 * sum C(m,2) of them.  In the bipartite base graph a
-    closed 6-walk from a white vertex is one of three kinds:
-      - it cancels to nothing, step by step back and forth, like a closed
-        walk in the tree with whites of degree nb and blacks of degree nw:
-        nw * nb * (X^2 + (nw - 1)(nb - 1)) walks in all, X = nw + nb - 1,
-        each of voltage zero;
-      - it is a 4-cycle with one edge hung on it, crossed and crossed back:
-        12 * (nw + nb - 2) walks per 4-cycle (3 white starts, 2 directions,
-        2(nw + nb) - 4 distinct hangings), of the 4-cycle's voltage;
-      - it is a 6-cycle, seen from its 3 white vertices in 2 directions.
-    So 6 * zero6 = W - nw * nb * (X^2 + (nw - 1)(nb - 1)) - 12 * (nw + nb - 2)
-    * zero4.
+    6-cycles meet in the middle, rooted at their smallest white.  For each
+    white i and black b, sorting the keys of the (nw - 1 - i) * nb 3-walks
+    i -> a -> j -> b with j > i gives sum m^2 ordered pairs of equal-voltage
+    walks (rows.size + 2 * sum C(m,2)); Q is their total over all i and b.
+    The pair i -> a -> j -> b, i -> a' -> j' -> b closes the 6-walk
+    i a j b j' a' of voltage zero, and in the bipartite base graph it is one
+    of four kinds:
+      - a walk paired with itself: nb^2 * C(nw, 2) pairs;
+      - a = a' = b and j != j', which cancels to nothing:
+        2 * nb * C(nw, 3) pairs;
+      - a 4-cycle of voltage zero with one edge hung on it.  With its white
+        positions w < w' and blacks c, c', it is seen from i = w 2 * nb
+        times as j = j' = w' (any b) and 4 * (nw - 2 - w) times as a = b or
+        a' = b with the other walk through w' (the free j above w, not w'),
+        and from each of the w smaller whites i 4 times, with a = a' and b
+        its blacks and j, j' its whites, each in either order.  That is
+        2 * nb + 4 * (nw - 2) pairs for every zero 4-cycle;
+      - a 6-cycle of voltage zero, seen from its smallest white in 2
+        directions.
+    So 2 * zero6 = Q - nb^2 * C(nw, 2) - 2 * nb * C(nw, 3)
+    - (2 * nb + 4 * (nw - 2)) * zero4.
     """
     d, s = base.d, volt.s
     codes, bits = _edge_keys(volt)
@@ -536,24 +542,26 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     theta += _run_totals(black_keys)[1]
     del pair_keys, black_keys  # not held beside the walk buffers
 
-    # equal-key pairs of 3-walks i -> a -> j -> b, one white i at a time:
-    # walk[b, j, a] is the key of i -> a -> j -> b, and each row b of keys
-    # over (j, a) is sorted in place
-    walk = np.empty((nb, nw, nb), dtype=key)
-    walk_low = np.empty_like(walk)
-    rows = walk.reshape(nb, nw * nb)
-    walk_pairs = 0
-    for i in range(nw):
-        np.add(high[i] - high, high_t[:, :, None], out=walk)
-        np.bitwise_xor(low[i] ^ low, low_t[:, :, None], out=walk_low)
+    # equal-key pairs of 3-walks i -> a -> j -> b with j > i, one white i at
+    # a time: walk[b, j - i - 1, a] is the key of i -> a -> j -> b, and each
+    # row b of keys over (j, a) is sorted in place.  The rows of white i are
+    # the front (nb, nw - 1 - i, nb) of the flat buffers.
+    walk_buf = np.empty(nb * (nw - 1) * nb, dtype=key)
+    low_buf = np.empty_like(walk_buf)
+    equal_pairs = 0
+    for i in range(nw - 1):
+        size = nb * (nw - 1 - i) * nb
+        walk = walk_buf[:size].reshape(nb, nw - 1 - i, nb)
+        walk_low = low_buf[:size].reshape(walk.shape)
+        np.add(high[i] - high[i + 1 :], high_t[:, i + 1 :, None], out=walk)
+        np.bitwise_xor(low[i] ^ low[i + 1 :], low_t[:, i + 1 :, None], out=walk_low)
         walk += walk_low
+        rows = walk.reshape(nb, -1)
         rows.sort(axis=1)
-        walk_pairs += _run_totals(rows)[0]
-    closed = (nw * nb) ** 2 + 2 * walk_pairs
-    x = nw + nb - 1
-    tree_like = nw * nb * (x * x + (nw - 1) * (nb - 1))
-    zero6, rest = divmod(closed - tree_like - 12 * (nw + nb - 2) * zero4, 6)
-    assert rest == 0, "the closed 6-walks on 6-cycles come six to a cycle"
+        equal_pairs += size + 2 * _run_totals(rows)[0]
+    degenerate = nb * nb * comb(nw, 2) + 2 * nb * comb(nw, 3) + (2 * nb + 4 * (nw - 2)) * zero4
+    zero6, rest = divmod(equal_pairs - degenerate, 2)
+    assert rest == 0, "the equal walk pairs on 6-cycles come two to a cycle"
 
     owned = scale * 2 * d
     return CensusReport(

@@ -438,13 +438,28 @@ def test_voltage_census_matches_reference_wide_bits(d, s):
 @pytest.mark.parametrize("d", [13, 20, 33])
 def test_voltage_census_matches_c6_triples(certified, d, stages):
     """The 6-cycles of the walk identity equal the white-triple count on the
-    BCH-route certificates, truncated to 1 and 2 stages (c6 large) and in
-    full (c6 zero)."""
+    Wenger certificates, truncated to 1 and 2 stages (c6 large) and in full
+    (c6 zero)."""
     cert, base, volt, _ = certified(d)
     volt = volt if stages is None else volt.truncate(stages)
     c6 = voltage_census(base, volt).c6
     assert c6 == _voltage_c6_triples(base, volt)
     assert (c6 > 0) == (stages is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=11, max_value=24),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_voltage_census_c6_matches_triples_unit_displacements(d, s, seed):
+    """Above the reach of the loop oracle, random bits and a random unit
+    step on every non-central edge give the white-triple count's c6."""
+    rng = random.Random(seed)
+    base, volt0 = build_base_graph(d)
+    volt = with_steps(random_bits_voltage(base, volt0, s, seed), random_steps(base, rng))
+    assert voltage_census(base, volt).c6 == _voltage_c6_triples(base, volt)
 
 
 @settings(max_examples=20, deadline=None)
@@ -493,7 +508,9 @@ def test_voltage_census_matches_reference_key_width_boundary(d, s):
         assert voltage_census(base, v) == _voltage_census_reference(base, v)
 
 
-@pytest.mark.parametrize("d, s, seed", [(7, 1, 3), (8, 2, 5), (9, 1, 8), (10, 3, 13)])
+@pytest.mark.parametrize(
+    "d, s, seed", [(7, 1, 3), (8, 2, 5), (9, 1, 8), (10, 3, 13), (13, 2, 21), (16, 1, 34), (20, 2, 55)]
+)
 def test_voltage_census_matches_dfs_recheck(d, s, seed):
     """Per-cube zero-voltage cycles are 2^s times the uncovered constraint
     cycles the DFS finds one by one."""
