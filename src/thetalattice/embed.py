@@ -4,9 +4,10 @@ Connector vertices rx/ry/rz are sampled in the outer face boxes, everything
 else in the center box; lx/ly/lz positions are the matching-level rx/ry/rz
 points shifted back by one unit, realizing the gluing.  A try is good when,
 over the full 3x3x3 block of unit translates, edge segments meet only at
-shared endpoints.  Verdicts are decided in integer arithmetic on grid-scaled
-coordinates; a float64 filter with a static error bound only ever proves a
-pair skew, so verdicts are exact and platform-independent.
+shared endpoints.  A try holds integer numerators over one denominator, and
+verdicts are decided in integer arithmetic on grid-scaled coordinates; a
+float64 filter with a static error bound only ever proves a pair skew, so
+verdicts are exact and platform-independent.
 """
 
 from __future__ import annotations
@@ -16,19 +17,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
 from .errors import AttemptsExhausted, GridTooCoarse, MalformedGraph, TooLarge
-from .graphs import LabeledGraph, Role
+from .graphs import LabeledGraph, _frozen
 
 Point = tuple[Fraction, Fraction, Fraction]
 IPoint = tuple[int, int, int]
 
-THIRD = Fraction(1, 3)
-CENTER = (THIRD, 2 * THIRD)
-OUTER = (2 * THIRD, Fraction(1))
 DEFAULT_RESOLUTION = Fraction(1, 2**20)
 # Sampled coordinates lie in (-1/3, 4/3), so a denominator up to 2^40 keeps
 # block coordinates (up to two more units of shift) far below is_good_try's
@@ -39,40 +36,60 @@ _MAX_GRID_DENOMINATOR = 2**40
 # 365 s on a 2-vCPU VM
 EMBED_EDGE_LIMIT = 1 << 17
 
-# role tag -> (x-interval, y-interval, z-interval); lx/ly/lz are derived
-_BOXES = {
-    "rx": (OUTER, CENTER, CENTER),
-    "ry": (CENTER, OUTER, CENTER),
-    "rz": (CENTER, CENTER, OUTER),
-}
-_DERIVED = {"lx": ("rx", (1, 0, 0)), "ly": ("ry", (0, 1, 0)), "lz": ("rz", (0, 0, 1))}
+CENTER, OUTER = (1, 2), (2, 3)  # the open intervals (a/3, b/3) as (a, b)
+# role tag -> (x-interval, y-interval, z-interval); lx/ly/lz are derived,
+# every other role sits in the center box
+_BOXES = {"rx": (OUTER, CENTER, CENTER), "ry": (CENTER, OUTER, CENTER), "rz": (CENTER, CENTER, OUTER)}
+# derived tag -> (source tag, axis of the unit shift back)
+_DERIVED = {"lx": ("rx", 0), "ly": ("ry", 1), "lz": ("rz", 2)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Try:
-    """One candidate placement: vertex id -> rational point."""
+    """One candidate placement: vertex v sits at num[v] / denom.
 
-    points: Mapping[int, Point]
+    num is a read-only (n, 3) int64 array of numerators over one positive
+    integer denominator.  A sampled try has the denominator q of its grid
+    resolution p/q, so every coordinate k*p/q is exact.  Tries are equal when
+    their resolutions and scaled() forms are.
+    """
+
+    num: np.ndarray
+    denom: int
     grid_resolution: Fraction
 
-    def scaled(self) -> tuple[dict[int, IPoint], int]:
-        """Integer coordinates in grid units plus the units-per-1 scale."""
-        denom = 1
-        for p in self.points.values():
-            for c in p:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        scaled = {
-            v: tuple(int(c * denom) for c in p) for v, p in self.points.items()
-        }
-        return scaled, denom
+    def __post_init__(self):
+        if self.denom < 1:
+            raise ValueError(f"try denominator must be positive, got {self.denom}")
+        object.__setattr__(self, "num", _frozen(np.array(self.num, dtype=np.int64).reshape(-1, 3)))
+
+    @property
+    def points(self) -> dict[int, Point]:
+        """vertex id -> rational point, built on each access."""
+        q = self.denom
+        return {v: tuple(Fraction(c, q) for c in row) for v, row in enumerate(self.num.tolist())}
+
+    def scaled(self) -> tuple[np.ndarray, int]:
+        """Integer coordinates in grid units plus the units-per-1 scale: num
+        and denom divided by their common gcd, so the scale is the lcm of the
+        reduced coordinate denominators."""
+        g = math.gcd(int(np.gcd.reduce(self.num, axis=None)), self.denom)
+        return self.num // g, self.denom // g
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Try):
+            return NotImplemented
+        (a, p), (b, q) = self.scaled(), other.scaled()
+        return p == q and self.grid_resolution == other.grid_resolution and np.array_equal(a, b)
 
 
-def _grid_range(lo: Fraction, hi: Fraction, res: Fraction) -> tuple[int, int]:
-    """Integer k range with lo < k*res < hi, or GridTooCoarse."""
-    kmin = math.floor(lo / res) + 1
-    kmax = math.ceil(hi / res) - 1
+def _grid_range(a: int, b: int, res: Fraction) -> tuple[int, int]:
+    """Integer k range with a/3 < k*res < b/3, or GridTooCoarse."""
+    p3, q = 3 * res.numerator, res.denominator
+    kmin = a * q // p3 + 1
+    kmax = -(-b * q // p3) - 1
     if kmin > kmax:
-        raise GridTooCoarse(f"no grid point of resolution {res} inside ({lo},{hi})")
+        raise GridTooCoarse(f"no grid point of resolution {res} inside ({Fraction(a, 3)},{Fraction(b, 3)})")
     return kmin, kmax
 
 
@@ -80,9 +97,12 @@ def sample_try(
     fug: LabeledGraph, seed: int, grid_resolution: Fraction = DEFAULT_RESOLUTION
 ) -> Try:
     """Uniform placement on the rational grid inside each role's open box,
-    rejection-sampled to distinct points; deterministic in the seed."""
-    labels = fug.labels
-    if labels is None:
+    rejection-sampled to distinct points; deterministic in the seed.
+
+    Each non-derived vertex in id order draws k with one rng.randint per
+    axis until k is new, and sits at k * grid_resolution.
+    """
+    if fug.roles is None:
         raise MalformedGraph("sample_try needs a labeled full unit graph")
     res = Fraction(grid_resolution)
     if res <= 0:
@@ -90,33 +110,32 @@ def sample_try(
     if res.denominator > _MAX_GRID_DENOMINATOR:
         raise TooLarge(f"grid resolution {res} has a denominator above 2^40")
     rng = random.Random(seed)
-    points: dict[int, Point] = {}
-    used: set[Point] = set()
-    by_key = fug.label_index()
-    for v in range(fug.vertex_count):
-        lab = labels[v]
-        tag = lab.role.tag
+    tags = (fug.roles[code].tag for code in fug.role_codes.tolist())
+    keys = list(zip(tags, fug.levels.tolist(), map(tuple, fug.cells.tolist())))
+    ranges: dict[str, list[tuple[int, int]]] = {}
+    placed: dict[IPoint, int] = {}  # k -> vertex
+    for v, (tag, _, _) in enumerate(keys):
         if tag in _DERIVED:
             continue
-        box = _BOXES.get(tag, (CENTER, CENTER, CENTER))
-        ranges = [_grid_range(lo, hi, res) for lo, hi in box]
+        if tag not in ranges:
+            ranges[tag] = [_grid_range(a, b, res) for a, b in _BOXES.get(tag, (CENTER,) * 3)]
+        (x0, x1), (y0, y1), (z0, z1) = ranges[tag]
         for _ in range(1000):
-            p = tuple(res * rng.randint(kmin, kmax) for kmin, kmax in ranges)
-            if p not in used:
+            k = (rng.randint(x0, x1), rng.randint(y0, y1), rng.randint(z0, z1))
+            if k not in placed:
                 break
         else:
             raise GridTooCoarse(f"cannot place distinct points at resolution {res}")
-        used.add(p)
-        points[v] = p
-    for v in range(fug.vertex_count):
-        lab = labels[v]
-        if lab.role.tag not in _DERIVED:
-            continue
-        src_tag, shift = _DERIVED[lab.role.tag]
-        src = by_key[(Role(src_tag), lab.level, lab.cell)]
-        sp = points[src]
-        points[v] = (sp[0] - shift[0], sp[1] - shift[1], sp[2] - shift[2])
-    return Try(points, res)
+        placed[k] = v
+    num = np.zeros((len(keys), 3), dtype=np.int64)
+    num[list(placed.values())] = np.array(list(placed), dtype=np.int64).reshape(-1, 3) * res.numerator
+    vertex = {key: v for v, key in enumerate(keys)}
+    for v, (tag, level, cell) in enumerate(keys):
+        if tag in _DERIVED:
+            src_tag, axis = _DERIVED[tag]
+            num[v] = num[vertex[(src_tag, level, cell)]]
+            num[v, axis] -= res.denominator
+    return Try(num, res.denominator, res)
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +143,6 @@ def sample_try(
 
 def _sub(a: IPoint, b: IPoint) -> IPoint:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _add(a: IPoint, b: IPoint) -> IPoint:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def _cross(a: IPoint, b: IPoint) -> IPoint:
@@ -268,7 +283,10 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     by delta) with delta in {-2..2}^3, and every such triple occurs in the
     block; segment_pair_ok is translation-invariant, so one representative per
     class is checked (delta lexicographically >= 0, and e < f at delta = 0).
-    Pairs whose closed bounding boxes are disjoint are skipped (exact, int64).
+    Only edges e whose box reaches the hull of all edges shifted by delta, and
+    edges f whose box shifted by delta reaches the hull, can meet; one
+    broadcast finds them for every delta.  Pairs whose closed bounding boxes
+    are disjoint are skipped (exact, int64).
     A float64 orientation filter with Shewchuk's static bound A certifies
     skew pairs; it needs every block coordinate to be an integer below 2^53
     in magnitude, else TooLarge.  Pairs with a shared endpoint are decided by
@@ -278,34 +296,34 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     """
     if fug.roles is None:
         raise MalformedGraph("is_good_try needs a labeled graph")
-    missing = set(range(fug.vertex_count)) - set(t.points)
-    if missing:
-        raise ValueError(f"try does not cover vertices {sorted(missing)}")
+    if len(t.num) < fug.vertex_count:
+        raise ValueError(f"try does not cover vertices {list(range(len(t.num), fug.vertex_count))}")
     if not len(fug.edge_array):
         return True
     scaled, denom = t.scaled()
-    reach = max(abs(c) for p in scaled.values() for c in p) + 2 * denom
+    reach = max(-int(scaled.min()), int(scaled.max())) + 2 * denom
     if reach >= _COORD_LIMIT:
         raise TooLarge(f"block coordinates reach {reach} grid units, not below 2^53")
     int64_shared = reach < _INT64_SHARED_LIMIT
-    ends = [(scaled[u], scaled[v]) for u, v in fug.edges]
-    # (endpoint, axis, edge)
-    start, end = np.array(ends, dtype=np.int64).transpose(1, 2, 0)
+    # (axis, edge)
+    start, end = scaled[fug.edge_array[:, 0]].T, scaled[fug.edge_array[:, 1]].T
     step = end - start
     lo, hi = np.minimum(start, end), np.maximum(start, end)
-    hull_lo, hull_hi = lo.min(axis=1)[:, None], hi.max(axis=1)[:, None]
-    for delta in _OFFSETS:
-        offset = tuple(x * denom for x in delta)
-        shift = np.array(offset, dtype=np.int64)
+    # near[k, u + 2, e]: edge e's extent on axis k meets the hull's shifted by u units
+    units = np.arange(-2, 3)[:, None] * denom
+    hull_lo, hull_hi = lo.min(axis=1)[:, None, None] + units, hi.max(axis=1)[:, None, None] + units
+    near = (lo[:, None] <= hull_hi) & (hi[:, None] >= hull_lo)
+    # per delta, the edges whose box reaches the hull shifted by delta (rows)
+    # and the edges whose box shifted by delta reaches the hull (columns)
+    deltas = np.array(_OFFSETS)
+    rows_at = near[np.arange(3), 2 + deltas].all(axis=1)
+    cols_at = near[np.arange(3), 2 - deltas].all(axis=1)
+    for o in np.flatnonzero(rows_at.any(axis=1) & cols_at.any(axis=1)).tolist():
+        shift = deltas[o] * denom
         sh = shift[:, None]
-        # only edges e that reach the shifted hull, and edges f whose shifted
-        # box reaches the hull, can be in a meeting pair
-        rows = np.flatnonzero(((lo <= hull_hi + sh) & (hi >= hull_lo + sh)).all(axis=0))
-        cols = np.flatnonzero(((lo + sh <= hull_hi) & (hi + sh >= hull_lo)).all(axis=0))
-        if not (len(rows) and len(cols)):
-            continue
+        rows, cols = np.flatnonzero(rows_at[o]), np.flatnonzero(cols_at[o])
         col_lo, col_hi = lo[:, cols] + sh, hi[:, cols] + sh
-        same = delta == (0, 0, 0)
+        same = not shift.any()
         per_chunk = max(1, _CHUNK // len(cols))
         for first in range(0, len(rows), per_chunk):
             r = rows[first : first + per_chunk]
@@ -327,9 +345,9 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
                 if not ok[shared].all():
                     return False
                 i, j = i[~shared], j[~shared]
-            for e, f in zip(i.tolist(), j.tolist()):
-                (p1, p2), (q1, q2) = ends[e], ends[f]
-                if not segment_pair_ok(p1, p2, _add(q1, offset), _add(q2, offset)):
+            quads = np.stack([start[:, i], end[:, i], start[:, j] + sh, end[:, j] + sh]).transpose(2, 0, 1)
+            for quad in quads.tolist():
+                if not segment_pair_ok(*map(tuple, quad)):
                     return False
     return True
 
@@ -358,22 +376,13 @@ def check_embedding_properties(t: Try, fug: LabeledGraph) -> dict[str, bool]:
     construction (edges are stored as endpoint pairs; the block is built from
     integer shifts); vertex interiority and edge locality are computed.
     """
-    interior = all(
-        all(c.denominator != 1 for c in p) for p in t.points.values()
-    )
-    local = True
-    for u, v in fug.edges:
-        cu = tuple(math.floor(c) for c in t.points[u])
-        cv = tuple(math.floor(c) for c in t.points[v])
-        diff = sum(abs(a - b) for a, b in zip(cu, cv))
-        if diff > 1:
-            local = False
-            break
+    cubes = t.num // t.denom
+    u, v = fug.edge_array[:, 0], fug.edge_array[:, 1]
     return {
         "straight_line_segments": True,
         "integer_translation_invariant": True,
-        "vertices_interior_of_cubes": interior,
-        "edges_within_cube_or_nearest_neighbor": local,
+        "vertices_interior_of_cubes": bool((t.num % t.denom != 0).all()),
+        "edges_within_cube_or_nearest_neighbor": bool((np.abs(cubes[u] - cubes[v]).sum(axis=1) <= 1).all()),
     }
 
 
@@ -381,12 +390,12 @@ def check_embedding_properties(t: Try, fug: LabeledGraph) -> dict[str, bool]:
 # serialization
 
 def try_to_json_dict(t: Try, attempts: int | None = None, seed: int | None = None) -> dict:
+    """The try as JSON: vertex id -> three reduced p/q coordinate strings."""
+    g = np.gcd(t.num, t.denom)
+    nums, dens = (t.num // g).tolist(), (t.denom // g).tolist()
     out = {
         "grid_resolution": f"{t.grid_resolution.numerator}/{t.grid_resolution.denominator}",
-        "points": {
-            str(v): [f"{c.numerator}/{c.denominator}" for c in p]
-            for v, p in sorted(t.points.items())
-        },
+        "points": {str(v): [f"{a}/{b}" for a, b in zip(n, d)] for v, (n, d) in enumerate(zip(nums, dens))},
     }
     if attempts is not None:
         out["attempts"] = attempts
@@ -395,21 +404,8 @@ def try_to_json_dict(t: Try, attempts: int | None = None, seed: int | None = Non
     return out
 
 
-def try_from_json_dict(data: dict) -> Try:
-    points = {
-        int(v): tuple(Fraction(c) for c in p) for v, p in data["points"].items()
-    }
-    return Try(points, Fraction(data["grid_resolution"]))
-
-
 def try_to_obj(t: Try, fug: LabeledGraph) -> str:
     """OBJ-style line-set export (float coordinates, for viewers only)."""
-    lines = []
-    order = sorted(t.points)
-    pos = {v: i + 1 for i, v in enumerate(order)}
-    for v in order:
-        x, y, z = (float(c) for c in t.points[v])
-        lines.append(f"v {x:.9f} {y:.9f} {z:.9f}")
-    for u, v in fug.edges:
-        lines.append(f"l {pos[u]} {pos[v]}")
+    lines = [f"v {float(x):.9f} {float(y):.9f} {float(z):.9f}" for x, y, z in t.points.values()]
+    lines += [f"l {u + 1} {v + 1}" for u, v in fug.edges]
     return "\n".join(lines) + "\n"

@@ -9,8 +9,12 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of bitset rows, by elimination on leading bits."""
+def gf2_rank(rows: Iterable[int], width: int | None = None) -> int:
+    """Rank over GF(2) of bitset rows, by elimination on leading bits.
+
+    Rows of at most width bits have rank at most width, so with a width the
+    elimination stops, and reads no further rows, once the rank reaches it.
+    """
     pivots: dict[int, int] = {}
     for v in rows:
         while v:
@@ -20,6 +24,8 @@ def gf2_rank(rows: Iterable[int]) -> int:
             else:
                 pivots[p] = v
                 break
+        if len(pivots) == width:
+            break
     return len(pivots)
 
 

@@ -14,6 +14,7 @@ graph of one cube.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -292,7 +293,8 @@ def voltage_group_generated(base: BaseGraph, volt: VoltageAssignment) -> bool:
     displacement rows must span GF(2)^s.  A zero-displacement cycle is a
     kernel vector by itself, so its bits are a mask as they stand; only the
     cycles that move (3(d - 1) of the (d - 1)^2 for the canonical
-    displacements) go through the integer kernel.
+    displacements) go through the integer kernel.  The rank stops at s, so
+    the kernel is computed only when the standing masks fall short of it.
     """
     shifts, bits = fundamental_cycle_voltages(volt)
     moves = shifts.any(axis=1)
@@ -301,15 +303,18 @@ def voltage_group_generated(base: BaseGraph, volt: VoltageAssignment) -> bool:
         return False
     if volt.s == 0:
         return True
-    masks = bits[~moves].tolist()
-    moving = bits[moves].tolist()
-    for combo in linalg.kernel_basis(disp_rows):
-        m = 0
-        for coeff, mask in zip(combo, moving):
-            if coeff & 1:
-                m ^= mask
-        masks.append(m)
-    return linalg.gf2_rank(masks) == volt.s
+
+    def kernel_masks():
+        moving = bits[moves].tolist()
+        for combo in linalg.kernel_basis(disp_rows):
+            m = 0
+            for coeff, mask in zip(combo, moving):
+                if coeff & 1:
+                    m ^= mask
+            yield m
+
+    masks = itertools.chain(bits[~moves].tolist(), kernel_masks())
+    return linalg.gf2_rank(masks, volt.s) == volt.s
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +447,9 @@ class LiftCertificate:
         if len(self.edge_order) != d * d:
             raise MalformedGraph("certificate edge order does not match base graph")
         ids = {str(role): v for v, role in enumerate(base.vertex_roles)}
-        ends = np.sort(np.array([ids.get(role, -1) for pair in self.edge_order for role in pair]).reshape(-1, 2))
+        names = itertools.chain.from_iterable(self.edge_order)
+        ends = np.fromiter(map(ids.get, names, itertools.repeat(-1)), dtype=np.int64, count=2 * d * d)
+        ends = np.sort(ends.reshape(-1, 2))
         slot = ends[:, 0] * d + ends[:, 1] - d  # base edge (c, d + j) is slot c * d + j
         first = np.zeros(d * d, dtype=bool)
         first[np.unique(slot, return_index=True)[1]] = True

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import random
 import signal
 import sys
@@ -24,7 +25,8 @@ from thetalattice.graphs import (
     level_uint,
 )
 from thetalattice.census import CensusReport, _short_cycles
-from thetalattice.errors import MalformedGraph
+from thetalattice.embed import Try
+from thetalattice.errors import GridTooCoarse, MalformedGraph, TooLarge
 from thetalattice.voltage import UNIT, VoltageAssignment
 
 ZERO3 = (0, 0, 0)
@@ -742,3 +744,93 @@ def graph_to_dot_reference(g):
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Fraction-point embedding tries: oracles for embed's integer numerators
+
+
+def try_from_points(points, grid_resolution):
+    """The embed.Try of a vertex id -> rational point dict with keys 0..n-1:
+    numerators over the lcm of the coordinate denominators."""
+    assert sorted(points) == list(range(len(points)))
+    denom = 1
+    for p in points.values():
+        for c in p:
+            denom = math.lcm(denom, Fraction(c).denominator)
+    rows = [[int(Fraction(c) * denom) for c in points[v]] for v in range(len(points))]
+    return Try(np.array(rows, dtype=np.int64).reshape(-1, 3), denom, Fraction(grid_resolution))
+
+
+def try_from_json_dict(data):
+    points = {int(v): tuple(Fraction(c) for c in p) for v, p in data["points"].items()}
+    return try_from_points(points, Fraction(data["grid_resolution"]))
+
+
+_THIRD = Fraction(1, 3)
+_CENTER = (_THIRD, 2 * _THIRD)
+_OUTER = (2 * _THIRD, Fraction(1))
+_BOXES = {
+    "rx": (_OUTER, _CENTER, _CENTER),
+    "ry": (_CENTER, _OUTER, _CENTER),
+    "rz": (_CENTER, _CENTER, _OUTER),
+}
+_DERIVED = {"lx": ("rx", (1, 0, 0)), "ly": ("ry", (0, 1, 0)), "lz": ("rz", (0, 0, 1))}
+
+
+def _grid_range_reference(lo, hi, res):
+    """Integer k range with lo < k*res < hi, or GridTooCoarse."""
+    kmin = math.floor(lo / res) + 1
+    kmax = math.ceil(hi / res) - 1
+    if kmin > kmax:
+        raise GridTooCoarse(f"no grid point of resolution {res} inside ({lo},{hi})")
+    return kmin, kmax
+
+
+def sample_try_reference(fug, seed, grid_resolution):
+    """embed.sample_try's points, as a vertex id -> Fraction point dict,
+    sampled one VertexLabel at a time in Fraction arithmetic: the same
+    rng.randint calls, the same rejection of repeated points, and lx/ly/lz
+    found through label_index."""
+    labels = fug.labels
+    if labels is None:
+        raise MalformedGraph("sample_try needs a labeled full unit graph")
+    res = Fraction(grid_resolution)
+    if res <= 0:
+        raise ValueError(f"grid resolution must be positive, got {res}")
+    if res.denominator > 2**40:
+        raise TooLarge(f"grid resolution {res} has a denominator above 2^40")
+    rng = random.Random(seed)
+    points, used = {}, set()
+    by_key = fug.label_index()
+    for v in range(fug.vertex_count):
+        tag = labels[v].role.tag
+        if tag in _DERIVED:
+            continue
+        ranges = [_grid_range_reference(lo, hi, res) for lo, hi in _BOXES.get(tag, (_CENTER,) * 3)]
+        for _ in range(1000):
+            p = tuple(res * rng.randint(kmin, kmax) for kmin, kmax in ranges)
+            if p not in used:
+                break
+        else:
+            raise GridTooCoarse(f"cannot place distinct points at resolution {res}")
+        used.add(p)
+        points[v] = p
+    for v in range(fug.vertex_count):
+        lab = labels[v]
+        if lab.role.tag not in _DERIVED:
+            continue
+        src_tag, shift = _DERIVED[lab.role.tag]
+        sp = points[by_key[(Role(src_tag), lab.level, lab.cell)]]
+        points[v] = (sp[0] - shift[0], sp[1] - shift[1], sp[2] - shift[2])
+    return points
+
+
+def scaled_reference(points):
+    """(vertex id -> integer point in grid units, units per 1) of a Fraction
+    point dict: the grid is the lcm of the reduced coordinate denominators."""
+    denom = 1
+    for p in points.values():
+        for c in p:
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    return {v: tuple(int(c * denom) for c in p) for v, p in points.items()}, denom

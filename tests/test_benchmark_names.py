@@ -11,7 +11,9 @@ import types
 import pytest
 
 import thetalattice
-from conftest import PERFBENCH, perfbench_module
+from conftest import PERFBENCH, perfbench_module, random_bits_voltage
+from thetalattice import embed
+from thetalattice.voltage import build_base_graph, derived_cover
 
 # renamed away when derived_cover replaced both builders, and removed with
 # the greedy search and its constraint enumeration when the Wenger voltage
@@ -77,6 +79,25 @@ def test_tracer_counts_a_certification():
     assert counts["certify.recheck_constraints_dfs"] == 1
     for stale in ("certify.constraints", "certify.stages", "certify.mask_tests"):
         assert counts[stale] == 0
+
+
+def test_tracer_counts_an_embedding():
+    """The tracer reads the fug argument of embed.is_good_try and the
+    attempt count find_good_try returns: one find_good_try on a d = 5, s = 2
+    full unit graph counts its attempts, one good try, and 27 block
+    segments per edge for every try it checked."""
+    base, volt0 = build_base_graph(5)
+    fug = derived_cover(base, random_bits_voltage(base, volt0, 2, 11))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        _, attempts = embed.find_good_try(fug, seed=3)
+    finally:
+        tracer.uninstall()
+    counts = tracer.take()[2]
+    assert counts["embed.attempts"] == attempts >= 1
+    assert counts["embed.good_tries"] == 1
+    assert counts["embed.block_segments"] == 27 * len(fug.edges) * attempts
 
 
 @pytest.mark.parametrize("name", sorted(perfbench_module("workloads").WORKLOADS))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -748,6 +749,23 @@ def test_embed_runs_and_roundtrips(cert_d5, tmp_path, capsys):
     assert len(data["points"]) == 4 * 13
     assert obj.read_text().startswith("v ")
 
+
+
+def test_embed_writes_the_pinned_embedding(tmp_path, capsys):
+    """embed on the benchmark's pinned d = 5 certificate writes the pinned
+    embedding file byte for byte, and prints a checklist that parses with
+    ast.literal_eval into four Python bools, all true (a numpy bool would
+    print as np.True_ and not parse)."""
+    out = tmp_path / "embed.json"
+    code, stdout, _ = run(
+        capsys, "embed", str(PINNED / "cert_d5_seed1.json"), "--trunc-s", "4", "--seed", "1", "-o", str(out)
+    )
+    assert code == 0
+    assert out.read_bytes() == (PINNED / "embed_d5_s4_seed1.json").read_bytes()
+    line = next(ln for ln in stdout.splitlines() if ln.startswith("placement checklist: "))
+    checklist = ast.literal_eval(line.removeprefix("placement checklist: "))
+    assert len(checklist) == 4
+    assert all(value is True for value in checklist.values())
 
 
 @pytest.mark.parametrize(

@@ -5,16 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bits_voltage
+from conftest import (
+    random_bits_voltage,
+    sample_try_reference,
+    scaled_reference,
+    try_from_json_dict,
+    try_from_points,
+)
 from thetalattice import embed
 from thetalattice.embed import (
-    Try,
     check_embedding_properties,
     find_good_try,
     is_good_try,
     sample_try,
     segment_pair_ok,
-    try_from_json_dict,
     try_to_json_dict,
     try_to_obj,
 )
@@ -84,6 +88,44 @@ def test_sample_try_grid_resolution_limits():
         sample_try(fug, seed=1, grid_resolution=Fraction(1, 2**40 + 1))
     finest = sample_try(fug, seed=1, grid_resolution=Fraction(1, 2**40))
     assert is_good_try(finest, fug)
+
+
+def _scaled_as_reference(t):
+    """t.scaled() in scaled_reference's form: vertex id -> integer tuple."""
+    num, denom = t.scaled()
+    return dict(enumerate(map(tuple, num.tolist()))), denom
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize(
+    "res",
+    [
+        Fraction(1, 2**20), Fraction(1, 1024), Fraction(1, 8), Fraction(1, 3), Fraction(2, 7),
+        Fraction(13, 20), Fraction(1, 2**40), Fraction(1), Fraction(0), Fraction(-1, 8),
+        Fraction(1, 2**40 + 1),
+    ],
+    ids=str,
+)
+def test_sample_try_matches_fraction_reference(s, res):
+    """The integer sampler places every vertex where the Fraction sampler
+    does, for seeds 0..9 on dyadic and non-dyadic grids, raises the same
+    error with the same message where the reference raises (an empty box,
+    no room for distinct points, a resolution that is not positive or has a
+    denominator above 2^40), and scales to the same grid."""
+    fug = _fug(s=s)
+    for seed in range(10):
+        try:
+            want = sample_try_reference(fug, seed, res)
+        except (GridTooCoarse, TooLarge, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                sample_try(fug, seed, res)
+            assert str(got.value) == str(exc)
+            continue
+        t = sample_try(fug, seed, res)
+        assert t.points == want
+        assert t.denom == res.denominator
+        assert _scaled_as_reference(t) == scaled_reference(want)
+
 
 # ---------------------------------------------------------------------------
 # segment predicate (integer-scaled coordinates)
@@ -225,8 +267,9 @@ def test_shared_endpoint_route_switches_at_int64_bound(monkeypatch, corner, int6
     fug = LabeledGraph(3, ((0, 1), (0, 2)), labels)
     a = (corner - 2, corner - 2, corner + 1)
     points = {0: a, 1: (a[0], a[1] + 1, a[2]), 2: tuple(x + y for x, y in zip(a, far))}
-    t = Try({v: tuple(Fraction(c, 4) for c in p) for v, p in points.items()}, Fraction(1, 4))
+    t = try_from_points({v: tuple(Fraction(c, 4) for c in p) for v, p in points.items()}, Fraction(1, 4))
     assert t.scaled()[1] == 4
+    assert _scaled_as_reference(t) == scaled_reference(t.points)
     calls = []
 
     def counted(p1, p2, q1, q2):
@@ -314,10 +357,11 @@ def test_sampled_try_is_good_d5_s2():
 def test_good_try_verdict_translation_consistent():
     fug = _fug(s=1)
     t = sample_try(fug, seed=7)
-    shifted = type(t)(
+    shifted = try_from_points(
         {v: (p[0] + 2, p[1] - 1, p[2] + 3) for v, p in t.points.items()},
         t.grid_resolution,
     )
+    assert _scaled_as_reference(shifted) == scaled_reference(shifted.points)
     assert is_good_try(t, fug) == is_good_try(shifted, fug)
 
 
@@ -339,15 +383,18 @@ def test_crossing_placement_is_bad():
     pts[tt] = (h + 8 * q, h + 8 * q, h)
     pts[c2] = (h - 8 * q, h + 8 * q, h)
     pts[bb] = (h + 8 * q, h - 8 * q, h)
-    bad = type(t)(pts, t.grid_resolution)
+    bad = try_from_points(pts, t.grid_resolution)
+    assert _scaled_as_reference(bad) == scaled_reference(bad.points)
     assert not is_good_try(bad, fug)
 
 
 def _block_oracle_ok(t, fug):
     """Reference for is_good_try without translation classes or floats: every
     two segments of the 3x3x3 block of unit translates whose closed bounding
-    boxes overlap go through segment_pair_ok."""
-    scaled, denom = t.scaled()
+    boxes overlap go through segment_pair_ok, on the grid of
+    scaled_reference, which t.scaled() must match."""
+    scaled, denom = scaled_reference(t.points)
+    assert _scaled_as_reference(t) == (scaled, denom)
     units = (-denom, 0, denom)
     segs = [
         (
@@ -401,12 +448,12 @@ def test_try_bad_only_across_offset(delta):
     def b(y, lift):
         return (4 * e + delta[0], y + delta[1], 4 * e + lift + delta[2])
 
-    crossing = Try({0: a1, 1: a2, 2: b(2 * e, 0), 3: b(6 * e, 0)}, e)
+    crossing = try_from_points({0: a1, 1: a2, 2: b(2 * e, 0), 3: b(6 * e, 0)}, e)
     scaled, _ = crossing.scaled()
-    assert segment_pair_ok(*(scaled[v] for v in range(4)))
+    assert segment_pair_ok(*map(tuple, scaled.tolist()))
     assert not is_good_try(crossing, fug)
     assert not _block_oracle_ok(crossing, fug)
-    passing = Try({0: a1, 1: a2, 2: b(2 * e, e), 3: b(6 * e, e)}, e)
+    passing = try_from_points({0: a1, 1: a2, 2: b(2 * e, e), 3: b(6 * e, e)}, e)
     assert is_good_try(passing, fug)
     assert _block_oracle_ok(passing, fug)
 
@@ -436,7 +483,7 @@ def test_nearly_coplanar_pair_at_large_coordinates(lift, monkeypatch):
     q2 = (m[0] + v[0], m[1] + v[1], m[2] + v[2] + lift)
     assert _float_det(p1, p2, q1, q2) != 0
     points = {k: tuple(Fraction(c) for c in p) for k, p in enumerate((p1, p2, q1, q2))}
-    t = Try(points, Fraction(1))
+    t = try_from_points(points, Fraction(1))
     fug = _two_edge_graph()
     exact = []
 
@@ -453,7 +500,8 @@ def test_good_try_rejects_coordinates_beyond_float_exactness():
     fug = _two_edge_graph()
     far = Fraction(2**53 - 1)
     points = {0: (far, 0, 0), 1: (far - 1, 0, 0), 2: (0, 1, 0), 3: (0, 2, 0)}
-    t = Try({k: tuple(Fraction(c) for c in p) for k, p in points.items()}, Fraction(1))
+    t = try_from_points({k: tuple(Fraction(c) for c in p) for k, p in points.items()}, Fraction(1))
+    assert _scaled_as_reference(t) == scaled_reference(t.points)
     with pytest.raises(TooLarge):
         is_good_try(t, fug)
 
@@ -489,6 +537,24 @@ def test_embedding_properties_hold():
         "vertices_interior_of_cubes": True,
         "edges_within_cube_or_nearest_neighbor": True,
     }
+    assert all(type(value) is bool for value in props.values())
+
+
+def test_embedding_properties_detect_face_points_and_long_edges():
+    """A vertex moved onto a cube face breaks interiority, and an edge end
+    moved two cubes away breaks locality; each check sees only its own."""
+    fug = _fug(s=0)
+    t = sample_try(fug, seed=2, grid_resolution=Fraction(1, 1024))
+    u, v = fug.edges[0]
+    on_face = t.points
+    on_face[u] = (Fraction(1), *on_face[u][1:])
+    props = check_embedding_properties(try_from_points(on_face, t.grid_resolution), fug)
+    assert props["vertices_interior_of_cubes"] is False
+    far = t.points
+    far[v] = (far[v][0] + 2, *far[v][1:])
+    props = check_embedding_properties(try_from_points(far, t.grid_resolution), fug)
+    assert props["vertices_interior_of_cubes"] is True
+    assert props["edges_within_cube_or_nearest_neighbor"] is False
 
 
 def test_try_json_roundtrip():
@@ -496,6 +562,7 @@ def test_try_json_roundtrip():
     t = sample_try(fug, seed=2)
     data = try_to_json_dict(t, attempts=1, seed=2)
     back = try_from_json_dict(data)
+    assert back == t
     assert back.points == dict(t.points)
     assert back.grid_resolution == t.grid_resolution
     assert data["points"][str(0)][0].count("/") == 1

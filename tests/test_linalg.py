@@ -27,6 +27,28 @@ def test_gf2_rank_bounds(rows):
     assert linalg.gf2_rank(rows + rows) == r
 
 
+
+@settings(max_examples=200)
+@given(st.integers(1, 12).flatmap(lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 2**w - 1), max_size=40))))
+def test_gf2_rank_stops_at_width(case):
+    """Given the row width, the rank is the rank of all the rows, and it
+    reads no row after the shortest prefix whose rank is the width."""
+    width, rows = case
+    seen = []
+
+    def read():
+        for v in rows:
+            seen.append(v)
+            yield v
+
+    r = linalg.gf2_rank(read(), width)
+    assert r == linalg.gf2_rank(rows)
+    if r < width:
+        assert seen == rows
+    else:
+        assert linalg.gf2_rank(seen) == width > linalg.gf2_rank(seen[:-1])
+
+
 def test_spans_full_lattice():
     assert linalg.spans_full_lattice([[1, 0], [0, 1]], 2)
     assert linalg.spans_full_lattice([[2, 1], [1, 1]], 2)  # det 1
