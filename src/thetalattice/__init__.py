@@ -3,7 +3,7 @@ construction by signed 2-lifts over a voltage base graph, exact small-subgraph
 census, order-6 monomer-dimer coefficient, and exact straight-line embedding.
 """
 
-from .census import CensusReport, brute_force_census, census, classify_c4, count_c4, count_c6, count_theta222, voltage_census
+from .census import CensusReport, census, classify_c4, count_c4, count_c6, count_theta222, voltage_census
 from .certify import (
     certify,
     constraint_count_formula,
@@ -46,7 +46,6 @@ __all__ = [
     "Try",
     "VertexLabel",
     "VoltageAssignment",
-    "brute_force_census",
     "build_base_graph",
     "build_root_unit_graph",
     "census",

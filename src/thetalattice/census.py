@@ -1,6 +1,6 @@
 """Exact counts of 4-cycles, 6-cycles and theta graphs (K_{2,3} subgraphs) on
-explicit graphs, a subset-enumeration oracle for small graphs, and the
-per-cube census of the infinite derived lattice via zero-voltage cycles.
+explicit graphs, and the per-cube census of the infinite derived lattice via
+zero-voltage cycles.
 
 All reported averages are exact rationals, and every count is made in
 integers; nothing in this module uses floating point.  On explicit graphs
@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import MalformedGraph, TooLarge
+from .errors import MalformedGraph
 from .graphs import CENTRAL_TAGS, LabeledGraph, _bfs, _csr, _proper_coloring
 from .voltage import BaseGraph, VoltageAssignment
 
@@ -277,76 +277,6 @@ def _codegree_triangles(keys: np.ndarray, codegree: np.ndarray, n: int) -> int:
             total += int(np.dot(weights[k : k + per_dot], terms[k : k + per_dot]))
         table[written] = 0
     return total
-
-
-# ---------------------------------------------------------------------------
-# subset-enumeration oracle
-
-_BRUTE_LIMIT = 16
-# the three distinct 4-cycles on four labeled vertices, as cyclic orders
-_FOUR_ORDERS = ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3))
-
-
-def brute_force_census(g: LabeledGraph) -> CensusReport:
-    """Counts by enumerating all 4-, 5- and 6-vertex subsets directly.
-
-    Independent of the codegree/DFS counters; guarded to 16 vertices.
-    """
-    n = g.vertex_count
-    if n > _BRUTE_LIMIT:
-        raise TooLarge(f"brute-force census guarded to {_BRUTE_LIMIT} vertices, got {n}")
-    mask = [0] * n
-    for u, v in g.edges:
-        mask[u] |= 1 << v
-        mask[v] |= 1 << u
-
-    def adjacent(u: int, v: int) -> bool:
-        return bool(mask[u] >> v & 1)
-
-    c4 = 0
-    c4_cycles = []
-    for sub in itertools.combinations(range(n), 4):
-        for order in _FOUR_ORDERS:
-            seq = tuple(sub[i] for i in order)
-            if all(adjacent(seq[i], seq[(i + 1) % 4]) for i in range(4)):
-                c4 += 1
-                c4_cycles.append(seq)
-
-    theta = 0
-    for sub in itertools.combinations(range(n), 5):
-        for hubs in itertools.combinations(range(5), 2):
-            u, v = sub[hubs[0]], sub[hubs[1]]
-            mids = [sub[i] for i in range(5) if i not in hubs]
-            if all(adjacent(u, m) and adjacent(v, m) for m in mids):
-                theta += 1
-
-    c6 = 0
-    for sub in itertools.combinations(range(n), 6):
-        sub_mask = 0
-        for v in sub:
-            sub_mask |= 1 << v
-        if sum((mask[v] & sub_mask).bit_count() for v in sub) < 12:
-            continue  # a 6-cycle needs 6 induced edges
-        first, rest = sub[0], sub[1:]
-        for perm in itertools.permutations(rest):
-            if perm[0] > perm[-1]:
-                continue  # each cycle once per direction
-            seq = (first, *perm)
-            if all(adjacent(seq[i], seq[(i + 1) % 6]) for i in range(6)):
-                c6 += 1
-
-    labels = g.labels
-    central = 0 if labels is None else sum(1 for seq in c4_cycles if _is_central_cycle(labels, seq))
-    return _explicit_report(g, c4, central, c6, theta)
-
-
-def _is_central_cycle(labels, seq: tuple[int, ...]) -> bool:
-    labs = [labels[v] for v in seq]
-    return (
-        all(lab.role.tag in CENTRAL_TAGS for lab in labs)
-        and len({lab.level for lab in labs}) == 1
-        and len({lab.cell for lab in labs}) == 1
-    )
 
 
 def _explicit_report(

@@ -412,14 +412,6 @@ def central_subgraph(g: LabeledGraph) -> LabeledGraph:
     return from_labeled_vertices((labels[v] for v in keep), edges, g.d)
 
 
-def two_coloring(g: LabeledGraph) -> list[int] | None:
-    """A proper 2-coloring, or None if the graph is not bipartite: the parity
-    of each vertex's breadth-first depth from the smallest vertex of its
-    component."""
-    _, parity = _bfs(*_csr(g))
-    return parity.tolist() if _proper_coloring(g, parity) else None
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     simple: bool
@@ -466,12 +458,6 @@ def validate(g: LabeledGraph, expect_regular: int | None = None) -> ValidationRe
     if expect_regular is not None:
         regular_ok = set(histogram) <= {expect_regular}
     return ValidationReport(True, bipartite, roles_ok, histogram, regular_ok)
-
-
-def _components(g: LabeledGraph) -> list[int]:
-    """Component numbers per vertex, numbered in order of their smallest vertex."""
-    root, _ = _bfs(*_csr(g))
-    return np.unique(root, return_inverse=True)[1].tolist()
 
 
 # ---------------------------------------------------------------------------

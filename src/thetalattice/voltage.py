@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeTooSmall, MalformedGraph, TooLarge, TorusTooSmall
-from .graphs import Edge, LabeledGraph, Role
+from .graphs import Edge, LabeledGraph, Role, _frozen, _json_list
 
 Vec3 = tuple[int, int, int]
 
@@ -63,6 +63,11 @@ class BaseGraph:
     @cached_property
     def whites(self) -> tuple[int, ...]:
         return tuple(v for v, r in enumerate(self.vertex_roles) if not r.black)
+
+    @cached_property
+    def role_names(self) -> np.ndarray:
+        """Read-only object array: the role name (str(role)) of every vertex."""
+        return _frozen(np.array([str(r) for r in self.vertex_roles], dtype=object))
 
     def role_of(self, v: int) -> Role:
         return self.vertex_roles[v]
@@ -342,6 +347,9 @@ class CertificateFlags:
         }
 
 
+# one edge_order pair of LiftCertificate.to_json, led by its line break,
+# with its names already quoted
+_PAIR_JSON = "\n    [\n      %s,\n      %s\n    ]"
 _CERTIFICATE_KEYS = ("d", "s", "level_bits", "edge_order", "flags", "constraint_count", "seed")
 _FLAG_NAMES = tuple(f.name for f in fields(CertificateFlags))
 
@@ -367,19 +375,26 @@ class LiftCertificate:
     constraint_count: int
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "s": self.s,
-            "level_bits": list(self.stage_bits),
-            "edge_order": [list(pair) for pair in self.edge_order],
-            "flags": self.flags.to_dict(),
-            "constraint_count": self.constraint_count,
-            "seed": self.seed,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """The certificate as JSON: the bytes of json.dumps(record, indent=2,
+        sort_keys=True) + newline, for the record of d, s, level_bits (the
+        stages), edge_order (the pairs as lists), flags, constraint_count and
+        seed, written with one format string per list.  json.dumps quotes each
+        distinct role name once and each stage, and writes each scalar."""
+        names = list(itertools.chain.from_iterable(self.edge_order))
+        quoted = {name: json.dumps(name) for name in set(names)}
+        m, s = len(self.edge_order), len(self.stage_bits)
+        pairs = ",".join([_PAIR_JSON] * m) % tuple(map(quoted.__getitem__, names))
+        stages = ",".join("\n    " + json.dumps(stage) for stage in self.stage_bits)
+        flags = ",".join(
+            f"\n    {json.dumps(key)}: {json.dumps(value)}" for key, value in sorted(self.flags.to_dict().items())
+        )
+        return (
+            f'{{\n  "constraint_count": {json.dumps(self.constraint_count)},\n  "d": {json.dumps(self.d)},\n'
+            f'  "edge_order": {_json_list(pairs, m)},\n  "flags": {{{flags}\n  }},\n'
+            f'  "level_bits": {_json_list(stages, s)},\n  "s": {json.dumps(self.s)},\n'
+            f'  "seed": {json.dumps(self.seed)}\n}}\n'
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LiftCertificate":
@@ -404,7 +419,9 @@ class LiftCertificate:
         )
         _require(
             isinstance(order, list)
-            and all(isinstance(p, list) and len(p) == 2 and all(isinstance(r, str) for r in p) for p in order),
+            and set(map(type, order)) <= {list}
+            and set(map(len, order)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(order))) <= {str},
             "edge_order must be a list of role pairs",
         )
         _require(
@@ -423,12 +440,18 @@ class LiftCertificate:
         )
         for i, stage in enumerate(stages):
             _require(len(stage) == len(order), f"stage {i} has {len(stage)} bits for {len(order)} edges")
-            _require(not stage.strip("01"), f"stage {i} holds a character other than 0 and 1")
+            # UTF-8 writes every other character, surrogates too, without the
+            # bytes of 0 and 1, so deleting those leaves nothing only for a 0/1
+            # string; bytes.translate is a table lookup, str.strip a search
+            _require(
+                not stage.encode("utf-8", "surrogatepass").translate(None, b"01"),
+                f"stage {i} holds a character other than 0 and 1",
+            )
         return cls(
             d=d,
             s=s,
             stage_bits=tuple(stages),
-            edge_order=tuple(tuple(pair) for pair in order),
+            edge_order=tuple(map(tuple, order)),
             flags=CertificateFlags(**flags),
             constraint_count=data["constraint_count"],
             seed=data["seed"],
@@ -446,7 +469,7 @@ class LiftCertificate:
         d, s = base.d, self.s
         if len(self.edge_order) != d * d:
             raise MalformedGraph("certificate edge order does not match base graph")
-        ids = {str(role): v for v, role in enumerate(base.vertex_roles)}
+        ids = {name: v for v, name in enumerate(base.role_names.tolist())}
         names = itertools.chain.from_iterable(self.edge_order)
         ends = np.fromiter(map(ids.get, names, itertools.repeat(-1)), dtype=np.int64, count=2 * d * d)
         ends = np.sort(ends.reshape(-1, 2))
@@ -469,7 +492,9 @@ class LiftCertificate:
 
 
 def canonical_edge_order(base: BaseGraph) -> tuple[tuple[str, str], ...]:
-    return tuple((str(base.role_of(u)), str(base.role_of(v))) for u, v in base.graph.edges)
+    """The role-name pair of every base edge, in base edge order."""
+    u, v = base.role_names[base.graph.edge_array.T]
+    return tuple(zip(u.tolist(), v.tolist()))
 
 
 def stage_bitstrings(base: BaseGraph, volt: VoltageAssignment) -> tuple[str, ...]:

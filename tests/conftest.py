@@ -19,12 +19,14 @@ from thetalattice.graphs import (
     LabeledGraph,
     Role,
     VertexLabel,
-    _components,
+    _bfs,
+    _csr,
+    _proper_coloring,
     central_subgraph,
     from_labeled_vertices,
     level_uint,
 )
-from thetalattice.census import CensusReport, _short_cycles
+from thetalattice.census import CensusReport, _explicit_report, _short_cycles
 from thetalattice.embed import Try
 from thetalattice.errors import GridTooCoarse, MalformedGraph, TooLarge
 from thetalattice.voltage import UNIT, VoltageAssignment
@@ -604,10 +606,25 @@ def two_lift(g: LabeledGraph, sgn: Signing) -> LabeledGraph:
     return from_labeled_vertices(labels, edges, g.d)
 
 
+def two_coloring(g: LabeledGraph) -> list[int] | None:
+    """A proper 2-coloring, or None if the graph is not bipartite: the parity
+    of each vertex's breadth-first depth from the smallest vertex of its
+    component, from the package's _bfs and _proper_coloring."""
+    _, parity = _bfs(*_csr(g))
+    return parity.tolist() if _proper_coloring(g, parity) else None
+
+
+def _components(g: LabeledGraph) -> list[int]:
+    """Component numbers per vertex, numbered in order of their smallest
+    vertex, from the package's _bfs."""
+    root, _ = _bfs(*_csr(g))
+    return np.unique(root, return_inverse=True)[1].tolist()
+
+
 def two_coloring_reference(g: LabeledGraph) -> list[int] | None:
     """A proper 2-coloring by a stack search over the adjacency view, each
     component started at its smallest vertex with color 0, or None if the
-    graph is not bipartite: the reference for graphs.two_coloring."""
+    graph is not bipartite: the reference for two_coloring."""
     adjacency = g.adjacency
     color = [-1] * g.vertex_count
     for start in range(g.vertex_count):
@@ -628,7 +645,7 @@ def two_coloring_reference(g: LabeledGraph) -> list[int] | None:
 
 def components_reference(g: LabeledGraph) -> list[int]:
     """Component numbers per vertex by a stack search, numbered in order of
-    their smallest vertex: the reference for graphs._components."""
+    their smallest vertex: the reference for _components."""
     adjacency = g.adjacency
     comp = [-1] * g.vertex_count
     c = 0
@@ -714,6 +731,99 @@ def derived_cover_reference(base, volt, n=None):
             edges.extend((at_u[lev], at_v[lev ^ m]) for lev in range(1 << s))
     labels = [lab for above in fibers.values() for row in above for lab in row]
     return from_labeled_vertices(labels, edges, base.d)
+
+
+# ---------------------------------------------------------------------------
+# subset-enumeration census: the oracle for census() on graphs up to 16
+# vertices
+
+_BRUTE_LIMIT = 16
+# the three distinct 4-cycles on four labeled vertices, as cyclic orders
+_FOUR_ORDERS = ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3))
+
+
+def brute_force_census(g: LabeledGraph) -> CensusReport:
+    """Counts by enumerating all 4-, 5- and 6-vertex subsets directly.
+
+    Independent of the codegree/DFS counters; guarded to 16 vertices.
+    """
+    n = g.vertex_count
+    if n > _BRUTE_LIMIT:
+        raise TooLarge(f"brute-force census guarded to {_BRUTE_LIMIT} vertices, got {n}")
+    mask = [0] * n
+    for u, v in g.edges:
+        mask[u] |= 1 << v
+        mask[v] |= 1 << u
+
+    def adjacent(u: int, v: int) -> bool:
+        return bool(mask[u] >> v & 1)
+
+    c4 = 0
+    c4_cycles = []
+    for sub in itertools.combinations(range(n), 4):
+        for order in _FOUR_ORDERS:
+            seq = tuple(sub[i] for i in order)
+            if all(adjacent(seq[i], seq[(i + 1) % 4]) for i in range(4)):
+                c4 += 1
+                c4_cycles.append(seq)
+
+    theta = 0
+    for sub in itertools.combinations(range(n), 5):
+        for hubs in itertools.combinations(range(5), 2):
+            u, v = sub[hubs[0]], sub[hubs[1]]
+            mids = [sub[i] for i in range(5) if i not in hubs]
+            if all(adjacent(u, m) and adjacent(v, m) for m in mids):
+                theta += 1
+
+    c6 = 0
+    for sub in itertools.combinations(range(n), 6):
+        sub_mask = 0
+        for v in sub:
+            sub_mask |= 1 << v
+        if sum((mask[v] & sub_mask).bit_count() for v in sub) < 12:
+            continue  # a 6-cycle needs 6 induced edges
+        first, rest = sub[0], sub[1:]
+        for perm in itertools.permutations(rest):
+            if perm[0] > perm[-1]:
+                continue  # each cycle once per direction
+            seq = (first, *perm)
+            if all(adjacent(seq[i], seq[(i + 1) % 6]) for i in range(6)):
+                c6 += 1
+
+    labels = g.labels
+    central = 0 if labels is None else sum(1 for seq in c4_cycles if _is_central_cycle(labels, seq))
+    return _explicit_report(g, c4, central, c6, theta)
+
+
+def _is_central_cycle(labels, seq: tuple[int, ...]) -> bool:
+    labs = [labels[v] for v in seq]
+    return (
+        all(lab.role.tag in CENTRAL_TAGS for lab in labs)
+        and len({lab.level for lab in labs}) == 1
+        and len({lab.cell for lab in labs}) == 1
+    )
+
+
+# ---------------------------------------------------------------------------
+# certificate oracles: the dict record LiftCertificate.to_json must write as
+# json.dumps(record, indent=2, sort_keys=True), and the per-vertex role
+# lookup canonical_edge_order replaced
+
+
+def certificate_to_json_dict(cert):
+    return {
+        "d": cert.d,
+        "s": cert.s,
+        "level_bits": list(cert.stage_bits),
+        "edge_order": [list(pair) for pair in cert.edge_order],
+        "flags": cert.flags.to_dict(),
+        "constraint_count": cert.constraint_count,
+        "seed": cert.seed,
+    }
+
+
+def canonical_edge_order_reference(base):
+    return tuple((str(base.role_of(u)), str(base.role_of(v))) for u, v in base.graph.edges)
 
 
 def graph_to_json_dict(g):

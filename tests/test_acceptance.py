@@ -9,9 +9,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import labeled_k2d, random_bits_voltage, random_graph
+from conftest import brute_force_census, labeled_k2d, random_bits_voltage, random_graph
 from thetalattice.census import (
-    brute_force_census,
     census,
     count_c4,
     count_c6,

@@ -17,6 +17,7 @@ from conftest import (
     _cycle_mask,
     _voltage_c6_triples,
     _voltage_census_reference,
+    brute_force_census,
     codegree_triangles_reference,
     complete_bipartite,
     cycle_graph,
@@ -30,7 +31,6 @@ from conftest import (
 )
 from thetalattice.census import (
     _short_cycles,
-    brute_force_census,
     census,
     classify_c4,
     count_c4,

@@ -466,6 +466,49 @@ def test_wenger_voltage_passes_dfs_recheck(d):
     assert recheck_constraints_dfs(base, volt) == (constraint_count_formula(d), 0, 0)
 
 
+def _stage_lower_bound(d):
+    """A Moore-type lower bound on the stage count s of any certificate.
+
+    In the base graph without hub b and without the three displacement
+    edges every 4- and 6-cycle is a constraint, so its 2^s-fold cover has
+    girth at least 8, and the non-backtracking walks of length at most 3
+    from one vertex end at distinct vertices: those of length 0 and 2 in
+    its own colour class, those of length 1 and 3 in the other, each of
+    side << s vertices for a class of side base vertices.  The walk counts
+    come from W_2 = A^2 - D and W_3 = A W_2 - (D - I) A, all in integers."""
+    base, volt = build_base_graph(d)
+    adj = np.zeros((2 * d, 2 * d), dtype=np.int64)
+    c, j = np.nonzero(~volt.shifts.any(axis=2))
+    adj[c, d + j] = adj[d + j, c] = 1
+    keep = np.array([r.tag != "b" for r in base.vertex_roles])
+    adj = adj[np.ix_(keep, keep)]
+    deg = adj.sum(axis=1)
+    w2 = adj @ adj - np.diag(deg)
+    w3 = adj @ w2 - (deg - 1)[:, None] * adj
+    black = np.array([r.black for r in base.vertex_roles])[keep].tolist()
+    side = {True: black.count(True), False: black.count(False)}
+    s = 0
+    for b, even, odd in zip(black, (1 + w2.sum(axis=1)).tolist(), (deg + w3.sum(axis=1)).tolist()):
+        for count, size in ((even, side[b]), (odd, side[not b])):
+            s = max(s, (-(-count // size) - 1).bit_length())
+    return s
+
+
+# the lower bound at each degree, as first computed for the ROADMAP table
+_S_LOWER_BOUND = {5: 4, 6: 5, 7: 5, 8: 6, 9: 6, 10: 7, 11: 7, 12: 7, 16: 8, 17: 8, 20: 9, 32: 10, 33: 10, 64: 12}
+
+
+@pytest.mark.parametrize("d", list(_S_LOWER_BOUND))
+def test_wenger_stages_within_two_of_the_lower_bound(d):
+    """Wenger's s = 2 ceil(log2 d) is at most 2 stages above the bound, and
+    meets it at every power of two from 8."""
+    bound = _stage_lower_bound(d)
+    assert bound == _S_LOWER_BOUND[d]
+    gap = wenger_voltage(build_base_graph(d)[0]).s - bound
+    assert gap in {0, 1, 2}
+    assert (gap == 0) == (d in {8, 16, 32, 64}), gap
+
+
 @pytest.mark.parametrize("m", [4, 5])
 def test_bch_columns_have_distance_7(m):
     """Brute force over all 2^m - 1 columns: every set of 1 to 6 distinct

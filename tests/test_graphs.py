@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import (
     CentralEdgeCrossed,
     Signing,
+    _components,
+    brute_force_census,
     central_copies,
     components_reference,
     connected_components,
@@ -19,14 +21,14 @@ from conftest import (
     plain_graph,
     random_bits_voltage,
     random_graph,
+    two_coloring,
     two_coloring_reference,
     two_lift,
 )
-from thetalattice.census import brute_force_census, count_c4, count_c6
+from thetalattice.census import count_c4, count_c6
 from thetalattice.errors import DegreeTooSmall, MalformedGraph
 from thetalattice.graphs import (
     LabeledGraph,
-    _components,
     Role,
     VertexLabel,
     build_root_unit_graph,
@@ -35,7 +37,6 @@ from thetalattice.graphs import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    two_coloring,
     validate,
 )
 from thetalattice.voltage import build_base_graph, derived_cover

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PERFBENCH,
     ZERO3,
     Signing,
     _voltage_group_generated_reference,
+    canonical_edge_order_reference,
+    certificate_to_json_dict,
     central_copies,
     central_edges,
     connected_components,
@@ -22,7 +26,7 @@ from conftest import (
     two_lift,
     with_steps,
 )
-from thetalattice.errors import DegreeTooSmall, TooLarge, TorusTooSmall
+from thetalattice.errors import DegreeTooSmall, MalformedGraph, TooLarge, TorusTooSmall
 from thetalattice.graphs import (
     Role,
     VertexLabel,
@@ -363,6 +367,102 @@ def test_certificate_roundtrip(certified):
     }
     assert len(data["level_bits"]) == cert.s
     assert all(len(row) == 25 for row in data["level_bits"])
+
+
+def _dumped(cert):
+    return json.dumps(certificate_to_json_dict(cert), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("d", [*range(5, 21), 33])
+def test_certificate_writer_matches_json_dumps(certified, d):
+    """The format-string writer gives the bytes of json.dumps(indent=2,
+    sort_keys=True) for the Wenger certificates, also cut to s = 0, and
+    they read back to the same certificate."""
+    cert = certified(d)[0]
+    for c in (cert, dataclasses.replace(cert, s=0, stage_bits=())):
+        text = c.to_json()
+        assert text == _dumped(c)
+        assert LiftCertificate.from_json(text) == c
+
+
+# role names and stages with JSON escapes (quotes, backslashes, control
+# characters), non-ASCII and % signs
+_awkward_text = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t%s01cé€😀'), st.characters()), max_size=6
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=-(2**70), max_value=2**70),
+    s=st.integers(min_value=-3, max_value=2**64),
+    stages=st.lists(_awkward_text, max_size=4),
+    order=st.lists(st.tuples(_awkward_text, _awkward_text), max_size=6),
+    flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    count=st.integers(min_value=-(2**70), max_value=2**70),
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+)
+def test_certificate_writer_escapes_like_json_dumps(d, s, stages, order, flags, count, seed):
+    cert = LiftCertificate(d, s, tuple(stages), tuple(order), CertificateFlags(*flags), count, seed)
+    assert cert.to_json() == _dumped(cert)
+
+
+@pytest.mark.parametrize("name", ["cert_d5_seed1.json", "cert_d10_seed1.json"])
+def test_pinned_certificates_write_back_byte_for_byte(name):
+    pinned = (PERFBENCH / "pinned" / name).read_text()
+    assert LiftCertificate.from_json(pinned).to_json() == pinned
+
+
+@pytest.mark.parametrize("d", range(5, 41))
+def test_canonical_edge_order_matches_role_lookup(d):
+    base, _ = build_base_graph(d)
+    assert canonical_edge_order(base) == canonical_edge_order_reference(base)
+
+
+_NOT_PAIRS = "certificate edge_order must be a list of role pairs"
+_BAD_EDGE_ORDERS = {
+    "not a list": ({"c1": "t"}, _NOT_PAIRS),
+    "entry is a string": (["c1 t"], _NOT_PAIRS),
+    "entry is a dict": ([{"c1": "t"}], _NOT_PAIRS),
+    "entry is null": ([None], _NOT_PAIRS),
+    "entry is a tuple": ([("c1", "t")], _NOT_PAIRS),
+    "pair of 1 name": ([["c1"]], _NOT_PAIRS),
+    "pair of 3 names": ([["c1", "t", "b"]], _NOT_PAIRS),
+    "name is an int": ([[1, "t"]], _NOT_PAIRS),
+    "name is true": ([["c1", True]], _NOT_PAIRS),
+    "name is null": ([[None, "t"]], _NOT_PAIRS),
+    "name is a list": ([["c1", ["t"]]], _NOT_PAIRS),
+    "bad pair last": ([["c1", "t"]] * 24 + [["c5", 3]], _NOT_PAIRS),
+    "short pair last": ([["c1", "t"]] * 24 + [["c5"]], _NOT_PAIRS),
+    "empty": ([], "certificate edge_order has 0 entries, but the d=5 base graph K_{d,d} has 25 edges"),
+    "one short": ([["c1", "t"]] * 24, "certificate edge_order has 24 entries, but the d=5 base graph K_{d,d} has 25 edges"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_EDGE_ORDERS))
+def test_certificate_reader_edge_order_messages(certified, case):
+    """Each malformed d = 5 edge_order is refused with its exact message,
+    the entry checks before the count."""
+    order, message = _BAD_EDGE_ORDERS[case]
+    data = json.loads(certified(5)[0].to_json())
+    data["edge_order"] = order
+    with pytest.raises(MalformedGraph) as refused:
+        LiftCertificate.from_json_dict(data)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("bad", ["2", " ", "\x00", "\u0130", "\u0660", "\ud800", "\U0001f600", "\uff10"])
+@pytest.mark.parametrize("at", [0, 12, 24])
+def test_certificate_reader_stage_messages(certified, bad, at):
+    """A stage with one character other than 0 and 1 (a space, a control
+    character, a digit of another script, a lone surrogate, one above the
+    BMP) anywhere in it is refused with its exact message."""
+    data = json.loads(certified(5)[0].to_json())
+    stage = data["level_bits"][1]
+    data["level_bits"][1] = stage[:at] + bad + stage[at + 1 :]
+    with pytest.raises(MalformedGraph) as refused:
+        LiftCertificate.from_json_dict(data)
+    assert str(refused.value) == "certificate stage 1 holds a character other than 0 and 1"
 
 
 def test_certificate_voltage_roundtrip(certified):
