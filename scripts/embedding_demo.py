@@ -6,7 +6,6 @@ Usage: python scripts/embedding_demo.py [--d 5] [--trunc-s 3] [--seed 3]
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -17,7 +16,7 @@ from thetalattice.certify import certify
 from thetalattice.embed import (
     check_embedding_properties,
     find_good_try,
-    try_to_json_dict,
+    try_to_json,
     try_to_obj,
 )
 from thetalattice.voltage import derived_cover
@@ -38,8 +37,8 @@ def main() -> int:
     fug = derived_cover(base, truncated)
     print(
         f"full unit graph at d={args.d}, s={truncated.s}: "
-        f"{fug.vertex_count} vertices, {len(fug.edges)} edges; "
-        f"checking {27 * len(fug.edges)} block segments"
+        f"{fug.vertex_count} vertices, {len(fug.edge_array)} edges; "
+        f"checking {27 * len(fug.edge_array)} block segments"
     )
 
     t0 = time.perf_counter()
@@ -48,9 +47,7 @@ def main() -> int:
     print(f"good try on attempt {attempts} ({elapsed:.1f}s, exact arithmetic)")
     print(f"checklist: {check_embedding_properties(t, fug)}")
 
-    Path(args.output).write_text(
-        json.dumps(try_to_json_dict(t, attempts, args.seed), indent=2, sort_keys=True) + "\n"
-    )
+    Path(args.output).write_text(try_to_json(t, attempts, args.seed))
     Path(args.obj).write_text(try_to_obj(t, fug))
     print(f"wrote {args.output} and {args.obj}")
     return 0

@@ -27,7 +27,7 @@ from .embed import (
     EMBED_EDGE_LIMIT,
     check_embedding_properties,
     find_good_try,
-    try_to_json_dict,
+    try_to_json,
     try_to_obj,
 )
 from .entropy import (
@@ -198,12 +198,12 @@ def _cmd_embed(args) -> int:
         return 3
     print(
         f"good try for d={cert.d} s={volt.s} after {attempts} attempt(s); "
-        f"{fug.vertex_count} vertices, {len(fug.edges)} edges"
+        f"{fug.vertex_count} vertices, {len(fug.edge_array)} edges"
     )
     props = check_embedding_properties(t, fug)
     print(f"placement checklist: {props}")
     out = args.output or f"embedding_d{cert.d}_s{volt.s}.json"
-    _write(out, _json_text(try_to_json_dict(t, attempts, args.seed)))
+    _write(out, try_to_json(t, attempts, args.seed))
     print(f"wrote {out}")
     if args.obj:
         _write(args.obj, try_to_obj(t, fug))

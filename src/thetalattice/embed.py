@@ -214,9 +214,13 @@ _INT64_SHARED_LIMIT = 2**29
 _OFFSETS = tuple(
     delta for delta in itertools.product(range(-2, 3), repeat=3) if delta >= (0, 0, 0)
 )
-# pair-mask elements per chunk, so temporaries stay at a few MiB however many
-# edges there are
+# pair-mask elements per box-mask chunk (and per float-filter call), so
+# temporaries stay at a few MiB however many edges there are; larger chunks
+# measured slower
 _CHUNK = 1 << 14
+# pairs the float filter leaves that wait in the pending batch before one
+# exact decision runs on all of them
+_FLUSH = 1 << 12
 
 
 def _undecided(
@@ -250,8 +254,8 @@ def _shared_endpoint_ok(
     start: np.ndarray, end: np.ndarray, i: np.ndarray, j: np.ndarray, shift: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(shared, ok) for the pairs of segment i[k] against segment j[k] +
-    shift: whether they share an endpoint, and where they do, whether they
-    meet only there, as segment_pair_ok decides it.
+    shift[:, k]: whether they share an endpoint, and where they do, whether
+    they meet only there, as segment_pair_ok decides it.
 
     start and end are (3, E) int64 endpoints; no segment is a single point.
     Two shared endpoints make the same segment twice.  With one shared
@@ -261,7 +265,7 @@ def _shared_endpoint_ok(
     two segments is below _INT64_SHARED_LIMIT in magnitude.
     """
     p1, p2 = start[:, i], end[:, i]
-    q1, q2 = start[:, j] + shift[:, None], end[:, j] + shift[:, None]
+    q1, q2 = start[:, j] + shift, end[:, j] + shift
     p1q1, p1q2 = (p1 == q1).all(axis=0), (p1 == q2).all(axis=0)
     p2q1, p2q2 = (p2 == q1).all(axis=0), (p2 == q2).all(axis=0)
     at_p1 = p1q1 | p1q2
@@ -273,6 +277,19 @@ def _shared_endpoint_ok(
     crossed = np.cross(u, v, axis=0).any(axis=0)
     ok = (count == 1) & (crossed | ((u * v).sum(axis=0) < 0))
     return count > 0, ok
+
+
+def _decide(start: np.ndarray, end: np.ndarray, pending: list, int64_shared: bool) -> bool:
+    """Exact verdict on a pending batch of (i, j, shift) parts, segment i[k]
+    against segment j[k] + shift[:, k], as is_good_try describes it."""
+    i, j, shift = (np.concatenate(part, axis=-1) for part in zip(*pending))
+    if int64_shared:
+        shared, ok = _shared_endpoint_ok(start, end, i, j, shift)
+        if not ok[shared].all():
+            return False
+        i, j, shift = i[~shared], j[~shared], shift[:, ~shared]
+    quads = np.stack([start[:, i], end[:, i], start[:, j] + shift, end[:, j] + shift]).transpose(2, 0, 1)
+    return all(segment_pair_ok(*map(tuple, quad)) for quad in quads.tolist())
 
 
 def is_good_try(t: Try, fug: LabeledGraph) -> bool:
@@ -289,15 +306,17 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     are disjoint are skipped (exact, int64).
     A float64 orientation filter with Shewchuk's static bound A certifies
     skew pairs; it needs every block coordinate to be an integer below 2^53
-    in magnitude, else TooLarge.  Pairs with a shared endpoint are decided by
+    in magnitude, else TooLarge.  The pairs it leaves, from every chunk and
+    offset, wait in one pending batch that _decide settles once it holds
+    _FLUSH pairs, and once more at the end: pairs with a shared endpoint by
     the vectorised int64 _shared_endpoint_ok while every block coordinate is
     below 2^29; every other pair, and above 2^29 every pair the filter leaves,
-    is decided by the exact Python-int segment_pair_ok.
+    by the exact Python-int segment_pair_ok.
     """
     if fug.roles is None:
         raise MalformedGraph("is_good_try needs a labeled graph")
     if len(t.num) < fug.vertex_count:
-        raise ValueError(f"try does not cover vertices {list(range(len(t.num), fug.vertex_count))}")
+        raise ValueError(f"try places {len(t.num)} of {fug.vertex_count} vertices")
     if not len(fug.edge_array):
         return True
     scaled, denom = t.scaled()
@@ -318,6 +337,7 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     deltas = np.array(_OFFSETS)
     rows_at = near[np.arange(3), 2 + deltas].all(axis=1)
     cols_at = near[np.arange(3), 2 - deltas].all(axis=1)
+    pending, waiting = [], 0  # the exact-decision batch and its pair count
     for o in np.flatnonzero(rows_at.any(axis=1) & cols_at.any(axis=1)).tolist():
         shift = deltas[o] * denom
         sh = shift[:, None]
@@ -339,17 +359,13 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
                 keep = i < j
                 i, j = i[keep], j[keep]
             left = _undecided(start, step, i, j, shift)
-            i, j = i[left], j[left]
-            if int64_shared:
-                shared, ok = _shared_endpoint_ok(start, end, i, j, shift)
-                if not ok[shared].all():
+            pending.append((i[left], j[left], sh.repeat(len(left), axis=1)))
+            waiting += len(left)
+            if waiting >= _FLUSH:
+                if not _decide(start, end, pending, int64_shared):
                     return False
-                i, j = i[~shared], j[~shared]
-            quads = np.stack([start[:, i], end[:, i], start[:, j] + sh, end[:, j] + sh]).transpose(2, 0, 1)
-            for quad in quads.tolist():
-                if not segment_pair_ok(*map(tuple, quad)):
-                    return False
-    return True
+                pending, waiting = [], 0
+    return not waiting or _decide(start, end, pending, int64_shared)
 
 
 def find_good_try(
@@ -389,19 +405,22 @@ def check_embedding_properties(t: Try, fug: LabeledGraph) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def try_to_json_dict(t: Try, attempts: int | None = None, seed: int | None = None) -> dict:
-    """The try as JSON: vertex id -> three reduced p/q coordinate strings."""
-    g = np.gcd(t.num, t.denom)
-    nums, dens = (t.num // g).tolist(), (t.denom // g).tolist()
-    out = {
-        "grid_resolution": f"{t.grid_resolution.numerator}/{t.grid_resolution.denominator}",
-        "points": {str(v): [f"{a}/{b}" for a, b in zip(n, d)] for v, (n, d) in enumerate(zip(nums, dens))},
-    }
-    if attempts is not None:
-        out["attempts"] = attempts
-    if seed is not None:
-        out["seed"] = seed
-    return out
+# try_to_json's document and one point record, led by its line break; the
+# p/q strings are digits, '-' and '/', which JSON writes unescaped
+_TRY_JSON = '{\n  "attempts": %d,\n  "grid_resolution": "%d/%d",\n  "points": %s,\n  "seed": %d\n}\n'
+_POINT_JSON = '\n    "%d": [\n      "%d/%d",\n      "%d/%d",\n      "%d/%d"\n    ]'
+
+
+def try_to_json(t: Try, attempts: int, seed: int) -> str:
+    """The try as JSON, vertex id -> three reduced p/q coordinate strings:
+    the bytes of json.dumps(record, indent=2, sort_keys=True) + newline,
+    written with one format string per point, in str(id) order."""
+    n, g = len(t.num), np.gcd(t.num, t.denom)
+    fields = np.column_stack([np.arange(n), np.dstack([t.num // g, t.denom // g]).reshape(n, 6)])
+    points = ",".join([_POINT_JSON] * n) % tuple(fields[sorted(range(n), key=str)].ravel().tolist())
+    points = f"{{{points}\n  }}" if n else "{}"
+    res = t.grid_resolution
+    return _TRY_JSON % (attempts, res.numerator, res.denominator, points, seed)
 
 
 def try_to_obj(t: Try, fug: LabeledGraph) -> str:

@@ -872,6 +872,24 @@ def try_from_points(points, grid_resolution):
     return Try(np.array(rows, dtype=np.int64).reshape(-1, 3), denom, Fraction(grid_resolution))
 
 
+def try_to_json_dict(t, attempts=None, seed=None):
+    """The try as a JSON record, vertex id -> three reduced p/q coordinate
+    strings: the oracle of embed.try_to_json, which writes
+    json.dumps(try_to_json_dict(t, attempts, seed), indent=2, sort_keys=True)
+    + newline."""
+    g = np.gcd(t.num, t.denom)
+    nums, dens = (t.num // g).tolist(), (t.denom // g).tolist()
+    out = {
+        "grid_resolution": f"{t.grid_resolution.numerator}/{t.grid_resolution.denominator}",
+        "points": {str(v): [f"{a}/{b}" for a, b in zip(n, d)] for v, (n, d) in enumerate(zip(nums, dens))},
+    }
+    if attempts is not None:
+        out["attempts"] = attempts
+    if seed is not None:
+        out["seed"] = seed
+    return out
+
+
 def try_from_json_dict(data):
     points = {int(v): tuple(Fraction(c) for c in p) for v, p in data["points"].items()}
     return try_from_points(points, Fraction(data["grid_resolution"]))

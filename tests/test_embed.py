@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,20 +13,24 @@ from conftest import (
     scaled_reference,
     try_from_json_dict,
     try_from_points,
+    try_to_json_dict,
 )
 from thetalattice import embed
 from thetalattice.embed import (
+    Try,
     check_embedding_properties,
     find_good_try,
     is_good_try,
     sample_try,
     segment_pair_ok,
-    try_to_json_dict,
+    try_to_json,
     try_to_obj,
 )
 from thetalattice.errors import AttemptsExhausted, GridTooCoarse, TooLarge
 from thetalattice.graphs import LabeledGraph, Role, VertexLabel
 from thetalattice.voltage import build_base_graph, derived_cover
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
 
 
 def _fug(d=5, s=2, seed=11):
@@ -223,11 +229,11 @@ def _shared_endpoint_pairs(draw):
 
 def _shared_endpoint_verdict(p1, p2, q1, q2, shift):
     """embed._shared_endpoint_ok on the one pair (p1p2, q1q2), with q1q2
-    stored shifted back by shift."""
+    stored shifted back by shift, given as the pair's (3, 1) shift column."""
     start = np.array([p1, np.subtract(q1, shift)], dtype=np.int64).T
     end = np.array([p2, np.subtract(q2, shift)], dtype=np.int64).T
     shared, ok = embed._shared_endpoint_ok(
-        start, end, np.array([0]), np.array([1]), np.array(shift, dtype=np.int64)
+        start, end, np.array([0]), np.array([1]), np.array(shift, dtype=np.int64)[:, None]
     )
     return bool(shared[0]), bool(ok[0])
 
@@ -255,19 +261,30 @@ def test_shared_endpoint_int64_matches_segment_pair_ok(pair, shift):
         assert ok == segment_pair_ok(p1, p2, q1, q2)
 
 
-@pytest.mark.parametrize("corner, int64", [(2**29 - 10, True), (2**29 - 9, False)])
-@pytest.mark.parametrize("far", [(0, 0, -1), (0, 2, 0), (0, -1, 0)])
+def _two_edges_from_one_vertex(corner, far):
+    """Edges a-b and a-c on a grid of 4 units a cell: a within 2 units of
+    corner on every axis, b one unit from a on y, and c at a + far."""
+    labels = tuple(VertexLabel(Role(tag)) for tag in ("t", "b", "rx"))
+    fug = LabeledGraph(3, ((0, 1), (0, 2)), labels)
+    a = (corner - 2, corner - 2, corner + 1)
+    points = {0: a, 1: (a[0], a[1] + 1, a[2]), 2: tuple(x + y for x, y in zip(a, far))}
+    t = try_from_points({v: tuple(Fraction(c, 4) for c in p) for v, p in points.items()}, Fraction(1, 4))
+    return fug, t
+
+
+_INT64_BOUND_CASES = [(2**29 - 10, True), (2**29 - 9, False)]
+_FARS = [(0, 0, -1), (0, 2, 0), (0, -1, 0)]
+
+
+@pytest.mark.parametrize("corner, int64", _INT64_BOUND_CASES)
+@pytest.mark.parametrize("far", _FARS)
 def test_shared_endpoint_route_switches_at_int64_bound(monkeypatch, corner, int64, far):
     """Two edges from one vertex a, on a grid of 4 units a cell: the largest
     coordinate is corner + 1 units, so block coordinates reach corner + 9.
     Below 2^29 the shared-endpoint pairs never reach segment_pair_ok, at
     2^29 they do, and the verdict is the block oracle's either way
     (perpendicular, overlapping and opposite second edges)."""
-    labels = tuple(VertexLabel(Role(tag)) for tag in ("t", "b", "rx"))
-    fug = LabeledGraph(3, ((0, 1), (0, 2)), labels)
-    a = (corner - 2, corner - 2, corner + 1)
-    points = {0: a, 1: (a[0], a[1] + 1, a[2]), 2: tuple(x + y for x, y in zip(a, far))}
-    t = try_from_points({v: tuple(Fraction(c, 4) for c in p) for v, p in points.items()}, Fraction(1, 4))
+    fug, t = _two_edges_from_one_vertex(corner, far)
     assert t.scaled()[1] == 4
     assert _scaled_as_reference(t) == scaled_reference(t.points)
     calls = []
@@ -416,8 +433,9 @@ def _block_oracle_ok(t, fug):
     return True
 
 
-def test_good_try_matches_block_oracle():
-    verdicts = []
+def _sampled_tries():
+    """((s, grid, seed), full unit graph, try) for d = 5, s = 0..2, grids
+    1/8 to 2^-20 and seeds 0..2, skipping the grids too coarse to sample."""
     for s in (0, 1, 2):
         fug = _fug(s=s)
         for grid in (8, 16, 32, 2**20):
@@ -426,8 +444,14 @@ def test_good_try_matches_block_oracle():
                     t = sample_try(fug, seed=seed, grid_resolution=Fraction(1, grid))
                 except GridTooCoarse:
                     continue
-                verdicts.append(is_good_try(t, fug))
-                assert verdicts[-1] == _block_oracle_ok(t, fug), (s, grid, seed)
+                yield (s, grid, seed), fug, t
+
+
+def test_good_try_matches_block_oracle():
+    verdicts = []
+    for case, fug, t in _sampled_tries():
+        verdicts.append(is_good_try(t, fug))
+        assert verdicts[-1] == _block_oracle_ok(t, fug), case
     # coarse grids give bad tries, fine ones good tries: both verdicts compared
     assert True in verdicts and False in verdicts
 
@@ -437,11 +461,9 @@ def _two_edge_graph():
     return LabeledGraph(4, ((0, 1), (2, 3)), labels)
 
 
-@pytest.mark.parametrize("delta", [(1, 0, 0), (2, 0, 0), (-2, 1, 2), (0, -1, 1)])
-def test_try_bad_only_across_offset(delta):
-    """Edge B crosses edge A only after a shift by -delta, which lies in the
-    block; at delta = 0 the two edges are far apart."""
-    fug = _two_edge_graph()
+def _tries_across_offset(delta):
+    """(crossing, passing) tries of _two_edge_graph: edge B crosses edge A
+    only after a shift by -delta, or passes it one grid unit above."""
     e = Fraction(1, 8)
     a1, a2 = (e, 4 * e, 4 * e), (7 * e, 4 * e, 4 * e)
 
@@ -449,13 +471,82 @@ def test_try_bad_only_across_offset(delta):
         return (4 * e + delta[0], y + delta[1], 4 * e + lift + delta[2])
 
     crossing = try_from_points({0: a1, 1: a2, 2: b(2 * e, 0), 3: b(6 * e, 0)}, e)
+    passing = try_from_points({0: a1, 1: a2, 2: b(2 * e, e), 3: b(6 * e, e)}, e)
+    return crossing, passing
+
+
+_DELTAS = [(1, 0, 0), (2, 0, 0), (-2, 1, 2), (0, -1, 1)]
+
+
+@pytest.mark.parametrize("delta", _DELTAS)
+def test_try_bad_only_across_offset(delta):
+    """Edge B crosses edge A only after a shift by -delta, which lies in the
+    block; at delta = 0 the two edges are far apart."""
+    fug = _two_edge_graph()
+    crossing, passing = _tries_across_offset(delta)
     scaled, _ = crossing.scaled()
     assert segment_pair_ok(*map(tuple, scaled.tolist()))
     assert not is_good_try(crossing, fug)
     assert not _block_oracle_ok(crossing, fug)
-    passing = try_from_points({0: a1, 1: a2, 2: b(2 * e, e), 3: b(6 * e, e)}, e)
     assert is_good_try(passing, fug)
     assert _block_oracle_ok(passing, fug)
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(case, full unit graph, try, _block_oracle_ok verdict) for the sampled
+    tries of test_good_try_matches_block_oracle, the crossing and passing
+    tries of test_try_bad_only_across_offset and the tries at the int64
+    bound of test_shared_endpoint_route_switches_at_int64_bound."""
+    cases = list(_sampled_tries())
+    for delta in _DELTAS:
+        cases += [((delta, k), _two_edge_graph(), t) for k, t in enumerate(_tries_across_offset(delta))]
+    for corner, _ in _INT64_BOUND_CASES:
+        cases += [((corner, far), *_two_edges_from_one_vertex(corner, far)) for far in _FARS]
+    return [(case, fug, t, _block_oracle_ok(t, fug)) for case, fug, t in cases]
+
+
+@pytest.mark.parametrize("flush", [1, 2, 7, 64])
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_batch_bounds_keep_the_verdict(oracle_cases, monkeypatch, chunk, flush):
+    """Whatever the box-mask chunk and the pending batch's flush bound, the
+    verdict is the block oracle's; small bounds split the exact decisions of
+    a try over several batches, and a good try's batches hold each pair the
+    float filter leaves once, as one unbounded batch does."""
+    monkeypatch.setattr(embed, "_CHUNK", chunk)
+    decide, batches = embed._decide, []
+
+    def counted(start, end, pending, int64_shared):
+        batches[-1].append(sum(len(i) for i, _, _ in pending))
+        return decide(start, end, pending, int64_shared)
+
+    monkeypatch.setattr(embed, "_decide", counted)
+
+    def run(bound):
+        monkeypatch.setattr(embed, "_FLUSH", bound)
+        verdicts = []
+        for _, fug, t, _ in oracle_cases:
+            batches.append([])
+            verdicts.append(is_good_try(t, fug))
+        return verdicts, batches[-len(oracle_cases) :]
+
+    whole = run(2**40)[1]
+    verdicts, split = run(flush)
+    assert verdicts == [want for _, _, _, want in oracle_cases]
+    assert True in verdicts and False in verdicts
+    # only a try's last batch may hold fewer than flush pairs
+    assert all(min(sizes[:-1], default=flush) >= flush for sizes in split)
+    assert max(map(len, split)) > 1
+    good = [k for k, verdict in enumerate(verdicts) if verdict]
+    assert [sum(split[k]) for k in good] == [sum(whole[k]) for k in good]
+
+
+def test_short_try_is_one_bounded_line():
+    fug = _fug(s=4)
+    t = sample_try(fug, seed=1)
+    with pytest.raises(ValueError) as info:
+        is_good_try(Try(t.num[:3], t.denom, t.grid_resolution), fug)
+    assert str(info.value) == "try places 3 of 208 vertices"
 
 
 def _float_det(p1, p2, q1, q2):
@@ -566,6 +657,42 @@ def test_try_json_roundtrip():
     assert back.points == dict(t.points)
     assert back.grid_resolution == t.grid_resolution
     assert data["points"][str(0)][0].count("/") == 1
+    assert json.loads(try_to_json(t, 1, 2)) == data
+
+
+def _json_dumps_text(t, attempts, seed):
+    return json.dumps(try_to_json_dict(t, attempts, seed), indent=2, sort_keys=True) + "\n"
+
+
+def test_try_writer_matches_pinned_embedding():
+    text = (PINNED / "embed_d5_s4_seed1.json").read_text()
+    data = json.loads(text)
+    t = try_from_json_dict(data)
+    assert _json_dumps_text(t, data["attempts"], data["seed"]) == text
+    assert try_to_json(t, data["attempts"], data["seed"]) == text
+
+
+_NUMERATORS = st.one_of(st.integers(-64, 64), st.integers(-(2**62), 2**62))
+_DENOMINATORS = st.one_of(st.sampled_from([1, 2, 3, 2**20, 2**40]), st.integers(1, 2**40))
+_SCALARS = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def _tries(draw):
+    """Tries of 0, 1, 2 or 11 to 120 points (so "10" sorts before "2") with
+    numerators of either sign, some sharing factors with the denominator."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(11, 120)))
+    num = draw(st.lists(st.tuples(_NUMERATORS, _NUMERATORS, _NUMERATORS), min_size=n, max_size=n))
+    res = Fraction(draw(st.integers(1, 5)), draw(_DENOMINATORS))
+    return Try(np.array(num, dtype=np.int64).reshape(-1, 3), draw(_DENOMINATORS), res)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tries(), _SCALARS, _SCALARS)
+@example(Try(np.zeros((0, 3), dtype=np.int64), 1, Fraction(1)), 1, 1)
+@example(Try(np.arange(-36, 0).reshape(12, 3), 2**40, Fraction(3, 2**40)), -(2**70), 2**70)
+def test_try_writer_matches_json_dumps(t, attempts, seed):
+    assert try_to_json(t, attempts, seed) == _json_dumps_text(t, attempts, seed)
 
 
 def test_try_obj_export():
