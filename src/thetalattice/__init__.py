@@ -1,9 +1,14 @@
 """3D regular bipartite lattices with no 6-cycles and only-central 4-cycles:
 construction by signed 2-lifts over a voltage base graph, exact small-subgraph
 census, order-6 monomer-dimer coefficient, and exact straight-line embedding.
+
+derived_cover builds the explicit covers: the root unit graph
+(build_root_unit_graph, its s = 0 cover), the full unit graphs and the tori.
+census counts the 4-cycles, 6-cycles and thetas of an explicit
+graph and voltage_census those of the infinite lattice per cube.
 """
 
-from .census import CensusReport, census, classify_c4, count_c4, count_c6, count_theta222, voltage_census
+from .census import CensusReport, census, voltage_census
 from .certify import (
     certify,
     constraint_count_formula,
@@ -52,11 +57,7 @@ __all__ = [
     "central_counts",
     "central_subgraph",
     "certify",
-    "classify_c4",
     "constraint_count_formula",
-    "count_c4",
-    "count_c6",
-    "count_theta222",
     "d6_coefficient",
     "derived_cover",
     "find_good_try",

@@ -1,6 +1,6 @@
 """Exact counts of 4-cycles, 6-cycles and theta graphs (K_{2,3} subgraphs) on
 explicit graphs, and the per-cube census of the infinite derived lattice via
-zero-voltage cycles.
+zero-voltage cycles.  census() is the one explicit-graph entry point.
 
 All reported averages are exact rationals, and every count is made in
 integers; nothing in this module uses floating point.  On explicit graphs
@@ -22,7 +22,6 @@ from math import comb
 
 import numpy as np
 
-from .errors import MalformedGraph
 from .graphs import CENTRAL_TAGS, LabeledGraph, _bfs, _csr, _proper_coloring
 from .voltage import BaseGraph, VoltageAssignment
 
@@ -124,33 +123,6 @@ def _c4_and_theta(codegree: np.ndarray) -> tuple[int, int]:
     return pairs // 2, int((codegree * (codegree - 1) * (codegree - 2) // 6).sum())
 
 
-def count_c4(g: LabeledGraph) -> int:
-    """Number of 4-cycle subgraphs: half the sum over unordered vertex pairs
-    of C(codegree, 2) (each 4-cycle is seen from both diagonals)."""
-    return _c4_and_theta(_wedges(g).codegree)[0]
-
-
-def count_theta222(g: LabeledGraph) -> int:
-    """Number of K_{2,3} subgraphs: sum over unordered vertex pairs of
-    C(codegree, 3) (the hub pair of a theta graph is unique)."""
-    return _c4_and_theta(_wedges(g).codegree)[1]
-
-
-def count_c6(g: LabeledGraph) -> int:
-    """Exact number of 6-cycle subgraphs.
-
-    Bipartite graphs use the codegree-triangle identity of _bipartite_c6 on
-    the int64 wedge table, with no float anywhere.  Non-bipartite graphs
-    count the 6-cycles of the min-rooted DFS _short_cycles, which the tests
-    also use as the independent oracle for the identity.
-    """
-    w = _wedges(g)
-    _, parity = _bfs(w.start, w.nbr)
-    if not _proper_coloring(g, parity):
-        return _dfs_c6(g)
-    return _bipartite_c6(w, parity)
-
-
 def _dfs_c6(g: LabeledGraph) -> int:
     return sum(1 for seq in _short_cycles(g) if len(seq) == 6)
 
@@ -161,7 +133,7 @@ def _short_cycles(g: LabeledGraph) -> list[tuple[int, ...]]:
     Structurally independent of the pair/triple constraint enumeration in
     certify and of the codegree counters: generic path extension with
     vertex-order pruning, direction fixed by requiring the second vertex
-    below the last.  It serves count_c6 on non-bipartite graphs, where the
+    below the last.  It serves census on non-bipartite graphs, where the
     codegree identity does not apply, and the tests as an oracle; the
     certificate re-check in certify has a counting DFS of its own.
     """
@@ -317,22 +289,14 @@ def _central_c4(g: LabeledGraph, w: _Wedges) -> int:
     return _c4_and_theta(np.bincount(w.pair[at[same]], minlength=len(w.keys)))[0]
 
 
-def classify_c4(g: LabeledGraph) -> tuple[int, int]:
-    """(central, stray) 4-cycle counts.
-
-    Central 4-cycles have all four vertices with hub/spoke roles at one
-    (cell, level); stray is the remainder of the full count.
-    """
-    if g.roles is None:
-        raise MalformedGraph("classify_c4 needs a labeled graph")
-    w = _wedges(g)
-    central = _central_c4(g, w)
-    return central, _c4_and_theta(w.codegree)[0] - central
-
-
 def census(g: LabeledGraph) -> CensusReport:
-    """Full explicit-graph census from one wedge table of g and the CSR
-    adjacency it was built from, read from the graph's arrays."""
+    """The explicit-graph census of g: its 4-cycles (c4_total), the central
+    ones among them (all four vertices with hub/spoke roles at one (cell,
+    level); 0 unless g is labeled with the roles t, b and c) and the stray
+    rest, its 6-cycles and its K_{2,3} subgraphs (theta222), each also per
+    vertex.  All come from one wedge table of g and the CSR adjacency it was
+    built from, read from the graph's arrays; the 6-cycles of a
+    non-bipartite graph come from the short-cycle DFS."""
     w = _wedges(g)
     c4, theta = _c4_and_theta(w.codegree)
     if g.roles is not None and {r.tag for r in g.roles} >= {"t", "b", "c"}:

@@ -424,7 +424,12 @@ def try_to_json(t: Try, attempts: int, seed: int) -> str:
 
 
 def try_to_obj(t: Try, fug: LabeledGraph) -> str:
-    """OBJ-style line-set export (float coordinates, for viewers only)."""
-    lines = [f"v {float(x):.9f} {float(y):.9f} {float(z):.9f}" for x, y, z in t.points.values()]
-    lines += [f"l {u + 1} {v + 1}" for u, v in fug.edges]
-    return "\n".join(lines) + "\n"
+    """OBJ-style line-set export (float coordinates, for viewers only): a
+    "v x y z" line per vertex, then an "l u v" line per edge with 1-based
+    ids.  Each coordinate is the Python-int true division num / denom, the
+    correctly rounded float of the rational (numpy's float division would
+    round num and denom first above 2^53)."""
+    q, n, m = t.denom, len(t.num), len(fug.edge_array)
+    vertices = ("v %.9f %.9f %.9f\n" * n) % tuple(c / q for c in t.num.ravel().tolist())
+    edges = ("l %d %d\n" * m) % tuple((fug.edge_array + 1).ravel().tolist())
+    return vertices + edges

@@ -1,5 +1,7 @@
-"""Explicit finite labeled graphs: the root unit graph, central subgraphs
-and structural validators.
+"""Explicit finite labeled graphs: the array graph type, central subgraphs,
+structural validators and the JSON and DOT formats.  The root unit graph is
+voltage.derived_cover of the base graph at s = 0; derived_cover is the one
+graph builder.
 
 Vertices are dense integer ids.  A graph is held as arrays: one sorted int64
 (E, 2) edge array with u < v in every row and, when the graph is labeled, a
@@ -24,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegreeTooSmall, MalformedGraph
+from .errors import MalformedGraph
 
 Edge = tuple[int, int]
 Cell = tuple[int, int, int]
@@ -284,26 +286,6 @@ class LabeledGraph:
         values, counts = np.unique(degree, return_counts=True)
         return dict(zip(values.tolist(), counts.tolist()))
 
-    def label_index(self) -> dict[tuple, int]:
-        """Map (role, level, cell) -> vertex id; requires labels."""
-        labels = self.labels
-        if labels is None:
-            raise MalformedGraph("graph has no labels")
-        out = {}
-        for v, lab in enumerate(labels):
-            key = (lab.role, lab.level, lab.cell)
-            if key in out:
-                raise MalformedGraph(f"duplicate label {lab}")
-            out[key] = v
-        return out
-
-    def has_edge(self, u: int, v: int) -> bool:
-        u, v = min(u, v), max(u, v)
-        first = self.edge_array[:, 0]
-        lo, hi = np.searchsorted(first, u, "left"), np.searchsorted(first, u, "right")
-        i = lo + np.searchsorted(self.edge_array[lo:hi, 1], v)
-        return bool(i < hi and self.edge_array[i, 1] == v)
-
 
 def _csr(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     """(start, nbr): the neighbours of v, ascending, are nbr[start[v]:start[v + 1]]."""
@@ -349,42 +331,19 @@ def _proper_coloring(g: LabeledGraph, parity: np.ndarray) -> bool:
     return not np.any(parity[g.edge_array[:, 0]] == parity[g.edge_array[:, 1]])
 
 
-def from_labeled_vertices(
-    labels: Iterable[VertexLabel],
-    edges_by_label: Iterable[tuple[VertexLabel, VertexLabel]],
-    d: int | None = None,
-) -> LabeledGraph:
-    """Build a graph from labels, assigning ids in canonical label order."""
-    labs = sorted(set(labels), key=lambda lab: lab.sort_key)
-    ids = {lab: i for i, lab in enumerate(labs)}
-    edges = tuple((ids[a], ids[b]) for a, b in edges_by_label)
-    return LabeledGraph(len(labs), edges, tuple(labs), d)
-
-
 def build_root_unit_graph(d: int) -> LabeledGraph:
-    """The (2d+3)-vertex seed graph of the construction.
+    """The (2d+3)-vertex seed graph of the construction: derived_cover of
+    the base graph at s = 0, which splits each merged connector v* back into
+    its two one-sided roles.
 
     Black spokes c_1..c_d; white hubs t, b; white fillers f_1..f_{d-5};
     one-sided connectors lx, ly, lz (degree 1, attached to c_1) and
-    rx, ry, rz (degree d-1, attached to c_2..c_d).
+    rx, ry, rz (degree d-1, attached to c_2..c_d).  DegreeTooSmall for
+    d < 5.
     """
-    if d < 5:
-        raise DegreeTooSmall(f"construction requires d >= 5, got {d}")
-    c = [VertexLabel(Role("c", i)) for i in range(1, d + 1)]
-    t, b = VertexLabel(Role("t")), VertexLabel(Role("b"))
-    f = [VertexLabel(Role("f", j)) for j in range(1, d - 4)]
-    lx, ly, lz = (VertexLabel(Role(r)) for r in ("lx", "ly", "lz"))
-    rx, ry, rz = (VertexLabel(Role(r)) for r in ("rx", "ry", "rz"))
-    edges: list[tuple[VertexLabel, VertexLabel]] = []
-    for ci in c:
-        edges.append((t, ci))
-        edges.append((b, ci))
-        for fj in f:
-            edges.append((ci, fj))
-    edges += [(lx, c[0]), (ly, c[0]), (lz, c[0])]
-    for ci in c[1:]:
-        edges += [(rx, ci), (ry, ci), (rz, ci)]
-    return from_labeled_vertices([*c, t, b, *f, lx, ly, lz, rx, ry, rz], edges, d)
+    from .voltage import build_base_graph, derived_cover  # voltage imports graphs
+
+    return derived_cover(*build_base_graph(d))
 
 
 def _require_central_roles(g: LabeledGraph) -> None:
@@ -396,20 +355,31 @@ def _require_central_roles(g: LabeledGraph) -> None:
 
 
 def central_subgraph(g: LabeledGraph) -> LabeledGraph:
-    """Induced structure on hub/spoke roles restricted to (t,c_i), (b,c_i) edges.
+    """The hub/spoke vertices of g and its (t,c_i), (b,c_i) edges, numbered
+    in canonical label order (role, level, cell).
 
     For a lifted graph this is the disjoint union of the 2**s central copies.
     """
     _require_central_roles(g)
-    labels = g.labels
-    assert labels is not None
-    keep = [v for v, lab in enumerate(labels) if lab.role.tag in CENTRAL_TAGS]
-    edges = []
-    for u, v in g.edges:
-        tags = {labels[u].role.tag, labels[v].role.tag}
-        if tags in ({"t", "c"}, {"b", "c"}):
-            edges.append((labels[u], labels[v]))
-    return from_labeled_vertices((labels[v] for v in keep), edges, g.d)
+    central = np.array([r.tag in CENTRAL_TAGS for r in g.roles])
+    spoke = np.array([r.black for r in g.roles])
+    keep = np.flatnonzero(central[g.role_codes])
+    cells = g.cells[keep]
+    order = keep[np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], g.levels[keep], g.role_codes[keep]))]
+    new_id = np.full(g.vertex_count, -1, dtype=np.int64)
+    new_id[order] = np.arange(len(order))
+    u, v = g.role_codes[g.edge_array.T]
+    hub_spoke = central[u] & central[v] & (spoke[u] != spoke[v])
+    return LabeledGraph._of_arrays(
+        len(order),
+        _edge_array(len(order), new_id[g.edge_array[hub_spoke]]),
+        g.d,
+        tuple(r for r in g.roles if r.tag in CENTRAL_TAGS),
+        (np.cumsum(central) - 1)[g.role_codes[order]],
+        g.levels[order],
+        g.level_length,
+        g.cells[order],
+    )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from thetalattice.graphs import (
     _csr,
     _proper_coloring,
     central_subgraph,
-    from_labeled_vertices,
     level_uint,
 )
 from thetalattice.census import CensusReport, _explicit_report, _short_cycles
@@ -51,6 +50,69 @@ def perfbench_module(name):
         sys.modules[key] = module
         spec.loader.exec_module(module)
     return sys.modules[key]
+
+
+# ---------------------------------------------------------------------------
+# label-object graph builders: oracles for derived_cover and central_subgraph
+
+
+def from_labeled_vertices(labels, edges_by_label, d=None):
+    """Build a graph from labels, assigning ids in canonical label order."""
+    labs = sorted(set(labels), key=lambda lab: lab.sort_key)
+    ids = {lab: i for i, lab in enumerate(labs)}
+    edges = tuple((ids[a], ids[b]) for a, b in edges_by_label)
+    return LabeledGraph(len(labs), edges, tuple(labs), d)
+
+
+def label_index(g):
+    """Map (role, level, cell) -> vertex id; requires labels."""
+    labels = g.labels
+    if labels is None:
+        raise MalformedGraph("graph has no labels")
+    out = {}
+    for v, lab in enumerate(labels):
+        key = (lab.role, lab.level, lab.cell)
+        if key in out:
+            raise MalformedGraph(f"duplicate label {lab}")
+        out[key] = v
+    return out
+
+
+def root_unit_graph_reference(d):
+    """The (2d+3)-vertex root unit graph written out from its description:
+    black spokes c_1..c_d; white hubs t, b joined to every spoke; white
+    fillers f_1..f_{d-5} joined to every spoke; one-sided connectors
+    lx, ly, lz (degree 1, attached to c_1) and rx, ry, rz (degree d-1,
+    attached to c_2..c_d).  The oracle for build_root_unit_graph."""
+    c = [VertexLabel(Role("c", i)) for i in range(1, d + 1)]
+    t, b = VertexLabel(Role("t")), VertexLabel(Role("b"))
+    f = [VertexLabel(Role("f", j)) for j in range(1, d - 4)]
+    lx, ly, lz = (VertexLabel(Role(r)) for r in ("lx", "ly", "lz"))
+    rx, ry, rz = (VertexLabel(Role(r)) for r in ("rx", "ry", "rz"))
+    edges = []
+    for ci in c:
+        edges.append((t, ci))
+        edges.append((b, ci))
+        for fj in f:
+            edges.append((ci, fj))
+    edges += [(lx, c[0]), (ly, c[0]), (lz, c[0])]
+    for ci in c[1:]:
+        edges += [(rx, ci), (ry, ci), (rz, ci)]
+    return from_labeled_vertices([*c, t, b, *f, lx, ly, lz, rx, ry, rz], edges, d)
+
+
+def central_subgraph_reference(g):
+    """The hub/spoke vertices of g and its (t,c_i), (b,c_i) edges, gathered
+    one VertexLabel at a time and numbered by from_labeled_vertices: the
+    oracle for central_subgraph."""
+    labels = g.labels
+    keep = [v for v, lab in enumerate(labels) if lab.role.tag in CENTRAL_TAGS]
+    edges = []
+    for u, v in g.edges:
+        tags = {labels[u].role.tag, labels[v].role.tag}
+        if tags in ({"t", "c"}, {"b", "c"}):
+            edges.append((labels[u], labels[v]))
+    return from_labeled_vertices((labels[v] for v in keep), edges, g.d)
 
 
 def plain_graph(n, edges):
@@ -678,7 +740,7 @@ def drops_last_bit_covering(lift: LabeledGraph, base: LabeledGraph) -> bool:
     neighborhood bijectively onto its image's neighborhood."""
     if lift.labels is None or base.labels is None:
         raise MalformedGraph("covering check needs labels")
-    base_ids = base.label_index()
+    base_ids = label_index(base)
     try:
         img = [
             base_ids[(lab.role, lab.level[:-1], lab.cell)] for lab in lift.labels
@@ -895,6 +957,14 @@ def try_from_json_dict(data):
     return try_from_points(points, Fraction(data["grid_resolution"]))
 
 
+def try_to_obj_reference(t, fug):
+    """The OBJ text of a try from its Fraction points and the edge tuples:
+    the oracle of embed.try_to_obj."""
+    lines = [f"v {float(x):.9f} {float(y):.9f} {float(z):.9f}" for x, y, z in t.points.values()]
+    lines += [f"l {u + 1} {v + 1}" for u, v in fug.edges]
+    return "\n".join(lines) + "\n"
+
+
 _THIRD = Fraction(1, 3)
 _CENTER = (_THIRD, 2 * _THIRD)
 _OUTER = (2 * _THIRD, Fraction(1))
@@ -930,7 +1000,7 @@ def sample_try_reference(fug, seed, grid_resolution):
         raise TooLarge(f"grid resolution {res} has a denominator above 2^40")
     rng = random.Random(seed)
     points, used = {}, set()
-    by_key = fug.label_index()
+    by_key = label_index(fug)
     for v in range(fug.vertex_count):
         tag = labels[v].role.tag
         if tag in _DERIVED:

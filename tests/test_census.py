@@ -21,6 +21,8 @@ from conftest import (
     codegree_triangles_reference,
     complete_bipartite,
     cycle_graph,
+    from_labeled_vertices,
+    label_index,
     labeled_k2d,
     noncentral_edges,
     plain_graph,
@@ -29,23 +31,10 @@ from conftest import (
     random_steps,
     with_steps,
 )
-from thetalattice.census import (
-    _short_cycles,
-    census,
-    classify_c4,
-    count_c4,
-    count_c6,
-    count_theta222,
-    voltage_census,
-)
+from thetalattice.census import _short_cycles, census, voltage_census
 from thetalattice.certify import recheck_constraints_dfs
-from thetalattice.errors import MalformedGraph, TooLarge
-from thetalattice.graphs import (
-    Role,
-    VertexLabel,
-    build_root_unit_graph,
-    from_labeled_vertices,
-)
+from thetalattice.errors import TooLarge
+from thetalattice.graphs import Role, VertexLabel, build_root_unit_graph
 from thetalattice.voltage import VoltageAssignment, build_base_graph, derived_cover
 
 # the package re-exports a function named like this module
@@ -53,34 +42,34 @@ census_module = importlib.import_module("thetalattice.census")
 
 
 # ---------------------------------------------------------------------------
-# fast counters on small knowns
+# census counts on small knowns
 
 def test_count_c4_examples():
-    assert count_c4(cycle_graph(4)) == 1
-    assert count_c4(complete_bipartite(2, 3)) == 3
-    assert count_c4(labeled_k2d(6)) == 15
+    assert census(cycle_graph(4)).c4_total == 1
+    assert census(complete_bipartite(2, 3)).c4_total == 3
+    assert census(labeled_k2d(6)).c4_total == 15
 
 
 def test_count_c6_examples():
     path = plain_graph(6, [(i, i + 1) for i in range(5)])  # a tree
-    assert count_c6(path) == 0
+    assert census(path).c6 == 0
     for d in (3, 5, 8):
-        assert count_c6(complete_bipartite(2, d)) == 0
-    assert count_c6(complete_bipartite(3, 3)) == 6
-    assert count_c6(cycle_graph(6)) == 1
+        assert census(complete_bipartite(2, d)).c6 == 0
+    assert census(complete_bipartite(3, 3)).c6 == 6
+    assert census(cycle_graph(6)).c6 == 1
 
 
 def test_count_theta_examples():
-    assert count_theta222(complete_bipartite(2, 3)) == 1
-    assert count_theta222(cycle_graph(6)) == 0
-    assert count_theta222(labeled_k2d(10)) == 120
+    assert census(complete_bipartite(2, 3)).theta222 == 1
+    assert census(cycle_graph(6)).theta222 == 0
+    assert census(labeled_k2d(10)).theta222 == 120
 
 
 @pytest.mark.parametrize("d", range(5, 13))
 def test_central_copy_formulas(d):
-    g = labeled_k2d(d)
-    assert count_c4(g) == d * (d - 1) // 2
-    assert count_theta222(g) == d * (d - 1) * (d - 2) // 6
+    rep = census(labeled_k2d(d))
+    assert rep.c4_total == d * (d - 1) // 2
+    assert rep.theta222 == d * (d - 1) * (d - 2) // 6
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +95,10 @@ def test_brute_force_guard():
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=4, max_value=10))
 def test_fast_counters_match_brute_force(seed, n):
     g = random_graph(random.Random(seed), n, 0.45)
-    rep = brute_force_census(g)
-    assert count_c4(g) == rep.c4_total
-    assert count_c6(g) == rep.c6
-    assert count_theta222(g) == rep.theta222
+    rep, want = census(g), brute_force_census(g)
+    assert rep.c4_total == want.c4_total
+    assert rep.c6 == want.c6
+    assert rep.theta222 == want.theta222
 
 
 def _dfs_c6(g):
@@ -118,17 +107,16 @@ def _dfs_c6(g):
 
 
 def _matches_references(g):
-    """census and the public counters agree with the Counter codegree
-    reference and the DFS 6-cycles; the central count with the central
-    subgraph built as a graph of its own."""
+    """census agrees with the Counter codegree reference and the DFS
+    6-cycles; its central count with the central subgraph built as a graph
+    of its own, and its stray count is the rest."""
     rep = census(g)
     c4, theta = _c4_theta_reference(g)
     c6 = _dfs_c6(g)
     assert (rep.c4_total, rep.theta222, rep.c6) == (c4, theta, c6)
-    assert (count_c4(g), count_theta222(g), count_c6(g)) == (c4, theta, c6)
     if g.labels is not None:
         assert rep.c4_central == _central_c4_reference(g)
-        assert classify_c4(g) == (rep.c4_central, c4 - rep.c4_central)
+        assert rep.c4_stray == c4 - rep.c4_central
     return rep
 
 
@@ -258,16 +246,15 @@ def test_short_cycles_frees_its_result():
 # classification
 
 def test_classify_root_unit_graph():
-    g = build_root_unit_graph(5)
-    central, stray = classify_c4(g)
-    assert central == 10
-    assert stray == count_c4(g) - 10 == 54
+    rep = census(build_root_unit_graph(5))
+    assert rep.c4_central == 10
+    assert rep.c4_stray == rep.c4_total - 10 == 54
 
 
 def test_classify_central_alone():
-    central, stray = classify_c4(labeled_k2d(7))
-    assert stray == 0
-    assert central == 21
+    rep = census(labeled_k2d(7))
+    assert rep.c4_stray == 0
+    assert rep.c4_central == 21
 
 
 def test_classify_central_needs_one_cell_and_level():
@@ -281,13 +268,8 @@ def test_classify_central_needs_one_cell_and_level():
                 for i, r in enumerate(roles)
             )
             g = from_labeled_vertices([t, b, c1, c2], [(t, c1), (c1, b), (b, c2), (c2, t)])
-            assert classify_c4(g) == (0, 1)
-            assert census(g).c4_central == 0
-
-
-def test_classify_requires_labels():
-    with pytest.raises(MalformedGraph):
-        classify_c4(cycle_graph(4))
+            rep = census(g)
+            assert (rep.c4_central, rep.c4_stray) == (0, 1)
 
 
 def test_census_makes_one_codegree_pass(monkeypatch):
@@ -318,11 +300,10 @@ def test_census_makes_one_codegree_pass(monkeypatch):
 
 def test_classify_certified_full_unit_graph(certified):
     cert, base, volt, _ = certified(5)
-    fug = derived_cover(base, volt)
-    central, stray = classify_c4(fug)
-    assert stray == 0
-    assert central == (1 << cert.s) * 10
-    assert count_c6(fug) == 0
+    rep = census(derived_cover(base, volt))
+    assert rep.c4_stray == 0
+    assert rep.c4_central == (1 << cert.s) * 10
+    assert rep.c6 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +313,7 @@ def test_base_cycle_with_displacement_excluded():
     """The 4-cycle c1-vx-c2-t closes only after a translation, so it neither
     appears as a constraint nor contributes to the per-cube count."""
     base, volt = build_base_graph(5)
-    ids = base.graph.label_index()
+    ids = label_index(base.graph)
     c1 = ids[(Role("c", 1), "", (0, 0, 0))]
     c2 = ids[(Role("c", 2), "", (0, 0, 0))]
     vx = ids[(Role("vx"), "", (0, 0, 0))]

@@ -809,6 +809,36 @@ def test_export_kinds(tmp_path, capsys):
         assert stem.with_suffix(".dot").read_text().startswith("graph")
 
 
+# sha256 of the root and central exports as written when the root unit graph
+# had a label-object builder of its own; derived_cover at s = 0 and the
+# array central_subgraph must write the same bytes
+ROOT_AND_CENTRAL_SHA256 = {
+    "root_d5.json": "b1e936f3fac933919bf45e9026bd5d01b41d5b437a60407152fca7b1303138c3",
+    "root_d5.dot": "7db6dac069fb0c070e5a6c24108a373b1a5ef6da2ceb37b80bcd3d6d8fbcba63",
+    "root_d6.json": "8b80302d22d71823beeb01a6314fac298971056774cb133aa7a45980fea7f2ad",
+    "root_d6.dot": "d9e3db0451436540e3e66ebf10895212f731b72c53f824ee5f1f4be935ffa6bd",
+    "root_d10.json": "392095f6e25ac6faa6a6fbc01464b30a3d7079ddaf908e186c5e348679c29abb",
+    "root_d10.dot": "b335ff7d6d024e31e0fe6d396cfe62259fa68476138321f3e7698df873982b9a",
+    "central_d5.json": "fab3f6af707e34a93dcc4a39737d4a1c79d225a667845b9f34ab7b7954e51cb6",
+    "central_d5.dot": "493d14a52a36f1333d41ab579cf211c20c8e6a3e906b232106ef6c2622ba1c59",
+    "central_d6.json": "b206f6111aed2df99814cc58a32f9a34b64d2aac9c19e134080b0dbe316709fb",
+    "central_d6.dot": "bbb89efeb7bbecb26ce8a2850293e8f0d16cf5af57297baef20d067476b7d4b0",
+    "central_d10.json": "74e072f45e4ed53e5ec692ae50336824dc827b00ff706fc3337b9a191e46ab2d",
+    "central_d10.dot": "8b8df8bbcf7df49937c241d397ebe428b23fe11abf4d9634315c801af4806d21",
+}
+
+
+@pytest.mark.parametrize("kind", ["root", "central"])
+@pytest.mark.parametrize("d", [5, 6, 10])
+def test_export_root_and_central_match_pinned_hashes(tmp_path, capsys, kind, d):
+    stem = tmp_path / f"{kind}_d{d}"
+    code, _, _ = run(capsys, "export", "--d", str(d), "--kind", kind, "-o", str(stem))
+    assert code == 0
+    for suffix in (".json", ".dot"):
+        written = stem.with_suffix(suffix)
+        assert hashlib.sha256(written.read_bytes()).hexdigest() == ROOT_AND_CENTRAL_SHA256[written.name]
+
+
 def test_export_full_unit_with_certificate(cert_d5, tmp_path, capsys):
     stem = tmp_path / "fug"
     code, _, _ = run(

@@ -8,12 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    label_index,
     random_bits_voltage,
     sample_try_reference,
     scaled_reference,
     try_from_json_dict,
     try_from_points,
     try_to_json_dict,
+    try_to_obj_reference,
 )
 from thetalattice import embed
 from thetalattice.embed import (
@@ -61,7 +63,7 @@ def test_sample_try_boxes_and_shapes():
 def test_sample_try_derived_connector_points():
     fug = _fug(s=2)
     t = sample_try(fug, seed=5)
-    ids = fug.label_index()
+    ids = label_index(fug)
     for level in {lab.level for lab in fug.labels}:
         rx = ids[(Role("rx"), level, (0, 0, 0))]
         lx = ids[(Role("lx"), level, (0, 0, 0))]
@@ -388,7 +390,7 @@ def test_crossing_placement_is_bad():
     fug = _fug(s=0)
     t = sample_try(fug, seed=3, grid_resolution=Fraction(1, 1024))
     pts = dict(t.points)
-    ids = fug.label_index()
+    ids = label_index(fug)
     # c1-t and c2-b run between these four points; make them cross
     c1 = ids[(Role("c", 1), "", (0, 0, 0))]
     c2 = ids[(Role("c", 2), "", (0, 0, 0))]
@@ -701,3 +703,31 @@ def test_try_obj_export():
     obj = try_to_obj(t, fug)
     assert obj.count("\nl ") + obj.startswith("l ") == len(fug.edges)
     assert obj.count("v ") >= fug.vertex_count
+
+
+def test_try_obj_matches_fraction_formatting():
+    """try_to_obj writes the bytes of the Fraction-based writer: sampled
+    tries, a try over 2^40, and numerators above 2^53, where numpy's float
+    division would round the numerator first and print another value."""
+    for s in range(4):
+        fug = _fug(s=s)
+        for resolution in (embed.DEFAULT_RESOLUTION, Fraction(1, 24)):
+            t = sample_try(fug, seed=s, grid_resolution=resolution)
+            assert try_to_obj(t, fug) == try_to_obj_reference(t, fug)
+    ring = LabeledGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    num = np.array(
+        [
+            [2**53 + 1, -(2**53 + 1), 2**62 + 12345],
+            [2**40 - 1, 1, -(2**40) + 3],
+            [2**63 - 1, -(2**63), 7],
+            [0, 2**54 + 3, -(2**61 + 5)],
+        ],
+        dtype=np.int64,
+    )
+    for denom in (3, 2**40, 10**15 + 37):
+        t = Try(num, denom, Fraction(1, denom))
+        assert try_to_obj(t, ring) == try_to_obj_reference(t, ring)
+    # the case the Python-int division is for: float(2^53 + 1) / 3 is not
+    # the correctly rounded (2^53 + 1) / 3
+    assert (2**53 + 1) / 3 != float(np.int64(2**53 + 1)) / 3
+    assert f"{(2**53 + 1) / 3:.9f}" in try_to_obj(Try(num, 3, Fraction(1, 3)), ring)

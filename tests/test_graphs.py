@@ -11,21 +11,25 @@ from conftest import (
     _components,
     brute_force_census,
     central_copies,
+    central_subgraph_reference,
     components_reference,
     connected_components,
     drops_last_bit_covering,
+    from_labeled_vertices,
     graph_to_dot_reference,
     graph_to_json_dict,
+    label_index,
     labeled_cycle4,
     labeled_k2d,
     plain_graph,
     random_bits_voltage,
     random_graph,
+    root_unit_graph_reference,
     two_coloring,
     two_coloring_reference,
     two_lift,
 )
-from thetalattice.census import count_c4, count_c6
+from thetalattice.census import census
 from thetalattice.errors import DegreeTooSmall, MalformedGraph
 from thetalattice.graphs import (
     LabeledGraph,
@@ -33,7 +37,6 @@ from thetalattice.graphs import (
     VertexLabel,
     build_root_unit_graph,
     central_subgraph,
-    from_labeled_vertices,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -43,7 +46,7 @@ from thetalattice.voltage import build_base_graph, derived_cover
 
 
 def role_id(g, tag, index=0, level=""):
-    return g.label_index()[(Role(tag, index), level, (0, 0, 0))]
+    return label_index(g)[(Role(tag, index), level, (0, 0, 0))]
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +70,15 @@ def test_root_unit_graph_d10_counts():
 
 
 def test_root_unit_graph_rejects_small_degree():
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(DegreeTooSmall, match="construction requires d >= 5, got 4"):
         build_root_unit_graph(4)
+
+
+@pytest.mark.parametrize("d", range(5, 13))
+def test_root_unit_graph_matches_reference(d):
+    """derived_cover at s = 0 gives the root unit graph written out role by
+    role from its description: the same ids, roles, levels, cells and d."""
+    assert build_root_unit_graph(d) == root_unit_graph_reference(d)
 
 
 @pytest.mark.parametrize("d", [5, 6, 7, 10])
@@ -89,15 +99,38 @@ def test_central_subgraph_d5():
     g = central_subgraph(build_root_unit_graph(5))
     assert g.vertex_count == 7
     assert len(g.edges) == 10
-    assert count_c4(g) == 10
-    from thetalattice.census import count_theta222
-
-    assert count_theta222(g) == 10
+    rep = census(g)
+    assert rep.c4_total == 10
+    assert rep.theta222 == 10
 
 
 def test_central_subgraph_requires_roles():
     with pytest.raises(MalformedGraph):
         central_subgraph(plain_graph(3, [(0, 1), (1, 2)]))
+    with pytest.raises(MalformedGraph):
+        central_subgraph(labeled_cycle4())  # no hub roles
+
+
+@pytest.mark.parametrize("d", [5, 6, 10])
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [None, 2], ids=["full-unit", "torus"])
+def test_central_subgraph_matches_reference(d, s, n):
+    """The array central_subgraph equals the one gathered label by label on
+    lifted full unit graphs and n = 2 tori, and so writes the same files."""
+    base, volt0 = build_base_graph(d)
+    g = derived_cover(base, random_bits_voltage(base, volt0, s, seed=d + s), n)
+    got, want = central_subgraph(g), central_subgraph_reference(g)
+    assert got == want
+    assert graph_to_json(got) == graph_to_json(want)
+
+
+def test_central_subgraph_keeps_only_hub_spoke_edges():
+    """Edges between two spokes or between the two hubs are not central."""
+    t, b = VertexLabel(Role("t")), VertexLabel(Role("b"))
+    c1, c2 = VertexLabel(Role("c", 1)), VertexLabel(Role("c", 2))
+    g = from_labeled_vertices([t, b, c1, c2], [(t, c1), (b, c2), (c1, c2), (t, b)])
+    assert central_subgraph(g) == central_subgraph_reference(g)
+    assert len(central_subgraph(g).edges) == 2
 
 
 def test_central_copies_after_lifts():
@@ -141,7 +174,7 @@ def test_two_lift_single_crossed_edge_gives_8_cycle():
     assert lift.vertex_count == 8
     assert lift.degree_histogram == {2: 8}
     assert len(connected_components(lift)) == 1  # one 8-cycle
-    assert count_c4(lift) == 0
+    assert census(lift).c4_total == 0
 
 
 def test_two_lift_all_crossed_gives_two_4_cycles():
@@ -149,7 +182,7 @@ def test_two_lift_all_crossed_gives_two_4_cycles():
     lift = two_lift(g, Signing.from_crossed(g, list(g.edges)))
     assert lift.vertex_count == 8
     assert len(connected_components(lift)) == 2
-    assert count_c4(lift) == 2
+    assert census(lift).c4_total == 2
 
 
 def test_two_lift_rejects_crossed_central_edge():
@@ -193,8 +226,9 @@ def test_lift_cycle_monotonicity(mask):
         not in ({"t", "c"}, {"b", "c"})
     ]
     lift = two_lift(g, Signing.from_crossed(g, crossed))
-    assert count_c4(lift) <= 2 * count_c4(g)
-    assert count_c6(lift) <= 2 * count_c6(g)
+    lifted, rep = census(lift), census(g)
+    assert lifted.c4_total <= 2 * rep.c4_total
+    assert lifted.c6 <= 2 * rep.c6
 
 
 def test_lift_short_cycles_project_to_base_cycles():
@@ -209,7 +243,7 @@ def test_lift_short_cycles_project_to_base_cycles():
         not in ({"t", "c"}, {"b", "c"})
     ][::3]
     lift = two_lift(g, Signing.from_crossed(g, crossed))
-    base_ids = g.label_index()
+    base_ids = label_index(g)
     proj = [base_ids[(lab.role, lab.level[:-1], lab.cell)] for lab in lift.labels]
     base_cycles = {
         (len(seq), tuple(sorted(seq))) for seq in _short_cycles(g)
@@ -266,8 +300,6 @@ def test_validate_odd_cycle_not_bipartite():
 
 
 def test_validate_roles_must_match_coloring():
-    from thetalattice.graphs import VertexLabel, from_labeled_vertices
-
     c1, c2 = VertexLabel(Role("c", 1)), VertexLabel(Role("c", 2))
     g = from_labeled_vertices([c1, c2], [(c1, c2)])  # two adjacent blacks
     report = validate(g)
@@ -368,6 +400,6 @@ def test_graph_dot_export():
 def test_brute_force_matches_on_root_graph():
     g = build_root_unit_graph(5)
     rep = brute_force_census(g)
-    assert rep.c4_total == count_c4(g) == 64
+    assert rep.c4_total == census(g).c4_total == 64
     assert rep.c4_central == 10
     assert rep.c4_stray == 54

@@ -18,21 +18,19 @@ from conftest import (
     central_edges,
     connected_components,
     derived_cover_reference,
+    from_labeled_vertices,
     fundamental_cycle_voltages_reference,
+    label_index,
     noncentral_edges,
     perfbench_module,
     random_bits_voltage,
     random_steps,
+    root_unit_graph_reference,
     two_lift,
     with_steps,
 )
 from thetalattice.errors import DegreeTooSmall, MalformedGraph, TooLarge, TorusTooSmall
-from thetalattice.graphs import (
-    Role,
-    VertexLabel,
-    from_labeled_vertices,
-    validate,
-)
+from thetalattice.graphs import Role, VertexLabel, validate
 from thetalattice import voltage as voltage_module
 from thetalattice.voltage import (
     LiftCertificate,
@@ -46,7 +44,6 @@ from thetalattice.voltage import (
     stage_bitstrings,
     voltage_group_generated,
 )
-from thetalattice.graphs import build_root_unit_graph
 
 
 def test_base_graph_d5_counts():
@@ -71,7 +68,7 @@ def test_base_graph_rejects_small_degree():
 
 def test_base_graph_displacements():
     base, volt = build_base_graph(5)
-    ids = base.graph.label_index()
+    ids = label_index(base.graph)
     vx = ids[(Role("vx"), "", (0, 0, 0))]
     for i in range(1, 6):
         ci = ids[(Role("c", i), "", (0, 0, 0))]
@@ -184,7 +181,7 @@ def test_torus_count_conservation(d, s, n, seed):
 
 def test_full_unit_graph_s0_is_root():
     for d in (5, 6, 10):
-        root = build_root_unit_graph(d)
+        root = root_unit_graph_reference(d)
         base, volt = build_base_graph(d)
         fug = derived_cover(base, volt)
         assert fug.labels == root.labels
@@ -193,7 +190,7 @@ def test_full_unit_graph_s0_is_root():
 
 
 def test_full_unit_graph_zero_bits_two_copies():
-    root = build_root_unit_graph(5)
+    root = root_unit_graph_reference(5)
     base, volt0 = build_base_graph(5)
     fug = derived_cover(base, volt0.with_bits(1, {}))
     assert fug.vertex_count == 2 * root.vertex_count
@@ -219,13 +216,13 @@ def test_full_unit_graph_equals_iterated_two_lift():
     fug = derived_cover(base, volt)
 
     merged = {"lx": "vx", "ly": "vy", "lz": "vz", "rx": "vx", "ry": "vy", "rz": "vz"}
-    base_ids = base.graph.label_index()
+    base_ids = label_index(base.graph)
 
     def base_vertex(lab):
         role = Role(merged.get(lab.role.tag, lab.role.tag), lab.role.index)
         return base_ids[(role, "", (0, 0, 0))]
 
-    g = build_root_unit_graph(d)
+    g = root_unit_graph_reference(d)
     for stage in range(s):
         crossed = [
             (u, v)
