@@ -11,9 +11,11 @@ whose bits are the edge labels of the Wenger graphs over GF(2^r): it covers
 every constraint by a short algebraic proof, with s = 2 ceil(log2 d) stages.
 verify_certificate checks any voltage, Wenger or not, with the aggregated
 voltage census and, up to DFS_LIMIT constraints (d <= 20), a second,
-independent route: recheck_constraints_dfs counts the constraint cycles by
-a min-rooted path enumeration over numpy frontiers, in blocks of bounded
-size, with exact displacement codes and exact multi-word level bits.
+independent route: recheck_constraints_dfs writes each short cycle once
+from its smallest black, as a pair of 2-paths (a 4-cycle) or of 3-paths (a
+6-cycle) with equal displacement, and compares all such pairs by dense
+numpy broadcasting over blocks of black pairs and triples of bounded size,
+with exact displacement codes and exact multi-word level bits.
 """
 
 from __future__ import annotations
@@ -64,24 +66,20 @@ DFS_LIMIT = constraint_count_formula(20)
 # ---------------------------------------------------------------------------
 # verification
 
-# a displacement (x, y, z) of the DFS as the one integer x + 16 y + 256 z
+# a displacement (x, y, z) of the re-check as the one integer x + 16 y + 256 z
 _DFS_RADIX = 16
-# the displacement code of a vertex pair that is not an edge; codes of paths
-# of at most 6 unit steps stay within +-6 * 273
-_NO_EDGE = np.iinfo(np.int16).max
-# the 6-cycles are closed in blocks of about this many (path, neighbour)
-# candidates
-_DFS_BLOCK = 1 << 15
+# each block of the re-check compares about this many path pairs, but at
+# least one black pair's or triple's worth: d^2 pairs of 2-paths per black
+# pair, d^3 pairs of 3-paths per black triple
+_PAIR_BLOCK = 1 << 16
 
 
-def _dfs_tables(base: BaseGraph, volt: VoltageAssignment):
-    """The step table of the DFS: (n, d) arrays of neighbour id, displacement
-    code and level bits, a black's row over the whites and a white's over
-    the blacks, in id order, and dense (n, n) arrays of the code (_NO_EDGE
-    off the edges) and bits of every directed edge.  Bits are (..., words)
-    arrays of 64-bit words, low word first, so every s is exact."""
+def _edge_tables(base: BaseGraph, volt: VoltageAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """The (d, d) int16 displacement codes and the (words, d, d) uint64
+    level bits of the edges c -> d + j, indexed [c, j].  The bits are
+    words = max(1, ceil(s / 64)) 64-bit words, low word first, so every s
+    is exact.  ValueError on a step that is not a unit step."""
     d = base.d
-    n, words = 2 * d, max(1, -(-volt.s // 64))
     wide = np.abs(volt.shifts).max(axis=2, initial=0) > 1
     if wide.any():
         c, j = np.argwhere(wide)[0].tolist()
@@ -89,109 +87,97 @@ def _dfs_tables(base: BaseGraph, volt: VoltageAssignment):
         raise ValueError(f"edge ({c}, {d + j}) has a non-unit displacement {step}")
     code = (volt.shifts @ np.array([1, _DFS_RADIX, _DFS_RADIX**2])).astype(np.int16)
     masks = volt.masks.astype(object)
-    bits = np.stack([(masks >> 64 * k & 0xFFFF_FFFF_FFFF_FFFF).astype(np.uint64) for k in range(words)], -1)
-    edge_code = np.full((n, n), _NO_EDGE, dtype=np.int16)
-    edge_code[:d, d:], edge_code[d:, :d] = code, -code.T
-    edge_bits = np.zeros((n, n, words), dtype=np.uint64)
-    edge_bits[:d, d:], edge_bits[d:, :d] = bits, bits.transpose(1, 0, 2)
-    ids = np.arange(n, dtype=np.int16 if n < 1 << 15 else np.int32)
-    step_to = np.concatenate([np.broadcast_to(ids[d:], (d, d)), np.broadcast_to(ids[:d], (d, d))])
-    rows = np.arange(n)[:, None]
-    return step_to, edge_code[rows, step_to], edge_bits[rows, step_to], edge_code, edge_bits
+    words = max(1, -(-volt.s // 64))
+    bits = np.stack([(masks >> 64 * k & 0xFFFF_FFFF_FFFF_FFFF).astype(np.uint64) for k in range(words)])
+    return code, bits
 
 
 def recheck_constraints_dfs(
     base: BaseGraph, volt: VoltageAssignment
 ) -> tuple[int, int, int]:
     """(constraint count, uncovered 4-cycles, uncovered 6-cycles) by a
-    min-rooted path enumeration that carries each path's voltage along as
-    it extends it, one frontier of paths at a time.
+    min-rooted enumeration that pairs paths of equal voltage in dense blocks.
 
-    Min-rooted: a cycle is found from its smallest vertex r, the path is
-    extended only by vertices above r, and the cycle is counted once, in the
-    direction where its second vertex is below its last.  Per root, the
-    frontier holds every path r p1 .. pk as arrays of first vertex p1, last
-    two vertices, displacement code sum and bit XOR, and grows by one
-    vertex per step through the step table (_dfs_tables), never
-    stepping back (p_k != p_(k-2)).  The base graph K_{d,d} is bipartite, so
-    its cycles are even and the only ones of length at most 6 are 4- and
-    6-cycles.  The 4-cycles close from the k = 3 frontier: r p1 p2 p3 with
-    p1 < p3, p3 a neighbour of r and the closing edge's code equal to the
-    path's; a 4-cycle through both hubs t < b is central and skipped.  Every
-    black id must lie below every white one (ValueError otherwise), as in
-    build_base_graph: then a central 4-cycle is rooted at a black, its
-    whites are p1 < p3, and the rule (p1, p3) = (t, b) skips all of them.  The
-    6-cycles close from the k = 4 frontier as one (paths, deg) mask over the
-    neighbours p5 of p4, so the 5-vertex paths are never built, and bits are
-    compared only on the candidates that close.  Every other zero-displacement
-    cycle is a constraint, uncovered when its bits XOR to zero.
-    verify_certificate compares the count with constraint_count_formula, so
-    a missed cycle cannot pass unseen.
+    The base graph is K_{d,d}, so its cycles of length at most 6 are 4- and
+    6-cycles, each with two or three blacks and as many whites.  Every black
+    id must lie below every white one (ValueError otherwise), as in
+    build_base_graph, so a cycle's smallest vertex is its smallest black r,
+    and each cycle is written once, as an explicit vertex tuple:
+    - a 4-cycle r w_i c w_j with blacks r < c and whites i < j is the pair
+      of 2-paths r -> w_i -> c and r -> w_j -> c; it has zero displacement
+      when their codes are equal, and it is central (skipped) when
+      (i, j) are the hubs (t, b);
+    - a 6-cycle r p1 A p3 C p5 with blacks r < A < C (the direction that
+      meets A first) and distinct whites p1, p3, p5 is the pair of 3-paths
+      r -> p1 -> A -> p3 and r -> p5 -> C -> p3; it has zero displacement
+      when their codes are equal.
+    Every such cycle is a constraint, uncovered when the two paths' bits
+    are equal too.  The pairs are compared by broadcasting: per black pair
+    a (d, d) table over (i, j), per black triple a (d, d, d) table over
+    (p1, p3, p5) under one fixed distinctness mask, in blocks of black
+    pairs or triples of about _PAIR_BLOCK compared pairs, codes first and
+    then the bits word by word.  No path, cycle or frontier is stored, so a
+    call's memory is set by the block, not by d: its traced peak is about
+    0.35 MiB from d = 10 to d = 33.  verify_certificate compares the count
+    with constraint_count_formula, so a missed cycle cannot pass unseen.
 
-    Memory barely grows with d: the k = 3 frontier is split into blocks
-    whose 6-cycle candidates number about _DFS_BLOCK, vertex ids and codes
-    are int16, and bits are 64-bit words, as many as s needs.
+    The displacement test is exact.  Every edge moves each axis by -1, 0 or
+    1 (a larger step raises ValueError), so the two paths' codes, int16
+    within +-3 * 273, differ by the code of the cycle's displacement, whose
+    components stay within +-6.  If x + 16 y + 256 z = 0 then 16 divides x,
+    and |x| < 8 forces x = 0; likewise y = 0, then z = 0.  So the codes are
+    equal exactly when the displacement is zero.  The bits are exact at
+    every s: XOR and equality act word by word.
 
-    The displacement sum is exact.  Every edge moves each axis by -1, 0 or 1
-    (a larger step raises ValueError), so along a path of at most 6 edges
-    each component stays within +-6 and the code within +-6 * 273.  If
-    x + 16 y + 256 z = 0 then 16 divides x, and |x| < 8 forces x = 0;
-    likewise y = 0, then z = 0.  So the code is 0 exactly when the
-    displacement is.  The bits are exact at every s: XOR and equality act
-    word by word.
-
-    Independent of the census route: it enumerates paths, where the census
-    sorts walk keys, and it imports no enumerator, key or constant from
-    census.
+    Independent of the census route: it compares explicit vertex tuples
+    under distinctness masks, where the census counts equal-key pairs of
+    walks and subtracts the degenerate ones in closed form, and it imports
+    no enumerator, key or constant from census.
     """
     if max(base.blacks) > min(base.whites):
         raise ValueError("the DFS re-check needs every black id below every white id")
-    step_to, step_code, step_bits, edge_code, edge_bits = _dfs_tables(base, volt)
-    n, deg = step_to.shape
-    t, b = sorted(v for v in base.whites if base.role_of(v).tag in ("t", "b"))
-    step_slot = np.arange(n * deg, dtype=np.int32).reshape(n, deg)
-
-    def extend(first, prev, last, x, m):
-        # one step of the paths of the current root r, never back to prev
-        to = step_to[last]
-        i, j = np.nonzero((to > r) & (to != prev[:, None]))
-        last = last[i]
-        return first[i], last, to[i, j], x[i] + step_code[last, j], m[i] ^ step_bits[last, j]
-
+    code, bits = _edge_tables(base, volt)
+    d = base.d
+    t, b = sorted(v - d for v in base.whites if base.role_of(v).tag in ("t", "b"))
+    pos = np.arange(d)  # positions of the blacks, and of the whites
+    below = pos[:, None] < pos
     n_constraints = bad4 = bad6 = 0
-    for r in range(n):
-        up = step_to[r] > r
-        if not up.any():
-            continue
-        p1 = step_to[r, up]
-        two = extend(p1, np.full_like(p1, r), p1, step_code[r, up], step_bits[r, up])
-        p1, p2, p3, x3, m3 = extend(*two)
-        if not len(p3):
-            continue
-        # the closing edge p -> r is r -> p reversed, so a path r .. p closes
-        # with zero displacement when its code equals that of r -> p
-        home = edge_code[r]
-        closes = (home[p3] == x3) & (p1 < p3) & ~((p1 == t) & (p3 == b))
-        n_constraints += int(np.count_nonzero(closes))
-        bad4 += int(np.count_nonzero((edge_bits[r, p3[closes]] == m3[closes]).all(1)))
 
-        # closing code and bits of the step v -> step_to[v, j] -> r
-        above = step_to > r
-        home_code = home[step_to]
-        close_code = np.where(above & (home_code != _NO_EDGE), home_code - step_code, _NO_EDGE)
-        close_bits = (edge_bits[r, step_to] ^ step_bits).reshape(-1, step_bits.shape[2])
-        # each path extends to every neighbour of p3 above r but p2
-        cost = np.cumsum(np.count_nonzero(above, axis=1)[p3] - 1) * deg
-        cuts = np.flatnonzero(np.diff((cost - 1) // _DFS_BLOCK)) + 1
-        for lo, hi in zip((0, *cuts), (*cuts, len(cost))):
-            q1, q3, p4, x4, m4 = extend(p1[lo:hi], p2[lo:hi], p3[lo:hi], x3[lo:hi], m3[lo:hi])
-            p5 = step_to[p4]
-            hit = (close_code[p4] == x4[:, None]) & (p5 > q1[:, None]) & (p5 != q3[:, None])
-            del p5  # not held through the gathers below, which set the block's peak
-            per_path = np.count_nonzero(hit, axis=1)
-            n_constraints += int(per_path.sum())
-            closing = close_bits[step_slot[p4][hit]]
-            bad6 += int(np.count_nonzero((closing == np.repeat(m4, per_path, axis=0)).all(1)))
+    # 4-cycles: x[k, i] is the code (m the bits) of r -> w_i -> c for the
+    # k-th black pair r < c of the block
+    white_pair = below.copy()
+    white_pair[t, b] = False
+    r, c = np.nonzero(below)
+    step = max(1, _PAIR_BLOCK // d**2)
+    for lo in range(0, len(r), step):
+        rr, cc = r[lo : lo + step], c[lo : lo + step]
+        x = code[rr] - code[cc]
+        hit = (x[:, :, None] == x[:, None]) & white_pair
+        n_constraints += int(np.count_nonzero(hit))
+        for word in bits:
+            m = word[rr] ^ word[cc]
+            hit &= m[:, :, None] == m[:, None]
+        bad4 += int(np.count_nonzero(hit))
+
+    # 6-cycles: x[k, p1, p3] is the code of r -> p1 -> A -> p3 and
+    # y[k, p3, p5] that of r -> p5 -> C -> p3 for the k-th black triple
+    # r < A < C of the block
+    p1, p3, p5 = pos[:, None, None], pos[:, None], pos
+    distinct = (p1 != p3) & (p3 != p5) & (p1 != p5)
+    r, a, c = np.nonzero(below[:, :, None] & below)
+    step = max(1, _PAIR_BLOCK // d**3)
+    for lo in range(0, len(r), step):
+        rr, aa, cc = r[lo : lo + step], a[lo : lo + step], c[lo : lo + step]
+        x = (code[rr] - code[aa])[:, :, None] + code[aa][:, None]
+        y = code[cc][:, :, None] + (code[rr] - code[cc])[:, None]
+        hit = x[:, :, :, None] == y[:, None]
+        hit &= distinct
+        n_constraints += int(np.count_nonzero(hit))
+        for word in bits:
+            x = (word[rr] ^ word[aa])[:, :, None] ^ word[aa][:, None]
+            y = word[cc][:, :, None] ^ (word[rr] ^ word[cc])[:, None]
+            hit &= x[:, :, :, None] == y[:, None]
+        bad6 += int(np.count_nonzero(hit))
     return n_constraints, bad4, bad6
 
 

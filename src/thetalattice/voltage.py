@@ -77,8 +77,7 @@ class BaseGraph:
 class VoltageAssignment:
     """The voltage of every base edge (c, d + j) in arrays indexed [c, j]:
     shifts (d, d, 3) int64 holds the displacement of c -> d + j, and masks
-    (d, d) the s-bit level mask.  reshape(d * d, ...) gives base edge order.
-    disp and bits read one edge in either orientation."""
+    (d, d) the s-bit level mask.  reshape(d * d, ...) gives base edge order."""
 
     s: int
     shifts: np.ndarray
@@ -89,21 +88,6 @@ class VoltageAssignment:
             return NotImplemented
         same = np.array_equal(self.shifts, other.shifts) and np.array_equal(self.masks, other.masks)
         return self.s == other.s and same
-
-    def _slot(self, u: int, v: int) -> tuple[int, int]:
-        """[c, j] of the base edge between u and v."""
-        d = len(self.masks)
-        c, w = (u, v) if u < v else (v, u)
-        if not 0 <= c < d <= w < 2 * d:
-            raise ValueError(f"({u}, {v}) is not a base edge")
-        return c, w - d
-
-    def disp(self, u: int, v: int) -> Vec3:
-        t = self.shifts[self._slot(u, v)]
-        return tuple((t if u < v else -t).tolist())
-
-    def bits(self, u: int, v: int) -> int:
-        return int(self.masks[self._slot(u, v)])
 
     @cached_property
     def level_bits(self) -> Mapping[Edge, int]:

@@ -148,6 +148,26 @@ def random_graph(rng, n, p):
     return plain_graph(n, edges)
 
 
+def _edge_slot(volt, u, v):
+    """[c, j] of the base edge between u and v in the voltage arrays."""
+    d = len(volt.masks)
+    c, w = (u, v) if u < v else (v, u)
+    if not 0 <= c < d <= w < 2 * d:
+        raise ValueError(f"({u}, {v}) is not a base edge")
+    return c, w - d
+
+
+def edge_disp(volt, u, v):
+    """The displacement of the base edge u -> v, in either orientation."""
+    t = volt.shifts[_edge_slot(volt, u, v)]
+    return tuple((t if u < v else -t).tolist())
+
+
+def edge_bits(volt, u, v):
+    """The level mask of the base edge between u and v."""
+    return int(volt.masks[_edge_slot(volt, u, v)])
+
+
 def central_edges(base):
     """The base edges joining a hub t or b to a spoke, read from the roles."""
     hub_spoke = ({"t", "c"}, {"b", "c"})
@@ -308,8 +328,8 @@ def _voltage_census_reference(base, volt):
     oracle for `voltage_census`."""
 
     def path(w1, c, w2):
-        d1, d2 = volt.disp(w1, c), volt.disp(c, w2)
-        return (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], volt.bits(w1, c) ^ volt.bits(c, w2))
+        d1, d2 = edge_disp(volt, w1, c), edge_disp(volt, c, w2)
+        return (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], edge_bits(volt, w1, c) ^ edge_bits(volt, c, w2))
 
     def add(a, b):
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] ^ b[3])
@@ -394,10 +414,10 @@ def _voltage_c6_triples(base, volt):
     dtype = np.int64 if volt.s <= 40 else object
     whites, blacks = base.whites, base.blacks
     codes = np.array(
-        [[x + 64 * y + 4096 * z for x, y, z in (volt.disp(w, c) for c in blacks)] for w in whites],
+        [[x + 64 * y + 4096 * z for x, y, z in (edge_disp(volt, w, c) for c in blacks)] for w in whites],
         dtype=dtype,
     )
-    bits = np.array([[volt.bits(w, c) for c in blacks] for w in whites], dtype=dtype)
+    bits = np.array([[edge_bits(volt, w, c) for c in blacks] for w in whites], dtype=dtype)
     nw, nb = codes.shape
     scale = 1 << volt.s
     path_code = codes[:, None, :] - codes[None, :, :]
@@ -462,7 +482,7 @@ def fundamental_cycle_voltages_reference(base, volt):
         for w in adjacency[v]:
             if not seen[w]:
                 seen[w] = True
-                tree_volt[w] = (vadd(tree_volt[v][0], volt.disp(v, w)), tree_volt[v][1] ^ volt.bits(v, w))
+                tree_volt[w] = (vadd(tree_volt[v][0], edge_disp(volt, v, w)), tree_volt[v][1] ^ edge_bits(volt, v, w))
                 tree_edges.add((min(v, w), max(v, w)))
                 order.append(w)
     assert all(seen), "base graph is disconnected"
@@ -471,8 +491,8 @@ def fundamental_cycle_voltages_reference(base, volt):
         if (u, v) in tree_edges:
             continue
         back = tuple(-x for x in tree_volt[v][0])
-        disp = vadd(vadd(tree_volt[u][0], volt.disp(u, v)), back)
-        out.append((disp, tree_volt[u][1] ^ volt.bits(u, v) ^ tree_volt[v][1]))
+        disp = vadd(vadd(tree_volt[u][0], edge_disp(volt, u, v)), back)
+        out.append((disp, tree_volt[u][1] ^ edge_bits(volt, u, v) ^ tree_volt[v][1]))
     return out
 
 
@@ -502,7 +522,7 @@ def _cycle_displacement(volt, seq):
     """Net displacement of a closed walk, one edge at a time."""
     total = ZERO3
     for i, u in enumerate(seq):
-        total = vadd(total, volt.disp(u, seq[(i + 1) % len(seq)]))
+        total = vadd(total, edge_disp(volt, u, seq[(i + 1) % len(seq)]))
     return total
 
 
@@ -556,7 +576,7 @@ def _recheck_constraints_dfs_reference(base, volt):
     b_id = next(v for v in base.whites if base.role_of(v).tag == "b")
     step = {}
     for u, v in base.graph.edges:
-        (dx, dy, dz), m = volt.disp(u, v), volt.bits(u, v)
+        (dx, dy, dz), m = edge_disp(volt, u, v), edge_bits(volt, u, v)
         step[u, v] = (dx, dy, dz, m)
         step[v, u] = (-dx, -dy, -dz, m)
     n_constraints = bad4 = bad6 = 0
@@ -784,8 +804,8 @@ def derived_cover_reference(base, volt, n=None):
 
     edges = []
     for u, v in base.graph.edges:
-        t = volt.disp(u, v)
-        m = volt.bits(u, v)
+        t = edge_disp(volt, u, v)
+        m = edge_bits(volt, u, v)
         above_u, above_v = fiber(u, t), fiber(v, t)
         for i, z in enumerate(cells):
             j = i if n is None else cell_index[(z[0] + t[0]) % n, (z[1] + t[1]) % n, (z[2] + t[2]) % n]

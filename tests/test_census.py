@@ -21,6 +21,7 @@ from conftest import (
     codegree_triangles_reference,
     complete_bipartite,
     cycle_graph,
+    edge_disp,
     from_labeled_vertices,
     label_index,
     labeled_k2d,
@@ -485,7 +486,7 @@ def test_voltage_census_matches_reference_key_width_boundary(d, s):
         bits = {e: m for e, m in bits.items() if e not in ((a, i), (a, j), (c, i), (c, j))}
         v = with_steps(volt0.with_bits(s, bits), steps)
         for mid, walk in ((a, [3, 3, 3]), (c, [3, 3, -1])):
-            assert [sum(x) for x in zip(v.disp(i, mid), v.disp(mid, j), v.disp(j, b))] == walk
+            assert [sum(x) for x in zip(edge_disp(v, i, mid), edge_disp(v, mid, j), edge_disp(v, j, b))] == walk
         assert voltage_census(base, v) == _voltage_census_reference(base, v)
 
 

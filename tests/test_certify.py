@@ -18,6 +18,8 @@ from conftest import (
     _recheck_constraints_dfs_reference,
     bch_columns,
     bch_voltage,
+    edge_bits,
+    edge_disp,
     label_index,
     noncentral_edges,
     random_bits_voltage,
@@ -189,6 +191,21 @@ def test_recheck_dfs_truncated_pinned_certificates(d, stages):
     assert (vc.c4_stray >> stages, vc.c6 >> stages) == (bad4, bad6)
 
 
+@pytest.mark.parametrize("d", [16, 20])
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_recheck_dfs_truncated_wenger_voltage_at_large_d(d, stages):
+    """Beyond the reach of the cycle-list reference, the Wenger voltage cut
+    to its first stages leaves uncovered cycles, and the re-check counts as
+    many as the census, with the closed-form constraint count."""
+    base, _ = build_base_graph(d)
+    volt = wenger_voltage(base).truncate(stages)
+    n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
+    assert n_cons == constraint_count_formula(d)
+    vc = voltage_census(base, volt)
+    assert (vc.c4_stray >> stages, vc.c6 >> stages) == (bad4, bad6)
+    assert bad4 > 0 or bad6 > 0
+
+
 def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
     """The DFS counts as it goes and never asks for the list of cycles, nor
     for any function of the census module: it stays an independent route."""
@@ -251,6 +268,55 @@ def test_recheck_dfs_exact_beyond_64_bits(s):
     assert (vc.c4_stray >> s, vc.c6 >> s) == (bad4, bad6)
 
 
+@pytest.fixture(scope="module")
+def block_cases():
+    """(base, voltage, reference counts): random bits of 1 to 3 stages at
+    d = 5..8, with and without a random unit step on every non-central edge,
+    and at d = 10 one bit of s = 65, in the low word or the high one."""
+    cases = []
+    for d in range(5, 9):
+        base, volt0 = build_base_graph(d)
+        for steps in (False, True):
+            rng = random.Random(10 * d + steps)
+            volt = random_bits_voltage(base, volt0, rng.randint(1, 3), seed=rng.randrange(10**6))
+            if steps:
+                volt = with_steps(volt, random_steps(base, rng))
+            cases.append((base, volt))
+    base, volt0 = build_base_graph(10)
+    assert max_connected_stages(10) >= 65
+    rng = random.Random(65)
+    cases.append((base, volt0.with_bits(65, {e: 1 << 64 * rng.getrandbits(1) for e in noncentral_edges(base)})))
+    cases = [(base, volt, _recheck_constraints_dfs_reference(base, volt)) for base, volt in cases]
+    assert all(bad4 > 0 and bad6 > 0 for _, _, (_, bad4, bad6) in cases[-3:])
+    return cases
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 2**30])
+def test_recheck_dfs_block_size_changes_no_count(block_cases, block, monkeypatch):
+    """The counts do not depend on how the black pairs and triples are cut
+    into blocks: one per block, a few, many, or all in one block."""
+    defaults = [recheck_constraints_dfs(base, volt) for base, volt, _ in block_cases]
+    monkeypatch.setattr(certify_module, "_PAIR_BLOCK", block)
+    for (base, volt, reference), default in zip(block_cases, defaults):
+        assert recheck_constraints_dfs(base, volt) == default == reference
+
+
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_recheck_dfs_matches_reference_at_extreme_steps(d):
+    """Each non-central edge (c, w) steps by (1, 1, 1) when c + w is even
+    and by (-1, -1, -1) when it is odd, so the codes of the paired 3-paths
+    reach +-3 on every axis, the widest the unit steps allow."""
+    base, volt0 = build_base_graph(d)
+    steps = {(c, w): (1, 1, 1) if (c + w) % 2 == 0 else (-1, -1, -1) for c, w in noncentral_edges(base)}
+    volt = with_steps(random_bits_voltage(base, volt0, 2, seed=d), steps)
+    x = volt.shifts[..., 0]
+    three = x[:, :, None, None] - x.T[None, :, :, None] + x[None, None]  # [r, p1, A, p3]
+    assert three.max() == 3 and three.min() == -3
+    n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
+    assert (n_cons, bad4, bad6) == _recheck_constraints_dfs_reference(base, volt)
+    assert bad4 > 0 and bad6 > 0
+
+
 def test_recheck_dfs_memory_stays_flat():
     """The frontier is split into blocks, so one call's traced peak stays
     under 4 MiB and barely moves from d = 16 to d = 20, while the
@@ -295,9 +361,9 @@ def test_coverage_semantics_cycle_by_cycle():
         level = 0
         for i, u in enumerate(seq):
             v = seq[(i + 1) % len(seq)]
-            t = volt.disp(u, v)
+            t = edge_disp(volt, u, v)
             cell = tuple((cell[k] + t[k]) % n for k in range(3))
-            level ^= volt.bits(u, v)
+            level ^= edge_bits(volt, u, v)
         return cell == (0, 0, 0) and level == 0
 
     def torus_has_lift(seq):
@@ -309,9 +375,9 @@ def test_coverage_semantics_cycle_by_cycle():
             lvl = format(level, f"0{s}b")[::-1]
             ids_on_walk.append(tor_ids[(lab.role, lvl, cell)])
             v = seq[(i + 1) % len(seq)]
-            t = volt.disp(u, v)
+            t = edge_disp(volt, u, v)
             cell = tuple((cell[k] + t[k]) % n for k in range(3))
-            level ^= volt.bits(u, v)
+            level ^= edge_bits(volt, u, v)
         closed = cell == (0, 0, 0) and level == 0
         if not closed:
             return False
@@ -323,7 +389,7 @@ def test_coverage_semantics_cycle_by_cycle():
     for c in _constraint_cycles_reference(base, volt0):
         total = 0
         for i, u in enumerate(c.vertices):
-            total ^= volt.bits(u, c.vertices[(i + 1) % len(c.vertices)])
+            total ^= edge_bits(volt, u, c.vertices[(i + 1) % len(c.vertices)])
         survives = total == 0
         assert lift_closes(c.vertices) == survives
         assert torus_has_lift(c.vertices) == survives
@@ -454,7 +520,7 @@ def test_wenger_voltage_follows_the_rule(d):
     assert volt.s == 2 * r
     for w in base.whites:
         for c in base.blacks:
-            assert volt.bits(w, c) == _wenger_label(x.get(w, 0), y[c], poly, r), (w, c)
+            assert edge_bits(volt, w, c) == _wenger_label(x.get(w, 0), y[c], poly, r), (w, c)
 
 
 @pytest.mark.parametrize("d", range(6, 17))

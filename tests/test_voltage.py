@@ -18,6 +18,8 @@ from conftest import (
     central_edges,
     connected_components,
     derived_cover_reference,
+    edge_bits,
+    edge_disp,
     from_labeled_vertices,
     fundamental_cycle_voltages_reference,
     label_index,
@@ -73,11 +75,11 @@ def test_base_graph_displacements():
     for i in range(1, 6):
         ci = ids[(Role("c", i), "", (0, 0, 0))]
         expected = (1, 0, 0) if i == 1 else (0, 0, 0)
-        assert volt.disp(vx, ci) == expected
-        assert volt.disp(ci, vx) == tuple(-x for x in expected)
+        assert edge_disp(volt, vx, ci) == expected
+        assert edge_disp(volt, ci, vx) == tuple(-x for x in expected)
     vy = ids[(Role("vy"), "", (0, 0, 0))]
     c1 = ids[(Role("c", 1), "", (0, 0, 0))]
-    assert volt.disp(vy, c1) == (0, 1, 0)
+    assert edge_disp(volt, vy, c1) == (0, 1, 0)
 
 
 def test_base_edge_count_is_d_noncentral_plus_central():
@@ -227,7 +229,7 @@ def test_full_unit_graph_equals_iterated_two_lift():
         crossed = [
             (u, v)
             for u, v in g.edges
-            if volt.bits(base_vertex(g.labels[u]), base_vertex(g.labels[v])) >> stage & 1
+            if edge_bits(volt, base_vertex(g.labels[u]), base_vertex(g.labels[v])) >> stage & 1
         ]
         g = two_lift(g, Signing.from_crossed(g, crossed))
     assert g.labels == fug.labels
@@ -543,5 +545,5 @@ def test_voltage_array_round_trips(s):
 
     for u, v in base.graph.edges:
         t = steps.get((u, v), ZERO3)
-        assert volt.disp(u, v) == t and volt.disp(v, u) == tuple(-x for x in t)
-        assert volt.bits(u, v) == volt.bits(v, u) == bits.get((u, v), 0)
+        assert edge_disp(volt, u, v) == t and edge_disp(volt, v, u) == tuple(-x for x in t)
+        assert edge_bits(volt, u, v) == edge_bits(volt, v, u) == bits.get((u, v), 0)
