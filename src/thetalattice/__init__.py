@@ -18,7 +18,6 @@ from .certify import (
 from .embed import Try, find_good_try, is_good_try, sample_try
 from .entropy import (
     LatticeSummary,
-    central_counts,
     d6_coefficient,
     lattice_report,
     min_degree_for_kappa,
@@ -29,7 +28,6 @@ from .graphs import (
     VertexLabel,
     build_root_unit_graph,
     central_subgraph,
-    validate,
 )
 from .voltage import (
     BaseGraph,
@@ -54,7 +52,6 @@ __all__ = [
     "build_base_graph",
     "build_root_unit_graph",
     "census",
-    "central_counts",
     "central_subgraph",
     "certify",
     "constraint_count_formula",
@@ -66,7 +63,6 @@ __all__ = [
     "max_connected_stages",
     "min_degree_for_kappa",
     "sample_try",
-    "validate",
     "verify_certificate",
     "voltage_census",
     "voltage_group_generated",

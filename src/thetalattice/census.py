@@ -332,16 +332,11 @@ def _key_dtype(s: int):
     return np.int64 if s <= _INT64_MAX_S else object
 
 
-def _edge_keys(volt: VoltageAssignment):
+def _edge_keys(base: BaseGraph, volt: VoltageAssignment):
     """(codes, bits): the voltages of the white -> black edges as whites x
     blacks arrays, int64 or (above _INT64_MAX_S level bits) object, read
-    from the black -> white arrays of volt."""
-    steps = -volt.shifts.transpose(1, 0, 2)
-    wide = np.abs(steps).max(axis=2, initial=0) > 1
-    if wide.any():
-        j, c = np.argwhere(wide)[0].tolist()
-        step = tuple(steps[j, c].tolist())
-        raise ValueError(f"edge {(len(steps) + j, c)} displacement {step} is not a unit step")
+    from the black -> white arrays of base and volt."""
+    steps = -base.shifts.transpose(1, 0, 2)
     dtype = np.int64 if volt.s <= _INT64_MAX_S else object
     codes = steps @ np.array([1, _CODE_RADIX, _CODE_RADIX**2])
     return codes.astype(dtype), volt.masks.T.astype(dtype)
@@ -407,7 +402,7 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     - (2 * nb + 4 * (nw - 2)) * zero4.
     """
     d, s = base.d, volt.s
-    codes, bits = _edge_keys(volt)
+    codes, bits = _edge_keys(base, volt)
     nw, nb = codes.shape
     scale = 1 << s
     # a walk's key is the sum of its edges' high parts, negated on a black ->

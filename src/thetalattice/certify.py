@@ -30,7 +30,6 @@ from .voltage import (
     CertificateFlags,
     LiftCertificate,
     VoltageAssignment,
-    _canonical_shifts,
     build_base_graph,
     canonical_edge_order,
     stage_bitstrings,
@@ -78,14 +77,8 @@ def _edge_tables(base: BaseGraph, volt: VoltageAssignment) -> tuple[np.ndarray, 
     """The (d, d) int16 displacement codes and the (words, d, d) uint64
     level bits of the edges c -> d + j, indexed [c, j].  The bits are
     words = max(1, ceil(s / 64)) 64-bit words, low word first, so every s
-    is exact.  ValueError on a step that is not a unit step."""
-    d = base.d
-    wide = np.abs(volt.shifts).max(axis=2, initial=0) > 1
-    if wide.any():
-        c, j = np.argwhere(wide)[0].tolist()
-        step = tuple(volt.shifts[c, j].tolist())
-        raise ValueError(f"edge ({c}, {d + j}) has a non-unit displacement {step}")
-    code = (volt.shifts @ np.array([1, _DFS_RADIX, _DFS_RADIX**2])).astype(np.int16)
+    is exact."""
+    code = (base.shifts @ np.array([1, _DFS_RADIX, _DFS_RADIX**2])).astype(np.int16)
     masks = volt.masks.astype(object)
     words = max(1, -(-volt.s // 64))
     bits = np.stack([(masks >> 64 * k & 0xFFFF_FFFF_FFFF_FFFF).astype(np.uint64) for k in range(words)])
@@ -121,12 +114,12 @@ def recheck_constraints_dfs(
     0.35 MiB from d = 10 to d = 33.  verify_certificate compares the count
     with constraint_count_formula, so a missed cycle cannot pass unseen.
 
-    The displacement test is exact.  Every edge moves each axis by -1, 0 or
-    1 (a larger step raises ValueError), so the two paths' codes, int16
-    within +-3 * 273, differ by the code of the cycle's displacement, whose
-    components stay within +-6.  If x + 16 y + 256 z = 0 then 16 divides x,
-    and |x| < 8 forces x = 0; likewise y = 0, then z = 0.  So the codes are
-    equal exactly when the displacement is zero.  The bits are exact at
+    The displacement test is exact.  Every step is one of the cube's unit
+    steps (base.shifts), so it moves each axis by -1, 0 or 1, and the two
+    paths' codes, int16 within +-3 * 273, differ by the code of the cycle's
+    displacement, whose components stay within +-6.  If x + 16 y + 256 z = 0
+    then 16 divides x, and |x| < 8 forces x = 0; likewise y = 0, then
+    z = 0.  So the codes are equal exactly when the displacement is zero.  The bits are exact at
     every s: XOR and equality act word by word.
 
     Independent of the census route: it compares explicit vertex tuples
@@ -296,7 +289,7 @@ def wenger_voltage(base: BaseGraph) -> VoltageAssignment:
     i, j = np.arange(d - 2), np.arange(d - 1)[:, None]
     masks = np.zeros((d, d), dtype=np.int64)
     masks[1:, 2:] = power[(i + j) % n] | power[(2 * i + j) % n] << r
-    return VoltageAssignment(2 * r, _canonical_shifts(d), masks)
+    return VoltageAssignment(2 * r, masks)
 
 
 def certify(d: int, seed: int = 0) -> tuple[LiftCertificate, BaseGraph, VoltageAssignment]:

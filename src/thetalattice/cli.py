@@ -211,8 +211,16 @@ def _cmd_embed(args) -> int:
     return 0 if all(props.values()) else 1
 
 
+# the options of export that a --kind reads besides --d and -o; the other
+# kinds read none
+_EXPORT_USES = {"full-unit": {"--cert", "--trunc-s"}, "torus": {"--cert", "--trunc-s", "--torus-n"}}
+
+
 def _cmd_export(args) -> int:
     d = args.d
+    for flag, value in (("--cert", args.certificate), ("--trunc-s", args.trunc_s), ("--torus-n", args.torus_n)):
+        if value is not None and flag not in _EXPORT_USES.get(args.kind, ()):
+            raise ValueError(f"{flag} is not used by --kind {args.kind}")
     if args.kind == "root":
         g = build_root_unit_graph(d)
     elif args.kind == "central":
@@ -227,7 +235,9 @@ def _cmd_export(args) -> int:
             base, volt = _truncated_voltage(cert, args.trunc_s)
         else:
             base, volt = build_base_graph(d)
-        g = derived_cover(base, volt, args.torus_n if args.kind == "torus" else None)
+        # --torus-n is refused for full-unit, so only a torus has a side
+        n = 2 if args.kind == "torus" and args.torus_n is None else args.torus_n
+        g = derived_cover(base, volt, n)
     stem = Path(args.output)
     _write(stem.with_suffix(".json"), graph_to_json(g))
     _write(stem.with_suffix(".dot"), graph_to_dot(g))
@@ -298,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cert", dest="certificate", default=None)
     p.add_argument("--trunc-s", type=int, default=None, dest="trunc_s")
-    p.add_argument("--torus-n", type=int, default=2, dest="torus_n")
+    p.add_argument("--torus-n", type=int, default=None, dest="torus_n", help="torus side (default 2)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_export)
 

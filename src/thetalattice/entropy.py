@@ -1,6 +1,6 @@
 """Closed-form lattice quantities: the order-6 coefficient of the
-monomer-dimer free-energy expansion around the Bethe-lattice value, central
-copy counts, and degree targeting for a requested 4-cycle/theta ratio.
+monomer-dimer free-energy expansion around the Bethe-lattice value, and
+degree targeting for a requested 4-cycle/theta ratio.
 
 All arithmetic is exact rational; the sign of the order-6 coefficient is the
 headline output and must never depend on rounding.
@@ -33,13 +33,6 @@ def d6_coefficient(
     p = Fraction(d) ** 6
     c4b, c6b, tb = map(_as_fraction, (c4_bar, c6_bar, theta_bar))
     return 5 * c4b / p + c6b / (2 * p) - 2 * tb / p
-
-
-def central_counts(d: int) -> tuple[int, int]:
-    """(4-cycles, theta graphs) of one central copy K_{2,d}."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    return d * (d - 1) // 2, d * (d - 1) * (d - 2) // 6
 
 
 def min_degree_for_kappa(kappa: RationalLike) -> int:

@@ -1,7 +1,6 @@
-"""Explicit finite labeled graphs: the array graph type, central subgraphs,
-structural validators and the JSON and DOT formats.  The root unit graph is
-voltage.derived_cover of the base graph at s = 0; derived_cover is the one
-graph builder.
+"""Explicit finite labeled graphs: the array graph type, central subgraphs
+and the JSON and DOT formats.  The root unit graph is voltage.derived_cover
+of the base graph at s = 0; derived_cover is the one graph builder.
 
 Vertices are dense integer ids.  A graph is held as arrays: one sorted int64
 (E, 2) edge array with u < v in every row and, when the graph is labeled, a
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -380,54 +379,6 @@ def central_subgraph(g: LabeledGraph) -> LabeledGraph:
         g.level_length,
         g.cells[order],
     )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    simple: bool
-    bipartite: bool
-    roles_bipartition_ok: bool | None
-    degree_histogram: dict[int, int]
-    regular_ok: bool | None
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        ok = self.simple and self.bipartite
-        if self.roles_bipartition_ok is not None:
-            ok = ok and self.roles_bipartition_ok
-        if self.regular_ok is not None:
-            ok = ok and self.regular_ok
-        object.__setattr__(self, "passed", ok)
-
-    def to_dict(self) -> dict:
-        return {
-            "simple": self.simple,
-            "bipartite": self.bipartite,
-            "roles_bipartition_ok": self.roles_bipartition_ok,
-            "degree_histogram": {str(k): v for k, v in sorted(self.degree_histogram.items())},
-            "regular_ok": self.regular_ok,
-            "passed": self.passed,
-        }
-
-
-def validate(g: LabeledGraph, expect_regular: int | None = None) -> ValidationReport:
-    """Report simplicity, bipartiteness (black = c-roles when labeled),
-    the degree histogram, and optional d-regularity.  Never raises."""
-    root, parity = _bfs(*_csr(g))
-    bipartite = _proper_coloring(g, parity)
-    roles_ok: bool | None = None
-    if g.roles is not None:
-        # every component must color all c-roles one class and the rest the
-        # other: a black vertex's parity, a white one's flipped, is the same
-        # over the component as at its root
-        black = np.array([r.black for r in g.roles])[g.role_codes]
-        side = parity ^ ~black
-        roles_ok = bipartite and bool(np.array_equal(side, side[root]))
-    histogram = g.degree_histogram
-    regular_ok = None
-    if expect_regular is not None:
-        regular_ok = set(histogram) <= {expect_regular}
-    return ValidationReport(True, bipartite, roles_ok, histogram, regular_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""The quotient base graph with displacement and level-bit voltages, its
-explicit derived covers (finite tori and the full unit graph), and lift
+"""The quotient base graph with its displacements and level-bit voltages,
+its explicit derived covers (finite tori and the full unit graph), and lift
 certificates.
 
 The base graph merges lx with rx (into vx), ly with ry, lz with rz, giving
-K_{d,d}: black c is joined to white d + j for every c, j < d.  A voltage is
-two arrays indexed [c, j], oriented black -> white: a displacement in Z^3
-(nonzero only on vx->c1 = +e_x, vy->c1 = +e_y, vz->c1 = +e_z) and an
-orientation-free level-bit mask in GF(2)**s (zero on the central hub
-edges).  The infinite lattice is the derived cover over Z^3 x GF(2)**s;
-derived_cover builds its finite quotients, the n-torus and the full unit
-graph of one cube.
+K_{d,d}: black c is joined to white d + j for every c, j < d.  Its edges
+carry displacements in Z^3 and level bits in GF(2)**s, each an array
+indexed [c, j] and oriented black -> white.  The displacements are fixed by
+the gluing of the cube, so they belong to the base graph (BaseGraph.shifts):
+nonzero only on vx->c1 = +e_x, vy->c1 = +e_y and vz->c1 = +e_z.  Only the
+bits are chosen, so a voltage is an orientation-free level-bit mask per edge
+(zero on the central hub edges).  The infinite lattice is the derived cover
+over Z^3 x GF(2)**s; derived_cover builds its finite quotients, the n-torus
+and the full unit graph of one cube.
 """
 
 from __future__ import annotations
@@ -65,6 +67,15 @@ class BaseGraph:
         return tuple(v for v, r in enumerate(self.vertex_roles) if not r.black)
 
     @cached_property
+    def shifts(self) -> np.ndarray:
+        """Read-only (d, d, 3) int64: the displacement of c -> d + j at
+        [c, j].  c1 -> v* (the last three whites) is -UNIT[v*], every other
+        edge zero."""
+        shifts = np.zeros((self.d, self.d, 3), dtype=np.int64)
+        shifts[0, self.d - len(UNIT) :] = -np.array(list(UNIT.values()))
+        return _frozen(shifts)
+
+    @cached_property
     def role_names(self) -> np.ndarray:
         """Read-only object array: the role name (str(role)) of every vertex."""
         return _frozen(np.array([str(r) for r in self.vertex_roles], dtype=object))
@@ -75,19 +86,17 @@ class BaseGraph:
 
 @dataclass(frozen=True, eq=False)
 class VoltageAssignment:
-    """The voltage of every base edge (c, d + j) in arrays indexed [c, j]:
-    shifts (d, d, 3) int64 holds the displacement of c -> d + j, and masks
-    (d, d) the s-bit level mask.  reshape(d * d, ...) gives base edge order."""
+    """The level-bit voltage of every base edge (c, d + j): masks (d, d)
+    holds its s-bit mask at [c, j], and reshape(d * d) gives base edge
+    order.  The displacements are the base graph's (BaseGraph.shifts)."""
 
     s: int
-    shifts: np.ndarray
     masks: np.ndarray
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoltageAssignment):
             return NotImplemented
-        same = np.array_equal(self.shifts, other.shifts) and np.array_equal(self.masks, other.masks)
-        return self.s == other.s and same
+        return self.s == other.s and np.array_equal(self.masks, other.masks)
 
     @cached_property
     def level_bits(self) -> Mapping[Edge, int]:
@@ -96,7 +105,7 @@ class VoltageAssignment:
         return MappingProxyType({(c, d + j): int(self.masks[c, j]) for c, j in at})
 
     def with_bits(self, s: int, level_bits: Mapping[Edge, int]) -> "VoltageAssignment":
-        return VoltageAssignment(s, self.shifts, make_bits(len(self.masks), s, level_bits))
+        return VoltageAssignment(s, make_bits(len(self.masks), s, level_bits))
 
     def truncate(self, k: int) -> "VoltageAssignment":
         """The voltage restricted to its first k lift stages; itself when
@@ -105,24 +114,16 @@ class VoltageAssignment:
             raise ValueError(f"cannot keep a negative number of lift stages ({k})")
         if k >= self.s:
             return self
-        return VoltageAssignment(k, self.shifts, (self.masks & (1 << k) - 1).astype(_mask_dtype(k)))
-
-
-def _canonical_shifts(d: int) -> np.ndarray:
-    """The displacements of build_base_graph: c1 -> v* (the last three
-    whites) is -UNIT[v*], every other edge zero."""
-    shifts = np.zeros((d, d, 3), dtype=np.int64)
-    shifts[0, d - len(UNIT) :] = -np.array(list(UNIT.values()))
-    return shifts
+        return VoltageAssignment(k, (self.masks & (1 << k) - 1).astype(_mask_dtype(k)))
 
 
 def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
-    """Base graph plus the canonical displacement voltages (s = 0).
+    """Base graph plus the voltage of s = 0.
 
     Vertex ids follow the canonical role order: c_1..c_d are 0..d-1, then
     t, b, f_1..f_{d-5}, vx, vy, vz are d..2d-1, and every black is joined to
-    every white.  Crossing vx->c1 gains +e_x: the merged connector vertex
-    belongs to the cube where it plays the rx role.
+    every white.  Crossing vx->c1 gains +e_x (base.shifts): the merged
+    connector vertex belongs to the cube where it plays the rx role.
     """
     if d < 5:
         raise DegreeTooSmall(f"construction requires d >= 5, got {d}")
@@ -138,7 +139,7 @@ def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
     graph = LabeledGraph._of_arrays(
         n, edges, d, roles, np.arange(n), np.zeros(n, dtype=np.int64), 0, np.zeros((n, 3), dtype=np.int64)
     )
-    return BaseGraph(d, graph), VoltageAssignment(0, _canonical_shifts(d), np.zeros((d, d), dtype=np.int64))
+    return BaseGraph(d, graph), VoltageAssignment(0, np.zeros((d, d), dtype=np.int64))
 
 
 def make_bits(d: int, s: int, level_bits: Mapping[Edge, int]) -> np.ndarray:
@@ -179,16 +180,16 @@ def check_cover_size(d: int, s: int, n: int | None = None) -> None:
 def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None) -> LabeledGraph:
     """An explicit quotient of the derived cover, on cells x GF(2)^s.
 
-    An edge (u,v) with displacement t and bit mask m joins (u, z, l) to
-    (v, z + t, l xor m).  With n, cells are (Z_n)^3 and the result is the
-    n-torus: d-regular, bipartite and simple with n^3 * 2^s * 2d vertices
-    and n^3 * 2^s * d^2 edges.  With n=None there is one cell and t is
-    dropped, which gives the full unit graph of a cube: each merged
-    connector v* splits back into l* on its displaced edge and r* on the
-    others.  At s = 0 that is the root unit graph, and in general it equals
-    iterating signed 2-lifts on the root unit graph with the per-stage
-    signings.  TooLarge, before anything is built, when the cover could
-    have more than COVER_LIMIT vertices (check_cover_size).
+    An edge (u,v) with displacement t (base.shifts) and bit mask m joins
+    (u, z, l) to (v, z + t, l xor m).  With n, cells are (Z_n)^3 and the
+    result is the n-torus: d-regular, bipartite and simple with
+    n^3 * 2^s * 2d vertices and n^3 * 2^s * d^2 edges.  With n=None there is
+    one cell and t is dropped, which gives the full unit graph of a cube:
+    each merged connector v* splits back into l* on its displaced edge and
+    r* on the others.  At s = 0 that is the root unit graph, and in general
+    it equals iterating signed 2-lifts on the root unit graph with the
+    per-stage signings.  TooLarge, before anything is built, when the cover
+    could have more than COVER_LIMIT vertices (check_cover_size).
 
     Built as arrays.  Vertex ids follow the canonical label order (role,
     level, cell): the vertex of role block k (the cover's roles in rank
@@ -203,7 +204,7 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     s = volt.s
     check_cover_size(base.d, s, n)
     pairs = base.graph.edges
-    shift, mask = volt.shifts.reshape(-1, 3), volt.masks.reshape(-1)
+    shift, mask = base.shifts.reshape(-1, 3), volt.masks.reshape(-1)
 
     def cover_role(v: int, moved: bool) -> Role:
         """The role over base vertex v at an edge that moves (displacement
@@ -249,18 +250,6 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     )
 
 
-def fundamental_cycle_voltages(volt: VoltageAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """(shifts, masks) of the fundamental cycles of the BFS tree from c1,
-    which joins c1 to every white and the first white t to every other
-    black: edge (c, d + j), c, j >= 1, closes c1 -> t -> c -> d + j -> c1,
-    of displacement D[c,j] - D[c,0] - D[0,j] + D[0,0] for D = volt.shifts
-    and bits likewise by XOR, one row per cycle in base edge order."""
-    D, M = volt.shifts, volt.masks
-    shifts = D[1:, 1:] - D[1:, :1] - D[:1, 1:] + D[0, 0]
-    masks = M[1:, 1:] ^ M[1:, :1] ^ M[:1, 1:] ^ M[0, 0]
-    return shifts.reshape(-1, 3), masks.reshape(-1)
-
-
 def max_connected_stages(d: int) -> int:
     """Largest s for which the derived lattice can possibly be connected.
 
@@ -277,33 +266,22 @@ def voltage_group_generated(base: BaseGraph, volt: VoltageAssignment) -> bool:
     """True iff the fundamental-cycle voltages generate Z^3 x GF(2)^s,
     i.e. the derived infinite graph is connected.
 
-    Split check: the displacement rows must span Z^3 as an integer lattice,
-    and the bit masks reachable by integer kernel combinations of the
-    displacement rows must span GF(2)^s.  A zero-displacement cycle is a
-    kernel vector by itself, so its bits are a mask as they stand; only the
-    cycles that move (3(d - 1) of the (d - 1)^2 for the canonical
-    displacements) go through the integer kernel.  The rank stops at s, so
-    the kernel is computed only when the standing masks fall short of it.
+    The spanning tree that joins c1 to every white and the hub t to every
+    other black closes one fundamental cycle c1 -> t -> c -> d + j -> c1 for
+    each c, j >= 1, with bits M[c, j] ^ M[0, j] (M = volt.masks; the hub
+    edges carry none).  Under the cube's displacements (base.shifts) it
+    stands still for j < k = d - 3 and moves by the unit vector of connector
+    j for j >= k.  The moving cycles give every unit vector, so they span
+    Z^3, and their zero-displacement integer combinations are spanned by
+    the differences of two cycles at one connector.  Mod 2 those differences
+    are spanned by the ones against row 1, of bits M[c, j] ^ M[1, j].  So the
+    voltage generates exactly when the GF(2) rank of the standing cycles'
+    bits and of those differences reaches s; the rank stops there.
     """
-    shifts, bits = fundamental_cycle_voltages(volt)
-    moves = shifts.any(axis=1)
-    disp_rows = shifts[moves].tolist()
-    if not linalg.spans_full_lattice(disp_rows, 3):
-        return False
-    if volt.s == 0:
-        return True
-
-    def kernel_masks():
-        moving = bits[moves].tolist()
-        for combo in linalg.kernel_basis(disp_rows):
-            m = 0
-            for coeff, mask in zip(combo, moving):
-                if coeff & 1:
-                    m ^= mask
-            yield m
-
-    masks = itertools.chain(bits[~moves].tolist(), kernel_masks())
-    return linalg.gf2_rank(masks, volt.s) == volt.s
+    M, k = volt.masks, base.d - len(UNIT)
+    standing = (M[1:, 1:k] ^ M[0, 1:k]).ravel().tolist()
+    connector = (M[2:, k:] ^ M[1, k:]).ravel().tolist()
+    return linalg.gf2_rank(itertools.chain(standing, connector), volt.s) == volt.s
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +450,7 @@ class LiftCertificate:
         masks = np.zeros((d, d), dtype=dtype)
         masks.reshape(-1)[slot] = (rows.astype(dtype) << np.arange(s).astype(dtype)[:, None]).sum(axis=0)
         _refuse_central_bits(masks)
-        return VoltageAssignment(s, _canonical_shifts(d), masks)
+        return VoltageAssignment(s, masks)
 
 
 def canonical_edge_order(base: BaseGraph) -> tuple[tuple[str, str], ...]:

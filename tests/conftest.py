@@ -5,7 +5,7 @@ import random
 import signal
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -28,7 +28,7 @@ from thetalattice.graphs import (
 from thetalattice.census import CensusReport, _explicit_report, _short_cycles
 from thetalattice.embed import Try
 from thetalattice.errors import GridTooCoarse, MalformedGraph, TooLarge
-from thetalattice.voltage import UNIT, VoltageAssignment
+from thetalattice.voltage import UNIT
 
 ZERO3 = (0, 0, 0)
 
@@ -148,24 +148,23 @@ def random_graph(rng, n, p):
     return plain_graph(n, edges)
 
 
-def _edge_slot(volt, u, v):
-    """[c, j] of the base edge between u and v in the voltage arrays."""
-    d = len(volt.masks)
+def _edge_slot(d, u, v):
+    """[c, j] of the base edge between u and v in the degree-d arrays."""
     c, w = (u, v) if u < v else (v, u)
     if not 0 <= c < d <= w < 2 * d:
         raise ValueError(f"({u}, {v}) is not a base edge")
     return c, w - d
 
 
-def edge_disp(volt, u, v):
+def edge_disp(base, u, v):
     """The displacement of the base edge u -> v, in either orientation."""
-    t = volt.shifts[_edge_slot(volt, u, v)]
+    t = base.shifts[_edge_slot(base.d, u, v)]
     return tuple((t if u < v else -t).tolist())
 
 
 def edge_bits(volt, u, v):
     """The level mask of the base edge between u and v."""
-    return int(volt.masks[_edge_slot(volt, u, v)])
+    return int(volt.masks[_edge_slot(len(volt.masks), u, v)])
 
 
 def central_edges(base):
@@ -180,21 +179,6 @@ def noncentral_edges(base):
     """The other base edges, in base edge order."""
     central = central_edges(base)
     return tuple(e for e in base.graph.edges if e not in central)
-
-
-def random_steps(base, rng):
-    """A random unit step in {-1, 0, 1}^3 on every non-central base edge."""
-    return {e: tuple(rng.choice((-1, 0, 1)) for _ in range(3)) for e in noncentral_edges(base)}
-
-
-def with_steps(volt, steps):
-    """volt with the displacements of a map from base edges (c, w), c < w,
-    to steps, and zero on the edges it leaves out."""
-    d = len(volt.masks)
-    shifts = np.zeros((d, d, 3), dtype=np.int64)
-    for (c, w), t in steps.items():
-        shifts[c, w - d] = t
-    return VoltageAssignment(volt.s, shifts, volt.masks)
 
 
 def random_bits_voltage(base, volt0, s, seed):
@@ -328,7 +312,7 @@ def _voltage_census_reference(base, volt):
     oracle for `voltage_census`."""
 
     def path(w1, c, w2):
-        d1, d2 = edge_disp(volt, w1, c), edge_disp(volt, c, w2)
+        d1, d2 = edge_disp(base, w1, c), edge_disp(base, c, w2)
         return (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], edge_bits(volt, w1, c) ^ edge_bits(volt, c, w2))
 
     def add(a, b):
@@ -414,7 +398,7 @@ def _voltage_c6_triples(base, volt):
     dtype = np.int64 if volt.s <= 40 else object
     whites, blacks = base.whites, base.blacks
     codes = np.array(
-        [[x + 64 * y + 4096 * z for x, y, z in (edge_disp(volt, w, c) for c in blacks)] for w in whites],
+        [[x + 64 * y + 4096 * z for x, y, z in (edge_disp(base, w, c) for c in blacks)] for w in whites],
         dtype=dtype,
     )
     bits = np.array([[edge_bits(volt, w, c) for c in blacks] for w in whites], dtype=dtype)
@@ -440,6 +424,85 @@ def _voltage_c6_triples(base, volt):
     return scale * (n_all - (nw - 2) * pair_squares + 2 * nb * comb(nw, 3))
 
 
+# ---------------------------------------------------------------------------
+# integer row lattices: the algebra of the group-check oracle.  Integer
+# matrices are lists of lists of python ints, so everything stays exact.
+
+
+def _echelon(a, u):
+    """In-place integer row echelon via gcd elimination; returns the rank.
+
+    Row operations (swap, add integer multiple, negate) are unimodular, so if a
+    transform accumulator ``u`` is supplied it stays unimodular and satisfies
+    u @ original == a throughout.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        while True:
+            piv = None
+            for i in range(r, m):
+                if a[i][c] != 0 and (piv is None or abs(a[i][c]) < abs(a[piv][c])):
+                    piv = i
+            if piv is None:
+                break
+            others = False
+            for i in range(r, m):
+                if i != piv and a[i][c] != 0:
+                    q = a[i][c] // a[piv][c]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[piv])]
+                        if u is not None:
+                            u[i] = [x - q * y for x, y in zip(u[i], u[piv])]
+                    if a[i][c] != 0:
+                        others = True
+            if not others:
+                a[r], a[piv] = a[piv], a[r]
+                if u is not None:
+                    u[r], u[piv] = u[piv], u[r]
+                r += 1
+                break
+    return r
+
+
+def spans_full_lattice(rows, ncols):
+    """True iff the integer row span of rows is all of Z^ncols.
+
+    The rows generate Z^ncols exactly when the echelon form has full rank and
+    every pivot is a unit (the product of pivot magnitudes is the index of the
+    generated sublattice).
+    """
+    a = [list(map(int, row)) for row in rows]
+    if not a:
+        return ncols == 0
+    rank = _echelon(a, None)
+    if rank < ncols:
+        return False
+    index = 1
+    for i in range(rank):
+        piv = next((x for x in a[i] if x != 0), 0)
+        index *= abs(piv)
+    return index == 1
+
+
+def kernel_basis(rows):
+    """Basis of the integer kernel lattice {a in Z^m : a @ rows == 0}.
+
+    Tracks a unimodular transform U with U @ rows in echelon form; the rows of
+    U whose image is zero form a basis of the (saturated) kernel lattice.
+    """
+    m = len(rows)
+    if m == 0:
+        return []
+    a = [list(map(int, row)) for row in rows]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    rank = _echelon(a, u)
+    return [u[i] for i in range(rank, m)]
+
+
 def gf2_in_span(vec, rows):
     """True iff vec lies in the GF(2) span of bitset rows."""
     return linalg.gf2_rank(list(rows) + [vec]) == linalg.gf2_rank(rows)
@@ -447,7 +510,7 @@ def gf2_in_span(vec, rows):
 
 def kernel_basis_sparse(rows):
     """Integer kernel basis of rows as length-m vectors: a standard basis
-    vector for each zero row, and linalg.kernel_basis of the nonzero rows
+    vector for each zero row, and kernel_basis of the nonzero rows
     scattered back to their indices."""
     m = len(rows)
     nonzero = [i for i, row in enumerate(rows) if any(x != 0 for x in row)]
@@ -456,7 +519,7 @@ def kernel_basis_sparse(rows):
         e = [0] * m
         e[i] = 1
         basis.append(e)
-    for small in linalg.kernel_basis([rows[i] for i in nonzero]):
+    for small in kernel_basis([rows[i] for i in nonzero]):
         e = [0] * m
         for pos, coeff in zip(nonzero, small):
             e[pos] = coeff
@@ -466,8 +529,8 @@ def kernel_basis_sparse(rows):
 
 def fundamental_cycle_voltages_reference(base, volt):
     """Net (displacement, bits) voltages of the fundamental cycles of a BFS
-    spanning tree rooted at vertex 0, walked one edge at a time: the oracle
-    for the closed form of `fundamental_cycle_voltages`."""
+    spanning tree rooted at vertex 0, walked one edge at a time over the
+    base graph's displacements and the voltage's bits."""
     g = base.graph
     adjacency = g.adjacency
     tree_volt = [(ZERO3, 0)] * g.vertex_count
@@ -482,7 +545,7 @@ def fundamental_cycle_voltages_reference(base, volt):
         for w in adjacency[v]:
             if not seen[w]:
                 seen[w] = True
-                tree_volt[w] = (vadd(tree_volt[v][0], edge_disp(volt, v, w)), tree_volt[v][1] ^ edge_bits(volt, v, w))
+                tree_volt[w] = (vadd(tree_volt[v][0], edge_disp(base, v, w)), tree_volt[v][1] ^ edge_bits(volt, v, w))
                 tree_edges.add((min(v, w), max(v, w)))
                 order.append(w)
     assert all(seen), "base graph is disconnected"
@@ -491,7 +554,7 @@ def fundamental_cycle_voltages_reference(base, volt):
         if (u, v) in tree_edges:
             continue
         back = tuple(-x for x in tree_volt[v][0])
-        disp = vadd(vadd(tree_volt[u][0], edge_disp(volt, u, v)), back)
+        disp = vadd(vadd(tree_volt[u][0], edge_disp(base, u, v)), back)
         out.append((disp, tree_volt[u][1] ^ edge_bits(volt, u, v) ^ tree_volt[v][1]))
     return out
 
@@ -500,11 +563,13 @@ def _voltage_group_generated_reference(base, volt):
     """The group check over every fundamental cycle: the displacement rows
     must span Z^3, and the level bits folded over each dense vector of
     kernel_basis_sparse, one coefficient at a time, must span GF(2)^s.  The
-    reference oracle for `voltage_group_generated`, on the cycles of
-    fundamental_cycle_voltages_reference."""
+    general reference oracle for the closed form of
+    `voltage_group_generated`, on the cycles of
+    fundamental_cycle_voltages_reference: it assumes nothing about which
+    edges move."""
     cyc = fundamental_cycle_voltages_reference(base, volt)
     disp_rows = [list(t) for t, _ in cyc]
-    if not linalg.spans_full_lattice(disp_rows, 3):
+    if not spans_full_lattice(disp_rows, 3):
         return False
     if volt.s == 0:
         return True
@@ -518,11 +583,11 @@ def _voltage_group_generated_reference(base, volt):
     return linalg.gf2_rank(masks) == volt.s
 
 
-def _cycle_displacement(volt, seq):
+def _cycle_displacement(base, seq):
     """Net displacement of a closed walk, one edge at a time."""
     total = ZERO3
     for i, u in enumerate(seq):
-        total = vadd(total, edge_disp(volt, u, seq[(i + 1) % len(seq)]))
+        total = vadd(total, edge_disp(base, u, seq[(i + 1) % len(seq)]))
     return total
 
 
@@ -563,7 +628,7 @@ def _constraint_cycles_reference(base, volt):
     return tuple(
         ReferenceCycle(seq, _cycle_mask(seq, nc_index))
         for seq in walks
-        if _cycle_displacement(volt, seq) == ZERO3
+        if _cycle_displacement(base, seq) == ZERO3
     )
 
 
@@ -576,7 +641,7 @@ def _recheck_constraints_dfs_reference(base, volt):
     b_id = next(v for v in base.whites if base.role_of(v).tag == "b")
     step = {}
     for u, v in base.graph.edges:
-        (dx, dy, dz), m = edge_disp(volt, u, v), edge_bits(volt, u, v)
+        (dx, dy, dz), m = edge_disp(base, u, v), edge_bits(volt, u, v)
         step[u, v] = (dx, dy, dz, m)
         step[v, u] = (-dx, -dy, -dz, m)
     n_constraints = bad4 = bad6 = 0
@@ -777,6 +842,65 @@ def drops_last_bit_covering(lift: LabeledGraph, base: LabeledGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# structural validator and central copy counts: oracles for the covers
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    simple: bool
+    bipartite: bool
+    roles_bipartition_ok: bool | None
+    degree_histogram: dict[int, int]
+    regular_ok: bool | None
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        ok = self.simple and self.bipartite
+        if self.roles_bipartition_ok is not None:
+            ok = ok and self.roles_bipartition_ok
+        if self.regular_ok is not None:
+            ok = ok and self.regular_ok
+        object.__setattr__(self, "passed", ok)
+
+    def to_dict(self) -> dict:
+        return {
+            "simple": self.simple,
+            "bipartite": self.bipartite,
+            "roles_bipartition_ok": self.roles_bipartition_ok,
+            "degree_histogram": {str(k): v for k, v in sorted(self.degree_histogram.items())},
+            "regular_ok": self.regular_ok,
+            "passed": self.passed,
+        }
+
+
+def validate(g: LabeledGraph, expect_regular: int | None = None) -> ValidationReport:
+    """Report simplicity, bipartiteness (black = c-roles when labeled),
+    the degree histogram, and optional d-regularity.  Never raises."""
+    root, parity = _bfs(*_csr(g))
+    bipartite = _proper_coloring(g, parity)
+    roles_ok: bool | None = None
+    if g.roles is not None:
+        # every component must color all c-roles one class and the rest the
+        # other: a black vertex's parity, a white one's flipped, is the same
+        # over the component as at its root
+        black = np.array([r.black for r in g.roles])[g.role_codes]
+        side = parity ^ ~black
+        roles_ok = bipartite and bool(np.array_equal(side, side[root]))
+    histogram = g.degree_histogram
+    regular_ok = None
+    if expect_regular is not None:
+        regular_ok = set(histogram) <= {expect_regular}
+    return ValidationReport(True, bipartite, roles_ok, histogram, regular_ok)
+
+
+def central_counts(d: int) -> tuple[int, int]:
+    """(4-cycles, theta graphs) of one central copy K_{2,d}."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    return d * (d - 1) // 2, d * (d - 1) * (d - 2) // 6
+
+
+# ---------------------------------------------------------------------------
 # label-object cover builder and dict-based graph writers: oracles for the
 # array-backed derived_cover, graph_to_json and graph_to_dot
 
@@ -804,7 +928,7 @@ def derived_cover_reference(base, volt, n=None):
 
     edges = []
     for u, v in base.graph.edges:
-        t = edge_disp(volt, u, v)
+        t = edge_disp(base, u, v)
         m = edge_bits(volt, u, v)
         above_u, above_v = fiber(u, t), fiber(v, t)
         for i, z in enumerate(cells):

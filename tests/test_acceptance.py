@@ -9,12 +9,11 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import brute_force_census, labeled_k2d, random_bits_voltage, random_graph
+from conftest import brute_force_census, labeled_k2d, random_bits_voltage, random_graph, validate
 from thetalattice.census import census, voltage_census
 from thetalattice.certify import verification_route, verify_certificate, wenger_voltage
 from thetalattice.embed import check_embedding_properties, find_good_try, is_good_try
 from thetalattice.entropy import lattice_report, min_degree_for_kappa
-from thetalattice.graphs import validate
 from thetalattice.voltage import (
     build_base_graph,
     derived_cover,

@@ -23,8 +23,6 @@ from conftest import (
     label_index,
     noncentral_edges,
     random_bits_voltage,
-    random_steps,
-    with_steps,
 )
 from thetalattice.census import census, voltage_census
 from thetalattice.certify import (
@@ -39,7 +37,6 @@ from thetalattice.certify import (
 from thetalattice.graphs import LabeledGraph, Role
 from thetalattice.voltage import (
     LiftCertificate,
-    VoltageAssignment,
     build_base_graph,
     derived_cover,
     max_connected_stages,
@@ -141,14 +138,11 @@ def test_recheck_dfs_matches_formula():
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=0, max_value=10**6),
 )
-def test_recheck_dfs_matches_enumeration_unit_displacements(d, s, seed):
-    """With a random unit step on every non-central edge (the canonical
-    voltages never use one axis twice in a cycle, so they cannot tell a
-    step's sign), the DFS finds the constraints the enumeration finds, and
-    the uncovered ones the census counts."""
-    rng = random.Random(seed)
+def test_recheck_dfs_matches_enumeration(d, s, seed):
+    """The DFS finds the constraints the enumeration finds, and the
+    uncovered ones the census counts."""
     base, volt0 = build_base_graph(d)
-    volt = with_steps(random_bits_voltage(base, volt0, s, seed), random_steps(base, rng))
+    volt = random_bits_voltage(base, volt0, s, seed)
     n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
     assert n_cons == len(_constraint_cycles_reference(base, volt))
     vc = voltage_census(base, volt)
@@ -160,8 +154,7 @@ def test_recheck_dfs_matches_enumeration_unit_displacements(d, s, seed):
 def test_recheck_dfs_matches_cycle_list_reference(data):
     """The voltage-carrying DFS counts what walking every cycle of the
     _short_cycles list finds, on random level bits carried by a random share
-    of the non-central edges, half the time with a random unit step on every
-    non-central edge."""
+    of the non-central edges."""
     d = data.draw(st.integers(min_value=5, max_value=10), label="d")
     s = data.draw(st.integers(min_value=0, max_value=max_connected_stages(d)), label="s")
     share = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]), label="share")
@@ -169,8 +162,6 @@ def test_recheck_dfs_matches_cycle_list_reference(data):
     base, volt0 = build_base_graph(d)
     bits = {e: rng.getrandbits(s) for e in noncentral_edges(base) if rng.random() < share}
     volt = volt0.with_bits(s, bits)
-    if data.draw(st.booleans(), label="unit steps"):
-        volt = with_steps(volt, random_steps(base, rng))
     assert recheck_constraints_dfs(base, volt) == _recheck_constraints_dfs_reference(base, volt)
 
 
@@ -271,17 +262,13 @@ def test_recheck_dfs_exact_beyond_64_bits(s):
 @pytest.fixture(scope="module")
 def block_cases():
     """(base, voltage, reference counts): random bits of 1 to 3 stages at
-    d = 5..8, with and without a random unit step on every non-central edge,
-    and at d = 10 one bit of s = 65, in the low word or the high one."""
+    d = 5..8, and at d = 10 one bit of s = 65, in the low word or the high
+    one."""
     cases = []
     for d in range(5, 9):
         base, volt0 = build_base_graph(d)
-        for steps in (False, True):
-            rng = random.Random(10 * d + steps)
-            volt = random_bits_voltage(base, volt0, rng.randint(1, 3), seed=rng.randrange(10**6))
-            if steps:
-                volt = with_steps(volt, random_steps(base, rng))
-            cases.append((base, volt))
+        rng = random.Random(10 * d)
+        cases.append((base, random_bits_voltage(base, volt0, rng.randint(1, 3), seed=rng.randrange(10**6))))
     base, volt0 = build_base_graph(10)
     assert max_connected_stages(10) >= 65
     rng = random.Random(65)
@@ -299,22 +286,6 @@ def test_recheck_dfs_block_size_changes_no_count(block_cases, block, monkeypatch
     monkeypatch.setattr(certify_module, "_PAIR_BLOCK", block)
     for (base, volt, reference), default in zip(block_cases, defaults):
         assert recheck_constraints_dfs(base, volt) == default == reference
-
-
-@pytest.mark.parametrize("d", [5, 6, 7])
-def test_recheck_dfs_matches_reference_at_extreme_steps(d):
-    """Each non-central edge (c, w) steps by (1, 1, 1) when c + w is even
-    and by (-1, -1, -1) when it is odd, so the codes of the paired 3-paths
-    reach +-3 on every axis, the widest the unit steps allow."""
-    base, volt0 = build_base_graph(d)
-    steps = {(c, w): (1, 1, 1) if (c + w) % 2 == 0 else (-1, -1, -1) for c, w in noncentral_edges(base)}
-    volt = with_steps(random_bits_voltage(base, volt0, 2, seed=d), steps)
-    x = volt.shifts[..., 0]
-    three = x[:, :, None, None] - x.T[None, :, :, None] + x[None, None]  # [r, p1, A, p3]
-    assert three.max() == 3 and three.min() == -3
-    n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
-    assert (n_cons, bad4, bad6) == _recheck_constraints_dfs_reference(base, volt)
-    assert bad4 > 0 and bad6 > 0
 
 
 def test_recheck_dfs_memory_stays_flat():
@@ -335,15 +306,6 @@ def test_recheck_dfs_memory_stays_flat():
     assert peaks[1] < 1.25 * peaks[0]
 
 
-def test_recheck_dfs_rejects_non_unit_displacement():
-    base, volt0 = build_base_graph(5)
-    shifts = volt0.shifts.copy()
-    shifts[0, 2] = (2, 0, 0)
-    volt = VoltageAssignment(0, shifts, volt0.masks)
-    with pytest.raises(ValueError, match=r"edge \(0, 7\) has a non-unit displacement \(2, 0, 0\)"):
-        recheck_constraints_dfs(base, volt)
-
-
 def test_coverage_semantics_cycle_by_cycle():
     """A constraint cycle survives into the explicit torus at the same length
     iff its bit total is zero (all stage overlaps even)."""
@@ -361,7 +323,7 @@ def test_coverage_semantics_cycle_by_cycle():
         level = 0
         for i, u in enumerate(seq):
             v = seq[(i + 1) % len(seq)]
-            t = edge_disp(volt, u, v)
+            t = edge_disp(base, u, v)
             cell = tuple((cell[k] + t[k]) % n for k in range(3))
             level ^= edge_bits(volt, u, v)
         return cell == (0, 0, 0) and level == 0
@@ -375,7 +337,7 @@ def test_coverage_semantics_cycle_by_cycle():
             lvl = format(level, f"0{s}b")[::-1]
             ids_on_walk.append(tor_ids[(lab.role, lvl, cell)])
             v = seq[(i + 1) % len(seq)]
-            t = edge_disp(volt, u, v)
+            t = edge_disp(base, u, v)
             cell = tuple((cell[k] + t[k]) % n for k in range(3))
             level ^= edge_bits(volt, u, v)
         closed = cell == (0, 0, 0) and level == 0
@@ -542,9 +504,9 @@ def _stage_lower_bound(d):
     its own colour class, those of length 1 and 3 in the other, each of
     side << s vertices for a class of side base vertices.  The walk counts
     come from W_2 = A^2 - D and W_3 = A W_2 - (D - I) A, all in integers."""
-    base, volt = build_base_graph(d)
+    base, _ = build_base_graph(d)
     adj = np.zeros((2 * d, 2 * d), dtype=np.int64)
-    c, j = np.nonzero(~volt.shifts.any(axis=2))
+    c, j = np.nonzero(~base.shifts.any(axis=2))
     adj[c, d + j] = adj[d + j, c] = 1
     keep = np.array([r.tag != "b" for r in base.vertex_roles])
     adj = adj[np.ix_(keep, keep)]

@@ -797,6 +797,25 @@ def test_negative_trunc_s_is_usage_error(cert_d5, tmp_path, capsys):
         assert code == 2
         assert "negative number of lift stages" in err
 
+@pytest.mark.parametrize(
+    "kind, option",
+    [
+        *((kind, option) for kind in ("root", "central", "base") for option in ("--cert", "--trunc-s")),
+        *((kind, "--torus-n") for kind in ("root", "central", "base", "full-unit")),
+    ],
+)
+def test_export_refuses_options_its_kind_does_not_use(tmp_path, capsys, kind, option):
+    """An option the kind never reads exits 2 with one line naming both,
+    before the certificate is opened (it does not exist) or anything is
+    written."""
+    value = {"--cert": str(tmp_path / "missing.json"), "--trunc-s": "1", "--torus-n": "1"}[option]
+    stem = tmp_path / "g"
+    code, out, err = run(capsys, "export", "--d", "5", "--kind", kind, option, value, "-o", str(stem))
+    assert code == 2 and out == ""
+    assert err == f"error: {option} is not used by --kind {kind}\n"
+    assert not stem.with_suffix(".json").exists()
+
+
 def test_export_kinds(tmp_path, capsys):
     for kind, expect_v in (("root", 13), ("central", 7), ("base", 10), ("torus", 80)):
         stem = tmp_path / f"{kind}_graph"

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import central_counts
 from thetalattice.entropy import (
-    central_counts,
     d6_coefficient,
     lattice_report,
     min_degree_for_kappa,

@@ -28,6 +28,7 @@ from conftest import (
     two_coloring,
     two_coloring_reference,
     two_lift,
+    validate,
 )
 from thetalattice.census import census
 from thetalattice.errors import DegreeTooSmall, MalformedGraph
@@ -40,7 +41,6 @@ from thetalattice.graphs import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    validate,
 )
 from thetalattice.voltage import build_base_graph, derived_cover
 

