@@ -25,7 +25,6 @@ from .entropy import (
 from .graphs import (
     LabeledGraph,
     Role,
-    VertexLabel,
     build_root_unit_graph,
     central_subgraph,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "LiftCertificate",
     "Role",
     "Try",
-    "VertexLabel",
     "VoltageAssignment",
     "build_base_graph",
     "build_root_unit_graph",

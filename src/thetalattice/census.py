@@ -1,16 +1,16 @@
 """Exact counts of 4-cycles, 6-cycles and theta graphs (K_{2,3} subgraphs) on
 explicit graphs, and the per-cube census of the infinite derived lattice via
-zero-voltage cycles.  census() is the one explicit-graph entry point.
+zero-voltage cycles.  census() is the one explicit-graph entry point, and
+it counts bipartite graphs only, as every graph the package builds is.
 
 All reported averages are exact rationals, and every count is made in
 integers; nothing in this module uses floating point.  On explicit graphs
 one int64 wedge table (every path u - w - v, keyed by its end pair) gives
 the pair codegrees, which give the 4-cycles, the thetas and the central
-4-cycles.  On bipartite graphs the same table gives the 6-cycles through a
-codegree-triangle identity, whose triangle sum gathers each candidate pair
-from a reusable slot table; only non-bipartite graphs count their 6-cycles
-by the short-cycle DFS.  The per-cube census works on integer voltage keys
-(int32 up to 21 level bits, int64 up to 48, Python ints above).
+4-cycles, and the 6-cycles through a codegree-triangle identity, whose
+triangle sum gathers each candidate pair from a reusable slot table.  The
+per-cube census works on integer voltage keys (int32 up to 21 level bits,
+int64 up to 48, Python ints above).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from math import comb
 
 import numpy as np
 
-from .graphs import CENTRAL_TAGS, LabeledGraph, _bfs, _csr, _proper_coloring
+from .errors import MalformedGraph
+from .graphs import CENTRAL_TAGS, LabeledGraph, _bfs, _csr
 from .voltage import BaseGraph, VoltageAssignment
 
 
@@ -121,58 +122,6 @@ def _c4_and_theta(codegree: np.ndarray) -> tuple[int, int]:
     pairs = int((codegree * (codegree - 1) // 2).sum())
     assert pairs % 2 == 0
     return pairs // 2, int((codegree * (codegree - 1) * (codegree - 2) // 6).sum())
-
-
-def _dfs_c6(g: LabeledGraph) -> int:
-    return sum(1 for seq in _short_cycles(g) if len(seq) == 6)
-
-
-def _short_cycles(g: LabeledGraph) -> list[tuple[int, ...]]:
-    """All simple cycles of length <= 6 by min-rooted DFS.
-
-    Structurally independent of the pair/triple constraint enumeration in
-    certify and of the codegree counters: generic path extension with
-    vertex-order pruning, direction fixed by requiring the second vertex
-    below the last.  It serves census on non-bipartite graphs, where the
-    codegree identity does not apply, and the tests as an oracle; the
-    certificate re-check in certify has a counting DFS of its own.
-    """
-    cycles: list[tuple[int, ...]] = []
-    adjacency = g.adjacency
-    for root in range(g.vertex_count):
-        _extend_path(adjacency, root, [root], {root}, cycles)
-    return cycles
-
-
-def _extend_path(
-    adj: tuple[tuple[int, ...], ...],
-    root: int,
-    path: list[int],
-    on_path: set[int],
-    cycles: list[tuple[int, ...]],
-) -> None:
-    """Record the cycles that close path back to root, then extend it by
-    every vertex above root not on it, while it has fewer than 6 vertices.
-
-    A module-level function rather than a closure: a nested function that
-    calls itself sits in a reference cycle with its cells, which would keep
-    the cycle list alive after the caller drops it, until a cyclic GC.
-    """
-    v = path[-1]
-    if len(path) == 6:  # only closing back to root is left
-        if path[1] < v and root in adj[v]:
-            cycles.append(tuple(path))
-        return
-    for w in adj[v]:
-        if w == root:
-            if len(path) >= 3 and path[1] < v:
-                cycles.append(tuple(path))
-        elif w > root and w not in on_path:
-            path.append(w)
-            on_path.add(w)
-            _extend_path(adj, root, path, on_path, cycles)
-            on_path.remove(w)
-            path.pop()
 
 
 def _bipartite_c6(w: _Wedges, color: np.ndarray) -> int:
@@ -295,17 +244,21 @@ def census(g: LabeledGraph) -> CensusReport:
     level); 0 unless g is labeled with the roles t, b and c) and the stray
     rest, its 6-cycles and its K_{2,3} subgraphs (theta222), each also per
     vertex.  All come from one wedge table of g and the CSR adjacency it was
-    built from, read from the graph's arrays; the 6-cycles of a
-    non-bipartite graph come from the short-cycle DFS."""
+    built from, read from the graph's arrays.  MalformedGraph names the
+    first edge, in edge_array order, whose ends the breadth-first colouring
+    puts in one class: g is not bipartite, and is not counted."""
     w = _wedges(g)
+    _, parity = _bfs(w.start, w.nbr)
+    same = parity[g.edge_array[:, 0]] == parity[g.edge_array[:, 1]]
+    if same.any():
+        u, v = g.edge_array[int(np.argmax(same))].tolist()
+        raise MalformedGraph(f"census counts bipartite graphs only: edge ({u},{v}) closes an odd cycle")
     c4, theta = _c4_and_theta(w.codegree)
     if g.roles is not None and {r.tag for r in g.roles} >= {"t", "b", "c"}:
         central = _central_c4(g, w)
     else:
         central = 0
-    _, parity = _bfs(w.start, w.nbr)
-    c6 = _bipartite_c6(w, parity) if _proper_coloring(g, parity) else _dfs_c6(g)
-    return _explicit_report(g, c4, central, c6, theta)
+    return _explicit_report(g, c4, central, _bipartite_c6(w, parity), theta)
 
 
 # ---------------------------------------------------------------------------

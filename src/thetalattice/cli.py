@@ -6,7 +6,9 @@ the same stages for every seed, with --seed only recorded in the file.
 embed samples its placements from --seed.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error
-(including an input too large to build), 3 embed attempts exhausted.
+(including an input too large to build, a graph file that is not
+bipartite, and an option that the command would not read), 3 embed
+attempts exhausted.
 """
 
 from __future__ import annotations
@@ -112,9 +114,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.torus_n < 2:
+    if args.torus_n is not None and args.torus_n < 2:
         raise TorusTooSmall("--torus-n must be >= 2")
     cert = LiftCertificate.from_json(Path(args.certificate).read_text())
+    if args.torus_n is not None and cert.s > 3:
+        raise ValueError(f"--torus-n is not used at s={cert.s}: the torus cross-check runs only when s <= 3")
+    torus_n = 2 if args.torus_n is None else args.torus_n
     base, _ = build_base_graph(cert.d)
     volt = cert.to_voltage(base)
     t0 = time.perf_counter()
@@ -126,8 +131,8 @@ def _cmd_verify(args) -> int:
     # large to build is refused with no partial report
     torus_ok = None
     if cert.s <= 3:
-        explicit = census_of_graph(derived_cover(base, volt, args.torus_n))
-        n3 = args.torus_n**3
+        explicit = census_of_graph(derived_cover(base, volt, torus_n))
+        n3 = torus_n**3
         torus_ok = (
             explicit.c4_total == n3 * report.c4_total
             and explicit.c4_stray == n3 * report.c4_stray
@@ -147,7 +152,7 @@ def _cmd_verify(args) -> int:
         )
         ok = False
     if torus_ok is not None:
-        print(f"explicit torus cross-check at n={args.torus_n}: {'PASS' if torus_ok else 'FAIL'}")
+        print(f"explicit torus cross-check at n={torus_n}: {'PASS' if torus_ok else 'FAIL'}")
         ok = ok and torus_ok
     if ok:
         print(summary_table([_summary_of_census(cert, report)]))
@@ -221,6 +226,8 @@ def _cmd_export(args) -> int:
     for flag, value in (("--cert", args.certificate), ("--trunc-s", args.trunc_s), ("--torus-n", args.torus_n)):
         if value is not None and flag not in _EXPORT_USES.get(args.kind, ()):
             raise ValueError(f"{flag} is not used by --kind {args.kind}")
+    if args.trunc_s is not None and args.certificate is None:
+        raise ValueError("--trunc-s is not used without --cert")
     if args.kind == "root":
         g = build_root_unit_graph(d)
     elif args.kind == "central":
@@ -273,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="independently re-verify a certificate")
     p.add_argument("certificate")
-    p.add_argument("--torus-n", type=int, default=2, dest="torus_n")
+    p.add_argument(
+        "--torus-n", type=int, default=None, dest="torus_n",
+        help="torus side of the explicit cross-check, which runs only when s <= 3 (default 2)",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("census", help="exact census of a graph JSON file")

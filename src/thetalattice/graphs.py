@@ -5,10 +5,10 @@ of the base graph at s = 0; derived_cover is the one graph builder.
 Vertices are dense integer ids.  A graph is held as arrays: one sorted int64
 (E, 2) edge array with u < v in every row and, when the graph is labeled, a
 role code per vertex into a sorted table of roles, the level as an unsigned
-integer and an (n, 3) int64 cell array.  labels, edges and adjacency are
-views of these arrays, built on each access for small-graph callers; the
-cover builder, the JSON and DOT writers, the JSON reader and the census work
-on the arrays alone.  Graphs are immutable after construction and all
+integer and an (n, 3) int64 cell array.  Labeled graphs are built only as
+arrays: by voltage.build_base_graph and derived_cover, central_subgraph and
+graph_from_json_dict.  The public constructor takes edge pairs alone and
+gives an unlabeled graph.  Graphs are immutable after construction and all
 transforms return new graphs, so values can be shared freely.
 
 Level bit order: position i of the level string records the choice made at
@@ -28,7 +28,6 @@ import numpy as np
 from .errors import MalformedGraph
 
 Edge = tuple[int, int]
-Cell = tuple[int, int, int]
 
 # Canonical role ranks; hub roles t/b and spoke roles c form the central
 # subgraph, v* are the merged connector vertices of the quotient base graph.
@@ -84,25 +83,6 @@ def _level_string(level: int, length: int) -> str:
     return format(level, f"0{length}b")[::-1] if length else ""
 
 
-@dataclass(frozen=True)
-class VertexLabel:
-    role: Role
-    level: str = ""
-    cell: Cell = (0, 0, 0)
-
-    @property
-    def sort_key(self):
-        return (*self.role.rank, level_uint(self.level), self.cell)
-
-    def __str__(self) -> str:
-        name = str(self.role)
-        if self.level:
-            name += f"@{self.level}"
-        if self.cell != (0, 0, 0):
-            name += f"{self.cell}"
-        return name
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -153,48 +133,15 @@ class LabeledGraph:
         "vertex_count", "edge_array", "d", "roles", "role_codes", "levels", "level_length", "cells",
     )
 
-    def __init__(
-        self,
-        vertex_count: int,
-        edges: Iterable[Edge] = (),
-        labels: Iterable[VertexLabel] | None = None,
-        d: int | None = None,
-    ):
-        """A graph from edge pairs in any orientation and order and,
-        optionally, one VertexLabel per vertex.  A loop, an end out of range,
-        a repeated edge, a label count other than vertex_count, a level of
-        more than MAX_LEVEL_BITS bits or a cell outside int64 raises
-        ValueError; so do levels of different lengths (MalformedGraph)."""
+    def __init__(self, vertex_count: int, edges: Iterable[Edge] = (), d: int | None = None):
+        """An unlabeled graph from edge pairs in any orientation and order.
+        A loop, an end out of range or a repeated edge raises ValueError."""
         pairs = list(edges)
         try:
             ends = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
         except OverflowError:
             _raise_first_bad_edge(pairs, vertex_count)
-        arrays: dict = {}
-        if labels is not None:
-            labs = list(labels)
-            if len(labs) != vertex_count:
-                raise ValueError("labels length != vertex count")
-            lengths = {len(lab.level) for lab in labs}
-            if len(lengths) > 1:
-                raise MalformedGraph("inconsistent level lengths")
-            roles = tuple(sorted({lab.role for lab in labs}, key=lambda r: r.rank))
-            code = {r: i for i, r in enumerate(roles)}
-            length = lengths.pop() if lengths else 0
-            if length > MAX_LEVEL_BITS:
-                raise ValueError(f"levels of {length} bits, above {MAX_LEVEL_BITS}")
-            try:
-                cells = np.array([lab.cell for lab in labs], dtype=np.int64).reshape(-1, 3)
-            except OverflowError:
-                raise ValueError("a cell coordinate is outside int64") from None
-            arrays = dict(
-                roles=roles,
-                role_codes=np.array([code[lab.role] for lab in labs], dtype=np.int64),
-                levels=np.array([level_uint(lab.level) for lab in labs], dtype=np.int64),
-                level_length=length,
-                cells=cells,
-            )
-        self._set(vertex_count, _edge_array(vertex_count, ends), d, **arrays)
+        self._set(vertex_count, _edge_array(vertex_count, ends), d)
 
     @classmethod
     def _of_arrays(
@@ -254,36 +201,11 @@ class LabeledGraph:
             f"labeled={self.roles is not None}, d={self.d})"
         )
 
-    # -- views for small-graph callers, built on each access ---------------
-
     @property
     def edges(self) -> tuple[Edge, ...]:
+        """The edge pairs as tuples, built on each access; the package reads
+        edge_array, and the benchmark's tracer reads this view."""
         return tuple(map(tuple, self.edge_array.tolist()))
-
-    @property
-    def labels(self) -> tuple[VertexLabel, ...] | None:
-        if self.roles is None:
-            return None
-        levels = {lev: _level_string(lev, self.level_length) for lev in set(self.levels.tolist())}
-        return tuple(
-            VertexLabel(self.roles[code], levels[lev], tuple(cell))
-            for code, lev, cell in zip(self.role_codes.tolist(), self.levels.tolist(), self.cells.tolist())
-        )
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        start, nbr = _csr(self)
-        start, nbr = start.tolist(), nbr.tolist()
-        return tuple(tuple(nbr[start[v]:start[v + 1]]) for v in range(self.vertex_count))
-
-    def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self.edge_array == v))
-
-    @property
-    def degree_histogram(self) -> dict[int, int]:
-        degree = np.bincount(self.edge_array.ravel(), minlength=self.vertex_count)
-        values, counts = np.unique(degree, return_counts=True)
-        return dict(zip(values.tolist(), counts.tolist()))
 
 
 def _csr(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -323,11 +245,6 @@ def _bfs(start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             root[frontier] = r
             parity[frontier] = depth
     return root, parity
-
-
-def _proper_coloring(g: LabeledGraph, parity: np.ndarray) -> bool:
-    """Whether the BFS parities color every edge's ends differently."""
-    return not np.any(parity[g.edge_array[:, 0]] == parity[g.edge_array[:, 1]])
 
 
 def build_root_unit_graph(d: int) -> LabeledGraph:

@@ -203,7 +203,7 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
         )
     s = volt.s
     check_cover_size(base.d, s, n)
-    pairs = base.graph.edges
+    pairs = base.graph.edge_array
     shift, mask = base.shifts.reshape(-1, 3), volt.masks.reshape(-1)
 
     def cover_role(v: int, moved: bool) -> Role:
@@ -216,7 +216,7 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
 
     ends = [
         (cover_role(u, moved), cover_role(v, moved))
-        for (u, v), moved in zip(pairs, shift.any(axis=1).tolist())
+        for (u, v), moved in zip(pairs.tolist(), shift.any(axis=1).tolist())
     ]
     roles = tuple(sorted({r for pair in ends for r in pair}, key=lambda r: r.rank))
     cells = 1 if n is None else n**3

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import math
 import random
 import signal
@@ -18,17 +19,17 @@ from thetalattice.graphs import (
     CENTRAL_TAGS,
     LabeledGraph,
     Role,
-    VertexLabel,
     _bfs,
     _csr,
-    _proper_coloring,
+    _level_string,
     central_subgraph,
+    graph_to_json,
     level_uint,
 )
-from thetalattice.census import CensusReport, _explicit_report, _short_cycles
+from thetalattice.census import CensusReport, _explicit_report
 from thetalattice.embed import Try
 from thetalattice.errors import GridTooCoarse, MalformedGraph, TooLarge
-from thetalattice.voltage import UNIT
+from thetalattice.voltage import UNIT, LiftCertificate, build_base_graph, derived_cover
 
 ZERO3 = (0, 0, 0)
 
@@ -53,6 +54,87 @@ def perfbench_module(name):
 
 
 # ---------------------------------------------------------------------------
+# label objects and small-graph views: the second graph model the oracles
+# use.  The package holds graphs as arrays alone; these convert label
+# objects to those arrays and back.
+
+
+@dataclass(frozen=True)
+class VertexLabel:
+    role: Role
+    level: str = ""
+    cell: tuple = ZERO3
+
+    @property
+    def sort_key(self):
+        return (*self.role.rank, level_uint(self.level), self.cell)
+
+    def __str__(self) -> str:
+        name = str(self.role)
+        if self.level:
+            name += f"@{self.level}"
+        if self.cell != ZERO3:
+            name += f"{self.cell}"
+        return name
+
+
+def labeled_graph(labels, edges, d=None):
+    """The graph whose vertex v has the VertexLabel labels[v], with its
+    role, level and cell arrays built one label at a time and the edge
+    pairs checked by the package's constructor."""
+    labs = list(labels)
+    lengths = {len(lab.level) for lab in labs}
+    assert len(lengths) <= 1, "levels of different lengths"
+    roles = tuple(sorted({lab.role for lab in labs}, key=lambda r: r.rank))
+    code = {r: i for i, r in enumerate(roles)}
+    return LabeledGraph._of_arrays(
+        len(labs),
+        LabeledGraph(len(labs), edges).edge_array,
+        d,
+        roles,
+        np.array([code[lab.role] for lab in labs], dtype=np.int64),
+        np.array([level_uint(lab.level) for lab in labs], dtype=np.int64),
+        lengths.pop() if lengths else 0,
+        np.array([lab.cell for lab in labs], dtype=np.int64).reshape(-1, 3),
+    )
+
+
+def vertex_labels(g):
+    """One VertexLabel per vertex of g, read from its arrays, or None for
+    an unlabeled graph."""
+    if g.roles is None:
+        return None
+    levels = {lev: _level_string(lev, g.level_length) for lev in set(g.levels.tolist())}
+    return tuple(
+        VertexLabel(g.roles[code], levels[lev], tuple(cell))
+        for code, lev, cell in zip(g.role_codes.tolist(), g.levels.tolist(), g.cells.tolist())
+    )
+
+
+def adjacency_lists(g):
+    """The neighbours of every vertex, ascending, as tuples."""
+    start, nbr = _csr(g)
+    start, nbr = start.tolist(), nbr.tolist()
+    return tuple(tuple(nbr[start[v]:start[v + 1]]) for v in range(g.vertex_count))
+
+
+def degree(g, v):
+    return int(np.count_nonzero(g.edge_array == v))
+
+
+def degree_histogram(g):
+    """degree -> number of vertices of that degree."""
+    degrees = np.bincount(g.edge_array.ravel(), minlength=g.vertex_count)
+    values, counts = np.unique(degrees, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
+def _proper_coloring(g, parity):
+    """Whether the BFS parities color every edge's ends differently."""
+    return not np.any(parity[g.edge_array[:, 0]] == parity[g.edge_array[:, 1]])
+
+
+# ---------------------------------------------------------------------------
 # label-object graph builders: oracles for derived_cover and central_subgraph
 
 
@@ -61,12 +143,12 @@ def from_labeled_vertices(labels, edges_by_label, d=None):
     labs = sorted(set(labels), key=lambda lab: lab.sort_key)
     ids = {lab: i for i, lab in enumerate(labs)}
     edges = tuple((ids[a], ids[b]) for a, b in edges_by_label)
-    return LabeledGraph(len(labs), edges, tuple(labs), d)
+    return labeled_graph(labs, edges, d)
 
 
 def label_index(g):
     """Map (role, level, cell) -> vertex id; requires labels."""
-    labels = g.labels
+    labels = vertex_labels(g)
     if labels is None:
         raise MalformedGraph("graph has no labels")
     out = {}
@@ -105,7 +187,7 @@ def central_subgraph_reference(g):
     """The hub/spoke vertices of g and its (t,c_i), (b,c_i) edges, gathered
     one VertexLabel at a time and numbered by from_labeled_vertices: the
     oracle for central_subgraph."""
-    labels = g.labels
+    labels = vertex_labels(g)
     keep = [v for v, lab in enumerate(labels) if lab.role.tag in CENTRAL_TAGS]
     edges = []
     for u, v in g.edges:
@@ -146,6 +228,29 @@ def labeled_cycle4():
 def random_graph(rng, n, p):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return plain_graph(n, edges)
+
+
+def random_bipartite_graph(rng, n, p):
+    """A graph on n vertices split at random into two sides, interleaved in
+    id order, with each pair across the split an edge with probability p."""
+    side = [rng.random() < 0.5 for _ in range(n)]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if side[i] != side[j] and rng.random() < p]
+    return plain_graph(n, edges)
+
+
+def torus_with_same_colour_edge():
+    """(graph JSON record, (u, v)): the n = 2 torus of the pinned d = 10
+    certificate cut to 3 stages (1,280 vertices), plus the edge (u, v)
+    between the first two neighbours of vertex 0.  Both lie at depth 1 of
+    the breadth-first search from vertex 0, which the new edge does not
+    change, so (u, v) is its one edge with both ends of one colour."""
+    cert = LiftCertificate.from_json((PERFBENCH / "pinned" / "cert_d10_seed1.json").read_text())
+    base, _ = build_base_graph(cert.d)
+    torus = derived_cover(base, cert.to_voltage(base).truncate(3), 2)
+    u, v = adjacency_lists(torus)[0][:2]
+    data = json.loads(graph_to_json(torus))
+    data["edges"].append([u, v])
+    return data, (u, v)
 
 
 def _edge_slot(d, u, v):
@@ -262,8 +367,7 @@ def _c4_theta_reference(g):
     a time in a Counter: the reference oracle for the wedge table of
     `census`."""
     cod = Counter()
-    for w in range(g.vertex_count):
-        nbrs = g.adjacency[w]
+    for nbrs in adjacency_lists(g):
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 cod[(nbrs[i], nbrs[j])] += 1
@@ -301,7 +405,7 @@ def codegree_triangles_reference(keys, codegree, n, block=1 << 16):
 def _central_c4_reference(g):
     """4-cycles of the subgraph of edges whose endpoints both have hub/spoke
     roles at one (cell, level), built as a graph of its own."""
-    copy = [(lab.cell, lab.level) if lab.role.tag in CENTRAL_TAGS else None for lab in g.labels]
+    copy = [(lab.cell, lab.level) if lab.role.tag in CENTRAL_TAGS else None for lab in vertex_labels(g)]
     edges = [(u, v) for u, v in g.edges if copy[u] is not None and copy[u] == copy[v]]
     return _c4_theta_reference(LabeledGraph(g.vertex_count, tuple(edges)))[0]
 
@@ -532,7 +636,7 @@ def fundamental_cycle_voltages_reference(base, volt):
     spanning tree rooted at vertex 0, walked one edge at a time over the
     base graph's displacements and the voltage's bits."""
     g = base.graph
-    adjacency = g.adjacency
+    adjacency = adjacency_lists(g)
     tree_volt = [(ZERO3, 0)] * g.vertex_count
     seen = [False] * g.vertex_count
     seen[0] = True
@@ -632,9 +736,59 @@ def _constraint_cycles_reference(base, volt):
     )
 
 
+# ---------------------------------------------------------------------------
+# short-cycle DFS: the 6-cycle oracle for census() and the cycle list of the
+# re-check oracle
+
+
+def _short_cycles(g):
+    """All simple cycles of length <= 6 by min-rooted DFS.
+
+    Structurally independent of the codegree counters of census and of the
+    certificate re-check in certify, which has a counting DFS of its own:
+    generic path extension with vertex-order pruning, direction fixed by
+    requiring the second vertex below the last.
+    """
+    cycles = []
+    adjacency = adjacency_lists(g)
+    for root in range(g.vertex_count):
+        _extend_path(adjacency, root, [root], {root}, cycles)
+    return cycles
+
+
+def _extend_path(adj, root, path, on_path, cycles):
+    """Record the cycles that close path back to root, then extend it by
+    every vertex above root not on it, while it has fewer than 6 vertices.
+
+    A module-level function rather than a closure: a nested function that
+    calls itself sits in a reference cycle with its cells, which would keep
+    the cycle list alive after the caller drops it, until a cyclic GC.
+    """
+    v = path[-1]
+    if len(path) == 6:  # only closing back to root is left
+        if path[1] < v and root in adj[v]:
+            cycles.append(tuple(path))
+        return
+    for w in adj[v]:
+        if w == root:
+            if len(path) >= 3 and path[1] < v:
+                cycles.append(tuple(path))
+        elif w > root and w not in on_path:
+            path.append(w)
+            on_path.add(w)
+            _extend_path(adj, root, path, on_path, cycles)
+            on_path.remove(w)
+            path.pop()
+
+
+def dfs_c6(g):
+    """6-cycles of the min-rooted short-cycle enumeration."""
+    return sum(1 for seq in _short_cycles(g) if len(seq) == 6)
+
+
 def _recheck_constraints_dfs_reference(base, volt):
     """(constraint count, uncovered 4-cycles, uncovered 6-cycles) from the
-    full cycle list of census._short_cycles, each cycle walked again for its
+    full cycle list of _short_cycles, each cycle walked again for its
     (dx, dy, dz) sum and bit XOR: the reference oracle for
     `recheck_constraints_dfs`."""
     t_id = next(v for v in base.whites if base.role_of(v).tag == "t")
@@ -676,21 +830,15 @@ def central_copies(g: LabeledGraph) -> tuple[LabeledGraph, ...]:
     (cell, level) and returned in canonical order: the per-level split of
     `central_subgraph`."""
     whole = central_subgraph(g)
-    assert whole.labels is not None
+    labels = vertex_labels(whole)
     groups: dict[tuple, list[int]] = {}
-    for v, lab in enumerate(whole.labels):
+    for v, lab in enumerate(labels):
         groups.setdefault((lab.cell, level_uint(lab.level)), []).append(v)
     copies = []
     for key in sorted(groups):
         members = set(groups[key])
-        edges = [
-            (whole.labels[u], whole.labels[v])
-            for u, v in whole.edges
-            if u in members and v in members
-        ]
-        copies.append(
-            from_labeled_vertices((whole.labels[v] for v in members), edges, whole.d)
-        )
+        edges = [(labels[u], labels[v]) for u, v in whole.edges if u in members and v in members]
+        copies.append(from_labeled_vertices((labels[v] for v in members), edges, whole.d))
     return tuple(copies)
 
 
@@ -724,7 +872,8 @@ def two_lift(g: LabeledGraph, sgn: Signing) -> LabeledGraph:
     the level).  A parallel edge (u,v) lifts to (u0,v0),(u1,v1); a crossed edge
     to (u0,v1),(u1,v0).  Edges projecting onto central edges must be parallel.
     """
-    if g.labels is None:
+    labels = vertex_labels(g)
+    if labels is None:
         raise MalformedGraph("two_lift needs a labeled graph")
     missing = set(g.edges) - set(sgn.assignment)
     if missing:
@@ -733,15 +882,15 @@ def two_lift(g: LabeledGraph, sgn: Signing) -> LabeledGraph:
     if extra:
         raise ValueError(f"signing mentions non-edges {sorted(extra)}")
     for u, v in g.edges:
-        tags = {g.labels[u].role.tag, g.labels[v].role.tag}
+        tags = {labels[u].role.tag, labels[v].role.tag}
         if tags in ({"t", "c"}, {"b", "c"}) and sgn.sign(u, v) == "crossed":
             raise CentralEdgeCrossed(f"central edge ({u},{v}) marked crossed")
 
     def lifted(v: int, bit: int) -> VertexLabel:
-        lab = g.labels[v]
+        lab = labels[v]
         return VertexLabel(lab.role, lab.level + str(bit), lab.cell)
 
-    labels = [lifted(v, bit) for v in range(g.vertex_count) for bit in (0, 1)]
+    lifted_labels = [lifted(v, bit) for v in range(g.vertex_count) for bit in (0, 1)]
     edges = []
     for u, v in g.edges:
         if sgn.sign(u, v) == "parallel":
@@ -750,7 +899,7 @@ def two_lift(g: LabeledGraph, sgn: Signing) -> LabeledGraph:
         else:
             edges.append((lifted(u, 0), lifted(v, 1)))
             edges.append((lifted(u, 1), lifted(v, 0)))
-    return from_labeled_vertices(labels, edges, g.d)
+    return from_labeled_vertices(lifted_labels, edges, g.d)
 
 
 def two_coloring(g: LabeledGraph) -> list[int] | None:
@@ -772,7 +921,7 @@ def two_coloring_reference(g: LabeledGraph) -> list[int] | None:
     """A proper 2-coloring by a stack search over the adjacency view, each
     component started at its smallest vertex with color 0, or None if the
     graph is not bipartite: the reference for two_coloring."""
-    adjacency = g.adjacency
+    adjacency = adjacency_lists(g)
     color = [-1] * g.vertex_count
     for start in range(g.vertex_count):
         if color[start] != -1:
@@ -793,7 +942,7 @@ def two_coloring_reference(g: LabeledGraph) -> list[int] | None:
 def components_reference(g: LabeledGraph) -> list[int]:
     """Component numbers per vertex by a stack search, numbered in order of
     their smallest vertex: the reference for _components."""
-    adjacency = g.adjacency
+    adjacency = adjacency_lists(g)
     comp = [-1] * g.vertex_count
     c = 0
     for start in range(g.vertex_count):
@@ -823,20 +972,20 @@ def connected_components(g: LabeledGraph) -> list[list[int]]:
 def drops_last_bit_covering(lift: LabeledGraph, base: LabeledGraph) -> bool:
     """Check that forgetting the last level bit maps each lift vertex's
     neighborhood bijectively onto its image's neighborhood."""
-    if lift.labels is None or base.labels is None:
+    lift_labels = vertex_labels(lift)
+    if lift_labels is None or base.roles is None:
         raise MalformedGraph("covering check needs labels")
     base_ids = label_index(base)
     try:
-        img = [
-            base_ids[(lab.role, lab.level[:-1], lab.cell)] for lab in lift.labels
-        ]
+        img = [base_ids[(lab.role, lab.level[:-1], lab.cell)] for lab in lift_labels]
     except KeyError:
         return False
+    lift_adj, base_adj = adjacency_lists(lift), adjacency_lists(base)
     for v in range(lift.vertex_count):
-        images = sorted(img[w] for w in lift.adjacency[v])
+        images = sorted(img[w] for w in lift_adj[v])
         if images != sorted(set(images)):
             return False
-        if images != list(base.adjacency[img[v]]):
+        if images != list(base_adj[img[v]]):
             return False
     return True
 
@@ -886,7 +1035,7 @@ def validate(g: LabeledGraph, expect_regular: int | None = None) -> ValidationRe
         black = np.array([r.black for r in g.roles])[g.role_codes]
         side = parity ^ ~black
         roles_ok = bipartite and bool(np.array_equal(side, side[root]))
-    histogram = g.degree_histogram
+    histogram = degree_histogram(g)
     regular_ok = None
     if expect_regular is not None:
         regular_ok = set(histogram) <= {expect_regular}
@@ -996,7 +1145,7 @@ def brute_force_census(g: LabeledGraph) -> CensusReport:
             if all(adjacent(seq[i], seq[(i + 1) % 6]) for i in range(6)):
                 c6 += 1
 
-    labels = g.labels
+    labels = vertex_labels(g)
     central = 0 if labels is None else sum(1 for seq in c4_cycles if _is_central_cycle(labels, seq))
     return _explicit_report(g, c4, central, c6, theta)
 
@@ -1036,14 +1185,15 @@ def graph_to_json_dict(g):
     """The JSON record of a labeled graph, one dict per vertex; graph_to_json
     must write the bytes of json.dumps(record, indent=2, sort_keys=True) plus
     a newline."""
-    if g.labels is None:
+    labels = vertex_labels(g)
+    if labels is None:
         raise MalformedGraph("JSON export needs a labeled graph")
     return {
         "d": g.d if g.d is not None else 0,
         "s": g.level_length,
         "vertices": [
             {"id": v, "role": str(lab.role), "level": lab.level, "cell": list(lab.cell)}
-            for v, lab in enumerate(g.labels)
+            for v, lab in enumerate(labels)
         ],
         "edges": [list(e) for e in g.edges],
     }
@@ -1053,7 +1203,7 @@ def graph_to_dot_reference(g):
     """DOT text of a labeled graph, one line per vertex and edge; node labels
     are role@level."""
     lines = ["graph lattice {"]
-    for v, lab in enumerate(g.labels):
+    for v, lab in enumerate(vertex_labels(g)):
         name = str(lab.role) + (f"@{lab.level}" if lab.level else "")
         lines.append(f'  v{v} [label="{name}"];')
     for u, v in g.edges:
@@ -1134,7 +1284,7 @@ def sample_try_reference(fug, seed, grid_resolution):
     sampled one VertexLabel at a time in Fraction arithmetic: the same
     rng.randint calls, the same rejection of repeated points, and lx/ly/lz
     found through label_index."""
-    labels = fug.labels
+    labels = vertex_labels(fug)
     if labels is None:
         raise MalformedGraph("sample_try needs a labeled full unit graph")
     res = Fraction(grid_resolution)

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import brute_force_census, labeled_k2d, random_bits_voltage, random_graph, validate
+from conftest import brute_force_census, labeled_k2d, random_bipartite_graph, random_bits_voltage, validate
 from thetalattice.census import census, voltage_census
 from thetalattice.certify import verification_route, verify_certificate, wenger_voltage
 from thetalattice.embed import check_embedding_properties, find_good_try, is_good_try
@@ -47,7 +47,7 @@ def test_criterion_2_census_oracle_equivalence():
     ok = True
     for i in range(100):
         n = rng.randint(4, 12)
-        g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5, 0.6]))
+        g = random_bipartite_graph(rng, n, rng.choice([0.4, 0.6, 0.8, 1.0]))
         rep, want = census(g), brute_force_census(g)
         ok = ok and rep.c4_total == want.c4_total
         ok = ok and rep.c6 == want.c6

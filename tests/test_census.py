@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -10,29 +11,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    VertexLabel,
     _c4_theta_reference,
     _central_c4_reference,
     _constraint_cycles_reference,
     _cycle_displacement,
     _cycle_mask,
+    _short_cycles,
     _voltage_c6_triples,
     _voltage_census_reference,
     brute_force_census,
     codegree_triangles_reference,
     complete_bipartite,
     cycle_graph,
+    dfs_c6,
     from_labeled_vertices,
     label_index,
     labeled_k2d,
     noncentral_edges,
     plain_graph,
+    random_bipartite_graph,
     random_bits_voltage,
     random_graph,
+    torus_with_same_colour_edge,
+    two_coloring_reference,
 )
-from thetalattice.census import _short_cycles, census, voltage_census
+from thetalattice.census import census, voltage_census
 from thetalattice.certify import recheck_constraints_dfs
-from thetalattice.errors import TooLarge
-from thetalattice.graphs import Role, VertexLabel, build_root_unit_graph
+from thetalattice.errors import MalformedGraph, TooLarge
+from thetalattice.graphs import Role, build_root_unit_graph, graph_from_json_dict
 from thetalattice.voltage import build_base_graph, derived_cover
 
 # the package re-exports a function named like this module
@@ -71,6 +78,50 @@ def test_central_copy_formulas(d):
 
 
 # ---------------------------------------------------------------------------
+# non-bipartite graphs are refused
+
+
+def _refused_edge(g):
+    """The edge census() names when it refuses g."""
+    with pytest.raises(MalformedGraph, match="census counts bipartite graphs only") as info:
+        census(g)
+    u, v = map(int, re.search(r"edge \((\d+),(\d+)\)", str(info.value)).groups())
+    return u, v
+
+
+def test_census_refuses_non_bipartite_graphs():
+    """A triangle, K_{3,3} with an edge inside one side, and the d = 10,
+    s = 3, n = 2 torus with one edge between two vertices of one colour
+    are refused, each naming its first edge, in edge_array order, with
+    both ends of one breadth-first colour.  An edge (0, 1) added to K_{3,3}
+    is a tree edge of the search from 0, which puts 1 beside 3, 4 and 5."""
+    assert _refused_edge(cycle_graph(3)) == (1, 2)
+    k33 = [(i, j) for i in range(3) for j in range(3, 6)]
+    assert _refused_edge(plain_graph(6, [*k33, (0, 1)])) == (1, 3)
+    assert _refused_edge(plain_graph(6, [*k33, (3, 5)])) == (3, 5)
+    data, edge = torus_with_same_colour_edge()
+    assert _refused_edge(graph_from_json_dict(data)) == edge
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=0, max_value=14),
+    st.sampled_from([0.0, 0.1, 0.2, 0.4, 0.7]),
+)
+def test_census_refuses_exactly_the_non_bipartite_graphs(seed, n, p):
+    """census() counts a random graph, with isolated vertices, several
+    components and odd cycles among the draws, exactly when the stack
+    search of two_coloring_reference two-colours it, and the edge it names
+    when it refuses lies in the graph."""
+    g = random_graph(random.Random(seed), n, p)
+    if two_coloring_reference(g) is None:
+        assert _refused_edge(g) in g.edges
+    else:
+        census(g)
+
+
+# ---------------------------------------------------------------------------
 # brute force oracle
 
 def test_brute_force_k25():
@@ -92,16 +143,11 @@ def test_brute_force_guard():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=4, max_value=10))
 def test_fast_counters_match_brute_force(seed, n):
-    g = random_graph(random.Random(seed), n, 0.45)
+    g = random_bipartite_graph(random.Random(seed), n, 0.7)
     rep, want = census(g), brute_force_census(g)
     assert rep.c4_total == want.c4_total
     assert rep.c6 == want.c6
     assert rep.theta222 == want.theta222
-
-
-def _dfs_c6(g):
-    """6-cycles of the min-rooted short-cycle enumeration."""
-    return sum(1 for seq in _short_cycles(g) if len(seq) == 6)
 
 
 def _matches_references(g):
@@ -110,9 +156,9 @@ def _matches_references(g):
     of its own, and its stray count is the rest."""
     rep = census(g)
     c4, theta = _c4_theta_reference(g)
-    c6 = _dfs_c6(g)
+    c6 = dfs_c6(g)
     assert (rep.c4_total, rep.theta222, rep.c6) == (c4, theta, c6)
-    if g.labels is not None:
+    if g.roles is not None:
         assert rep.c4_central == _central_c4_reference(g)
         assert rep.c4_stray == c4 - rep.c4_central
     return rep
@@ -272,8 +318,7 @@ def test_classify_central_needs_one_cell_and_level():
 
 def test_census_makes_one_codegree_pass(monkeypatch):
     """census() builds one wedge table per call, which serves c4, theta222,
-    the central 4-cycles and the 6-cycles; a bipartite graph never reaches
-    the DFS."""
+    the central 4-cycles and the 6-cycles."""
     base, volt0 = build_base_graph(5)
     torus = derived_cover(base, random_bits_voltage(base, volt0, 2, seed=5), 2)
     original = census_module._wedges
@@ -283,11 +328,7 @@ def test_census_makes_one_codegree_pass(monkeypatch):
         tables.append(len(g.edges))
         return original(g)
 
-    def no_dfs(g):
-        raise AssertionError("the DFS ran on a bipartite graph")
-
     monkeypatch.setattr(census_module, "_wedges", counted)
-    monkeypatch.setattr(census_module, "_short_cycles", no_dfs)
     report = census(torus)
     assert tables == [len(torus.edges)]
     census(labeled_k2d(5))

@@ -23,6 +23,7 @@ from conftest import (
     label_index,
     noncentral_edges,
     random_bits_voltage,
+    vertex_labels,
 )
 from thetalattice.census import census, voltage_census
 from thetalattice.certify import (
@@ -198,15 +199,15 @@ def test_recheck_dfs_truncated_wenger_voltage_at_large_d(d, stages):
 
 
 def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
-    """The DFS counts as it goes and never asks for the list of cycles, nor
-    for any function of the census module: it stays an independent route."""
+    """The DFS counts as it goes and never calls any function of the census
+    module: it stays an independent route."""
 
     helpers = [
         name
         for name, f in vars(census_module).items()
         if inspect.isfunction(f) and f.__module__ == census_module.__name__
     ]
-    assert {"_short_cycles", "voltage_census", "_edge_keys", "_key_dtype", "_run_totals"} <= set(helpers)
+    assert {"census", "voltage_census", "_edge_keys", "_key_dtype", "_run_totals"} <= set(helpers)
     for name in helpers:
 
         def refuse(*args, name=name, **kwargs):
@@ -289,7 +290,8 @@ def test_recheck_dfs_block_size_changes_no_count(block_cases, block, monkeypatch
 
 
 def test_recheck_dfs_memory_stays_flat():
-    """The frontier is split into blocks, so one call's traced peak stays
+    """The compared path pairs are taken in blocks of about _PAIR_BLOCK,
+    and no path or cycle is stored, so one call's traced peak stays
     under 4 MiB and barely moves from d = 16 to d = 20, while the
     constraint count grows fourfold."""
     peaks = []
@@ -315,7 +317,7 @@ def test_coverage_semantics_cycle_by_cycle():
     torus = derived_cover(base, volt, n)
     tor_ids = label_index(torus)
     tor_edges = set(torus.edges)
-    base_labels = base.graph.labels
+    base_labels = vertex_labels(base.graph)
 
     def lift_closes(seq):
         # walk the cycle from (v0, cell 0, level 0), accumulating voltage

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bits_voltage
+from conftest import VertexLabel, random_bits_voltage, torus_with_same_colour_edge
 from thetalattice.certify import certify, wenger_voltage
 from thetalattice.cli import build_parser, main
 from thetalattice.embed import EMBED_EDGE_LIMIT
 from thetalattice.entropy import min_degree_for_kappa
-from thetalattice.graphs import VertexLabel, build_root_unit_graph, central_subgraph, graph_to_json
+from thetalattice import graphs
+from thetalattice.graphs import build_root_unit_graph, central_subgraph, graph_to_json
 from thetalattice.voltage import LiftCertificate, build_base_graph, derived_cover, max_connected_stages
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
@@ -305,6 +307,16 @@ def test_verify_computes_the_census_once(cert_d5, tmp_path, capsys, monkeypatch)
 def test_verify_rejects_torus_n1(cert_d5, capsys):
     code, _, err = run(capsys, "verify", str(cert_d5), "--torus-n", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_verify_refuses_torus_n_above_three_stages(capsys, n):
+    """The torus cross-check runs only when s <= 3, so --torus-n on the
+    pinned d = 10 certificate (s = 12) exits 2 with one line, after the
+    certificate is read and before anything is printed."""
+    code, out, err = run(capsys, "verify", str(PINNED / "cert_d10_seed1.json"), "--torus-n", n)
+    assert code == 2 and out == ""
+    assert err == "error: --torus-n is not used at s=12: the torus cross-check runs only when s <= 3\n"
 
 
 def test_verify_detects_tampering(cert_d5, tmp_path, capsys):
@@ -686,8 +698,10 @@ def test_export_matches_pinned_graph_hashes(tmp_path, capsys, stem):
 
 @pytest.mark.parametrize("kind", ["torus", "full-unit"])
 def test_export_and_census_build_no_label_objects(tmp_path, capsys, monkeypatch, cert_d5, kind):
-    """Covers are built, written, read and counted from arrays alone: with
-    VertexLabel unable to construct, export and census still succeed."""
+    """Covers are built, written, read and counted from arrays alone: the
+    package has no label-object class, and with the tests' VertexLabel
+    unable to construct, export and census still succeed."""
+    assert not hasattr(graphs, "VertexLabel")
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a VertexLabel was built")
@@ -700,6 +714,22 @@ def test_export_and_census_build_no_label_objects(tmp_path, capsys, monkeypatch,
     assert code == 0
     monkeypatch.undo()
     assert run(capsys, "census", str(stem.with_suffix(".json")))[1] == out
+
+
+def test_census_refuses_a_non_bipartite_file(tmp_path, capsys):
+    """census on the d = 10, s = 3, n = 2 torus with one edge added between
+    two vertices of one colour exits 2 with one line naming that edge,
+    prints no traceback, writes no -o file, and takes under 1 s."""
+    data, (u, v) = torus_with_same_colour_edge()
+    path, out_path = tmp_path / "odd.json", tmp_path / "census.json"
+    path.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "census", str(path), "-o", str(out_path))
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == ""
+    assert err == f"error: census counts bipartite graphs only: edge ({u},{v}) closes an odd cycle\n"
+    assert not out_path.exists()
+    assert elapsed < 1.0
 
 
 def test_census_on_k25_file(tmp_path, capsys):
@@ -802,17 +832,22 @@ def test_negative_trunc_s_is_usage_error(cert_d5, tmp_path, capsys):
     [
         *((kind, option) for kind in ("root", "central", "base") for option in ("--cert", "--trunc-s")),
         *((kind, "--torus-n") for kind in ("root", "central", "base", "full-unit")),
+        *((kind, "--trunc-s") for kind in ("full-unit", "torus")),
     ],
 )
 def test_export_refuses_options_its_kind_does_not_use(tmp_path, capsys, kind, option):
     """An option the kind never reads exits 2 with one line naming both,
     before the certificate is opened (it does not exist) or anything is
-    written."""
+    written.  The covers read --trunc-s only to cut a certificate, so
+    without --cert it is refused with one line naming it."""
     value = {"--cert": str(tmp_path / "missing.json"), "--trunc-s": "1", "--torus-n": "1"}[option]
     stem = tmp_path / "g"
     code, out, err = run(capsys, "export", "--d", "5", "--kind", kind, option, value, "-o", str(stem))
     assert code == 2 and out == ""
-    assert err == f"error: {option} is not used by --kind {kind}\n"
+    if option == "--trunc-s" and kind in ("full-unit", "torus"):
+        assert err == f"error: {option} is not used without --cert\n"
+    else:
+        assert err == f"error: {option} is not used by --kind {kind}\n"
     assert not stem.with_suffix(".json").exists()
 
 

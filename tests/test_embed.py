@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    VertexLabel,
     label_index,
+    labeled_graph,
     random_bits_voltage,
     sample_try_reference,
     scaled_reference,
@@ -16,6 +18,7 @@ from conftest import (
     try_from_points,
     try_to_json_dict,
     try_to_obj_reference,
+    vertex_labels,
 )
 from thetalattice import embed
 from thetalattice.embed import (
@@ -29,7 +32,7 @@ from thetalattice.embed import (
     try_to_obj,
 )
 from thetalattice.errors import AttemptsExhausted, GridTooCoarse, TooLarge
-from thetalattice.graphs import LabeledGraph, Role, VertexLabel
+from thetalattice.graphs import LabeledGraph, Role
 from thetalattice.voltage import build_base_graph, derived_cover
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
@@ -49,8 +52,9 @@ def test_sample_try_boxes_and_shapes():
     t = sample_try(fug, seed=1, grid_resolution=Fraction(1, 1024))
     assert len(t.points) == 13
     third = Fraction(1, 3)
+    labels = vertex_labels(fug)
     for v, p in t.points.items():
-        tag = fug.labels[v].role.tag
+        tag = labels[v].role.tag
         if tag == "rx":
             assert 2 * third < p[0] < 1 and third < p[1] < 2 * third and third < p[2] < 2 * third
         elif tag == "lx":
@@ -64,7 +68,7 @@ def test_sample_try_derived_connector_points():
     fug = _fug(s=2)
     t = sample_try(fug, seed=5)
     ids = label_index(fug)
-    for level in {lab.level for lab in fug.labels}:
+    for level in {lab.level for lab in vertex_labels(fug)}:
         rx = ids[(Role("rx"), level, (0, 0, 0))]
         lx = ids[(Role("lx"), level, (0, 0, 0))]
         assert t.points[lx] == (
@@ -267,7 +271,7 @@ def _two_edges_from_one_vertex(corner, far):
     """Edges a-b and a-c on a grid of 4 units a cell: a within 2 units of
     corner on every axis, b one unit from a on y, and c at a + far."""
     labels = tuple(VertexLabel(Role(tag)) for tag in ("t", "b", "rx"))
-    fug = LabeledGraph(3, ((0, 1), (0, 2)), labels)
+    fug = labeled_graph(labels, ((0, 1), (0, 2)))
     a = (corner - 2, corner - 2, corner + 1)
     points = {0: a, 1: (a[0], a[1] + 1, a[2]), 2: tuple(x + y for x, y in zip(a, far))}
     t = try_from_points({v: tuple(Fraction(c, 4) for c in p) for v, p in points.items()}, Fraction(1, 4))
@@ -460,7 +464,7 @@ def test_good_try_matches_block_oracle():
 
 def _two_edge_graph():
     labels = tuple(VertexLabel(Role(tag)) for tag in ("t", "b", "rx", "lx"))
-    return LabeledGraph(4, ((0, 1), (2, 3)), labels)
+    return labeled_graph(labels, ((0, 1), (2, 3)))
 
 
 def _tries_across_offset(delta):

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 from conftest import (
     CentralEdgeCrossed,
     Signing,
+    VertexLabel,
     _components,
+    _short_cycles,
     brute_force_census,
     central_copies,
     central_subgraph_reference,
     components_reference,
     connected_components,
+    degree,
+    degree_histogram,
     drops_last_bit_covering,
     from_labeled_vertices,
     graph_to_dot_reference,
@@ -29,13 +33,13 @@ from conftest import (
     two_coloring_reference,
     two_lift,
     validate,
+    vertex_labels,
 )
 from thetalattice.census import census
 from thetalattice.errors import DegreeTooSmall, MalformedGraph
 from thetalattice.graphs import (
     LabeledGraph,
     Role,
-    VertexLabel,
     build_root_unit_graph,
     central_subgraph,
     graph_from_json,
@@ -56,9 +60,9 @@ def test_root_unit_graph_d5_counts():
     g = build_root_unit_graph(5)
     assert g.vertex_count == 13
     assert len(g.edges) == 25
-    assert g.degree(role_id(g, "lx")) == 1
-    assert g.degree(role_id(g, "rx")) == 4
-    assert g.degree(role_id(g, "c", 1)) == 5
+    assert degree(g, role_id(g, "lx")) == 1
+    assert degree(g, role_id(g, "rx")) == 4
+    assert degree(g, role_id(g, "c", 1)) == 5
 
 
 def test_root_unit_graph_d10_counts():
@@ -66,7 +70,7 @@ def test_root_unit_graph_d10_counts():
     assert g.vertex_count == 23
     assert len(g.edges) == 100
     for j in range(1, 6):
-        assert g.degree(role_id(g, "f", j)) == 10
+        assert degree(g, role_id(g, "f", j)) == 10
 
 
 def test_root_unit_graph_rejects_small_degree():
@@ -89,7 +93,7 @@ def test_root_unit_graph_structure(d):
     report = validate(g)
     assert report.bipartite and report.roles_bipartition_ok
     # exact degree profile: c/t/b/f at d, l* at 1, r* at d-1
-    assert g.degree_histogram == {d: 2 * d - 3, 1: 3, d - 1: 3}
+    assert degree_histogram(g) == {d: 2 * d - 3, 1: 3, d - 1: 3}
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +142,11 @@ def test_central_copies_after_lifts():
     # two lifts with arbitrary non-central crossings
     for stage in range(2):
         crossed = [e for i, e in enumerate(g.edges) if i % (stage + 2) == 0]
+        labels = vertex_labels(g)
         crossed = [
             (u, v)
             for u, v in crossed
-            if {g.labels[u].role.tag, g.labels[v].role.tag} not in ({"t", "c"}, {"b", "c"})
+            if {labels[u].role.tag, labels[v].role.tag} not in ({"t", "c"}, {"b", "c"})
         ]
         g = two_lift(g, Signing.from_crossed(g, crossed))
     copies = central_copies(g)
@@ -149,9 +154,9 @@ def test_central_copies_after_lifts():
     for copy in copies:
         assert copy.vertex_count == 7
         assert len(copy.edges) == 10
-        assert copy.degree_histogram == {5: 2, 2: 5}
+        assert degree_histogram(copy) == {5: 2, 2: 5}
     # copies are vertex disjoint by construction (grouped by level)
-    levels = {copy.labels[0].level for copy in copies}
+    levels = {vertex_labels(copy)[0].level for copy in copies}
     assert len(levels) == 4
 
 
@@ -172,7 +177,7 @@ def test_two_lift_single_crossed_edge_gives_8_cycle():
     g = labeled_cycle4()
     lift = two_lift(g, Signing.from_crossed(g, [g.edges[0]]))
     assert lift.vertex_count == 8
-    assert lift.degree_histogram == {2: 8}
+    assert degree_histogram(lift) == {2: 8}
     assert len(connected_components(lift)) == 1  # one 8-cycle
     assert census(lift).c4_total == 0
 
@@ -201,15 +206,16 @@ def test_two_lift_requires_total_signing():
 @given(st.integers(min_value=0, max_value=2**25 - 1))
 def test_two_lift_preserves_degrees_and_bipartiteness(mask):
     g = build_root_unit_graph(5)
+    labels = vertex_labels(g)
     crossed = [
         e
         for i, e in enumerate(g.edges)
         if (mask >> i) & 1
-        and {g.labels[e[0]].role.tag, g.labels[e[1]].role.tag}
+        and {labels[e[0]].role.tag, labels[e[1]].role.tag}
         not in ({"t", "c"}, {"b", "c"})
     ]
     lift = two_lift(g, Signing.from_crossed(g, crossed))
-    assert lift.degree_histogram == {k: 2 * v for k, v in g.degree_histogram.items()}
+    assert degree_histogram(lift) == {k: 2 * v for k, v in degree_histogram(g).items()}
     assert two_coloring(lift) is not None
     assert drops_last_bit_covering(lift, g)
 
@@ -218,11 +224,12 @@ def test_two_lift_preserves_degrees_and_bipartiteness(mask):
 @given(st.integers(min_value=0, max_value=2**25 - 1))
 def test_lift_cycle_monotonicity(mask):
     g = build_root_unit_graph(5)
+    labels = vertex_labels(g)
     crossed = [
         e
         for i, e in enumerate(g.edges)
         if (mask >> i) & 1
-        and {g.labels[e[0]].role.tag, g.labels[e[1]].role.tag}
+        and {labels[e[0]].role.tag, labels[e[1]].role.tag}
         not in ({"t", "c"}, {"b", "c"})
     ]
     lift = two_lift(g, Signing.from_crossed(g, crossed))
@@ -233,18 +240,17 @@ def test_lift_cycle_monotonicity(mask):
 
 def test_lift_short_cycles_project_to_base_cycles():
     """4-/6-cycles of a lift project to same-length cycles of the base."""
-    from thetalattice.census import _short_cycles
-
     g = build_root_unit_graph(5)
+    labels = vertex_labels(g)
     crossed = [
         e
         for e in g.edges
-        if {g.labels[e[0]].role.tag, g.labels[e[1]].role.tag}
+        if {labels[e[0]].role.tag, labels[e[1]].role.tag}
         not in ({"t", "c"}, {"b", "c"})
     ][::3]
     lift = two_lift(g, Signing.from_crossed(g, crossed))
     base_ids = label_index(g)
-    proj = [base_ids[(lab.role, lab.level[:-1], lab.cell)] for lab in lift.labels]
+    proj = [base_ids[(lab.role, lab.level[:-1], lab.cell)] for lab in vertex_labels(lift)]
     base_cycles = {
         (len(seq), tuple(sorted(seq))) for seq in _short_cycles(g)
     }
@@ -322,10 +328,10 @@ def test_level_bit_order_first_lift_is_position_zero():
     g = labeled_cycle4()
     lift1 = two_lift(g, Signing.from_crossed(g, []))
     lift2 = two_lift(lift1, Signing.from_crossed(lift1, []))
-    levels = {lab.level for lab in lift2.labels}
+    levels = {lab.level for lab in vertex_labels(lift2)}
     assert levels == {"00", "01", "10", "11"}
     # vertex at level "10" chose upper at the first lift, lower at the second
-    assert all(len(lab.level) == 2 for lab in lift2.labels)
+    assert all(len(lab.level) == 2 for lab in vertex_labels(lift2))
 
 
 def test_graph_json_roundtrip():
@@ -333,7 +339,7 @@ def test_graph_json_roundtrip():
     text = graph_to_json(g)
     back = graph_from_json(text)
     assert back.edges == g.edges
-    assert back.labels == g.labels
+    assert vertex_labels(back) == vertex_labels(g)
     assert back.d == g.d
     assert graph_to_json(back) == text
 
