@@ -9,8 +9,10 @@ one int64 wedge table (every path u - w - v, keyed by its end pair) gives
 the pair codegrees, which give the 4-cycles, the thetas and the central
 4-cycles, and the 6-cycles through a codegree-triangle identity, whose
 triangle sum gathers each candidate pair from a reusable slot table.  The
-per-cube census works on integer voltage keys (int32 up to 21 level bits,
-int64 up to 48, Python ints above).
+per-cube census keys each walk by one XOR of edge keys, its level bits with
+the parity of its displacement above them, which is exact among the walks
+it compares; the keys are uint16 up to 13 level bits, uint32 up to 29,
+uint64 up to 61 and Python ints above.
 """
 
 from __future__ import annotations
@@ -264,56 +266,50 @@ def census(g: LabeledGraph) -> CensusReport:
 # ---------------------------------------------------------------------------
 # per-cube census of the infinite lattice
 
-# A displacement (dx, dy, dz) is coded as dx + 16 dy + 256 dz.  The code is
-# additive, and injective while every component stays within +-7; an edge
-# moves a component by at most 1, so the 2- and 3-step walks compared below
-# stay within +-3.
-_CODE_RADIX = 16
-# A walk of at most 3 edges has |code| <= 3 * 273 = 819, so its key
-# code * 2^s + bits, with 0 <= bits < 2^s, has |key| < 820 * 2^s.
-_KEY_BOUND = 820
-# Keys fit int64 up to this many level bits (820 * 2^48 < 2^58).  Wider
-# voltages use Python ints.
-_INT64_MAX_S = 48
+def _edge_keys(base: BaseGraph, volt: VoltageAssignment) -> np.ndarray:
+    """The census keys of the white -> black edges as a C-ordered whites x
+    blacks array: the edge's level mask, with the parity of its displacement
+    in the three bits above it, mask | p << s.  The key type is the narrowest
+    of uint16, uint32 and uint64 that holds s + 3 bits, Python ints (object)
+    above.
 
-
-def _key_dtype(s: int):
-    """The key type of the census at s level bits: int32 while 820 * 2^s
-    fits it (s <= 21), int64 up to _INT64_MAX_S, Python ints above."""
-    if _KEY_BOUND << s <= np.iinfo(np.int32).max:
-        return np.int32
-    return np.int64 if s <= _INT64_MAX_S else object
-
-
-def _edge_keys(base: BaseGraph, volt: VoltageAssignment):
-    """(codes, bits): the voltages of the white -> black edges as whites x
-    blacks arrays, int64 or (above _INT64_MAX_S level bits) object, read
-    from the black -> white arrays of base and volt."""
-    steps = -base.shifts.transpose(1, 0, 2)
-    dtype = np.int64 if volt.s <= _INT64_MAX_S else object
-    codes = steps @ np.array([1, _CODE_RADIX, _CODE_RADIX**2])
-    return codes.astype(dtype), volt.masks.T.astype(dtype)
+    The keys are exact only where each axis moves at most one base edge, by
+    a unit step (voltage_census); a base graph whose shifts do not is
+    refused with a ValueError.
+    """
+    shifts = base.shifts
+    moved = shifts != 0
+    if (np.abs(shifts) > 1).any() or (moved.sum(axis=(0, 1)) > 1).any():
+        raise ValueError("parity keys need at most one moved base edge per axis, by a unit step")
+    s = volt.s
+    key = next((t for t in (np.uint16, np.uint32, np.uint64) if s + 3 <= np.iinfo(t).bits), object)
+    parity = (moved.transpose(1, 0, 2) @ np.array([1, 2, 4])).astype(key)
+    return np.ascontiguousarray(volt.masks.T.astype(key) | parity << s)
 
 
 def _run_totals(rows: np.ndarray) -> tuple[int, int]:
     """(sum C(m,2), sum C(m,3)) over the runs of m equal keys in the rows of
     a row-sorted 2-D array.
 
-    Only the runs with m >= 2 are touched.  The equal-neighbour mask is laid
-    out flat with one False before it and one after each row, so no run
-    crosses rows; its changes alternate between the start of a run of m - 1
-    equal neighbours and its end.
+    Only the runs with m >= 2 are touched.  The equal-neighbour mask of the
+    flat rows has one False before it and one at each row start, so no run
+    crosses rows; its changes alternate between the start of a run of
+    k = m - 1 equal neighbours and its end.  C(m,2) = (k^2 + k) / 2 and
+    C(m,3) = (k^3 - k) / 6.
     """
     n_rows, n = rows.shape
-    same = np.zeros(n_rows * n + 1, dtype=bool)
-    np.equal(rows[:, 1:], rows[:, :-1], out=same[1:].reshape(n_rows, n)[:, :-1])
-    change = np.flatnonzero(same[1:] != same[:-1])
-    m = change[1::2] - change[::2] + 1
-    # a row's runs have sum m <= n, so each row adds under n^3 to the sums
+    flat = rows.reshape(-1)
+    same = np.empty(flat.size + 1, dtype=bool)
+    same[0] = False
+    np.equal(flat[1:], flat[:-1], out=same[1:-1])
+    same[n::n] = False
+    change = (same[1:] != same[:-1]).nonzero()[0]
+    k = change[1::2] - change[::2]
+    # a row's runs have sum k < n, so each row adds under n^3 to the sums
     if n_rows * n**3 >> 63:
-        m = m.astype(object)
-    pairs = m * (m - 1) // 2
-    return int(pairs.sum()), int((pairs * (m - 2) // 3).sum())
+        k = k.astype(object)
+    k1, k2, k3 = int(k.sum()), int(np.dot(k, k)), int(np.dot(k * k, k))
+    return (k2 + k1) // 2, (k3 - k1) // 6
 
 
 def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
@@ -325,12 +321,23 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     of equal total voltage.  Averages divide by the 2^s * 2d vertices a cube
     owns.
 
-    Voltages in Z^3 x GF(2)^s are exact integer keys code * 2^s + bits, so
-    two walks between the same ends have equal voltage iff their keys are
-    equal.  The key type is chosen once from s (_key_dtype): int32 up to
-    s = 21, int64 up to s = 48, Python ints above.  A hub pair with runs of
-    m equal path keys has sum C(m,2) zero 4-cycles and sum C(m,3) thetas,
-    which _run_totals reads off the sorted keys.
+    Every comparison is between walks of one row: the 2-paths of one white
+    pair, the 2-paths of one black pair, or the 3-walks i -> a -> j -> b
+    (j > i) of one (i, b).  A walk's key is the XOR of its edges' keys
+    mask | p << s (_edge_keys), p the parity of the edge's displacement, so
+    it holds the walk's level bits and the parity of its displacement.
+    Within a row that parity fixes the displacement, as each axis component
+    takes only the values 0 and one sign that the row fixes.  Say the axis
+    moves the one edge w -> c by sigma = +-1 (for the cube, vx -> c1 by
+    +e_x, and so for y and z).  A 2-path i -> c' -> j uses that edge at most
+    once, as w = i (sign sigma) or as w = j (sign -sigma), and a 2-path of a
+    black pair likewise as its first or its last black.  A 3-walk with
+    w = i has j != w, so its component is sigma [a = c]; with w != i it is
+    [j = w] sigma ([b = c] - [a = c]), of one sign for the row's b.  So two
+    walks of one row have equal keys exactly when they have equal voltages
+    in Z^3 x GF(2)^s.  A hub pair with runs of m equal path keys has
+    sum C(m,2) zero 4-cycles and sum C(m,3) thetas, which _run_totals reads
+    off the sorted keys.
 
     6-cycles meet in the middle, rooted at their smallest white.  For each
     white i and black b, sorting the keys of the (nw - 1 - i) * nb 3-walks
@@ -355,20 +362,15 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     - (2 * nb + 4 * (nw - 2)) * zero4.
     """
     d, s = base.d, volt.s
-    codes, bits = _edge_keys(base, volt)
-    nw, nb = codes.shape
+    key = _edge_keys(base, volt)
+    key_t = np.ascontiguousarray(key.T)
+    nw, nb = key.shape
     scale = 1 << s
-    # a walk's key is the sum of its edges' high parts, negated on a black ->
-    # white step, plus the XOR of their low parts; _key_dtype(s) holds it
-    key = _key_dtype(s)
-    high, low = (codes * scale).astype(key), bits.astype(key)
-    high_t, low_t = np.ascontiguousarray(high.T), np.ascontiguousarray(low.T)
 
     # the keys of the paths i -> c -> j over the blacks c, one row per white
     # pair i < j
     iu, ju = np.triu_indices(nw, 1)
-    pair_keys = high[iu] - high[ju]
-    pair_keys += low[iu] ^ low[ju]
+    pair_keys = key[iu] ^ key[ju]
     pair_keys.sort(axis=1)
     zero4, theta = _run_totals(pair_keys)
     hubs = pair_keys[:1]  # the white pair (0, 1) is the hub pair (t, b)
@@ -378,26 +380,21 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     # theta hubs may also be a black pair with three white middles (4-cycles
     # and 6-cycles are already counted once via their white diagonals/triples)
     ib, jb = np.triu_indices(nb, 1)
-    black_keys = high_t[jb] - high_t[ib]
-    black_keys += low_t[ib] ^ low_t[jb]
+    black_keys = key_t[ib] ^ key_t[jb]
     black_keys.sort(axis=1)
     theta += _run_totals(black_keys)[1]
-    del pair_keys, black_keys  # not held beside the walk buffers
+    del pair_keys, black_keys  # not held beside the walk buffer
 
     # equal-key pairs of 3-walks i -> a -> j -> b with j > i, one white i at
     # a time: walk[b, j - i - 1, a] is the key of i -> a -> j -> b, and each
     # row b of keys over (j, a) is sorted in place.  The rows of white i are
-    # the front (nb, nw - 1 - i, nb) of the flat buffers.
-    walk_buf = np.empty(nb * (nw - 1) * nb, dtype=key)
-    low_buf = np.empty_like(walk_buf)
+    # the front (nb, nw - 1 - i, nb) of the flat buffer.
+    walk_buf = np.empty(nb * (nw - 1) * nb, dtype=key.dtype)
     equal_pairs = 0
     for i in range(nw - 1):
         size = nb * (nw - 1 - i) * nb
         walk = walk_buf[:size].reshape(nb, nw - 1 - i, nb)
-        walk_low = low_buf[:size].reshape(walk.shape)
-        np.add(high[i] - high[i + 1 :], high_t[:, i + 1 :, None], out=walk)
-        np.bitwise_xor(low[i] ^ low[i + 1 :], low_t[:, i + 1 :, None], out=walk_low)
-        walk += walk_low
+        np.bitwise_xor(key[i] ^ key[i + 1 :], key_t[:, i + 1 :, None], out=walk)
         rows = walk.reshape(nb, -1)
         rows.sort(axis=1)
         equal_pairs += size + 2 * _run_totals(rows)[0]

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -25,6 +26,7 @@ from conftest import (
     complete_bipartite,
     cycle_graph,
     dfs_c6,
+    edge_disp,
     from_labeled_vertices,
     label_index,
     labeled_k2d,
@@ -439,11 +441,29 @@ def test_voltage_census_matches_reference_random_bits(d, s, seed):
     assert voltage_census(base, volt) == _voltage_census_reference(base, volt)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_run_totals_matches_value_counts(n_rows, n, values, seed):
+    """On row-sorted keys, _run_totals is sum C(m,2) and sum C(m,3) over the
+    multiplicities m of each row's keys: a run never joins the equal keys
+    that end the row before it."""
+    rows = np.random.default_rng(seed).integers(0, values, (n_rows, n)).astype(np.uint16)
+    rows.sort(axis=1)
+    counts = [m for row in rows.tolist() for m in Counter(row).values()]
+    expect = sum(comb(m, 2) for m in counts), sum(comb(m, 3) for m in counts)
+    assert census_module._run_totals(rows) == expect
+
+
 @pytest.mark.parametrize(
     "d, s", [(d, s) for d in (5, 8) for s in (48, 49, 60, 70)] + [(13, 49), (13, 60)]
 )
 def test_voltage_census_matches_reference_wide_bits(d, s):
-    """s = 48 is the widest int64 key; 49 and above use Python ints.  Two
+    """Wide level masks: uint64 keys up to s = 61, Python ints at s = 70.  Two
     low-bit-sharing variants make some wide voltages coincide, so the
     counts are not trivially those of distinct random masks."""
     base, volt0 = build_base_graph(d)
@@ -481,21 +501,87 @@ def test_voltage_census_c6_matches_triples(d, s, seed):
     assert voltage_census(base, volt).c6 == _voltage_c6_triples(base, volt)
 
 
-@pytest.mark.parametrize("s", [21, 22])
+_KEY_TYPES = {13: np.uint16, 14: np.uint32, 29: np.uint32, 30: np.uint64, 61: np.uint64, 62: object}
+
+
+@pytest.mark.parametrize("s", [13, 14, 21, 22, 29, 30, 61, 62])
 @pytest.mark.parametrize("d", [5, 6])
 def test_voltage_census_matches_reference_key_width_boundary(d, s):
-    """s = 21 is the widest int32 key and s = 22 the first int64 one, on
-    random bits and on a high-bits-only variant that puts only bit s - 1 on
-    the edges, so wide keys coincide.  _key_dtype follows the bound
-    820 * 2^s, which holds for any unit steps; under the cube's
-    displacements only the edges at c1 move, so a 3-walk's code stays
-    within +-256 at every d, and int32 keys cannot collide at s = 22."""
-    assert census_module._key_dtype(s) is (np.int32 if s == 21 else np.int64)
+    """A key holds s level bits and 3 parity bits: s = 13, 29 and 61 are the
+    widest uint16, uint32 and uint64 keys, and the next s the first of the
+    wider type (Python ints above uint64).  At each, and at s = 21 and 22,
+    the census agrees with the reference on random bits and on a
+    high-bits-only variant that puts only bit s - 1 on the edges, so wide
+    keys coincide and the top level bit sits just below the parity bits."""
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, seed=d * 100 + s)
     high = {e: (m & 1) << (s - 1) for e, m in volt.level_bits.items() if m & 1}
     for v in (volt, volt0.with_bits(s, high)):
+        if s in _KEY_TYPES:
+            assert census_module._edge_keys(base, v).dtype == np.dtype(_KEY_TYPES[s])
         assert voltage_census(base, v) == _voltage_census_reference(base, v)
+
+
+def _census_rows(base):
+    """Every row of walks voltage_census compares, as lists of vertex
+    walks: the 2-paths of each white pair, the 2-paths of each black pair,
+    and the 3-walks i -> a -> j -> b (j > i) of each (i, b)."""
+    whites, blacks = base.whites, base.blacks
+    for i, j in itertools.combinations(whites, 2):
+        yield [(i, c, j) for c in blacks]
+    for c, c2 in itertools.combinations(blacks, 2):
+        yield [(c, w, c2) for w in whites]
+    for i in whites[:-1]:
+        for b in blacks:
+            yield [(i, a, j, b) for a in blacks for j in whites if j > i]
+
+
+def _walk_disp(base, walk):
+    steps = [edge_disp(base, u, v) for u, v in itertools.pairwise(walk)]
+    return tuple(map(sum, zip(*steps)))
+
+
+def _parity_fixes_disp(disps):
+    return len({tuple(x % 2 for x in t) for t in disps}) == len(set(disps))
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_parity_fixes_displacement_within_census_rows(d):
+    """The lemma behind the parity keys, by brute force: within every row
+    the census compares, two walks with equal displacement parities have
+    equal Z^3 displacements.  Across rows it fails: the 3-walks of all rows
+    together reach displacements of both signs with one parity."""
+    base, _ = build_base_graph(d)
+    all_walks = set()
+    for row in _census_rows(base):
+        disps = [_walk_disp(base, w) for w in row]
+        assert _parity_fixes_disp(disps), row
+        if len(row[0]) == 4:
+            all_walks.update(disps)
+    assert not _parity_fixes_disp(all_walks)
+
+
+def test_voltage_census_refuses_shifts_parity_cannot_key():
+    """Parity keys are exact only while each axis moves at most one base
+    edge, by a unit step.  A second edge moved on one axis, or a move by 2,
+    is refused; another one-edge-per-axis placement is counted and agrees
+    with the reference."""
+    d, s = 6, 3
+    cube_base, volt0 = build_base_graph(d)
+    volt = random_bits_voltage(cube_base, volt0, s, seed=7)
+    cube = cube_base.shifts
+    two_edges, by_two, moved = cube.copy(), cube.copy(), np.zeros_like(cube)
+    two_edges[1, d - 3] = (-1, 0, 0)
+    by_two[0, d - 3] = (-2, 0, 0)
+    moved[2, 2], moved[3, 3], moved[4, 2] = (1, 0, 0), (0, -1, 0), (0, 0, 1)
+    for shifts in (two_edges, by_two):
+        base = build_base_graph(d)[0]
+        vars(base)["shifts"] = shifts
+        with pytest.raises(ValueError, match="one moved base edge per axis"):
+            voltage_census(base, volt)
+    base = build_base_graph(d)[0]
+    vars(base)["shifts"] = moved
+    assert voltage_census(base, volt) == _voltage_census_reference(base, volt)
 
 
 @pytest.mark.parametrize(

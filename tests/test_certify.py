@@ -207,7 +207,7 @@ def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
         for name, f in vars(census_module).items()
         if inspect.isfunction(f) and f.__module__ == census_module.__name__
     ]
-    assert {"census", "voltage_census", "_edge_keys", "_key_dtype", "_run_totals"} <= set(helpers)
+    assert {"census", "voltage_census", "_edge_keys", "_run_totals"} <= set(helpers)
     for name in helpers:
 
         def refuse(*args, name=name, **kwargs):

@@ -2,6 +2,9 @@ import ast
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +23,7 @@ from thetalattice.graphs import build_root_unit_graph, central_subgraph, graph_t
 from thetalattice.voltage import LiftCertificate, build_base_graph, derived_cover, max_connected_stages
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -246,6 +250,39 @@ def test_construct_requires_d_or_kappa(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, argv, message",
+    [
+        ("construct", ["--d", "five"], "argument --d: invalid int value: 'five'"),
+        ("verify", ["{cert}", "--no-such-option"], "unrecognized arguments: --no-such-option"),
+        ("census", ["--no-such-option", "{cert}"], "unrecognized arguments: --no-such-option"),
+        ("report", [], "the following arguments are required: certificate"),
+        ("embed", ["{cert}", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        ("export", ["--kind", "root"], "the following arguments are required: --d"),
+    ],
+)
+def test_argparse_refusal_is_usage_line_and_one_error(cert_d5, tmp_path, command, argv, message):
+    """An unknown option, a missing required argument or a non-integer
+    value exits 2 with argparse's usage and one error line, no traceback,
+    and no output file.  verify writes no file, so its argv has no -o."""
+    out = tmp_path / "out"
+    argv = [a.format(cert=cert_d5) for a in argv] + ([] if command == "verify" else ["-o", str(out)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetalattice.cli", command, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("usage: thetalattice ")
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert lines[-1].startswith("thetalattice") and lines[-1].endswith(f": error: {message}")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_passes_and_prints_table(cert_d5, capsys):
