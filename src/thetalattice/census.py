@@ -224,7 +224,6 @@ def _central_c4(g: LabeledGraph, w: _Wedges) -> int:
     hub/spoke roles at one (cell, level), counted from the codegrees of the
     wedges whose three vertices do, read from the role, level and cell
     arrays."""
-    assert g.roles is not None
     central = np.array([r.tag in CENTRAL_TAGS for r in g.roles])[g.role_codes]
     lo, hi = np.divmod(w.keys[w.pair], w.n)
     mid = w.center
@@ -243,7 +242,7 @@ def _central_c4(g: LabeledGraph, w: _Wedges) -> int:
 def census(g: LabeledGraph) -> CensusReport:
     """The explicit-graph census of g: its 4-cycles (c4_total), the central
     ones among them (all four vertices with hub/spoke roles at one (cell,
-    level); 0 unless g is labeled with the roles t, b and c) and the stray
+    level); 0 unless g has the roles t, b and c) and the stray
     rest, its 6-cycles and its K_{2,3} subgraphs (theta222), each also per
     vertex.  All come from one wedge table of g and the CSR adjacency it was
     built from, read from the graph's arrays.  MalformedGraph names the
@@ -256,7 +255,7 @@ def census(g: LabeledGraph) -> CensusReport:
         u, v = g.edge_array[int(np.argmax(same))].tolist()
         raise MalformedGraph(f"census counts bipartite graphs only: edge ({u},{v}) closes an odd cycle")
     c4, theta = _c4_and_theta(w.codegree)
-    if g.roles is not None and {r.tag for r in g.roles} >= {"t", "b", "c"}:
+    if {r.tag for r in g.roles} >= CENTRAL_TAGS:
         central = _central_c4(g, w)
     else:
         central = 0

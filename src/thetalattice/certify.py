@@ -93,13 +93,13 @@ def recheck_constraints_dfs(
 
     The base graph is K_{d,d}, so its cycles of length at most 6 are 4- and
     6-cycles, each with two or three blacks and as many whites.  Every black
-    id must lie below every white one (ValueError otherwise), as in
-    build_base_graph, so a cycle's smallest vertex is its smallest black r,
-    and each cycle is written once, as an explicit vertex tuple:
+    id lies below every white one (BaseGraph), so a cycle's smallest vertex
+    is its smallest black r, and each cycle is written once, as an explicit
+    vertex tuple:
     - a 4-cycle r w_i c w_j with blacks r < c and whites i < j is the pair
       of 2-paths r -> w_i -> c and r -> w_j -> c; it has zero displacement
       when their codes are equal, and it is central (skipped) when
-      (i, j) are the hubs (t, b);
+      (i, j) = (0, 1), the white positions of the hubs t and b;
     - a 6-cycle r p1 A p3 C p5 with blacks r < A < C (the direction that
       meets A first) and distinct whites p1, p3, p5 is the pair of 3-paths
       r -> p1 -> A -> p3 and r -> p5 -> C -> p3; it has zero displacement
@@ -127,11 +127,8 @@ def recheck_constraints_dfs(
     walks and subtracts the degenerate ones in closed form, and it imports
     no enumerator, key or constant from census.
     """
-    if max(base.blacks) > min(base.whites):
-        raise ValueError("the DFS re-check needs every black id below every white id")
     code, bits = _edge_tables(base, volt)
     d = base.d
-    t, b = sorted(v - d for v in base.whites if base.role_of(v).tag in ("t", "b"))
     pos = np.arange(d)  # positions of the blacks, and of the whites
     below = pos[:, None] < pos
     n_constraints = bad4 = bad6 = 0
@@ -139,7 +136,7 @@ def recheck_constraints_dfs(
     # 4-cycles: x[k, i] is the code (m the bits) of r -> w_i -> c for the
     # k-th black pair r < c of the block
     white_pair = below.copy()
-    white_pair[t, b] = False
+    white_pair[0, 1] = False  # the hub pair (t, b): central 4-cycles
     r, c = np.nonzero(below)
     step = max(1, _PAIR_BLOCK // d**2)
     for lo in range(0, len(r), step):
@@ -250,9 +247,10 @@ def wenger_voltage(base: BaseGraph) -> VoltageAssignment:
     """The 2r-stage Wenger voltage of the base graph, r = ceil(log2 d).
 
     Over GF(2^r), alpha a root of the first primitive polynomial of degree
-    r, the hub whites t and b get x = 0, the other d - 2 whites the distinct
-    nonzero x = alpha^0, alpha^1, ... in base.whites order, and the d blacks
-    the distinct y = 0, alpha^0, alpha^1, ... in base.blacks order.  Edge
+    r, the hub whites t and b (white positions 0 and 1) get x = 0, the
+    whites at positions 2..d-1 the distinct nonzero x = alpha^0, alpha^1,
+    ... in position order, and the blacks 0..d-1 the distinct y = 0,
+    alpha^0, alpha^1, ... in id order.  Edge
     (w, c) gets the level bits x*y | (x^2*y) << r.  These are the edge labels
     of the Wenger graphs, which have no 4- or 6-cycles (R. Wenger, JCTB 52,
     1991; Lazebnik-Ustimenko 1995).  Central edges touch a hub, whose x is

@@ -322,12 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_export)
 
+    # main reports an argument no command reads with that command's usage
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except InvalidCertificate as exc:

@@ -20,10 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AttemptsExhausted, GridTooCoarse, MalformedGraph, TooLarge
+from .errors import AttemptsExhausted, GridTooCoarse, TooLarge
 from .graphs import LabeledGraph, _frozen
 
-Point = tuple[Fraction, Fraction, Fraction]
 IPoint = tuple[int, int, int]
 
 DEFAULT_RESOLUTION = Fraction(1, 2**20)
@@ -63,12 +62,6 @@ class Try:
             raise ValueError(f"try denominator must be positive, got {self.denom}")
         object.__setattr__(self, "num", _frozen(np.array(self.num, dtype=np.int64).reshape(-1, 3)))
 
-    @property
-    def points(self) -> dict[int, Point]:
-        """vertex id -> rational point, built on each access."""
-        q = self.denom
-        return {v: tuple(Fraction(c, q) for c in row) for v, row in enumerate(self.num.tolist())}
-
     def scaled(self) -> tuple[np.ndarray, int]:
         """Integer coordinates in grid units plus the units-per-1 scale: num
         and denom divided by their common gcd, so the scale is the lcm of the
@@ -102,8 +95,6 @@ def sample_try(
     Each non-derived vertex in id order draws k with one rng.randint per
     axis until k is new, and sits at k * grid_resolution.
     """
-    if fug.roles is None:
-        raise MalformedGraph("sample_try needs a labeled full unit graph")
     res = Fraction(grid_resolution)
     if res <= 0:
         raise ValueError(f"grid resolution must be positive, got {res}")
@@ -313,8 +304,6 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     below 2^29; every other pair, and above 2^29 every pair the filter leaves,
     by the exact Python-int segment_pair_ok.
     """
-    if fug.roles is None:
-        raise MalformedGraph("is_good_try needs a labeled graph")
     if len(t.num) < fug.vertex_count:
         raise ValueError(f"try places {len(t.num)} of {fug.vertex_count} vertices")
     if not len(fug.edge_array):

@@ -3,12 +3,11 @@ and the JSON and DOT formats.  The root unit graph is voltage.derived_cover
 of the base graph at s = 0; derived_cover is the one graph builder.
 
 Vertices are dense integer ids.  A graph is held as arrays: one sorted int64
-(E, 2) edge array with u < v in every row and, when the graph is labeled, a
-role code per vertex into a sorted table of roles, the level as an unsigned
-integer and an (n, 3) int64 cell array.  Labeled graphs are built only as
-arrays: by voltage.build_base_graph and derived_cover, central_subgraph and
-graph_from_json_dict.  The public constructor takes edge pairs alone and
-gives an unlabeled graph.  Graphs are immutable after construction and all
+(E, 2) edge array with u < v in every row, a role code per vertex into a
+sorted table of roles, the level as an unsigned integer and an (n, 3) int64
+cell array.  Every graph carries these labels; graphs are built only as
+arrays, by voltage.BaseGraph and derived_cover, central_subgraph and
+graph_from_json_dict.  Graphs are immutable after construction and all
 transforms return new graphs, so values can be shared freely.
 
 Level bit order: position i of the level string records the choice made at
@@ -21,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -88,20 +86,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _raise_first_bad_edge(pairs: list, vertex_count: int) -> None:
-    """ValueError for the first loop or end out of range among edge pairs of
-    Python ints, some of which may lie outside int64."""
-    for a, b in pairs:
-        if a == b:
-            raise ValueError(f"self-loop at vertex {a}")
-        if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-            raise ValueError(f"edge ({a},{b}) out of range")
-
-
 def _edge_array(vertex_count: int, ends: np.ndarray) -> np.ndarray:
-    """The sorted (E, 2) array of the edges given as an (E, 2) int64 array of
-    ends in any orientation and order.  ValueError names the first loop or
-    end out of range in the given order, else the first repeated edge."""
+    """The sorted (E, 2) array of the edges given as an (E, 2) array of ends
+    in any orientation and order.  ValueError names the first loop or end
+    out of range in the given order, else the first repeated edge.  The
+    ends are int64, or Python ints (object) when one lies outside int64,
+    which is out of range and so refused before any arithmetic."""
     u, v = ends[:, 0], ends[:, 1]
     bad = (u == v) | (u < 0) | (v < 0) | (u >= vertex_count) | (v >= vertex_count)
     if bad.any():
@@ -119,62 +109,38 @@ def _edge_array(vertex_count: int, ends: np.ndarray) -> np.ndarray:
 
 
 class LabeledGraph:
-    """Immutable simple graph with optional per-vertex labels, held as arrays.
+    """Immutable simple graph with per-vertex labels, held as arrays.
 
     edge_array is the sorted int64 (E, 2) array of the edges (u, v), u < v.
-    A labeled graph has roles, the sorted table of the roles it uses, and per
-    vertex role_codes (an index into roles), levels (the level as an
-    unsigned integer, bit i = position i of its level string) and cells, an
-    (n, 3) int64 array; level_length is the length of every level string.
-    An unlabeled graph has None in each of these and level_length 0.
+    roles is the sorted table of the roles the graph uses, and per vertex
+    role_codes is an index into roles, levels the level as an unsigned
+    integer (bit i = position i of its level string) and cells an (n, 3)
+    int64 array; level_length is the length of every level string.
     """
 
     __slots__ = (
         "vertex_count", "edge_array", "d", "roles", "role_codes", "levels", "level_length", "cells",
     )
 
-    def __init__(self, vertex_count: int, edges: Iterable[Edge] = (), d: int | None = None):
-        """An unlabeled graph from edge pairs in any orientation and order.
-        A loop, an end out of range or a repeated edge raises ValueError."""
-        pairs = list(edges)
-        try:
-            ends = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        except OverflowError:
-            _raise_first_bad_edge(pairs, vertex_count)
-        self._set(vertex_count, _edge_array(vertex_count, ends), d)
-
-    @classmethod
-    def _of_arrays(
-        cls,
+    def __init__(
+        self,
         vertex_count: int,
         edge_array: np.ndarray,
-        d: int | None = None,
-        roles: tuple[Role, ...] | None = None,
-        role_codes: np.ndarray | None = None,
-        levels: np.ndarray | None = None,
-        level_length: int = 0,
-        cells: np.ndarray | None = None,
-    ) -> "LabeledGraph":
+        d: int | None,
+        roles: tuple[Role, ...],
+        role_codes: np.ndarray,
+        levels: np.ndarray,
+        level_length: int,
+        cells: np.ndarray,
+    ):
         """A graph from arrays already in the form the class holds (sorted,
         distinct edges u < v; roles sorted by rank and all used); nothing is
-        checked."""
-        g = object.__new__(cls)
-        g._set(vertex_count, edge_array, d, roles, role_codes, levels, level_length, cells)
-        return g
-
-    def _set(self, vertex_count, edge_array, d, roles=None, role_codes=None, levels=None,
-             level_length=0, cells=None) -> None:
-        values = dict(
-            vertex_count=vertex_count,
-            edge_array=_frozen(edge_array),
-            d=d,
-            roles=roles,
-            role_codes=None if role_codes is None else _frozen(role_codes),
-            levels=None if levels is None else _frozen(levels),
-            level_length=level_length,
-            cells=None if cells is None else _frozen(cells),
+        checked, and the arrays are made read-only."""
+        values = (
+            vertex_count, _frozen(edge_array), d, roles, _frozen(role_codes), _frozen(levels),
+            level_length, _frozen(cells),
         )
-        for name, value in values.items():
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -182,10 +148,7 @@ class LabeledGraph:
 
     def _key(self) -> tuple:
         arrays = (self.edge_array, self.role_codes, self.levels, self.cells)
-        return (
-            self.vertex_count, self.d, self.level_length, self.roles,
-            *(None if a is None else a.tobytes() for a in arrays),
-        )
+        return (self.vertex_count, self.d, self.level_length, self.roles, *(a.tobytes() for a in arrays))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -197,8 +160,7 @@ class LabeledGraph:
 
     def __repr__(self) -> str:
         return (
-            f"LabeledGraph(vertex_count={self.vertex_count}, edges={len(self.edge_array)}, "
-            f"labeled={self.roles is not None}, d={self.d})"
+            f"LabeledGraph(vertex_count={self.vertex_count}, edges={len(self.edge_array)}, d={self.d})"
         )
 
     @property
@@ -263,10 +225,8 @@ def build_root_unit_graph(d: int) -> LabeledGraph:
 
 
 def _require_central_roles(g: LabeledGraph) -> None:
-    if g.roles is None:
-        raise MalformedGraph("graph has no labels")
     tags = {r.tag for r in g.roles}
-    if not {"c", "t", "b"} <= tags:
+    if not CENTRAL_TAGS <= tags:
         raise MalformedGraph(f"central roles missing, found {sorted(tags)}")
 
 
@@ -286,7 +246,7 @@ def central_subgraph(g: LabeledGraph) -> LabeledGraph:
     new_id[order] = np.arange(len(order))
     u, v = g.role_codes[g.edge_array.T]
     hub_spoke = central[u] & central[v] & (spoke[u] != spoke[v])
-    return LabeledGraph._of_arrays(
+    return LabeledGraph(
         len(order),
         _edge_array(len(order), new_id[g.edge_array[hub_spoke]]),
         g.d,
@@ -379,17 +339,17 @@ def graph_from_json_dict(data: dict) -> LabeledGraph:
     if type(d) is not int or d < 0:
         raise MalformedGraph(f"d {d!r} is not a non-negative integer")
     try:
-        try:
-            ends = _int64_array(itertools.chain.from_iterable(edges), 2 * len(edges)).reshape(-1, 2)
-        except OverflowError:
-            _raise_first_bad_edge(edges, n)
+        ends = _int64_array(itertools.chain.from_iterable(edges), 2 * len(edges)).reshape(-1, 2)
+    except OverflowError:  # an end outside int64, which _edge_array refuses as out of range
+        ends = np.array(edges, dtype=object).reshape(-1, 2)
+    try:
         edge_array = _edge_array(n, ends)
     except ValueError as exc:  # a loop, a repeated edge or an id out of range
         raise MalformedGraph(str(exc)) from exc
     roles = tuple(sorted(set(parsed.values()), key=lambda r: r.rank))
     code = {text: roles.index(role) for text, role in parsed.items()}
     level_value = {lev: level_uint(lev) for lev in set(levels)}
-    return LabeledGraph._of_arrays(
+    return LabeledGraph(
         n,
         edge_array,
         d or None,
@@ -403,11 +363,6 @@ def graph_from_json_dict(data: dict) -> LabeledGraph:
 
 def graph_from_json(text: str) -> LabeledGraph:
     return graph_from_json_dict(json.loads(text))
-
-
-def _require_labels(g: LabeledGraph, what: str) -> None:
-    if g.roles is None:
-        raise MalformedGraph(f"{what} needs a labeled graph")
 
 
 def _json_list(items: str, count: int) -> str:
@@ -448,7 +403,6 @@ def graph_to_json(g: LabeledGraph) -> str:
     sort_keys=True) + newline, for the record with d, s, the edges as [u, v]
     lists and the vertices as {id, role, level, cell} objects, written from
     the arrays with one format string per list."""
-    _require_labels(g, "JSON export")
     n, m = g.vertex_count, len(g.edge_array)
     role_names, level_strings = _name_columns(g)
     fields = _vertex_fields(
@@ -464,7 +418,6 @@ def graph_to_json(g: LabeledGraph) -> str:
 
 def graph_to_dot(g: LabeledGraph) -> str:
     """DOT export; node labels are role@level."""
-    _require_labels(g, "DOT export")
     n, m = g.vertex_count, len(g.edge_array)
     role_names, level_strings = _name_columns(g)
     if g.level_length:

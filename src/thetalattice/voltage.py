@@ -46,25 +46,37 @@ def _mask_dtype(s: int):
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """2d-vertex quotient graph K_{d,d}: the spokes c_1..c_d are the blacks
-    0..d-1, the rest the whites d..2d-1, the hubs t and b first."""
+    """The degree-d quotient graph K_{d,d}, fixed by d alone.
+
+    Vertex ids follow the canonical role order: the spokes c_1..c_d are the
+    blacks 0..d-1, and t, b, f_1..f_{d-5}, vx, vy, vz are the whites
+    d..2d-1, so the hubs sit at white positions 0 and 1 and the connectors
+    at the last three.  Every black is joined to every white.
+    DegreeTooSmall below d = 5.
+    """
 
     d: int
-    graph: LabeledGraph
+
+    def __post_init__(self):
+        if self.d < 5:
+            raise DegreeTooSmall(f"construction requires d >= 5, got {self.d}")
 
     @cached_property
-    def vertex_roles(self) -> tuple[Role, ...]:
-        g = self.graph
-        assert g.roles is not None
-        return tuple(g.roles[code] for code in g.role_codes.tolist())
-
-    @cached_property
-    def blacks(self) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.vertex_roles) if r.black)
-
-    @cached_property
-    def whites(self) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.vertex_roles) if not r.black)
+    def graph(self) -> LabeledGraph:
+        """The base graph as a labeled graph: vertex v has role v of the
+        role table, level "" and cell 0."""
+        d, n = self.d, 2 * self.d
+        roles = (
+            *(Role("c", i) for i in range(1, d + 1)),
+            Role("t"),
+            Role("b"),
+            *(Role("f", j) for j in range(1, d - 4)),
+            *(Role(tag) for tag in UNIT),
+        )
+        edges = np.stack([np.repeat(np.arange(d), d), np.tile(np.arange(d, n), d)], axis=1)
+        return LabeledGraph(
+            n, edges, d, roles, np.arange(n), np.zeros(n, dtype=np.int64), 0, np.zeros((n, 3), dtype=np.int64)
+        )
 
     @cached_property
     def shifts(self) -> np.ndarray:
@@ -78,10 +90,7 @@ class BaseGraph:
     @cached_property
     def role_names(self) -> np.ndarray:
         """Read-only object array: the role name (str(role)) of every vertex."""
-        return _frozen(np.array([str(r) for r in self.vertex_roles], dtype=object))
-
-    def role_of(self, v: int) -> Role:
-        return self.vertex_roles[v]
+        return _frozen(np.array([str(r) for r in self.graph.roles], dtype=object))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,28 +127,10 @@ class VoltageAssignment:
 
 
 def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
-    """Base graph plus the voltage of s = 0.
-
-    Vertex ids follow the canonical role order: c_1..c_d are 0..d-1, then
-    t, b, f_1..f_{d-5}, vx, vy, vz are d..2d-1, and every black is joined to
-    every white.  Crossing vx->c1 gains +e_x (base.shifts): the merged
-    connector vertex belongs to the cube where it plays the rx role.
-    """
-    if d < 5:
-        raise DegreeTooSmall(f"construction requires d >= 5, got {d}")
-    roles = (
-        *(Role("c", i) for i in range(1, d + 1)),
-        Role("t"),
-        Role("b"),
-        *(Role("f", j) for j in range(1, d - 4)),
-        *(Role(tag) for tag in UNIT),
-    )
-    n = 2 * d
-    edges = np.stack([np.repeat(np.arange(d), d), np.tile(np.arange(d, n), d)], axis=1)
-    graph = LabeledGraph._of_arrays(
-        n, edges, d, roles, np.arange(n), np.zeros(n, dtype=np.int64), 0, np.zeros((n, 3), dtype=np.int64)
-    )
-    return BaseGraph(d, graph), VoltageAssignment(0, np.zeros((d, d), dtype=np.int64))
+    """The base graph BaseGraph(d) plus the voltage of s = 0.  Crossing
+    vx->c1 gains +e_x (base.shifts): the merged connector vertex belongs to
+    the cube where it plays the rx role.  DegreeTooSmall below d = 5."""
+    return BaseGraph(d), VoltageAssignment(0, np.zeros((d, d), dtype=np.int64))
 
 
 def make_bits(d: int, s: int, level_bits: Mapping[Edge, int]) -> np.ndarray:
@@ -209,7 +200,7 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     def cover_role(v: int, moved: bool) -> Role:
         """The role over base vertex v at an edge that moves (displacement
         nonzero) or not, which picks l* or r* for a connector."""
-        r = base.role_of(v)
+        r = base.graph.roles[v]
         if n is None and r.tag in UNIT:
             return Role(("l" if moved else "r") + r.tag[1])
         return r
@@ -238,7 +229,7 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     end_v = (start_v[:, None] + (level ^ mask[:, None]) * cells)[:, :, None] + cell_v[:, None, :]
     count = len(roles) * fiber
     keys = np.sort((np.minimum(end_u, end_v) * count + np.maximum(end_u, end_v)).ravel())
-    return LabeledGraph._of_arrays(
+    return LabeledGraph(
         count,
         np.stack(np.divmod(keys, count), axis=1),
         base.d,

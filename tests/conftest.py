@@ -21,6 +21,7 @@ from thetalattice.graphs import (
     Role,
     _bfs,
     _csr,
+    _edge_array,
     _level_string,
     central_subgraph,
     graph_to_json,
@@ -81,15 +82,17 @@ class VertexLabel:
 def labeled_graph(labels, edges, d=None):
     """The graph whose vertex v has the VertexLabel labels[v], with its
     role, level and cell arrays built one label at a time and the edge
-    pairs checked by the package's constructor."""
+    pairs, in any orientation and order, checked by the package's
+    _edge_array: a loop, an end out of range or a repeated edge raises
+    ValueError."""
     labs = list(labels)
     lengths = {len(lab.level) for lab in labs}
     assert len(lengths) <= 1, "levels of different lengths"
     roles = tuple(sorted({lab.role for lab in labs}, key=lambda r: r.rank))
     code = {r: i for i, r in enumerate(roles)}
-    return LabeledGraph._of_arrays(
+    return LabeledGraph(
         len(labs),
-        LabeledGraph(len(labs), edges).edge_array,
+        _edge_array(len(labs), np.array(list(edges), dtype=np.int64).reshape(-1, 2)),
         d,
         roles,
         np.array([code[lab.role] for lab in labs], dtype=np.int64),
@@ -100,10 +103,7 @@ def labeled_graph(labels, edges, d=None):
 
 
 def vertex_labels(g):
-    """One VertexLabel per vertex of g, read from its arrays, or None for
-    an unlabeled graph."""
-    if g.roles is None:
-        return None
+    """One VertexLabel per vertex of g, read from its arrays."""
     levels = {lev: _level_string(lev, g.level_length) for lev in set(g.levels.tolist())}
     return tuple(
         VertexLabel(g.roles[code], levels[lev], tuple(cell))
@@ -147,12 +147,9 @@ def from_labeled_vertices(labels, edges_by_label, d=None):
 
 
 def label_index(g):
-    """Map (role, level, cell) -> vertex id; requires labels."""
-    labels = vertex_labels(g)
-    if labels is None:
-        raise MalformedGraph("graph has no labels")
+    """Map (role, level, cell) -> vertex id."""
     out = {}
-    for v, lab in enumerate(labels):
+    for v, lab in enumerate(vertex_labels(g)):
         key = (lab.role, lab.level, lab.cell)
         if key in out:
             raise MalformedGraph(f"duplicate label {lab}")
@@ -198,8 +195,10 @@ def central_subgraph_reference(g):
 
 
 def plain_graph(n, edges):
-    """Unlabeled simple graph for counting tests."""
-    return LabeledGraph(n, tuple(edges))
+    """A simple graph for counting tests whose labels carry nothing: every
+    vertex is the filler f1 at level "" in cell 0, so no 4-cycle is
+    central."""
+    return labeled_graph([VertexLabel(Role("f", 1))] * n, edges)
 
 
 def cycle_graph(k):
@@ -272,12 +271,31 @@ def edge_bits(volt, u, v):
     return int(volt.masks[_edge_slot(len(volt.masks), u, v)])
 
 
+def base_roles(base):
+    """The Role of every base vertex, read from the base graph's labels."""
+    g = base.graph
+    return tuple(g.roles[code] for code in g.role_codes.tolist())
+
+
+def base_whites(base):
+    return tuple(v for v, r in enumerate(base_roles(base)) if not r.black)
+
+
+def base_blacks(base):
+    return tuple(v for v, r in enumerate(base_roles(base)) if r.black)
+
+
+def base_hubs(base):
+    """The ids (t, b) of the hubs, read from the roles."""
+    roles = base_roles(base)
+    return roles.index(Role("t")), roles.index(Role("b"))
+
+
 def central_edges(base):
     """The base edges joining a hub t or b to a spoke, read from the roles."""
     hub_spoke = ({"t", "c"}, {"b", "c"})
-    return frozenset(
-        (u, v) for u, v in base.graph.edges if {base.role_of(u).tag, base.role_of(v).tag} in hub_spoke
-    )
+    roles = base_roles(base)
+    return frozenset((u, v) for u, v in base.graph.edges if {roles[u].tag, roles[v].tag} in hub_spoke)
 
 
 def noncentral_edges(base):
@@ -407,7 +425,7 @@ def _central_c4_reference(g):
     roles at one (cell, level), built as a graph of its own."""
     copy = [(lab.cell, lab.level) if lab.role.tag in CENTRAL_TAGS else None for lab in vertex_labels(g)]
     edges = [(u, v) for u, v in g.edges if copy[u] is not None and copy[u] == copy[v]]
-    return _c4_theta_reference(LabeledGraph(g.vertex_count, tuple(edges)))[0]
+    return _c4_theta_reference(plain_graph(g.vertex_count, edges))[0]
 
 
 def _voltage_census_reference(base, volt):
@@ -426,9 +444,8 @@ def _voltage_census_reference(base, volt):
         return (-a[0], -a[1], -a[2], a[3])
 
     d, s = base.d, volt.s
-    whites, blacks = base.whites, base.blacks
-    t_id = next(v for v in whites if base.role_of(v).tag == "t")
-    b_id = next(v for v in whites if base.role_of(v).tag == "b")
+    whites, blacks = base_whites(base), base_blacks(base)
+    t_id, b_id = base_hubs(base)
 
     paths = {}
     for w1, w2 in itertools.combinations(whites, 2):
@@ -500,7 +517,7 @@ def _voltage_c6_triples(base, volt):
     # stays below 4 * 4161 < 2^15 on the 4-edge sums below, so code * 2^s +
     # bits fits int64 up to s = 40
     dtype = np.int64 if volt.s <= 40 else object
-    whites, blacks = base.whites, base.blacks
+    whites, blacks = base_whites(base), base_blacks(base)
     codes = np.array(
         [[x + 64 * y + 4096 * z for x, y, z in (edge_disp(base, w, c) for c in blacks)] for w in whites],
         dtype=dtype,
@@ -716,9 +733,8 @@ def _constraint_cycles_reference(base, volt):
     white triples x black 3-permutations, one cycle at a time: the reference
     oracle for the constraint counts of `recheck_constraints_dfs` and
     `constraint_count_formula`."""
-    whites, blacks = base.whites, base.blacks
-    t_id = next(v for v in whites if base.role_of(v).tag == "t")
-    b_id = next(v for v in whites if base.role_of(v).tag == "b")
+    whites, blacks = base_whites(base), base_blacks(base)
+    t_id, b_id = base_hubs(base)
     nc_index = {e: j for j, e in enumerate(noncentral_edges(base))}
     walks = []
     for w1, w2 in itertools.combinations(whites, 2):
@@ -791,8 +807,7 @@ def _recheck_constraints_dfs_reference(base, volt):
     full cycle list of _short_cycles, each cycle walked again for its
     (dx, dy, dz) sum and bit XOR: the reference oracle for
     `recheck_constraints_dfs`."""
-    t_id = next(v for v in base.whites if base.role_of(v).tag == "t")
-    b_id = next(v for v in base.whites if base.role_of(v).tag == "b")
+    t_id, b_id = base_hubs(base)
     step = {}
     for u, v in base.graph.edges:
         (dx, dy, dz), m = edge_disp(base, u, v), edge_bits(volt, u, v)
@@ -873,8 +888,6 @@ def two_lift(g: LabeledGraph, sgn: Signing) -> LabeledGraph:
     to (u0,v1),(u1,v0).  Edges projecting onto central edges must be parallel.
     """
     labels = vertex_labels(g)
-    if labels is None:
-        raise MalformedGraph("two_lift needs a labeled graph")
     missing = set(g.edges) - set(sgn.assignment)
     if missing:
         raise ValueError(f"signing not total, missing {sorted(missing)}")
@@ -973,8 +986,6 @@ def drops_last_bit_covering(lift: LabeledGraph, base: LabeledGraph) -> bool:
     """Check that forgetting the last level bit maps each lift vertex's
     neighborhood bijectively onto its image's neighborhood."""
     lift_labels = vertex_labels(lift)
-    if lift_labels is None or base.roles is None:
-        raise MalformedGraph("covering check needs labels")
     base_ids = label_index(base)
     try:
         img = [base_ids[(lab.role, lab.level[:-1], lab.cell)] for lab in lift_labels]
@@ -998,15 +1009,13 @@ def drops_last_bit_covering(lift: LabeledGraph, base: LabeledGraph) -> bool:
 class ValidationReport:
     simple: bool
     bipartite: bool
-    roles_bipartition_ok: bool | None
+    roles_bipartition_ok: bool
     degree_histogram: dict[int, int]
     regular_ok: bool | None
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        ok = self.simple and self.bipartite
-        if self.roles_bipartition_ok is not None:
-            ok = ok and self.roles_bipartition_ok
+        ok = self.simple and self.bipartite and self.roles_bipartition_ok
         if self.regular_ok is not None:
             ok = ok and self.regular_ok
         object.__setattr__(self, "passed", ok)
@@ -1023,18 +1032,16 @@ class ValidationReport:
 
 
 def validate(g: LabeledGraph, expect_regular: int | None = None) -> ValidationReport:
-    """Report simplicity, bipartiteness (black = c-roles when labeled),
-    the degree histogram, and optional d-regularity.  Never raises."""
+    """Report simplicity, bipartiteness (black = c-roles), the degree
+    histogram, and optional d-regularity.  Never raises."""
     root, parity = _bfs(*_csr(g))
     bipartite = _proper_coloring(g, parity)
-    roles_ok: bool | None = None
-    if g.roles is not None:
-        # every component must color all c-roles one class and the rest the
-        # other: a black vertex's parity, a white one's flipped, is the same
-        # over the component as at its root
-        black = np.array([r.black for r in g.roles])[g.role_codes]
-        side = parity ^ ~black
-        roles_ok = bipartite and bool(np.array_equal(side, side[root]))
+    # every component must color all c-roles one class and the rest the
+    # other: a black vertex's parity, a white one's flipped, is the same
+    # over the component as at its root
+    black = np.array([r.black for r in g.roles])[g.role_codes]
+    side = parity ^ ~black
+    roles_ok = bipartite and bool(np.array_equal(side, side[root]))
     histogram = degree_histogram(g)
     regular_ok = None
     if expect_regular is not None:
@@ -1066,9 +1073,10 @@ def derived_cover_reference(base, volt, n=None):
     cells = [ZERO3] if n is None else [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
     cell_index = {z: i for i, z in enumerate(cells)}
     fibers = {}
+    roles = base_roles(base)
 
     def fiber(v, t):
-        r = base.role_of(v)
+        r = roles[v]
         if n is None and r.tag in UNIT:
             r = Role(("l" if t != ZERO3 else "r") + r.tag[1])
         if r not in fibers:
@@ -1146,7 +1154,7 @@ def brute_force_census(g: LabeledGraph) -> CensusReport:
                 c6 += 1
 
     labels = vertex_labels(g)
-    central = 0 if labels is None else sum(1 for seq in c4_cycles if _is_central_cycle(labels, seq))
+    central = sum(1 for seq in c4_cycles if _is_central_cycle(labels, seq))
     return _explicit_report(g, c4, central, c6, theta)
 
 
@@ -1178,7 +1186,8 @@ def certificate_to_json_dict(cert):
 
 
 def canonical_edge_order_reference(base):
-    return tuple((str(base.role_of(u)), str(base.role_of(v))) for u, v in base.graph.edges)
+    roles = base_roles(base)
+    return tuple((str(roles[u]), str(roles[v])) for u, v in base.graph.edges)
 
 
 def graph_to_json_dict(g):
@@ -1186,8 +1195,6 @@ def graph_to_json_dict(g):
     must write the bytes of json.dumps(record, indent=2, sort_keys=True) plus
     a newline."""
     labels = vertex_labels(g)
-    if labels is None:
-        raise MalformedGraph("JSON export needs a labeled graph")
     return {
         "d": g.d if g.d is not None else 0,
         "s": g.level_length,
@@ -1214,6 +1221,12 @@ def graph_to_dot_reference(g):
 
 # ---------------------------------------------------------------------------
 # Fraction-point embedding tries: oracles for embed's integer numerators
+
+
+def try_points(t):
+    """vertex id -> rational point of a try, as Fractions."""
+    q = t.denom
+    return {v: tuple(Fraction(c, q) for c in row) for v, row in enumerate(t.num.tolist())}
 
 
 def try_from_points(points, grid_resolution):
@@ -1254,7 +1267,7 @@ def try_from_json_dict(data):
 def try_to_obj_reference(t, fug):
     """The OBJ text of a try from its Fraction points and the edge tuples:
     the oracle of embed.try_to_obj."""
-    lines = [f"v {float(x):.9f} {float(y):.9f} {float(z):.9f}" for x, y, z in t.points.values()]
+    lines = [f"v {float(x):.9f} {float(y):.9f} {float(z):.9f}" for x, y, z in try_points(t).values()]
     lines += [f"l {u + 1} {v + 1}" for u, v in fug.edges]
     return "\n".join(lines) + "\n"
 
@@ -1285,8 +1298,6 @@ def sample_try_reference(fug, seed, grid_resolution):
     rng.randint calls, the same rejection of repeated points, and lx/ly/lz
     found through label_index."""
     labels = vertex_labels(fug)
-    if labels is None:
-        raise MalformedGraph("sample_try needs a labeled full unit graph")
     res = Fraction(grid_resolution)
     if res <= 0:
         raise ValueError(f"grid resolution must be positive, got {res}")

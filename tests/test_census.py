@@ -21,6 +21,8 @@ from conftest import (
     _short_cycles,
     _voltage_c6_triples,
     _voltage_census_reference,
+    base_blacks,
+    base_whites,
     brute_force_census,
     codegree_triangles_reference,
     complete_bipartite,
@@ -160,9 +162,8 @@ def _matches_references(g):
     c4, theta = _c4_theta_reference(g)
     c6 = dfs_c6(g)
     assert (rep.c4_total, rep.theta222, rep.c6) == (c4, theta, c6)
-    if g.roles is not None:
-        assert rep.c4_central == _central_c4_reference(g)
-        assert rep.c4_stray == c4 - rep.c4_central
+    assert rep.c4_central == _central_c4_reference(g)
+    assert rep.c4_stray == c4 - rep.c4_central
     return rep
 
 
@@ -526,7 +527,7 @@ def _census_rows(base):
     """Every row of walks voltage_census compares, as lists of vertex
     walks: the 2-paths of each white pair, the 2-paths of each black pair,
     and the 3-walks i -> a -> j -> b (j > i) of each (i, b)."""
-    whites, blacks = base.whites, base.blacks
+    whites, blacks = base_whites(base), base_blacks(base)
     for i, j in itertools.combinations(whites, 2):
         yield [(i, c, j) for c in blacks]
     for c, c2 in itertools.combinations(blacks, 2):

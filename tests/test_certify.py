@@ -16,6 +16,10 @@ from conftest import (
     _constraint_cycles_reference,
     _cycle_mask,
     _recheck_constraints_dfs_reference,
+    base_blacks,
+    base_hubs,
+    base_roles,
+    base_whites,
     bch_columns,
     bch_voltage,
     edge_bits,
@@ -35,7 +39,7 @@ from thetalattice.certify import (
     verify_certificate,
     wenger_voltage,
 )
-from thetalattice.graphs import LabeledGraph, Role
+from thetalattice.graphs import Role
 from thetalattice.voltage import (
     LiftCertificate,
     build_base_graph,
@@ -217,20 +221,6 @@ def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
     base, volt0 = build_base_graph(6)
     volt = random_bits_voltage(base, volt0, 2, seed=5)
     assert recheck_constraints_dfs(base, volt)[0] == constraint_count_formula(6)
-
-
-def test_recheck_dfs_refuses_whites_below_blacks():
-    """The (p1, p3) = (t, b) rule skips every central 4-cycle only when each
-    black id is below each white id, so another vertex order is refused."""
-    base, volt = build_base_graph(5)
-    g = base.graph
-    codes = np.arange(g.vertex_count)
-    codes[[0, -1]] = codes[[-1, 0]]  # vertex 0 white, the last one black
-    swapped = LabeledGraph._of_arrays(
-        g.vertex_count, g.edge_array, g.d, g.roles, codes, g.levels, g.level_length, g.cells
-    )
-    with pytest.raises(ValueError, match="every black id below every white id"):
-        recheck_constraints_dfs(dataclasses.replace(base, graph=swapped), volt)
 
 
 @pytest.mark.parametrize("s", [63, 64, 65, 69])
@@ -478,12 +468,13 @@ def test_wenger_voltage_follows_the_rule(d):
     powers = [1]
     for _ in range(2**r):
         powers.append(_gf_mul(powers[-1], 2, poly, r))
-    others = [w for w in base.whites if base.role_of(w).tag not in ("t", "b")]
+    whites, blacks = base_whites(base), base_blacks(base)
+    others = [w for w in whites if w not in base_hubs(base)]
     x = {w: powers[k] for k, w in enumerate(others)}
-    y = {c: 0 if k == 0 else powers[k - 1] for k, c in enumerate(base.blacks)}
+    y = {c: 0 if k == 0 else powers[k - 1] for k, c in enumerate(blacks)}
     assert volt.s == 2 * r
-    for w in base.whites:
-        for c in base.blacks:
+    for w in whites:
+        for c in blacks:
             assert edge_bits(volt, w, c) == _wenger_label(x.get(w, 0), y[c], poly, r), (w, c)
 
 
@@ -510,12 +501,13 @@ def _stage_lower_bound(d):
     adj = np.zeros((2 * d, 2 * d), dtype=np.int64)
     c, j = np.nonzero(~base.shifts.any(axis=2))
     adj[c, d + j] = adj[d + j, c] = 1
-    keep = np.array([r.tag != "b" for r in base.vertex_roles])
+    roles = base_roles(base)
+    keep = np.array([r.tag != "b" for r in roles])
     adj = adj[np.ix_(keep, keep)]
     deg = adj.sum(axis=1)
     w2 = adj @ adj - np.diag(deg)
     w3 = adj @ w2 - (deg - 1)[:, None] * adj
-    black = np.array([r.black for r in base.vertex_roles])[keep].tolist()
+    black = np.array([r.black for r in roles])[keep].tolist()
     side = {True: black.count(True), False: black.count(False)}
     s = 0
     for b, even, odd in zip(black, (1 + w2.sum(axis=1)).tolist(), (deg + w3.sum(axis=1)).tolist()):

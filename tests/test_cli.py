@@ -261,12 +261,17 @@ def test_construct_requires_d_or_kappa(capsys):
         ("report", [], "the following arguments are required: certificate"),
         ("embed", ["{cert}", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
         ("export", ["--kind", "root"], "the following arguments are required: --d"),
+        ("construct", ["--d", "5", "--no-such-option"], "unrecognized arguments: --no-such-option"),
+        ("report", ["{cert}", "--no-such-option"], "unrecognized arguments: --no-such-option"),
+        ("embed", ["--no-such-option", "{cert}"], "unrecognized arguments: --no-such-option"),
+        ("export", ["--d", "5", "--no-such-option"], "unrecognized arguments: --no-such-option"),
     ],
 )
 def test_argparse_refusal_is_usage_line_and_one_error(cert_d5, tmp_path, command, argv, message):
     """An unknown option, a missing required argument or a non-integer
-    value exits 2 with argparse's usage and one error line, no traceback,
-    and no output file.  verify writes no file, so its argv has no -o."""
+    value exits 2 with the command's own usage and one error line, no
+    traceback, and no output file.  verify writes no file, so its argv has
+    no -o."""
     out = tmp_path / "out"
     argv = [a.format(cert=cert_d5) for a in argv] + ([] if command == "verify" else ["-o", str(out)])
     proc = subprocess.run(
@@ -278,7 +283,7 @@ def test_argparse_refusal_is_usage_line_and_one_error(cert_d5, tmp_path, command
     )
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
-    assert lines[0].startswith("usage: thetalattice ")
+    assert lines[0].startswith(f"usage: thetalattice {command} ")
     assert [line for line in lines if "error:" in line] == [lines[-1]]
     assert lines[-1].startswith("thetalattice") and lines[-1].endswith(f": error: {message}")
     assert "Traceback" not in proc.stderr
@@ -528,6 +533,9 @@ def _edge(value):
         (_edge([-(2**70), 0]), f"edge ({-(2**70)},0) out of range"),
         (_vertex("id", 2**70), "dense 0..n-1"),
         (_levels("0" * 64), "64 bits, above the limit of 63"),
+        (_edge([2**63 + 1, 1]), f"edge ({2**63 + 1},1) out of range"),
+        (_edge([2**70, 2**70]), f"self-loop at vertex {2**70}"),
+        (_set("edges", lambda data: [[5, 5], [1, -(2**64)], *data["edges"][2:]]), "self-loop at vertex 5"),
     ],
 )
 def test_malformed_graph_is_a_usage_error(full_unit_d5, tmp_path, capsys, time_limit, edit, message):

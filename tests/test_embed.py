@@ -11,12 +11,14 @@ from conftest import (
     VertexLabel,
     label_index,
     labeled_graph,
+    plain_graph,
     random_bits_voltage,
     sample_try_reference,
     scaled_reference,
     try_from_json_dict,
     try_from_points,
     try_to_json_dict,
+    try_points,
     try_to_obj_reference,
     vertex_labels,
 )
@@ -32,7 +34,7 @@ from thetalattice.embed import (
     try_to_obj,
 )
 from thetalattice.errors import AttemptsExhausted, GridTooCoarse, TooLarge
-from thetalattice.graphs import LabeledGraph, Role
+from thetalattice.graphs import Role
 from thetalattice.voltage import build_base_graph, derived_cover
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
@@ -50,10 +52,11 @@ def _fug(d=5, s=2, seed=11):
 def test_sample_try_boxes_and_shapes():
     fug = _fug(s=0)
     t = sample_try(fug, seed=1, grid_resolution=Fraction(1, 1024))
-    assert len(t.points) == 13
+    points = try_points(t)
+    assert len(points) == 13
     third = Fraction(1, 3)
     labels = vertex_labels(fug)
-    for v, p in t.points.items():
+    for v, p in points.items():
         tag = labels[v].role.tag
         if tag == "rx":
             assert 2 * third < p[0] < 1 and third < p[1] < 2 * third and third < p[2] < 2 * third
@@ -61,21 +64,17 @@ def test_sample_try_boxes_and_shapes():
             assert -third < p[0] < 0
         elif tag in ("t", "b", "c", "f"):
             assert all(third < c < 2 * third for c in p)
-    assert len(set(t.points.values())) == len(t.points)
+    assert len(set(points.values())) == len(points)
 
 
 def test_sample_try_derived_connector_points():
     fug = _fug(s=2)
-    t = sample_try(fug, seed=5)
+    points = try_points(sample_try(fug, seed=5))
     ids = label_index(fug)
     for level in {lab.level for lab in vertex_labels(fug)}:
         rx = ids[(Role("rx"), level, (0, 0, 0))]
         lx = ids[(Role("lx"), level, (0, 0, 0))]
-        assert t.points[lx] == (
-            t.points[rx][0] - 1,
-            t.points[rx][1],
-            t.points[rx][2],
-        )
+        assert points[lx] == (points[rx][0] - 1, points[rx][1], points[rx][2])
 
 
 def test_sample_try_deterministic():
@@ -134,7 +133,7 @@ def test_sample_try_matches_fraction_reference(s, res):
             assert str(got.value) == str(exc)
             continue
         t = sample_try(fug, seed, res)
-        assert t.points == want
+        assert try_points(t) == want
         assert t.denom == res.denominator
         assert _scaled_as_reference(t) == scaled_reference(want)
 
@@ -292,7 +291,7 @@ def test_shared_endpoint_route_switches_at_int64_bound(monkeypatch, corner, int6
     (perpendicular, overlapping and opposite second edges)."""
     fug, t = _two_edges_from_one_vertex(corner, far)
     assert t.scaled()[1] == 4
-    assert _scaled_as_reference(t) == scaled_reference(t.points)
+    assert _scaled_as_reference(t) == scaled_reference(try_points(t))
     calls = []
 
     def counted(p1, p2, q1, q2):
@@ -381,10 +380,10 @@ def test_good_try_verdict_translation_consistent():
     fug = _fug(s=1)
     t = sample_try(fug, seed=7)
     shifted = try_from_points(
-        {v: (p[0] + 2, p[1] - 1, p[2] + 3) for v, p in t.points.items()},
+        {v: (p[0] + 2, p[1] - 1, p[2] + 3) for v, p in try_points(t).items()},
         t.grid_resolution,
     )
-    assert _scaled_as_reference(shifted) == scaled_reference(shifted.points)
+    assert _scaled_as_reference(shifted) == scaled_reference(try_points(shifted))
     assert is_good_try(t, fug) == is_good_try(shifted, fug)
 
 
@@ -393,7 +392,7 @@ def test_crossing_placement_is_bad():
     degenerate square; the exact predicate must reject it."""
     fug = _fug(s=0)
     t = sample_try(fug, seed=3, grid_resolution=Fraction(1, 1024))
-    pts = dict(t.points)
+    pts = try_points(t)
     ids = label_index(fug)
     # c1-t and c2-b run between these four points; make them cross
     c1 = ids[(Role("c", 1), "", (0, 0, 0))]
@@ -407,7 +406,7 @@ def test_crossing_placement_is_bad():
     pts[c2] = (h - 8 * q, h + 8 * q, h)
     pts[bb] = (h + 8 * q, h - 8 * q, h)
     bad = try_from_points(pts, t.grid_resolution)
-    assert _scaled_as_reference(bad) == scaled_reference(bad.points)
+    assert _scaled_as_reference(bad) == scaled_reference(try_points(bad))
     assert not is_good_try(bad, fug)
 
 
@@ -416,7 +415,7 @@ def _block_oracle_ok(t, fug):
     two segments of the 3x3x3 block of unit translates whose closed bounding
     boxes overlap go through segment_pair_ok, on the grid of
     scaled_reference, which t.scaled() must match."""
-    scaled, denom = scaled_reference(t.points)
+    scaled, denom = scaled_reference(try_points(t))
     assert _scaled_as_reference(t) == (scaled, denom)
     units = (-denom, 0, denom)
     segs = [
@@ -598,7 +597,7 @@ def test_good_try_rejects_coordinates_beyond_float_exactness():
     far = Fraction(2**53 - 1)
     points = {0: (far, 0, 0), 1: (far - 1, 0, 0), 2: (0, 1, 0), 3: (0, 2, 0)}
     t = try_from_points({k: tuple(Fraction(c) for c in p) for k, p in points.items()}, Fraction(1))
-    assert _scaled_as_reference(t) == scaled_reference(t.points)
+    assert _scaled_as_reference(t) == scaled_reference(try_points(t))
     with pytest.raises(TooLarge):
         is_good_try(t, fug)
 
@@ -643,11 +642,11 @@ def test_embedding_properties_detect_face_points_and_long_edges():
     fug = _fug(s=0)
     t = sample_try(fug, seed=2, grid_resolution=Fraction(1, 1024))
     u, v = fug.edges[0]
-    on_face = t.points
+    on_face = try_points(t)
     on_face[u] = (Fraction(1), *on_face[u][1:])
     props = check_embedding_properties(try_from_points(on_face, t.grid_resolution), fug)
     assert props["vertices_interior_of_cubes"] is False
-    far = t.points
+    far = try_points(t)
     far[v] = (far[v][0] + 2, *far[v][1:])
     props = check_embedding_properties(try_from_points(far, t.grid_resolution), fug)
     assert props["vertices_interior_of_cubes"] is True
@@ -660,7 +659,7 @@ def test_try_json_roundtrip():
     data = try_to_json_dict(t, attempts=1, seed=2)
     back = try_from_json_dict(data)
     assert back == t
-    assert back.points == dict(t.points)
+    assert try_points(back) == try_points(t)
     assert back.grid_resolution == t.grid_resolution
     assert data["points"][str(0)][0].count("/") == 1
     assert json.loads(try_to_json(t, 1, 2)) == data
@@ -718,7 +717,7 @@ def test_try_obj_matches_fraction_formatting():
         for resolution in (embed.DEFAULT_RESOLUTION, Fraction(1, 24)):
             t = sample_try(fug, seed=s, grid_resolution=resolution)
             assert try_to_obj(t, fug) == try_to_obj_reference(t, fug)
-    ring = LabeledGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    ring = plain_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     num = np.array(
         [
             [2**53 + 1, -(2**53 + 1), 2**62 + 12345],

@@ -38,7 +38,6 @@ from conftest import (
 from thetalattice.census import census
 from thetalattice.errors import DegreeTooSmall, MalformedGraph
 from thetalattice.graphs import (
-    LabeledGraph,
     Role,
     build_root_unit_graph,
     central_subgraph,
@@ -109,10 +108,11 @@ def test_central_subgraph_d5():
 
 
 def test_central_subgraph_requires_roles():
-    with pytest.raises(MalformedGraph):
+    """A graph without the hub and spoke roles has no central subgraph."""
+    with pytest.raises(MalformedGraph, match=r"central roles missing, found \['f'\]"):
         central_subgraph(plain_graph(3, [(0, 1), (1, 2)]))
-    with pytest.raises(MalformedGraph):
-        central_subgraph(labeled_cycle4())  # no hub roles
+    with pytest.raises(MalformedGraph, match=r"central roles missing, found \['c', 'f'\]"):
+        central_subgraph(labeled_cycle4())  # spokes, but no hub roles
 
 
 @pytest.mark.parametrize("d", [5, 6, 10])
@@ -296,8 +296,9 @@ def test_validate_torus_regular():
 
 
 def test_validate_single_edge_bipartite():
-    report = validate(plain_graph(2, [(0, 1)]))
-    assert report.bipartite and report.passed
+    c1, t = VertexLabel(Role("c", 1)), VertexLabel(Role("t"))
+    report = validate(from_labeled_vertices([c1, t], [(c1, t)]))
+    assert report.bipartite and report.roles_bipartition_ok and report.passed
 
 
 def test_validate_odd_cycle_not_bipartite():
@@ -318,10 +319,13 @@ def test_validate_roles_must_match_coloring():
 # construction hygiene and serialization
 
 def test_labeled_graph_rejects_loops_and_duplicates():
-    with pytest.raises(ValueError):
-        LabeledGraph(2, ((0, 0),))
-    with pytest.raises(ValueError):
-        LabeledGraph(2, ((0, 1), (1, 0)))
+    """The edge-pair check of the test graph builders is _edge_array's."""
+    with pytest.raises(ValueError, match="self-loop at vertex 0"):
+        plain_graph(2, ((0, 0),))
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+        plain_graph(2, ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match=r"edge \(0,2\) out of range"):
+        plain_graph(2, ((0, 2),))
 
 
 def test_level_bit_order_first_lift_is_position_zero():

@@ -2,8 +2,10 @@
 public module-level function and class of src/thetalattice, and every public
 method or property of such a class, is read somewhere in src/, scripts/ or
 perfbench/, beyond its own definition and the package's re-export in
-__init__.  A name that only the tests read belongs in tests/conftest.py, as
-an oracle.  Dunder methods are called by Python itself and are not checked."""
+__init__.  A method or property is read only as an attribute (x.name): a
+local variable of the same name does not count.  A name that only the tests
+read belongs in tests/conftest.py, as an oracle.  Dunder methods are called
+by Python itself and are not checked."""
 
 import ast
 from pathlib import Path
@@ -13,15 +15,16 @@ PACKAGE = ROOT / "src" / "thetalattice"
 
 
 def _public_definitions():
-    """(dotted name, name) of every public module-level function and class,
-    and of every public method or property of such a class."""
+    """(dotted name, name, whether it is a class member) of every public
+    module-level function and class, and of every public method or property
+    of such a class."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _public(ast.parse(path.read_text()).body, (ast.FunctionDef, ast.ClassDef)):
-            found.append((f"{path.stem}.{node.name}", node.name))
+            found.append((f"{path.stem}.{node.name}", node.name, False))
             if isinstance(node, ast.ClassDef):
                 found += [
-                    (f"{path.stem}.{node.name}.{member.name}", member.name)
+                    (f"{path.stem}.{node.name}.{member.name}", member.name, True)
                     for member in _public(node.body, (ast.FunctionDef,))
                 ]
     return found
@@ -34,22 +37,28 @@ def _public(body, kinds):
 
 
 def _read_names(path):
-    """The names a file reads: every loaded name and every attribute.  An
-    import alone is not a read, nor is a definition."""
-    names = set()
+    """(loaded names, attributes) that a file reads.  An import alone is not
+    a read, nor is a definition."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+            attributes.add(node.attr)
+    return names, attributes
 
 
 def test_every_public_function_is_used_outside_the_tests():
-    read = set()
+    names, attributes = set(), set()
     for folder in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             if path != PACKAGE / "__init__.py":  # the re-export
-                read |= _read_names(path)
-    unused = {dotted for dotted, name in _public_definitions() if name not in read}
+                file_names, file_attributes = _read_names(path)
+                names |= file_names
+                attributes |= file_attributes
+    unused = {
+        dotted
+        for dotted, name, member in _public_definitions()
+        if name not in attributes and (member or name not in names)
+    }
     assert unused == set()

@@ -12,6 +12,10 @@ from conftest import (
     Signing,
     VertexLabel,
     _voltage_group_generated_reference,
+    base_blacks,
+    base_hubs,
+    base_roles,
+    base_whites,
     canonical_edge_order_reference,
     certificate_to_json_dict,
     central_copies,
@@ -35,6 +39,7 @@ from thetalattice.errors import DegreeTooSmall, MalformedGraph, TooLarge, TorusT
 from thetalattice.graphs import Role
 from thetalattice import voltage as voltage_module
 from thetalattice.voltage import (
+    BaseGraph,
     LiftCertificate,
     build_base_graph,
     canonical_edge_order,
@@ -65,6 +70,34 @@ def test_base_graph_d10_counts():
 def test_base_graph_rejects_small_degree():
     with pytest.raises(DegreeTooSmall):
         build_base_graph(4)
+
+
+def test_base_graph_is_its_degree():
+    """BaseGraph(d) alone is the base graph: it refuses d below 5 itself,
+    and build_base_graph gives an equal one."""
+    with pytest.raises(DegreeTooSmall, match="construction requires d >= 5, got 4"):
+        BaseGraph(4)
+    for d in (5, 10):
+        base = build_base_graph(d)[0]
+        assert base == BaseGraph(d) and hash(base) == hash(BaseGraph(d))
+        assert base.graph == BaseGraph(d).graph
+
+
+@pytest.mark.parametrize("d", range(5, 13))
+def test_base_graph_layout(d):
+    """The layout that the package reads by position, read here from the
+    roles: the blacks 0..d-1 are the c roles, the whites d and d + 1 are t
+    and b, and the last three whites vx, vy, vz are the only white ends of
+    edges with a nonzero shift."""
+    base = BaseGraph(d)
+    roles = base_roles(base)
+    assert base_blacks(base) == tuple(range(d))
+    assert {r.tag for r in roles[:d]} == {"c"}
+    assert base_whites(base) == tuple(range(d, 2 * d))
+    assert base_hubs(base) == (d, d + 1)
+    assert [str(r) for r in roles[-3:]] == ["vx", "vy", "vz"]
+    moved = np.argwhere(base.shifts.any(axis=2))
+    assert sorted(moved[:, 1] + d) == [2 * d - 3, 2 * d - 2, 2 * d - 1]
 
 
 def test_base_graph_displacements():
@@ -491,7 +524,7 @@ def test_make_bits_rejects_central_and_wide_masks():
     for s, bits, message in (
         (2, {noncentral: 4}, "wider than s=2"),
         (64, {noncentral: 1 << 64}, "wider than s=64"),
-        (2, {base.blacks[:2]: 1}, "unknown edge"),
+        (2, {base_blacks(base)[:2]: 1}, "unknown edge"),
         (2, {noncentral[::-1]: 1}, "unknown edge"),
     ):
         with pytest.raises(ValueError, match=message):
