@@ -31,8 +31,6 @@ from .voltage import (
     LiftCertificate,
     VoltageAssignment,
     build_base_graph,
-    canonical_edge_order,
-    stage_bitstrings,
     voltage_group_generated,
 )
 
@@ -229,15 +227,7 @@ def verify_certificate(
         no_zero_voltage_stray4s=stray_ok,
         voltage_group_generated=voltage_group_generated(base, volt),
     )
-    return LiftCertificate(
-        d=d,
-        s=s,
-        stage_bits=stage_bitstrings(base, volt),
-        edge_order=canonical_edge_order(base),
-        flags=flags,
-        constraint_count=constraint_count,
-        seed=seed,
-    )
+    return LiftCertificate(volt, flags, constraint_count, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -38,15 +38,7 @@ from .entropy import (
     min_degree_for_kappa,
     summary_table,
 )
-from .errors import (
-    AttemptsExhausted,
-    DegreeTooSmall,
-    GridTooCoarse,
-    InvalidCertificate,
-    MalformedGraph,
-    TooLarge,
-    TorusTooSmall,
-)
+from .errors import AttemptsExhausted, InvalidCertificate, TooLarge, TorusTooSmall
 from .graphs import (
     build_root_unit_graph,
     central_subgraph,
@@ -54,17 +46,11 @@ from .graphs import (
     graph_to_dot,
     graph_to_json,
 )
-from .voltage import LiftCertificate, build_base_graph, check_cover_size, derived_cover
+from .voltage import BaseGraph, LiftCertificate, build_base_graph, check_cover_size, derived_cover
 
-_USAGE_ERRORS = (
-    DegreeTooSmall,
-    TorusTooSmall,
-    GridTooCoarse,
-    TooLarge,
-    MalformedGraph,
-    ValueError,
-    OSError,  # an input file that is missing or unreadable
-)
+# every refusal of input is a ValueError (errors.py), and OSError an input
+# file that is missing or unreadable
+_USAGE_ERRORS = (ValueError, OSError)
 
 
 def _write(path: str | Path, text: str) -> None:
@@ -85,9 +71,7 @@ def _parse_rational(text: str) -> Fraction:
 def _truncated_voltage(cert: LiftCertificate, trunc_s: int | None):
     """Base graph and voltage from a certificate, optionally keeping only the
     first trunc_s lift stages (the placement procedure is stage-agnostic)."""
-    base, _ = build_base_graph(cert.d)
-    volt = cert.to_voltage(base)
-    return base, volt if trunc_s is None else volt.truncate(trunc_s)
+    return BaseGraph(cert.d), cert.volt if trunc_s is None else cert.volt.truncate(trunc_s)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +104,7 @@ def _cmd_verify(args) -> int:
     if args.torus_n is not None and cert.s > 3:
         raise ValueError(f"--torus-n is not used at s={cert.s}: the torus cross-check runs only when s <= 3")
     torus_n = 2 if args.torus_n is None else args.torus_n
-    base, _ = build_base_graph(cert.d)
-    volt = cert.to_voltage(base)
+    base, volt = BaseGraph(cert.d), cert.volt
     t0 = time.perf_counter()
     # one census serves the flags, the torus cross-check and the summary
     report = voltage_census(base, volt)
@@ -331,7 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        # the arguments before the command are thetalattice's own, and all of
+        # them are unknown to it
+        argv = sys.argv[1:] if argv is None else argv
+        own = argv[: argv.index(args.command)]
+        parser = build_parser() if own else args.parser
+        parser.error(f"unrecognized arguments: {' '.join(own or unknown)}")
     try:
         return args.func(args)
     except InvalidCertificate as exc:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .census import CensusReport, _frac_str, voltage_census
 from .errors import InvalidCertificate
-from .voltage import LiftCertificate, build_base_graph
+from .voltage import BaseGraph, LiftCertificate
 
 RationalLike = Fraction | int | str
 
@@ -83,8 +83,7 @@ def lattice_report(cert: LiftCertificate, kappa: RationalLike | None = None) -> 
     certified lattice, recomputed from the voltage census (never assumed)."""
     if not cert.flags.all_true:
         raise InvalidCertificate(f"certificate flags not all true: {cert.flags.to_dict()}")
-    base, _ = build_base_graph(cert.d)
-    return _summary_of_census(cert, voltage_census(base, cert.to_voltage(base)), kappa)
+    return _summary_of_census(cert, voltage_census(BaseGraph(cert.d), cert.volt), kappa)
 
 
 def _summary_of_census(

@@ -30,7 +30,7 @@ from thetalattice.graphs import (
 from thetalattice.census import CensusReport, _explicit_report
 from thetalattice.embed import Try
 from thetalattice.errors import GridTooCoarse, MalformedGraph, TooLarge
-from thetalattice.voltage import UNIT, LiftCertificate, build_base_graph, derived_cover
+from thetalattice.voltage import UNIT, BaseGraph, LiftCertificate, build_base_graph, derived_cover
 
 ZERO3 = (0, 0, 0)
 
@@ -245,7 +245,7 @@ def torus_with_same_colour_edge():
     change, so (u, v) is its one edge with both ends of one colour."""
     cert = LiftCertificate.from_json((PERFBENCH / "pinned" / "cert_d10_seed1.json").read_text())
     base, _ = build_base_graph(cert.d)
-    torus = derived_cover(base, cert.to_voltage(base).truncate(3), 2)
+    torus = derived_cover(base, cert.volt.truncate(3), 2)
     u, v = adjacency_lists(torus)[0][:2]
     data = json.loads(graph_to_json(torus))
     data["edges"].append([u, v])
@@ -1174,11 +1174,14 @@ def _is_central_cycle(labels, seq: tuple[int, ...]) -> bool:
 
 
 def certificate_to_json_dict(cert):
+    """Stage i is bit i of each mask, one character per base edge in base
+    edge order, and edge_order the role names of those edges."""
+    masks = cert.volt.masks.reshape(-1).tolist()
     return {
         "d": cert.d,
         "s": cert.s,
-        "level_bits": list(cert.stage_bits),
-        "edge_order": [list(pair) for pair in cert.edge_order],
+        "level_bits": ["".join(str(m >> i & 1) for m in masks) for i in range(cert.s)],
+        "edge_order": [list(pair) for pair in canonical_edge_order_reference(BaseGraph(cert.d))],
         "flags": cert.flags.to_dict(),
         "constraint_count": cert.constraint_count,
         "seed": cert.seed,

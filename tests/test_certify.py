@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import inspect
 import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -178,7 +179,7 @@ def test_recheck_dfs_truncated_pinned_certificates(d, stages):
     the same ones."""
     cert = LiftCertificate.from_json((PINNED / f"cert_d{d}_seed1.json").read_text())
     base, _ = build_base_graph(d)
-    volt = cert.to_voltage(base).truncate(stages)
+    volt = cert.volt.truncate(stages)
     n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
     assert (n_cons, bad4, bad6) == _recheck_constraints_dfs_reference(base, volt)
     assert n_cons == constraint_count_formula(d)
@@ -383,7 +384,7 @@ def test_verification_route():
 def test_certified_s_matches_stage_count(certified):
     for d in (5, 6):
         cert, base, volt, _ = certified(d)
-        assert cert.s == volt.s == len(cert.stage_bits)
+        assert cert.s == volt.s == len(json.loads(cert.to_json())["level_bits"])
 
 
 @pytest.mark.parametrize("d", [5, 8, 9, 10, 12, 13, 16, 17, 20, 32, 33])

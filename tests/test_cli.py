@@ -265,17 +265,25 @@ def test_construct_requires_d_or_kappa(capsys):
         ("report", ["{cert}", "--no-such-option"], "unrecognized arguments: --no-such-option"),
         ("embed", ["--no-such-option", "{cert}"], "unrecognized arguments: --no-such-option"),
         ("export", ["--d", "5", "--no-such-option"], "unrecognized arguments: --no-such-option"),
+        # an unknown option before the command is thetalattice's own
+        ("export", ["--bogus", "{command}", "--d", "5"], "unrecognized arguments: --bogus"),
+        ("verify", ["--bogus", "{command}", "{cert}"], "unrecognized arguments: --bogus"),
     ],
 )
 def test_argparse_refusal_is_usage_line_and_one_error(cert_d5, tmp_path, command, argv, message):
     """An unknown option, a missing required argument or a non-integer
     value exits 2 with the command's own usage and one error line, no
-    traceback, and no output file.  verify writes no file, so its argv has
-    no -o."""
+    traceback, and no output file; an unknown option placed before the
+    command ({command} in argv) gets the top-level usage instead.  verify
+    writes no file, so its argv has no -o."""
     out = tmp_path / "out"
-    argv = [a.format(cert=cert_d5) for a in argv] + ([] if command == "verify" else ["-o", str(out)])
+    argv = [a.format(cert=cert_d5, command=command) for a in argv]
+    argv += [] if command == "verify" else ["-o", str(out)]
+    own = command in argv  # the option is thetalattice's own
+    prog = "thetalattice" if own else f"thetalattice {command}"
+    argv = argv if own else [command, *argv]
     proc = subprocess.run(
-        [sys.executable, "-m", "thetalattice.cli", command, *argv],
+        [sys.executable, "-m", "thetalattice.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
@@ -283,9 +291,10 @@ def test_argparse_refusal_is_usage_line_and_one_error(cert_d5, tmp_path, command
     )
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
-    assert lines[0].startswith(f"usage: thetalattice {command} ")
+    usage = "usage: thetalattice [-h] {construct," if own else f"usage: {prog} "
+    assert lines[0].startswith(usage)
     assert [line for line in lines if "error:" in line] == [lines[-1]]
-    assert lines[-1].startswith("thetalattice") and lines[-1].endswith(f": error: {message}")
+    assert lines[-1] == f"{prog}: error: {message}"
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
@@ -419,6 +428,11 @@ def _repeated_edge(data):
     data["edge_order"][3] = data["edge_order"][2]
 
 
+def _permuted_order(data):
+    order = data["edge_order"]
+    order[2], order[3] = order[3], order[2]
+
+
 @pytest.mark.parametrize(
     "command, edit, message",
     [
@@ -428,11 +442,13 @@ def _repeated_edge(data):
         ("verify", _extra_stages, "more than the 9"),
         ("verify", _first_stage(lambda row: row[:-1]), "has 24 bits for 25 edges"),
         ("verify", _first_stage(lambda row: row.replace("1", "2")), "other than 0 and 1"),
-        ("verify", _unknown_role, "(c1, f9) names a role"),
-        ("verify", _repeated_edge, "not a distinct base edge"),
+        ("verify", _unknown_role, "edge_order entry 3 is (c1, f9), not the canonical (c1, vy)"),
+        ("verify", _repeated_edge, "edge_order entry 3 is (c1, vx), not the canonical (c1, vy)"),
+        ("verify", _permuted_order, "edge_order entry 2 is (c1, vy), not the canonical (c1, vx)"),
         ("verify", _set("flags", {"no_zero_voltage_hexes": True}), "flags must be"),
         ("verify", _set("d", "5"), "d must be an integer"),
-        ("report", _unknown_role, "(c1, f9) names a role"),
+        ("report", _unknown_role, "edge_order entry 3 is (c1, f9), not the canonical (c1, vy)"),
+        ("report", _permuted_order, "edge_order entry 2 is (c1, vy), not the canonical (c1, vx)"),
         ("embed", _first_stage(lambda row: row[:-1]), "has 24 bits for 25 edges"),
         *(
             (command, edit, message)
@@ -470,6 +486,20 @@ def test_malformed_input_is_a_usage_error(cert_d5, tmp_path, capsys, time_limit,
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert message in err
+
+
+def test_report_reads_the_edge_order_before_the_flags(cert_d5, tmp_path, capsys):
+    """A certificate is checked whole while it is read, so one with false
+    flags and a permuted edge order exits 2 (a usage error) before report
+    looks at its flags, which would exit 1."""
+    data = json.loads(cert_d5.read_text())
+    data["flags"] = dict.fromkeys(data["flags"], False)
+    _permuted_order(data)
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "report", str(path)) == (
+        2, "", "error: certificate edge_order entry 2 is (c1, vy), not the canonical (c1, vx)\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -645,7 +675,7 @@ def _mutated_certificates(draw, text):
     field, stage, edge_order entry, role or flag, a value of a wrong type, a
     d, s, count, seed, stage, role or flag out of range, or the text cut
     short.  No mutation turns it into another valid voltage by design: a
-    renamed role repeats an edge or names a non-edge."""
+    renamed role or a repeated entry leaves the canonical edge order."""
     kind = draw(st.sampled_from(["drop", "duplicate", "type", "range", "truncate"]))
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
@@ -717,7 +747,7 @@ def test_certificate_input_fuzz(wenger_d5, tmp_path, capsys, time_limit, data):
         assert "Traceback" not in out + err, name
         if name == "verify" and code == 0:
             back = LiftCertificate.from_json(text)
-            assert back.to_voltage(base) == volt
+            assert back.volt == volt
             assert (back.flags, back.constraint_count) == (cert.flags, cert.constraint_count)
 
 

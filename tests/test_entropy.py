@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from thetalattice.entropy import (
     summary_table,
 )
 from thetalattice.errors import InvalidCertificate
-from thetalattice.voltage import CertificateFlags, LiftCertificate
+from thetalattice.voltage import CertificateFlags
 
 
 def test_d6_zero():
@@ -88,15 +89,7 @@ def test_lattice_report_d10(certified):
 
 def test_lattice_report_rejects_bad_flags(certified):
     cert, _, _, _ = certified(5)
-    bad = LiftCertificate(
-        d=cert.d,
-        s=cert.s,
-        stage_bits=cert.stage_bits,
-        edge_order=cert.edge_order,
-        flags=CertificateFlags(True, False, True),
-        constraint_count=cert.constraint_count,
-        seed=cert.seed,
-    )
+    bad = dataclasses.replace(cert, flags=CertificateFlags(True, False, True))
     with pytest.raises(InvalidCertificate):
         lattice_report(bad)
 
@@ -106,17 +99,8 @@ def test_lattice_report_detects_tampered_bits(certified):
     from thetalattice.certify import verify_certificate
 
     cert, base, volt, _ = certified(5)
-    zeroed = LiftCertificate(
-        d=cert.d,
-        s=cert.s,
-        stage_bits=("0" * len(cert.edge_order),) * cert.s,
-        edge_order=cert.edge_order,
-        flags=cert.flags,  # claims validity
-        constraint_count=cert.constraint_count,
-        seed=cert.seed,
-    )
-    rebuilt = zeroed.to_voltage(base)
-    fresh = verify_certificate(base, rebuilt, seed=cert.seed)
+    zeroed = dataclasses.replace(cert, volt=volt.with_bits(cert.s, {}))  # its flags claim validity
+    fresh = verify_certificate(base, zeroed.volt, seed=cert.seed)
     assert not fresh.flags.all_true
 
 

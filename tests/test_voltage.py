@@ -47,7 +47,6 @@ from thetalattice.voltage import (
     derived_cover,
     make_bits,
     max_connected_stages,
-    stage_bitstrings,
     voltage_group_generated,
 )
 
@@ -412,32 +411,31 @@ def test_certificate_writer_matches_json_dumps(certified, d):
     sort_keys=True) for the Wenger certificates, also cut to s = 0, and
     they read back to the same certificate."""
     cert = certified(d)[0]
-    for c in (cert, dataclasses.replace(cert, s=0, stage_bits=())):
+    for c in (cert, dataclasses.replace(cert, volt=cert.volt.truncate(0))):
         text = c.to_json()
         assert text == _dumped(c)
         assert LiftCertificate.from_json(text) == c
 
 
-# role names and stages with JSON escapes (quotes, backslashes, control
-# characters), non-ASCII and % signs
-_awkward_text = st.text(
-    alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t%s01cé€😀'), st.characters()), max_size=6
-)
+@st.composite
+def _certificates(draw):
+    """A certificate of d = 5..12 with any number of stages up to
+    max_connected_stages(d) (object masks from s = 64), random bits on the
+    non-central edges, any flags and any integer count and seed."""
+    d = draw(st.integers(5, 12))
+    s = draw(st.integers(0, max_connected_stages(d)))
+    base, volt0 = build_base_graph(d)
+    volt = random_bits_voltage(base, volt0, s, draw(st.integers(0, 2**32)))
+    flags = CertificateFlags(*draw(st.tuples(st.booleans(), st.booleans(), st.booleans())))
+    return LiftCertificate(volt, flags, draw(st.integers()), draw(st.integers()))
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    d=st.integers(min_value=-(2**70), max_value=2**70),
-    s=st.integers(min_value=-3, max_value=2**64),
-    stages=st.lists(_awkward_text, max_size=4),
-    order=st.lists(st.tuples(_awkward_text, _awkward_text), max_size=6),
-    flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
-    count=st.integers(min_value=-(2**70), max_value=2**70),
-    seed=st.integers(min_value=-(2**70), max_value=2**70),
-)
-def test_certificate_writer_escapes_like_json_dumps(d, s, stages, order, flags, count, seed):
-    cert = LiftCertificate(d, s, tuple(stages), tuple(order), CertificateFlags(*flags), count, seed)
-    assert cert.to_json() == _dumped(cert)
+@given(cert=_certificates())
+def test_certificate_writer_matches_json_dumps_on_any_voltage(cert):
+    text = cert.to_json()
+    assert text == _dumped(cert)
+    assert LiftCertificate.from_json(text) == cert
 
 
 @pytest.mark.parametrize("name", ["cert_d5_seed1.json", "cert_d10_seed1.json"])
@@ -453,6 +451,7 @@ def test_canonical_edge_order_matches_role_lookup(d):
 
 
 _NOT_PAIRS = "certificate edge_order must be a list of role pairs"
+_D5_ORDER = [list(pair) for pair in canonical_edge_order(BaseGraph(5))]
 _BAD_EDGE_ORDERS = {
     "not a list": ({"c1": "t"}, _NOT_PAIRS),
     "entry is a string": (["c1 t"], _NOT_PAIRS),
@@ -469,13 +468,26 @@ _BAD_EDGE_ORDERS = {
     "short pair last": ([["c1", "t"]] * 24 + [["c5"]], _NOT_PAIRS),
     "empty": ([], "certificate edge_order has 0 entries, but the d=5 base graph K_{d,d} has 25 edges"),
     "one short": ([["c1", "t"]] * 24, "certificate edge_order has 24 entries, but the d=5 base graph K_{d,d} has 25 edges"),
+    "permuted": (
+        [*_D5_ORDER[:2], _D5_ORDER[3], _D5_ORDER[2], *_D5_ORDER[4:]],
+        "certificate edge_order entry 2 is (c1, vy), not the canonical (c1, vx)",
+    ),
+    "flipped pair": (
+        [["t", "c1"], *_D5_ORDER[1:]],
+        "certificate edge_order entry 0 is (t, c1), not the canonical (c1, t)",
+    ),
+    "unknown role": (
+        [*_D5_ORDER[:3], ["c1", "f9"], *_D5_ORDER[4:]],
+        "certificate edge_order entry 3 is (c1, f9), not the canonical (c1, vy)",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(_BAD_EDGE_ORDERS))
 def test_certificate_reader_edge_order_messages(certified, case):
     """Each malformed d = 5 edge_order is refused with its exact message,
-    the entry checks before the count."""
+    the entry checks before the count, and any order but the canonical one
+    at its first wrong entry."""
     order, message = _BAD_EDGE_ORDERS[case]
     data = json.loads(certified(5)[0].to_json())
     data["edge_order"] = order
@@ -500,11 +512,11 @@ def test_certificate_reader_stage_messages(certified, bad, at):
 
 def test_certificate_voltage_roundtrip(certified):
     cert, base, volt, _ = certified(5)
-    rebuilt = cert.to_voltage(base)
+    rebuilt = LiftCertificate.from_json(cert.to_json()).volt
     assert rebuilt == volt
     assert rebuilt.s == volt.s
     assert dict(rebuilt.level_bits) == dict(volt.level_bits)
-    assert stage_bitstrings(base, rebuilt) == cert.stage_bits
+    assert cert.to_voltage(base) is cert.volt is volt
 
 
 def test_canonical_edge_order_sorted_by_roles():
@@ -545,10 +557,10 @@ def test_truncate_keeps_first_stages():
 @pytest.mark.parametrize("s", [0, 1, 21, 22, 63, 64, 69])
 def test_voltage_array_round_trips(s):
     """A random d = 10 voltage survives every conversion: to stage strings
-    and back through a certificate (also with its edge order shuffled), back
-    from its level_bits view, and cut by truncate as the benchmark's
-    truncated() cuts it; bits return what the map gave, in both
-    orientations."""
+    and back through a certificate, back from its level_bits view, and cut
+    by truncate as the benchmark's truncated() cuts it; bits return what the
+    map gave, in both orientations.  The certificate with its edge order
+    and stage columns shuffled alike is refused at its first moved entry."""
     d = 10
     rng = random.Random(s)
     base, volt0 = build_base_graph(d)
@@ -556,17 +568,20 @@ def test_voltage_array_round_trips(s):
     volt = volt0.with_bits(s, bits)
     assert volt.masks.dtype == (np.int64 if s <= 63 else object)
 
-    stages = stage_bitstrings(base, volt)
-    order = canonical_edge_order(base)
-    cert = LiftCertificate(d, s, stages, order, CertificateFlags(True, True, True), 0, 0)
-    assert cert.to_voltage(base) == volt
+    data = json.loads(LiftCertificate(volt, CertificateFlags(True, True, True), 0, 0).to_json())
+    assert LiftCertificate.from_json_dict(data).volt == volt
+    order = data["edge_order"]
     perm = list(range(d * d))
     rng.shuffle(perm)
-    shuffled = LiftCertificate(
-        d, s, tuple("".join(row[k] for k in perm) for row in stages), tuple(order[k] for k in perm),
-        cert.flags, 0, 0,
+    data["level_bits"] = ["".join(row[k] for k in perm) for row in data["level_bits"]]
+    data["edge_order"] = [order[k] for k in perm]
+    k = next(k for k in range(d * d) if perm[k] != k)
+    with pytest.raises(MalformedGraph) as refused:
+        LiftCertificate.from_json_dict(data)
+    assert str(refused.value) == (
+        f"certificate edge_order entry {k} is ({', '.join(order[perm[k]])}), "
+        f"not the canonical ({', '.join(order[k])})"
     )
-    assert shuffled.to_voltage(base) == volt
 
     assert volt.with_bits(s, volt.level_bits) == volt
     assert dict(volt.level_bits) == {e: m for e, m in bits.items() if m}
