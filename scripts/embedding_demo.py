@@ -19,7 +19,7 @@ from thetalattice.embed import (
     try_to_json,
     try_to_obj,
 )
-from thetalattice.voltage import derived_cover
+from thetalattice.voltage import BaseGraph, derived_cover
 
 
 def main() -> int:
@@ -32,9 +32,9 @@ def main() -> int:
     parser.add_argument("--obj", default="embedding_demo.obj")
     args = parser.parse_args()
 
-    cert, base, volt = certify(args.d, seed=1)
-    truncated = volt.truncate(args.trunc_s)
-    fug = derived_cover(base, truncated)
+    cert = certify(args.d, seed=1)
+    truncated = cert.volt.truncate(args.trunc_s)
+    fug = derived_cover(BaseGraph(cert.d), truncated)
     print(
         f"full unit graph at d={args.d}, s={truncated.s}: "
         f"{fug.vertex_count} vertices, {len(fug.edge_array)} edges; "

@@ -28,7 +28,7 @@ def main() -> int:
     summaries = []
     for d in range(args.dmin, args.dmax + 1):
         t0 = time.perf_counter()
-        cert, _, _ = certify(d)
+        cert = certify(d)
         elapsed = time.perf_counter() - t0
         summary = lattice_report(cert)
         summaries.append(summary)

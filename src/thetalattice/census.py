@@ -5,9 +5,10 @@ it counts bipartite graphs only, as every graph the package builds is.
 
 All reported averages are exact rationals, and every count is made in
 integers; nothing in this module uses floating point.  On explicit graphs
-one int64 wedge table (every path u - w - v, keyed by its end pair) gives
-the pair codegrees, which give the 4-cycles, the thetas and the central
-4-cycles, and the 6-cycles through a codegree-triangle identity, whose
+one int64 wedge table per colour class (every path u - w - v with u, v in
+that class, keyed by its end pair) gives the pair codegrees.  The smaller
+class's table gives the 4-cycles, the central 4-cycles, its share of the
+thetas, and the 6-cycles through a codegree-triangle identity, whose
 triangle sum gathers each candidate pair from a reusable slot table.  The
 per-cube census keys each walk by one XOR of edge keys, its level bits with
 the parity of its displacement above them, which is exact among the walks
@@ -72,61 +73,56 @@ def _frac_str(x: Fraction) -> str:
 # largest degree of the codegree graph it holds at most
 # max(_TRIANGLE_BLOCK, K) pairs and K times as many candidates.  Larger
 # blocks raise peak memory: a `census` process on the d = 10, s = 8 full unit
-# graph peaks at 56 MiB with 2^12 to 2^16 slots, 66 MiB with 2^18 and 94 MiB
+# graph peaks at 48-50 MiB with 2^12 to 2^16 slots, 61 MiB with 2^18 and 88 MiB
 # with 2^20 (2 vCPU, Python 3.11.7, numpy 2.4.6).
 _TRIANGLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class _Wedges:
-    """Every wedge u - w - v (u < v) of a graph, keyed by its end pair.
+    """Every wedge u - w - v (u < v) whose middle vertex w lies in one set,
+    keyed by its end pair.
 
     The key of a vertex pair u < v is u * n + v, below n^2 and so in int64
     for any n below 3 * 10^9.  keys holds the distinct keys in ascending
     order and codegree[i] the number of wedges over keys[i], which is the
-    codegree of that pair.  Wedge j has middle vertex center[j] and end pair
-    keys[pair[j]].  (start, nbr) is the CSR adjacency the table was built
-    from: the neighbours of v, ascending, are nbr[start[v]:start[v + 1]].
+    codegree of that pair when the set holds every common neighbour of its
+    ends.  Wedge j has middle vertex center[j] and end pair keys[pair[j]].
     """
 
-    n: int
-    start: np.ndarray
-    nbr: np.ndarray
-    degree: np.ndarray
     center: np.ndarray
     pair: np.ndarray
     keys: np.ndarray
     codegree: np.ndarray
 
 
-def _wedges(g: LabeledGraph) -> _Wedges:
-    """The wedge table of g: a CSR adjacency from the edge array, then the
-    neighbour pairs of all vertices of one degree k at once, taken by
-    triu_indices(k)."""
-    n = g.vertex_count
-    start, nbr = _csr(g)
+def _wedges(start: np.ndarray, nbr: np.ndarray, middle: np.ndarray) -> _Wedges:
+    """The wedge table of the middle vertices (a boolean mask) of the CSR
+    adjacency (start, nbr): the neighbour pairs of all middle vertices of
+    one degree k at once, taken by triu_indices(k)."""
+    n = len(start) - 1
     degree = np.diff(start)
     keys = [np.zeros(0, dtype=np.int64)]
     centers = [np.zeros(0, dtype=np.int64)]
-    for k in np.unique(degree[degree >= 2]):
-        verts = np.flatnonzero(degree == k)
+    for k in np.unique(degree[middle & (degree >= 2)]):
+        verts = np.flatnonzero(middle & (degree == k))
         rows = nbr[start[verts, None] + np.arange(k)]
         lo, hi = np.triu_indices(k, 1)
         keys.append((rows[:, lo] * n + rows[:, hi]).ravel())
         centers.append(np.repeat(verts, len(lo)))
     uniq, pair, codegree = np.unique(np.concatenate(keys), return_inverse=True, return_counts=True)
-    return _Wedges(n, start, nbr, degree, np.concatenate(centers), pair, uniq, codegree)
+    return _Wedges(np.concatenate(centers), pair, uniq, codegree)
 
 
-def _c4_and_theta(codegree: np.ndarray) -> tuple[int, int]:
-    """(4-cycles, K_{2,3} subgraphs) from pair codegrees: each 4-cycle is
-    seen from both diagonals, the hub pair of a theta graph is unique."""
-    pairs = int((codegree * (codegree - 1) // 2).sum())
-    assert pairs % 2 == 0
-    return pairs // 2, int((codegree * (codegree - 1) * (codegree - 2) // 6).sum())
+def _pair_totals(codegree: np.ndarray) -> tuple[int, int]:
+    """(sum C(c,2), sum C(c,3)) over pair codegrees c: the 4-cycles with one
+    diagonal among the pairs, and the K_{2,3} subgraphs with their hub pair
+    among them."""
+    c = codegree
+    return int((c * (c - 1) // 2).sum()), int((c * (c - 1) * (c - 2) // 6).sum())
 
 
-def _bipartite_c6(w: _Wedges, color: np.ndarray) -> int:
+def _bipartite_c6(w: _Wedges, degree: np.ndarray, in_y: np.ndarray) -> int:
     """6-cycles of a bipartite graph from the codegrees of one side.
 
     With X the smaller side, Y the other, chat the X-side codegree matrix
@@ -138,15 +134,13 @@ def _bipartite_c6(w: _Wedges, color: np.ndarray) -> int:
     The first term counts codegree triangles, the others remove triples that
     reuse a middle vertex.  Every term is an exact integer: tr(chat^3)/6 is
     the sum over codegree triangles a < b < c of c_ab c_bc c_ac, and q_y / 2
-    is the sum of the codegrees of the wedges at y.
+    is the sum of the codegrees of the wedges at y.  w is the X-pair table:
+    its wedges are those centred in Y, the mask in_y.
     """
-    x = int(2 * color.sum() < len(color))  # color 1 only if it is the smaller class
-    at_y = color[w.center] != x
-    reuse = int(((w.degree[w.center[at_y]] - 2) * w.codegree[w.pair[at_y]]).sum())
-    deg_y = w.degree[color != x]
+    reuse = int(((degree[w.center] - 2) * w.codegree[w.pair]).sum())
+    deg_y = degree[in_y]
     closed = int((deg_y * (deg_y - 1) * (deg_y - 2) // 6).sum())
-    x_pairs = color[w.keys // w.n] == x
-    return _codegree_triangles(w.keys[x_pairs], w.codegree[x_pairs], w.n) - reuse + 2 * closed
+    return _codegree_triangles(w.keys, w.codegree, len(degree)) - reuse + 2 * closed
 
 
 def _codegree_triangles(keys: np.ndarray, codegree: np.ndarray, n: int) -> int:
@@ -225,7 +219,7 @@ def _central_c4(g: LabeledGraph, w: _Wedges) -> int:
     wedges whose three vertices do, read from the role, level and cell
     arrays."""
     central = np.array([r.tag in CENTRAL_TAGS for r in g.roles])[g.role_codes]
-    lo, hi = np.divmod(w.keys[w.pair], w.n)
+    lo, hi = np.divmod(w.keys[w.pair], g.vertex_count)
     mid = w.center
     at = np.flatnonzero(central[mid] & central[lo] & central[hi])
     lo, hi, mid = lo[at], hi[at], mid[at]
@@ -236,7 +230,7 @@ def _central_c4(g: LabeledGraph, w: _Wedges) -> int:
         & (cells[lo] == cells[mid]).all(axis=1)
         & (cells[hi] == cells[mid]).all(axis=1)
     )
-    return _c4_and_theta(np.bincount(w.pair[at[same]], minlength=len(w.keys)))[0]
+    return _pair_totals(np.bincount(w.pair[at[same]], minlength=len(w.keys)))[0]
 
 
 def census(g: LabeledGraph) -> CensusReport:
@@ -244,22 +238,24 @@ def census(g: LabeledGraph) -> CensusReport:
     ones among them (all four vertices with hub/spoke roles at one (cell,
     level); 0 unless g has the roles t, b and c) and the stray
     rest, its 6-cycles and its K_{2,3} subgraphs (theta222), each also per
-    vertex.  All come from one wedge table of g and the CSR adjacency it was
-    built from, read from the graph's arrays.  MalformedGraph names the
-    first edge, in edge_array order, whose ends the breadth-first colouring
-    puts in one class: g is not bipartite, and is not counted."""
-    w = _wedges(g)
-    _, parity = _bfs(w.start, w.nbr)
+    vertex.  MalformedGraph names the first edge, in edge_array order, whose
+    ends the breadth-first colouring puts in one class: g is not bipartite,
+    and is not counted.  With X the smaller colour class, the pairs of the
+    other class give only their thetas, and their table is freed before the
+    X-pair table, from which come the rest: each 4-cycle has one diagonal
+    in X."""
+    start, nbr = _csr(g)
+    _, parity = _bfs(start, nbr)
     same = parity[g.edge_array[:, 0]] == parity[g.edge_array[:, 1]]
     if same.any():
         u, v = g.edge_array[int(np.argmax(same))].tolist()
         raise MalformedGraph(f"census counts bipartite graphs only: edge ({u},{v}) closes an odd cycle")
-    c4, theta = _c4_and_theta(w.codegree)
-    if {r.tag for r in g.roles} >= CENTRAL_TAGS:
-        central = _central_c4(g, w)
-    else:
-        central = 0
-    return _explicit_report(g, c4, central, _bipartite_c6(w, parity), theta)
+    in_y = parity != int(2 * parity.sum() < len(parity))  # X is colour 1 only if it is the smaller class
+    theta_y = _pair_totals(_wedges(start, nbr, ~in_y).codegree)[1]
+    w = _wedges(start, nbr, in_y)
+    c4, theta_x = _pair_totals(w.codegree)
+    central = _central_c4(g, w) if {r.tag for r in g.roles} >= CENTRAL_TAGS else 0
+    return _explicit_report(g, c4, central, _bipartite_c6(w, np.diff(start), in_y), theta_y + theta_x)
 
 
 # ---------------------------------------------------------------------------

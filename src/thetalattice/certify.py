@@ -30,7 +30,6 @@ from .voltage import (
     CertificateFlags,
     LiftCertificate,
     VoltageAssignment,
-    build_base_graph,
     voltage_group_generated,
 )
 
@@ -280,10 +279,10 @@ def wenger_voltage(base: BaseGraph) -> VoltageAssignment:
     return VoltageAssignment(2 * r, masks)
 
 
-def certify(d: int, seed: int = 0) -> tuple[LiftCertificate, BaseGraph, VoltageAssignment]:
-    """Build the base graph, give it the Wenger voltage and verify it.  The
-    voltage is the same for every seed, which is only recorded in the
-    certificate.  DegreeTooSmall below d = 5."""
-    base, _ = build_base_graph(d)
-    volt = wenger_voltage(base)
-    return verify_certificate(base, volt, seed=seed), base, volt
+def certify(d: int, seed: int = 0) -> LiftCertificate:
+    """Give the degree-d base graph the Wenger voltage and verify it; the
+    certificate holds the voltage (cert.volt).  The voltage is the same for
+    every seed, which is only recorded in the certificate.  DegreeTooSmall
+    below d = 5."""
+    base = BaseGraph(d)
+    return verify_certificate(base, wenger_voltage(base), seed=seed)

@@ -85,7 +85,7 @@ def _cmd_construct(args) -> int:
     else:
         d = args.d
     t0 = time.perf_counter()
-    cert, _, _ = run_certify(d, seed=args.seed)
+    cert = run_certify(d, seed=args.seed)
     elapsed = time.perf_counter() - t0
     out = args.output or f"cert_d{d}.json"
     _write(out, cert.to_json())

@@ -51,8 +51,11 @@ class LatticeSummary:
     theta_bar: Fraction
     ratio: Fraction
     d6: Fraction
-    d6_negative: bool
     kappa: Fraction | None = None
+
+    @property
+    def d6_negative(self) -> bool:
+        return self.d6 < 0
 
     @property
     def sign(self) -> str:
@@ -93,7 +96,6 @@ def _summary_of_census(
     has already computed."""
     if report.c4_bar == 0:
         raise InvalidCertificate("certified lattice has no 4-cycles")
-    d6 = d6_coefficient(report.c4_bar, report.c6_bar, report.theta_bar, cert.d)
     return LatticeSummary(
         d=cert.d,
         s=cert.s,
@@ -101,8 +103,7 @@ def _summary_of_census(
         c6_bar=report.c6_bar,
         theta_bar=report.theta_bar,
         ratio=report.theta_bar / report.c4_bar,
-        d6=d6,
-        d6_negative=d6 < 0,
+        d6=d6_coefficient(report.c4_bar, report.c6_bar, report.theta_bar, cert.d),
         kappa=_as_fraction(kappa) if kappa is not None else None,
     )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -286,18 +286,10 @@ class CertificateFlags:
 
     @property
     def all_true(self) -> bool:
-        return (
-            self.no_zero_voltage_hexes
-            and self.no_zero_voltage_stray4s
-            and self.voltage_group_generated
-        )
+        return all(asdict(self).values())
 
     def to_dict(self) -> dict:
-        return {
-            "no_zero_voltage_hexes": self.no_zero_voltage_hexes,
-            "no_zero_voltage_stray4s": self.no_zero_voltage_stray4s,
-            "voltage_group_generated": self.voltage_group_generated,
-        }
+        return asdict(self)
 
 
 # one edge_order pair of LiftCertificate.to_json, led by its line break;

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -31,6 +32,7 @@ from conftest import (
     edge_disp,
     from_labeled_vertices,
     label_index,
+    labeled_graph,
     labeled_k2d,
     noncentral_edges,
     plain_graph,
@@ -43,7 +45,7 @@ from conftest import (
 from thetalattice.census import census, voltage_census
 from thetalattice.certify import recheck_constraints_dfs
 from thetalattice.errors import MalformedGraph, TooLarge
-from thetalattice.graphs import Role, build_root_unit_graph, graph_from_json_dict
+from thetalattice.graphs import Role, _bfs, _csr, build_root_unit_graph, graph_from_json_dict
 from thetalattice.voltage import build_base_graph, derived_cover
 
 # the package re-exports a function named like this module
@@ -320,24 +322,92 @@ def test_classify_central_needs_one_cell_and_level():
 
 
 def test_census_makes_one_codegree_pass(monkeypatch):
-    """census() builds one wedge table per call, which serves c4, theta222,
-    the central 4-cycles and the 6-cycles."""
+    """census() builds one wedge table per colour class, two per call: first
+    the one centred in the smaller class X, then the one centred in the
+    other, so the two middle masks split the vertices.  The second serves
+    c4, the central 4-cycles and the 6-cycles."""
     base, volt0 = build_base_graph(5)
     torus = derived_cover(base, random_bits_voltage(base, volt0, 2, seed=5), 2)
+    k2d = labeled_k2d(5)
     original = census_module._wedges
-    tables = []
+    masks = []
 
-    def counted(g):
-        tables.append(len(g.edges))
-        return original(g)
+    def counted(start, nbr, middle):
+        masks.append(middle.copy())
+        return original(start, nbr, middle)
 
     monkeypatch.setattr(census_module, "_wedges", counted)
     report = census(torus)
-    assert tables == [len(torus.edges)]
-    census(labeled_k2d(5))
-    assert len(tables) == 2
+    census(k2d)
+    assert len(masks) == 4
+    for g, (in_x, in_y) in zip((torus, k2d), (masks[:2], masks[2:])):
+        assert len(in_x) == g.vertex_count
+        assert (in_x ^ in_y).all()
+        assert 2 * in_x.sum() <= g.vertex_count
     copies = 2**3 * 2**2  # n^3 * 2^s central copies of K_{2,5}
     assert report.c4_central == copies * 10
+
+
+def test_census_central_from_either_side():
+    """Two K_{2,d} hub graphs in one graph, the first numbered hubs first and
+    the second spokes first, so the breadth-first colouring puts the hubs of
+    one and the spokes of the other in colour 0: the X-pair table meets one
+    copy's central 4-cycles through its hub pair and the other's through its
+    spoke pairs, and counts both."""
+    d = 5
+    t, b = Role("t"), Role("b")
+    spokes = [Role("c", i) for i in range(1, d + 1)]
+    first = [VertexLabel(r) for r in (t, b, *spokes)]
+    second = [VertexLabel(r, cell=(1, 0, 0)) for r in (*spokes, t, b)]
+    edges = [(hub, 2 + i) for hub in (0, 1) for i in range(d)]
+    edges += [(d + 2 + i, 2 * d + 2 + hub) for hub in (0, 1) for i in range(d)]
+    g = labeled_graph(first + second, edges, d)
+    _, parity = _bfs(*_csr(g))
+    assert parity[[0, 1, d + 2]].tolist() == [0, 0, 0]
+    rep = census(g)
+    assert rep.c4_central == rep.c4_total == 2 * comb(d, 2)
+    assert rep == brute_force_census(g)
+
+
+@pytest.mark.parametrize(
+    "n, edges, sizes",
+    [
+        # colour 0 (vertex 0's side) has 6 vertices, colour 1 only 4
+        (10, [(u, v) for u in range(6) for v in range(6, 10) if (u + v) % 5], (6, 4)),
+        # a 3-cube and two 6-cycles through its vertices: 6 and 6
+        (
+            12,
+            [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
+             (0, 9), (9, 8), (8, 10), (10, 11), (11, 2), (7, 8), (3, 4), (1, 6)],
+            (6, 6),
+        ),
+    ],
+    ids=["colour-1-smaller", "tie"],
+)
+def test_census_one_sided_matches_brute_force(n, edges, sizes):
+    g = plain_graph(n, edges)
+    _, parity = _bfs(*_csr(g))
+    assert (int((parity == 0).sum()), int(parity.sum())) == sizes
+    rep = census(g)
+    assert rep == brute_force_census(g)
+    assert rep.c4_total and rep.c6 and rep.theta222
+
+
+def test_census_memory_is_one_class_table(certified):
+    """The two wedge tables are never held at once, and neither mixes the
+    pairs of both classes: the census of the d = 10, s = 8 full unit graph
+    (5,888 vertices) stays under 16 MiB of traced memory."""
+    _, base, volt, _ = certified(10)
+    fug = derived_cover(base, volt)
+    assert volt.s == 8 and fug.vertex_count == 5888
+    tracemalloc.start()
+    try:
+        rep = census(fug)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.c4_central == rep.c4_total == 256 * 45
+    assert peak < 16 << 20
 
 
 def test_classify_certified_full_unit_graph(certified):

@@ -42,6 +42,7 @@ from thetalattice.certify import (
 )
 from thetalattice.graphs import Role
 from thetalattice.voltage import (
+    BaseGraph,
     LiftCertificate,
     build_base_graph,
     derived_cover,
@@ -363,8 +364,8 @@ def test_central_cycles_always_survive():
 # end-to-end certify
 
 def test_certify_deterministic():
-    a, _, _ = certify(5, seed=42)
-    b, _, _ = certify(5, seed=42)
+    a = certify(5, seed=42)
+    b = certify(5, seed=42)
     assert a == b
     assert a.to_json() == b.to_json()
 
@@ -392,10 +393,10 @@ def test_certify_wenger_stages(d):
     """One route at every degree: s = 2 ceil(log2 d) stages and every flag
     true, decided by census and DFS up to d = 20 and by the census alone
     above.  s steps up after d = 8, 16 and 32."""
-    cert, base, volt = certify(d)
+    cert = certify(d)
     r = (d - 1).bit_length()
     assert 2 ** (r - 1) < d <= 2**r
-    assert cert.s == volt.s == 2 * r <= max_connected_stages(d)
+    assert cert.s == cert.volt.s == 2 * r <= max_connected_stages(d)
     assert cert.flags.all_true
     assert cert.constraint_count == constraint_count_formula(d)
     assert verification_route(d) == ("census+dfs" if d <= 20 else "census-only")
@@ -403,8 +404,8 @@ def test_certify_wenger_stages(d):
 
 @pytest.mark.parametrize("d", [5, 13, 33])
 def test_certify_ignores_seed(d):
-    a, _, _ = certify(d, seed=1)
-    b, _, _ = certify(d, seed=2)
+    a = certify(d, seed=1)
+    b = certify(d, seed=2)
     assert a.seed == 1 and b.seed == 2
     assert dataclasses.replace(a, seed=2) == b
 
@@ -483,9 +484,9 @@ def test_wenger_voltage_follows_the_rule(d):
 def test_wenger_voltage_passes_dfs_recheck(d):
     """The DFS finds every constraint covered by the Wenger stages; for
     d >= 13 it is a second route beside the census that certify ran."""
-    cert, base, volt = certify(d)
+    cert = certify(d)
     assert cert.s == 2 * (d - 1).bit_length()
-    assert recheck_constraints_dfs(base, volt) == (constraint_count_formula(d), 0, 0)
+    assert recheck_constraints_dfs(BaseGraph(cert.d), cert.volt) == (constraint_count_formula(d), 0, 0)
 
 
 def _stage_lower_bound(d):

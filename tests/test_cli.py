@@ -719,7 +719,7 @@ def _mutated_certificates(draw, text):
 
 @pytest.fixture(scope="module")
 def wenger_d5():
-    """The d = 5 Wenger certificate, its base graph and its voltage."""
+    """The d = 5 Wenger certificate."""
     return certify(5)
 
 
@@ -730,7 +730,7 @@ def test_certificate_input_fuzz(wenger_d5, tmp_path, capsys, time_limit, data):
     with a defined code (3 only from embed) and never a traceback, and verify
     passes only a file that still gives the same voltage, flags and
     constraint count."""
-    cert, base, volt = wenger_d5
+    cert = wenger_d5
     text = data.draw(_mutated_certificates(cert.to_json()))
     path = tmp_path / "cert.json"
     path.write_text(text)
@@ -747,7 +747,7 @@ def test_certificate_input_fuzz(wenger_d5, tmp_path, capsys, time_limit, data):
         assert "Traceback" not in out + err, name
         if name == "verify" and code == 0:
             back = LiftCertificate.from_json(text)
-            assert back.volt == volt
+            assert back.volt == cert.volt
             assert (back.flags, back.constraint_count) == (cert.flags, cert.constraint_count)
 
 
