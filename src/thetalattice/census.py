@@ -32,18 +32,35 @@ from .voltage import BaseGraph, VoltageAssignment
 
 @dataclass(frozen=True)
 class CensusReport:
+    """The four counts of a census, the vertex count its per-vertex averages
+    divide by (0 averages to 0) and its scope; the stray 4-cycles and the
+    averages are derived from them."""
+
     c4_total: int
     c4_central: int
-    c4_stray: int
     c6: int
     theta222: int
-    c4_bar: Fraction
-    c6_bar: Fraction
-    theta_bar: Fraction
+    vertices: int
     scope: str  # "explicit-graph" | "per-cube"
 
-    def __post_init__(self):
-        assert self.c4_total == self.c4_central + self.c4_stray
+    @property
+    def c4_stray(self) -> int:
+        return self.c4_total - self.c4_central
+
+    @property
+    def c4_bar(self) -> Fraction:
+        return self._per_vertex(self.c4_total)
+
+    @property
+    def c6_bar(self) -> Fraction:
+        return self._per_vertex(self.c6)
+
+    @property
+    def theta_bar(self) -> Fraction:
+        return self._per_vertex(self.theta222)
+
+    def _per_vertex(self, count: int) -> Fraction:
+        return Fraction(count, self.vertices) if self.vertices else Fraction(0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,23 +213,6 @@ def _codegree_triangles(keys: np.ndarray, codegree: np.ndarray, n: int) -> int:
     return total
 
 
-def _explicit_report(
-    g: LabeledGraph, c4: int, central: int, c6: int, theta: int
-) -> CensusReport:
-    n = g.vertex_count
-    return CensusReport(
-        c4_total=c4,
-        c4_central=central,
-        c4_stray=c4 - central,
-        c6=c6,
-        theta222=theta,
-        c4_bar=Fraction(c4, n) if n else Fraction(0),
-        c6_bar=Fraction(c6, n) if n else Fraction(0),
-        theta_bar=Fraction(theta, n) if n else Fraction(0),
-        scope="explicit-graph",
-    )
-
-
 def _central_c4(g: LabeledGraph, w: _Wedges) -> int:
     """4-cycles inside the central copies: those whose four vertices all have
     hub/spoke roles at one (cell, level), counted from the codegrees of the
@@ -255,7 +255,8 @@ def census(g: LabeledGraph) -> CensusReport:
     w = _wedges(start, nbr, in_y)
     c4, theta_x = _pair_totals(w.codegree)
     central = _central_c4(g, w) if {r.tag for r in g.roles} >= CENTRAL_TAGS else 0
-    return _explicit_report(g, c4, central, _bipartite_c6(w, np.diff(start), in_y), theta_y + theta_x)
+    c6 = _bipartite_c6(w, np.diff(start), in_y)
+    return CensusReport(c4, central, c6, theta_y + theta_x, g.vertex_count, "explicit-graph")
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +398,4 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     zero6, rest = divmod(equal_pairs - degenerate, 2)
     assert rest == 0, "the equal walk pairs on 6-cycles come two to a cycle"
 
-    owned = scale * 2 * d
-    return CensusReport(
-        c4_total=scale * zero4,
-        c4_central=scale * central4,
-        c4_stray=scale * (zero4 - central4),
-        c6=scale * zero6,
-        theta222=scale * theta,
-        c4_bar=Fraction(scale * zero4, owned),
-        c6_bar=Fraction(scale * zero6, owned),
-        theta_bar=Fraction(scale * theta, owned),
-        scope="per-cube",
-    )
+    return CensusReport(scale * zero4, scale * central4, scale * zero6, scale * theta, scale * 2 * d, "per-cube")

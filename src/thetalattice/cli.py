@@ -6,9 +6,9 @@ the same stages for every seed, with --seed only recorded in the file.
 embed samples its placements from --seed.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error
-(including an input too large to build, a graph file that is not
-bipartite, and an option that the command would not read), 3 embed
-attempts exhausted.
+(including an input too large to build, an allocation that fails, a graph
+file that is not bipartite, and an option that the command would not
+read), 3 embed attempts exhausted.
 """
 
 from __future__ import annotations
@@ -32,12 +32,7 @@ from .embed import (
     try_to_json,
     try_to_obj,
 )
-from .entropy import (
-    _summary_of_census,
-    lattice_report,
-    min_degree_for_kappa,
-    summary_table,
-)
+from .entropy import LatticeSummary, lattice_report, min_degree_for_kappa, summary_table
 from .errors import AttemptsExhausted, InvalidCertificate, TooLarge, TorusTooSmall
 from .graphs import (
     build_root_unit_graph,
@@ -48,9 +43,9 @@ from .graphs import (
 )
 from .voltage import BaseGraph, LiftCertificate, build_base_graph, check_cover_size, derived_cover
 
-# every refusal of input is a ValueError (errors.py), and OSError an input
-# file that is missing or unreadable
-_USAGE_ERRORS = (ValueError, OSError)
+# every refusal of input is a ValueError (errors.py), OSError an input file
+# that is missing or unreadable, and MemoryError an input too large to hold
+_USAGE_ERRORS = (ValueError, OSError, MemoryError)
 
 
 def _write(path: str | Path, text: str) -> None:
@@ -115,12 +110,9 @@ def _cmd_verify(args) -> int:
     torus_ok = None
     if cert.s <= 3:
         explicit = census_of_graph(derived_cover(base, volt, torus_n))
-        n3 = torus_n**3
-        torus_ok = (
-            explicit.c4_total == n3 * report.c4_total
-            and explicit.c4_stray == n3 * report.c4_stray
-            and explicit.c6 == n3 * report.c6
-            and explicit.theta222 == n3 * report.theta222
+        cells = torus_n**3
+        torus_ok = (explicit.c4_total, explicit.c4_central, explicit.c6, explicit.theta222) == (
+            cells * report.c4_total, cells * report.c4_central, cells * report.c6, cells * report.theta222
         )
     print(f"certificate: d={cert.d} s={cert.s} seed={cert.seed}")
     print(f"route: {route}")
@@ -138,7 +130,7 @@ def _cmd_verify(args) -> int:
         print(f"explicit torus cross-check at n={torus_n}: {'PASS' if torus_ok else 'FAIL'}")
         ok = ok and torus_ok
     if ok:
-        print(summary_table([_summary_of_census(cert, report)]))
+        print(summary_table([LatticeSummary(cert.d, cert.s, report)]))
     print(f"elapsed: {time.perf_counter() - t0:.1f}s")
     print(f"VERDICT: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -160,7 +152,7 @@ def _cmd_report(args) -> int:
     summary = lattice_report(cert, kappa)
     print(summary_table([summary]))
     if args.output:
-        _write(args.output, summary.to_json())
+        _write(args.output, _json_text(summary.to_json_dict()))
     return 0
 
 
@@ -326,7 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid certificate: {exc}", file=sys.stderr)
         return 1
     except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError of Python's own allocator has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,6 @@ headline output and must never depend on rounding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,14 +43,40 @@ def min_degree_for_kappa(kappa: RationalLike) -> int:
 
 @dataclass(frozen=True)
 class LatticeSummary:
+    """The summary of a certified degree-d lattice with s stages: its
+    per-cube voltage census and, if asked, the target ratio kappa.  The
+    averages, their theta/4-cycle ratio and the order-6 coefficient are
+    derived from the census.  InvalidCertificate if the census has no
+    4-cycles, as no certified lattice lacks them."""
+
     d: int
     s: int
-    c4_bar: Fraction
-    c6_bar: Fraction
-    theta_bar: Fraction
-    ratio: Fraction
-    d6: Fraction
+    census: CensusReport
     kappa: Fraction | None = None
+
+    def __post_init__(self):
+        if self.census.c4_bar == 0:
+            raise InvalidCertificate("certified lattice has no 4-cycles")
+
+    @property
+    def c4_bar(self) -> Fraction:
+        return self.census.c4_bar
+
+    @property
+    def c6_bar(self) -> Fraction:
+        return self.census.c6_bar
+
+    @property
+    def theta_bar(self) -> Fraction:
+        return self.census.theta_bar
+
+    @property
+    def ratio(self) -> Fraction:
+        return self.theta_bar / self.c4_bar
+
+    @property
+    def d6(self) -> Fraction:
+        return d6_coefficient(self.c4_bar, self.c6_bar, self.theta_bar, self.d)
 
     @property
     def d6_negative(self) -> bool:
@@ -77,35 +102,14 @@ class LatticeSummary:
             out["ratio_exceeds_kappa"] = self.ratio > self.kappa
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
 
 def lattice_report(cert: LiftCertificate, kappa: RationalLike | None = None) -> LatticeSummary:
     """Per-vertex averages, theta/4-cycle ratio and order-6 coefficient of a
     certified lattice, recomputed from the voltage census (never assumed)."""
     if not cert.flags.all_true:
         raise InvalidCertificate(f"certificate flags not all true: {cert.flags.to_dict()}")
-    return _summary_of_census(cert, voltage_census(BaseGraph(cert.d), cert.volt), kappa)
-
-
-def _summary_of_census(
-    cert: LiftCertificate, report: CensusReport, kappa: RationalLike | None = None
-) -> LatticeSummary:
-    """The lattice summary of a certificate whose voltage census the caller
-    has already computed."""
-    if report.c4_bar == 0:
-        raise InvalidCertificate("certified lattice has no 4-cycles")
-    return LatticeSummary(
-        d=cert.d,
-        s=cert.s,
-        c4_bar=report.c4_bar,
-        c6_bar=report.c6_bar,
-        theta_bar=report.theta_bar,
-        ratio=report.theta_bar / report.c4_bar,
-        d6=d6_coefficient(report.c4_bar, report.c6_bar, report.theta_bar, cert.d),
-        kappa=_as_fraction(kappa) if kappa is not None else None,
-    )
+    census = voltage_census(BaseGraph(cert.d), cert.volt)
+    return LatticeSummary(cert.d, cert.s, census, None if kappa is None else _as_fraction(kappa))
 
 
 def summary_table(summaries: list[LatticeSummary]) -> str:

@@ -334,8 +334,7 @@ class LiftCertificate:
         lists), flags, constraint_count and seed, written with one format
         string per list."""
         d, s, masks = self.d, self.s, self.volt.masks
-        names = itertools.chain.from_iterable(canonical_edge_order(BaseGraph(d)))
-        pairs = ",".join([_PAIR_JSON] * (d * d)) % tuple(names)
+        pairs = ",".join([_PAIR_JSON] * (d * d)) % tuple(canonical_edge_order(BaseGraph(d)))
         at = np.arange(s).astype(masks.dtype)[:, None]
         chars = ((masks.reshape(-1) >> at) & 1).astype(np.uint8) + ord("0")
         stages = ",".join(f'\n    "{row.tobytes().decode()}"' for row in chars)
@@ -403,11 +402,11 @@ class LiftCertificate:
                 f"stage {i} holds a character other than 0 and 1",
             )
         canonical = canonical_edge_order(BaseGraph(d))
-        if tuple(map(tuple, order)) != canonical:
-            k = next(k for k, pair in enumerate(order) if tuple(pair) != canonical[k])
+        if list(itertools.chain.from_iterable(order)) != canonical:
+            k = next(k for k, pair in enumerate(order) if pair != canonical[2 * k : 2 * k + 2])
             raise MalformedGraph(
                 f"certificate edge_order entry {k} is ({', '.join(order[k])}), "
-                f"not the canonical ({', '.join(canonical[k])})"
+                f"not the canonical ({', '.join(canonical[2 * k : 2 * k + 2])})"
             )
         # column k of the stages is the mask of base edge k, stage i as bit i
         dtype = _mask_dtype(s)
@@ -427,8 +426,8 @@ class LiftCertificate:
         return self.volt
 
 
-def canonical_edge_order(base: BaseGraph) -> tuple[tuple[str, str], ...]:
-    """The role-name pair of every base edge, in base edge order: the
-    edge_order of every certificate."""
-    u, v = base.role_names[base.graph.edge_array.T]
-    return tuple(zip(u.tolist(), v.tolist()))
+def canonical_edge_order(base: BaseGraph) -> list[str]:
+    """The role names of the ends of every base edge, in base edge order,
+    as one flat list (edge k is entries 2k and 2k + 1): the edge_order of
+    every certificate."""
+    return base.role_names[base.graph.edge_array].ravel().tolist()

@@ -27,7 +27,7 @@ from thetalattice.graphs import (
     graph_to_json,
     level_uint,
 )
-from thetalattice.census import CensusReport, _explicit_report
+from thetalattice.census import CensusReport
 from thetalattice.embed import Try
 from thetalattice.errors import GridTooCoarse, MalformedGraph, TooLarge
 from thetalattice.voltage import UNIT, BaseGraph, LiftCertificate, build_base_graph, derived_cover
@@ -486,18 +486,7 @@ def _voltage_census_reference(base, volt):
                     zero6 += hits
 
     scale = 1 << s
-    owned = scale * 2 * d
-    return CensusReport(
-        c4_total=scale * zero4,
-        c4_central=scale * central4,
-        c4_stray=scale * (zero4 - central4),
-        c6=scale * zero6,
-        theta222=scale * theta,
-        c4_bar=Fraction(scale * zero4, owned),
-        c6_bar=Fraction(scale * zero6, owned),
-        theta_bar=Fraction(scale * theta, owned),
-        scope="per-cube",
-    )
+    return CensusReport(scale * zero4, scale * central4, scale * zero6, scale * theta, scale * 2 * d, "per-cube")
 
 
 def _voltage_c6_triples(base, volt):
@@ -1155,7 +1144,7 @@ def brute_force_census(g: LabeledGraph) -> CensusReport:
 
     labels = vertex_labels(g)
     central = sum(1 for seq in c4_cycles if _is_central_cycle(labels, seq))
-    return _explicit_report(g, c4, central, c6, theta)
+    return CensusReport(c4, central, c6, theta, n, "explicit-graph")
 
 
 def _is_central_cycle(labels, seq: tuple[int, ...]) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import random
@@ -42,7 +43,7 @@ from conftest import (
     torus_with_same_colour_edge,
     two_coloring_reference,
 )
-from thetalattice.census import census, voltage_census
+from thetalattice.census import CensusReport, census, voltage_census
 from thetalattice.certify import recheck_constraints_dfs
 from thetalattice.errors import MalformedGraph, TooLarge
 from thetalattice.graphs import Role, _bfs, _csr, build_root_unit_graph, graph_from_json_dict
@@ -481,6 +482,20 @@ def test_census_report_rationals_and_json():
     data = rep.to_json_dict()
     assert data["per_vertex"]["c4_bar"] == "10/7"
     assert data["scope"] == "explicit-graph"
+
+
+def test_census_report_stores_only_its_counts():
+    """A report stores the four counts, the vertex count its averages
+    divide by and its scope; the stray 4-cycles and the averages follow from
+    them, and a graph with no vertices averages to 0."""
+    assert [f.name for f in dataclasses.fields(CensusReport)] == [
+        "c4_total", "c4_central", "c6", "theta222", "vertices", "scope",
+    ]
+    rep = CensusReport(12, 10, 4, 9, 8, "explicit-graph")
+    assert (rep.c4_stray, rep.c4_bar, rep.c6_bar, rep.theta_bar) == (2, Fraction(3, 2), Fraction(1, 2), Fraction(9, 8))
+    empty = census(plain_graph(0, []))
+    assert empty == CensusReport(0, 0, 0, 0, 0, "explicit-graph")
+    assert empty.to_json_dict()["per_vertex"] == {"c4_bar": "0/1", "c6_bar": "0/1", "theta_bar": "0/1"}
 
 
 def test_per_cube_bars_divide_by_owned_vertices(certified):

@@ -252,6 +252,40 @@ def test_construct_requires_d_or_kappa(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("option, value", [("--kappa", "1e30"), ("--d", "10000000000")])
+def test_construct_of_an_absurd_degree_is_a_usage_error(tmp_path, capsys, time_limit, option, value):
+    """numpy refuses the (d, d) masks of an absurd degree at once, before
+    the field's power table is built: exit 2, one line, no file."""
+    out = tmp_path / "cert.json"
+    code, stdout, err = run(capsys, "construct", option, value, "-o", str(out))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "certified" not in stdout
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type int64",
+         "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type int64"),
+        ("", "error: out of memory"),
+    ],
+)
+def test_allocation_failure_is_a_usage_error(tmp_path, capsys, monkeypatch, message, line):
+    """A MemoryError (numpy's, with its message, or Python's, with none)
+    exits 2 with one line and writes no file."""
+    cli = importlib.import_module("thetalattice.cli")
+
+    def exhausted(d, seed=0):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_certify", exhausted)
+    out = tmp_path / "cert.json"
+    assert run(capsys, "construct", "--d", "100000", "-o", str(out)) == (2, "", line + "\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, argv, message",
     [

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_counts
+from thetalattice.census import CensusReport
 from thetalattice.entropy import (
+    LatticeSummary,
     d6_coefficient,
     lattice_report,
     min_degree_for_kappa,
@@ -94,6 +96,18 @@ def test_lattice_report_rejects_bad_flags(certified):
         lattice_report(bad)
 
 
+def test_lattice_summary_stores_its_census_and_refuses_no_4_cycles():
+    """A summary stores d, s, its census and kappa, and derives the rest; a
+    census with no 4-cycles is no certified lattice's."""
+    assert [f.name for f in dataclasses.fields(LatticeSummary)] == ["d", "s", "census", "kappa"]
+    census = CensusReport(45 << 8, 45 << 8, 0, 120 << 8, 20 << 8, "per-cube")
+    summary = LatticeSummary(10, 8, census, Fraction(5, 2))
+    assert (summary.c4_bar, summary.c6_bar, summary.theta_bar) == (Fraction(9, 4), 0, 6)
+    assert (summary.ratio, summary.d6, summary.sign) == (Fraction(8, 3), Fraction(-3, 4_000_000), "negative")
+    with pytest.raises(InvalidCertificate, match="certified lattice has no 4-cycles"):
+        LatticeSummary(10, 8, CensusReport(0, 0, 0, 0, 20 << 8, "per-cube"))
+
+
 def test_lattice_report_detects_tampered_bits(certified):
     """A certificate whose signings were zeroed out re-verifies as invalid."""
     from thetalattice.certify import verify_certificate
@@ -105,11 +119,19 @@ def test_lattice_report_detects_tampered_bits(certified):
 
 
 def test_ratio_equals_degree_formula_for_certified(certified):
-    for d in (5, 6):
+    """The report of the certified lattice of every degree 5..40, verified
+    on both routes (census+dfs up to d = 20, census-only above), has the
+    central-copy closed forms, and its order-6 coefficient is negative
+    exactly from d = 10 on."""
+    for d in range(5, 41):
         cert, _, _, _ = certified(d)
         summary = lattice_report(cert)
+        assert summary.c4_bar == Fraction(d - 1, 4)
+        assert summary.theta_bar == Fraction((d - 1) * (d - 2), 12)
+        assert summary.c6_bar == 0
         assert summary.ratio == Fraction(d - 2, 3)
-        assert summary.d6 == Fraction((d - 1) * (19 - 2 * d), 12 * d**6)
+        assert summary.d6 == -Fraction((d - 1) * (2 * d - 19), 12 * d**6)
+        assert summary.d6_negative == (d >= 10)
 
 
 def test_summary_table_layout(certified):

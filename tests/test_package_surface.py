@@ -62,3 +62,29 @@ def test_every_public_function_is_used_outside_the_tests():
         if name not in attributes and (member or name not in names)
     }
     assert unused == set()
+
+
+def _imported_names(path):
+    """The names a file's import statements bind, with their line numbers;
+    __future__ imports bind none."""
+    bound = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            bound += [((alias.asname or alias.name).split(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+    return bound
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a module of src/thetalattice (but __init__, whose imports
+    are the re-export) or of scripts/ imports is read in that module."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    unread = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in paths
+        for name, line in _imported_names(path)
+        if name not in _read_names(path)[0]
+    ]
+    assert unread == []
