@@ -4,6 +4,8 @@ census, order-6 monomer-dimer coefficient, and exact straight-line embedding.
 
 derived_cover builds the explicit covers: the root unit graph
 (build_root_unit_graph, its s = 0 cover), the full unit graphs and the tori.
+BaseGraph holds the quotient base graph and its central K_{2,d}, which every
+lift copies.
 census counts the 4-cycles, 6-cycles and thetas of an explicit
 graph and voltage_census those of the infinite lattice per cube.
 """
@@ -22,12 +24,7 @@ from .entropy import (
     lattice_report,
     min_degree_for_kappa,
 )
-from .graphs import (
-    LabeledGraph,
-    Role,
-    build_root_unit_graph,
-    central_subgraph,
-)
+from .graphs import LabeledGraph, Role, build_root_unit_graph
 from .voltage import (
     BaseGraph,
     LiftCertificate,
@@ -50,7 +47,6 @@ __all__ = [
     "build_base_graph",
     "build_root_unit_graph",
     "census",
-    "central_subgraph",
     "certify",
     "constraint_count_formula",
     "d6_coefficient",

@@ -131,12 +131,16 @@ def _wedges(start: np.ndarray, nbr: np.ndarray, middle: np.ndarray) -> _Wedges:
     return _Wedges(np.concatenate(centers), pair, uniq, codegree)
 
 
-def _pair_totals(codegree: np.ndarray) -> tuple[int, int]:
-    """(sum C(c,2), sum C(c,3)) over pair codegrees c: the 4-cycles with one
-    diagonal among the pairs, and the K_{2,3} subgraphs with their hub pair
-    among them."""
-    c = codegree
-    return int((c * (c - 1) // 2).sum()), int((c * (c - 1) * (c - 2) // 6).sum())
+def _pairs(m: np.ndarray) -> int:
+    """sum C(m,2) over the multiplicities m, such as pair codegrees (the
+    4-cycles with one diagonal among the pairs) or runs of equal keys."""
+    return int(np.dot(m, m - 1)) // 2
+
+
+def _triples(m: np.ndarray) -> int:
+    """sum C(m,3) over the multiplicities m, such as pair codegrees (the
+    K_{2,3} subgraphs with their hub pair among the pairs)."""
+    return int(np.dot(m * (m - 1), m - 2)) // 6
 
 
 def _bipartite_c6(w: _Wedges, degree: np.ndarray, in_y: np.ndarray) -> int:
@@ -230,7 +234,7 @@ def _central_c4(g: LabeledGraph, w: _Wedges) -> int:
         & (cells[lo] == cells[mid]).all(axis=1)
         & (cells[hi] == cells[mid]).all(axis=1)
     )
-    return _pair_totals(np.bincount(w.pair[at[same]], minlength=len(w.keys)))[0]
+    return _pairs(np.bincount(w.pair[at[same]], minlength=len(w.keys)))
 
 
 def census(g: LabeledGraph) -> CensusReport:
@@ -251,9 +255,9 @@ def census(g: LabeledGraph) -> CensusReport:
         u, v = g.edge_array[int(np.argmax(same))].tolist()
         raise MalformedGraph(f"census counts bipartite graphs only: edge ({u},{v}) closes an odd cycle")
     in_y = parity != int(2 * parity.sum() < len(parity))  # X is colour 1 only if it is the smaller class
-    theta_y = _pair_totals(_wedges(start, nbr, ~in_y).codegree)[1]
+    theta_y = _triples(_wedges(start, nbr, ~in_y).codegree)
     w = _wedges(start, nbr, in_y)
-    c4, theta_x = _pair_totals(w.codegree)
+    c4, theta_x = _pairs(w.codegree), _triples(w.codegree)
     central = _central_c4(g, w) if {r.tag for r in g.roles} >= CENTRAL_TAGS else 0
     c6 = _bipartite_c6(w, np.diff(start), in_y)
     return CensusReport(c4, central, c6, theta_y + theta_x, g.vertex_count, "explicit-graph")
@@ -283,15 +287,13 @@ def _edge_keys(base: BaseGraph, volt: VoltageAssignment) -> np.ndarray:
     return np.ascontiguousarray(volt.masks.T.astype(key) | parity << s)
 
 
-def _run_totals(rows: np.ndarray) -> tuple[int, int]:
-    """(sum C(m,2), sum C(m,3)) over the runs of m equal keys in the rows of
-    a row-sorted 2-D array.
+def _runs(rows: np.ndarray) -> np.ndarray:
+    """The multiplicities m >= 2 of the runs of equal keys in the rows of a
+    row-sorted 2-D array, for _pairs and _triples.
 
-    Only the runs with m >= 2 are touched.  The equal-neighbour mask of the
-    flat rows has one False before it and one at each row start, so no run
-    crosses rows; its changes alternate between the start of a run of
-    k = m - 1 equal neighbours and its end.  C(m,2) = (k^2 + k) / 2 and
-    C(m,3) = (k^3 - k) / 6.
+    The equal-neighbour mask of the flat rows has one False before it and
+    one at each row start, so no run crosses rows; its changes alternate
+    between the start of a run of m - 1 equal neighbours and its end.
     """
     n_rows, n = rows.shape
     flat = rows.reshape(-1)
@@ -300,12 +302,9 @@ def _run_totals(rows: np.ndarray) -> tuple[int, int]:
     np.equal(flat[1:], flat[:-1], out=same[1:-1])
     same[n::n] = False
     change = (same[1:] != same[:-1]).nonzero()[0]
-    k = change[1::2] - change[::2]
-    # a row's runs have sum k < n, so each row adds under n^3 to the sums
-    if n_rows * n**3 >> 63:
-        k = k.astype(object)
-    k1, k2, k3 = int(k.sum()), int(np.dot(k, k)), int(np.dot(k * k, k))
-    return (k2 + k1) // 2, (k3 - k1) // 6
+    m = change[1::2] - change[::2] + 1
+    # a row's runs have sum m <= n, so each row adds under n^3 to the sums
+    return m.astype(object) if n_rows * n**3 >> 63 else m
 
 
 def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
@@ -332,8 +331,8 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     [j = w] sigma ([b = c] - [a = c]), of one sign for the row's b.  So two
     walks of one row have equal keys exactly when they have equal voltages
     in Z^3 x GF(2)^s.  A hub pair with runs of m equal path keys has
-    sum C(m,2) zero 4-cycles and sum C(m,3) thetas, which _run_totals reads
-    off the sorted keys.
+    sum C(m,2) zero 4-cycles and sum C(m,3) thetas, read off the runs of
+    the sorted keys (_runs).
 
     6-cycles meet in the middle, rooted at their smallest white.  For each
     white i and black b, sorting the keys of the (nw - 1 - i) * nb 3-walks
@@ -368,17 +367,18 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     iu, ju = np.triu_indices(nw, 1)
     pair_keys = key[iu] ^ key[ju]
     pair_keys.sort(axis=1)
-    zero4, theta = _run_totals(pair_keys)
+    runs = _runs(pair_keys)
+    zero4, theta = _pairs(runs), _triples(runs)
     hubs = pair_keys[:1]  # the white pair (0, 1) is the hub pair (t, b)
     assert not hubs.any(), "central hub paths must carry zero voltage"
-    central4 = _run_totals(hubs)[0]
+    central4 = _pairs(_runs(hubs))
 
     # theta hubs may also be a black pair with three white middles (4-cycles
     # and 6-cycles are already counted once via their white diagonals/triples)
     ib, jb = np.triu_indices(nb, 1)
     black_keys = key_t[ib] ^ key_t[jb]
     black_keys.sort(axis=1)
-    theta += _run_totals(black_keys)[1]
+    theta += _triples(_runs(black_keys))
     del pair_keys, black_keys  # not held beside the walk buffer
 
     # equal-key pairs of 3-walks i -> a -> j -> b with j > i, one white i at
@@ -393,7 +393,7 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
         np.bitwise_xor(key[i] ^ key[i + 1 :], key_t[:, i + 1 :, None], out=walk)
         rows = walk.reshape(nb, -1)
         rows.sort(axis=1)
-        equal_pairs += size + 2 * _run_totals(rows)[0]
+        equal_pairs += size + 2 * _pairs(_runs(rows))
     degenerate = nb * nb * comb(nw, 2) + 2 * nb * comb(nw, 3) + (2 * nb + 4 * (nw - 2)) * zero4
     zero6, rest = divmod(equal_pairs - degenerate, 2)
     assert rest == 0, "the equal walk pairs on 6-cycles come two to a cycle"

@@ -34,13 +34,7 @@ from .embed import (
 )
 from .entropy import LatticeSummary, lattice_report, min_degree_for_kappa, summary_table
 from .errors import AttemptsExhausted, InvalidCertificate, TooLarge, TorusTooSmall
-from .graphs import (
-    build_root_unit_graph,
-    central_subgraph,
-    graph_from_json,
-    graph_to_dot,
-    graph_to_json,
-)
+from .graphs import graph_from_json, graph_to_dot, graph_to_json
 from .voltage import BaseGraph, LiftCertificate, build_base_graph, check_cover_size, derived_cover
 
 # every refusal of input is a ValueError (errors.py), OSError an input file
@@ -64,9 +58,9 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _truncated_voltage(cert: LiftCertificate, trunc_s: int | None):
-    """Base graph and voltage from a certificate, optionally keeping only the
-    first trunc_s lift stages (the placement procedure is stage-agnostic)."""
-    return BaseGraph(cert.d), cert.volt if trunc_s is None else cert.volt.truncate(trunc_s)
+    """The certificate's voltage, optionally keeping only its first trunc_s
+    lift stages (the placement procedure is stage-agnostic)."""
+    return cert.volt if trunc_s is None else cert.volt.truncate(trunc_s)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_embed(args) -> int:
     cert = LiftCertificate.from_json(Path(args.certificate).read_text())
-    base, volt = _truncated_voltage(cert, args.trunc_s)
+    base, volt = BaseGraph(cert.d), _truncated_voltage(cert, args.trunc_s)
     # the cover bound first, so a cover too large to build is reported as such
     check_cover_size(cert.d, volt.s)
     edges = (1 << volt.s) * cert.d**2
@@ -203,21 +197,22 @@ def _cmd_export(args) -> int:
             raise ValueError(f"{flag} is not used by --kind {args.kind}")
     if args.trunc_s is not None and args.certificate is None:
         raise ValueError("--trunc-s is not used without --cert")
-    if args.kind == "root":
-        g = build_root_unit_graph(d)
+    # no kind has fewer vertices and edges than the root cover but base and
+    # central, which have no more, so a degree whose root cover is too large
+    # is refused before anything is built
+    check_cover_size(d, 0)
+    base, volt = build_base_graph(d)
+    if args.kind == "base":
+        g = base.graph
     elif args.kind == "central":
-        g = central_subgraph(build_root_unit_graph(d))
-    elif args.kind == "base":
-        g = build_base_graph(d)[0].graph
-    else:  # full-unit or torus
+        g = base.central
+    else:  # root (the zero voltage with no torus side), full-unit or torus
         if args.certificate:
             cert = LiftCertificate.from_json(Path(args.certificate).read_text())
             if cert.d != d:
                 raise ValueError(f"certificate is for d={cert.d}, not {d}")
-            base, volt = _truncated_voltage(cert, args.trunc_s)
-        else:
-            base, volt = build_base_graph(d)
-        # --torus-n is refused for full-unit, so only a torus has a side
+            volt = _truncated_voltage(cert, args.trunc_s)
+        # --torus-n is refused for root and full-unit, so only a torus has a side
         n = 2 if args.kind == "torus" and args.torus_n is None else args.torus_n
         g = derived_cover(base, volt, n)
     stem = Path(args.output)

@@ -6,8 +6,8 @@ class DegreeTooSmall(ValueError):
 
 
 class MalformedGraph(ValueError):
-    """A graph or certificate is malformed, or a graph is missing the labels
-    or roles an operation requires, or is not bipartite where it must be."""
+    """A graph or certificate is malformed, or a graph is not bipartite where
+    it must be."""
 
 
 class TorusTooSmall(ValueError):

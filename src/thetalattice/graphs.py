@@ -1,14 +1,14 @@
-"""Explicit finite labeled graphs: the array graph type, central subgraphs
-and the JSON and DOT formats.  The root unit graph is voltage.derived_cover
-of the base graph at s = 0; derived_cover is the one graph builder.
+"""Explicit finite labeled graphs: the array graph type and the JSON and
+DOT formats.  The root unit graph is voltage.derived_cover of the base graph
+at s = 0; derived_cover is the one cover builder.
 
 Vertices are dense integer ids.  A graph is held as arrays: one sorted int64
 (E, 2) edge array with u < v in every row, a role code per vertex into a
 sorted table of roles, the level as an unsigned integer and an (n, 3) int64
 cell array.  Every graph carries these labels; graphs are built only as
-arrays, by voltage.BaseGraph and derived_cover, central_subgraph and
-graph_from_json_dict.  Graphs are immutable after construction and all
-transforms return new graphs, so values can be shared freely.
+arrays, by voltage.BaseGraph (the base graph and its central K_{2,d}),
+derived_cover and graph_from_json_dict.  Graphs are immutable after
+construction, so values can be shared freely.
 
 Level bit order: position i of the level string records the choice made at
 the i-th lift (position 0 = first lift).  When a level is interpreted as an
@@ -28,7 +28,7 @@ from .errors import MalformedGraph
 Edge = tuple[int, int]
 
 # Canonical role ranks; hub roles t/b and spoke roles c form the central
-# subgraph, v* are the merged connector vertices of the quotient base graph.
+# K_{2,d}, v* are the merged connector vertices of the quotient base graph.
 ROLE_TAGS = ("c", "t", "b", "f", "lx", "ly", "lz", "rx", "ry", "rz", "vx", "vy", "vz")
 _RANK = {tag: i for i, tag in enumerate(ROLE_TAGS)}
 _INDEXED = {"c", "f"}
@@ -51,10 +51,6 @@ class Role:
             raise ValueError(f"role {self.tag!r} needs an index >= 1")
         if self.tag not in _INDEXED and self.index != 0:
             raise ValueError(f"role {self.tag!r} takes no index")
-
-    @property
-    def black(self) -> bool:
-        return self.tag == "c"
 
     @property
     def rank(self) -> tuple[int, int]:
@@ -212,7 +208,7 @@ def _bfs(start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_root_unit_graph(d: int) -> LabeledGraph:
     """The (2d+3)-vertex seed graph of the construction: derived_cover of
     the base graph at s = 0, which splits each merged connector v* back into
-    its two one-sided roles.
+    its two one-sided roles.  Kept for the benchmark, which builds it.
 
     Black spokes c_1..c_d; white hubs t, b; white fillers f_1..f_{d-5};
     one-sided connectors lx, ly, lz (degree 1, attached to c_1) and
@@ -222,40 +218,6 @@ def build_root_unit_graph(d: int) -> LabeledGraph:
     from .voltage import build_base_graph, derived_cover  # voltage imports graphs
 
     return derived_cover(*build_base_graph(d))
-
-
-def _require_central_roles(g: LabeledGraph) -> None:
-    tags = {r.tag for r in g.roles}
-    if not CENTRAL_TAGS <= tags:
-        raise MalformedGraph(f"central roles missing, found {sorted(tags)}")
-
-
-def central_subgraph(g: LabeledGraph) -> LabeledGraph:
-    """The hub/spoke vertices of g and its (t,c_i), (b,c_i) edges, numbered
-    in canonical label order (role, level, cell).
-
-    For a lifted graph this is the disjoint union of the 2**s central copies.
-    """
-    _require_central_roles(g)
-    central = np.array([r.tag in CENTRAL_TAGS for r in g.roles])
-    spoke = np.array([r.black for r in g.roles])
-    keep = np.flatnonzero(central[g.role_codes])
-    cells = g.cells[keep]
-    order = keep[np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], g.levels[keep], g.role_codes[keep]))]
-    new_id = np.full(g.vertex_count, -1, dtype=np.int64)
-    new_id[order] = np.arange(len(order))
-    u, v = g.role_codes[g.edge_array.T]
-    hub_spoke = central[u] & central[v] & (spoke[u] != spoke[v])
-    return LabeledGraph(
-        len(order),
-        _edge_array(len(order), new_id[g.edge_array[hub_spoke]]),
-        g.d,
-        tuple(r for r in g.roles if r.tag in CENTRAL_TAGS),
-        (np.cumsum(central) - 1)[g.role_codes[order]],
-        g.levels[order],
-        g.level_length,
-        g.cells[order],
-    )
 
 
 # ---------------------------------------------------------------------------

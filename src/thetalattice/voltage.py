@@ -37,6 +37,10 @@ UNIT: dict[str, Vec3] = {"vx": (1, 0, 0), "vy": (0, 1, 0), "vz": (0, 0, 1)}
 # at its peak while it builds, 110 held by the graph it returns (measured on
 # the 94,208-vertex d = 10, s = 12 full unit graph)
 COVER_LIMIT = 1 << 20
+# and above this many edges, which grow as d / 2 per vertex.  A cover within
+# COVER_LIMIT has at most d^2 / (2d + 3) times that many edges, under 5 for
+# d <= 11, so this limit refuses no cover of d <= 11 that COVER_LIMIT admits
+COVER_EDGE_LIMIT = 5 << 20
 
 
 def _mask_dtype(s: int):
@@ -61,22 +65,32 @@ class BaseGraph:
         if self.d < 5:
             raise DegreeTooSmall(f"construction requires d >= 5, got {self.d}")
 
+    def _labeled(self, roles: tuple[Role, ...], edges: np.ndarray) -> LabeledGraph:
+        """The graph on one vertex per role whose vertex v has role v,
+        level "" and cell 0."""
+        n = len(roles)
+        return LabeledGraph(
+            n, edges, self.d, roles, np.arange(n), np.zeros(n, dtype=np.int64), 0, np.zeros((n, 3), dtype=np.int64)
+        )
+
     @cached_property
     def graph(self) -> LabeledGraph:
         """The base graph as a labeled graph: vertex v has role v of the
         role table, level "" and cell 0."""
         d, n = self.d, 2 * self.d
-        roles = (
-            *(Role("c", i) for i in range(1, d + 1)),
-            Role("t"),
-            Role("b"),
-            *(Role("f", j) for j in range(1, d - 4)),
-            *(Role(tag) for tag in UNIT),
-        )
+        roles = (*self.central.roles, *(Role("f", j) for j in range(1, d - 4)), *(Role(tag) for tag in UNIT))
         edges = np.stack([np.repeat(np.arange(d), d), np.tile(np.arange(d, n), d)], axis=1)
-        return LabeledGraph(
-            n, edges, d, roles, np.arange(n), np.zeros(n, dtype=np.int64), 0, np.zeros((n, 3), dtype=np.int64)
-        )
+        return self._labeled(roles, edges)
+
+    @cached_property
+    def central(self) -> LabeledGraph:
+        """The central K_{2,d}, the first d + 2 vertices of graph and their
+        2d edges, built without graph: the spokes c_1..c_d are 0..d-1 and
+        the hubs t, b are d and d + 1, each joined to every spoke.  Every
+        lift copies it unchanged, as the hub edges carry zero voltage."""
+        d = self.d
+        roles = (*(Role("c", i) for i in range(1, d + 1)), Role("t"), Role("b"))
+        return self._labeled(roles, np.stack([np.repeat(np.arange(d), 2), np.tile([d, d + 1], d)], axis=1))
 
     @cached_property
     def shifts(self) -> np.ndarray:
@@ -159,12 +173,18 @@ def _refuse_central_bits(masks: np.ndarray) -> None:
 def check_cover_size(d: int, s: int, n: int | None = None) -> None:
     """TooLarge when the degree-d cover of derived_cover with s stages and
     torus side n (None: the full unit graph) could have more than
-    COVER_LIMIT vertices, bounded as (n^3 or 1) * 2^s * (2d + 3)."""
-    bound = (1 if n is None else n**3) * (1 << s) * (2 * d + 3)
+    COVER_LIMIT vertices, bounded as (n^3 or 1) * 2^s * (2d + 3), or has more
+    than COVER_EDGE_LIMIT edges, (n^3 or 1) * 2^s * d^2."""
+    copies = (1 if n is None else n**3) << s
+    bound, edges = copies * (2 * d + 3), copies * d * d
     if bound > COVER_LIMIT:
         raise TooLarge(
             f"a cover with n={n}, s={s}, d={d} has up to {bound} vertices, "
             f"above the limit of {COVER_LIMIT}"
+        )
+    if edges > COVER_EDGE_LIMIT:
+        raise TooLarge(
+            f"a cover with n={n}, s={s}, d={d} has {edges} edges, above the limit of {COVER_EDGE_LIMIT}"
         )
 
 
@@ -180,7 +200,8 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     r* on the others.  At s = 0 that is the root unit graph, and in general
     it equals iterating signed 2-lifts on the root unit graph with the
     per-stage signings.  TooLarge, before anything is built, when the cover
-    could have more than COVER_LIMIT vertices (check_cover_size).
+    could have more than COVER_LIMIT vertices or COVER_EDGE_LIMIT edges
+    (check_cover_size).
 
     Built as arrays.  Vertex ids follow the canonical label order (role,
     level, cell): the vertex of role block k (the cover's roles in rank
@@ -210,20 +231,17 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
         for (u, v), moved in zip(pairs.tolist(), shift.any(axis=1).tolist())
     ]
     roles = tuple(sorted({r for pair in ends for r in pair}, key=lambda r: r.rank))
-    cells = 1 if n is None else n**3
+    side = n or 1  # the one cell of the full unit graph wraps every shift to 0
+    cells = side**3
     fiber = (1 << s) * cells  # the vertices over one role
     block = {r: k * fiber for k, r in enumerate(roles)}
     start_u = np.array([block[a] for a, _ in ends], dtype=np.int64)
     start_v = np.array([block[b] for _, b in ends], dtype=np.int64)
     level = np.arange(1 << s, dtype=np.int64)
-    if n is None:
-        xyz = np.zeros((1, 3), dtype=np.int64)
-        cell_u = cell_v = np.zeros((len(pairs), 1), dtype=np.int64)
-    else:
-        xyz = np.stack(np.unravel_index(np.arange(cells), (n, n, n)), axis=1)
-        cell_u = np.broadcast_to(np.arange(cells), (len(pairs), cells))
-        moved = (xyz[None, :, :] + shift[:, None, :]) % n
-        cell_v = (moved[:, :, 0] * n + moved[:, :, 1]) * n + moved[:, :, 2]
+    xyz = np.stack(np.unravel_index(np.arange(cells), (side, side, side)), axis=1)
+    cell_u = np.broadcast_to(np.arange(cells), (len(pairs), cells))
+    moved = (xyz[None, :, :] + shift[:, None, :]) % side
+    cell_v = (moved[:, :, 0] * side + moved[:, :, 1]) * side + moved[:, :, 2]
     # (base edge, level, cell) -> the cover edge's two ends
     end_u = (start_u[:, None] + level * cells)[:, :, None] + cell_u[:, None, :]
     end_v = (start_v[:, None] + (level ^ mask[:, None]) * cells)[:, :, None] + cell_v[:, None, :]

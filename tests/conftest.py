@@ -23,7 +23,6 @@ from thetalattice.graphs import (
     _csr,
     _edge_array,
     _level_string,
-    central_subgraph,
     graph_to_json,
     level_uint,
 )
@@ -135,7 +134,7 @@ def _proper_coloring(g, parity):
 
 
 # ---------------------------------------------------------------------------
-# label-object graph builders: oracles for derived_cover and central_subgraph
+# label-object graph builders: oracles for derived_cover and BaseGraph.central
 
 
 def from_labeled_vertices(labels, edges_by_label, d=None):
@@ -183,7 +182,8 @@ def root_unit_graph_reference(d):
 def central_subgraph_reference(g):
     """The hub/spoke vertices of g and its (t,c_i), (b,c_i) edges, gathered
     one VertexLabel at a time and numbered by from_labeled_vertices: the
-    oracle for central_subgraph."""
+    disjoint union of the central copies of a cover, and the oracle for
+    BaseGraph.central."""
     labels = vertex_labels(g)
     keep = [v for v, lab in enumerate(labels) if lab.role.tag in CENTRAL_TAGS]
     edges = []
@@ -278,11 +278,11 @@ def base_roles(base):
 
 
 def base_whites(base):
-    return tuple(v for v, r in enumerate(base_roles(base)) if not r.black)
+    return tuple(v for v, r in enumerate(base_roles(base)) if r.tag != "c")
 
 
 def base_blacks(base):
-    return tuple(v for v, r in enumerate(base_roles(base)) if r.black)
+    return tuple(v for v, r in enumerate(base_roles(base)) if r.tag == "c")
 
 
 def base_hubs(base):
@@ -832,8 +832,8 @@ def _recheck_constraints_dfs_reference(base, volt):
 def central_copies(g: LabeledGraph) -> tuple[LabeledGraph, ...]:
     """The vertex-disjoint central copies of a (lifted) graph, grouped by
     (cell, level) and returned in canonical order: the per-level split of
-    `central_subgraph`."""
-    whole = central_subgraph(g)
+    `central_subgraph_reference`."""
+    whole = central_subgraph_reference(g)
     labels = vertex_labels(whole)
     groups: dict[tuple, list[int]] = {}
     for v, lab in enumerate(labels):
@@ -1028,7 +1028,7 @@ def validate(g: LabeledGraph, expect_regular: int | None = None) -> ValidationRe
     # every component must color all c-roles one class and the rest the
     # other: a black vertex's parity, a white one's flipped, is the same
     # over the component as at its root
-    black = np.array([r.black for r in g.roles])[g.role_codes]
+    black = np.array([r.tag == "c" for r in g.roles])[g.role_codes]
     side = parity ^ ~black
     roles_ok = bipartite and bool(np.array_equal(side, side[root]))
     histogram = degree_histogram(g)

@@ -535,14 +535,15 @@ def test_voltage_census_matches_reference_random_bits(d, s, seed):
     st.integers(min_value=0, max_value=10**6),
 )
 def test_run_totals_matches_value_counts(n_rows, n, values, seed):
-    """On row-sorted keys, _run_totals is sum C(m,2) and sum C(m,3) over the
-    multiplicities m of each row's keys: a run never joins the equal keys
-    that end the row before it."""
+    """On row-sorted keys, _pairs and _triples of _runs are sum C(m,2) and
+    sum C(m,3) over the multiplicities m of each row's keys: a run never
+    joins the equal keys that end the row before it."""
     rows = np.random.default_rng(seed).integers(0, values, (n_rows, n)).astype(np.uint16)
     rows.sort(axis=1)
     counts = [m for row in rows.tolist() for m in Counter(row).values()]
     expect = sum(comb(m, 2) for m in counts), sum(comb(m, 3) for m in counts)
-    assert census_module._run_totals(rows) == expect
+    runs = census_module._runs(rows)
+    assert (census_module._pairs(runs), census_module._triples(runs)) == expect
 
 
 @pytest.mark.parametrize(

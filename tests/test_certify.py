@@ -213,7 +213,7 @@ def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
         for name, f in vars(census_module).items()
         if inspect.isfunction(f) and f.__module__ == census_module.__name__
     ]
-    assert {"census", "voltage_census", "_edge_keys", "_run_totals"} <= set(helpers)
+    assert {"census", "voltage_census", "_edge_keys", "_runs", "_pairs", "_triples"} <= set(helpers)
     for name in helpers:
 
         def refuse(*args, name=name, **kwargs):
@@ -509,7 +509,7 @@ def _stage_lower_bound(d):
     deg = adj.sum(axis=1)
     w2 = adj @ adj - np.diag(deg)
     w3 = adj @ w2 - (deg - 1)[:, None] * adj
-    black = np.array([r.black for r in roles])[keep].tolist()
+    black = np.array([r.tag == "c" for r in roles])[keep].tolist()
     side = {True: black.count(True), False: black.count(False)}
     s = 0
     for b, even, odd in zip(black, (1 + w2.sum(axis=1)).tolist(), (deg + w3.sum(axis=1)).tolist()):

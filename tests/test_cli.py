@@ -19,8 +19,14 @@ from thetalattice.cli import build_parser, main
 from thetalattice.embed import EMBED_EDGE_LIMIT
 from thetalattice.entropy import min_degree_for_kappa
 from thetalattice import graphs
-from thetalattice.graphs import build_root_unit_graph, central_subgraph, graph_to_json
-from thetalattice.voltage import LiftCertificate, build_base_graph, derived_cover, max_connected_stages
+from thetalattice.graphs import graph_to_json
+from thetalattice.voltage import (
+    BaseGraph,
+    LiftCertificate,
+    build_base_graph,
+    derived_cover,
+    max_connected_stages,
+)
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -148,6 +154,19 @@ def test_huge_cover_is_a_usage_error(cert_d33_s30, cert_d5_s3, tmp_path, capsys,
     assert stdout == ""
     assert err.startswith("error: a cover with n=") and err.count("\n") == 1
     assert f"has up to {vertices} vertices, above the limit of {2**20}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["base", "central", "root"])
+def test_export_of_too_many_edges_is_a_usage_error(tmp_path, capsys, kind):
+    """At d = 20000 the root cover's 40,003 vertices pass COVER_LIMIT but its
+    4 * 10^8 edges do not: every kind is refused at once, as the root cover
+    is, with one stderr line, no output and no file."""
+    t0 = time.perf_counter()
+    code, stdout, err = run(capsys, "export", "--d", "20000", "--kind", kind, "-o", str(tmp_path / "g"))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and stdout == ""
+    assert err == f"error: a cover with n=None, s=0, d=20000 has {20000**2} edges, above the limit of {5 * 2**20}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -842,7 +861,7 @@ def test_census_refuses_a_non_bipartite_file(tmp_path, capsys):
 
 
 def test_census_on_k25_file(tmp_path, capsys):
-    g = central_subgraph(build_root_unit_graph(5))
+    g = BaseGraph(5).central
     path = tmp_path / "k25.json"
     path.write_text(graph_to_json(g))
     code, out, _ = run(capsys, "census", str(path))
@@ -973,8 +992,8 @@ def test_export_kinds(tmp_path, capsys):
 
 
 # sha256 of the root and central exports as written when the root unit graph
-# had a label-object builder of its own; derived_cover at s = 0 and the
-# array central_subgraph must write the same bytes
+# had a label-object builder of its own; derived_cover at s = 0 and
+# BaseGraph.central must write the same bytes
 ROOT_AND_CENTRAL_SHA256 = {
     "root_d5.json": "b1e936f3fac933919bf45e9026bd5d01b41d5b437a60407152fca7b1303138c3",
     "root_d5.dot": "7db6dac069fb0c070e5a6c24108a373b1a5ef6da2ceb37b80bcd3d6d8fbcba63",

@@ -36,16 +36,15 @@ from conftest import (
     vertex_labels,
 )
 from thetalattice.census import census
-from thetalattice.errors import DegreeTooSmall, MalformedGraph
+from thetalattice.errors import DegreeTooSmall
 from thetalattice.graphs import (
     Role,
     build_root_unit_graph,
-    central_subgraph,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
 )
-from thetalattice.voltage import build_base_graph, derived_cover
+from thetalattice.voltage import BaseGraph, build_base_graph, derived_cover
 
 
 def role_id(g, tag, index=0, level=""):
@@ -99,7 +98,7 @@ def test_root_unit_graph_structure(d):
 # central subgraph
 
 def test_central_subgraph_d5():
-    g = central_subgraph(build_root_unit_graph(5))
+    g = BaseGraph(5).central
     assert g.vertex_count == 7
     assert len(g.edges) == 10
     rep = census(g)
@@ -107,34 +106,31 @@ def test_central_subgraph_d5():
     assert rep.theta222 == 10
 
 
-def test_central_subgraph_requires_roles():
-    """A graph without the hub and spoke roles has no central subgraph."""
-    with pytest.raises(MalformedGraph, match=r"central roles missing, found \['f'\]"):
-        central_subgraph(plain_graph(3, [(0, 1), (1, 2)]))
-    with pytest.raises(MalformedGraph, match=r"central roles missing, found \['c', 'f'\]"):
-        central_subgraph(labeled_cycle4())  # spokes, but no hub roles
+@pytest.mark.parametrize("d", range(5, 41))
+def test_base_central_is_the_root_central_subgraph(d):
+    """BaseGraph.central, built without the base graph, is the central
+    subgraph of the root unit graph gathered label by label, and writes
+    the same file."""
+    got, want = BaseGraph(d).central, central_subgraph_reference(build_root_unit_graph(d))
+    assert got == want
+    assert graph_to_json(got) == graph_to_json(want)
 
 
 @pytest.mark.parametrize("d", [5, 6, 10])
 @pytest.mark.parametrize("s", [0, 1, 2, 3])
 @pytest.mark.parametrize("n", [None, 2], ids=["full-unit", "torus"])
 def test_central_subgraph_matches_reference(d, s, n):
-    """The array central_subgraph equals the one gathered label by label on
-    lifted full unit graphs and n = 2 tori, and so writes the same files."""
+    """The central subgraph of a lifted full unit graph or n = 2 torus,
+    gathered label by label, is one copy of BaseGraph.central per (cell,
+    level): the same roles, ids and edges."""
     base, volt0 = build_base_graph(d)
     g = derived_cover(base, random_bits_voltage(base, volt0, s, seed=d + s), n)
-    got, want = central_subgraph(g), central_subgraph_reference(g)
-    assert got == want
-    assert graph_to_json(got) == graph_to_json(want)
-
-
-def test_central_subgraph_keeps_only_hub_spoke_edges():
-    """Edges between two spokes or between the two hubs are not central."""
-    t, b = VertexLabel(Role("t")), VertexLabel(Role("b"))
-    c1, c2 = VertexLabel(Role("c", 1)), VertexLabel(Role("c", 2))
-    g = from_labeled_vertices([t, b, c1, c2], [(t, c1), (b, c2), (c1, c2), (t, b)])
-    assert central_subgraph(g) == central_subgraph_reference(g)
-    assert len(central_subgraph(g).edges) == 2
+    copies = central_copies(g)
+    assert len(copies) == (1 if n is None else n**3) << s
+    for copy in copies:
+        assert copy.roles == base.central.roles
+        assert copy.role_codes.tolist() == base.central.role_codes.tolist()
+        assert copy.edges == base.central.edges
 
 
 def test_central_copies_after_lifts():
@@ -287,7 +283,7 @@ def test_validate_root_not_regular():
 
 
 def test_validate_torus_regular():
-    from thetalattice.voltage import build_base_graph, derived_cover
+    from thetalattice.voltage import BaseGraph, build_base_graph, derived_cover
 
     base, volt = build_base_graph(5)
     torus = derived_cover(base, volt, 2)
@@ -361,7 +357,7 @@ def _writer_graphs():
     return {
         "root": root,
         "base": base.graph,
-        "central": central_subgraph(root),
+        "central": BaseGraph(6).central,
         "torus": torus,
         "full-unit": full_unit,
         "negative-cells": from_labeled_vertices([c1, t], [(c1, t)], 7),

@@ -153,6 +153,32 @@ def test_derived_cover_limit_is_exact(monkeypatch, n, s):
         derived_cover(base, volt, n)
 
 
+@pytest.mark.parametrize("n, s", [(None, 2), (2, 1), (3, 0)])
+def test_derived_cover_edge_limit_is_exact(monkeypatch, n, s):
+    """The edge count (n^3 or 1) * 2^s * d^2 may reach COVER_EDGE_LIMIT but
+    not pass it."""
+    base, volt0 = build_base_graph(5)
+    volt = volt0.with_bits(s, {})
+    edges = (1 if n is None else n**3) * (1 << s) * 25
+    monkeypatch.setattr(voltage_module, "COVER_EDGE_LIMIT", edges)
+    assert len(derived_cover(base, volt, n).edge_array) == edges
+    monkeypatch.setattr(voltage_module, "COVER_EDGE_LIMIT", edges - 1)
+    with pytest.raises(TooLarge, match=f"has {edges} edges, above the limit of {edges - 1}"):
+        derived_cover(base, volt, n)
+
+
+def test_edge_limit_refuses_no_small_degree_cover_within_the_vertex_limit():
+    """A cover of d <= 11 within COVER_LIMIT vertices has (n^3 or 1) * 2^s
+    at most COVER_LIMIT // (2d + 3), and so is within COVER_EDGE_LIMIT
+    edges; at d = 12 the n = 21, s = 2 torus passes the one limit but not
+    the other."""
+    for d in range(5, 12):
+        assert voltage_module.COVER_LIMIT // (2 * d + 3) * d * d <= voltage_module.COVER_EDGE_LIMIT
+    assert 21**3 * 4 * 27 <= voltage_module.COVER_LIMIT
+    with pytest.raises(TooLarge, match=f"has {21**3 * 4 * 144} edges"):
+        voltage_module.check_cover_size(12, 2, 21)
+
+
 @pytest.mark.parametrize("n", [None, 2, 3])
 @pytest.mark.parametrize("s", [0, 1, 2, 3])
 @pytest.mark.parametrize("d", [5, 6, 7])
