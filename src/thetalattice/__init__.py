@@ -24,7 +24,7 @@ from .entropy import (
     lattice_report,
     min_degree_for_kappa,
 )
-from .graphs import LabeledGraph, Role, build_root_unit_graph
+from .graphs import LabeledGraph, build_root_unit_graph
 from .voltage import (
     BaseGraph,
     LiftCertificate,
@@ -41,7 +41,6 @@ __all__ = [
     "LabeledGraph",
     "LatticeSummary",
     "LiftCertificate",
-    "Role",
     "Try",
     "VoltageAssignment",
     "build_base_graph",

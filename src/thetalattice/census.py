@@ -5,15 +5,15 @@ it counts bipartite graphs only, as every graph the package builds is.
 
 All reported averages are exact rationals, and every count is made in
 integers; nothing in this module uses floating point.  On explicit graphs
-one int64 wedge table per colour class (every path u - w - v with u, v in
-that class, keyed by its end pair) gives the pair codegrees.  The smaller
-class's table gives the 4-cycles, the central 4-cycles, its share of the
-thetas, and the 6-cycles through a codegree-triangle identity, whose
-triangle sum gathers each candidate pair from a reusable slot table.  The
-per-cube census keys each walk by one XOR of edge keys, its level bits with
-the parity of its displacement above them, which is exact among the walks
-it compares; the keys are uint16 up to 13 level bits, uint32 up to 29,
-uint64 up to 61 and Python ints above.
+the wedges (paths u - w - v with u, v in one colour class, keyed by their
+end pair) give each class's pair codegrees: the larger class's sorted keys
+give its thetas, and the smaller class's int64 wedge table the 4-cycles,
+the central 4-cycles, its thetas, and the 6-cycles through a
+codegree-triangle identity, whose triangle sum gathers each candidate pair
+from a reusable slot table.  The per-cube census keys each walk by one XOR
+of edge keys, its level bits with the parity of its displacement above
+them, which is exact among the walks it compares; the keys are uint16 up to
+13 level bits, uint32 up to 29, uint64 up to 61 and Python ints above.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .errors import MalformedGraph
-from .graphs import CENTRAL_TAGS, LabeledGraph, _bfs, _csr
+from .graphs import CENTRAL_TAGS, LabeledGraph, _bfs, _csr, role_tag
 from .voltage import BaseGraph, VoltageAssignment
 
 
@@ -113,22 +113,30 @@ class _Wedges:
     codegree: np.ndarray
 
 
-def _wedges(start: np.ndarray, nbr: np.ndarray, middle: np.ndarray) -> _Wedges:
-    """The wedge table of the middle vertices (a boolean mask) of the CSR
-    adjacency (start, nbr): the neighbour pairs of all middle vertices of
-    one degree k at once, taken by triu_indices(k)."""
+def _wedge_keys(start: np.ndarray, nbr: np.ndarray, middle: np.ndarray) -> np.ndarray:
+    """The end-pair keys of the wedges whose middle vertex lies in middle (a
+    boolean mask) of the CSR adjacency (start, nbr), ordered by the degree k
+    of that vertex, then by the vertex: the neighbour pairs of all middle
+    vertices of degree k at once, taken by triu_indices(k)."""
     n = len(start) - 1
     degree = np.diff(start)
     keys = [np.zeros(0, dtype=np.int64)]
-    centers = [np.zeros(0, dtype=np.int64)]
     for k in np.unique(degree[middle & (degree >= 2)]):
         verts = np.flatnonzero(middle & (degree == k))
         rows = nbr[start[verts, None] + np.arange(k)]
         lo, hi = np.triu_indices(k, 1)
         keys.append((rows[:, lo] * n + rows[:, hi]).ravel())
-        centers.append(np.repeat(verts, len(lo)))
-    uniq, pair, codegree = np.unique(np.concatenate(keys), return_inverse=True, return_counts=True)
-    return _Wedges(np.concatenate(centers), pair, uniq, codegree)
+    return np.concatenate(keys)
+
+
+def _wedges(start: np.ndarray, nbr: np.ndarray, middle: np.ndarray) -> _Wedges:
+    """The wedge table of the middle vertices (a boolean mask) of the CSR
+    adjacency (start, nbr), its centres in the order of _wedge_keys."""
+    degree = np.diff(start)
+    verts = np.flatnonzero(middle & (degree >= 2))
+    verts = verts[np.argsort(degree[verts], kind="stable")]
+    uniq, pair, codegree = np.unique(_wedge_keys(start, nbr, middle), return_inverse=True, return_counts=True)
+    return _Wedges(np.repeat(verts, degree[verts] * (degree[verts] - 1) // 2), pair, uniq, codegree)
 
 
 def _pairs(m: np.ndarray) -> int:
@@ -222,7 +230,7 @@ def _central_c4(g: LabeledGraph, w: _Wedges) -> int:
     hub/spoke roles at one (cell, level), counted from the codegrees of the
     wedges whose three vertices do, read from the role, level and cell
     arrays."""
-    central = np.array([r.tag in CENTRAL_TAGS for r in g.roles])[g.role_codes]
+    central = np.array([role_tag(r) in CENTRAL_TAGS for r in g.roles])[g.role_codes]
     lo, hi = np.divmod(w.keys[w.pair], g.vertex_count)
     mid = w.center
     at = np.flatnonzero(central[mid] & central[lo] & central[hi])
@@ -245,9 +253,9 @@ def census(g: LabeledGraph) -> CensusReport:
     vertex.  MalformedGraph names the first edge, in edge_array order, whose
     ends the breadth-first colouring puts in one class: g is not bipartite,
     and is not counted.  With X the smaller colour class, the pairs of the
-    other class give only their thetas, and their table is freed before the
-    X-pair table, from which come the rest: each 4-cycle has one diagonal
-    in X."""
+    other class give only their thetas, from the runs of their sorted wedge
+    keys, which are freed before the X-pair table is built; from that table
+    come the rest: each 4-cycle has one diagonal in X."""
     start, nbr = _csr(g)
     _, parity = _bfs(start, nbr)
     same = parity[g.edge_array[:, 0]] == parity[g.edge_array[:, 1]]
@@ -255,10 +263,13 @@ def census(g: LabeledGraph) -> CensusReport:
         u, v = g.edge_array[int(np.argmax(same))].tolist()
         raise MalformedGraph(f"census counts bipartite graphs only: edge ({u},{v}) closes an odd cycle")
     in_y = parity != int(2 * parity.sum() < len(parity))  # X is colour 1 only if it is the smaller class
-    theta_y = _triples(_wedges(start, nbr, ~in_y).codegree)
+    y_keys = _wedge_keys(start, nbr, ~in_y)
+    y_keys.sort()
+    theta_y = _triples(_runs(y_keys[None]))
+    del y_keys
     w = _wedges(start, nbr, in_y)
     c4, theta_x = _pairs(w.codegree), _triples(w.codegree)
-    central = _central_c4(g, w) if {r.tag for r in g.roles} >= CENTRAL_TAGS else 0
+    central = _central_c4(g, w) if set(map(role_tag, g.roles)) >= CENTRAL_TAGS else 0
     c6 = _bipartite_c6(w, np.diff(start), in_y)
     return CensusReport(c4, central, c6, theta_y + theta_x, g.vertex_count, "explicit-graph")
 
@@ -300,7 +311,7 @@ def _runs(rows: np.ndarray) -> np.ndarray:
     same = np.empty(flat.size + 1, dtype=bool)
     same[0] = False
     np.equal(flat[1:], flat[:-1], out=same[1:-1])
-    same[n::n] = False
+    same[n :: n or 1] = False  # with no keys, same is the one False
     change = (same[1:] != same[:-1]).nonzero()[0]
     m = change[1::2] - change[::2] + 1
     # a row's runs have sum m <= n, so each row adds under n^3 to the sums

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AttemptsExhausted, GridTooCoarse, TooLarge
-from .graphs import LabeledGraph, _frozen
+from .graphs import LabeledGraph, _frozen, role_tag
 
 IPoint = tuple[int, int, int]
 
@@ -101,7 +101,7 @@ def sample_try(
     if res.denominator > _MAX_GRID_DENOMINATOR:
         raise TooLarge(f"grid resolution {res} has a denominator above 2^40")
     rng = random.Random(seed)
-    tags = (fug.roles[code].tag for code in fug.role_codes.tolist())
+    tags = np.array([role_tag(r) for r in fug.roles], dtype=object)[fug.role_codes].tolist()
     keys = list(zip(tags, fug.levels.tolist(), map(tuple, fug.cells.tolist())))
     ranges: dict[str, list[tuple[int, int]]] = {}
     placed: dict[IPoint, int] = {}  # k -> vertex

@@ -4,9 +4,9 @@ at s = 0; derived_cover is the one cover builder.
 
 Vertices are dense integer ids.  A graph is held as arrays: one sorted int64
 (E, 2) edge array with u < v in every row, a role code per vertex into a
-sorted table of roles, the level as an unsigned integer and an (n, 3) int64
-cell array.  Every graph carries these labels; graphs are built only as
-arrays, by voltage.BaseGraph (the base graph and its central K_{2,d}),
+sorted table of role names, the level as an unsigned integer and an (n, 3)
+int64 cell array.  Every graph carries these labels; graphs are built only
+as arrays, by voltage.BaseGraph (the base graph and its central K_{2,d}),
 derived_cover and graph_from_json_dict.  Graphs are immutable after
 construction, so values can be shared freely.
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +26,9 @@ from .errors import MalformedGraph
 
 Edge = tuple[int, int]
 
-# Canonical role ranks; hub roles t/b and spoke roles c form the central
-# K_{2,d}, v* are the merged connector vertices of the quotient base graph.
+# The role tags in canonical order; c and f names add a 1-based index (c1,
+# f2).  Hub roles t/b and spoke roles c form the central K_{2,d}, v* are the
+# merged connector vertices of the quotient base graph.
 ROLE_TAGS = ("c", "t", "b", "f", "lx", "ly", "lz", "rx", "ry", "rz", "vx", "vy", "vz")
 _RANK = {tag: i for i, tag in enumerate(ROLE_TAGS)}
 _INDEXED = {"c", "f"}
@@ -37,34 +37,29 @@ CENTRAL_TAGS = {"c", "t", "b"}
 MAX_LEVEL_BITS = 63
 
 
-@dataclass(frozen=True)
-class Role:
-    """Structural role of a vertex; c/f roles carry a 1-based index."""
+def role_tag(name: str) -> str:
+    """The tag of a role name: the name without its index digits."""
+    return name.rstrip("0123456789")
 
-    tag: str
-    index: int = 0
 
-    def __post_init__(self):
-        if self.tag not in _RANK:
-            raise ValueError(f"unknown role tag {self.tag!r}")
-        if self.tag in _INDEXED and self.index < 1:
-            raise ValueError(f"role {self.tag!r} needs an index >= 1")
-        if self.tag not in _INDEXED and self.index != 0:
-            raise ValueError(f"role {self.tag!r} takes no index")
-
-    @property
-    def rank(self) -> tuple[int, int]:
-        return (_RANK[self.tag], self.index)
-
-    def __str__(self) -> str:
-        return f"{self.tag}{self.index}" if self.tag in _INDEXED else self.tag
-
-    @classmethod
-    def parse(cls, text: str) -> "Role":
-        for tag in _INDEXED:
-            if text.startswith(tag) and text[len(tag):].isdigit():
-                return cls(tag, int(text[len(tag):]))
-        return cls(text)
+def role_rank(name: str) -> tuple[int, int]:
+    """The canonical order of a role name: (position of its tag in
+    ROLE_TAGS, its index), the index 0 for a tag that takes none.  A c or f
+    name carries a 1-based index written without leading zeros (c1, f12),
+    any other tag none; MalformedGraph for a name that is not so written."""
+    tag = role_tag(name)
+    if tag not in _RANK:
+        raise MalformedGraph(f"role {name!r} has the unknown role tag {tag!r}")
+    try:
+        index = int(name[len(tag):] or 0)
+    except ValueError:  # more digits than int() converts
+        raise MalformedGraph(f"role tag {tag!r} has an index of {len(name) - len(tag)} digits") from None
+    if tag in _INDEXED and index < 1:
+        raise MalformedGraph(f"role {name!r} needs an index >= 1")
+    spelled = f"{tag}{index}" if tag in _INDEXED else tag
+    if name != spelled:  # such as c01, which would otherwise sort as c1
+        raise MalformedGraph(f"role {name!r} is not written as {spelled!r}")
+    return _RANK[tag], index
 
 
 def level_uint(level: str) -> int:
@@ -108,10 +103,10 @@ class LabeledGraph:
     """Immutable simple graph with per-vertex labels, held as arrays.
 
     edge_array is the sorted int64 (E, 2) array of the edges (u, v), u < v.
-    roles is the sorted table of the roles the graph uses, and per vertex
-    role_codes is an index into roles, levels the level as an unsigned
-    integer (bit i = position i of its level string) and cells an (n, 3)
-    int64 array; level_length is the length of every level string.
+    roles is the role_rank-sorted table of the role names the graph uses,
+    and per vertex role_codes is an index into roles, levels the level as
+    an unsigned integer (bit i = position i of its level string) and cells
+    an (n, 3) int64 array; level_length is the length of every level string.
     """
 
     __slots__ = (
@@ -123,15 +118,15 @@ class LabeledGraph:
         vertex_count: int,
         edge_array: np.ndarray,
         d: int | None,
-        roles: tuple[Role, ...],
+        roles: tuple[str, ...],
         role_codes: np.ndarray,
         levels: np.ndarray,
         level_length: int,
         cells: np.ndarray,
     ):
         """A graph from arrays already in the form the class holds (sorted,
-        distinct edges u < v; roles sorted by rank and all used); nothing is
-        checked, and the arrays are made read-only."""
+        distinct edges u < v; role names sorted by role_rank and all used);
+        nothing is checked, and the arrays are made read-only."""
         values = (
             vertex_count, _frozen(edge_array), d, roles, _frozen(role_codes), _frozen(levels),
             level_length, _frozen(cells),
@@ -263,14 +258,7 @@ def graph_from_json_dict(data: dict) -> LabeledGraph:
     cells = [rec.get("cell", (0, 0, 0)) for rec in verts]
     if not _of_types(role_texts, {str}):
         raise MalformedGraph("vertex roles must be strings")
-    parsed = {}
-    for text in set(role_texts):
-        try:
-            parsed[text] = Role.parse(text)
-        except ValueError as exc:
-            raise MalformedGraph(f"vertex role {text!r}: {exc}") from exc
-        if str(parsed[text]) != text:  # such as c01, which would load as c1
-            raise MalformedGraph(f"vertex role {text!r} is not written as {str(parsed[text])!r}")
+    rank = {text: role_rank(text) for text in set(role_texts)}
     if not (
         _of_types(levels, {str})
         and "".join(levels).strip("01") == ""
@@ -308,8 +296,8 @@ def graph_from_json_dict(data: dict) -> LabeledGraph:
         edge_array = _edge_array(n, ends)
     except ValueError as exc:  # a loop, a repeated edge or an id out of range
         raise MalformedGraph(str(exc)) from exc
-    roles = tuple(sorted(set(parsed.values()), key=lambda r: r.rank))
-    code = {text: roles.index(role) for text, role in parsed.items()}
+    roles = tuple(sorted(rank, key=rank.__getitem__))
+    code = {text: k for k, text in enumerate(roles)}
     level_value = {lev: level_uint(lev) for lev in set(levels)}
     return LabeledGraph(
         n,
@@ -354,10 +342,9 @@ def _vertex_fields(n: int, *columns) -> list:
 
 def _name_columns(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     """(role name, level string) of every vertex, as object arrays."""
-    names = np.array([str(r) for r in g.roles], dtype=object)
     values, inverse = np.unique(g.levels, return_inverse=True)
     strings = np.array([_level_string(lev, g.level_length) for lev in values.tolist()], dtype=object)
-    return names[g.role_codes], strings[inverse]
+    return np.array(g.roles, dtype=object)[g.role_codes], strings[inverse]
 
 
 def graph_to_json(g: LabeledGraph) -> str:
@@ -366,10 +353,8 @@ def graph_to_json(g: LabeledGraph) -> str:
     lists and the vertices as {id, role, level, cell} objects, written from
     the arrays with one format string per list."""
     n, m = g.vertex_count, len(g.edge_array)
-    role_names, level_strings = _name_columns(g)
-    fields = _vertex_fields(
-        n, g.cells[:, 0], g.cells[:, 1], g.cells[:, 2], np.arange(n), level_strings, role_names
-    )
+    names, level_strings = _name_columns(g)
+    fields = _vertex_fields(n, g.cells[:, 0], g.cells[:, 1], g.cells[:, 2], np.arange(n), level_strings, names)
     vertices = ",".join([_VERTEX_JSON] * n) % tuple(fields)
     edges = ",".join([_EDGE_JSON] * m) % tuple(g.edge_array.ravel().tolist())
     return (
@@ -381,13 +366,13 @@ def graph_to_json(g: LabeledGraph) -> str:
 def graph_to_dot(g: LabeledGraph) -> str:
     """DOT export; node labels are role@level."""
     n, m = g.vertex_count, len(g.edge_array)
-    role_names, level_strings = _name_columns(g)
+    names, level_strings = _name_columns(g)
     if g.level_length:
         node = '  v%d [label="%s@%s"];\n'
-        fields = _vertex_fields(n, np.arange(n), role_names, level_strings)
+        fields = _vertex_fields(n, np.arange(n), names, level_strings)
     else:
         node = '  v%d [label="%s"];\n'
-        fields = _vertex_fields(n, np.arange(n), role_names)
+        fields = _vertex_fields(n, np.arange(n), names)
     nodes = (node * n) % tuple(fields)
     edges = ("  v%d -- v%d;\n" * m) % tuple(g.edge_array.ravel().tolist())
     return f"graph lattice {{\n{nodes}{edges}}}\n"

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeTooSmall, MalformedGraph, TooLarge, TorusTooSmall
-from .graphs import Edge, LabeledGraph, Role, _frozen, _json_list
+from .graphs import Edge, LabeledGraph, _frozen, _json_list, role_rank
 
 Vec3 = tuple[int, int, int]
 
@@ -65,7 +65,7 @@ class BaseGraph:
         if self.d < 5:
             raise DegreeTooSmall(f"construction requires d >= 5, got {self.d}")
 
-    def _labeled(self, roles: tuple[Role, ...], edges: np.ndarray) -> LabeledGraph:
+    def _labeled(self, roles: tuple[str, ...], edges: np.ndarray) -> LabeledGraph:
         """The graph on one vertex per role whose vertex v has role v,
         level "" and cell 0."""
         n = len(roles)
@@ -78,7 +78,7 @@ class BaseGraph:
         """The base graph as a labeled graph: vertex v has role v of the
         role table, level "" and cell 0."""
         d, n = self.d, 2 * self.d
-        roles = (*self.central.roles, *(Role("f", j) for j in range(1, d - 4)), *(Role(tag) for tag in UNIT))
+        roles = (*self.central.roles, *(f"f{j}" for j in range(1, d - 4)), *UNIT)
         edges = np.stack([np.repeat(np.arange(d), d), np.tile(np.arange(d, n), d)], axis=1)
         return self._labeled(roles, edges)
 
@@ -89,7 +89,7 @@ class BaseGraph:
         the hubs t, b are d and d + 1, each joined to every spoke.  Every
         lift copies it unchanged, as the hub edges carry zero voltage."""
         d = self.d
-        roles = (*(Role("c", i) for i in range(1, d + 1)), Role("t"), Role("b"))
+        roles = (*(f"c{i}" for i in range(1, d + 1)), "t", "b")
         return self._labeled(roles, np.stack([np.repeat(np.arange(d), 2), np.tile([d, d + 1], d)], axis=1))
 
     @cached_property
@@ -100,11 +100,6 @@ class BaseGraph:
         shifts = np.zeros((self.d, self.d, 3), dtype=np.int64)
         shifts[0, self.d - len(UNIT) :] = -np.array(list(UNIT.values()))
         return _frozen(shifts)
-
-    @cached_property
-    def role_names(self) -> np.ndarray:
-        """Read-only object array: the role name (str(role)) of every vertex."""
-        return _frozen(np.array([str(r) for r in self.graph.roles], dtype=object))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,19 +213,17 @@ def derived_cover(base: BaseGraph, volt: VoltageAssignment, n: int | None = None
     pairs = base.graph.edge_array
     shift, mask = base.shifts.reshape(-1, 3), volt.masks.reshape(-1)
 
-    def cover_role(v: int, moved: bool) -> Role:
+    def cover_role(v: int, moved: bool) -> str:
         """The role over base vertex v at an edge that moves (displacement
         nonzero) or not, which picks l* or r* for a connector."""
         r = base.graph.roles[v]
-        if n is None and r.tag in UNIT:
-            return Role(("l" if moved else "r") + r.tag[1])
-        return r
+        return ("l" if moved else "r") + r[1] if n is None and r in UNIT else r
 
     ends = [
         (cover_role(u, moved), cover_role(v, moved))
         for (u, v), moved in zip(pairs.tolist(), shift.any(axis=1).tolist())
     ]
-    roles = tuple(sorted({r for pair in ends for r in pair}, key=lambda r: r.rank))
+    roles = tuple(sorted({r for pair in ends for r in pair}, key=role_rank))
     side = n or 1  # the one cell of the full unit graph wraps every shift to 0
     cells = side**3
     fiber = (1 << s) * cells  # the vertices over one role
@@ -448,4 +441,4 @@ def canonical_edge_order(base: BaseGraph) -> list[str]:
     """The role names of the ends of every base edge, in base edge order,
     as one flat list (edge k is entries 2k and 2k + 1): the edge_order of
     every certificate."""
-    return base.role_names[base.graph.edge_array].ravel().tolist()
+    return np.array(base.graph.roles, dtype=object)[base.graph.edge_array].ravel().tolist()

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import signal
 import sys
 from collections import Counter
@@ -17,8 +18,8 @@ import pytest
 from thetalattice import linalg
 from thetalattice.graphs import (
     CENTRAL_TAGS,
+    ROLE_TAGS,
     LabeledGraph,
-    Role,
     _bfs,
     _csr,
     _edge_array,
@@ -59,18 +60,39 @@ def perfbench_module(name):
 # objects to those arrays and back.
 
 
+def _name_parts(name):
+    """(tag, index digits) of a role name such as c12, t or vx, read with a
+    pattern of its own rather than the package's role_rank."""
+    return re.fullmatch(r"([a-z]+)([0-9]*)", name).groups()
+
+
+def name_tag(name):
+    return _name_parts(name)[0]
+
+
+def name_order(name):
+    """(position of its tag in ROLE_TAGS, integer index) of a role name: the
+    oracle of the order of every role table."""
+    tag, index = _name_parts(name)
+    return ROLE_TAGS.index(tag), int(index or 0)
+
+
 @dataclass(frozen=True)
 class VertexLabel:
-    role: Role
+    role: str
     level: str = ""
     cell: tuple = ZERO3
 
     @property
+    def tag(self):
+        return name_tag(self.role)
+
+    @property
     def sort_key(self):
-        return (*self.role.rank, level_uint(self.level), self.cell)
+        return (*name_order(self.role), level_uint(self.level), self.cell)
 
     def __str__(self) -> str:
-        name = str(self.role)
+        name = self.role
         if self.level:
             name += f"@{self.level}"
         if self.cell != ZERO3:
@@ -87,7 +109,7 @@ def labeled_graph(labels, edges, d=None):
     labs = list(labels)
     lengths = {len(lab.level) for lab in labs}
     assert len(lengths) <= 1, "levels of different lengths"
-    roles = tuple(sorted({lab.role for lab in labs}, key=lambda r: r.rank))
+    roles = tuple(sorted({lab.role for lab in labs}, key=name_order))
     code = {r: i for i, r in enumerate(roles)}
     return LabeledGraph(
         len(labs),
@@ -162,11 +184,11 @@ def root_unit_graph_reference(d):
     fillers f_1..f_{d-5} joined to every spoke; one-sided connectors
     lx, ly, lz (degree 1, attached to c_1) and rx, ry, rz (degree d-1,
     attached to c_2..c_d).  The oracle for build_root_unit_graph."""
-    c = [VertexLabel(Role("c", i)) for i in range(1, d + 1)]
-    t, b = VertexLabel(Role("t")), VertexLabel(Role("b"))
-    f = [VertexLabel(Role("f", j)) for j in range(1, d - 4)]
-    lx, ly, lz = (VertexLabel(Role(r)) for r in ("lx", "ly", "lz"))
-    rx, ry, rz = (VertexLabel(Role(r)) for r in ("rx", "ry", "rz"))
+    c = [VertexLabel(f"c{i}") for i in range(1, d + 1)]
+    t, b = VertexLabel("t"), VertexLabel("b")
+    f = [VertexLabel(f"f{j}") for j in range(1, d - 4)]
+    lx, ly, lz = map(VertexLabel, ("lx", "ly", "lz"))
+    rx, ry, rz = map(VertexLabel, ("rx", "ry", "rz"))
     edges = []
     for ci in c:
         edges.append((t, ci))
@@ -185,10 +207,10 @@ def central_subgraph_reference(g):
     disjoint union of the central copies of a cover, and the oracle for
     BaseGraph.central."""
     labels = vertex_labels(g)
-    keep = [v for v, lab in enumerate(labels) if lab.role.tag in CENTRAL_TAGS]
+    keep = [v for v, lab in enumerate(labels) if lab.tag in CENTRAL_TAGS]
     edges = []
     for u, v in g.edges:
-        tags = {labels[u].role.tag, labels[v].role.tag}
+        tags = {labels[u].tag, labels[v].tag}
         if tags in ({"t", "c"}, {"b", "c"}):
             edges.append((labels[u], labels[v]))
     return from_labeled_vertices((labels[v] for v in keep), edges, g.d)
@@ -198,7 +220,7 @@ def plain_graph(n, edges):
     """A simple graph for counting tests whose labels carry nothing: every
     vertex is the filler f1 at level "" in cell 0, so no 4-cycle is
     central."""
-    return labeled_graph([VertexLabel(Role("f", 1))] * n, edges)
+    return labeled_graph([VertexLabel("f1")] * n, edges)
 
 
 def cycle_graph(k):
@@ -211,16 +233,16 @@ def complete_bipartite(m, n):
 
 def labeled_k2d(d):
     """K_{2,d} with hub/spoke roles (a standalone central copy)."""
-    t, b = VertexLabel(Role("t")), VertexLabel(Role("b"))
-    c = [VertexLabel(Role("c", i)) for i in range(1, d + 1)]
+    t, b = VertexLabel("t"), VertexLabel("b")
+    c = [VertexLabel(f"c{i}") for i in range(1, d + 1)]
     edges = [(t, ci) for ci in c] + [(b, ci) for ci in c]
     return from_labeled_vertices([t, b, *c], edges, d)
 
 
 def labeled_cycle4():
     """A lone labeled 4-cycle with no central edges (c-f alternation)."""
-    c1, c2 = VertexLabel(Role("c", 1)), VertexLabel(Role("c", 2))
-    f1, f2 = VertexLabel(Role("f", 1)), VertexLabel(Role("f", 2))
+    c1, c2 = VertexLabel("c1"), VertexLabel("c2")
+    f1, f2 = VertexLabel("f1"), VertexLabel("f2")
     return from_labeled_vertices([c1, f1, c2, f2], [(c1, f1), (f1, c2), (c2, f2), (f2, c1)])
 
 
@@ -272,30 +294,30 @@ def edge_bits(volt, u, v):
 
 
 def base_roles(base):
-    """The Role of every base vertex, read from the base graph's labels."""
+    """The role name of every base vertex, read from the base graph's labels."""
     g = base.graph
     return tuple(g.roles[code] for code in g.role_codes.tolist())
 
 
 def base_whites(base):
-    return tuple(v for v, r in enumerate(base_roles(base)) if r.tag != "c")
+    return tuple(v for v, r in enumerate(base_roles(base)) if name_tag(r) != "c")
 
 
 def base_blacks(base):
-    return tuple(v for v, r in enumerate(base_roles(base)) if r.tag == "c")
+    return tuple(v for v, r in enumerate(base_roles(base)) if name_tag(r) == "c")
 
 
 def base_hubs(base):
     """The ids (t, b) of the hubs, read from the roles."""
     roles = base_roles(base)
-    return roles.index(Role("t")), roles.index(Role("b"))
+    return roles.index("t"), roles.index("b")
 
 
 def central_edges(base):
     """The base edges joining a hub t or b to a spoke, read from the roles."""
     hub_spoke = ({"t", "c"}, {"b", "c"})
-    roles = base_roles(base)
-    return frozenset((u, v) for u, v in base.graph.edges if {roles[u].tag, roles[v].tag} in hub_spoke)
+    tags = [name_tag(r) for r in base_roles(base)]
+    return frozenset((u, v) for u, v in base.graph.edges if {tags[u], tags[v]} in hub_spoke)
 
 
 def noncentral_edges(base):
@@ -423,7 +445,7 @@ def codegree_triangles_reference(keys, codegree, n, block=1 << 16):
 def _central_c4_reference(g):
     """4-cycles of the subgraph of edges whose endpoints both have hub/spoke
     roles at one (cell, level), built as a graph of its own."""
-    copy = [(lab.cell, lab.level) if lab.role.tag in CENTRAL_TAGS else None for lab in vertex_labels(g)]
+    copy = [(lab.cell, lab.level) if lab.tag in CENTRAL_TAGS else None for lab in vertex_labels(g)]
     edges = [(u, v) for u, v in g.edges if copy[u] is not None and copy[u] == copy[v]]
     return _c4_theta_reference(plain_graph(g.vertex_count, edges))[0]
 
@@ -884,7 +906,7 @@ def two_lift(g: LabeledGraph, sgn: Signing) -> LabeledGraph:
     if extra:
         raise ValueError(f"signing mentions non-edges {sorted(extra)}")
     for u, v in g.edges:
-        tags = {labels[u].role.tag, labels[v].role.tag}
+        tags = {labels[u].tag, labels[v].tag}
         if tags in ({"t", "c"}, {"b", "c"}) and sgn.sign(u, v) == "crossed":
             raise CentralEdgeCrossed(f"central edge ({u},{v}) marked crossed")
 
@@ -1028,7 +1050,7 @@ def validate(g: LabeledGraph, expect_regular: int | None = None) -> ValidationRe
     # every component must color all c-roles one class and the rest the
     # other: a black vertex's parity, a white one's flipped, is the same
     # over the component as at its root
-    black = np.array([r.tag == "c" for r in g.roles])[g.role_codes]
+    black = np.array([name_tag(r) == "c" for r in g.roles])[g.role_codes]
     side = parity ^ ~black
     roles_ok = bipartite and bool(np.array_equal(side, side[root]))
     histogram = degree_histogram(g)
@@ -1066,8 +1088,8 @@ def derived_cover_reference(base, volt, n=None):
 
     def fiber(v, t):
         r = roles[v]
-        if n is None and r.tag in UNIT:
-            r = Role(("l" if t != ZERO3 else "r") + r.tag[1])
+        if n is None and r in UNIT:
+            r = ("l" if t != ZERO3 else "r") + r[1]
         if r not in fibers:
             fibers[r] = [[VertexLabel(r, lev, z) for lev in levels] for z in cells]
         return fibers[r]
@@ -1150,7 +1172,7 @@ def brute_force_census(g: LabeledGraph) -> CensusReport:
 def _is_central_cycle(labels, seq: tuple[int, ...]) -> bool:
     labs = [labels[v] for v in seq]
     return (
-        all(lab.role.tag in CENTRAL_TAGS for lab in labs)
+        all(lab.tag in CENTRAL_TAGS for lab in labs)
         and len({lab.level for lab in labs}) == 1
         and len({lab.cell for lab in labs}) == 1
     )
@@ -1179,7 +1201,7 @@ def certificate_to_json_dict(cert):
 
 def canonical_edge_order_reference(base):
     roles = base_roles(base)
-    return tuple((str(roles[u]), str(roles[v])) for u, v in base.graph.edges)
+    return tuple((roles[u], roles[v]) for u, v in base.graph.edges)
 
 
 def graph_to_json_dict(g):
@@ -1191,7 +1213,7 @@ def graph_to_json_dict(g):
         "d": g.d if g.d is not None else 0,
         "s": g.level_length,
         "vertices": [
-            {"id": v, "role": str(lab.role), "level": lab.level, "cell": list(lab.cell)}
+            {"id": v, "role": lab.role, "level": lab.level, "cell": list(lab.cell)}
             for v, lab in enumerate(labels)
         ],
         "edges": [list(e) for e in g.edges],
@@ -1203,7 +1225,7 @@ def graph_to_dot_reference(g):
     are role@level."""
     lines = ["graph lattice {"]
     for v, lab in enumerate(vertex_labels(g)):
-        name = str(lab.role) + (f"@{lab.level}" if lab.level else "")
+        name = lab.role + (f"@{lab.level}" if lab.level else "")
         lines.append(f'  v{v} [label="{name}"];')
     for u, v in g.edges:
         lines.append(f"  v{u} -- v{v};")
@@ -1299,7 +1321,7 @@ def sample_try_reference(fug, seed, grid_resolution):
     points, used = {}, set()
     by_key = label_index(fug)
     for v in range(fug.vertex_count):
-        tag = labels[v].role.tag
+        tag = labels[v].tag
         if tag in _DERIVED:
             continue
         ranges = [_grid_range_reference(lo, hi, res) for lo, hi in _BOXES.get(tag, (_CENTER,) * 3)]
@@ -1313,10 +1335,10 @@ def sample_try_reference(fug, seed, grid_resolution):
         points[v] = p
     for v in range(fug.vertex_count):
         lab = labels[v]
-        if lab.role.tag not in _DERIVED:
+        if lab.tag not in _DERIVED:
             continue
-        src_tag, shift = _DERIVED[lab.role.tag]
-        sp = points[by_key[(Role(src_tag), lab.level, lab.cell)]]
+        src_tag, shift = _DERIVED[lab.tag]
+        sp = points[by_key[(src_tag, lab.level, lab.cell)]]
         points[v] = (sp[0] - shift[0], sp[1] - shift[1], sp[2] - shift[2])
     return points
 

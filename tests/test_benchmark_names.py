@@ -2,7 +2,8 @@
 perfbench/tracer.py wraps them by that name, and a name that no longer
 resolves reads 0 instead of failing.  These tests read the tables from the
 benchmark's source, without editing it, pin which names resolve, run its
-tracer around one certification, and run every workload's set-up."""
+tracer around one certification, and run every workload's set-up and one
+pass of its commands."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import pytest
 import thetalattice
 from conftest import PERFBENCH, perfbench_module, random_bits_voltage
 from thetalattice import embed
+from thetalattice.cli import main
 from thetalattice.voltage import build_base_graph, derived_cover
 
 # renamed away when derived_cover replaced both builders, removed with the
@@ -104,12 +106,31 @@ def test_tracer_counts_an_embedding():
     assert counts["embed.block_segments"] == 27 * len(fug.edges) * attempts
 
 
+def _layers():
+    """The package's layer modules, as the benchmark hands them to a
+    workload."""
+    layers = _literal(PERFBENCH / "tracer.py", "LAYERS")
+    return types.SimpleNamespace(**{layer: importlib.import_module(f"thetalattice.{layer}") for layer in layers})
+
+
 @pytest.mark.parametrize("name", sorted(perfbench_module("workloads").WORKLOADS))
 def test_workload_setup_runs(name):
     """Each workload's set-up, run in process on the package's layer
     modules: it re-verifies the pinned certificates through the voltage API
     the benchmark calls (to_voltage, with_bits, level_bits), so a change
     that breaks that API fails here, not as a failed benchmark run."""
-    layers = _literal(PERFBENCH / "tracer.py", "LAYERS")
-    tl = types.SimpleNamespace(**{layer: importlib.import_module(f"thetalattice.{layer}") for layer in layers})
-    assert isinstance(perfbench_module("workloads").WORKLOADS[name].setup(tl), dict)
+    assert isinstance(perfbench_module("workloads").WORKLOADS[name].setup(_layers()), dict)
+
+
+@pytest.mark.parametrize("name", sorted(perfbench_module("workloads").WORKLOADS))
+def test_workload_pass_is_correct(name, tmp_path, capsys):
+    """One pass of each workload at seed 1, after its set-up, run in process
+    through cli.main: every command's own check finds no problem, so a
+    change that breaks a workload's outputs fails here, not as a failed
+    benchmark run."""
+    workload = perfbench_module("workloads").WORKLOADS[name]
+    problems = []
+    for cmd in workload.commands(workload.setup(_layers()), 1, tmp_path):
+        rc = main(cmd.argv)
+        problems += [f"{cmd.argv[0]}: {p}" for p in cmd.check(rc, capsys.readouterr().out)]
+    assert problems == []

@@ -46,7 +46,7 @@ from conftest import (
 from thetalattice.census import CensusReport, census, voltage_census
 from thetalattice.certify import recheck_constraints_dfs
 from thetalattice.errors import MalformedGraph, TooLarge
-from thetalattice.graphs import Role, _bfs, _csr, build_root_unit_graph, graph_from_json_dict
+from thetalattice.graphs import _bfs, _csr, build_root_unit_graph, graph_from_json_dict
 from thetalattice.voltage import build_base_graph, derived_cover
 
 # the package re-exports a function named like this module
@@ -310,7 +310,7 @@ def test_classify_central_alone():
 def test_classify_central_needs_one_cell_and_level():
     """A 4-cycle on hub/spoke roles is central only when all four vertices
     share one (cell, level)."""
-    roles = [Role("t"), Role("b"), Role("c", 1), Role("c", 2)]
+    roles = ["t", "b", "c1", "c2"]
     for moved in range(4):  # one vertex at another level, or in another cell
         for level, cell in (("1", (0, 0, 0)), ("0", (1, 0, 0))):
             t, b, c1, c2 = (
@@ -323,21 +323,21 @@ def test_classify_central_needs_one_cell_and_level():
 
 
 def test_census_makes_one_codegree_pass(monkeypatch):
-    """census() builds one wedge table per colour class, two per call: first
-    the one centred in the smaller class X, then the one centred in the
-    other, so the two middle masks split the vertices.  The second serves
-    c4, the central 4-cycles and the 6-cycles."""
+    """census() enumerates the wedges of each colour class once, two
+    enumerations per call: first those centred in the smaller class X, then
+    those centred in the other, so the two middle masks split the vertices.
+    The second's table serves c4, the central 4-cycles and the 6-cycles."""
     base, volt0 = build_base_graph(5)
     torus = derived_cover(base, random_bits_voltage(base, volt0, 2, seed=5), 2)
     k2d = labeled_k2d(5)
-    original = census_module._wedges
+    original = census_module._wedge_keys
     masks = []
 
     def counted(start, nbr, middle):
         masks.append(middle.copy())
         return original(start, nbr, middle)
 
-    monkeypatch.setattr(census_module, "_wedges", counted)
+    monkeypatch.setattr(census_module, "_wedge_keys", counted)
     report = census(torus)
     census(k2d)
     assert len(masks) == 4
@@ -356,8 +356,8 @@ def test_census_central_from_either_side():
     copy's central 4-cycles through its hub pair and the other's through its
     spoke pairs, and counts both."""
     d = 5
-    t, b = Role("t"), Role("b")
-    spokes = [Role("c", i) for i in range(1, d + 1)]
+    t, b = "t", "b"
+    spokes = [f"c{i}" for i in range(1, d + 1)]
     first = [VertexLabel(r) for r in (t, b, *spokes)]
     second = [VertexLabel(r, cell=(1, 0, 0)) for r in (*spokes, t, b)]
     edges = [(hub, 2 + i) for hub in (0, 1) for i in range(d)]
@@ -427,10 +427,10 @@ def test_base_cycle_with_displacement_excluded():
     appears as a constraint nor contributes to the per-cube count."""
     base, volt = build_base_graph(5)
     ids = label_index(base.graph)
-    c1 = ids[(Role("c", 1), "", (0, 0, 0))]
-    c2 = ids[(Role("c", 2), "", (0, 0, 0))]
-    vx = ids[(Role("vx"), "", (0, 0, 0))]
-    t = ids[(Role("t"), "", (0, 0, 0))]
+    c1 = ids[("c1", "", (0, 0, 0))]
+    c2 = ids[("c2", "", (0, 0, 0))]
+    vx = ids[("vx", "", (0, 0, 0))]
+    t = ids[("t", "", (0, 0, 0))]
     seq = (c1, vx, c2, t)
     assert _cycle_displacement(base, seq) == (-1, 0, 0)
     mask = _cycle_mask(seq, {e: j for j, e in enumerate(noncentral_edges(base))})

@@ -26,6 +26,7 @@ from conftest import (
     edge_bits,
     edge_disp,
     label_index,
+    name_tag,
     noncentral_edges,
     random_bits_voltage,
     vertex_labels,
@@ -40,7 +41,6 @@ from thetalattice.certify import (
     verify_certificate,
     wenger_voltage,
 )
-from thetalattice.graphs import Role
 from thetalattice.voltage import (
     BaseGraph,
     LiftCertificate,
@@ -85,7 +85,7 @@ def test_constraints_d5_membership():
     base, volt = build_base_graph(5)
     ids = _ids(base)
     vx, c1, c2, c3, t = (
-        ids[(Role(*role), "", (0, 0, 0))] for role in (("vx",), ("c", 1), ("c", 2), ("c", 3), ("t",))
+        ids[(role, "", (0, 0, 0))] for role in ("vx", "c1", "c2", "c3", "t")
     )
     nc_index = {e: j for j, e in enumerate(noncentral_edges(base))}
     masks = Counter(c.mask for c in _constraint_cycles_reference(base, volt))
@@ -504,12 +504,12 @@ def _stage_lower_bound(d):
     c, j = np.nonzero(~base.shifts.any(axis=2))
     adj[c, d + j] = adj[d + j, c] = 1
     roles = base_roles(base)
-    keep = np.array([r.tag != "b" for r in roles])
+    keep = np.array([name_tag(r) != "b" for r in roles])
     adj = adj[np.ix_(keep, keep)]
     deg = adj.sum(axis=1)
     w2 = adj @ adj - np.diag(deg)
     w3 = adj @ w2 - (deg - 1)[:, None] * adj
-    black = np.array([r.tag == "c" for r in roles])[keep].tolist()
+    black = np.array([name_tag(r) == "c" for r in roles])[keep].tolist()
     side = {True: black.count(True), False: black.count(False)}
     s = 0
     for b, even, odd in zip(black, (1 + w2.sum(axis=1)).tolist(), (deg + w3.sum(axis=1)).tolist()):

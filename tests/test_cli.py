@@ -408,6 +408,37 @@ def test_verify_computes_the_census_once(cert_d5, tmp_path, capsys, monkeypatch)
         assert len(calls) == 1
 
 
+def test_verify_decides_the_torus_size_before_the_census(cert_d5_s3, capsys, monkeypatch):
+    """With COVER_EDGE_LIMIT below the 1,600 edges of the d = 5, s = 3,
+    n = 2 torus, verify skips the default cross-check, naming the size, and
+    otherwise prints what it prints unpatched (the cut certificate's flags
+    fail, so VERDICT: FAIL and exit 1); with --torus-n 2 it exits 2 with
+    one line and runs no census."""
+    import thetalattice.cli as cli_module
+    import thetalattice.voltage as voltage_module
+
+    def kept(out):
+        return [line for line in out.splitlines() if not line.startswith(("elapsed:", "explicit torus"))]
+
+    code, out, _ = run(capsys, "verify", str(cert_d5_s3))
+    assert code == 1 and "VERDICT: FAIL" in out
+    assert "explicit torus cross-check at n=2: PASS" in out.splitlines()
+    monkeypatch.setattr(voltage_module, "COVER_EDGE_LIMIT", 1599)
+    patched_code, patched, err = run(capsys, "verify", str(cert_d5_s3))
+    assert (patched_code, err) == (code, "")
+    assert kept(patched) == kept(out)
+    assert (
+        "explicit torus cross-check at n=2: skipped "
+        "(a cover with n=2, s=3, d=5 has 1600 edges, above the limit of 1599)"
+    ) in patched.splitlines()
+
+    calls = []
+    monkeypatch.setattr(cli_module, "voltage_census", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "verify", str(cert_d5_s3), "--torus-n", "2")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: a cover with n=2, s=3, d=5 has 1600 edges, above the limit of 1599\n"
+
+
 def test_verify_rejects_torus_n1(cert_d5, capsys):
     code, _, err = run(capsys, "verify", str(cert_d5), "--torus-n", "1")
     assert code == 2
@@ -619,6 +650,13 @@ def _edge(value):
         (_edge([2**63 + 1, 1]), f"edge ({2**63 + 1},1) out of range"),
         (_edge([2**70, 2**70]), f"self-loop at vertex {2**70}"),
         (_set("edges", lambda data: [[5, 5], [1, -(2**64)], *data["edges"][2:]]), "self-loop at vertex 5"),
+        (_vertex("role", "c0"), "'c0' needs an index >= 1"),
+        (_vertex("role", "c"), "'c' needs an index >= 1"),
+        (_vertex("role", "t1"), "is not written as 't'"),
+        (_vertex("role", "vx1"), "is not written as 'vx'"),
+        (_vertex("role", "C1"), "unknown role tag 'C'"),
+        (_vertex("role", "c\u0661"), "unknown role tag 'c\u0661'"),  # an Arabic-Indic digit one
+        (_vertex("role", "c" + "1" * 5000), "'c' has an index of 5000 digits"),
     ],
 )
 def test_malformed_graph_is_a_usage_error(full_unit_d5, tmp_path, capsys, time_limit, edit, message):

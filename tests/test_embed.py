@@ -34,7 +34,6 @@ from thetalattice.embed import (
     try_to_obj,
 )
 from thetalattice.errors import AttemptsExhausted, GridTooCoarse, TooLarge
-from thetalattice.graphs import Role
 from thetalattice.voltage import build_base_graph, derived_cover
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned"
@@ -57,7 +56,7 @@ def test_sample_try_boxes_and_shapes():
     third = Fraction(1, 3)
     labels = vertex_labels(fug)
     for v, p in points.items():
-        tag = labels[v].role.tag
+        tag = labels[v].tag
         if tag == "rx":
             assert 2 * third < p[0] < 1 and third < p[1] < 2 * third and third < p[2] < 2 * third
         elif tag == "lx":
@@ -72,8 +71,8 @@ def test_sample_try_derived_connector_points():
     points = try_points(sample_try(fug, seed=5))
     ids = label_index(fug)
     for level in {lab.level for lab in vertex_labels(fug)}:
-        rx = ids[(Role("rx"), level, (0, 0, 0))]
-        lx = ids[(Role("lx"), level, (0, 0, 0))]
+        rx = ids[("rx", level, (0, 0, 0))]
+        lx = ids[("lx", level, (0, 0, 0))]
         assert points[lx] == (points[rx][0] - 1, points[rx][1], points[rx][2])
 
 
@@ -269,7 +268,7 @@ def test_shared_endpoint_int64_matches_segment_pair_ok(pair, shift):
 def _two_edges_from_one_vertex(corner, far):
     """Edges a-b and a-c on a grid of 4 units a cell: a within 2 units of
     corner on every axis, b one unit from a on y, and c at a + far."""
-    labels = tuple(VertexLabel(Role(tag)) for tag in ("t", "b", "rx"))
+    labels = tuple(map(VertexLabel, ("t", "b", "rx")))
     fug = labeled_graph(labels, ((0, 1), (0, 2)))
     a = (corner - 2, corner - 2, corner + 1)
     points = {0: a, 1: (a[0], a[1] + 1, a[2]), 2: tuple(x + y for x, y in zip(a, far))}
@@ -395,10 +394,10 @@ def test_crossing_placement_is_bad():
     pts = try_points(t)
     ids = label_index(fug)
     # c1-t and c2-b run between these four points; make them cross
-    c1 = ids[(Role("c", 1), "", (0, 0, 0))]
-    c2 = ids[(Role("c", 2), "", (0, 0, 0))]
-    tt = ids[(Role("t"), "", (0, 0, 0))]
-    bb = ids[(Role("b"), "", (0, 0, 0))]
+    c1 = ids[("c1", "", (0, 0, 0))]
+    c2 = ids[("c2", "", (0, 0, 0))]
+    tt = ids[("t", "", (0, 0, 0))]
+    bb = ids[("b", "", (0, 0, 0))]
     h = Fraction(1, 2)
     q = Fraction(1, 1024)
     pts[c1] = (h - 8 * q, h - 8 * q, h)
@@ -462,7 +461,7 @@ def test_good_try_matches_block_oracle():
 
 
 def _two_edge_graph():
-    labels = tuple(VertexLabel(Role(tag)) for tag in ("t", "b", "rx", "lx"))
+    labels = tuple(map(VertexLabel, ("t", "b", "rx", "lx")))
     return labeled_graph(labels, ((0, 1), (2, 3)))
 
 

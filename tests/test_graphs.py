@@ -25,6 +25,7 @@ from conftest import (
     label_index,
     labeled_cycle4,
     labeled_k2d,
+    name_order,
     plain_graph,
     random_bits_voltage,
     random_graph,
@@ -38,17 +39,30 @@ from conftest import (
 from thetalattice.census import census
 from thetalattice.errors import DegreeTooSmall
 from thetalattice.graphs import (
-    Role,
     build_root_unit_graph,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
+    role_rank,
 )
 from thetalattice.voltage import BaseGraph, build_base_graph, derived_cover
 
 
-def role_id(g, tag, index=0, level=""):
-    return label_index(g)[(Role(tag, index), level, (0, 0, 0))]
+def role_id(g, name, level=""):
+    return label_index(g)[(name, level, (0, 0, 0))]
+
+
+@pytest.mark.parametrize("d", range(5, 41))
+def test_role_tables_are_in_canonical_order(d):
+    """The role names of the base graph, the central K_{2,d}, the full unit
+    graph and the n = 2 torus are sorted as name_order orders them (tag
+    position in ROLE_TAGS, then the integer index, so c2 comes before c10),
+    and role_rank gives that order."""
+    base, volt0 = build_base_graph(d)
+    for g in (base.graph, base.central, derived_cover(base, volt0), derived_cover(base, volt0, 2)):
+        assert list(g.roles) == sorted(set(g.roles), key=name_order)
+        assert [role_rank(name) for name in g.roles] == [name_order(name) for name in g.roles]
+    assert base.graph.roles[: d + 2] == base.central.roles == (*(f"c{i}" for i in range(1, d + 1)), "t", "b")
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +74,7 @@ def test_root_unit_graph_d5_counts():
     assert len(g.edges) == 25
     assert degree(g, role_id(g, "lx")) == 1
     assert degree(g, role_id(g, "rx")) == 4
-    assert degree(g, role_id(g, "c", 1)) == 5
+    assert degree(g, role_id(g, "c1")) == 5
 
 
 def test_root_unit_graph_d10_counts():
@@ -68,7 +82,7 @@ def test_root_unit_graph_d10_counts():
     assert g.vertex_count == 23
     assert len(g.edges) == 100
     for j in range(1, 6):
-        assert degree(g, role_id(g, "f", j)) == 10
+        assert degree(g, role_id(g, f"f{j}")) == 10
 
 
 def test_root_unit_graph_rejects_small_degree():
@@ -142,7 +156,7 @@ def test_central_copies_after_lifts():
         crossed = [
             (u, v)
             for u, v in crossed
-            if {labels[u].role.tag, labels[v].role.tag} not in ({"t", "c"}, {"b", "c"})
+            if {labels[u].tag, labels[v].tag} not in ({"t", "c"}, {"b", "c"})
         ]
         g = two_lift(g, Signing.from_crossed(g, crossed))
     copies = central_copies(g)
@@ -207,7 +221,7 @@ def test_two_lift_preserves_degrees_and_bipartiteness(mask):
         e
         for i, e in enumerate(g.edges)
         if (mask >> i) & 1
-        and {labels[e[0]].role.tag, labels[e[1]].role.tag}
+        and {labels[e[0]].tag, labels[e[1]].tag}
         not in ({"t", "c"}, {"b", "c"})
     ]
     lift = two_lift(g, Signing.from_crossed(g, crossed))
@@ -225,7 +239,7 @@ def test_lift_cycle_monotonicity(mask):
         e
         for i, e in enumerate(g.edges)
         if (mask >> i) & 1
-        and {labels[e[0]].role.tag, labels[e[1]].role.tag}
+        and {labels[e[0]].tag, labels[e[1]].tag}
         not in ({"t", "c"}, {"b", "c"})
     ]
     lift = two_lift(g, Signing.from_crossed(g, crossed))
@@ -241,7 +255,7 @@ def test_lift_short_cycles_project_to_base_cycles():
     crossed = [
         e
         for e in g.edges
-        if {labels[e[0]].role.tag, labels[e[1]].role.tag}
+        if {labels[e[0]].tag, labels[e[1]].tag}
         not in ({"t", "c"}, {"b", "c"})
     ][::3]
     lift = two_lift(g, Signing.from_crossed(g, crossed))
@@ -292,7 +306,7 @@ def test_validate_torus_regular():
 
 
 def test_validate_single_edge_bipartite():
-    c1, t = VertexLabel(Role("c", 1)), VertexLabel(Role("t"))
+    c1, t = VertexLabel("c1"), VertexLabel("t")
     report = validate(from_labeled_vertices([c1, t], [(c1, t)]))
     assert report.bipartite and report.roles_bipartition_ok and report.passed
 
@@ -303,7 +317,7 @@ def test_validate_odd_cycle_not_bipartite():
 
 
 def test_validate_roles_must_match_coloring():
-    c1, c2 = VertexLabel(Role("c", 1)), VertexLabel(Role("c", 2))
+    c1, c2 = VertexLabel("c1"), VertexLabel("c2")
     g = from_labeled_vertices([c1, c2], [(c1, c2)])  # two adjacent blacks
     report = validate(g)
     assert report.bipartite
@@ -353,7 +367,7 @@ def _writer_graphs():
     torus = derived_cover(base, random_bits_voltage(base, volt0, 2, seed=5), 2)
     base6, volt6 = build_base_graph(6)
     full_unit = derived_cover(base6, random_bits_voltage(base6, volt6, 3, seed=6))
-    c1, t = VertexLabel(Role("c", 1), "01", (-1, 2, -3)), VertexLabel(Role("t"), "10", (0, 0, 5))
+    c1, t = VertexLabel("c1", "01", (-1, 2, -3)), VertexLabel("t", "10", (0, 0, 5))
     return {
         "root": root,
         "base": base.graph,
