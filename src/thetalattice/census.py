@@ -19,9 +19,9 @@ them, which is exact among the walks it compares; the keys are uint16 up to
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .graphs import CENTRAL_TAGS, LabeledGraph, _bfs, _csr, role_tag
 from .voltage import BaseGraph, VoltageAssignment
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """The four counts of a census, the vertex count its per-vertex averages
     divide by (0 averages to 0) and its scope; the stray 4-cycles and the
     averages are derived from them."""
@@ -95,8 +94,7 @@ def _frac_str(x: Fraction) -> str:
 _TRIANGLE_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class _Wedges:
+class _Wedges(NamedTuple):
     """Every wedge u - w - v (u < v) whose middle vertex w lies in one set,
     keyed by its end pair.
 
@@ -194,14 +192,19 @@ def _codegree_triangles(keys: np.ndarray, codegree: np.ndarray, n: int) -> int:
     rank = np.cumsum(in_pair) - 1
     nx = int(rank[-1]) + 1
     row, col = rank[first], rank[second]
-    rows = max(1, _TRIANGLE_BLOCK // nx)
-    table = np.zeros(rows * nx, dtype=np.int64)
+    del first, in_pair, rank
     # The candidates of pair i are numbered cand_end[i] - run_len[i] to
     # cand_end[i] - 1, one for each pair (b, c) of b = second[i]; candidate t
-    # takes pair t + jump[i] as its (b, c).
+    # takes pair t + jump[i] as its (b, c).  jump is built in place and each
+    # pair-length array freed once read, so at most six are held at once.
     run_len = count[second]
     cand_end = np.cumsum(run_len)
-    jump = (np.cumsum(count) - count)[second] - (cand_end - run_len)
+    jump = (np.cumsum(count) - count)[second]
+    del second
+    jump -= cand_end
+    jump += run_len
+    rows = max(1, _TRIANGLE_BLOCK // nx)
+    table = np.zeros(rows * nx, dtype=np.int64)
     # A codegree is at most the maximum degree D, and D < 2^21 (a vertex of
     # degree 2^21 alone has 2^41 wedges, a table no memory holds), so each
     # term c_ab * c_bc * c_ac is below 2^63 and per_dot of them sum inside

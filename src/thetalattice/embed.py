@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,24 +42,32 @@ _BOXES = {"rx": (OUTER, CENTER, CENTER), "ry": (CENTER, OUTER, CENTER), "rz": (C
 _DERIVED = {"lx": ("rx", 0), "ly": ("ry", 1), "lz": ("rz", 2)}
 
 
-@dataclass(frozen=True, eq=False)
 class Try:
     """One candidate placement: vertex v sits at num[v] / denom.
 
     num is a read-only (n, 3) int64 array of numerators over one positive
     integer denominator.  A sampled try has the denominator q of its grid
-    resolution p/q, so every coordinate k*p/q is exact.  Tries are equal when
-    their resolutions and scaled() forms are.
+    resolution p/q, so every coordinate k*p/q is exact.  Tries are
+    immutable and unhashable, and equal when their resolutions and scaled()
+    forms are.
     """
 
-    num: np.ndarray
-    denom: int
-    grid_resolution: Fraction
+    __slots__ = ("num", "denom", "grid_resolution")
 
-    def __post_init__(self):
-        if self.denom < 1:
-            raise ValueError(f"try denominator must be positive, got {self.denom}")
-        object.__setattr__(self, "num", _frozen(np.array(self.num, dtype=np.int64).reshape(-1, 3)))
+    def __init__(self, num: np.ndarray, denom: int, grid_resolution: Fraction):
+        if denom < 1:
+            raise ValueError(f"try denominator must be positive, got {denom}")
+        values = (_frozen(np.array(num, dtype=np.int64).reshape(-1, 3)), denom, grid_resolution)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Try is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Try(num={self.num!r}, denom={self.denom!r}, grid_resolution={self.grid_resolution!r})"
 
     def scaled(self) -> tuple[np.ndarray, int]:
         """Integer coordinates in grid units plus the units-per-1 scale: num

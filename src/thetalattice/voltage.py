@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,7 +47,6 @@ def _mask_dtype(s: int):
     return np.int64 if s <= 63 else object
 
 
-@dataclass(frozen=True)
 class BaseGraph:
     """The degree-d quotient graph K_{d,d}, fixed by d alone.
 
@@ -56,14 +54,30 @@ class BaseGraph:
     blacks 0..d-1, and t, b, f_1..f_{d-5}, vx, vy, vz are the whites
     d..2d-1, so the hubs sit at white positions 0 and 1 and the connectors
     at the last three.  Every black is joined to every white.
-    DegreeTooSmall below d = 5.
+    DegreeTooSmall below d = 5.  Immutable, equal and hashed by d; its
+    cached properties live in the instance __dict__.
     """
 
-    d: int
+    def __init__(self, d: int):
+        if d < 5:
+            raise DegreeTooSmall(f"construction requires d >= 5, got {d}")
+        object.__setattr__(self, "d", d)
 
-    def __post_init__(self):
-        if self.d < 5:
-            raise DegreeTooSmall(f"construction requires d >= 5, got {self.d}")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"BaseGraph is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BaseGraph):
+            return NotImplemented
+        return self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash(self.d)
+
+    def __repr__(self) -> str:
+        return f"BaseGraph(d={self.d})"
 
     def _labeled(self, roles: tuple[str, ...], edges: np.ndarray) -> LabeledGraph:
         """The graph on one vertex per role whose vertex v has role v,
@@ -102,14 +116,23 @@ class BaseGraph:
         return _frozen(shifts)
 
 
-@dataclass(frozen=True, eq=False)
 class VoltageAssignment:
     """The level-bit voltage of every base edge (c, d + j): masks (d, d)
     holds its s-bit mask at [c, j], and reshape(d * d) gives base edge
-    order.  The displacements are the base graph's (BaseGraph.shifts)."""
+    order.  The displacements are the base graph's (BaseGraph.shifts).
+    Immutable and unhashable; equal by s and the mask values."""
 
-    s: int
-    masks: np.ndarray
+    def __init__(self, s: int, masks: np.ndarray):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "masks", masks)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"VoltageAssignment is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"VoltageAssignment(s={self.s!r}, masks={self.masks!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoltageAssignment):
@@ -289,25 +312,24 @@ def voltage_group_generated(base: BaseGraph, volt: VoltageAssignment) -> bool:
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
-class CertificateFlags:
+class CertificateFlags(NamedTuple):
     no_zero_voltage_hexes: bool
     no_zero_voltage_stray4s: bool
     voltage_group_generated: bool
 
     @property
     def all_true(self) -> bool:
-        return all(asdict(self).values())
+        return all(self)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # one edge_order pair of LiftCertificate.to_json, led by its line break;
 # role names are letters and digits, which JSON writes unescaped
 _PAIR_JSON = '\n    [\n      "%s",\n      "%s"\n    ]'
 _CERTIFICATE_KEYS = ("d", "s", "level_bits", "edge_order", "flags", "constraint_count", "seed")
-_FLAG_NAMES = tuple(f.name for f in fields(CertificateFlags))
+_FLAG_NAMES = CertificateFlags._fields
 
 
 def _require(ok: bool, problem: str) -> None:
@@ -315,8 +337,7 @@ def _require(ok: bool, problem: str) -> None:
         raise MalformedGraph(f"certificate {problem}")
 
 
-@dataclass(frozen=True)
-class LiftCertificate:
+class LiftCertificate(NamedTuple):
     """Replayable record of one certified lift sequence: the voltage, its
     verification flags, the constraint count and the seed.
 

@@ -6,10 +6,31 @@ __init__.  A method or property is read only as an attribute (x.name): a
 local variable of the same name does not count.  A name that only the tests
 read belongs in tests/conftest.py, as an oracle, and the names that only
 the benchmark reads are pinned in BENCHMARK_ONLY.  Dunder methods are called
-by Python itself and are not checked."""
+by Python itself and are not checked.
+
+The package's classes are built without code generation: none is a
+dataclass, importing the CLI loads no dataclasses module, and each value
+class keeps the equality, hashing, immutability, repr and refusals it had as
+a frozen dataclass."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from thetalattice.census import CensusReport, _Wedges
+from thetalattice.embed import Try
+from thetalattice.entropy import LatticeSummary
+from thetalattice.errors import DegreeTooSmall, InvalidCertificate
+from thetalattice.voltage import BaseGraph, CertificateFlags, LiftCertificate, VoltageAssignment
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "thetalattice"
@@ -112,3 +133,92 @@ def test_no_module_imports_a_name_it_never_reads():
         if name not in _read_names(path)[0]
     ]
     assert unread == []
+
+
+def test_no_class_is_a_dataclass():
+    """No class that a module of src/thetalattice defines is a dataclass."""
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, obj in vars(importlib.import_module(f"thetalattice.{path.stem}")).items()
+        if inspect.isclass(obj) and obj.__module__ == f"thetalattice.{path.stem}" and dataclasses.is_dataclass(obj)
+    ]
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """A fresh interpreter that imports thetalattice.cli has not imported
+    the dataclasses module: neither the package nor what it imports uses it."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = "import sys, thetalattice.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+_MASKS = np.array([[0, 0, 1, 0, 3]] * 5, dtype=np.int64)
+_KEYS = np.arange(4, dtype=np.int64)
+_REPORT = (45 << 8, 45 << 8, 0, 120 << 8, 20 << 8, "per-cube")
+
+
+# (class, a constructor giving equal values on each call, a stored
+# attribute, whether the values are hashable, and the constructor call it
+# refuses with its error and message)
+_VALUE_CLASSES = [
+    (BaseGraph, lambda: BaseGraph(5), "d", True, (lambda: BaseGraph(4), DegreeTooSmall, "requires d >= 5, got 4")),
+    (VoltageAssignment, lambda: VoltageAssignment(3, _MASKS.copy()), "s", False, None),
+    (CertificateFlags, lambda: CertificateFlags(True, False, True), "no_zero_voltage_hexes", True, None),
+    (
+        LiftCertificate,
+        lambda: LiftCertificate(VoltageAssignment(3, _MASKS.copy()), CertificateFlags(True, True, True), 7, 1),
+        "seed",
+        False,
+        None,
+    ),
+    (CensusReport, lambda: CensusReport(*_REPORT), "c6", True, None),
+    (_Wedges, lambda: _Wedges(_KEYS, _KEYS, _KEYS, _KEYS), "center", False, None),
+    (
+        Try,
+        lambda: Try([[1, 2, 3], [4, 5, 6]], 7, Fraction(1, 7)),
+        "denom",
+        False,
+        (lambda: Try([[1, 2, 3]], 0, Fraction(1, 7)), ValueError, "denominator must be positive, got 0"),
+    ),
+    (
+        LatticeSummary,
+        lambda: LatticeSummary(10, 8, CensusReport(*_REPORT), Fraction(5, 2)),
+        "kappa",
+        True,
+        (
+            lambda: LatticeSummary(10, 8, CensusReport(0, 0, 0, 0, 20 << 8, "per-cube")),
+            InvalidCertificate,
+            "certified lattice has no 4-cycles",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, make, attribute, hashable, refusal", _VALUE_CLASSES, ids=[case[0].__name__ for case in _VALUE_CLASSES]
+)
+def test_value_classes_keep_their_semantics(cls, make, attribute, hashable, refusal):
+    """Two equal constructions compare equal (and hash equal where the
+    values are hashable; the others refuse hash), a stored attribute cannot
+    be assigned or deleted, the repr names the class, and an invalid construction is
+    refused as before."""
+    a, b = make(), make()
+    assert type(a) is cls and a == b and not a != b
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    with pytest.raises(AttributeError):
+        setattr(a, attribute, getattr(a, attribute))
+    with pytest.raises(AttributeError):
+        delattr(a, attribute)
+    assert a == b
+    assert repr(a).startswith(f"{cls.__name__}(")
+    if refusal is not None:
+        refused, error, message = refusal
+        with pytest.raises(error, match=message):
+            refused()
