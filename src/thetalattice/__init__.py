@@ -21,7 +21,6 @@ from .embed import Try, find_good_try, is_good_try, sample_try
 from .entropy import (
     LatticeSummary,
     d6_coefficient,
-    lattice_report,
     min_degree_for_kappa,
 )
 from .graphs import LabeledGraph, build_root_unit_graph
@@ -52,7 +51,6 @@ __all__ = [
     "derived_cover",
     "find_good_try",
     "is_good_try",
-    "lattice_report",
     "max_connected_stages",
     "min_degree_for_kappa",
     "sample_try",

@@ -10,8 +10,9 @@ certify gives every degree the same deterministic voltage, wenger_voltage,
 whose bits are the edge labels of the Wenger graphs over GF(2^r): it covers
 every constraint by a short algebraic proof, with s = 2 ceil(log2 d) stages.
 verify_certificate checks any voltage, Wenger or not, with the aggregated
-voltage census and, up to DFS_LIMIT constraints (d <= 20), a second,
-independent route: recheck_constraints_dfs writes each short cycle once
+voltage census (census_certificate, which alone decides the flags) and, up
+to DFS_LIMIT constraints (d <= 20), a second, independent route that must
+agree with it: recheck_constraints_dfs writes each short cycle once
 from its smallest black, as a pair of 2-paths (a 4-cycle) or of 3-paths (a
 6-cycle) with equal displacement, and compares all such pairs by dense
 numpy broadcasting over blocks of black pairs and triples of bounded size,
@@ -177,6 +178,29 @@ def verification_route(d: int) -> str:
     return "census-only"
 
 
+def census_certificate(
+    base: BaseGraph, volt: VoltageAssignment, report: CensusReport, seed: int = 0
+) -> LiftCertificate:
+    """The certificate that the voltage census report = voltage_census(base,
+    volt) decides, with the closed-form constraint count: no zero-voltage
+    hexes, no stray zero-voltage 4-cycles and the formula counts of the
+    central 4-cycles and thetas, and the voltage-group generation check.
+    Failures are recorded in the flags, never raised."""
+    d, s = base.d, volt.s
+    # under a valid certificate, every 4-cycle and theta lives in a central copy
+    stray_ok = (
+        report.c4_stray == 0
+        and report.c4_central == (1 << s) * comb(d, 2)
+        and report.theta222 == (1 << s) * comb(d, 3)
+    )
+    flags = CertificateFlags(
+        no_zero_voltage_hexes=report.c6 == 0,
+        no_zero_voltage_stray4s=stray_ok,
+        voltage_group_generated=voltage_group_generated(base, volt),
+    )
+    return LiftCertificate(volt, flags, constraint_count_formula(d), seed)
+
+
 def verify_certificate(
     base: BaseGraph,
     volt: VoltageAssignment,
@@ -186,47 +210,28 @@ def verify_certificate(
 ) -> LiftCertificate:
     """Re-derive the verification flags for a voltage assignment.
 
-    Always runs the aggregated voltage census (no zero-voltage hexes, no
-    stray zero-voltage 4-cycles, formula counts) and the voltage-group
-    generation check; a caller that already holds voltage_census(base, volt)
-    passes it as report.  On the "census+dfs" route (verification_route)
-    it also re-enumerates every constraint cycle by DFS and requires both
-    routes to find the same uncovered cycles.  Failures are recorded in the
-    flags, never raised.
+    Always decides them by census_certificate on the aggregated voltage
+    census; a caller that already holds voltage_census(base, volt) passes it
+    as report.  On the "census+dfs" route (verification_route) it also
+    re-enumerates every constraint cycle by DFS and raises AssertionError
+    unless both routes find the same constraint count and the same
+    uncovered cycles, so the DFS never changes a flag.  On the
+    "census-only" route a given constraint_count is recorded in place of
+    the closed form.
     """
-    route = verification_route(base.d)
-    d, s = base.d, volt.s
     if report is None:
         report = voltage_census(base, volt)
-    hexes_ok = report.c6 == 0
-    # under a valid certificate, every 4-cycle and theta lives in a central copy
-    stray_ok = (
-        report.c4_stray == 0
-        and report.c4_central == (1 << s) * comb(d, 2)
-        and report.theta222 == (1 << s) * comb(d, 3)
-    )
-
-    expected = constraint_count_formula(d)
-    if route == "census+dfs":
-        n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
-        if n_cons != expected:
-            raise AssertionError(
-                f"constraint enumeration mismatch: dfs={n_cons} formula={expected}"
-            )
-        if report.c4_stray >> s != bad4 or report.c6 >> s != bad6:
-            raise AssertionError("census and DFS verification routes disagree")
-        hexes_ok = hexes_ok and bad6 == 0
-        stray_ok = stray_ok and bad4 == 0
-        constraint_count = n_cons
-    elif constraint_count is None:
-        constraint_count = expected
-
-    flags = CertificateFlags(
-        no_zero_voltage_hexes=hexes_ok,
-        no_zero_voltage_stray4s=stray_ok,
-        voltage_group_generated=voltage_group_generated(base, volt),
-    )
-    return LiftCertificate(volt, flags, constraint_count, seed)
+    cert = census_certificate(base, volt, report, seed)
+    if verification_route(base.d) == "census-only":
+        return cert if constraint_count is None else cert._replace(constraint_count=constraint_count)
+    n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
+    if n_cons != cert.constraint_count:
+        raise AssertionError(
+            f"constraint enumeration mismatch: dfs={n_cons} formula={cert.constraint_count}"
+        )
+    if report.c4_stray >> volt.s != bad4 or report.c6 >> volt.s != bad6:
+        raise AssertionError("census and DFS verification routes disagree")
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ census, reporting, seeded embedding, and export.
 
 construct builds the Wenger certificate of a degree (certify.wenger_voltage):
 the same stages for every seed, with --seed only recorded in the file.
-embed samples its placements from --seed.
+embed samples its placements from --seed.  verify and report decide a
+certificate by the same check on one voltage census (certify.census_certificate);
+verify alone adds the DFS re-check and the explicit torus cross-check.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error
 (including an input too large to build, an allocation that fails, a graph
@@ -23,8 +25,7 @@ from pathlib import Path
 
 from .census import census as census_of_graph
 from .census import voltage_census
-from .certify import certify as run_certify
-from .certify import verification_route, verify_certificate
+from .certify import census_certificate, certify, verification_route, verify_certificate
 from .embed import (
     EMBED_EDGE_LIMIT,
     check_embedding_properties,
@@ -32,8 +33,8 @@ from .embed import (
     try_to_json,
     try_to_obj,
 )
-from .entropy import LatticeSummary, lattice_report, min_degree_for_kappa, summary_table
-from .errors import AttemptsExhausted, InvalidCertificate, TooLarge, TorusTooSmall
+from .entropy import LatticeSummary, min_degree_for_kappa, summary_table
+from .errors import AttemptsExhausted, TooLarge, TorusTooSmall
 from .graphs import graph_from_json, graph_to_dot, graph_to_json
 from .voltage import BaseGraph, LiftCertificate, build_base_graph, check_cover_size, derived_cover
 
@@ -63,6 +64,22 @@ def _truncated_voltage(cert: LiftCertificate, trunc_s: int | None):
     return cert.volt if trunc_s is None else cert.volt.truncate(trunc_s)
 
 
+def _recheck(cert: LiftCertificate, fresh: LiftCertificate) -> tuple[bool, list[str]]:
+    """Whether a certificate passes against fresh, its re-derivation from
+    the voltage census: the recomputed flags are all true and equal the
+    file's, and so do the constraint counts.  Also the lines that say so,
+    which verify always prints and report only on a failure."""
+    ok = fresh.flags.all_true and fresh.flags == cert.flags
+    lines = [f"recomputed flags: {fresh.flags.to_dict()}"]
+    if cert.constraint_count != fresh.constraint_count:
+        lines.append(
+            f"constraint count mismatch: certificate claims {cert.constraint_count}, "
+            f"recomputed {fresh.constraint_count}"
+        )
+        ok = False
+    return ok, lines
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -74,7 +91,7 @@ def _cmd_construct(args) -> int:
     else:
         d = args.d
     t0 = time.perf_counter()
-    cert = run_certify(d, seed=args.seed)
+    cert = certify(d, seed=args.seed)
     elapsed = time.perf_counter() - t0
     out = args.output or f"cert_d{d}.json"
     _write(out, cert.to_json())
@@ -120,14 +137,8 @@ def _cmd_verify(args) -> int:
     print(f"route: {route}")
     note = "" if route == "census+dfs" else " (closed-form value, not enumerated)"
     print(f"constraint cycles: {fresh.constraint_count}{note}")
-    print(f"recomputed flags: {fresh.flags.to_dict()}")
-    ok = fresh.flags.all_true and fresh.flags == cert.flags
-    if cert.constraint_count != fresh.constraint_count:
-        print(
-            f"constraint count mismatch: certificate claims {cert.constraint_count}, "
-            f"recomputed {fresh.constraint_count}"
-        )
-        ok = False
+    ok, lines = _recheck(cert, fresh)
+    print("\n".join(lines))
     if torus is not None:
         print(f"explicit torus cross-check at n={torus_n}: {torus}")
         ok = ok and torus != "FAIL"
@@ -151,7 +162,15 @@ def _cmd_census(args) -> int:
 def _cmd_report(args) -> int:
     cert = LiftCertificate.from_json(Path(args.certificate).read_text())
     kappa = _parse_rational(args.kappa) if args.kappa else None
-    summary = lattice_report(cert, kappa)
+    # the census decides the verdict, as in verify, but with no DFS re-check
+    base = BaseGraph(cert.d)
+    report = voltage_census(base, cert.volt)
+    ok, lines = _recheck(cert, census_certificate(base, cert.volt, report))
+    if not ok:
+        print("\n".join(lines))
+        print("VERDICT: FAIL")
+        return 1
+    summary = LatticeSummary(cert.d, cert.s, report, kappa)
     print(summary_table([summary]))
     if args.output:
         _write(args.output, _json_text(summary.to_json_dict()))
@@ -269,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("report", help="lattice summary table for a certificate")
+    p = sub.add_parser("report", help="re-check a certificate by its census and print its summary table")
     p.add_argument("certificate")
     p.add_argument("--kappa", default=None)
     p.add_argument("-o", "--output", default=None)
@@ -317,9 +336,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(own or unknown)}")
     try:
         return args.func(args)
-    except InvalidCertificate as exc:
-        print(f"invalid certificate: {exc}", file=sys.stderr)
-        return 1
     except _USAGE_ERRORS as exc:
         # a MemoryError of Python's own allocator has no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .census import CensusReport, _frac_str, voltage_census
+from .census import CensusReport, _frac_str
 from .errors import InvalidCertificate
-from .voltage import BaseGraph, LiftCertificate
 
 RationalLike = Fraction | int | str
 
@@ -118,15 +117,6 @@ class LatticeSummary:
             out["kappa"] = _frac_str(self.kappa)
             out["ratio_exceeds_kappa"] = self.ratio > self.kappa
         return out
-
-
-def lattice_report(cert: LiftCertificate, kappa: RationalLike | None = None) -> LatticeSummary:
-    """Per-vertex averages, theta/4-cycle ratio and order-6 coefficient of a
-    certified lattice, recomputed from the voltage census (never assumed)."""
-    if not cert.flags.all_true:
-        raise InvalidCertificate(f"certificate flags not all true: {cert.flags.to_dict()}")
-    census = voltage_census(BaseGraph(cert.d), cert.volt)
-    return LatticeSummary(cert.d, cert.s, census, None if kappa is None else _as_fraction(kappa))
 
 
 def summary_table(summaries: list[LatticeSummary]) -> str:

@@ -27,4 +27,6 @@ class AttemptsExhausted(RuntimeError):
 
 
 class InvalidCertificate(ValueError):
-    """A certificate has failing verification flags."""
+    """A lattice summary was asked of a census with no 4-cycles, which no
+    certified lattice has: report builds one only after the census passed
+    the certificate."""

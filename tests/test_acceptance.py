@@ -5,6 +5,7 @@ property; the only tolerances are wall-clock budgets, asserted as stated.
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -13,7 +14,8 @@ from conftest import brute_force_census, labeled_k2d, random_bipartite_graph, ra
 from thetalattice.census import census, voltage_census
 from thetalattice.certify import verification_route, verify_certificate, wenger_voltage
 from thetalattice.embed import check_embedding_properties, find_good_try, is_good_try
-from thetalattice.entropy import lattice_report, min_degree_for_kappa
+from thetalattice.cli import main
+from thetalattice.entropy import min_degree_for_kappa
 from thetalattice.voltage import (
     build_base_graph,
     derived_cover,
@@ -103,23 +105,36 @@ def test_criterion_4_certification(certified):
     report(4, "certification d=5 and d=10", ok, "; ".join(details))
 
 
-def test_criterion_5_counterexample_reproduction(certified):
+def _report_json(cert, tmp_path, kappa=None):
+    """The JSON that `report -o` writes for a certificate, with --kappa if
+    kappa is given; report must exit 0."""
+    path, out = tmp_path / f"cert_d{cert.d}.json", tmp_path / f"report_d{cert.d}.json"
+    path.write_text(cert.to_json())
+    argv = ["report", str(path), "-o", str(out)]
+    if kappa is not None:
+        argv += ["--kappa", str(kappa)]
+    assert main(argv) == 0
+    return {key: Fraction(value) if key in ("ratio", "d6", "c6_bar") else value
+            for key, value in json.loads(out.read_text()).items()}
+
+
+def test_criterion_5_counterexample_reproduction(certified, tmp_path):
     ok = True
     details = []
     for d in range(5, 11):
         cert, _, _, _ = certified(d)
-        summary = lattice_report(cert)
+        summary = _report_json(cert, tmp_path)
         expected = Fraction((d - 1) * (19 - 2 * d), 12 * d**6)
-        ok = ok and summary.d6 == expected
-        ok = ok and (summary.d6 < 0) == (d >= 10)
+        ok = ok and summary["d6"] == expected
+        ok = ok and (summary["d6"] < 0) == (d >= 10)
         if d == 10:
-            ok = ok and summary.ratio == Fraction(8, 3) > Fraction(5, 2)
-            ok = ok and summary.d6 == Fraction(-3, 4_000_000)
-            details.append(f"d=10: ratio={summary.ratio}, d6={summary.d6}")
+            ok = ok and summary["ratio"] == Fraction(8, 3) > Fraction(5, 2)
+            ok = ok and summary["d6"] == Fraction(-3, 4_000_000)
+            details.append(f"d=10: ratio={summary['ratio']}, d6={summary['d6']}")
     report(5, "order-6 coefficient sign flip at d=10", ok, "; ".join(details))
 
 
-def test_criterion_6_kappa_targeting(certified):
+def test_criterion_6_kappa_targeting(certified, tmp_path):
     targets = {"9/10": 5, "1": 6, "5/2": 10, "10": 33}
     ok = True
     details = []
@@ -131,10 +146,11 @@ def test_criterion_6_kappa_targeting(certified):
         if d == 33 and elapsed > 900.0:
             report(6, "kappa targeting", False, f"kappa=10 case exceeded 15 min ({elapsed:.0f}s)")
             return
-        summary = lattice_report(cert, kappa)
-        ok = ok and summary.ratio > kappa
-        ok = ok and summary.c6_bar == 0
-        details.append(f"k={kappa}: d={d}, ratio={summary.ratio}, {elapsed:.1f}s")
+        summary = _report_json(cert, tmp_path, kappa)
+        ok = ok and summary["ratio"] > kappa
+        ok = ok and summary["c6_bar"] == 0
+        ok = ok and summary["ratio_exceeds_kappa"] is True
+        details.append(f"k={kappa}: d={d}, ratio={summary['ratio']}, {elapsed:.1f}s")
     report(6, "kappa targeting", ok, "; ".join(details))
 
 

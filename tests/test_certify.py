@@ -33,6 +33,7 @@ from conftest import (
 from thetalattice.census import census, voltage_census
 from thetalattice.certify import (
     DFS_LIMIT,
+    census_certificate,
     certify,
     constraint_count_formula,
     recheck_constraints_dfs,
@@ -118,6 +119,35 @@ def test_verify_tampered_stage_fails(certified):
     tampered = volt.with_bits(volt.s, cleared)
     fresh = verify_certificate(base, tampered, seed=cert.seed)
     assert not fresh.flags.all_true
+
+
+def test_verify_rederives_the_flags_of_zeroed_signings(certified):
+    """A certificate whose signings were zeroed out, while its flags still
+    claim validity, re-verifies as invalid."""
+    cert, base, volt, _ = certified(5)
+    zeroed = cert._replace(volt=volt.with_bits(cert.s, {}))
+    assert zeroed.flags.all_true
+    fresh = verify_certificate(base, zeroed.volt, seed=cert.seed)
+    assert not fresh.flags.all_true
+
+
+@pytest.mark.parametrize("d, s", [(5, 3), (5, 6), (6, 4), (7, 8)])
+def test_the_census_alone_decides_the_certificate(d, s):
+    """verify_certificate on the census+dfs route returns what
+    census_certificate decides from the census alone, on random voltages
+    that fail and on ones that pass: the DFS re-check only raises on a
+    disagreement and never changes a flag or the constraint count."""
+    base, volt0 = build_base_graph(d)
+    for seed in range(6):
+        volt = random_bits_voltage(base, volt0, s, seed)
+        expected = census_certificate(base, volt, voltage_census(base, volt), seed)
+        assert not expected.flags.all_true
+        assert expected.constraint_count == constraint_count_formula(d)
+        assert verify_certificate(base, volt, seed=seed) == expected
+    volt = wenger_voltage(base)
+    expected = census_certificate(base, volt, voltage_census(base, volt))
+    assert expected.flags.all_true
+    assert verify_certificate(base, volt) == expected
 
 
 def test_verify_detects_formula_mismatch_via_stray(certified):

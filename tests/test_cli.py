@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from thetalattice.graphs import graph_to_json
 from thetalattice.voltage import (
     BaseGraph,
     LiftCertificate,
+    VoltageAssignment,
     build_base_graph,
     derived_cover,
     max_connected_stages,
@@ -299,7 +301,7 @@ def test_allocation_failure_is_a_usage_error(tmp_path, capsys, monkeypatch, mess
     def exhausted(d, seed=0):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "run_certify", exhausted)
+    monkeypatch.setattr(cli, "certify", exhausted)
     out = tmp_path / "cert.json"
     assert run(capsys, "construct", "--d", "100000", "-o", str(out)) == (2, "", line + "\n")
     assert not out.exists()
@@ -383,11 +385,12 @@ def test_verify_names_census_only_route(tmp_path, capsys):
 
 def test_verify_computes_the_census_once(cert_d5, tmp_path, capsys, monkeypatch):
     """One voltage census serves the flags and the summary table (s > 3), or
-    the flags and the explicit torus cross-check (s <= 3)."""
+    the flags and the explicit torus cross-check (s <= 3); report too
+    computes it once, for its verdict and its table."""
     import importlib
 
     # the package re-exports functions named like some of its modules
-    modules = [importlib.import_module(f"thetalattice.{m}") for m in ("cli", "certify", "entropy")]
+    modules = [importlib.import_module(f"thetalattice.{m}") for m in ("cli", "certify")]
     calls = []
     original = modules[0].voltage_census
 
@@ -401,9 +404,14 @@ def test_verify_computes_the_census_once(cert_d5, tmp_path, capsys, monkeypatch)
     data["s"], data["level_bits"] = 3, data["level_bits"][:3]
     small = tmp_path / "cert_d5_s3.json"
     small.write_text(json.dumps(data))
-    for path, marker in ((cert_d5, "ratio"), (small, "explicit torus cross-check")):
+    for command, path, marker in (
+        ("verify", cert_d5, "ratio"),
+        ("verify", small, "explicit torus cross-check"),
+        ("report", cert_d5, "ratio"),
+        ("report", small, "VERDICT: FAIL"),
+    ):
         calls.clear()
-        _, out, _ = run(capsys, "verify", str(path))
+        _, out, _ = run(capsys, command, str(path))
         assert marker in out
         assert len(calls) == 1
 
@@ -478,6 +486,85 @@ def test_verify_rejects_a_false_constraint_count(cert_d5, tmp_path, capsys):
     lines = out.splitlines()
     assert "constraint count mismatch: certificate claims 12345, recomputed 330" in lines
     assert lines[-1] == "VERDICT: FAIL"
+
+
+_TABLE_HEADER = ["d", "s", "c4_bar", "c6_bar", "theta_bar", "ratio", "d6", "sign"]
+
+
+def _report_fails(capsys, path, out_path, *lines):
+    """report on path exits 1 and prints exactly these lines: the recomputed
+    flags line, any mismatch line, then VERDICT: FAIL, with no table; it
+    writes no -o file."""
+    code, out, err = run(capsys, "report", str(path), "-o", str(out_path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [*lines, "VERDICT: FAIL"]
+    assert not out_path.exists()
+
+
+def test_report_fails_a_certificate_with_zeroed_stages(tmp_path, capsys):
+    """The d = 10 certificate with every stage zeroed, whose flags still
+    claim validity: report decides it on its census as verify does, so both
+    exit 1, and report prints the recomputed flags and no d6."""
+    path = tmp_path / "cert_d10.json"
+    assert main(["construct", "--d", "10", "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["level_bits"] = ["0" * len(stage) for stage in data["level_bits"]]
+    assert all(data["flags"].values())
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    false = dict.fromkeys(data["flags"], False)
+    _report_fails(capsys, path, tmp_path / "report.json", f"recomputed flags: {false}")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1 and f"recomputed flags: {false}" in out.splitlines()
+
+
+def test_report_rejects_a_false_constraint_count(cert_d5, tmp_path, capsys):
+    data = json.loads(cert_d5.read_text())
+    data["constraint_count"] = 12_345
+    claimed = tmp_path / "claims_12345.json"
+    claimed.write_text(json.dumps(data))
+    _report_fails(
+        capsys,
+        claimed,
+        tmp_path / "report.json",
+        f"recomputed flags: {data['flags']}",
+        "constraint count mismatch: certificate claims 12345, recomputed 330",
+    )
+
+
+def test_report_rejects_false_flags(cert_d5, tmp_path, capsys):
+    """A valid voltage whose file claims a false flag: the recomputed flags
+    differ from the file's, so report exits 1 as verify does."""
+    data = json.loads(cert_d5.read_text())
+    data["flags"]["no_zero_voltage_stray4s"] = False
+    path = tmp_path / "false_flag.json"
+    path.write_text(json.dumps(data))
+    true = dict.fromkeys(data["flags"], True)
+    _report_fails(capsys, path, tmp_path / "report.json", f"recomputed flags: {true}")
+    assert run(capsys, "verify", str(path))[0] == 1
+
+
+def test_report_agrees_with_verify_on_every_single_bit_flip(cert_d5, tmp_path, capsys):
+    """Each of the 90 single-bit flips on the 15 non-central edges of the
+    d = 5 certificate (6 stages): report exits with verify's code, and the
+    51 flips that verify fails make report exit 1 with no table and no -o
+    file.  The other 39 leave every flag true, as the Wenger stages have
+    slack, and report writes its summary."""
+    cert = LiftCertificate.from_json(cert_d5.read_text())
+    path, out_path = tmp_path / "flipped.json", tmp_path / "report.json"
+    failed = 0
+    for c, j, k in itertools.product(range(5), range(2, 5), range(cert.s)):
+        masks = cert.volt.masks.copy()
+        masks[c, j] ^= 1 << k
+        path.write_text(cert._replace(volt=VoltageAssignment(cert.s, masks)).to_json())
+        verify_code = run(capsys, "verify", str(path))[0]
+        code, out, _ = run(capsys, "report", str(path), "-o", str(out_path))
+        assert code == verify_code in (0, 1), (c, j, k)
+        assert out_path.exists() == (code == 0)
+        assert (out.splitlines()[0].split() == _TABLE_HEADER) == (code == 0)
+        out_path.unlink(missing_ok=True)
+        failed += code
+    assert failed == 51
 
 
 def _drop(key):
@@ -818,24 +905,33 @@ def wenger_d5():
 @given(data=st.data())
 def test_certificate_input_fuzz(wenger_d5, tmp_path, capsys, time_limit, data):
     """verify, report, embed and export --cert on a mutated certificate exit
-    with a defined code (3 only from embed) and never a traceback, and verify
+    with a defined code (3 only from embed) and never a traceback, verify
     passes only a file that still gives the same voltage, flags and
-    constraint count."""
+    constraint count, and report exits with verify's code, printing no table
+    and writing no -o file when that code is 1."""
     cert = wenger_d5
     text = data.draw(_mutated_certificates(cert.to_json()))
     path = tmp_path / "cert.json"
     path.write_text(text)
     commands = {
         "verify": ["verify", str(path)],
-        "report": ["report", str(path)],
+        "report": ["report", str(path), "-o", str(tmp_path / "r.json")],
         "embed": ["embed", str(path), "--trunc-s", "1", "--max-attempts", "3", "-o", str(tmp_path / "e.json")],
         "export": ["export", "--d", "5", "--kind", "full-unit", "--cert", str(path), "--trunc-s", "1",
                    "-o", str(tmp_path / "g")],
     }
+    codes = {}
+    (tmp_path / "r.json").unlink(missing_ok=True)
     for name, argv in commands.items():
         code, out, err = run(capsys, *argv)
+        codes[name] = code
         assert code in ((0, 1, 2, 3) if name == "embed" else (0, 1, 2)), (name, code, err)
         assert "Traceback" not in out + err, name
+        if name == "report":
+            assert code == codes["verify"], (code, codes["verify"], err)
+            assert (tmp_path / "r.json").exists() == (code == 0)
+            if code == 1:
+                assert out.splitlines()[-1] == "VERDICT: FAIL" and "ratio" not in out
         if name == "verify" and code == 0:
             back = LiftCertificate.from_json(text)
             assert back.volt == cert.volt
@@ -920,6 +1016,41 @@ def test_report_d5(cert_d5, capsys, tmp_path):
     data = json.loads(out_path.read_text())
     assert data["ratio"] == "1/1"
     assert data["sign"] == "positive"
+
+
+def test_construct_then_report_below_the_sign_flip(tmp_path, capsys):
+    """construct, then report -o, at d = 5 and 6: the order-6 coefficient
+    is positive below d = 10, in the table and in the JSON."""
+    for d in (5, 6):
+        cert, summary = tmp_path / f"cert_d{d}.json", tmp_path / f"report_d{d}.json"
+        assert main(["construct", "--d", str(d), "-o", str(cert)]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "report", str(cert), "-o", str(summary))
+        assert code == 0
+        header, row = out.splitlines()
+        assert header.split() == _TABLE_HEADER
+        assert row.split()[0] == str(d) and row.split()[-1] == "positive"
+        data = json.loads(summary.read_text())
+        assert (data["d"], data["sign"]) == (d, "positive")
+        assert Fraction(data["d6"]) > 0
+
+
+def test_construct_then_embed_writes_an_obj(tmp_path, capsys):
+    """construct --d 5, then embed --trunc-s 2 --obj: the placement
+    checklist holds and the OBJ file starts with a vertex line."""
+    cert, out, obj = tmp_path / "cert_d5.json", tmp_path / "demo.json", tmp_path / "demo.obj"
+    assert main(["construct", "--d", "5", "-o", str(cert)]) == 0
+    capsys.readouterr()
+    code, stdout, _ = run(
+        capsys, "embed", str(cert), "--trunc-s", "2", "--seed", "3", "-o", str(out), "--obj", str(obj)
+    )
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[0].startswith("good try for d=5 s=2 after ")
+    assert lines[0].endswith("; 52 vertices, 100 edges")
+    checklist = next(line for line in lines if line.startswith("placement checklist: "))
+    assert "False" not in checklist
+    assert obj.read_text().startswith("v ")
 
 
 def test_embed_runs_and_roundtrips(cert_d5, tmp_path, capsys):

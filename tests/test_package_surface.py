@@ -1,6 +1,6 @@
-"""The package holds what its CLI, its scripts and its benchmark use: every
-public module-level function and class of src/thetalattice, and every public
-method or property of such a class, is read somewhere in src/, scripts/ or
+"""The package holds what its CLI and its benchmark use: every public
+module-level function and class of src/thetalattice, and every public
+method or property of such a class, is read somewhere in src/ or
 perfbench/, beyond its own definition and the package's re-export in
 __init__.  A method or property is read only as an attribute (x.name): a
 local variable of the same name does not count.  A name that only the tests
@@ -11,7 +11,10 @@ by Python itself and are not checked.
 The package's classes are built without code generation: none is a
 dataclass, importing the CLI loads no dataclasses module, and each value
 class keeps the equality, hashing, immutability, repr and refusals it had as
-a frozen dataclass."""
+a frozen dataclass.
+
+The CLI is the one front door: the package's one script is cli.main, and no
+other module runs as a program."""
 
 import ast
 import dataclasses
@@ -88,7 +91,7 @@ def _used_in(*folders):
 
 
 def test_every_public_function_is_used_outside_the_tests():
-    unused = {dotted for dotted, _, _ in _public_definitions()} - _used_in("src", "scripts", "perfbench")
+    unused = {dotted for dotted, _, _ in _public_definitions()} - _used_in("src", "perfbench")
     assert unused == set()
 
 
@@ -104,9 +107,9 @@ BENCHMARK_ONLY = {
 
 
 def test_the_names_only_the_benchmark_reads_are_pinned():
-    """The public definitions that perfbench/ reads and src/ and scripts/
-    do not are exactly BENCHMARK_ONLY."""
-    assert _used_in("perfbench") - _used_in("src", "scripts") == BENCHMARK_ONLY
+    """The public definitions that perfbench/ reads and src/ does not are
+    exactly BENCHMARK_ONLY."""
+    assert _used_in("perfbench") - _used_in("src") == BENCHMARK_ONLY
 
 
 def _imported_names(path):
@@ -123,9 +126,8 @@ def _imported_names(path):
 
 def test_no_module_imports_a_name_it_never_reads():
     """Every name a module of src/thetalattice (but __init__, whose imports
-    are the re-export) or of scripts/ imports is read in that module."""
+    are the re-export) imports is read in that module."""
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "scripts").glob("*.py"))
     unread = [
         f"{path.relative_to(ROOT)}:{line} {name}"
         for path in paths
@@ -133,6 +135,35 @@ def test_no_module_imports_a_name_it_never_reads():
         if name not in _read_names(path)[0]
     ]
     assert unread == []
+
+
+def _is_main_guard(node):
+    """Whether a statement is `if __name__ == "__main__":`."""
+    test = node.test if isinstance(node, ast.If) else None
+    return (
+        isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.Name)
+        and test.left.id == "__name__"
+        and [type(c) for c in test.comparators] == [ast.Constant]
+        and test.comparators[0].value == "__main__"
+    )
+
+
+def test_the_cli_is_the_only_entry_point():
+    """pyproject.toml declares one script, thetalattice.cli:main; cli.py is
+    the only file under src/ with a __main__ guard, and the package has no
+    __main__ module."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"thetalattice": "thetalattice.cli:main"}
+    assert "gui-scripts" not in project and "entry-points" not in project
+    guarded = [
+        path.relative_to(ROOT / "src").as_posix()
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if any(_is_main_guard(node) for node in ast.parse(path.read_text()).body)
+    ]
+    assert guarded == ["thetalattice/cli.py"]
+    assert not (PACKAGE / "__main__.py").exists()
 
 
 def test_no_class_is_a_dataclass():
