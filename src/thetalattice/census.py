@@ -13,7 +13,7 @@ codegree-triangle identity, whose triangle sum gathers each candidate pair
 from a reusable slot table.  The per-cube census keys each walk by one XOR
 of edge keys, its level bits with the parity of its displacement above
 them, which is exact among the walks it compares; the keys are uint16 up to
-13 level bits, uint32 up to 29, uint64 up to 61 and Python ints above.
+13 level bits, uint32 up to 29 and uint64 up to voltage.MAX_STAGES = 61.
 """
 
 from __future__ import annotations
@@ -284,8 +284,8 @@ def _edge_keys(base: BaseGraph, volt: VoltageAssignment) -> np.ndarray:
     """The census keys of the white -> black edges as a C-ordered whites x
     blacks array: the edge's level mask, with the parity of its displacement
     in the three bits above it, mask | p << s.  The key type is the narrowest
-    of uint16, uint32 and uint64 that holds s + 3 bits, Python ints (object)
-    above.
+    of uint16, uint32 and uint64 that holds s + 3 bits, which uint64 does up
+    to s = MAX_STAGES.
 
     The keys are exact only where each axis moves at most one base edge, by
     a unit step (voltage_census); a base graph whose shifts do not is
@@ -296,7 +296,7 @@ def _edge_keys(base: BaseGraph, volt: VoltageAssignment) -> np.ndarray:
     if (np.abs(shifts) > 1).any() or (moved.sum(axis=(0, 1)) > 1).any():
         raise ValueError("parity keys need at most one moved base edge per axis, by a unit step")
     s = volt.s
-    key = next((t for t in (np.uint16, np.uint32, np.uint64) if s + 3 <= np.iinfo(t).bits), object)
+    key = next(t for t in (np.uint16, np.uint32, np.uint64) if s + 3 <= np.iinfo(t).bits)
     parity = (moved.transpose(1, 0, 2) @ np.array([1, 2, 4])).astype(key)
     return np.ascontiguousarray(volt.masks.T.astype(key) | parity << s)
 

@@ -16,7 +16,7 @@ agree with it: recheck_constraints_dfs writes each short cycle once
 from its smallest black, as a pair of 2-paths (a 4-cycle) or of 3-paths (a
 6-cycle) with equal displacement, and compares all such pairs by dense
 numpy broadcasting over blocks of black pairs and triples of bounded size,
-with exact displacement codes and exact multi-word level bits.
+with exact displacement codes and the voltage's own int64 level masks.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .voltage import (
     CertificateFlags,
     LiftCertificate,
     VoltageAssignment,
+    _check_stages,
     voltage_group_generated,
 )
 
@@ -71,18 +72,6 @@ _DFS_RADIX = 16
 _PAIR_BLOCK = 1 << 16
 
 
-def _edge_tables(base: BaseGraph, volt: VoltageAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """The (d, d) int16 displacement codes and the (words, d, d) uint64
-    level bits of the edges c -> d + j, indexed [c, j].  The bits are
-    words = max(1, ceil(s / 64)) 64-bit words, low word first, so every s
-    is exact."""
-    code = (base.shifts @ np.array([1, _DFS_RADIX, _DFS_RADIX**2])).astype(np.int16)
-    masks = volt.masks.astype(object)
-    words = max(1, -(-volt.s // 64))
-    bits = np.stack([(masks >> 64 * k & 0xFFFF_FFFF_FFFF_FFFF).astype(np.uint64) for k in range(words)])
-    return code, bits
-
-
 def recheck_constraints_dfs(
     base: BaseGraph, volt: VoltageAssignment
 ) -> tuple[int, int, int]:
@@ -107,7 +96,7 @@ def recheck_constraints_dfs(
     a (d, d) table over (i, j), per black triple a (d, d, d) table over
     (p1, p3, p5) under one fixed distinctness mask, in blocks of black
     pairs or triples of about _PAIR_BLOCK compared pairs, codes first and
-    then the bits word by word.  No path, cycle or frontier is stored, so a
+    then the bits.  No path, cycle or frontier is stored, so a
     call's memory is set by the block, not by d: its traced peak is about
     0.35 MiB from d = 10 to d = 33.  verify_certificate compares the count
     with constraint_count_formula, so a missed cycle cannot pass unseen.
@@ -117,16 +106,16 @@ def recheck_constraints_dfs(
     paths' codes, int16 within +-3 * 273, differ by the code of the cycle's
     displacement, whose components stay within +-6.  If x + 16 y + 256 z = 0
     then 16 divides x, and |x| < 8 forces x = 0; likewise y = 0, then
-    z = 0.  So the codes are equal exactly when the displacement is zero.  The bits are exact at
-    every s: XOR and equality act word by word.
+    z = 0.  So the codes are equal exactly when the displacement is zero.
 
     Independent of the census route: it compares explicit vertex tuples
     under distinctness masks, where the census counts equal-key pairs of
     walks and subtracts the degenerate ones in closed form, and it imports
     no enumerator, key or constant from census.
     """
-    code, bits = _edge_tables(base, volt)
-    d = base.d
+    # code[c, j] is the displacement code of the edge c -> d + j
+    code = (base.shifts @ np.array([1, _DFS_RADIX, _DFS_RADIX**2])).astype(np.int16)
+    masks, d = volt.masks, base.d
     pos = np.arange(d)  # positions of the blacks, and of the whites
     below = pos[:, None] < pos
     n_constraints = bad4 = bad6 = 0
@@ -142,9 +131,8 @@ def recheck_constraints_dfs(
         x = code[rr] - code[cc]
         hit = (x[:, :, None] == x[:, None]) & white_pair
         n_constraints += int(np.count_nonzero(hit))
-        for word in bits:
-            m = word[rr] ^ word[cc]
-            hit &= m[:, :, None] == m[:, None]
+        m = masks[rr] ^ masks[cc]
+        hit &= m[:, :, None] == m[:, None]
         bad4 += int(np.count_nonzero(hit))
 
     # 6-cycles: x[k, p1, p3] is the code of r -> p1 -> A -> p3 and
@@ -161,10 +149,9 @@ def recheck_constraints_dfs(
         hit = x[:, :, :, None] == y[:, None]
         hit &= distinct
         n_constraints += int(np.count_nonzero(hit))
-        for word in bits:
-            x = (word[rr] ^ word[aa])[:, :, None] ^ word[aa][:, None]
-            y = word[cc][:, :, None] ^ (word[rr] ^ word[cc])[:, None]
-            hit &= x[:, :, :, None] == y[:, None]
+        x = (masks[rr] ^ masks[aa])[:, :, None] ^ masks[aa][:, None]
+        y = masks[cc][:, :, None] ^ (masks[rr] ^ masks[cc])[:, None]
+        hit &= x[:, :, :, None] == y[:, None]
         bad6 += int(np.count_nonzero(hit))
     return n_constraints, bad4, bad6
 
@@ -266,10 +253,11 @@ def wenger_voltage(base: BaseGraph) -> VoltageAssignment:
     So every constraint is covered, not only the zero-displacement ones.
     """
     d = base.d
-    # the masks before the power table, so numpy refuses an absurd d at once
-    # where the table would grow until memory runs out
-    masks = np.zeros((d, d), dtype=np.int64)
     r = (d - 1).bit_length()
+    # the stage count and the masks before the power table, so an absurd d
+    # is refused at once where the table would grow until memory runs out
+    _check_stages(2 * r)
+    masks = np.zeros((d, d), dtype=np.int64)
     n = (1 << r) - 1
     for poly in range(1 << r | 1, 2 << r, 2):
         power = [1]  # power[k] = alpha^k, alpha a root of poly

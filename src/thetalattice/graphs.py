@@ -233,9 +233,9 @@ def _int64_array(values: list, count: int) -> np.ndarray:
 def graph_from_json_dict(data: dict) -> LabeledGraph:
     """The graph of a graph_to_json record.  Anything else, such as a field
     of the wrong type, sparse ids, levels that are not 0/1 strings of one
-    length of at most 63 bits, a cell coordinate outside int64, or an edge
-    that is not a pair of distinct vertex ids, raises MalformedGraph.  The
-    arrays are built straight from the lists, with no label objects."""
+    length, s if given, of at most 63 bits, a cell outside int64, or an
+    edge that is not a pair of distinct vertex ids, raises MalformedGraph.
+    The arrays are built straight from the lists, with no label objects."""
     if not (
         isinstance(data, dict)
         and isinstance(data.get("vertices"), list)
@@ -268,6 +268,8 @@ def graph_from_json_dict(data: dict) -> LabeledGraph:
     length = len(levels[0]) if levels else 0
     if length > MAX_LEVEL_BITS:
         raise MalformedGraph(f"vertex levels have {length} bits, above the limit of {MAX_LEVEL_BITS}")
+    if type(s := data.get("s", length)) is not int or s != length:
+        raise MalformedGraph(f"graph s {s!r} is not the {length}-bit length of its vertex levels")
     if not (
         _of_types(cells, {list, tuple})
         and set(map(len, cells)) <= {3}

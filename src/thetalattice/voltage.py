@@ -41,10 +41,16 @@ COVER_LIMIT = 1 << 20
 # d <= 11, so this limit refuses no cover of d <= 11 that COVER_LIMIT admits
 COVER_EDGE_LIMIT = 5 << 20
 
+# the most lift stages of any voltage: a census key holds s level bits and 3
+# displacement parity bits in one uint64.  construct's Wenger voltage has
+# 2 ceil(log2 d) stages, 18 at d = 303, and 62 only from d = 2^30 + 1
+MAX_STAGES = 61
 
-def _mask_dtype(s: int):
-    """Level masks are int64 up to 63 bits, Python ints above."""
-    return np.int64 if s <= 63 else object
+
+def _check_stages(s: int) -> None:
+    """ValueError unless 0 <= s <= MAX_STAGES."""
+    if not 0 <= s <= MAX_STAGES:
+        raise ValueError(f"a voltage has 0 to {MAX_STAGES} lift stages, not s={s}")
 
 
 class BaseGraph:
@@ -117,12 +123,14 @@ class BaseGraph:
 
 
 class VoltageAssignment:
-    """The level-bit voltage of every base edge (c, d + j): masks (d, d)
-    holds its s-bit mask at [c, j], and reshape(d * d) gives base edge
-    order.  The displacements are the base graph's (BaseGraph.shifts).
-    Immutable and unhashable; equal by s and the mask values."""
+    """The level-bit voltage of every base edge (c, d + j): int64 masks
+    (d, d) holds its s-bit mask at [c, j], s <= MAX_STAGES (else ValueError),
+    and reshape(d * d) gives base edge order.  The displacements are the
+    base graph's (BaseGraph.shifts).  Immutable and unhashable; equal by s
+    and the mask values."""
 
     def __init__(self, s: int, masks: np.ndarray):
+        _check_stages(s)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "masks", masks)
 
@@ -155,7 +163,7 @@ class VoltageAssignment:
             raise ValueError(f"cannot keep a negative number of lift stages ({k})")
         if k >= self.s:
             return self
-        return VoltageAssignment(k, (self.masks & (1 << k) - 1).astype(_mask_dtype(k)))
+        return VoltageAssignment(k, self.masks & (1 << k) - 1)
 
 
 def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
@@ -168,8 +176,10 @@ def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
 def make_bits(d: int, s: int, level_bits: Mapping[Edge, int]) -> np.ndarray:
     """The (d, d) mask array of a map from base edges (c, d + j) to s-bit
     masks.  ValueError for a key that is not a base edge in that
-    orientation, a mask wider than s bits, or bits on a central edge."""
-    masks = np.zeros((d, d), dtype=_mask_dtype(s))
+    orientation, a mask wider than s bits, bits on a central edge, or s
+    outside 0..MAX_STAGES."""
+    _check_stages(s)
+    masks = np.zeros((d, d), dtype=np.int64)
     for e, mask in level_bits.items():
         if not (isinstance(e, tuple) and len(e) == 2 and 0 <= e[0] < d <= e[1] < 2 * d):
             raise ValueError(f"unknown edge {e}")
@@ -367,8 +377,7 @@ class LiftCertificate(NamedTuple):
         string per list."""
         d, s, masks = self.d, self.s, self.volt.masks
         pairs = ",".join([_PAIR_JSON] * (d * d)) % tuple(canonical_edge_order(BaseGraph(d)))
-        at = np.arange(s).astype(masks.dtype)[:, None]
-        chars = ((masks.reshape(-1) >> at) & 1).astype(np.uint8) + ord("0")
+        chars = (masks.reshape(-1) >> np.arange(s)[:, None] & 1).astype(np.uint8) + ord("0")
         stages = ",".join(f'\n    "{row.tobytes().decode()}"' for row in chars)
         flags = ",".join(
             f'\n    "{key}": {json.dumps(value)}' for key, value in sorted(self.flags.to_dict().items())
@@ -385,11 +394,11 @@ class LiftCertificate(NamedTuple):
         """Parse a certificate's JSON object.  Raises MalformedGraph for a
         missing key, a value of the wrong type, d below 5, an edge_order
         that is not d^2 role pairs, a stage count other than s, more stages
-        than max_connected_stages(d), a stage that is not a 0/1 string as
-        wide as edge_order, or an edge_order other than the canonical one,
-        naming its first wrong entry; ValueError for bits on a central
-        edge.  The size checks come before any construction, so a huge d
-        fails at once."""
+        than MAX_STAGES or max_connected_stages(d), a stage that is not a
+        0/1 string as wide as edge_order, or an edge_order other than the
+        canonical one, naming its first wrong entry; ValueError for bits on
+        a central edge.  The size checks come before any construction, so a
+        huge d fails at once."""
         _require(isinstance(data, dict), "must be a JSON object")
         missing = [key for key in _CERTIFICATE_KEYS if key not in data]
         _require(not missing, f"is missing {', '.join(missing)}")
@@ -419,6 +428,7 @@ class LiftCertificate(NamedTuple):
             "level_bits must be a list of strings",
         )
         _require(len(stages) == s, f"has s={s} but {len(stages)} stages in level_bits")
+        _require(s <= MAX_STAGES, f"has s={s} stages, above the limit of {MAX_STAGES}")
         _require(
             s <= max_connected_stages(d),
             f"has s={s} stages, more than the {max_connected_stages(d)} under which "
@@ -441,9 +451,8 @@ class LiftCertificate(NamedTuple):
                 f"not the canonical ({', '.join(canonical[2 * k : 2 * k + 2])})"
             )
         # column k of the stages is the mask of base edge k, stage i as bit i
-        dtype = _mask_dtype(s)
         rows = np.frombuffer("".join(stages).encode(), dtype=np.uint8).reshape(s, d * d) - ord("0")
-        masks = (rows.astype(dtype) << np.arange(s).astype(dtype)[:, None]).sum(axis=0).reshape(d, d)
+        masks = (rows.astype(np.int64) << np.arange(s)[:, None]).sum(axis=0).reshape(d, d)
         _refuse_central_bits(masks)
         volt = VoltageAssignment(s, masks)
         return cls(volt, CertificateFlags(**flags), data["constraint_count"], data["seed"])

@@ -46,7 +46,7 @@ from thetalattice.census import CensusReport, census, voltage_census
 from thetalattice.certify import recheck_constraints_dfs
 from thetalattice.errors import MalformedGraph, TooLarge
 from thetalattice.graphs import _bfs, _csr, build_root_unit_graph, graph_from_json_dict
-from thetalattice.voltage import build_base_graph, derived_cover
+from thetalattice.voltage import MAX_STAGES, build_base_graph, derived_cover
 
 # the package re-exports a function named like this module
 census_module = importlib.import_module("thetalattice.census")
@@ -546,10 +546,10 @@ def test_run_totals_matches_value_counts(n_rows, n, values, seed):
 
 
 @pytest.mark.parametrize(
-    "d, s", [(d, s) for d in (5, 8) for s in (48, 49, 60, 70)] + [(13, 49), (13, 60)]
+    "d, s", [(d, s) for d in (5, 8) for s in (48, 49, 60, 61)] + [(13, 49), (13, 60)]
 )
 def test_voltage_census_matches_reference_wide_bits(d, s):
-    """Wide level masks: uint64 keys up to s = 61, Python ints at s = 70.  Two
+    """Wide level masks: uint64 keys up to the limit of s = 61.  Two
     low-bit-sharing variants make some wide voltages coincide, so the
     counts are not trivially those of distinct random masks."""
     base, volt0 = build_base_graph(d)
@@ -587,7 +587,7 @@ def test_voltage_census_c6_matches_triples(d, s, seed):
     assert voltage_census(base, volt).c6 == _voltage_c6_triples(base, volt)
 
 
-_KEY_TYPES = {13: np.uint16, 14: np.uint32, 29: np.uint32, 30: np.uint64, 61: np.uint64, 62: object}
+_KEY_TYPES = {13: np.uint16, 14: np.uint32, 29: np.uint32, 30: np.uint64, 61: np.uint64}
 
 
 @pytest.mark.parametrize("s", [13, 14, 21, 22, 29, 30, 61, 62])
@@ -595,11 +595,16 @@ _KEY_TYPES = {13: np.uint16, 14: np.uint32, 29: np.uint32, 30: np.uint64, 61: np
 def test_voltage_census_matches_reference_key_width_boundary(d, s):
     """A key holds s level bits and 3 parity bits: s = 13, 29 and 61 are the
     widest uint16, uint32 and uint64 keys, and the next s the first of the
-    wider type (Python ints above uint64).  At each, and at s = 21 and 22,
-    the census agrees with the reference on random bits and on a
-    high-bits-only variant that puts only bit s - 1 on the edges, so wide
-    keys coincide and the top level bit sits just below the parity bits."""
+    wider type, but for s = 62, which no voltage has (MAX_STAGES).  At each
+    other s, and at s = 21 and 22, the census agrees with the reference on
+    random bits and on a high-bits-only variant that puts only bit s - 1 on
+    the edges, so wide keys coincide and the top level bit sits just below
+    the parity bits."""
     base, volt0 = build_base_graph(d)
+    if s > MAX_STAGES:
+        with pytest.raises(ValueError, match=f"0 to {MAX_STAGES} lift stages, not s={s}"):
+            random_bits_voltage(base, volt0, s, seed=d * 100 + s)
+        return
     volt = random_bits_voltage(base, volt0, s, seed=d * 100 + s)
     high = {e: (m & 1) << (s - 1) for e, m in volt.level_bits.items() if m & 1}
     for v in (volt, volt0.with_bits(s, high)):

@@ -42,6 +42,7 @@ from thetalattice.certify import (
     wenger_voltage,
 )
 from thetalattice.voltage import (
+    MAX_STAGES,
     BaseGraph,
     LiftCertificate,
     build_base_graph,
@@ -192,7 +193,8 @@ def test_recheck_dfs_matches_cycle_list_reference(data):
     _short_cycles list finds, on random level bits carried by a random share
     of the non-central edges."""
     d = data.draw(st.integers(min_value=5, max_value=10), label="d")
-    s = data.draw(st.integers(min_value=0, max_value=max_connected_stages(d)), label="s")
+    top = min(max_connected_stages(d), MAX_STAGES)
+    s = data.draw(st.integers(min_value=0, max_value=top), label="s")
     share = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]), label="share")
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6), label="seed"))
     base, volt0 = build_base_graph(d)
@@ -254,14 +256,13 @@ def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
     assert recheck_constraints_dfs(base, volt)[0] == constraint_count_formula(6)
 
 
-@pytest.mark.parametrize("s", [63, 64, 65, 69])
-def test_recheck_dfs_exact_beyond_64_bits(s):
-    """Bits stay exact at every width, up to max_connected_stages(10) = 69.
-    A fifth of the edges carry random s-bit masks, another fifth only the
-    top bit s - 1, the rest only bit 0: cycles whose low word cancels but
-    whose top bit does not are covered, and a DFS that kept 64 bits would
-    count them uncovered."""
-    d = 10
+def test_recheck_dfs_exact_at_the_stage_limit():
+    """Bits stay exact at the widest voltage, s = MAX_STAGES = 61, below
+    max_connected_stages(10) = 69.  A fifth of the edges carry random
+    61-bit masks, another fifth only the top bit 60, the rest only bit 0:
+    cycles whose low bits cancel but whose top bit does not are covered,
+    and a DFS that dropped the top bit would count them uncovered."""
+    d, s = 10, MAX_STAGES
     rng = random.Random(s)
     base, volt0 = build_base_graph(d)
     assert s <= max_connected_stages(d)
@@ -284,17 +285,17 @@ def test_recheck_dfs_exact_beyond_64_bits(s):
 @pytest.fixture(scope="module")
 def block_cases():
     """(base, voltage, reference counts): random bits of 1 to 3 stages at
-    d = 5..8, and at d = 10 one bit of s = 65, in the low word or the high
-    one."""
+    d = 5..8, and at d = 10 one bit of s = 61 per edge, bit 0 or bit 60."""
     cases = []
     for d in range(5, 9):
         base, volt0 = build_base_graph(d)
         rng = random.Random(10 * d)
         cases.append((base, random_bits_voltage(base, volt0, rng.randint(1, 3), seed=rng.randrange(10**6))))
     base, volt0 = build_base_graph(10)
-    assert max_connected_stages(10) >= 65
-    rng = random.Random(65)
-    cases.append((base, volt0.with_bits(65, {e: 1 << 64 * rng.getrandbits(1) for e in noncentral_edges(base)})))
+    assert max_connected_stages(10) >= MAX_STAGES
+    rng = random.Random(MAX_STAGES)
+    bits = {e: 1 << (MAX_STAGES - 1) * rng.getrandbits(1) for e in noncentral_edges(base)}
+    cases.append((base, volt0.with_bits(MAX_STAGES, bits)))
     cases = [(base, volt, _recheck_constraints_dfs_reference(base, volt)) for base, volt in cases]
     assert all(bad4 > 0 and bad6 > 0 for _, _, (_, bad4, bad6) in cases[-3:])
     return cases

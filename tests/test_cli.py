@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -275,12 +276,13 @@ def test_construct_requires_d_or_kappa(capsys):
 
 @pytest.mark.parametrize("option, value", [("--kappa", "1e30"), ("--d", "10000000000")])
 def test_construct_of_an_absurd_degree_is_a_usage_error(tmp_path, capsys, time_limit, option, value):
-    """numpy refuses the (d, d) masks of an absurd degree at once, before
-    the field's power table is built: exit 2, one line, no file."""
+    """An absurd degree is refused by its Wenger stage count, above the
+    limit of 61 from d = 2^30 + 1, before its (d, d) masks or the field's
+    power table are built: exit 2, one line, no file."""
     out = tmp_path / "cert.json"
     code, stdout, err = run(capsys, "construct", option, value, "-o", str(out))
     assert code == 2
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "61" in err
     assert "certified" not in stdout
     assert not out.exists()
 
@@ -674,6 +676,49 @@ def test_report_reads_the_edge_order_before_the_flags(cert_d5, tmp_path, capsys)
 
 
 @pytest.fixture(scope="module")
+def cert_d10_s69():
+    """The d = 10 Wenger certificate (s = 8) as a JSON object, extended by
+    61 stages of random bits to max_connected_stages(10) = 69, with the
+    central edges (white positions 0 and 1) left at '0'."""
+    data = json.loads(certify(10).to_json())
+    rng = random.Random(69)
+    data["level_bits"] += [
+        "".join("0" if k % 10 < 2 else str(rng.getrandbits(1)) for k in range(100)) for _ in range(69 - data["s"])
+    ]
+    data["s"] = 69
+    return data
+
+
+def _cut(data, s, path):
+    """Write the certificate data cut to its first s stages to path."""
+    path.write_text(json.dumps({**data, "s": s, "level_bits": data["level_bits"][:s]}))
+    return path
+
+
+@pytest.mark.parametrize("s", [62, 69])
+def test_certificates_above_61_stages_are_refused(cert_d10_s69, tmp_path, capsys, time_limit, s):
+    """A d = 10 certificate of 62 or 69 stages, within
+    max_connected_stages(10) = 69 but above MAX_STAGES = 61, is refused
+    as it is read by every command that reads one: exit 2, one line that
+    names the limit, no output file.  Cut to 61 stages, it passes."""
+    path = _cut(cert_d10_s69, s, tmp_path / f"cert_s{s}.json")
+    out = tmp_path / "out"
+    for argv in (
+        ["verify", str(path)],
+        ["report", str(path), "-o", str(out)],
+        ["embed", str(path), "--trunc-s", "2", "-o", str(out)],
+        ["export", "--d", "10", "--kind", "full-unit", "--cert", str(path), "--trunc-s", "2", "-o", str(out)],
+    ):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (2, f"error: certificate has s={s} stages, above the limit of 61\n"), argv
+        assert "VERDICT" not in stdout
+        assert list(tmp_path.iterdir()) == [path]
+    code, stdout, err = run(capsys, "verify", str(_cut(cert_d10_s69, 61, tmp_path / "cert_s61.json")))
+    assert (code, err) == (0, "")
+    assert "certificate: d=10 s=61 " in stdout and stdout.endswith("VERDICT: PASS\n")
+
+
+@pytest.fixture(scope="module")
 def full_unit_d5(cert_d5, tmp_path_factory):
     stem = tmp_path_factory.mktemp("graphs") / "full_unit_d5"
     argv = ["export", "--d", "5", "--kind", "full-unit", "--cert", str(cert_d5), "-o", str(stem)]
@@ -744,6 +789,8 @@ def _edge(value):
         (_vertex("role", "C1"), "unknown role tag 'C'"),
         (_vertex("role", "c\u0661"), "unknown role tag 'c\u0661'"),  # an Arabic-Indic digit one
         (_vertex("role", "c" + "1" * 5000), "'c' has an index of 5000 digits"),
+        (_set("s", "banana"), "graph s 'banana' is not the 6-bit length of its vertex levels"),
+        (_set("s", 40), "graph s 40 is not the 6-bit length of its vertex levels"),
     ],
 )
 def test_malformed_graph_is_a_usage_error(full_unit_d5, tmp_path, capsys, time_limit, edit, message):

@@ -36,9 +36,11 @@ from conftest import (
     validate,
     vertex_labels,
 )
+from thetalattice.certify import wenger_voltage
 from thetalattice.errors import DegreeTooSmall, MalformedGraph, TooLarge, TorusTooSmall
 from thetalattice import voltage as voltage_module
 from thetalattice.voltage import (
+    MAX_STAGES,
     BaseGraph,
     LiftCertificate,
     build_base_graph,
@@ -380,15 +382,17 @@ def test_voltage_group_generated_matches_dense_fold_known_cases(d):
 def test_voltage_group_generated_closed_form_sweep(d):
     """The closed form agrees with the BFS-walked oracle on 40 voltages per
     degree: s = 0, 1, 2, 3, 5, 8, 12, 20, max_connected_stages(d) and one
-    more, each with random bits on a share 0, 0.05, 0.3 or 1 of the
-    non-central edges.  Taking the connector differences against row 0,
+    more, each capped at MAX_STAGES = 61, which only d >= 10 reaches, and
+    each with random bits on a share 0, 0.05, 0.3 or 1 of the non-central
+    edges.  Taking the connector differences against row 0,
     dropping the connector rows or counting the connector columns as
     standing each changes some of these verdicts."""
     top = max_connected_stages(d)
+    assert (top + 1 <= MAX_STAGES) == (d <= 9)
     rng = random.Random(d)
     base, volt0 = build_base_graph(d)
     verdicts = []
-    for s in (0, 1, 2, 3, 5, 8, 12, 20, top, top + 1):
+    for s in (0, 1, 2, 3, 5, 8, 12, 20, min(top, MAX_STAGES), min(top + 1, MAX_STAGES)):
         for share in (0.0, 0.05, 0.3, 1.0):
             bits = {e: rng.getrandbits(s) for e in noncentral_edges(base) if rng.random() < share}
             volt = volt0.with_bits(s, bits)
@@ -445,10 +449,10 @@ def test_certificate_writer_matches_json_dumps(certified, d):
 @st.composite
 def _certificates(draw):
     """A certificate of d = 5..12 with any number of stages up to
-    max_connected_stages(d) (object masks from s = 64), random bits on the
-    non-central edges, any flags and any integer count and seed."""
+    max_connected_stages(d) and MAX_STAGES, random bits on the non-central
+    edges, any flags and any integer count and seed."""
     d = draw(st.integers(5, 12))
-    s = draw(st.integers(0, max_connected_stages(d)))
+    s = draw(st.integers(0, min(max_connected_stages(d), MAX_STAGES)))
     base, volt0 = build_base_graph(d)
     volt = random_bits_voltage(base, volt0, s, draw(st.integers(0, 2**32)))
     flags = CertificateFlags(*draw(st.tuples(st.booleans(), st.booleans(), st.booleans())))
@@ -561,7 +565,9 @@ def test_make_bits_rejects_central_and_wide_masks():
     noncentral = noncentral_edges(base)[0]
     for s, bits, message in (
         (2, {noncentral: 4}, "wider than s=2"),
-        (64, {noncentral: 1 << 64}, "wider than s=64"),
+        (61, {noncentral: 1 << 61}, "wider than s=61"),
+        (62, {}, "0 to 61 lift stages, not s=62"),
+        (-1, {}, "0 to 61 lift stages, not s=-1"),
         (2, {base_blacks(base)[:2]: 1}, "unknown edge"),
         (2, {noncentral[::-1]: 1}, "unknown edge"),
     ):
@@ -580,7 +586,59 @@ def test_truncate_keeps_first_stages():
         volt.truncate(-1)
 
 
-@pytest.mark.parametrize("s", [0, 1, 21, 22, 63, 64, 69])
+def _top_bits(base, s):
+    """Bit s - 1 alone on every non-central edge: the widest s-stage masks."""
+    return dict.fromkeys(noncentral_edges(base), 1 << s - 1)
+
+
+def _top_bit_certificate(s):
+    """The JSON of a d = 10 certificate of s stages whose last stage alone
+    crosses the non-central edges, written without building a voltage."""
+    data = certificate_to_json_dict(LiftCertificate(build_base_graph(10)[1], CertificateFlags(True, True, True), 0, 0))
+    top = "".join("0" if k % 10 < 2 else "1" for k in range(100))  # hubs at white positions 0, 1
+    data["s"], data["level_bits"] = s, ["0" * 100] * (s - 1) + [top]
+    return json.dumps(data)
+
+
+def _stage_routes():
+    """Per route that builds a voltage: a voltage it gives within the limit,
+    at s = MAX_STAGES where it can reach it, and the same route asked for
+    one stage more (None for truncate, which never adds a stage)."""
+    base, volt0 = build_base_graph(10)
+    widest = volt0.with_bits(MAX_STAGES, _top_bits(base, MAX_STAGES))
+    return {
+        "with_bits": (widest, lambda: volt0.with_bits(MAX_STAGES + 1, _top_bits(base, MAX_STAGES + 1))),
+        "from_json": (
+            LiftCertificate.from_json(_top_bit_certificate(MAX_STAGES)).volt,
+            lambda: LiftCertificate.from_json(_top_bit_certificate(MAX_STAGES + 1)),
+        ),
+        "truncate": (widest.truncate(MAX_STAGES), None),
+        # s = 2 ceil(log2 d) reaches 62 first at d = 2^30 + 1, refused before
+        # its 8 EiB of masks are built; d = 303 (s = 18) is construct --kappa 100
+        "wenger_voltage": (wenger_voltage(BaseGraph(303)), lambda: wenger_voltage(BaseGraph(2**30 + 1))),
+    }
+
+
+@pytest.mark.parametrize("route", ["with_bits", "from_json", "truncate", "wenger_voltage"])
+def test_every_route_keeps_int64_masks_within_61_stages(route, time_limit):
+    """One mask width: every route gives int64 masks with at most
+    MAX_STAGES = 61 stages, keeps the top bit at s = 61, and refuses
+    s = 62 at once with one line that names the limit."""
+    volt, wider = _stage_routes()[route]
+    assert volt.masks.dtype == np.int64 and volt.s <= MAX_STAGES == 61
+    if volt.s == MAX_STAGES:
+        assert set(volt.level_bits.values()) == {1 << 60}
+    if route == "truncate":
+        assert volt.truncate(MAX_STAGES + 1) is volt
+        assert volt.truncate(MAX_STAGES - 1).masks.dtype == np.int64
+        return
+    with pytest.raises(ValueError) as refused:
+        wider()
+    message = str(refused.value)
+    assert "61" in message and "\n" not in message and "62" in message
+
+
+@pytest.mark.parametrize("s", [0, 1, 21, 22, 60, 61])
 def test_voltage_array_round_trips(s):
     """A random d = 10 voltage survives every conversion: to stage strings
     and back through a certificate, back from its level_bits view, and cut
@@ -592,7 +650,7 @@ def test_voltage_array_round_trips(s):
     base, volt0 = build_base_graph(d)
     bits = {e: rng.getrandbits(s) for e in noncentral_edges(base) if rng.random() < 0.7}
     volt = volt0.with_bits(s, bits)
-    assert volt.masks.dtype == (np.int64 if s <= 63 else object)
+    assert volt.masks.dtype == np.int64
 
     data = json.loads(LiftCertificate(volt, CertificateFlags(True, True, True), 0, 0).to_json())
     assert LiftCertificate.from_json_dict(data).volt == volt
