@@ -256,30 +256,35 @@ def test_recheck_dfs_builds_no_cycle_list(monkeypatch):
     assert recheck_constraints_dfs(base, volt)[0] == constraint_count_formula(6)
 
 
-def test_recheck_dfs_exact_at_the_stage_limit():
-    """Bits stay exact at the widest voltage, s = MAX_STAGES = 61, below
-    max_connected_stages(10) = 69.  A fifth of the edges carry random
+@pytest.mark.parametrize("s", [63, 64, 65, 69])
+def test_recheck_dfs_exact_beyond_64_bits(s):
+    """A voltage of s stages, beyond MAX_STAGES = 61 though within
+    max_connected_stages(10) = 69, is refused before any array is built;
+    bits stay exact at the widest voltage still built, 61 stages.  With
+    the edge pattern drawn from seed s, a fifth of the edges carry random
     61-bit masks, another fifth only the top bit 60, the rest only bit 0:
     cycles whose low bits cancel but whose top bit does not are covered,
     and a DFS that dropped the top bit would count them uncovered."""
-    d, s = 10, MAX_STAGES
-    rng = random.Random(s)
+    d, top = 10, MAX_STAGES
     base, volt0 = build_base_graph(d)
-    assert s <= max_connected_stages(d)
+    assert top < s <= max_connected_stages(d)
+    with pytest.raises(ValueError, match=f"not s={s}$"):
+        volt0.with_bits(s, {})
+    rng = random.Random(s)
     bits = {}
     for e in noncentral_edges(base):
         kind = rng.random()
         if kind < 0.2:
-            bits[e] = rng.getrandbits(s)
+            bits[e] = rng.getrandbits(top)
         else:
-            bits[e] = 1 << s - 1 if kind < 0.4 else rng.getrandbits(1)
-    volt = volt0.with_bits(s, bits)
+            bits[e] = 1 << top - 1 if kind < 0.4 else rng.getrandbits(1)
+    volt = volt0.with_bits(top, bits)
     n_cons, bad4, bad6 = recheck_constraints_dfs(base, volt)
     assert (n_cons, bad4, bad6) == _recheck_constraints_dfs_reference(base, volt)
     assert n_cons == constraint_count_formula(d)
     assert bad4 > 0 and bad6 > 0
     vc = voltage_census(base, volt)
-    assert (vc.c4_stray >> s, vc.c6 >> s) == (bad4, bad6)
+    assert (vc.c4_stray >> top, vc.c6 >> top) == (bad4, bad6)
 
 
 @pytest.fixture(scope="module")
