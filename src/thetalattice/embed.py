@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AttemptsExhausted, GridTooCoarse, TooLarge
-from .graphs import LabeledGraph, _frozen, role_tag
+from .graphs import LabeledGraph, _Value, role_tag
 
 IPoint = tuple[int, int, int]
 
@@ -42,32 +42,23 @@ _BOXES = {"rx": (OUTER, CENTER, CENTER), "ry": (CENTER, OUTER, CENTER), "rz": (C
 _DERIVED = {"lx": ("rx", 0), "ly": ("ry", 1), "lz": ("rz", 2)}
 
 
-class Try:
+class Try(_Value):
     """One candidate placement: vertex v sits at num[v] / denom.
 
-    num is a read-only (n, 3) int64 array of numerators over one positive
-    integer denominator.  A sampled try has the denominator q of its grid
-    resolution p/q, so every coordinate k*p/q is exact.  Tries are
-    immutable and unhashable, and equal when their resolutions and scaled()
-    forms are.
+    num is a read-only (n, 3) int64 array of numerators, a copy of the one
+    given, over one positive integer denominator.  A sampled try has the
+    denominator q of its grid resolution p/q, so every coordinate k*p/q is
+    exact.  Tries are immutable and unhashable, and equal when their
+    resolutions and scaled() forms are.
     """
 
-    __slots__ = ("num", "denom", "grid_resolution")
+    __slots__ = _fields = ("num", "denom", "grid_resolution")
+    __hash__ = None
 
     def __init__(self, num: np.ndarray, denom: int, grid_resolution: Fraction):
         if denom < 1:
             raise ValueError(f"try denominator must be positive, got {denom}")
-        values = (_frozen(np.array(num, dtype=np.int64).reshape(-1, 3)), denom, grid_resolution)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Try is immutable: cannot change {name}")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"Try(num={self.num!r}, denom={self.denom!r}, grid_resolution={self.grid_resolution!r})"
+        self._store(np.array(num, dtype=np.int64).reshape(-1, 3), denom, grid_resolution)
 
     def scaled(self) -> tuple[np.ndarray, int]:
         """Integer coordinates in grid units plus the units-per-1 scale: num
@@ -76,11 +67,9 @@ class Try:
         g = math.gcd(int(np.gcd.reduce(self.num, axis=None)), self.denom)
         return self.num // g, self.denom // g
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Try):
-            return NotImplemented
-        (a, p), (b, q) = self.scaled(), other.scaled()
-        return p == q and self.grid_resolution == other.grid_resolution and np.array_equal(a, b)
+    def _key(self) -> tuple:
+        num, scale = self.scaled()
+        return self.grid_resolution, scale, num.tolist()
 
 
 def _grid_range(a: int, b: int, res: Fraction) -> tuple[int, int]:

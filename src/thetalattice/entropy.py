@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .census import CensusReport, _frac_str
 from .errors import InvalidCertificate
+from .graphs import _Value
 
 RationalLike = Fraction | int | str
 
@@ -39,7 +40,7 @@ def min_degree_for_kappa(kappa: RationalLike) -> int:
     return max(5, math.floor(3 * k + 2) + 1)
 
 
-class LatticeSummary:
+class LatticeSummary(_Value):
     """The summary of a certified degree-d lattice with s stages: its
     per-cube voltage census and, if asked, the target ratio kappa.  The
     averages, their theta/4-cycle ratio and the order-6 coefficient are
@@ -47,32 +48,12 @@ class LatticeSummary:
     4-cycles, as no certified lattice lacks them.  Immutable, equal and
     hashed by its four stored values."""
 
-    __slots__ = ("d", "s", "census", "kappa")
+    __slots__ = _fields = ("d", "s", "census", "kappa")
 
     def __init__(self, d: int, s: int, census: CensusReport, kappa: Fraction | None = None):
         if census.c4_bar == 0:
             raise InvalidCertificate("certified lattice has no 4-cycles")
-        for name, value in zip(self.__slots__, (d, s, census, kappa)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"LatticeSummary is immutable: cannot change {name}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return (self.d, self.s, self.census, self.kappa)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatticeSummary):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"LatticeSummary(d={self.d!r}, s={self.s!r}, census={self.census!r}, kappa={self.kappa!r})"
+        self._store(d, s, census, kappa)
 
     @property
     def c4_bar(self) -> Fraction:

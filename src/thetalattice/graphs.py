@@ -7,8 +7,12 @@ Vertices are dense integer ids.  A graph is held as arrays: one sorted int64
 sorted table of role names, the level as an unsigned integer and an (n, 3)
 int64 cell array.  Every graph carries these labels; graphs are built only
 as arrays, by voltage.BaseGraph (the base graph and its central K_{2,d}),
-derived_cover and graph_from_json_dict.  Graphs are immutable after
-construction, so values can be shared freely.
+derived_cover and graph_from_json_dict.
+
+_Value is the one base of the hand-written value classes (LabeledGraph;
+BaseGraph and VoltageAssignment in voltage, Try in embed, LatticeSummary in
+entropy): it sets each field once and makes array fields read-only, so
+values can be shared freely, and gives their equality, hashing and repr.
 
 Level bit order: position i of the level string records the choice made at
 the i-th lift (position 0 = first lift).  When a level is interpreted as an
@@ -77,6 +81,44 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Value:
+    """The base of the immutable value classes.  A subclass names its fields
+    in _fields and sets them once, in __init__, with _store; after that no
+    field can be changed or deleted, and no array field written into.
+    Values of one class are equal when their _key(), by default the field
+    values, is, and hashed by it; a class whose key is not hashable sets
+    __hash__ = None."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, *values) -> None:
+        """Set the fields to these values, in the order of _fields, making
+        every np.ndarray read-only in place."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, _frozen(value) if isinstance(value, np.ndarray) else value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 def _edge_array(vertex_count: int, ends: np.ndarray) -> np.ndarray:
     """The sorted (E, 2) array of the edges given as an (E, 2) array of ends
     in any orientation and order.  ValueError names the first loop or end
@@ -99,7 +141,7 @@ def _edge_array(vertex_count: int, ends: np.ndarray) -> np.ndarray:
     return np.stack([lo, hi], axis=1)
 
 
-class LabeledGraph:
+class LabeledGraph(_Value):
     """Immutable simple graph with per-vertex labels, held as arrays.
 
     edge_array is the sorted int64 (E, 2) array of the edges (u, v), u < v.
@@ -107,9 +149,11 @@ class LabeledGraph:
     and per vertex role_codes is an index into roles, levels the level as
     an unsigned integer (bit i = position i of its level string) and cells
     an (n, 3) int64 array; level_length is the length of every level string.
+    The arrays are read-only.  Graphs are equal and hashed by their fields,
+    the arrays by their bytes; the repr gives only the sizes and d.
     """
 
-    __slots__ = (
+    __slots__ = _fields = (
         "vertex_count", "edge_array", "d", "roles", "role_codes", "levels", "level_length", "cells",
     )
 
@@ -127,27 +171,11 @@ class LabeledGraph:
         """A graph from arrays already in the form the class holds (sorted,
         distinct edges u < v; role names sorted by role_rank and all used);
         nothing is checked, and the arrays are made read-only."""
-        values = (
-            vertex_count, _frozen(edge_array), d, roles, _frozen(role_codes), _frozen(levels),
-            level_length, _frozen(cells),
-        )
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LabeledGraph is immutable: cannot set {name}")
+        self._store(vertex_count, edge_array, d, roles, role_codes, levels, level_length, cells)
 
     def _key(self) -> tuple:
         arrays = (self.edge_array, self.role_codes, self.levels, self.cells)
         return (self.vertex_count, self.d, self.level_length, self.roles, *(a.tobytes() for a in arrays))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabeledGraph):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return (

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeTooSmall, MalformedGraph, TooLarge, TorusTooSmall
-from .graphs import Edge, LabeledGraph, _frozen, _json_list, role_rank
+from .graphs import Edge, LabeledGraph, _frozen, _json_list, _Value, role_rank
 
 Vec3 = tuple[int, int, int]
 
@@ -53,7 +53,7 @@ def _check_stages(s: int) -> None:
         raise ValueError(f"a voltage has 0 to {MAX_STAGES} lift stages, not s={s}")
 
 
-class BaseGraph:
+class BaseGraph(_Value):
     """The degree-d quotient graph K_{d,d}, fixed by d alone.
 
     Vertex ids follow the canonical role order: the spokes c_1..c_d are the
@@ -64,26 +64,12 @@ class BaseGraph:
     cached properties live in the instance __dict__.
     """
 
+    _fields = ("d",)
+
     def __init__(self, d: int):
         if d < 5:
             raise DegreeTooSmall(f"construction requires d >= 5, got {d}")
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"BaseGraph is immutable: cannot change {name}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BaseGraph):
-            return NotImplemented
-        return self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash(self.d)
-
-    def __repr__(self) -> str:
-        return f"BaseGraph(d={self.d})"
+        self._store(d)
 
     def _labeled(self, roles: tuple[str, ...], edges: np.ndarray) -> LabeledGraph:
         """The graph on one vertex per role whose vertex v has role v,
@@ -122,30 +108,29 @@ class BaseGraph:
         return _frozen(shifts)
 
 
-class VoltageAssignment:
-    """The level-bit voltage of every base edge (c, d + j): int64 masks
-    (d, d) holds its s-bit mask at [c, j], s <= MAX_STAGES (else ValueError),
-    and reshape(d * d) gives base edge order.  The displacements are the
-    base graph's (BaseGraph.shifts).  Immutable and unhashable; equal by s
-    and the mask values."""
+class VoltageAssignment(_Value):
+    """The level-bit voltage of every base edge (c, d + j): the read-only
+    int64 (d, d) array masks holds its s-bit mask at [c, j], and
+    reshape(d * d) gives base edge order.  The displacements are the base
+    graph's (BaseGraph.shifts).  ValueError for s outside 0..MAX_STAGES, a
+    mask wider than s bits (a negative one too) or bits on a central edge,
+    j < 2.  Immutable and unhashable; equal by s and the mask values."""
+
+    _fields = ("s", "masks")
+    __hash__ = None
 
     def __init__(self, s: int, masks: np.ndarray):
         _check_stages(s)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "masks", masks)
+        wide = masks >> s
+        if wide.any():
+            raise ValueError(f"mask {int(masks[wide != 0][0]):#x} wider than s={s}")
+        if masks[:, :2].any():
+            c, j = np.argwhere(masks[:, :2])[0].tolist()
+            raise ValueError(f"central edge {(c, len(masks) + j)} must carry zero bits")
+        self._store(s, masks)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"VoltageAssignment is immutable: cannot change {name}")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"VoltageAssignment(s={self.s!r}, masks={self.masks!r})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VoltageAssignment):
-            return NotImplemented
-        return self.s == other.s and np.array_equal(self.masks, other.masks)
+    def _key(self) -> tuple:
+        return self.s, self.masks.tolist()
 
     @cached_property
     def level_bits(self) -> Mapping[Edge, int]:
@@ -176,8 +161,9 @@ def build_base_graph(d: int) -> tuple[BaseGraph, VoltageAssignment]:
 def make_bits(d: int, s: int, level_bits: Mapping[Edge, int]) -> np.ndarray:
     """The (d, d) mask array of a map from base edges (c, d + j) to s-bit
     masks.  ValueError for a key that is not a base edge in that
-    orientation, a mask wider than s bits, bits on a central edge, or s
-    outside 0..MAX_STAGES."""
+    orientation, a mask wider than s bits, which is checked before the
+    int64 conversion, or s outside 0..MAX_STAGES; VoltageAssignment refuses
+    bits on a central edge."""
     _check_stages(s)
     masks = np.zeros((d, d), dtype=np.int64)
     for e, mask in level_bits.items():
@@ -186,16 +172,7 @@ def make_bits(d: int, s: int, level_bits: Mapping[Edge, int]) -> np.ndarray:
         if mask >> s:
             raise ValueError(f"mask {mask:#x} wider than s={s}")
         masks[e[0], e[1] - d] = mask
-    _refuse_central_bits(masks)
     return masks
-
-
-def _refuse_central_bits(masks: np.ndarray) -> None:
-    """ValueError when an edge (c, d + j) at a hub, j < 2, carries bits."""
-    central = np.argwhere(masks[:, :2] != 0)
-    if len(central):
-        c, j = central[0].tolist()
-        raise ValueError(f"central edge {(c, len(masks) + j)} must carry zero bits")
 
 
 def check_cover_size(d: int, s: int, n: int | None = None) -> None:
@@ -453,7 +430,6 @@ class LiftCertificate(NamedTuple):
         # column k of the stages is the mask of base edge k, stage i as bit i
         rows = np.frombuffer("".join(stages).encode(), dtype=np.uint8).reshape(s, d * d) - ord("0")
         masks = (rows.astype(np.int64) << np.arange(s)[:, None]).sum(axis=0).reshape(d, d)
-        _refuse_central_bits(masks)
         volt = VoltageAssignment(s, masks)
         return cls(volt, CertificateFlags(**flags), data["constraint_count"], data["seed"])
 

@@ -290,7 +290,10 @@ def test_recheck_dfs_exact_beyond_64_bits(s):
 @pytest.fixture(scope="module")
 def block_cases():
     """(base, voltage, reference counts): random bits of 1 to 3 stages at
-    d = 5..8, and at d = 10 one bit of s = 61 per edge, bit 0 or bit 60."""
+    d = 5..8, and at d = 10 random bits 0 and 60 of s = 61 on each edge.
+    One bit per edge would not do: a constraint cycle has an even number of
+    non-central edges, so its two bit parities would always be equal and a
+    DFS that drops bit 60 would count the same."""
     cases = []
     for d in range(5, 9):
         base, volt0 = build_base_graph(d)
@@ -299,7 +302,7 @@ def block_cases():
     base, volt0 = build_base_graph(10)
     assert max_connected_stages(10) >= MAX_STAGES
     rng = random.Random(MAX_STAGES)
-    bits = {e: 1 << (MAX_STAGES - 1) * rng.getrandbits(1) for e in noncentral_edges(base)}
+    bits = {e: rng.getrandbits(1) | rng.getrandbits(1) << MAX_STAGES - 1 for e in noncentral_edges(base)}
     cases.append((base, volt0.with_bits(MAX_STAGES, bits)))
     cases = [(base, volt, _recheck_constraints_dfs_reference(base, volt)) for base, volt in cases]
     assert all(bad4 > 0 and bad6 > 0 for _, _, (_, bad4, bad6) in cases[-3:])

@@ -620,6 +620,8 @@ def _permuted_order(data):
         ("verify", _permuted_order, "edge_order entry 2 is (c1, vy), not the canonical (c1, vx)"),
         ("verify", _set("flags", {"no_zero_voltage_hexes": True}), "flags must be"),
         ("verify", _set("d", "5"), "d must be an integer"),
+        ("verify", _first_stage(lambda row: "1" + row[1:]), "central edge (0, 5) must carry zero bits"),
+        ("report", _first_stage(lambda row: "1" + row[1:]), "central edge (0, 5) must carry zero bits"),
         ("report", _unknown_role, "edge_order entry 3 is (c1, f9), not the canonical (c1, vy)"),
         ("report", _permuted_order, "edge_order entry 2 is (c1, vy), not the canonical (c1, vx)"),
         ("embed", _first_stage(lambda row: row[:-1]), "has 24 bits for 25 edges"),

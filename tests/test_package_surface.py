@@ -11,7 +11,8 @@ by Python itself and are not checked.
 The package's classes are built without code generation: none is a
 dataclass, importing the CLI loads no dataclasses module, and each value
 class keeps the equality, hashing, immutability, repr and refusals it had as
-a frozen dataclass.
+a frozen dataclass.  The hand-written value classes take their immutability
+from the one base graphs._Value, which also makes their arrays read-only.
 
 The CLI is the one front door: the package's one script is cli.main, and no
 other module runs as a program."""
@@ -33,6 +34,7 @@ from thetalattice.census import CensusReport, _Wedges
 from thetalattice.embed import Try
 from thetalattice.entropy import LatticeSummary
 from thetalattice.errors import DegreeTooSmall, InvalidCertificate
+from thetalattice.graphs import LabeledGraph, _Value
 from thetalattice.voltage import BaseGraph, CertificateFlags, LiftCertificate, VoltageAssignment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -177,6 +179,29 @@ def test_no_class_is_a_dataclass():
     assert found == []
 
 
+def _guards_attributes(node):
+    """Whether a class body defines __setattr__ or __delattr__, or anything
+    in it calls object.__setattr__."""
+    defined = {s.name for s in node.body if isinstance(s, ast.FunctionDef)} | {
+        target.id for s in node.body if isinstance(s, ast.Assign) for target in s.targets if isinstance(target, ast.Name)
+    }
+    called = {ast.unparse(call.func) for call in ast.walk(node) if isinstance(call, ast.Call)}
+    return bool(defined & {"__setattr__", "__delattr__"}) or "object.__setattr__" in called
+
+
+def test_only_the_value_base_guards_attributes():
+    """The only class of src/thetalattice whose body defines __setattr__ or
+    __delattr__, or calls object.__setattr__, is graphs._Value: the value
+    classes take their immutability from it and keep no copy of their own."""
+    found = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and _guards_attributes(node)
+    ]
+    assert found == ["graphs._Value"]
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     """A fresh interpreter that imports thetalattice.cli has not imported
     the dataclasses module: neither the package nor what it imports uses it."""
@@ -196,6 +221,7 @@ _REPORT = (45 << 8, 45 << 8, 0, 120 << 8, 20 << 8, "per-cube")
 # refuses with its error and message)
 _VALUE_CLASSES = [
     (BaseGraph, lambda: BaseGraph(5), "d", True, (lambda: BaseGraph(4), DegreeTooSmall, "requires d >= 5, got 4")),
+    (LabeledGraph, lambda: BaseGraph(5).graph, "edge_array", True, None),
     (VoltageAssignment, lambda: VoltageAssignment(3, _MASKS.copy()), "s", False, None),
     (CertificateFlags, lambda: CertificateFlags(True, False, True), "no_zero_voltage_hexes", True, None),
     (
@@ -234,8 +260,9 @@ _VALUE_CLASSES = [
 def test_value_classes_keep_their_semantics(cls, make, attribute, hashable, refusal):
     """Two equal constructions compare equal (and hash equal where the
     values are hashable; the others refuse hash), a stored attribute cannot
-    be assigned or deleted, the repr names the class, and an invalid construction is
-    refused as before."""
+    be assigned or deleted, no array attribute of a _Value can be written
+    into, the repr names the class, and an invalid construction is refused
+    as before."""
     a, b = make(), make()
     assert type(a) is cls and a == b and not a != b
     if hashable:
@@ -248,6 +275,11 @@ def test_value_classes_keep_their_semantics(cls, make, attribute, hashable, refu
     with pytest.raises(AttributeError):
         delattr(a, attribute)
     assert a == b
+    if isinstance(a, _Value):
+        for array in (getattr(a, name) for name in a._fields):
+            if isinstance(array, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
     assert repr(a).startswith(f"{cls.__name__}(")
     if refusal is not None:
         refused, error, message = refusal

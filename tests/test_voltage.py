@@ -43,6 +43,7 @@ from thetalattice.voltage import (
     MAX_STAGES,
     BaseGraph,
     LiftCertificate,
+    VoltageAssignment,
     build_base_graph,
     canonical_edge_order,
     CertificateFlags,
@@ -558,10 +559,13 @@ def test_canonical_edge_order_sorted_by_roles():
 
 
 def test_make_bits_rejects_central_and_wide_masks():
-    base, _ = build_base_graph(5)
+    """make_bits refuses wide masks, unknown edges and a stage count out of
+    range; bits on a central edge are refused by VoltageAssignment, so by
+    with_bits."""
+    base, volt0 = build_base_graph(5)
     central = next(iter(central_edges(base)))
-    with pytest.raises(ValueError):
-        make_bits(base.d, 2, {central: 1})
+    with pytest.raises(ValueError, match="must carry zero bits"):
+        volt0.with_bits(2, {central: 1})
     noncentral = noncentral_edges(base)[0]
     for s, bits, message in (
         (2, {noncentral: 4}, "wider than s=2"),
@@ -573,6 +577,24 @@ def test_make_bits_rejects_central_and_wide_masks():
     ):
         with pytest.raises(ValueError, match=message):
             make_bits(base.d, s, bits)
+
+
+def test_voltage_assignment_refuses_wide_and_central_masks():
+    """The constructor checks the masks whatever built them: bit 2 on every
+    non-central edge at s = 2 (which the census key would mix into the
+    displacement parity bits), a negative mask, or a bit on a hub edge is a
+    ValueError, not a voltage on which the census and the DFS disagree."""
+    wide = np.zeros((5, 5), dtype=np.int64)
+    wide[:, 2:] = 1 << 2
+    hub = np.zeros((5, 5), dtype=np.int64)
+    hub[3, 1] = 1
+    for masks, message in (
+        (wide, "mask 0x4 wider than s=2"),
+        (-wide, "mask -0x4 wider than s=2"),
+        (hub, r"central edge \(3, 6\) must carry zero bits"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            VoltageAssignment(2, masks)
 
 
 def test_truncate_keeps_first_stages():
