@@ -5,12 +5,14 @@ construct builds the Wenger certificate of a degree (certify.wenger_voltage):
 the same stages for every seed, with --seed only recorded in the file.
 embed samples its placements from --seed.  verify and report decide a
 certificate by the same check on one voltage census (certify.census_certificate);
-verify alone adds the DFS re-check and the explicit torus cross-check.
+verify alone adds the DFS re-check and, when s <= 3, the explicit census of
+the n = 2 torus, which must hold 8 times each per-cube count.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error
 (including an input too large to build, an allocation that fails, a graph
-file that is not bipartite, and an option that the command would not
-read), 3 embed attempts exhausted.
+file that is not bipartite, an option that the command would not read, and
+an unwritable output file), 3 embed attempts exhausted.  A command writes
+its files before it prints, and on exit 2 leaves none of them behind.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .embed import (
     try_to_obj,
 )
 from .entropy import LatticeSummary, min_degree_for_kappa, summary_table
-from .errors import AttemptsExhausted, TooLarge, TorusTooSmall
+from .errors import AttemptsExhausted, TooLarge
 from .graphs import graph_from_json, graph_to_dot, graph_to_json
 from .voltage import BaseGraph, LiftCertificate, build_base_graph, check_cover_size, derived_cover
 
@@ -43,8 +45,19 @@ from .voltage import BaseGraph, LiftCertificate, build_base_graph, check_cover_s
 _USAGE_ERRORS = (ValueError, OSError, MemoryError)
 
 
-def _write(path: str | Path, text: str) -> None:
-    Path(path).write_text(text)
+def _write(*files: tuple[str | Path, str]) -> None:
+    """Write each (path, text); on an OSError, remove the files this call
+    opened and re-raise."""
+    written = []
+    try:
+        for path, text in files:
+            with open(path, "w") as f:
+                written.append(path)
+                f.write(text)
+    except OSError:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _json_text(obj) -> str:
@@ -84,17 +97,15 @@ def _recheck(cert: LiftCertificate, fresh: LiftCertificate) -> tuple[bool, list[
 # subcommands
 
 def _cmd_construct(args) -> int:
-    if args.kappa is not None:
-        kappa = _parse_rational(args.kappa)
-        d = min_degree_for_kappa(kappa)
-        print(f"kappa {kappa} -> minimal degree d = {d}")
-    else:
-        d = args.d
+    kappa = None if args.kappa is None else _parse_rational(args.kappa)
+    d = args.d if kappa is None else min_degree_for_kappa(kappa)
     t0 = time.perf_counter()
     cert = certify(d, seed=args.seed)
     elapsed = time.perf_counter() - t0
     out = args.output or f"cert_d{d}.json"
-    _write(out, cert.to_json())
+    _write((out, cert.to_json()))
+    if kappa is not None:
+        print(f"kappa {kappa} -> minimal degree d = {d}")
     print(
         f"certified d={cert.d} with s={cert.s} stages "
         f"({cert.constraint_count} constraint cycles, {elapsed:.1f}s) -> {out}"
@@ -104,35 +115,26 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.torus_n is not None and args.torus_n < 2:
-        raise TorusTooSmall("--torus-n must be >= 2")
     cert = LiftCertificate.from_json(Path(args.certificate).read_text())
-    if args.torus_n is not None and cert.s > 3:
-        raise ValueError(f"--torus-n is not used at s={cert.s}: the torus cross-check runs only when s <= 3")
-    torus_n = 2 if args.torus_n is None else args.torus_n
-    # the cross-check's verdict, None when s > 3; a torus too large to build
-    # is refused before the census if --torus-n gave it, else skipped
-    torus = None
-    if cert.s <= 3:
-        try:
-            check_cover_size(cert.d, cert.s, torus_n)
-        except TooLarge as exc:
-            if args.torus_n is not None:
-                raise
-            torus = f"skipped ({exc})"
     base, volt = BaseGraph(cert.d), cert.volt
     t0 = time.perf_counter()
     # one census serves the flags, the torus cross-check and the summary
     report = voltage_census(base, volt)
     fresh = verify_certificate(base, volt, seed=cert.seed, report=report)
     route = verification_route(cert.d)
-    if cert.s <= 3 and torus is None:
-        explicit = census_of_graph(derived_cover(base, volt, torus_n))
-        cells = torus_n**3
-        torus_ok = (explicit.c4_total, explicit.c4_central, explicit.c6, explicit.theta222) == (
-            cells * report.c4_total, cells * report.c4_central, cells * report.c6, cells * report.theta222
-        )
-        torus = "PASS" if torus_ok else "FAIL"
+    torus = None  # the cross-check's verdict, None when s > 3
+    if cert.s <= 3:
+        # the cube moves each axis on one base edge, by a unit step, so a
+        # closed 4- or 6-walk with no immediate reversal moves each axis by
+        # -1, 0 or 1: none wraps to zero at n = 2, whose torus therefore holds
+        # exactly 2^3 times each per-cube count, as every larger side does
+        try:
+            cover = derived_cover(base, volt, 2)
+        except TooLarge as exc:
+            torus = f"skipped ({exc})"
+        else:
+            explicit = census_of_graph(cover)
+            torus = "PASS" if explicit[:4] == tuple(8 * c for c in report[:4]) else "FAIL"
     print(f"certificate: d={cert.d} s={cert.s} seed={cert.seed}")
     print(f"route: {route}")
     note = "" if route == "census+dfs" else " (closed-form value, not enumerated)"
@@ -140,7 +142,7 @@ def _cmd_verify(args) -> int:
     ok, lines = _recheck(cert, fresh)
     print("\n".join(lines))
     if torus is not None:
-        print(f"explicit torus cross-check at n={torus_n}: {torus}")
+        print(f"explicit torus cross-check at n=2: {torus}")
         ok = ok and torus != "FAIL"
     if ok:
         print(summary_table([LatticeSummary(cert.d, cert.s, report)]))
@@ -154,7 +156,7 @@ def _cmd_census(args) -> int:
     report = census_of_graph(g)
     text = _json_text(report.to_json_dict())
     if args.output:
-        _write(args.output, text)
+        _write((args.output, text))
     print(text, end="")
     return 0
 
@@ -171,17 +173,15 @@ def _cmd_report(args) -> int:
         print("VERDICT: FAIL")
         return 1
     summary = LatticeSummary(cert.d, cert.s, report, kappa)
-    print(summary_table([summary]))
     if args.output:
-        _write(args.output, _json_text(summary.to_json_dict()))
+        _write((args.output, _json_text(summary.to_json_dict())))
+    print(summary_table([summary]))
     return 0
 
 
 def _cmd_embed(args) -> int:
     cert = LiftCertificate.from_json(Path(args.certificate).read_text())
     base, volt = BaseGraph(cert.d), _truncated_voltage(cert, args.trunc_s)
-    # the cover bound first, so a cover too large to build is reported as such
-    check_cover_size(cert.d, volt.s)
     edges = (1 << volt.s) * cert.d**2
     if edges > EMBED_EDGE_LIMIT:
         raise TooLarge(
@@ -197,18 +197,18 @@ def _cmd_embed(args) -> int:
     except AttemptsExhausted as exc:
         print(f"embedding failed: {exc}", file=sys.stderr)
         return 3
+    props = check_embedding_properties(t, fug)
+    files = [(args.output or f"embedding_d{cert.d}_s{volt.s}.json", try_to_json(t, attempts, args.seed))]
+    if args.obj:
+        files.append((args.obj, try_to_obj(t, fug)))
+    _write(*files)
     print(
         f"good try for d={cert.d} s={volt.s} after {attempts} attempt(s); "
         f"{fug.vertex_count} vertices, {len(fug.edge_array)} edges"
     )
-    props = check_embedding_properties(t, fug)
     print(f"placement checklist: {props}")
-    out = args.output or f"embedding_d{cert.d}_s{volt.s}.json"
-    _write(out, try_to_json(t, attempts, args.seed))
-    print(f"wrote {out}")
-    if args.obj:
-        _write(args.obj, try_to_obj(t, fug))
-        print(f"wrote {args.obj}")
+    for path, _ in files:
+        print(f"wrote {path}")
     return 0 if all(props.values()) else 1
 
 
@@ -243,8 +243,7 @@ def _cmd_export(args) -> int:
         n = 2 if args.kind == "torus" and args.torus_n is None else args.torus_n
         g = derived_cover(base, volt, n)
     stem = Path(args.output)
-    _write(stem.with_suffix(".json"), graph_to_json(g))
-    _write(stem.with_suffix(".dot"), graph_to_dot(g))
+    _write((stem.with_suffix(".json"), graph_to_json(g)), (stem.with_suffix(".dot"), graph_to_dot(g)))
     print(f"wrote {stem.with_suffix('.json')} and {stem.with_suffix('.dot')}")
     return 0
 
@@ -277,10 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="independently re-verify a certificate")
     p.add_argument("certificate")
-    p.add_argument(
-        "--torus-n", type=int, default=None, dest="torus_n",
-        help="torus side of the explicit cross-check, which runs only when s <= 3 (default 2)",
-    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("census", help="exact census of a graph JSON file")

@@ -5,6 +5,8 @@ import itertools
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import VertexLabel, random_bits_voltage, torus_with_same_colour_edge
+from conftest import VertexLabel, edge_disp, random_bits_voltage, torus_with_same_colour_edge
 from thetalattice.certify import certify, wenger_voltage
 from thetalattice.cli import build_parser, main
 from thetalattice.embed import EMBED_EDGE_LIMIT
@@ -86,6 +88,21 @@ def test_construct_rejects_small_degree(capsys):
     assert "d >= 5" in err
 
 
+def test_readme_commands_parse():
+    """Every thetalattice command in the README's code blocks parses with no
+    argument left unknown, so the README names no removed option, and the
+    README shows every command."""
+    blocks = (SRC.parent / "README.md").read_text().split("```")[1::2]
+    lines = [re.split(r"#|>|&&|\|", line)[0].replace("$d", "5").strip() for b in blocks for line in b.splitlines()]
+    commands = set()
+    for line in lines:
+        if line.startswith("thetalattice "):
+            args, unknown = build_parser().parse_known_args(shlex.split(line)[1:])
+            assert unknown == [], line
+            commands.add(args.command)
+    assert commands == {"construct", "verify", "census", "report", "embed", "export"}
+
+
 def test_construct_has_no_policy_option(capsys):
     """The degree alone picks the stages: no search policy, stage budget or
     candidate pool to set."""
@@ -138,26 +155,54 @@ def cert_d5_s3(cert_d5, tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "argv, vertices",
+    "argv, message",
     [
-        (["embed", "{d33_s30}", "-o", "{out}.json"], 69 * 2**30),
-        (["export", "--d", "33", "--kind", "full-unit", "--cert", "{d33_s30}", "-o", "{out}"], 69 * 2**30),
-        (["export", "--d", "5", "--kind", "torus", "--torus-n", "100000", "-o", "{out}"], 13 * 10**15),
-        (["verify", "{d5_s3}", "--torus-n", "100000"], 13 * 2**3 * 10**15),
+        (
+            ["embed", "{d33_s30}", "-o", "{out}.json"],
+            f"embedding d=33, s=30 means checking {2**30 * 33**2} edges, above the limit of "
+            f"{EMBED_EDGE_LIMIT}; cut the certificate with --trunc-s",
+        ),
+        (
+            ["export", "--d", "33", "--kind", "full-unit", "--cert", "{d33_s30}", "-o", "{out}"],
+            f"a cover with n=None, s=30, d=33 has up to {69 * 2**30} vertices, above the limit of {2**20}",
+        ),
+        (
+            ["export", "--d", "5", "--kind", "torus", "--torus-n", "100000", "-o", "{out}"],
+            f"a cover with n=100000, s=0, d=5 has up to {13 * 10**15} vertices, above the limit of {2**20}",
+        ),
     ],
-    ids=["embed", "export-full-unit", "export-torus", "verify-torus"],
+    ids=["embed", "export-full-unit", "export-torus"],
 )
-def test_huge_cover_is_a_usage_error(cert_d33_s30, cert_d5_s3, tmp_path, capsys, time_limit, argv, vertices):
+def test_huge_cover_is_a_usage_error(cert_d33_s30, tmp_path, capsys, time_limit, argv, message):
     """A cover above COVER_LIMIT vertices exits 2 with one stderr line
-    before anything is built or printed, and writes no file."""
+    before anything is built or printed, and writes no file.  embed's own
+    edge limit lies below every cover limit, so it refuses such a cover
+    first."""
     out = tmp_path / "out"
-    argv = [a.format(d33_s30=cert_d33_s30, d5_s3=cert_d5_s3, out=out) for a in argv]
-    code, stdout, err = run(capsys, *argv)
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith("error: a cover with n=") and err.count("\n") == 1
-    assert f"has up to {vertices} vertices, above the limit of {2**20}" in err
+    argv = [a.format(d33_s30=cert_d33_s30, out=out) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", str(PINNED / "cert_d5_seed1.json"), "--trunc-s", "2", "-o", "{tmp}/e.json", "--obj", "{tmp}/no/x.obj"],
+        ["report", str(PINNED / "cert_d5_seed1.json"), "-o", "{tmp}/no/r.json"],
+        ["export", "--d", "5", "-o", "{tmp}/g"],
+    ],
+    ids=["embed-obj", "report", "export-dot"],
+)
+def test_an_unwritable_output_leaves_nothing_behind(tmp_path, capsys, argv):
+    """A command whose output cannot be written exits 2 with one stderr
+    line, prints nothing and leaves none of its files: embed's JSON is
+    removed when its --obj directory is missing, and export's JSON when its
+    <stem>.dot is a directory."""
+    (tmp_path / "g.dot").mkdir()
+    code, stdout, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "g.dot"]
 
 
 @pytest.mark.parametrize("kind", ["base", "central", "root"])
@@ -325,6 +370,8 @@ def test_allocation_failure_is_a_usage_error(tmp_path, capsys, monkeypatch, mess
         # an unknown option before the command is thetalattice's own
         ("export", ["--bogus", "{command}", "--d", "5"], "unrecognized arguments: --bogus"),
         ("verify", ["--bogus", "{command}", "{cert}"], "unrecognized arguments: --bogus"),
+        # verify takes the certificate and no option
+        ("verify", ["{cert}", "--torus-n", "2"], "unrecognized arguments: --torus-n 2"),
     ],
 )
 def test_argparse_refusal_is_usage_line_and_one_error(cert_d5, tmp_path, command, argv, message):
@@ -418,13 +465,11 @@ def test_verify_computes_the_census_once(cert_d5, tmp_path, capsys, monkeypatch)
         assert len(calls) == 1
 
 
-def test_verify_decides_the_torus_size_before_the_census(cert_d5_s3, capsys, monkeypatch):
+def test_verify_skips_a_torus_above_the_cover_limits(cert_d5_s3, capsys, monkeypatch):
     """With COVER_EDGE_LIMIT below the 1,600 edges of the d = 5, s = 3,
-    n = 2 torus, verify skips the default cross-check, naming the size, and
+    n = 2 torus, verify skips the cross-check, naming the size, and
     otherwise prints what it prints unpatched (the cut certificate's flags
-    fail, so VERDICT: FAIL and exit 1); with --torus-n 2 it exits 2 with
-    one line and runs no census."""
-    import thetalattice.cli as cli_module
+    fail, so VERDICT: FAIL and exit 1)."""
     import thetalattice.voltage as voltage_module
 
     def kept(out):
@@ -442,26 +487,28 @@ def test_verify_decides_the_torus_size_before_the_census(cert_d5_s3, capsys, mon
         "(a cover with n=2, s=3, d=5 has 1600 edges, above the limit of 1599)"
     ) in patched.splitlines()
 
-    calls = []
-    monkeypatch.setattr(cli_module, "voltage_census", lambda *args: calls.append(args))
-    code, out, err = run(capsys, "verify", str(cert_d5_s3), "--torus-n", "2")
-    assert (code, out, calls) == (2, "", [])
-    assert err == "error: a cover with n=2, s=3, d=5 has 1600 edges, above the limit of 1599\n"
 
-
-def test_verify_rejects_torus_n1(cert_d5, capsys):
-    code, _, err = run(capsys, "verify", str(cert_d5), "--torus-n", "1")
-    assert code == 2
-
-
-@pytest.mark.parametrize("n", ["2", "3"])
-def test_verify_refuses_torus_n_above_three_stages(capsys, n):
-    """The torus cross-check runs only when s <= 3, so --torus-n on the
-    pinned d = 10 certificate (s = 12) exits 2 with one line, after the
-    certificate is read and before anything is printed."""
-    code, out, err = run(capsys, "verify", str(PINNED / "cert_d10_seed1.json"), "--torus-n", n)
-    assert code == 2 and out == ""
-    assert err == "error: --torus-n is not used at s=12: the torus cross-check runs only when s <= 3\n"
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_short_closed_walks_move_each_axis_at_most_one_step(d):
+    """Why verify's torus cross-check at n = 2 is exact: every closed walk
+    of length 4 or 6 of the base graph with no immediate reversal (across
+    the closing step too) moves each axis by -1, 0 or 1, so none wraps to
+    zero displacement on the n = 2 torus."""
+    base, n = BaseGraph(d), 2 * d
+    nbrs = {v: [u for u in range(n) if (u < d) != (v < d)] for v in range(n)}
+    step = {(u, v): edge_disp(base, u, v) for u in range(n) for v in nbrs[u]}
+    for length in (4, 6):
+        # (first step, previous vertex, current vertex, displacement so far)
+        walks = {((u, v), u, v, step[u, v]) for u, v in step}
+        for _ in range(length - 1):
+            walks = {
+                (first, cur, w, tuple(a + b for a, b in zip(disp, step[cur, w])))
+                for first, prev, cur, disp in walks
+                for w in nbrs[cur]
+                if w != prev
+            }
+        closed = {disp for (u, v), prev, cur, disp in walks if cur == u and prev != v}
+        assert {x for disp in closed for x in disp} == {-1, 0, 1}
 
 
 def test_verify_detects_tampering(cert_d5, tmp_path, capsys):
@@ -1308,7 +1355,7 @@ def test_verify_small_s_runs_torus_cross_check(tmp_path, capsys):
     assert not cert.flags.all_true
     path = tmp_path / "random_s2.json"
     path.write_text(cert.to_json())
-    code, out, _ = run(capsys, "verify", str(path), "--torus-n", "2")
+    code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert "explicit torus cross-check at n=2: PASS" in out
     assert "VERDICT: FAIL" in out
