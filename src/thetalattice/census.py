@@ -6,14 +6,17 @@ it counts bipartite graphs only, as every graph the package builds is.
 All reported averages are exact rationals, and every count is made in
 integers; nothing in this module uses floating point.  On explicit graphs
 the wedges (paths u - w - v with u, v in one colour class, keyed by their
-end pair) give each class's pair codegrees: the larger class's sorted keys
-give its thetas, and the smaller class's int64 wedge table the 4-cycles,
-the central 4-cycles, its thetas, and the 6-cycles through a
-codegree-triangle identity, whose triangle sum gathers each candidate pair
-from a reusable slot table.  The per-cube census keys each walk by one XOR
-of edge keys, its level bits with the parity of its displacement above
-them, which is exact among the walks it compares; the keys are uint16 up to
-13 level bits, uint32 up to 29 and uint64 up to voltage.MAX_STAGES = 61.
+end pair) give each class's pair codegrees, and the census reads nothing
+else: the runs of the larger class's sorted keys give its thetas and the
+middle-vertex reuse term of a codegree-triangle identity for the
+6-cycles; the smaller class's distinct keys and their counts give the
+4-cycles, its thetas and that identity's triangle sum, which gathers each
+candidate pair from a reusable slot table; and one more pass, over the
+central subgraph alone, gives the central 4-cycles.  The per-cube census
+keys each walk by one XOR of edge keys, its level bits with the parity of
+its displacement above them, which is exact among the walks it compares;
+the keys are uint16 up to 13 level bits, uint32 up to 29 and uint64 up to
+voltage.MAX_STAGES = 61.
 """
 
 from __future__ import annotations
@@ -94,28 +97,14 @@ def _frac_str(x: Fraction) -> str:
 _TRIANGLE_BLOCK = 1 << 16
 
 
-class _Wedges(NamedTuple):
-    """Every wedge u - w - v (u < v) whose middle vertex w lies in one set,
-    keyed by its end pair.
-
-    The key of a vertex pair u < v is u * n + v, below n^2 and so in int64
-    for any n below 3 * 10^9.  keys holds the distinct keys in ascending
-    order and codegree[i] the number of wedges over keys[i], which is the
-    codegree of that pair when the set holds every common neighbour of its
-    ends.  Wedge j has middle vertex center[j] and end pair keys[pair[j]].
-    """
-
-    center: np.ndarray
-    pair: np.ndarray
-    keys: np.ndarray
-    codegree: np.ndarray
-
-
 def _wedge_keys(start: np.ndarray, nbr: np.ndarray, middle: np.ndarray) -> np.ndarray:
     """The end-pair keys of the wedges whose middle vertex lies in middle (a
     boolean mask) of the CSR adjacency (start, nbr), ordered by the degree k
     of that vertex, then by the vertex: the neighbour pairs of all middle
-    vertices of degree k at once, taken by triu_indices(k)."""
+    vertices of degree k at once, taken by triu_indices(k).  The key of
+    the end pair u < v is u * n + v, below n^2 and so in int64 for any n
+    below 3 * 10^9; the number of wedges over a pair is its codegree when
+    middle holds every common neighbour of its ends."""
     n = len(start) - 1
     degree = np.diff(start)
     keys = [np.zeros(0, dtype=np.int64)]
@@ -125,16 +114,6 @@ def _wedge_keys(start: np.ndarray, nbr: np.ndarray, middle: np.ndarray) -> np.nd
         lo, hi = np.triu_indices(k, 1)
         keys.append((rows[:, lo] * n + rows[:, hi]).ravel())
     return np.concatenate(keys)
-
-
-def _wedges(start: np.ndarray, nbr: np.ndarray, middle: np.ndarray) -> _Wedges:
-    """The wedge table of the middle vertices (a boolean mask) of the CSR
-    adjacency (start, nbr), its centres in the order of _wedge_keys."""
-    degree = np.diff(start)
-    verts = np.flatnonzero(middle & (degree >= 2))
-    verts = verts[np.argsort(degree[verts], kind="stable")]
-    uniq, pair, codegree = np.unique(_wedge_keys(start, nbr, middle), return_inverse=True, return_counts=True)
-    return _Wedges(np.repeat(verts, degree[verts] * (degree[verts] - 1) // 2), pair, uniq, codegree)
 
 
 def _pairs(m: np.ndarray) -> int:
@@ -149,25 +128,31 @@ def _triples(m: np.ndarray) -> int:
     return int(np.dot(m * (m - 1), m - 2)) // 6
 
 
-def _bipartite_c6(w: _Wedges, degree: np.ndarray, in_y: np.ndarray) -> int:
-    """6-cycles of a bipartite graph from the codegrees of one side.
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of two or more equal keys in the rows of a row-sorted 2-D
+    array: the flat index of each run's first key, and its multiplicity m
+    (through _exact), for _pairs and _triples.
 
-    With X the smaller side, Y the other, chat the X-side codegree matrix
-    with zero diagonal, and for y in Y q_y = x_y^T chat x_y over its
-    neighbourhood x_y:
-
-        C6 = tr(chat^3)/6 - sum_y (deg_y - 2) q_y / 2 + 2 sum_y C(deg_y, 3)
-
-    The first term counts codegree triangles, the others remove triples that
-    reuse a middle vertex.  Every term is an exact integer: tr(chat^3)/6 is
-    the sum over codegree triangles a < b < c of c_ab c_bc c_ac, and q_y / 2
-    is the sum of the codegrees of the wedges at y.  w is the X-pair table:
-    its wedges are those centred in Y, the mask in_y.
+    The equal-neighbour mask of the flat rows has one False before it and
+    one at each row start, so no run crosses rows; its changes alternate
+    between the start of a run of m - 1 equal neighbours and its end.
     """
-    reuse = int(((degree[w.center] - 2) * w.codegree[w.pair]).sum())
-    deg_y = degree[in_y]
-    closed = int((deg_y * (deg_y - 1) * (deg_y - 2) // 6).sum())
-    return _codegree_triangles(w.keys, w.codegree, len(degree)) - reuse + 2 * closed
+    n = rows.shape[1]
+    flat = rows.reshape(-1)
+    same = np.empty(flat.size + 1, dtype=bool)
+    same[0] = False
+    np.equal(flat[1:], flat[:-1], out=same[1:-1])
+    same[n :: n or 1] = False  # with no keys, same is the one False
+    change = (same[1:] != same[:-1]).nonzero()[0]
+    first = change[::2]
+    return first, _exact(change[1::2] - first + 1, flat.size)
+
+
+def _exact(m: np.ndarray, size: int) -> np.ndarray:
+    """The multiplicities m, whose sum is at most size, as Python ints where
+    _pairs or _triples of them might pass int64: both sums are below
+    max(m)^2 * size."""
+    return m.astype(object) if int(m.max(initial=0)) ** 2 * size >> 63 else m
 
 
 def _codegree_triangles(keys: np.ndarray, codegree: np.ndarray, n: int) -> int:
@@ -228,53 +213,76 @@ def _codegree_triangles(keys: np.ndarray, codegree: np.ndarray, n: int) -> int:
     return total
 
 
-def _central_c4(g: LabeledGraph, w: _Wedges) -> int:
-    """4-cycles inside the central copies: those whose four vertices all have
-    hub/spoke roles at one (cell, level), counted from the codegrees of the
-    wedges whose three vertices do, read from the role, level and cell
-    arrays."""
-    central = np.array([role_tag(r) in CENTRAL_TAGS for r in g.roles])[g.role_codes]
-    lo, hi = np.divmod(w.keys[w.pair], g.vertex_count)
-    mid = w.center
-    at = np.flatnonzero(central[mid] & central[lo] & central[hi])
-    lo, hi, mid = lo[at], hi[at], mid[at]
-    levels, cells = g.levels, g.cells
-    same = (
-        (levels[lo] == levels[mid])
-        & (levels[hi] == levels[mid])
-        & (cells[lo] == cells[mid]).all(axis=1)
-        & (cells[hi] == cells[mid]).all(axis=1)
-    )
-    return _pairs(np.bincount(w.pair[at[same]], minlength=len(w.keys)))
-
-
 def census(g: LabeledGraph) -> CensusReport:
     """The explicit-graph census of g: its 4-cycles (c4_total), the central
-    ones among them (all four vertices with hub/spoke roles at one (cell,
-    level); 0 unless g has the roles t, b and c) and the stray
-    rest, its 6-cycles and its K_{2,3} subgraphs (theta222), each also per
-    vertex.  MalformedGraph names the first edge, in edge_array order, whose
-    ends the breadth-first colouring puts in one class: g is not bipartite,
-    and is not counted.  With X the smaller colour class, the pairs of the
-    other class give only their thetas, from the runs of their sorted wedge
-    keys, which are freed before the X-pair table is built; from that table
-    come the rest: each 4-cycle has one diagonal in X."""
-    start, nbr = _csr(g)
+    ones among them (the 4-cycles of the central subgraph, the edges whose
+    two ends have hub/spoke roles at one (level, cell)) and the stray rest,
+    its 6-cycles and its K_{2,3} subgraphs (theta222), each also per vertex.
+    MalformedGraph names the first edge, in edge_array order, whose ends the
+    breadth-first colouring puts in one class: g is not bipartite, and is
+    not counted.
+
+    With X the smaller colour class and Y the other, the wedges centred in
+    X key the Y pairs and those centred in Y the X pairs; the number of
+    wedges over a pair is its codegree c.  Each 4-cycle has one diagonal in
+    X, so c4 = sum C(c_xx', 2), and each K_{2,3} its hub pair in X or in Y,
+    so theta222 = sum C(c, 3) over the pairs of both classes.  With chat
+    the X codegree matrix with zero diagonal and, for y in Y, S_y the sum
+    of c_xx' over x < x' in N(y), which counts each y'' once for every pair
+    in N(y) & N(y''), so that S_y = C(deg_y, 2) + sum over y' != y of
+    C(c_yy', 2),
+
+        C6 = tr(chat^3)/6 - sum_y (deg_y - 2) S_y + 2 sum_y C(deg_y, 3).
+
+    The first term sums c_ab c_bc c_ac over the codegree triangles a < b < c
+    (_codegree_triangles), the others remove triples that reuse a middle
+    vertex.  As (deg_y - 2) C(deg_y, 2) = 3 C(deg_y, 3), this is
+
+        C6 = tr(chat^3)/6 - sum_{y < y'} C(c_yy', 2) (deg_y + deg_y' - 4)
+             - sum_y C(deg_y, 3),
+
+    whose middle sum reads each run of equal sorted Y keys off its first
+    key.  The Y keys are sorted in place and freed before the X table (the
+    distinct X keys and their counts) is built, and that is freed before
+    the central subgraph's X keys are enumerated.
+    """
+    n, ends = g.vertex_count, g.edge_array
+    start, nbr = _csr(n, ends)
     _, parity = _bfs(start, nbr)
-    same = parity[g.edge_array[:, 0]] == parity[g.edge_array[:, 1]]
+    same = parity[ends[:, 0]] == parity[ends[:, 1]]
     if same.any():
-        u, v = g.edge_array[int(np.argmax(same))].tolist()
+        u, v = ends[int(np.argmax(same))].tolist()
         raise MalformedGraph(f"census counts bipartite graphs only: edge ({u},{v}) closes an odd cycle")
-    in_y = parity != int(2 * parity.sum() < len(parity))  # X is colour 1 only if it is the smaller class
+    in_y = parity != int(2 * parity.sum() < n)  # X is colour 1 only if it is the smaller class
+    degree = np.diff(start)
+
     y_keys = _wedge_keys(start, nbr, ~in_y)
     y_keys.sort()
-    theta_y = _triples(_runs(y_keys[None]))
-    del y_keys
-    w = _wedges(start, nbr, in_y)
-    c4, theta_x = _pairs(w.codegree), _triples(w.codegree)
-    central = _central_c4(g, w) if set(map(role_tag, g.roles)) >= CENTRAL_TAGS else 0
-    c6 = _bipartite_c6(w, np.diff(start), in_y)
-    return CensusReport(c4, central, c6, theta_y + theta_x, g.vertex_count, "explicit-graph")
+    first, m = _runs(y_keys[None])
+    y, y2 = np.divmod(y_keys[first], n)
+    weight = degree[y] + degree[y2] - 4
+    # each term C(m, 2) * weight is at most max(weight) * C(m, 2)
+    if int(weight.max(initial=0)) * _pairs(m) >> 63:
+        weight = weight.astype(object)
+    reuse = int(np.dot(m * (m - 1) // 2, weight))
+    theta_y = _triples(m)
+    del y_keys, first, m, y, y2, weight
+    closed = _triples(_exact(degree[in_y], len(ends)))  # the degrees of Y sum to the edge count
+
+    keys, codegree = np.unique(_wedge_keys(start, nbr, in_y), return_counts=True)
+    del start, nbr  # the central subgraph has a CSR of its own
+    c6 = _codegree_triangles(keys, codegree, n) - reuse - closed
+    codegree = _exact(codegree, int(codegree.sum()))
+    c4, theta_x = _pairs(codegree), _triples(codegree)
+    del keys, codegree
+
+    central = np.array([role_tag(r) in CENTRAL_TAGS for r in g.roles], dtype=bool)[g.role_codes]
+    u, v = ends.T
+    inside = central[u] & central[v] & (g.levels[u] == g.levels[v]) & (g.cells[u] == g.cells[v]).all(axis=1)
+    central_keys = _wedge_keys(*_csr(n, ends[inside]), in_y)
+    central_keys.sort()
+    c4_central = _pairs(_runs(central_keys[None])[1])
+    return CensusReport(c4, c4_central, c6, theta_y + theta_x, n, "explicit-graph")
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +307,6 @@ def _edge_keys(base: BaseGraph, volt: VoltageAssignment) -> np.ndarray:
     key = next(t for t in (np.uint16, np.uint32, np.uint64) if s + 3 <= np.iinfo(t).bits)
     parity = (moved.transpose(1, 0, 2) @ np.array([1, 2, 4])).astype(key)
     return np.ascontiguousarray(volt.masks.T.astype(key) | parity << s)
-
-
-def _runs(rows: np.ndarray) -> np.ndarray:
-    """The multiplicities m >= 2 of the runs of equal keys in the rows of a
-    row-sorted 2-D array, for _pairs and _triples.
-
-    The equal-neighbour mask of the flat rows has one False before it and
-    one at each row start, so no run crosses rows; its changes alternate
-    between the start of a run of m - 1 equal neighbours and its end.
-    """
-    n_rows, n = rows.shape
-    flat = rows.reshape(-1)
-    same = np.empty(flat.size + 1, dtype=bool)
-    same[0] = False
-    np.equal(flat[1:], flat[:-1], out=same[1:-1])
-    same[n :: n or 1] = False  # with no keys, same is the one False
-    change = (same[1:] != same[:-1]).nonzero()[0]
-    m = change[1::2] - change[::2] + 1
-    # a row's runs have sum m <= n, so each row adds under n^3 to the sums
-    return m.astype(object) if n_rows * n**3 >> 63 else m
 
 
 def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
@@ -381,18 +369,18 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
     iu, ju = np.triu_indices(nw, 1)
     pair_keys = key[iu] ^ key[ju]
     pair_keys.sort(axis=1)
-    runs = _runs(pair_keys)
+    _, runs = _runs(pair_keys)
     zero4, theta = _pairs(runs), _triples(runs)
     hubs = pair_keys[:1]  # the white pair (0, 1) is the hub pair (t, b)
     assert not hubs.any(), "central hub paths must carry zero voltage"
-    central4 = _pairs(_runs(hubs))
+    central4 = comb(nb, 2)
 
     # theta hubs may also be a black pair with three white middles (4-cycles
     # and 6-cycles are already counted once via their white diagonals/triples)
     ib, jb = np.triu_indices(nb, 1)
     black_keys = key_t[ib] ^ key_t[jb]
     black_keys.sort(axis=1)
-    theta += _triples(_runs(black_keys))
+    theta += _triples(_runs(black_keys)[1])
     del pair_keys, black_keys  # not held beside the walk buffer
 
     # equal-key pairs of 3-walks i -> a -> j -> b with j > i, one white i at
@@ -407,7 +395,7 @@ def voltage_census(base: BaseGraph, volt: VoltageAssignment) -> CensusReport:
         np.bitwise_xor(key[i] ^ key[i + 1 :], key_t[:, i + 1 :, None], out=walk)
         rows = walk.reshape(nb, -1)
         rows.sort(axis=1)
-        equal_pairs += size + 2 * _pairs(_runs(rows))
+        equal_pairs += size + 2 * _pairs(_runs(rows)[1])
     degenerate = nb * nb * comb(nw, 2) + 2 * nb * comb(nw, 3) + (2 * nb + 4 * (nw - 2)) * zero4
     zero6, rest = divmod(equal_pairs - degenerate, 2)
     assert rest == 0, "the equal walk pairs on 6-cycles come two to a cycle"

@@ -189,9 +189,9 @@ class LabeledGraph(_Value):
         return tuple(map(tuple, self.edge_array.tolist()))
 
 
-def _csr(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(start, nbr): the neighbours of v, ascending, are nbr[start[v]:start[v + 1]]."""
-    n, ends = g.vertex_count, g.edge_array
+def _csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, nbr) of the n vertices and the (E, 2) edge array ends: the
+    neighbours of v, ascending, are nbr[start[v]:start[v + 1]]."""
     src = np.concatenate([ends[:, 0], ends[:, 1]])
     dst = np.concatenate([ends[:, 1], ends[:, 0]])
     start = np.zeros(n + 1, dtype=np.int64)

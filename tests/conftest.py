@@ -134,7 +134,7 @@ def vertex_labels(g):
 
 def adjacency_lists(g):
     """The neighbours of every vertex, ascending, as tuples."""
-    start, nbr = _csr(g)
+    start, nbr = _csr(g.vertex_count, g.edge_array)
     start, nbr = start.tolist(), nbr.tolist()
     return tuple(tuple(nbr[start[v]:start[v + 1]]) for v in range(g.vertex_count))
 
@@ -404,7 +404,7 @@ def certified():
 
 def _c4_theta_reference(g):
     """(4-cycles, K_{2,3} subgraphs) from pair codegrees counted one wedge at
-    a time in a Counter: the reference oracle for the wedge table of
+    a time in a Counter: the reference oracle for the codegrees of
     `census`."""
     cod = Counter()
     for nbrs in adjacency_lists(g):
@@ -930,14 +930,14 @@ def two_coloring(g: LabeledGraph) -> list[int] | None:
     """A proper 2-coloring, or None if the graph is not bipartite: the parity
     of each vertex's breadth-first depth from the smallest vertex of its
     component, from the package's _bfs and _proper_coloring."""
-    _, parity = _bfs(*_csr(g))
+    _, parity = _bfs(*_csr(g.vertex_count, g.edge_array))
     return parity.tolist() if _proper_coloring(g, parity) else None
 
 
 def _components(g: LabeledGraph) -> list[int]:
     """Component numbers per vertex, numbered in order of their smallest
     vertex, from the package's _bfs."""
-    root, _ = _bfs(*_csr(g))
+    root, _ = _bfs(*_csr(g.vertex_count, g.edge_array))
     return np.unique(root, return_inverse=True)[1].tolist()
 
 
@@ -1045,7 +1045,7 @@ class ValidationReport:
 def validate(g: LabeledGraph, expect_regular: int | None = None) -> ValidationReport:
     """Report simplicity, bipartiteness (black = c-roles), the degree
     histogram, and optional d-regularity.  Never raises."""
-    root, parity = _bfs(*_csr(g))
+    root, parity = _bfs(*_csr(g.vertex_count, g.edge_array))
     bipartite = _proper_coloring(g, parity)
     # every component must color all c-roles one class and the rest the
     # other: a black vertex's parity, a white one's flipped, is the same

@@ -41,11 +41,12 @@ from conftest import (
     random_graph,
     torus_with_same_colour_edge,
     two_coloring_reference,
+    vertex_labels,
 )
 from thetalattice.census import CensusReport, census, voltage_census
 from thetalattice.certify import recheck_constraints_dfs
 from thetalattice.errors import MalformedGraph, TooLarge
-from thetalattice.graphs import _bfs, _csr, build_root_unit_graph, graph_from_json_dict
+from thetalattice.graphs import CENTRAL_TAGS, _bfs, _csr, build_root_unit_graph, graph_from_json_dict
 from thetalattice.voltage import MAX_STAGES, build_base_graph, derived_cover
 
 # the package re-exports a function named like this module
@@ -321,29 +322,49 @@ def test_classify_central_needs_one_cell_and_level():
             assert (rep.c4_central, rep.c4_stray) == (0, 1)
 
 
+def test_central_count_reads_no_unrelated_vertex():
+    """A 4-cycle on the roles t, t, c1, c2 at one (level, cell) is central
+    though no vertex has the role b, and an isolated b vertex added beside
+    it changes nothing."""
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    cycle = [VertexLabel(r) for r in ("t", "t", "c1", "c2")]
+    for labels in (cycle, [*cycle, VertexLabel("b")]):
+        g = labeled_graph(labels, edges)
+        rep = census(g)
+        assert (rep.c4_central, rep.c4_stray) == (1, 0)
+        assert rep.c4_central == _central_c4_reference(g)
+
+
 def test_census_makes_one_codegree_pass(monkeypatch):
-    """census() enumerates the wedges of each colour class once, two
-    enumerations per call: first those centred in the smaller class X, then
-    those centred in the other, so the two middle masks split the vertices.
-    The second's table serves c4, the central 4-cycles and the 6-cycles."""
+    """census() enumerates wedges three times per call: first those centred
+    in the smaller class X, then those centred in the other, so the first
+    two middle masks split the vertices, and last those of the central
+    subgraph alone, the edges whose ends have hub/spoke roles at one
+    (level, cell)."""
     base, volt0 = build_base_graph(5)
     torus = derived_cover(base, random_bits_voltage(base, volt0, 2, seed=5), 2)
     k2d = labeled_k2d(5)
     original = census_module._wedge_keys
-    masks = []
+    calls = []
 
     def counted(start, nbr, middle):
-        masks.append(middle.copy())
+        calls.append((start.copy(), nbr.copy(), middle.copy()))
         return original(start, nbr, middle)
 
     monkeypatch.setattr(census_module, "_wedge_keys", counted)
     report = census(torus)
     census(k2d)
-    assert len(masks) == 4
-    for g, (in_x, in_y) in zip((torus, k2d), (masks[:2], masks[2:])):
+    assert len(calls) == 6
+    for g, (x_call, y_call, central_call) in zip((torus, k2d), (calls[:3], calls[3:])):
+        in_x, in_y = x_call[2], y_call[2]
         assert len(in_x) == g.vertex_count
         assert (in_x ^ in_y).all()
         assert 2 * in_x.sum() <= g.vertex_count
+        copy = [(lab.cell, lab.level) if lab.tag in CENTRAL_TAGS else None for lab in vertex_labels(g)]
+        inside = [copy[u] is not None and copy[u] == copy[v] for u, v in g.edges]
+        want = _csr(g.vertex_count, g.edge_array[np.array(inside, dtype=bool)])
+        assert all(np.array_equal(got, expect) for got, expect in zip(central_call, want))
+        assert (central_call[2] == in_y).all()
     copies = 2**3 * 2**2  # n^3 * 2^s central copies of K_{2,5}
     assert report.c4_central == copies * 10
 
@@ -362,7 +383,7 @@ def test_census_central_from_either_side():
     edges = [(hub, 2 + i) for hub in (0, 1) for i in range(d)]
     edges += [(d + 2 + i, 2 * d + 2 + hub) for hub in (0, 1) for i in range(d)]
     g = labeled_graph(first + second, edges, d)
-    _, parity = _bfs(*_csr(g))
+    _, parity = _bfs(*_csr(g.vertex_count, g.edge_array))
     assert parity[[0, 1, d + 2]].tolist() == [0, 0, 0]
     rep = census(g)
     assert rep.c4_central == rep.c4_total == 2 * comb(d, 2)
@@ -386,7 +407,7 @@ def test_census_central_from_either_side():
 )
 def test_census_one_sided_matches_brute_force(n, edges, sizes):
     g = plain_graph(n, edges)
-    _, parity = _bfs(*_csr(g))
+    _, parity = _bfs(*_csr(g.vertex_count, g.edge_array))
     assert (int((parity == 0).sum()), int(parity.sum())) == sizes
     rep = census(g)
     assert rep == brute_force_census(g)
@@ -394,9 +415,9 @@ def test_census_one_sided_matches_brute_force(n, edges, sizes):
 
 
 def test_census_memory_is_one_class_table(certified):
-    """The two wedge tables are never held at once, and neither mixes the
-    pairs of both classes: the census of the d = 10, s = 8 full unit graph
-    (5,888 vertices) stays under 16 MiB of traced memory."""
+    """The two classes' wedge keys are never held at once, and neither
+    mixes the pairs of both classes: the census of the d = 10, s = 8 full
+    unit graph (5,888 vertices) stays under 16 MiB of traced memory."""
     _, base, volt, _ = certified(10)
     fug = derived_cover(base, volt)
     assert volt.s == 8 and fug.vertex_count == 5888
@@ -408,6 +429,23 @@ def test_census_memory_is_one_class_table(certified):
         tracemalloc.stop()
     assert rep.c4_central == rep.c4_total == 256 * 45
     assert peak < 16 << 20
+
+
+def test_census_memory_of_the_n2_torus(certified):
+    """No per-wedge table is held: the census of the d = 10, n = 2 torus
+    (40,960 vertices, 921,600 X-pair wedges) stays under 60 MiB of traced
+    memory."""
+    _, base, volt, _ = certified(10)
+    torus = derived_cover(base, volt, 2)
+    assert torus.vertex_count == 40960
+    tracemalloc.start()
+    try:
+        rep = census(torus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.c4_central == rep.c4_total == 8 * 256 * 45
+    assert peak < 60 << 20
 
 
 def test_classify_certified_full_unit_graph(certified):
@@ -533,16 +571,26 @@ def test_voltage_census_matches_reference_random_bits(d, s, seed):
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=10**6),
 )
+# n^3 passes 2^63, but max(m)^2 * n does not, so the sums stay in int64
+@example(n_rows=1, n=(1 << 21) + 1, values=4, seed=0)
+# one run of 4 * 2^20 equal keys: C(m, 3) passes 2^63 and is summed in
+# Python ints
+@example(n_rows=1, n=4 << 20, values=1, seed=0)
 def test_run_totals_matches_value_counts(n_rows, n, values, seed):
     """On row-sorted keys, _pairs and _triples of _runs are sum C(m,2) and
     sum C(m,3) over the multiplicities m of each row's keys: a run never
-    joins the equal keys that end the row before it."""
+    joins the equal keys that end the row before it.  Each run starts at
+    its first key, and the sums are taken in int64 exactly when
+    max(m)^2 times the number of keys is below 2^63."""
     rows = np.random.default_rng(seed).integers(0, values, (n_rows, n)).astype(np.uint16)
     rows.sort(axis=1)
     counts = [m for row in rows.tolist() for m in Counter(row).values()]
     expect = sum(comb(m, 2) for m in counts), sum(comb(m, 3) for m in counts)
-    runs = census_module._runs(rows)
+    first, runs = census_module._runs(rows)
     assert (census_module._pairs(runs), census_module._triples(runs)) == expect
+    flat = rows.reshape(-1)
+    assert (flat[first] == flat[first + 1]).all()
+    assert (runs.dtype == object) == (max(counts) ** 2 * rows.size >= 1 << 63)
 
 
 @pytest.mark.parametrize(

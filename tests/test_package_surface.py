@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thetalattice.census import CensusReport, _Wedges
+from thetalattice.census import CensusReport
 from thetalattice.embed import Try
 from thetalattice.entropy import LatticeSummary
 from thetalattice.errors import DegreeTooSmall, InvalidCertificate
@@ -212,7 +212,6 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 
 _MASKS = np.array([[0, 0, 1, 0, 3]] * 5, dtype=np.int64)
-_KEYS = np.arange(4, dtype=np.int64)
 _REPORT = (45 << 8, 45 << 8, 0, 120 << 8, 20 << 8, "per-cube")
 
 
@@ -232,7 +231,6 @@ _VALUE_CLASSES = [
         None,
     ),
     (CensusReport, lambda: CensusReport(*_REPORT), "c6", True, None),
-    (_Wedges, lambda: _Wedges(_KEYS, _KEYS, _KEYS, _KEYS), "center", False, None),
     (
         Try,
         lambda: Try([[1, 2, 3], [4, 5, 6]], 7, Fraction(1, 7)),
