@@ -172,7 +172,11 @@ def census_certificate(
     volt) decides, with the closed-form constraint count: no zero-voltage
     hexes, no stray zero-voltage 4-cycles and the formula counts of the
     central 4-cycles and thetas, and the voltage-group generation check.
-    Failures are recorded in the flags, never raised."""
+    Failures are recorded in the flags.  AssertionError marks a faulty
+    census, not a failed verdict: it passes no voltage with 2^s < d - 1.
+    Over two blacks other than c1 no edge moves, and the hubs' masks XOR to
+    0, so each of the other d - 2 whites needs a nonzero XOR of its two
+    masks, distinct from every other white's."""
     d, s = base.d, volt.s
     # under a valid certificate, every 4-cycle and theta lives in a central copy
     stray_ok = (
@@ -180,6 +184,8 @@ def census_certificate(
         and report.c4_central == (1 << s) * comb(d, 2)
         and report.theta222 == (1 << s) * comb(d, 3)
     )
+    if stray_ok and 1 << s < d - 1:
+        raise AssertionError(f"the census passes a voltage with 2^{s} < d - 1 = {d - 1}")
     flags = CertificateFlags(
         no_zero_voltage_hexes=report.c6 == 0,
         no_zero_voltage_stray4s=stray_ok,

@@ -25,7 +25,10 @@ def _as_fraction(x: RationalLike) -> Fraction:
 def d6_coefficient(
     c4_bar: RationalLike, c6_bar: RationalLike, theta_bar: RationalLike, d: int
 ) -> Fraction:
-    """5*c4_bar/d^6 + c6_bar/(2 d^6) - 2*theta_bar/d^6, exactly."""
+    """5*c4_bar/d^6 + c6_bar/(2 d^6) - 2*theta_bar/d^6, exactly, of the
+    per-vertex averages: half the p^6 term, the first with 6-cycles and
+    thetas, of the monomer-dimer entropy at covered fraction p minus its
+    Bethe value [p ln d - p ln p - 2(1-p) ln(1-p) + (d-p) ln(1-p/d)] / 2."""
     if d < 1:
         raise ValueError("d must be >= 1")
     p = Fraction(d) ** 6

@@ -341,8 +341,16 @@ def graph_from_json_dict(data: dict) -> LabeledGraph:
     )
 
 
+def _json_value(text: str, what: str):
+    """json.loads(text); MalformedGraph, naming what, for nesting too deep to parse."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise MalformedGraph(f"{what} JSON is nested too deeply to parse") from None
+
+
 def graph_from_json(text: str) -> LabeledGraph:
-    return graph_from_json_dict(json.loads(text))
+    return graph_from_json_dict(_json_value(text, "graph"))
 
 
 def _json_list(items: str, count: int) -> str:

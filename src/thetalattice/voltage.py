@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeTooSmall, MalformedGraph, TooLarge, TorusTooSmall
-from .graphs import Edge, LabeledGraph, _frozen, _json_list, _Value, role_rank
+from .graphs import Edge, LabeledGraph, _frozen, _json_list, _json_value, _Value, role_rank
 
 Vec3 = tuple[int, int, int]
 
@@ -435,7 +435,7 @@ class LiftCertificate(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "LiftCertificate":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(_json_value(text, "certificate"))
 
     def to_voltage(self, base: BaseGraph) -> VoltageAssignment:
         """The certificate's voltage, self.volt; base is not read.  Kept for

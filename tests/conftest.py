@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import json
@@ -1065,6 +1066,81 @@ def central_counts(d: int) -> tuple[int, int]:
     if d < 2:
         raise ValueError("d must be >= 2")
     return d * (d - 1) // 2, d * (d - 1) * (d - 2) // 6
+
+
+# ---------------------------------------------------------------------------
+# exact power series, as lists of Fractions truncated after n terms, and a
+# matching counter: the oracle for entropy.d6_coefficient
+
+
+def _padded(a, n):
+    return [Fraction(c) for c in a[:n]] + [Fraction(0)] * (n - len(a))
+
+
+def series_mul(a, b, n):
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[: n - i]):
+            out[i + j] += x * y
+    return out
+
+
+def series_log(a, n):
+    """ln a, a[0] == 1: the integral of q = a'/a, solved from a q = a'."""
+    a = _padded(a, n)
+    assert a[0] == 1
+    q = []
+    for k in range(n - 1):
+        q.append((k + 1) * a[k + 1] - sum(q[j] * a[k - j] for j in range(k)))
+    return [Fraction(0)] + [q[k] / (k + 1) for k in range(n - 1)]
+
+
+def series_compose(f, g, n):
+    """f(g(p)), g[0] == 0, by Horner's rule."""
+    assert g[0] == 0
+    out = [Fraction(0)] * n
+    for c in reversed(f[:n]):
+        out = series_mul(out, g, n)
+        out[0] += c
+    return out
+
+
+def series_reversion(g, n):
+    """The x(p) with g(x(p)) = p, g[0] == 0 != g[1]: each pass of
+    x <- x + (p - g(x)) / g[1] fixes one more term."""
+    x = [Fraction(0)] * n
+    for _ in range(n):
+        gx = series_compose(g, x, n)
+        x = [x[k] + ((k == 1) - gx[k]) / g[1] for k in range(n)]
+    return x
+
+
+def matching_counts(n, edges, k_max):
+    """[m_0, ..., m_k_max]: the matchings of k edges of the graph on
+    vertices 0..n-1, by a recursion over vertex bitmasks on the smallest
+    vertex left, unmatched or matched to a neighbour left."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    @functools.cache
+    def count(mask):
+        if not mask:
+            return (1,) + (0,) * k_max
+        v = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << v)
+        out = list(count(rest))
+        nbrs = adj[v] & rest
+        while nbrs:
+            u = nbrs & -nbrs
+            nbrs ^= u
+            sub = count(rest & ~u)
+            for k in range(k_max):
+                out[k + 1] += sub[k]
+        return tuple(out)
+
+    return list(count((1 << n) - 1))
 
 
 # ---------------------------------------------------------------------------

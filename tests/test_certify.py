@@ -5,6 +5,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from conftest import (
     random_bits_voltage,
     vertex_labels,
 )
-from thetalattice.census import census, voltage_census
+from thetalattice.census import CensusReport, census, voltage_census
 from thetalattice.certify import (
     DFS_LIMIT,
     census_certificate,
@@ -149,6 +150,39 @@ def test_the_census_alone_decides_the_certificate(d, s):
     expected = census_certificate(base, volt, voltage_census(base, volt))
     assert expected.flags.all_true
     assert verify_certificate(base, volt) == expected
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_no_voltage_below_the_stage_bound_passes(s):
+    """A voltage with 2^s < d - 1 leaves a stray zero 4-cycle: at d = 10 no
+    random voltage of 0 to 3 stages passes the census, which therefore
+    never trips census_certificate's AssertionError."""
+    base, volt0 = build_base_graph(10)
+    for seed in range(20):
+        volt = random_bits_voltage(base, volt0, s, seed)
+        report = voltage_census(base, volt)
+        assert report.c4_stray > 0
+        assert not census_certificate(base, volt, report).flags.no_zero_voltage_stray4s
+
+
+def _passing_shaped_census(d, s):
+    """A per-cube census shaped like a pass: no stray 4-cycle, no 6-cycle
+    and the formula counts of the central 4-cycles and thetas."""
+    c4, thetas = (1 << s) * comb(d, 2), (1 << s) * comb(d, 3)
+    return CensusReport(c4, c4, 0, thetas, (1 << s) * 2 * d, "per-cube")
+
+
+def test_a_census_passing_a_voltage_below_the_stage_bound_is_faulty():
+    """Given a passing-shaped census for a d = 10, s = 3 voltage (2^3 < 9),
+    census_certificate raises AssertionError, since no correct census
+    passes such a voltage; at s = 4 the bound holds and the same shape
+    passes."""
+    base, volt0 = build_base_graph(10)
+    volt = random_bits_voltage(base, volt0, 3, seed=0)
+    with pytest.raises(AssertionError, match=r"2\^3 < d - 1 = 9"):
+        census_certificate(base, volt, _passing_shaped_census(10, 3))
+    volt = random_bits_voltage(base, volt0, 4, seed=0)
+    assert census_certificate(base, volt, _passing_shaped_census(10, 4)).flags.no_zero_voltage_stray4s
 
 
 def test_verify_detects_formula_mismatch_via_stray(certified):
@@ -471,18 +505,19 @@ def _wenger_label(x, y, poly, r):
 _PRIMITIVE = {3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
 
 
-@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("r", [3, 4, 5])
 def test_wenger_labels_cover_every_short_cycle(r):
     """The proof in wenger_voltage's docstring by brute force, with a field
     multiply of its own.  Rows x = 0, 0, 1, ..., q - 1 and columns
     y = 0, ..., q - 1 (q = 2^r), edge (x, y) labelled (x y, x^2 y): this
-    K_{q+1,q} holds every base graph that r serves.  Every 4-cycle and every
-    6-cycle has a nonzero label sum, except the 4-cycles on the two x = 0
-    rows."""
+    K_{q+1,q} holds every base graph that r serves, up to d = 32 at r = 5.
+    Every 4-cycle and every 6-cycle has a nonzero label sum, except the
+    4-cycles on the two x = 0 rows.  The 6-cycles are checked in chunks of
+    white triples, on 2r-bit labels stored as uint16."""
     poly, q = _PRIMITIVE[r], 1 << r
     assert all(any(_gf_mul(x, y, poly, r) == 1 for y in range(1, q)) for x in range(1, q))
     xs = [0, 0, *range(1, q)]
-    label = np.array([[_wenger_label(x, y, poly, r) for y in range(q)] for x in xs])
+    label = np.array([[_wenger_label(x, y, poly, r) for y in range(q)] for x in xs], dtype=np.uint16)
     # path[i, j, a]: the label sum of row i -> column a -> row j
     path = label[:, None, :] ^ label[None, :, :]
     i, j = np.triu_indices(len(xs), 1)
@@ -490,10 +525,13 @@ def test_wenger_labels_cover_every_short_cycle(r):
     four = path[i, j][:, a] ^ path[i, j][:, b]
     hub = (i == 0) & (j == 1)
     assert (four[hub] == 0).all() and four[~hub].all()
-    ti, tj, tk = np.array(list(itertools.combinations(range(len(xs)), 3))).T
-    six = path[ti, tj][:, :, None, None] ^ path[tj, tk][:, None, :, None] ^ path[tk, ti][:, None, None, :]
+    triples = np.array(list(itertools.combinations(range(len(xs)), 3)))
     ca, cb, cc = np.indices((q, q, q))
-    assert six[:, (ca != cb) & (cb != cc) & (ca != cc)].all()
+    distinct = (ca != cb) & (cb != cc) & (ca != cc)
+    for lo in range(0, len(triples), 256):
+        ti, tj, tk = triples[lo : lo + 256].T
+        six = path[ti, tj][:, :, None, None] ^ path[tj, tk][:, None, :, None] ^ path[tk, ti][:, None, None, :]
+        assert six[:, distinct].all()
 
 
 @pytest.mark.parametrize("d", [5, 8, 9, 16, 17, 33])

@@ -144,16 +144,6 @@ def cert_d33_s30(cert_d33, tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def cert_d5_s3(cert_d5, tmp_path_factory):
-    """cert_d5 cut to its first 3 stages, so verify builds the torus."""
-    data = json.loads(cert_d5.read_text())
-    data["s"], data["level_bits"] = 3, data["level_bits"][:3]
-    path = tmp_path_factory.mktemp("certs") / "cert_d5_s3.json"
-    path.write_text(json.dumps(data))
-    return path
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -433,11 +423,9 @@ def test_verify_names_census_only_route(tmp_path, capsys):
 
 
 def test_verify_computes_the_census_once(cert_d5, tmp_path, capsys, monkeypatch):
-    """One voltage census serves the flags and the summary table (s > 3), or
-    the flags and the explicit torus cross-check (s <= 3); report too
-    computes it once, for its verdict and its table."""
-    import importlib
-
+    """One voltage census serves the flags and the summary table, at s > 3
+    and at s <= 3 alike, and verify builds no cover and runs no explicit
+    census; report too computes it once, for its verdict and its table."""
     # the package re-exports functions named like some of its modules
     modules = [importlib.import_module(f"thetalattice.{m}") for m in ("cli", "certify")]
     calls = []
@@ -447,15 +435,20 @@ def test_verify_computes_the_census_once(cert_d5, tmp_path, capsys, monkeypatch)
         calls.append(volt.s)
         return original(base, volt)
 
+    def unused(*args):
+        raise AssertionError("verify and report build no cover and run no explicit census")
+
     for mod in modules:
         monkeypatch.setattr(mod, "voltage_census", counted)
+    monkeypatch.setattr(modules[0], "derived_cover", unused)
+    monkeypatch.setattr(modules[0], "census_of_graph", unused)
     data = json.loads(cert_d5.read_text())
     data["s"], data["level_bits"] = 3, data["level_bits"][:3]
     small = tmp_path / "cert_d5_s3.json"
     small.write_text(json.dumps(data))
     for command, path, marker in (
         ("verify", cert_d5, "ratio"),
-        ("verify", small, "explicit torus cross-check"),
+        ("verify", small, "VERDICT: FAIL"),
         ("report", cert_d5, "ratio"),
         ("report", small, "VERDICT: FAIL"),
     ):
@@ -465,35 +458,14 @@ def test_verify_computes_the_census_once(cert_d5, tmp_path, capsys, monkeypatch)
         assert len(calls) == 1
 
 
-def test_verify_skips_a_torus_above_the_cover_limits(cert_d5_s3, capsys, monkeypatch):
-    """With COVER_EDGE_LIMIT below the 1,600 edges of the d = 5, s = 3,
-    n = 2 torus, verify skips the cross-check, naming the size, and
-    otherwise prints what it prints unpatched (the cut certificate's flags
-    fail, so VERDICT: FAIL and exit 1)."""
-    import thetalattice.voltage as voltage_module
-
-    def kept(out):
-        return [line for line in out.splitlines() if not line.startswith(("elapsed:", "explicit torus"))]
-
-    code, out, _ = run(capsys, "verify", str(cert_d5_s3))
-    assert code == 1 and "VERDICT: FAIL" in out
-    assert "explicit torus cross-check at n=2: PASS" in out.splitlines()
-    monkeypatch.setattr(voltage_module, "COVER_EDGE_LIMIT", 1599)
-    patched_code, patched, err = run(capsys, "verify", str(cert_d5_s3))
-    assert (patched_code, err) == (code, "")
-    assert kept(patched) == kept(out)
-    assert (
-        "explicit torus cross-check at n=2: skipped "
-        "(a cover with n=2, s=3, d=5 has 1600 edges, above the limit of 1599)"
-    ) in patched.splitlines()
-
-
 @pytest.mark.parametrize("d", [5, 6, 7])
 def test_short_closed_walks_move_each_axis_at_most_one_step(d):
-    """Why verify's torus cross-check at n = 2 is exact: every closed walk
-    of length 4 or 6 of the base graph with no immediate reversal (across
-    the closing step too) moves each axis by -1, 0 or 1, so none wraps to
-    zero displacement on the n = 2 torus."""
+    """Why the n = 2 torus is exact, so that its census is 2^3 times the
+    voltage census, as every larger side's is n^3 times it, and the
+    character-sum route of ROADMAP direction 12 may count over Z_2^3: every
+    closed walk of length 4 or 6 of the base graph with no immediate
+    reversal (across the closing step too) moves each axis by -1, 0 or 1,
+    so none wraps to zero displacement on the n = 2 torus."""
     base, n = BaseGraph(d), 2 * d
     nbrs = {v: [u for u in range(n) if (u < d) != (v < d)] for v in range(n)}
     step = {(u, v): edge_disp(base, u, v) for u in range(n) for v in nbrs[u]}
@@ -698,16 +670,34 @@ def test_malformed_input_is_a_usage_error(cert_d5, tmp_path, capsys, time_limit,
         data = json.loads(cert_d5.read_text())
         edit(data)
         path.write_text(json.dumps(data))
-    if command == "export":
-        argv = ["export", "--d", "5", "--kind", "full-unit", "--cert", str(path), "-o", str(tmp_path / "g")]
-    else:
-        output = ["-o", str(tmp_path / "out.json")] if command == "embed" else []
-        argv = [command, str(path), *output]
-    code, _, err = run(capsys, *argv)
+    code, _, err = run(capsys, *_reading(command, path))
     assert code == 2
     assert "Traceback" not in err
     assert err.count("\n") == 1
     assert message in err
+    assert set(tmp_path.iterdir()) <= {path}
+
+
+def _reading(command, path):
+    """The argv of command reading the file path: export reads it as the
+    certificate of a d = 5 full unit graph, and every command but verify
+    writes its output beside it."""
+    out = str(path.with_name("out"))
+    if command == "export":
+        return ["export", "--d", "5", "--kind", "full-unit", "--cert", str(path), "-o", out]
+    return [command, str(path), *([] if command == "verify" else ["-o", out])]
+
+
+@pytest.mark.parametrize("command", ["census", "verify", "report", "embed", "export"])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, time_limit, command):
+    """A file of 200,000 nested brackets, too deep for the JSON parser to
+    read, exits 2 with one error line naming it, no traceback and no output
+    file, as every other malformed file does."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    what = "graph" if command == "census" else "certificate"
+    assert run(capsys, *_reading(command, path)) == (2, "", f"error: {what} JSON is nested too deeply to parse\n")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_report_reads_the_edge_order_before_the_flags(cert_d5, tmp_path, capsys):
@@ -873,10 +863,14 @@ def _mutated_graph_files(draw, text):
     """The graph file `text` with one mutation: a dropped or duplicated
     field (a duplicated key keeps its second value, as json.loads does), a
     value of a wrong type, an id, cell, level, edge end or d out of range,
-    or the text cut short."""
-    kind = draw(st.sampled_from(["drop", "duplicate", "type", "range", "truncate"]))
+    the text cut short, or the text wrapped in 1 to 10^5 bracket pairs,
+    below and above the parser's depth limit."""
+    kind = draw(st.sampled_from(["drop", "duplicate", "type", "range", "truncate", "nest"]))
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "nest":
+        n = draw(st.integers(1, 10**5))
+        return "[" * n + text + "]" * n
     data = json.loads(text)
     n, verts, edges = len(data["vertices"]), data["vertices"], data["edges"]
     rec, e = verts[draw(st.integers(0, n - 1))], draw(st.integers(0, len(edges) - 1))
@@ -947,12 +941,16 @@ def test_census_input_fuzz(torus_d5_text, tmp_path, capsys, time_limit, data):
 def _mutated_certificates(draw, text):
     """The certificate `text` with one mutation: a dropped or duplicated
     field, stage, edge_order entry, role or flag, a value of a wrong type, a
-    d, s, count, seed, stage, role or flag out of range, or the text cut
-    short.  No mutation turns it into another valid voltage by design: a
-    renamed role or a repeated entry leaves the canonical edge order."""
-    kind = draw(st.sampled_from(["drop", "duplicate", "type", "range", "truncate"]))
+    d, s, count, seed, stage, role or flag out of range, the text cut
+    short, or the text wrapped in 1 to 10^5 bracket pairs.  No mutation
+    turns it into another valid voltage by design: a renamed role or a
+    repeated entry leaves the canonical edge order."""
+    kind = draw(st.sampled_from(["drop", "duplicate", "type", "range", "truncate", "nest"]))
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "nest":
+        n = draw(st.integers(1, 10**5))
+        return "[" * n + text + "]" * n
     data = json.loads(text)
     stages, order, flags = data["level_bits"], data["edge_order"], data["flags"]
     i, e = draw(st.integers(0, len(stages) - 1)), draw(st.integers(0, len(order) - 1))
@@ -1339,23 +1337,3 @@ def test_kappa_five_halves_gives_d10(tmp_path, capsys):
     assert code == 0
     assert "VERDICT: PASS" in verify_out
     assert "-3/4000000" in verify_out
-
-
-def test_verify_small_s_runs_torus_cross_check(tmp_path, capsys):
-    """Certificates with s <= 3 additionally get the explicit torus check;
-    an honest random-bits certificate fails its flags but the cross-check
-    (census vs torus) itself passes."""
-    from conftest import random_bits_voltage
-    from thetalattice.certify import verify_certificate
-    from thetalattice.voltage import build_base_graph
-
-    base, volt0 = build_base_graph(5)
-    volt = random_bits_voltage(base, volt0, 2, seed=8)
-    cert = verify_certificate(base, volt, seed=8)
-    assert not cert.flags.all_true
-    path = tmp_path / "random_s2.json"
-    path.write_text(cert.to_json())
-    code, out, _ = run(capsys, "verify", str(path))
-    assert code == 1
-    assert "explicit torus cross-check at n=2: PASS" in out
-    assert "VERDICT: FAIL" in out

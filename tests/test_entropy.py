@@ -4,8 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_counts
-from thetalattice.census import CensusReport, voltage_census
+from conftest import (
+    central_counts,
+    complete_bipartite,
+    matching_counts,
+    plain_graph,
+    series_compose,
+    series_log,
+    series_mul,
+    series_reversion,
+)
+from thetalattice.census import CensusReport, census, voltage_census
 from thetalattice.entropy import (
     LatticeSummary,
     d6_coefficient,
@@ -38,6 +47,53 @@ def test_d6_closed_form_on_stray_free_bars(d):
     c4b = Fraction(d - 1, 4)
     tb = Fraction((d - 1) * (d - 2), 12)
     assert d6_coefficient(c4b, 0, tb, d) == Fraction((d - 1) * (19 - 2 * d), 12 * d**6)
+
+
+def _entropy_over_bethe(n, edges, d, terms):
+    """The first terms coefficients of Delta(p) = lambda(p) - lambda_B(p) for
+    the graph on n vertices, from its matching counts m_k.  With
+    F(x) = ln(sum m_k x^k) / n, p = 2 x F'(x) and lambda = F - (p/2) ln x,
+    and the Bethe value lambda_B(p) = [p ln d - p ln p - 2(1-p) ln(1-p)
+    + (d-p) ln(1-p/d)] / 2, the logarithms of p and d cancel through
+    ln x = ln p - ln d + ln(d x/p), leaving
+    Delta = F(x(p)) - (p/2) ln(d x/p) + (1-p) ln(1-p) - (d-p) ln(1-p/d) / 2."""
+    f = [c / n for c in series_log(matching_counts(n, edges, terms), terms + 1)]
+    x = series_reversion([2 * k * c for k, c in enumerate(f)], terms + 1)
+    fx = series_compose(f, x, terms)
+    half_p_log = series_mul([0, Fraction(1, 2)], series_log([d * c for c in x[1:]], terms), terms)
+    bethe_p = series_mul([1, -1], series_log([1, -1], terms), terms)
+    bethe_d = series_mul([d, -1], series_log([1, Fraction(-1, d)], terms), terms)
+    return [fx[k] - half_p_log[k] + bethe_p[k] - bethe_d[k] / 2 for k in range(terms)]
+
+
+def _circulant(m, shifts):
+    """White i meets black m + (i + s) mod m for each s in shifts."""
+    return plain_graph(2 * m, [(i, m + (i + s) % m) for i in range(m) for s in shifts])
+
+
+@pytest.mark.parametrize(
+    "g, d",
+    [
+        (complete_bipartite(5, 5), 5),
+        (_circulant(8, {0, 1, 2, 4}), 4),
+        (_circulant(9, {0, 1, 3, 7}), 4),
+        (_circulant(8, {0, 1, 2, 3, 5}), 5),
+    ],
+    ids=["K55", "C8-0124", "C9-0137", "C8-01235"],
+)
+def test_d6_is_half_the_p6_term_of_the_entropy_over_bethe(g, d):
+    """The oracle for d6_coefficient: on a d-regular bipartite graph, the
+    monomer-dimer entropy minus its Bethe value, as a series in the
+    covered fraction p, starts at p^4, and with the averages of the
+    package's census its p^4, p^5 and p^6 terms are c4_bar/d^4,
+    4 c4_bar/d^5 and 2 d6."""
+    report = census(g)
+    c4_bar = report.c4_bar
+    delta = _entropy_over_bethe(g.vertex_count, g.edge_array.tolist(), d, 7)
+    assert delta[:4] == [0] * 4
+    assert delta[4] == c4_bar / d**4
+    assert delta[5] == 4 * c4_bar / d**5
+    assert delta[6] == 2 * d6_coefficient(c4_bar, report.c6_bar, report.theta_bar, d)
 
 
 def test_central_counts():
