@@ -145,7 +145,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_report(args) -> int:
     cert = LiftCertificate.from_json(Path(args.certificate).read_text())
-    kappa = _parse_rational(args.kappa) if args.kappa else None
+    kappa = None if args.kappa is None else _parse_rational(args.kappa)
     # the census decides the verdict, as in verify, but with no DFS re-check
     base = BaseGraph(cert.d)
     report = voltage_census(base, cert.volt)

@@ -5,9 +5,9 @@ else in the center box; lx/ly/lz positions are the matching-level rx/ry/rz
 points shifted back by one unit, realizing the gluing.  A try is good when,
 over the full 3x3x3 block of unit translates, edge segments meet only at
 shared endpoints.  A try holds integer numerators over one denominator, and
-verdicts are decided in integer arithmetic on grid-scaled coordinates; a
-float64 filter with a static error bound only ever proves a pair skew, so
-verdicts are exact and platform-independent.
+verdicts are decided in integer arithmetic on grid-scaled coordinates, by
+one path at every grid size; a float64 filter with a static error bound only
+ever proves a pair skew, so verdicts are exact and platform-independent.
 """
 
 from __future__ import annotations
@@ -191,10 +191,6 @@ def segment_pair_ok(p1: IPoint, p2: IPoint, q1: IPoint, q2: IPoint) -> bool:
 _EPS = 2.0**-53
 _ORIENT3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
 _COORD_LIMIT = 2**53
-# Below this block-coordinate bound, endpoint differences stay below 2^30,
-# their products below 2^60, and a cross component or a 3-term dot product
-# below 3 * 2^60 < 2^63, so _shared_endpoint_ok decides in int64 exactly.
-_INT64_SHARED_LIMIT = 2**29
 # One representative of each translation class of pairs in the 3x3x3 block:
 # (e, f + delta) and (f, e - delta) are the same pair, so delta >= 0 in
 # lexicographic order.
@@ -238,43 +234,41 @@ def _undecided(
 
 
 def _shared_endpoint_ok(
-    start: np.ndarray, end: np.ndarray, i: np.ndarray, j: np.ndarray, shift: np.ndarray
+    start: np.ndarray, end: np.ndarray, direction: np.ndarray, i: np.ndarray, j: np.ndarray, shift: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(shared, ok) for the pairs of segment i[k] against segment j[k] +
     shift[:, k]: whether they share an endpoint, and where they do, whether
     they meet only there, as segment_pair_ok decides it.
 
-    start and end are (3, E) int64 endpoints; no segment is a single point.
-    Two shared endpoints make the same segment twice.  With one shared
-    endpoint a and far ends b and c, the segments meet only at a unless the
-    rays a->b and a->c are collinear (zero cross product) and point the same
-    way (dot product >= 0).  Exact in int64 while every coordinate of the
-    two segments is below _INT64_SHARED_LIMIT in magnitude.
+    start and end are (3, E) int64 endpoints, and direction is end - start
+    divided by the gcd of its components (zero for a single-point segment).
+    Two shared endpoints make the same segment twice, or a single point on
+    the other segment.  With one shared endpoint a, the segments meet only
+    at a unless the rays from a along them point the same way, that is,
+    unless their primitive directions away from a are equal: the segment's
+    direction where a is its start, its negation where a is its end.  This
+    forms no product, so it is exact in int64 for every block coordinate
+    below the 2^53 that is_good_try admits.
     """
     p1, p2 = start[:, i], end[:, i]
     q1, q2 = start[:, j] + shift, end[:, j] + shift
     p1q1, p1q2 = (p1 == q1).all(axis=0), (p1 == q2).all(axis=0)
     p2q1, p2q2 = (p2 == q1).all(axis=0), (p2 == q2).all(axis=0)
-    at_p1 = p1q1 | p1q2
-    at_q1 = p1q1 | p2q1
     count = p1q1.astype(np.int64) + p1q2 + p2q1 + p2q2
-    a = np.where(at_p1, p1, p2)
-    u = np.where(at_p1, p2, p1) - a
-    v = np.where(at_q1, q2, q1) - a
-    crossed = np.cross(u, v, axis=0).any(axis=0)
-    ok = (count == 1) & (crossed | ((u * v).sum(axis=0) < 0))
+    u = np.where(p1q1 | p1q2, direction[:, i], -direction[:, i])
+    v = np.where(p1q1 | p2q1, direction[:, j], -direction[:, j])
+    ok = (count == 1) & (u != v).any(axis=0)
     return count > 0, ok
 
 
-def _decide(start: np.ndarray, end: np.ndarray, pending: list, int64_shared: bool) -> bool:
+def _decide(start: np.ndarray, end: np.ndarray, direction: np.ndarray, pending: list) -> bool:
     """Exact verdict on a pending batch of (i, j, shift) parts, segment i[k]
     against segment j[k] + shift[:, k], as is_good_try describes it."""
     i, j, shift = (np.concatenate(part, axis=-1) for part in zip(*pending))
-    if int64_shared:
-        shared, ok = _shared_endpoint_ok(start, end, i, j, shift)
-        if not ok[shared].all():
-            return False
-        i, j, shift = i[~shared], j[~shared], shift[:, ~shared]
+    shared, ok = _shared_endpoint_ok(start, end, direction, i, j, shift)
+    if not ok[shared].all():
+        return False
+    i, j, shift = i[~shared], j[~shared], shift[:, ~shared]
     quads = np.stack([start[:, i], end[:, i], start[:, j] + shift, end[:, j] + shift]).transpose(2, 0, 1)
     return all(segment_pair_ok(*map(tuple, quad)) for quad in quads.tolist())
 
@@ -296,9 +290,8 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     in magnitude, else TooLarge.  The pairs it leaves, from every chunk and
     offset, wait in one pending batch that _decide settles once it holds
     _FLUSH pairs, and once more at the end: pairs with a shared endpoint by
-    the vectorised int64 _shared_endpoint_ok while every block coordinate is
-    below 2^29; every other pair, and above 2^29 every pair the filter leaves,
-    by the exact Python-int segment_pair_ok.
+    the vectorised int64 _shared_endpoint_ok, every other pair by the exact
+    Python-int segment_pair_ok.
     """
     if len(t.num) < fug.vertex_count:
         raise ValueError(f"try places {len(t.num)} of {fug.vertex_count} vertices")
@@ -308,10 +301,10 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
     reach = max(-int(scaled.min()), int(scaled.max())) + 2 * denom
     if reach >= _COORD_LIMIT:
         raise TooLarge(f"block coordinates reach {reach} grid units, not below 2^53")
-    int64_shared = reach < _INT64_SHARED_LIMIT
     # (axis, edge)
     start, end = scaled[fug.edge_array[:, 0]].T, scaled[fug.edge_array[:, 1]].T
     step = end - start
+    direction = step // np.maximum(np.gcd.reduce(step, axis=0), 1)
     lo, hi = np.minimum(start, end), np.maximum(start, end)
     # near[k, u + 2, e]: edge e's extent on axis k meets the hull's shifted by u units
     units = np.arange(-2, 3)[:, None] * denom
@@ -347,10 +340,10 @@ def is_good_try(t: Try, fug: LabeledGraph) -> bool:
             pending.append((i[left], j[left], sh.repeat(len(left), axis=1)))
             waiting += len(left)
             if waiting >= _FLUSH:
-                if not _decide(start, end, pending, int64_shared):
+                if not _decide(start, end, direction, pending):
                     return False
                 pending, waiting = [], 0
-    return not waiting or _decide(start, end, pending, int64_shared)
+    return not waiting or _decide(start, end, direction, pending)
 
 
 def find_good_try(

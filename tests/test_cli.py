@@ -1112,6 +1112,18 @@ def test_report_d5(cert_d5, capsys, tmp_path):
     assert data["sign"] == "positive"
 
 
+@pytest.mark.parametrize("kappa", ["", "half", "1/0"])
+def test_report_rejects_bad_kappa(cert_d5, tmp_path, capsys, kappa):
+    """A --kappa that is not a rational, the empty string included, exits 2
+    with one stderr line naming it and writes no summary."""
+    out_path = tmp_path / "summary.json"
+    code, out, err = run(capsys, "report", str(cert_d5), f"--kappa={kappa}", "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot parse rational {kappa!r}")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_construct_then_report_below_the_sign_flip(tmp_path, capsys):
     """construct, then report -o, at d = 5 and 6: the order-6 coefficient
     is positive below d = 10, in the table and in the JSON."""

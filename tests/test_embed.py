@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -208,8 +209,8 @@ def test_segment_predicate_symmetric(p1, p2, q1, q2):
     assert segment_pair_ok(p1, p2, q1, q2) == segment_pair_ok(p2, p1, q1, q2)
 
 
-# the largest coordinate magnitude that _shared_endpoint_ok decides in int64
-_E = embed._INT64_SHARED_LIMIT - 1
+# the largest block coordinate magnitude that is_good_try admits
+_E = embed._COORD_LIMIT - 1
 _ray = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
 
 
@@ -217,7 +218,7 @@ _ray = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
 def _shared_endpoint_pairs(draw):
     """(p1, p2, q1, q2): segments a-b and a-c in either orientation, with
     rays a -> b and a -> c of small directions, often collinear in the same
-    or the opposite sense, placed at the origin or within 8 of the int64
+    or the opposite sense, placed at the origin or within 8 of the block
     coordinate bound."""
     corner = draw(st.tuples(*[st.sampled_from([-_E + 8, 0, _E - 8])] * 3))
     a = tuple(x + draw(st.integers(-2, 2)) for x in corner)
@@ -231,13 +232,21 @@ def _shared_endpoint_pairs(draw):
     return (*p, *q)
 
 
+def _primitive(p, q):
+    """q - p divided by the gcd of its components, in Python ints."""
+    step = [b - a for a, b in zip(p, q)]
+    g = math.gcd(*step) or 1
+    return [x // g for x in step]
+
+
 def _shared_endpoint_verdict(p1, p2, q1, q2, shift):
     """embed._shared_endpoint_ok on the one pair (p1p2, q1q2), with q1q2
     stored shifted back by shift, given as the pair's (3, 1) shift column."""
     start = np.array([p1, np.subtract(q1, shift)], dtype=np.int64).T
     end = np.array([p2, np.subtract(q2, shift)], dtype=np.int64).T
+    direction = np.array([_primitive(p1, p2), _primitive(q1, q2)], dtype=np.int64).T
     shared, ok = embed._shared_endpoint_ok(
-        start, end, np.array([0]), np.array([1]), np.array(shift, dtype=np.int64)[:, None]
+        start, end, direction, np.array([0]), np.array([1]), np.array(shift, dtype=np.int64)[:, None]
     )
     return bool(shared[0]), bool(ok[0])
 
@@ -254,10 +263,11 @@ def _shared_endpoint_verdict(p1, p2, q1, q2, shift):
 # the same segment twice, and no shared endpoint
 @example(((_E, 0, -_E), (-_E, 1, _E), (-_E, 1, _E), (_E, 0, -_E)), (0, 0, 0))
 @example(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)), (0, 0, 0))
-def test_shared_endpoint_int64_matches_segment_pair_ok(pair, shift):
-    """The int64 shared-endpoint test agrees with segment_pair_ok wherever
-    the segments share an endpoint, with coordinates up to 2^29 - 1 in
-    magnitude, and finds exactly the pairs that share one."""
+def test_shared_endpoint_directions_match_segment_pair_ok(pair, shift):
+    """The primitive-direction shared-endpoint test agrees with
+    segment_pair_ok wherever the segments share an endpoint, with
+    coordinates up to 2^53 - 1 in magnitude, and finds exactly the pairs
+    that share one."""
     p1, p2, q1, q2 = pair
     shared, ok = _shared_endpoint_verdict(p1, p2, q1, q2, shift)
     assert shared == bool({p1, p2} & {q1, q2})
@@ -276,18 +286,19 @@ def _two_edges_from_one_vertex(corner, far):
     return fug, t
 
 
-_INT64_BOUND_CASES = [(2**29 - 10, True), (2**29 - 9, False)]
+# block coordinates reach corner + 9: below 2^29, at 2^29 and at 2^50 + 9
+_CORNERS = [2**29 - 10, 2**29 - 9, 2**50]
 _FARS = [(0, 0, -1), (0, 2, 0), (0, -1, 0)]
 
 
-@pytest.mark.parametrize("corner, int64", _INT64_BOUND_CASES)
+@pytest.mark.parametrize("corner", _CORNERS)
 @pytest.mark.parametrize("far", _FARS)
-def test_shared_endpoint_route_switches_at_int64_bound(monkeypatch, corner, int64, far):
+def test_shared_endpoint_pairs_never_reach_segment_pair_ok(monkeypatch, corner, far):
     """Two edges from one vertex a, on a grid of 4 units a cell: the largest
     coordinate is corner + 1 units, so block coordinates reach corner + 9.
-    Below 2^29 the shared-endpoint pairs never reach segment_pair_ok, at
-    2^29 they do, and the verdict is the block oracle's either way
-    (perpendicular, overlapping and opposite second edges)."""
+    At every coordinate size the shared-endpoint pairs are decided without
+    segment_pair_ok, and the verdict is the block oracle's (perpendicular,
+    overlapping and opposite second edges)."""
     fug, t = _two_edges_from_one_vertex(corner, far)
     assert t.scaled()[1] == 4
     assert _scaled_as_reference(t) == scaled_reference(try_points(t))
@@ -299,7 +310,7 @@ def test_shared_endpoint_route_switches_at_int64_bound(monkeypatch, corner, int6
 
     monkeypatch.setattr(embed, "segment_pair_ok", counted)
     verdict = is_good_try(t, fug)
-    assert any(calls) != int64
+    assert not any(calls)
     monkeypatch.undo()
     assert verdict == _block_oracle_ok(t, fug) == (far != (0, 2, 0))
 
@@ -496,33 +507,48 @@ def test_try_bad_only_across_offset(delta):
     assert _block_oracle_ok(passing, fug)
 
 
+def _zero_length_edge_tries():
+    """(touching, apart) tries of _two_edge_graph whose edge A has both ends
+    at one point: on an end of edge B, or outside the boxes of edge B and
+    its translates."""
+    e = Fraction(1, 8)
+    a, b1, b2 = (4 * e, 4 * e, 4 * e), (2 * e, 2 * e, 3 * e), (5 * e, 6 * e, 2 * e)
+    touching = try_from_points({0: a, 1: a, 2: b1, 3: a}, e)
+    apart = try_from_points({0: a, 1: a, 2: b1, 3: b2}, e)
+    return touching, apart
+
+
 @pytest.fixture(scope="module")
 def oracle_cases():
     """(case, full unit graph, try, _block_oracle_ok verdict) for the sampled
     tries of test_good_try_matches_block_oracle, the crossing and passing
-    tries of test_try_bad_only_across_offset and the tries at the int64
-    bound of test_shared_endpoint_route_switches_at_int64_bound."""
+    tries of test_try_bad_only_across_offset, the tries at every corner of
+    test_shared_endpoint_pairs_never_reach_segment_pair_ok and the
+    zero-length edge tries."""
     cases = list(_sampled_tries())
     for delta in _DELTAS:
         cases += [((delta, k), _two_edge_graph(), t) for k, t in enumerate(_tries_across_offset(delta))]
-    for corner, _ in _INT64_BOUND_CASES:
+    for corner in _CORNERS:
         cases += [((corner, far), *_two_edges_from_one_vertex(corner, far)) for far in _FARS]
+    cases += [(("zero-length", k), _two_edge_graph(), t) for k, t in enumerate(_zero_length_edge_tries())]
     return [(case, fug, t, _block_oracle_ok(t, fug)) for case, fug, t in cases]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flush", [1, 2, 7, 64])
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
 def test_batch_bounds_keep_the_verdict(oracle_cases, monkeypatch, chunk, flush):
     """Whatever the box-mask chunk and the pending batch's flush bound, the
-    verdict is the block oracle's; small bounds split the exact decisions of
-    a try over several batches, and a good try's batches hold each pair the
-    float filter leaves once, as one unbounded batch does."""
+    verdict is the block oracle's, with no numpy warning (a zero-length
+    edge has gcd 0); small bounds split the exact decisions of a try over
+    several batches, and a good try's batches hold each pair the float
+    filter leaves once, as one unbounded batch does."""
     monkeypatch.setattr(embed, "_CHUNK", chunk)
     decide, batches = embed._decide, []
 
-    def counted(start, end, pending, int64_shared):
+    def counted(start, end, direction, pending):
         batches[-1].append(sum(len(i) for i, _, _ in pending))
-        return decide(start, end, pending, int64_shared)
+        return decide(start, end, direction, pending)
 
     monkeypatch.setattr(embed, "_decide", counted)
 
