@@ -127,7 +127,7 @@ def _cmd_verify(args) -> int:
     ok, lines = _recheck(cert, fresh)
     print("\n".join(lines))
     if ok:
-        print(summary_table([LatticeSummary(cert.d, cert.s, report)]))
+        print(summary_table(LatticeSummary(cert.d, cert.s, report)))
     print(f"elapsed: {time.perf_counter() - t0:.1f}s")
     print(f"VERDICT: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -157,7 +157,7 @@ def _cmd_report(args) -> int:
     summary = LatticeSummary(cert.d, cert.s, report, kappa)
     if args.output:
         _write((args.output, _json_text(summary.to_json_dict())))
-    print(summary_table([summary]))
+    print(summary_table(summary))
     return 0
 
 

@@ -147,7 +147,8 @@ def _dot(a: IPoint, b: IPoint) -> int:
 def segment_pair_ok(p1: IPoint, p2: IPoint, q1: IPoint, q2: IPoint) -> bool:
     """True iff closed segments p1p2 and q1q2 meet only at a shared endpoint.
 
-    Collinear segments that overlap beyond a shared endpoint count as bad.
+    Collinear segments that overlap beyond a shared endpoint count as bad,
+    and so does a single-point segment at an endpoint of the other.
     """
     shared = {p1, p2} & {q1, q2}
     if len(shared) >= 2:
@@ -160,6 +161,10 @@ def segment_pair_ok(p1: IPoint, p2: IPoint, q1: IPoint, q2: IPoint) -> bool:
         if _cross(u, v) != (0, 0, 0):
             return True
         return _dot(u, v) < 0  # opposite rays only touch at the vertex
+    if p1 == p2:  # a single point: the collinear test below decides it against q1q2
+        p1, p2, q1, q2 = q1, q2, p1, p2
+    if p1 == p2:
+        return True  # two distinct points
     u = _sub(p2, p1)
     v = _sub(q2, q1)
     w = _sub(q1, p1)

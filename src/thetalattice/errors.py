@@ -24,9 +24,3 @@ class GridTooCoarse(ValueError):
 
 class AttemptsExhausted(RuntimeError):
     """No good try was found within the attempt budget."""
-
-
-class InvalidCertificate(ValueError):
-    """A lattice summary was asked of a census with no 4-cycles, which no
-    certified lattice has: report builds one only after the census passed
-    the certificate."""

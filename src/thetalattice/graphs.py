@@ -10,9 +10,9 @@ as arrays, by voltage.BaseGraph (the base graph and its central K_{2,d}),
 derived_cover and graph_from_json_dict.
 
 _Value is the one base of the hand-written value classes (LabeledGraph;
-BaseGraph and VoltageAssignment in voltage, Try in embed, LatticeSummary in
-entropy): it sets each field once and makes array fields read-only, so
-values can be shared freely, and gives their equality, hashing and repr.
+BaseGraph and VoltageAssignment in voltage, Try in embed): it sets each
+field once and makes array fields read-only, so values can be shared
+freely, and gives their equality, hashing and repr.
 
 Level bit order: position i of the level string records the choice made at
 the i-th lift (position 0 = first lift).  When a level is interpreted as an

@@ -366,15 +366,23 @@ def _planar_oracle_ok(p1, p2, q1, q2):
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
 )
+@example((0, 0), (0, 0), (5, 1), (5, 2))  # a point off a segment, inside its line's span
+@example((0, 0), (0, 0), (1, 1), (1, 1))  # two distinct points
+@example((1, 1), (1, 1), (0, 0), (2, 2))  # a point strictly inside a segment
+@example((2, 2), (2, 2), (0, 0), (2, 2))  # a point at a segment's end
 def test_segment_predicate_matches_planar_oracle(p1, p2, q1, q2):
-    if p1 == p2 or q1 == q2:
-        return
-    if {p1, p2} == {q1, q2}:
-        return
+    """The oracle's verdict, also for single-point segments, except where a
+    single point lies on an end of the other segment or the two segments
+    are the same: those the package refuses.  Swapping the segments keeps
+    the verdict."""
     lift = lambda p: (p[0], p[1], 0)
-    assert segment_pair_ok(lift(p1), lift(p2), lift(q1), lift(q2)) == _planar_oracle_ok(
-        p1, p2, q1, q2
-    )
+    ok = segment_pair_ok(lift(p1), lift(p2), lift(q1), lift(q2))
+    assert ok == segment_pair_ok(lift(q1), lift(q2), lift(p1), lift(p2))
+    point_on_end = (p1 == p2 and p1 in (q1, q2)) or (q1 == q2 and q1 in (p1, p2))
+    if point_on_end or {p1, p2} == {q1, q2}:
+        assert not ok
+    else:
+        assert ok == _planar_oracle_ok(p1, p2, q1, q2)
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +516,23 @@ def test_try_bad_only_across_offset(delta):
 
 
 def _zero_length_edge_tries():
-    """(touching, apart) tries of _two_edge_graph whose edge A has both ends
-    at one point: on an end of edge B, or outside the boxes of edge B and
-    its translates."""
+    """(touching, apart, boxed) tries of _two_edge_graph whose edge A has
+    both ends at one point: on an end of edge B, outside the boxes of edge
+    B and its translates, or strictly inside edge B's box but off edge B."""
     e = Fraction(1, 8)
     a, b1, b2 = (4 * e, 4 * e, 4 * e), (2 * e, 2 * e, 3 * e), (5 * e, 6 * e, 2 * e)
     touching = try_from_points({0: a, 1: a, 2: b1, 3: a}, e)
     apart = try_from_points({0: a, 1: a, 2: b1, 3: b2}, e)
-    return touching, apart
+    boxed = try_from_points({0: a, 1: a, 2: b1, 3: (6 * e, 5 * e, 6 * e)}, e)
+    return touching, apart, boxed
+
+
+def test_zero_length_edge_is_decided_exactly():
+    """A single-point edge at an end of another edge is refused; one off
+    every other edge is accepted, also strictly inside another edge's
+    bounding box."""
+    fug = _two_edge_graph()
+    assert [is_good_try(t, fug) for t in _zero_length_edge_tries()] == [False, True, True]
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,6 @@ from thetalattice.entropy import (
     min_degree_for_kappa,
     summary_table,
 )
-from thetalattice.errors import InvalidCertificate
 
 
 def test_d6_zero():
@@ -132,31 +131,28 @@ def test_lattice_report_d5(certified):
     summary = _summary(certified, 5)
     assert summary.ratio == 1
     assert summary.d6 == Fraction(3, 15625)
-    assert not summary.d6_negative
+    assert summary.d6 > 0
 
 
 def test_lattice_report_d10(certified):
     summary = _summary(certified, 10, Fraction(5, 2))
-    assert summary.c4_bar == Fraction(9, 4)
-    assert summary.theta_bar == 6
+    assert summary.census.c4_bar == Fraction(9, 4)
+    assert summary.census.theta_bar == 6
     assert summary.ratio == Fraction(8, 3)
     assert summary.d6 == Fraction(-3, 4_000_000)
-    assert summary.d6_negative
+    assert summary.d6 < 0
     data = summary.to_json_dict()
     assert data["sign"] == "negative"
     assert data["ratio_exceeds_kappa"] is True
 
 
-def test_lattice_summary_stores_its_census_and_refuses_no_4_cycles():
-    """A summary stores d, s, its census and kappa, and derives the rest; a
-    census with no 4-cycles is no certified lattice's."""
-    assert list(LatticeSummary.__slots__) == ["d", "s", "census", "kappa"]
+def test_lattice_summary_stores_its_census():
+    """A summary stores d, s, its census and kappa, and derives the rest."""
+    assert LatticeSummary._fields == ("d", "s", "census", "kappa")
     census = CensusReport(45 << 8, 45 << 8, 0, 120 << 8, 20 << 8, "per-cube")
     summary = LatticeSummary(10, 8, census, Fraction(5, 2))
-    assert (summary.c4_bar, summary.c6_bar, summary.theta_bar) == (Fraction(9, 4), 0, 6)
+    assert (summary.census.c4_bar, summary.census.c6_bar, summary.census.theta_bar) == (Fraction(9, 4), 0, 6)
     assert (summary.ratio, summary.d6, summary.sign) == (Fraction(8, 3), Fraction(-3, 4_000_000), "negative")
-    with pytest.raises(InvalidCertificate, match="certified lattice has no 4-cycles"):
-        LatticeSummary(10, 8, CensusReport(0, 0, 0, 0, 20 << 8, "per-cube"))
 
 
 def test_ratio_equals_degree_formula_for_certified(certified):
@@ -166,17 +162,50 @@ def test_ratio_equals_degree_formula_for_certified(certified):
     exactly from d = 10 on."""
     for d in range(5, 41):
         summary = _summary(certified, d)
-        assert summary.c4_bar == Fraction(d - 1, 4)
-        assert summary.theta_bar == Fraction((d - 1) * (d - 2), 12)
-        assert summary.c6_bar == 0
+        assert summary.census.c4_bar == Fraction(d - 1, 4)
+        assert summary.census.theta_bar == Fraction((d - 1) * (d - 2), 12)
+        assert summary.census.c6_bar == 0
         assert summary.ratio == Fraction(d - 2, 3)
         assert summary.d6 == -Fraction((d - 1) * (2 * d - 19), 12 * d**6)
-        assert summary.d6_negative == (d >= 10)
+        assert (summary.d6 < 0) == (d >= 10)
 
 
 def test_summary_table_layout(certified):
-    text = summary_table([_summary(certified, 5)])
+    text = summary_table(_summary(certified, 5))
     lines = text.splitlines()
     assert len(lines) == 2
     assert lines[0].split() == ["d", "s", "c4_bar", "c6_bar", "theta_bar", "ratio", "d6", "sign"]
     assert "positive" in lines[1]
+
+
+_GOLDEN = {
+    (5, None): (
+        "d  s  c4_bar  c6_bar  theta_bar  ratio       d6      sign\n"
+        "5  6       1       0          1      1  3/15625  positive",
+        {"d": 5, "s": 6, "c4_bar": "1/1", "c6_bar": "0/1", "theta_bar": "1/1", "ratio": "1/1",
+         "d6": "3/15625", "sign": "positive"},
+    ),
+    (10, None): (
+        " d  s  c4_bar  c6_bar  theta_bar  ratio          d6      sign\n"
+        "10  8     9/4       0          6    8/3  -3/4000000  negative",
+        {"d": 10, "s": 8, "c4_bar": "9/4", "c6_bar": "0/1", "theta_bar": "6/1", "ratio": "8/3",
+         "d6": "-3/4000000", "sign": "negative"},
+    ),
+    (10, Fraction(5, 2)): (
+        " d  s  c4_bar  c6_bar  theta_bar  ratio          d6      sign\n"
+        "10  8     9/4       0          6    8/3  -3/4000000  negative",
+        {"d": 10, "s": 8, "c4_bar": "9/4", "c6_bar": "0/1", "theta_bar": "6/1", "ratio": "8/3",
+         "d6": "-3/4000000", "sign": "negative", "kappa": "5/2", "ratio_exceeds_kappa": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("d, kappa", list(_GOLDEN), ids=["d5", "d10", "d10-kappa"])
+def test_summary_table_and_json_are_pinned(certified, d, kappa):
+    """The exact table text and JSON record of the certified d = 5 and
+    d = 10 summaries, with and without a kappa target."""
+    summary = _summary(certified, d, kappa)
+    table, record = _GOLDEN[d, kappa]
+    assert summary_table(summary) == table
+    assert summary.to_json_dict() == record
+    assert list(summary.to_json_dict()) == list(record)
